@@ -5,7 +5,7 @@
 //! The matrix is `(workload × ChaosPlan × FaultPlan × seed)`: the vocoder
 //! architecture and unscheduled models and a synthetic periodic task set
 //! each run under
-//! dispatch-reorder and handoff-stall chaos combined with notify-drop,
+//! dispatch-reorder chaos combined with notify-drop,
 //! notify-dup and WCET-jitter faults, every point with
 //! [`KernelInvariants::all`] and the RTOS scheduler-conformance checks
 //! armed. Model-level failures (watchdog expiries, detected deadlocks)
@@ -185,7 +185,6 @@ impl Repro {
                 "chaos_plan",
                 Json::obj([
                     ("reorder", Json::Num(self.chaos.reorder)),
-                    ("stall", Json::Num(self.chaos.stall)),
                     (
                         "window",
                         self.chaos.window.map_or(Json::Null, |(lo, hi)| {
@@ -242,9 +241,7 @@ impl Repro {
         }
 
         let cp = field("chaos_plan")?;
-        let mut chaos = ChaosPlan::none()
-            .with_reorder(num(cp, "reorder")?)
-            .with_stall(num(cp, "stall")?);
+        let mut chaos = ChaosPlan::none().with_reorder(num(cp, "reorder")?);
         if let Some(w) = cp.get("window").filter(|w| **w != Json::Null) {
             let arr = w.as_array().ok_or("window must be [lo, hi] or null")?;
             let lo = arr.first().and_then(Json::as_u64).ok_or("window[0]")?;
@@ -387,22 +384,17 @@ impl Shrinker {
                 }
             }
         }
-        let chaos_fields: [fn(&mut ChaosPlan) -> &mut f64; 2] =
-            [|c| &mut c.reorder, |c| &mut c.stall];
-        for get in chaos_fields {
-            loop {
-                let mut c = self.repro.chaos.clone();
-                let rate = get(&mut c);
-                if *rate / 2.0 < RATE_FLOOR {
-                    break;
-                }
-                *rate /= 2.0;
-                let (frames, faults) = (self.repro.frames, self.repro.faults.clone());
-                if self.still_fails(frames, &faults, &c) {
-                    self.repro.chaos = c;
-                } else {
-                    break;
-                }
+        loop {
+            let mut c = self.repro.chaos.clone();
+            if c.reorder / 2.0 < RATE_FLOOR {
+                break;
+            }
+            c.reorder /= 2.0;
+            let (frames, faults) = (self.repro.frames, self.repro.faults.clone());
+            if self.still_fails(frames, &faults, &c) {
+                self.repro.chaos = c;
+            } else {
+                break;
             }
         }
     }
@@ -582,14 +574,7 @@ fn main() {
             .to_string(),
     );
 
-    let chaos_plans: [(&str, ChaosPlan); 3] = [
-        ("reorder", ChaosPlan::none().with_reorder(0.5)),
-        ("stall", ChaosPlan::none().with_stall(0.5)),
-        (
-            "reorder+stall",
-            ChaosPlan::none().with_reorder(0.5).with_stall(0.5),
-        ),
-    ];
+    let chaos_plans: [(&str, ChaosPlan); 1] = [("reorder", ChaosPlan::none().with_reorder(0.5))];
     let fault_plans: [(&str, FaultPlan); 4] = [
         ("clean", FaultPlan::none()),
         ("drop", FaultPlan::none().with_drop_notify(0.3)),
@@ -759,12 +744,8 @@ fn main() {
                         + usize::from(minimal.faults.dup_notify > 0.0);
                     println!(
                         "minimal repro ({trials} trials): frames={} fault_kinds={} \
-                         reorder={:.3} stall={:.3} window={:?}",
-                        minimal.frames,
-                        active_kinds,
-                        minimal.chaos.reorder,
-                        minimal.chaos.stall,
-                        minimal.chaos.window
+                         reorder={:.3} window={:?}",
+                        minimal.frames, active_kinds, minimal.chaos.reorder, minimal.chaos.window
                     );
                     println!(
                         "wrote {} — replay with: cargo run -p bench --bin chaos -- --repro {}",

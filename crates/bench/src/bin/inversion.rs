@@ -68,36 +68,36 @@ fn run_scenario(policy: InheritancePolicy, medium_work_us: u64, traced: bool) ->
 
     let os_l = os.clone();
     let m_l = m.clone();
-    sim.spawn(Child::new("low", move |ctx| {
+    sim.spawn(Child::new("low", move |ctx| async move {
         let me = os_l.task_create(&TaskParams::aperiodic("low", Priority(9)));
-        os_l.task_activate(ctx, me);
-        m_l.lock(ctx);
-        os_l.time_wait(ctx, us(100)); // critical section
-        m_l.unlock(ctx);
-        os_l.task_terminate(ctx);
+        os_l.task_activate(&ctx, me).await;
+        m_l.lock(&ctx).await;
+        os_l.time_wait(&ctx, us(100)).await; // critical section
+        m_l.unlock(&ctx).await;
+        os_l.task_terminate(&ctx);
     }));
 
     let os_h = os.clone();
     let m_h = m.clone();
     let done = Arc::clone(&h_done);
-    sim.spawn(Child::new("high", move |ctx| {
+    sim.spawn(Child::new("high", move |ctx| async move {
         let me = os_h.task_create(&TaskParams::aperiodic("high", Priority(1)));
-        os_h.task_activate(ctx, me);
-        os_h.time_wait(ctx, us(20));
-        m_h.lock(ctx);
-        os_h.time_wait(ctx, us(50));
-        m_h.unlock(ctx);
+        os_h.task_activate(&ctx, me).await;
+        os_h.time_wait(&ctx, us(20)).await;
+        m_h.lock(&ctx).await;
+        os_h.time_wait(&ctx, us(50)).await;
+        m_h.unlock(&ctx).await;
         *done.lock() = ctx.now().as_micros();
-        os_h.task_terminate(ctx);
+        os_h.task_terminate(&ctx);
     }));
 
     let os_m = os.clone();
-    sim.spawn(Child::new("medium", move |ctx| {
+    sim.spawn(Child::new("medium", move |ctx| async move {
         let me = os_m.task_create(&TaskParams::aperiodic("medium", Priority(5)));
-        os_m.task_activate(ctx, me);
-        os_m.time_wait(ctx, us(20));
-        os_m.time_wait(ctx, us(medium_work_us));
-        os_m.task_terminate(ctx);
+        os_m.task_activate(&ctx, me).await;
+        os_m.time_wait(&ctx, us(20)).await;
+        os_m.time_wait(&ctx, us(medium_work_us)).await;
+        os_m.task_terminate(&ctx);
     }));
 
     sim.run().expect("scenario runs");

@@ -1,15 +1,18 @@
 //! Kernel hot-path microbenchmarks: the scheduling step *is* the product
 //! (the paper's speedup over an ISS-based model comes entirely from making
-//! it cheap), so this binary measures it directly:
+//! it cheap), so this binary measures it directly. Every process is a
+//! future on the kernel's single-threaded executor, so each point prices
+//! executor work, not OS context switches:
 //!
 //! * **handoff** — one process yielding with `waitfor(0)` in a tight loop:
-//!   every iteration is a full kernel→process→kernel token round trip over
-//!   the spin-then-park [`ParkCell`](sldl_sim::ParkCell) cells;
-//! * **notify** — two processes ping-ponging event notifications: delta
+//!   every iteration is one scheduler step plus one poll of the same
+//!   future (suspend, timer push/pop, resume);
+//! * **notify** — two processes ping-ponging event notifications: every
+//!   iteration polls the other future (a process switch), plus delta
 //!   cycles, O(1) stamped dedup and wake bookkeeping;
 //! * **spawn** — constructing, running and tearing down many short
-//!   simulations: process dispatch through the recycling thread pool
-//!   ([`sldl_sim::pool`]) and `WaitGroup` teardown quiescence;
+//!   simulations: boxing each body's future, polling it, and dropping
+//!   the simulation;
 //! * **vocoder** — the end-to-end vocoder architecture model, in
 //!   frames/sec.
 //!
@@ -32,7 +35,7 @@ use bench::json::Json;
 use bench::results::ResultsDoc;
 use bench::scenario::{ScenarioOutcome, ScenarioSpec, Workload};
 use bench::{fmt_host, TextTable};
-use sldl_sim::{pool, Child, KernelStats, Simulation};
+use sldl_sim::{Child, KernelStats, Simulation};
 
 const ABOUT: &str = "kernel hot-path microbenchmarks: handoff, notify, spawn/teardown, vocoder";
 
@@ -78,16 +81,16 @@ impl Point {
 /// One process yielding `iters` times: pure token-handoff cost.
 fn bench_handoff(iters: u64) -> Point {
     let mut sim = Simulation::new();
-    sim.spawn(Child::new("yielder", move |ctx| {
+    sim.spawn(Child::new("yielder", move |ctx| async move {
         for _ in 0..iters {
-            ctx.waitfor(Duration::ZERO);
+            ctx.waitfor(Duration::ZERO).await;
         }
     }));
     let started = Instant::now();
     let report = sim.run().expect("handoff bench runs clean");
     let wall = started.elapsed();
-    // Each resume is one kernel→process→kernel round trip (two park-cell
-    // handoffs); report the round-trip count the kernel itself observed.
+    // Each resume is one scheduler step plus one poll; report the resume
+    // count the kernel itself observed.
     Point {
         name: "handoff",
         rate_metric: "handoffs_per_sec",
@@ -102,16 +105,16 @@ fn bench_notify(iters: u64) -> Point {
     let mut sim = Simulation::new();
     let ping = sim.event_new();
     let pong = sim.event_new();
-    sim.spawn(Child::new("ping", move |ctx| {
+    sim.spawn(Child::new("ping", move |ctx| async move {
         for _ in 0..iters {
             ctx.notify(ping);
-            ctx.wait(pong);
+            ctx.wait(pong).await;
         }
         ctx.notify(ping); // release the partner's last wait
     }));
-    sim.spawn(Child::new("pong", move |ctx| {
+    sim.spawn(Child::new("pong", move |ctx| async move {
         for _ in 0..=iters {
-            ctx.wait(ping);
+            ctx.wait(ping).await;
             // The final notify has no waiter and expires — a lost
             // notification is normal SpecC semantics, not an error.
             ctx.notify(pong);
@@ -130,7 +133,7 @@ fn bench_notify(iters: u64) -> Point {
 }
 
 /// `sims` short simulations of `procs` trivial processes each:
-/// spawn/teardown latency through the recycling pool.
+/// spawn, run and teardown latency of whole simulations.
 fn bench_spawn(sims: u64, procs: u64) -> Point {
     let mut spawned = 0u64;
     let mut kernel = KernelStats::default();
@@ -138,14 +141,13 @@ fn bench_spawn(sims: u64, procs: u64) -> Point {
     for _ in 0..sims {
         let mut sim = Simulation::new();
         for p in 0..procs {
-            sim.spawn(Child::new("leaf", move |ctx| {
-                ctx.waitfor(Duration::from_micros(p));
+            sim.spawn(Child::new("leaf", move |ctx| async move {
+                ctx.waitfor(Duration::from_micros(p)).await;
             }));
         }
         let report = sim.run().expect("spawn bench runs clean");
         spawned += report.kernel.processes_spawned;
         kernel.processes_spawned += report.kernel.processes_spawned;
-        kernel.threads_recycled += report.kernel.threads_recycled;
         kernel.processes_resumed += report.kernel.processes_resumed;
         kernel.timer_ops += report.kernel.timer_ops;
     }
@@ -192,10 +194,6 @@ fn main() {
     let frames = args.frames.unwrap_or(50);
     let seed = derive_seed(args.seed, 0);
 
-    // Warm the pool so the handoff/notify points measure the steady state
-    // (the spawn point still exercises cold spawns on first use).
-    pool::prewarm(2);
-
     let points = [
         bench_handoff(iters),
         bench_notify(iters / 2),
@@ -216,13 +214,6 @@ fn main() {
             ]);
         }
         print!("{}", t.render());
-        let s = pool::stats();
-        println!(
-            "\npool: {} idle workers, {} threads ever spawned, {} jobs recycled",
-            pool::idle_workers(),
-            s.threads_spawned,
-            s.jobs_recycled
-        );
     }
 
     if let Some(path) = &args.json {

@@ -34,7 +34,7 @@ use bench::results::ResultsDoc;
 use bench::scenario::ScenarioOutcome;
 use bench::{fmt_host, TextTable};
 use rtos_model::readyq::{Rank, ReadyQueue};
-use sldl_sim::{pool, Child, KernelStats, Simulation};
+use sldl_sim::{Child, KernelStats, Simulation};
 
 const ABOUT: &str =
     "scheduler data-path microbenchmarks: ready-queue churn, select scaling, waiter storm, timer wheel";
@@ -223,16 +223,16 @@ fn bench_waiter_storm(waiters: u64, rounds: u64) -> Point {
     let mut sim = Simulation::new();
     let ev = sim.event_new();
     for _ in 0..waiters {
-        sim.spawn(Child::new("waiter", move |ctx| {
+        sim.spawn(Child::new("waiter", move |ctx| async move {
             for _ in 0..rounds {
-                ctx.wait(ev);
+                ctx.wait(ev).await;
             }
         }));
     }
-    sim.spawn(Child::new("storm", move |ctx| {
+    sim.spawn(Child::new("storm", move |ctx| async move {
         for _ in 0..rounds {
             // Let every waiter re-register, then release them all at once.
-            ctx.waitfor(Duration::from_micros(1));
+            ctx.waitfor(Duration::from_micros(1)).await;
             ctx.notify(ev);
         }
     }));
@@ -254,11 +254,11 @@ fn bench_waiter_storm(waiters: u64, rounds: u64) -> Point {
 fn bench_timer_wheel(procs: u64, laps: u64) -> Point {
     let mut sim = Simulation::new();
     for p in 0..procs {
-        sim.spawn(Child::new("timer", move |ctx| {
+        sim.spawn(Child::new("timer", move |ctx| async move {
             // Co-prime-ish stagger scatters due times across wheel levels.
             let delay = Duration::from_nanos(977 * (p + 1) + 61);
             for _ in 0..laps {
-                ctx.waitfor(delay);
+                ctx.waitfor(delay).await;
             }
         }));
     }
@@ -288,9 +288,6 @@ fn main() {
     );
     let iters: u64 = args.extra_or("iters", 100_000);
     let seed = args.seed;
-
-    // Warm the pool so the kernel-backed points measure the steady state.
-    pool::prewarm(2);
 
     let mut points = vec![bench_churn(iters, seed)];
     for n in SELECT_SIZES {

@@ -349,7 +349,7 @@ fn lint_chaos_repro(top: &[(String, Json)]) -> Result<String, String> {
                 "dup_notify",
             ][..],
         ),
-        ("chaos_plan", &["reorder", "stall"][..]),
+        ("chaos_plan", &["reorder"][..]),
     ] {
         let Some(Json::Obj(plan)) = field(top, obj) else {
             return Err(format!("repro artifact lacks a `{obj}` object"));
@@ -808,7 +808,7 @@ mod tests {
                 "failure":{"kind":"invariant","message":"delta went backwards"},
                 "fault_plan":{"wcet_probability":0,"wcet_max_stretch":0,
                               "drop_notify":0.075,"dup_notify":0},
-                "chaos_plan":{"reorder":0.5,"stall":0,"window":[0,8]}}"#,
+                "chaos_plan":{"reorder":0.5,"window":[0,8]}}"#,
         )
         .unwrap();
         let Json::Obj(top) = &ok else { unreachable!() };
@@ -819,7 +819,7 @@ mod tests {
                 "failure":{"kind":"cosmic-rays","message":"?"},
                 "fault_plan":{"wcet_probability":0,"wcet_max_stretch":0,
                               "drop_notify":0,"dup_notify":0},
-                "chaos_plan":{"reorder":0,"stall":0,"window":null}}"#,
+                "chaos_plan":{"reorder":0,"window":null}}"#,
         )
         .unwrap();
         let Json::Obj(top) = &bad else { unreachable!() };
@@ -828,7 +828,7 @@ mod tests {
         let missing_plan = Json::parse(
             r#"{"schema":"rtos-sld-chaos-repro/1","workload":"vocoder","frames":4,"seed":7,
                 "failure":{"kind":"invariant","message":"x"},
-                "chaos_plan":{"reorder":0,"stall":0}}"#,
+                "chaos_plan":{"reorder":0}}"#,
         )
         .unwrap();
         let Json::Obj(top) = &missing_plan else {

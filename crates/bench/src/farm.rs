@@ -21,15 +21,9 @@
 //!
 //! `crates/bench/tests/farm_determinism.rs` pins this down end to end.
 //!
-//! ## Thread recycling
-//!
-//! Every simulated process runs on a pooled OS thread
-//! ([`sldl_sim::pool`]): the farm pre-warms the pool once per sweep, and
-//! concurrent sweep points recycle each other's finished process threads
-//! instead of spawn/join per point — which used to dominate the cost of a
-//! sweep of thousands of short simulations. Recycling is invisible to
-//! results (teardown quiesces before a thread is reused), so determinism
-//! is unaffected.
+//! A simulation runs all of its processes as futures on the worker
+//! thread that calls `run`, so a sweep point costs one worker and no
+//! further OS threads.
 //!
 //! [`Simulation`]: sldl_sim::Simulation
 
@@ -255,11 +249,6 @@ where
     F: Fn(PointCtx, &P) -> R + Sync,
 {
     let jobs = jobs.clamp(1, points.len().max(1));
-    // Pre-warm the process-thread pool so even the first sweep points run
-    // their simulated processes on recycled threads. `jobs` is a cheap
-    // lower bound for how many process threads run concurrently; the pool
-    // grows on demand past it and keeps threads across sweeps.
-    sldl_sim::pool::prewarm(jobs);
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<PointResult<R>>> =
         std::iter::repeat_with(|| None).take(points.len()).collect();
@@ -406,7 +395,6 @@ where
     F: Fn(PointCtx, &P) -> R + Send + Sync + 'static,
 {
     let jobs = jobs.clamp(1, points.len().max(1));
-    sldl_sim::pool::prewarm(jobs);
     let next = AtomicUsize::new(0);
     let f = Arc::new(f);
     let mut slots: Vec<Option<PointResult<R>>> =

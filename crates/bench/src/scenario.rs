@@ -465,14 +465,14 @@ impl ScenarioSpec {
             // priorities (shorter period → more urgent) for a fair
             // comparison with RMS/EDF.
             let prio = Priority(u32::try_from(spec.period.as_micros()).unwrap_or(u32::MAX));
-            sim.spawn(Child::new(format!("p{i}"), move |ctx| {
+            sim.spawn(Child::new(format!("p{i}"), move |ctx| async move {
                 let mut params = TaskParams::periodic(format!("p{i}"), spec.period);
                 params.priority(prio).wcet(spec.wcet);
                 let me = os.task_create(&params);
-                os.task_activate(ctx, me);
+                os.task_activate(&ctx, me).await;
                 loop {
-                    os.time_wait(ctx, spec.wcet);
-                    if os.task_endcycle(ctx) == CycleOutcome::Stop {
+                    os.time_wait(&ctx, spec.wcet).await;
+                    if os.task_endcycle(&ctx).await == CycleOutcome::Stop {
                         break;
                     }
                 }
@@ -565,22 +565,22 @@ impl ScenarioSpec {
         }
         os.start(self.sched);
         let os2 = os.clone();
-        sim.spawn(Child::new("overrunner", move |ctx| {
+        sim.spawn(Child::new("overrunner", move |ctx| async move {
             let mut p = TaskParams::periodic("overrunner", Duration::from_micros(100));
             p.priority(Priority(1))
                 .wcet(Duration::from_micros(80))
                 .miss_policy(policy)
                 .miss_budget(2);
             let me = os2.task_create(&p);
-            os2.task_activate(ctx, me);
+            os2.task_activate(&ctx, me).await;
             for _ in 0..40 {
                 // 2x the WCET annotation: guaranteed overrun.
-                os2.time_wait(ctx, Duration::from_micros(160));
-                if os2.task_endcycle(ctx) == CycleOutcome::Stop {
+                os2.time_wait(&ctx, Duration::from_micros(160)).await;
+                if os2.task_endcycle(&ctx).await == CycleOutcome::Stop {
                     return; // killed: never touch the RTOS again
                 }
             }
-            os2.task_terminate(ctx);
+            os2.task_terminate(&ctx);
         }));
         match sim.run_until(SimTime::from_millis(10)) {
             Ok(report) => {
@@ -913,7 +913,6 @@ fn chaos_to_json(p: &ChaosPlan) -> Json {
     Json::obj([
         ("seed", Json::U64(p.seed())),
         ("reorder", Json::Num(p.reorder)),
-        ("stall", Json::Num(p.stall)),
         (
             "window",
             p.window.map_or(Json::Null, |(lo, hi)| {
@@ -924,9 +923,7 @@ fn chaos_to_json(p: &ChaosPlan) -> Json {
 }
 
 fn chaos_from_json(j: &Json) -> Result<ChaosPlan, String> {
-    let mut plan = ChaosPlan::seeded(u64_field(j, "seed")?)
-        .with_reorder(f64_field(j, "reorder")?)
-        .with_stall(f64_field(j, "stall")?);
+    let mut plan = ChaosPlan::seeded(u64_field(j, "seed")?).with_reorder(f64_field(j, "reorder")?);
     match field(j, "window")? {
         Json::Null => {}
         w => {
@@ -1369,12 +1366,7 @@ mod tests {
                     .with_dup_notify(0.02)
                     .with_spurious(EventId::from_index(3), 0.05),
             )
-            .chaos(
-                ChaosPlan::seeded(9)
-                    .with_reorder(0.1)
-                    .with_stall(0.2)
-                    .with_window(5, 500),
-            )
+            .chaos(ChaosPlan::seeded(9).with_reorder(0.1).with_window(5, 500))
             .oracle(true)
             .watchdog(WatchdogSpec {
                 timeout: Duration::from_millis(60),

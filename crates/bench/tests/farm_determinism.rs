@@ -202,11 +202,12 @@ fn in_process_trace_json_is_deterministic() {
     assert_eq!(render(), render());
 }
 
-/// Reads a golden artifact captured from the pre-overhaul kernel (the
-/// dual-mpsc-channel, join-per-process implementation at the parent
-/// commit). The kernel hot-path overhaul (parked-token handoff, thread
-/// recycling, stamped delta bookkeeping) must be **schedule-invisible**:
-/// every byte of every results document and exported trace must match.
+/// Reads a golden artifact captured from an earlier kernel (the
+/// dual-mpsc-channel, join-per-process implementation). Every execution
+/// engine since — parked-token thread handoff, then the single-threaded
+/// executor — and the stamped delta bookkeeping must be
+/// **schedule-invisible**: every byte of every results document and
+/// exported trace must match.
 fn golden(name: &str) -> Vec<u8> {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -218,9 +219,8 @@ fn golden(name: &str) -> Vec<u8> {
 fn robustness_json_matches_pre_overhaul_golden_bytes() {
     let exe = env!("CARGO_BIN_EXE_robustness");
     let expect = golden("robustness_f2_s7.json");
-    // Across --jobs values *and* across repeated runs in one process tree
-    // (the second run reuses recycled pool threads from the first): the
-    // recycling pool and park-cell handoff must be unobservable.
+    // Across --jobs values *and* across repeated runs: neither the farm's
+    // parallelism nor the execution engine may be observable.
     for (tag, jobs) in [("g-j1", "1"), ("g-j2", "2"), ("g-j2b", "2")] {
         let got = run_bin_json(exe, tag, &["--frames", "2", "--seed", "7", "--jobs", jobs]);
         assert_eq!(

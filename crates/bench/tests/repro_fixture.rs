@@ -37,9 +37,7 @@ fn committed_repro_fixture_has_the_replayable_shape() {
         assert!(faults.get(key).and_then(Json::as_f64).is_some(), "{key}");
     }
     let chaos = repro.get("chaos_plan").expect("chaos_plan");
-    for key in ["reorder", "stall"] {
-        assert!(chaos.get(key).and_then(Json::as_f64).is_some(), "{key}");
-    }
+    assert!(chaos.get("reorder").and_then(Json::as_f64).is_some());
     assert!(
         repro
             .get("failure")

@@ -30,6 +30,15 @@
 //! | `event_notify`      | [`Rtos::event_notify`]                      |
 //! | `time_wait`         | [`Rtos::time_wait`]                         |
 //!
+//! Task bodies are `async` blocks on the kernel's executor. A call that
+//! can suspend the calling task — it blocks, or passes a preemption point
+//! where a more urgent task may take the CPU — is an `async fn` and must
+//! be awaited: `task_activate`, `task_sleep`, `task_endcycle`, `par_end`,
+//! `event_wait`, `event_wait_timeout`, `event_notify` and `time_wait`, plus
+//! [`RtosMutex`]'s `lock`, `lock_timeout` and `unlock`. The rest never
+//! suspend the caller (`task_terminate` and `interrupt_return` dispatch
+//! another task without waiting for it) and stay plain calls.
+//!
 //! ## Example: two tasks under priority scheduling
 //!
 //! ```
@@ -43,11 +52,11 @@
 //!
 //! for (name, prio, work_us) in [("hi", 1u32, 100u64), ("lo", 2, 300)] {
 //!     let os = os.clone();
-//!     sim.spawn(Child::new(name, move |ctx| {
+//!     sim.spawn(Child::new(name, move |ctx| async move {
 //!         let me = os.task_create(&TaskParams::aperiodic(name, Priority(prio)));
-//!         os.task_activate(ctx, me);
-//!         os.time_wait(ctx, Duration::from_micros(work_us));
-//!         os.task_terminate(ctx);
+//!         os.task_activate(&ctx, me).await;
+//!         os.time_wait(&ctx, Duration::from_micros(work_us)).await;
+//!         os.task_terminate(&ctx);
 //!     }));
 //! }
 //!

@@ -76,13 +76,13 @@ struct MutexState {
 /// let m = RtosMutex::new(os.clone(), InheritancePolicy::Inherit);
 ///
 /// let os2 = os.clone();
-/// sim.spawn(Child::new("t", move |ctx| {
+/// sim.spawn(Child::new("t", move |ctx| async move {
 ///     let me = os2.task_create(&TaskParams::aperiodic("t", Priority(1)));
-///     os2.task_activate(ctx, me);
-///     m.lock(ctx);
-///     os2.time_wait(ctx, Duration::from_micros(10));
-///     m.unlock(ctx);
-///     os2.task_terminate(ctx);
+///     os2.task_activate(&ctx, me).await;
+///     m.lock(&ctx).await;
+///     os2.time_wait(&ctx, Duration::from_micros(10)).await;
+///     m.unlock(&ctx).await;
+///     os2.task_terminate(&ctx);
 /// }));
 /// sim.run().unwrap();
 /// ```
@@ -183,7 +183,7 @@ impl RtosMutex {
     /// # Panics
     ///
     /// Panics if the caller is not a running RTOS task.
-    pub fn lock(&self, ctx: &ProcCtx) {
+    pub async fn lock(&self, ctx: &ProcCtx) {
         let me = self
             .os
             .current_task(ctx)
@@ -217,7 +217,7 @@ impl RtosMutex {
                 }
             }
             // Block until the owner releases, then re-contend.
-            self.os.event_wait(ctx, self.freed);
+            self.os.event_wait(ctx, self.freed).await;
             self.clear_edge(me);
             let mut st = self.state.lock();
             st.waiters.retain(|&t| t != me);
@@ -238,7 +238,7 @@ impl RtosMutex {
     /// # Panics
     ///
     /// Panics if the caller is not a running RTOS task.
-    pub fn lock_timeout(&self, ctx: &ProcCtx, timeout: Duration) -> Result<(), MutexError> {
+    pub async fn lock_timeout(&self, ctx: &ProcCtx, timeout: Duration) -> Result<(), MutexError> {
         let me = self
             .os
             .current_task(ctx)
@@ -269,7 +269,10 @@ impl RtosMutex {
                 self.inherit(owner, me);
             }
             self.os.trace_mutex_wait(now, me, owner, self.trace_id());
-            let fired = self.os.event_wait_timeout(ctx, self.freed, deadline - now);
+            let fired = self
+                .os
+                .event_wait_timeout(ctx, self.freed, deadline - now)
+                .await;
             self.clear_edge(me);
             self.state.lock().waiters.retain(|&t| t != me);
             if !fired {
@@ -291,7 +294,7 @@ impl RtosMutex {
     /// # Panics
     ///
     /// Panics if the caller does not own the mutex.
-    pub fn unlock(&self, ctx: &ProcCtx) {
+    pub async fn unlock(&self, ctx: &ProcCtx) {
         let me = self
             .os
             .current_task(ctx)
@@ -315,7 +318,7 @@ impl RtosMutex {
             // Wake every waiter; they re-contend, the scheduler picks the
             // most urgent, and the unlocking task passes through the
             // notify preemption point.
-            self.os.event_notify(ctx, self.freed);
+            self.os.event_notify(ctx, self.freed).await;
         }
     }
 

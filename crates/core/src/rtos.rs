@@ -14,12 +14,13 @@
 //! Fig. 8(b): the switch at `t4` is delayed to `t4'`). An optional
 //! [`TimeSlice`] refines that granularity for accuracy studies.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sldl_sim::sync::Mutex;
 use sldl_sim::{
     AbortReason, Child, CompactKind, DecisionReason, EventId, LabelId, ProcCtx, ProcessId, SimTime,
     SldlSync, SyncLayer, TraceHandle, TrackId,
@@ -252,7 +253,7 @@ struct OsState {
 struct Inner {
     name: String,
     layer: SldlSync,
-    state: Mutex<OsState>,
+    state: RefCell<OsState>,
 }
 
 /// The RTOS model: an abstract real-time operating system providing task
@@ -272,31 +273,31 @@ struct Inner {
 /// os.start(SchedAlg::PriorityPreemptive);
 ///
 /// let os2 = os.clone();
-/// sim.spawn(Child::new("task_main", move |ctx| {
+/// sim.spawn(Child::new("task_main", move |ctx| async move {
 ///     let me = os2.task_create(&TaskParams::aperiodic("main", Priority(1)));
-///     os2.task_activate(ctx, me);
-///     os2.time_wait(ctx, Duration::from_micros(500));
-///     os2.task_terminate(ctx);
+///     os2.task_activate(&ctx, me).await;
+///     os2.time_wait(&ctx, Duration::from_micros(500)).await;
+///     os2.task_terminate(&ctx);
 /// }));
 ///
 /// sim.run().unwrap();
 /// assert_eq!(os.metrics().context_switches, 0);
 /// ```
 pub struct Rtos {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
 
 impl Clone for Rtos {
     fn clone(&self) -> Self {
         Rtos {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
 
 impl core::fmt::Debug for Rtos {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let st = self.inner.state.lock();
+        let st = self.inner.state.borrow();
         f.debug_struct("Rtos")
             .field("name", &self.inner.name)
             .field("alg", &st.alg)
@@ -317,10 +318,10 @@ impl Rtos {
     #[must_use]
     pub fn new(name: impl Into<String>, layer: SldlSync) -> Self {
         Rtos {
-            inner: Arc::new(Inner {
+            inner: Rc::new(Inner {
                 name: name.into(),
                 layer,
-                state: Mutex::new(OsState {
+                state: RefCell::new(OsState {
                     alg: SchedAlg::PriorityPreemptive,
                     started: false,
                     slice: TimeSlice::WholeDelay,
@@ -366,7 +367,7 @@ impl Rtos {
     /// Panics if `task` was not created on this instance.
     #[must_use]
     pub fn task_name(&self, task: TaskId) -> String {
-        self.inner.state.lock().tasks[task.index()].name.clone()
+        self.inner.state.borrow().tasks[task.index()].name.clone()
     }
 
     /// Re-initializes the kernel data structures (the paper's `init`):
@@ -376,7 +377,7 @@ impl Rtos {
     ///
     /// Panics if a task is currently running.
     pub fn init(&self) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         assert!(
             st.running.is_none(),
             "init() while a task is running on {}",
@@ -405,7 +406,7 @@ impl Rtos {
     /// Starts multi-task scheduling with the given algorithm (the paper's
     /// `start(sched_alg)`).
     pub fn start(&self, alg: SchedAlg) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         st.alg = alg;
         st.started = true;
         // Re-key the ready structure for the new algorithm (defensive: a
@@ -422,7 +423,7 @@ impl Rtos {
     /// Sets the preemption-modeling granularity of
     /// [`time_wait`](Rtos::time_wait) (ablation A1 in `DESIGN.md`).
     pub fn set_time_slice(&self, slice: TimeSlice) {
-        self.inner.state.lock().slice = slice;
+        self.inner.state.borrow_mut().slice = slice;
     }
 
     /// Models a fixed kernel overhead per context switch: after every
@@ -431,7 +432,7 @@ impl Rtos {
     /// model); calibrate against a target kernel for back-annotation
     /// (`cargo run -p bench --bin calibration`).
     pub fn set_context_switch_cost(&self, cost: Duration) {
-        self.inner.state.lock().switch_cost = cost;
+        self.inner.state.borrow_mut().switch_cost = cost;
     }
 
     /// Attaches a trace: task execution segments (one track per task,
@@ -443,7 +444,7 @@ impl Rtos {
     /// label names are interned once, so recording is allocation-free.
     pub fn attach_trace(&self, trace: TraceHandle) {
         let ids = TraceIds::new(trace, &self.inner.name);
-        self.inner.state.lock().trace = Some(ids);
+        self.inner.state.borrow_mut().trace = Some(ids);
     }
 
     /// Enables (or disables) scheduler conformance checking: every dispatch
@@ -459,14 +460,14 @@ impl Rtos {
     /// [`RunError::InvariantViolation`]: sldl_sim::RunError::InvariantViolation
     /// [`KernelInvariants`]: sldl_sim::KernelInvariants
     pub fn set_conformance_checks(&self, on: bool) {
-        self.inner.state.lock().conformance = on;
+        self.inner.state.borrow_mut().conformance = on;
     }
 
     /// Notifies the kernel that an interrupt service routine has finished
     /// (the paper's `interrupt_return`): if the CPU is idle, the most
     /// urgent ready task — typically one the ISR just woke — is dispatched.
     pub fn interrupt_return(&self, ctx: &ProcCtx) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         st.interrupt_returns += 1;
         self.dispatch_if_idle(&mut st, ctx);
     }
@@ -474,14 +475,14 @@ impl Rtos {
     /// The scheduling algorithm currently in effect.
     #[must_use]
     pub fn algorithm(&self) -> SchedAlg {
-        self.inner.state.lock().alg
+        self.inner.state.borrow().alg
     }
 
     /// Snapshot of scheduling metrics (context switches, per-task response
     /// times, CPU utilization).
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        let st = self.inner.state.lock();
+        let st = self.inner.state.borrow();
         MetricsSnapshot {
             context_switches: st.context_switches,
             cpu_busy: st.cpu_busy,
@@ -509,7 +510,7 @@ impl Rtos {
     /// Panics if `task` was not created on this instance.
     #[must_use]
     pub fn task_state(&self, task: TaskId) -> TaskState {
-        self.inner.state.lock().tasks[task.index()].state
+        self.inner.state.borrow().tasks[task.index()].state
     }
 
     /// Temporarily raises `task`'s priority to be at least as urgent as
@@ -521,7 +522,7 @@ impl Rtos {
     ///
     /// Panics if `task` was not created on this instance.
     pub fn boost_priority(&self, task: TaskId, to: Priority) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         let tcb = &mut st.tasks[task.index()];
         let boosted = tcb.priority.min(to);
         if boosted != tcb.priority {
@@ -538,7 +539,7 @@ impl Rtos {
     ///
     /// Panics if `task` was not created on this instance.
     pub fn restore_priority(&self, task: TaskId) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         let tcb = &mut st.tasks[task.index()];
         if tcb.priority != tcb.base_priority {
             tcb.priority = tcb.base_priority;
@@ -550,7 +551,7 @@ impl Rtos {
     /// first [`task_activate`](Rtos::task_activate)).
     #[must_use]
     pub fn current_task(&self, ctx: &ProcCtx) -> Option<TaskId> {
-        self.inner.state.lock().by_pid.get(&ctx.pid()).copied()
+        self.inner.state.borrow().by_pid.get(&ctx.pid()).copied()
     }
 
     /// `task`'s current (possibly inherited) priority.
@@ -560,7 +561,7 @@ impl Rtos {
     /// Panics if `task` was not created on this instance.
     #[must_use]
     pub fn task_priority(&self, task: TaskId) -> Priority {
-        self.inner.state.lock().tasks[task.index()].priority
+        self.inner.state.borrow().tasks[task.index()].priority
     }
 
     /// Planned processor utilization of the periodic task set:
@@ -569,7 +570,7 @@ impl Rtos {
     /// ≤ 1 does.
     #[must_use]
     pub fn planned_utilization(&self) -> f64 {
-        let st = self.inner.state.lock();
+        let st = self.inner.state.borrow();
         st.tasks
             .iter()
             .filter_map(|t| {
@@ -590,7 +591,7 @@ impl Rtos {
     /// [`task_activate`](Rtos::task_activate) with the handle.
     pub fn task_create(&self, params: &TaskParams) -> TaskId {
         let dispatch_ev = self.inner.layer.ev_new();
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         let id = TaskId(u32::try_from(st.tasks.len()).expect("task ids exhausted"));
         st.tasks.push(Tcb {
             name: params.name.clone(),
@@ -638,8 +639,18 @@ impl Rtos {
     ///
     /// Panics if scheduling has not been [`start`](Rtos::start)ed, if the
     /// task was terminated, or if a resumption targets a non-sleeping task.
-    pub fn task_activate(&self, ctx: &ProcCtx, task: TaskId) {
-        let mut st = self.inner.state.lock();
+    pub async fn task_activate(&self, ctx: &ProcCtx, task: TaskId) {
+        if self.activate(ctx, task) {
+            self.wait_until_dispatched(ctx, task).await;
+        } else {
+            self.preempt_point(ctx, false).await;
+        }
+    }
+
+    /// The non-suspending part of [`task_activate`](Rtos::task_activate):
+    /// readies `task` and returns whether this was a self-activation.
+    fn activate(&self, ctx: &ProcCtx, task: TaskId) -> bool {
+        let mut st = self.inner.state.borrow_mut();
         assert!(
             st.started,
             "{}: task_activate before start()",
@@ -667,8 +678,6 @@ impl Rtos {
             self.trace_task_released(&mut st, now, task, now);
             self.make_ready(&mut st, task, now, false);
             self.dispatch_if_idle(&mut st, ctx);
-            drop(st);
-            self.wait_until_dispatched(ctx, task);
         } else {
             assert_ne!(
                 st.tasks[task.index()].pid,
@@ -686,9 +695,8 @@ impl Rtos {
             st.stats[task.index()].activations += 1;
             self.make_ready(&mut st, task, now, false);
             self.dispatch_if_idle(&mut st, ctx);
-            drop(st);
-            self.preempt_point(ctx, false);
         }
+        self_activation
     }
 
     /// Terminates the calling task (the paper's `task_terminate`): frees
@@ -699,7 +707,7 @@ impl Rtos {
     ///
     /// Panics if the caller is not the running task.
     pub fn task_terminate(&self, ctx: &ProcCtx) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         let tid = self.running_caller(&st, ctx);
         let now = ctx.now();
         self.undispatch(&mut st, tid, now, DecisionReason::Terminate);
@@ -716,9 +724,9 @@ impl Rtos {
     /// # Panics
     ///
     /// Panics if the caller is not the running task.
-    pub fn task_sleep(&self, ctx: &ProcCtx) {
+    pub async fn task_sleep(&self, ctx: &ProcCtx) {
         let tid = {
-            let mut st = self.inner.state.lock();
+            let mut st = self.inner.state.borrow_mut();
             let tid = self.running_caller(&st, ctx);
             let now = ctx.now();
             self.undispatch(&mut st, tid, now, DecisionReason::Yield);
@@ -726,7 +734,7 @@ impl Rtos {
             self.dispatch_best(&mut st, ctx);
             tid
         };
-        self.wait_until_dispatched(ctx, tid);
+        self.wait_until_dispatched(ctx, tid).await;
     }
 
     /// Kills another task (the paper's `task_kill`): removes it from all
@@ -740,7 +748,7 @@ impl Rtos {
     /// Panics if `task` is the caller's own task or is currently running.
     pub fn task_kill(&self, ctx: &ProcCtx, task: TaskId) {
         let victim_pid = {
-            let mut st = self.inner.state.lock();
+            let mut st = self.inner.state.borrow_mut();
             if st.tasks[task.index()].state == TaskState::Terminated {
                 return;
             }
@@ -785,10 +793,9 @@ impl Rtos {
     ///
     /// Raises a model-misuse error if the caller is not the running task
     /// or is not periodic.
-    #[track_caller]
-    pub fn task_endcycle(&self, ctx: &ProcCtx) -> CycleOutcome {
+    pub async fn task_endcycle(&self, ctx: &ProcCtx) -> CycleOutcome {
         let (tid, next_release) = {
-            let mut st = self.inner.state.lock();
+            let mut st = self.inner.state.borrow_mut();
             let tid = self.running_caller(&st, ctx);
             let now = ctx.now();
             let period = match st.tasks[tid.index()].period() {
@@ -883,14 +890,15 @@ impl Rtos {
         // Wait (outside the RTOS: pure passage of time) for the release.
         let now = ctx.now();
         if next_release > now {
-            ctx.waitfor(next_release - now);
+            ctx.waitfor(next_release - now).await;
         }
-        let mut st = self.inner.state.lock();
-        let now = ctx.now();
-        self.make_ready(&mut st, tid, now, false);
-        self.dispatch_if_idle(&mut st, ctx);
-        drop(st);
-        self.wait_until_dispatched(ctx, tid);
+        {
+            let mut st = self.inner.state.borrow_mut();
+            let now = ctx.now();
+            self.make_ready(&mut st, tid, now, false);
+            self.dispatch_if_idle(&mut st, ctx);
+        }
+        self.wait_until_dispatched(ctx, tid).await;
         CycleOutcome::Continue
     }
 
@@ -903,7 +911,7 @@ impl Rtos {
     ///
     /// Panics if the caller is not the running task.
     pub fn par_start(&self, ctx: &ProcCtx) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         let tid = self.running_caller(&st, ctx);
         let now = ctx.now();
         self.undispatch(&mut st, tid, now, DecisionReason::ParFork);
@@ -920,10 +928,9 @@ impl Rtos {
     ///
     /// Panics if the caller's task is not in the [`TaskState::Forking`]
     /// state.
-    #[track_caller]
-    pub fn par_end(&self, ctx: &ProcCtx) {
+    pub async fn par_end(&self, ctx: &ProcCtx) {
         let tid = {
-            let mut st = self.inner.state.lock();
+            let mut st = self.inner.state.borrow_mut();
             let tid = match st.by_pid.get(&ctx.pid()).copied() {
                 Some(t) => t,
                 None => {
@@ -942,14 +949,14 @@ impl Rtos {
             self.dispatch_if_idle(&mut st, ctx);
             tid
         };
-        self.wait_until_dispatched(ctx, tid);
+        self.wait_until_dispatched(ctx, tid).await;
     }
 
     // -- Event handling -----------------------------------------------------
 
     /// Allocates an RTOS event (the paper's `event_new`).
     pub fn event_new(&self) -> RtosEvent {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         let id = RtosEvent(u32::try_from(st.events.len()).expect("event ids exhausted"));
         st.events.push(OsEvent {
             alive: true,
@@ -965,7 +972,7 @@ impl Rtos {
     ///
     /// Panics if the event was already deleted or still has waiting tasks.
     pub fn event_del(&self, event: RtosEvent) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         let e = &mut st.events[event.index()];
         assert!(e.alive, "{}: {event} deleted twice", self.inner.name);
         assert!(
@@ -984,9 +991,9 @@ impl Rtos {
     ///
     /// Panics if the caller is not the running task (ISRs must not block)
     /// or the event has been deleted.
-    pub fn event_wait(&self, ctx: &ProcCtx, event: RtosEvent) {
+    pub async fn event_wait(&self, ctx: &ProcCtx, event: RtosEvent) {
         let tid = {
-            let mut st = self.inner.state.lock();
+            let mut st = self.inner.state.borrow_mut();
             assert!(
                 st.events[event.index()].alive,
                 "{}: event_wait on deleted {event}",
@@ -1000,7 +1007,7 @@ impl Rtos {
             self.dispatch_best(&mut st, ctx);
             tid
         };
-        self.wait_until_dispatched(ctx, tid);
+        self.wait_until_dispatched(ctx, tid).await;
     }
 
     /// Like [`event_wait`](Rtos::event_wait) with an upper bound on the
@@ -1016,11 +1023,15 @@ impl Rtos {
     ///
     /// Raises a model-misuse error if the caller is not the running task
     /// or the event has been deleted.
-    #[track_caller]
-    pub fn event_wait_timeout(&self, ctx: &ProcCtx, event: RtosEvent, timeout: Duration) -> bool {
+    pub async fn event_wait_timeout(
+        &self,
+        ctx: &ProcCtx,
+        event: RtosEvent,
+        timeout: Duration,
+    ) -> bool {
         let deadline = ctx.now() + timeout;
         let tid = {
-            let mut st = self.inner.state.lock();
+            let mut st = self.inner.state.borrow_mut();
             if !st.events[event.index()].alive {
                 drop(st);
                 ctx.misuse_layer(
@@ -1044,7 +1055,7 @@ impl Rtos {
         let mut fired = true;
         loop {
             let next = {
-                let mut st = self.inner.state.lock();
+                let mut st = self.inner.state.borrow_mut();
                 if st.running == Some(tid) {
                     Next::Done
                 } else {
@@ -1076,12 +1087,12 @@ impl Rtos {
             match next {
                 Next::Done => break,
                 Next::WaitTimed(ev, d) => {
-                    let _ = ctx.wait_timeout(ev, d);
+                    let _ = ctx.wait_timeout(ev, d).await;
                 }
-                Next::Wait(ev) => ctx.wait(ev),
+                Next::Wait(ev) => ctx.wait(ev).await,
             }
         }
-        self.consume_switch_overhead(ctx, tid);
+        self.consume_switch_overhead(ctx, tid).await;
         fired
     }
 
@@ -1094,9 +1105,9 @@ impl Rtos {
     /// # Panics
     ///
     /// Panics if the event has been deleted.
-    pub fn event_notify(&self, ctx: &ProcCtx, event: RtosEvent) {
+    pub async fn event_notify(&self, ctx: &ProcCtx, event: RtosEvent) {
         let caller_is_task = {
-            let mut st = self.inner.state.lock();
+            let mut st = self.inner.state.borrow_mut();
             assert!(
                 st.events[event.index()].alive,
                 "{}: event_notify on deleted {event}",
@@ -1121,7 +1132,7 @@ impl Rtos {
             is_task
         };
         if caller_is_task {
-            self.preempt_point(ctx, false);
+            self.preempt_point(ctx, false).await;
         }
     }
 
@@ -1135,16 +1146,16 @@ impl Rtos {
     /// # Panics
     ///
     /// Panics if the caller is not the running task.
-    pub fn time_wait(&self, ctx: &ProcCtx, delay: Duration) {
-        self.time_wait_as(ctx, delay, "busy");
+    pub async fn time_wait(&self, ctx: &ProcCtx, delay: Duration) {
+        self.time_wait_as(ctx, delay, "busy").await;
     }
 
     /// Like [`time_wait`](Rtos::time_wait), labeling the trace segments
     /// with `label` (the delay-annotation names `d1..d8` in Fig. 8).
-    pub fn time_wait_as(&self, ctx: &ProcCtx, delay: Duration, label: &str) {
+    pub async fn time_wait_as(&self, ctx: &ProcCtx, delay: Duration, label: &str) {
         {
             // Validate caller state up front.
-            let st = self.inner.state.lock();
+            let st = self.inner.state.borrow();
             let _ = self.running_caller(&st, ctx);
         }
         // Fault hook: WCET jitter may stretch the computation annotation
@@ -1152,7 +1163,7 @@ impl Rtos {
         // only *computation* delays route through here, never the passage
         // of time between periodic releases.
         let delay = ctx.perturb_delay(delay);
-        let quantum = match self.inner.state.lock().slice {
+        let quantum = match self.inner.state.borrow().slice {
             TimeSlice::WholeDelay => None,
             TimeSlice::Quantum(q) => Some(q),
         };
@@ -1160,26 +1171,26 @@ impl Rtos {
         // later delta cycles of the same time step), then give a more urgent
         // task the CPU before consuming any time — this is what makes the
         // higher-priority child win at t0 in the paper's Fig. 8(b).
-        ctx.waitfor(Duration::ZERO);
-        self.preempt_point(ctx, false);
+        ctx.waitfor(Duration::ZERO).await;
+        self.preempt_point(ctx, false).await;
         let mut remaining = delay;
         while !remaining.is_zero() {
             let step = quantum.map_or(remaining, |q| q.min(remaining));
             self.span_begin(ctx, label);
-            ctx.waitfor(step);
+            ctx.waitfor(step).await;
             self.span_end(ctx);
             remaining -= step;
             {
-                let mut st = self.inner.state.lock();
+                let mut st = self.inner.state.borrow_mut();
                 let tid = self.running_caller(&st, ctx);
                 st.tasks[tid.index()].quantum_used += step;
                 st.tasks[tid.index()].last_cpu_end = ctx.now();
             }
-            ctx.waitfor(Duration::ZERO);
+            ctx.waitfor(Duration::ZERO).await;
             // Rotating out a task whose delay is fully consumed is pointless
             // (it proceeds straight to its next RTOS call), so round-robin
             // rotation only applies mid-delay.
-            self.preempt_point(ctx, !remaining.is_zero());
+            self.preempt_point(ctx, !remaining.is_zero()).await;
         }
     }
 
@@ -1215,9 +1226,9 @@ impl Rtos {
         };
         let handle = wd.clone();
         let os = self.clone();
-        let monitor = Child::new(format!("watchdog:{name}"), move |ctx| {
+        let monitor = Child::new(format!("watchdog:{name}"), move |ctx| async move {
             while handle.armed.load(Ordering::SeqCst) {
-                if ctx.wait_timeout(handle.kick_ev, timeout).is_none()
+                if ctx.wait_timeout(handle.kick_ev, timeout).await.is_none()
                     && handle.armed.load(Ordering::SeqCst)
                 {
                     match action {
@@ -1227,7 +1238,7 @@ impl Rtos {
                             });
                         }
                         WatchdogAction::Count => {
-                            os.inner.state.lock().watchdog_trips += 1;
+                            os.inner.state.borrow_mut().watchdog_trips += 1;
                         }
                     }
                 }
@@ -1466,13 +1477,13 @@ impl Rtos {
     }
 
     /// Consumes any pending kernel-overhead delay assigned at dispatch.
-    fn consume_switch_overhead(&self, ctx: &ProcCtx, task: TaskId) {
+    async fn consume_switch_overhead(&self, ctx: &ProcCtx, task: TaskId) {
         let overhead = {
-            let mut st = self.inner.state.lock();
+            let mut st = self.inner.state.borrow_mut();
             std::mem::take(&mut st.tasks[task.index()].pending_overhead)
         };
         if !overhead.is_zero() {
-            ctx.waitfor(overhead);
+            ctx.waitfor(overhead).await;
         }
     }
 
@@ -1500,30 +1511,27 @@ impl Rtos {
 
     /// Blocks the calling process until the scheduler dispatches `task`,
     /// then consumes any modeled context-switch overhead.
-    fn wait_until_dispatched(&self, ctx: &ProcCtx, task: TaskId) {
+    async fn wait_until_dispatched(&self, ctx: &ProcCtx, task: TaskId) {
         loop {
-            {
-                let st = self.inner.state.lock();
+            let ev = {
+                let st = self.inner.state.borrow();
                 if st.running == Some(task) {
                     break;
                 }
-            }
-            let ev = {
-                let st = self.inner.state.lock();
                 st.tasks[task.index()].dispatch_ev
             };
-            ctx.wait(ev);
+            ctx.wait(ev).await;
         }
-        self.consume_switch_overhead(ctx, task);
+        self.consume_switch_overhead(ctx, task).await;
     }
 
     /// Scheduler invocation at a delay-step boundary or notify-type call of
     /// the running task: under a preemptive algorithm a more urgent ready
     /// task takes the CPU; under round-robin an exhausted quantum rotates
     /// the caller to the queue tail (only if `allow_rotation`).
-    fn preempt_point(&self, ctx: &ProcCtx, allow_rotation: bool) {
+    async fn preempt_point(&self, ctx: &ProcCtx, allow_rotation: bool) {
         let tid = {
-            let mut st = self.inner.state.lock();
+            let mut st = self.inner.state.borrow_mut();
             let tid = match st.by_pid.get(&ctx.pid()).copied() {
                 Some(t) if st.running == Some(t) => t,
                 // Not a task (ISR) or not running: nothing to preempt.
@@ -1561,13 +1569,13 @@ impl Rtos {
             self.dispatch_best(&mut st, ctx);
             tid
         };
-        self.wait_until_dispatched(ctx, tid);
+        self.wait_until_dispatched(ctx, tid).await;
     }
 
     /// Records a mutex wait-for edge (`task` blocked behind `owner`) if a
     /// trace is attached. Contributed by [`RtosMutex`](crate::RtosMutex).
     pub(crate) fn trace_mutex_wait(&self, now: SimTime, task: TaskId, owner: TaskId, mutex: u32) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         if st.trace.is_none() {
             return;
         }
@@ -1591,7 +1599,7 @@ impl Rtos {
 
     /// Records a mutex acquisition (outermost only) if a trace is attached.
     pub(crate) fn trace_mutex_acquired(&self, now: SimTime, task: TaskId, mutex: u32) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         if st.trace.is_none() {
             return;
         }
@@ -1612,7 +1620,7 @@ impl Rtos {
     /// Records a full mutex release (depth reached zero) if a trace is
     /// attached.
     pub(crate) fn trace_mutex_released(&self, now: SimTime, task: TaskId, mutex: u32) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         if st.trace.is_none() {
             return;
         }
@@ -1655,7 +1663,7 @@ impl Rtos {
     }
 
     fn span_begin(&self, ctx: &ProcCtx, label: &str) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         if st.trace.is_none() {
             return;
         }
@@ -1671,7 +1679,7 @@ impl Rtos {
     }
 
     fn span_end(&self, ctx: &ProcCtx) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         if st.trace.is_none() {
             return;
         }
@@ -1697,12 +1705,12 @@ impl SyncLayer for Rtos {
         self.event_new()
     }
 
-    fn ev_wait(&self, ctx: &ProcCtx, e: RtosEvent) {
-        self.event_wait(ctx, e);
+    async fn ev_wait(&self, ctx: &ProcCtx, e: RtosEvent) {
+        self.event_wait(ctx, e).await;
     }
 
-    fn ev_notify(&self, ctx: &ProcCtx, e: RtosEvent) {
-        self.event_notify(ctx, e);
+    async fn ev_notify(&self, ctx: &ProcCtx, e: RtosEvent) {
+        self.event_notify(ctx, e).await;
     }
 }
 
@@ -1719,11 +1727,5 @@ mod tests {
     #[test]
     fn default_time_slice_is_whole_delay() {
         assert_eq!(TimeSlice::default(), TimeSlice::WholeDelay);
-    }
-
-    #[test]
-    fn rtos_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Rtos>();
     }
 }

@@ -23,14 +23,14 @@ fn simulate(tasks: &[PeriodicSpec], alg: SchedAlg, horizon: SimTime) -> Vec<(Dur
     for (i, t) in tasks.iter().enumerate() {
         let os = os.clone();
         let spec = *t;
-        sim.spawn(Child::new(format!("p{i}"), move |ctx| {
+        sim.spawn(Child::new(format!("p{i}"), move |ctx| async move {
             let mut params = TaskParams::periodic(format!("p{i}"), spec.period);
             params.wcet(spec.wcet);
             let me = os.task_create(&params);
-            os.task_activate(ctx, me);
+            os.task_activate(&ctx, me).await;
             loop {
-                os.time_wait(ctx, spec.wcet);
-                if os.task_endcycle(ctx) == CycleOutcome::Stop {
+                os.time_wait(&ctx, spec.wcet).await;
+                if os.task_endcycle(&ctx).await == CycleOutcome::Stop {
                     break;
                 }
             }

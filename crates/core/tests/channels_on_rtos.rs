@@ -28,23 +28,23 @@ fn semaphore_on_rtos_layer_isr_to_task() {
     let os_d = os.clone();
     let s = sem.clone();
     let count = Arc::clone(&served);
-    sim.spawn(Child::new("driver", move |ctx| {
+    sim.spawn(Child::new("driver", move |ctx| async move {
         let me = os_d.task_create(&TaskParams::aperiodic("driver", Priority(1)));
-        os_d.task_activate(ctx, me);
+        os_d.task_activate(&ctx, me).await;
         for _ in 0..3 {
-            s.acquire(ctx);
-            os_d.time_wait(ctx, us(30));
+            s.acquire(&ctx).await;
+            os_d.time_wait(&ctx, us(30)).await;
             count.fetch_add(1, Ordering::SeqCst);
         }
-        os_d.task_terminate(ctx);
+        os_d.task_terminate(&ctx);
     }));
     let os_isr = os.clone();
     let s = sem.clone();
-    sim.spawn(Child::new("isr", move |ctx| {
+    sim.spawn(Child::new("isr", move |ctx| async move {
         for _ in 0..3 {
-            ctx.waitfor(us(100));
-            s.release(ctx);
-            os_isr.interrupt_return(ctx);
+            ctx.waitfor(us(100)).await;
+            s.release(&ctx).await;
+            os_isr.interrupt_return(&ctx);
         }
     }));
 
@@ -65,23 +65,23 @@ fn handshake_on_rtos_layer_synchronizes_tasks() {
     let os_a = os.clone();
     let h = hs.clone();
     let l = Arc::clone(&log);
-    sim.spawn(Child::new("producer", move |ctx| {
+    sim.spawn(Child::new("producer", move |ctx| async move {
         let me = os_a.task_create(&TaskParams::aperiodic("producer", Priority(2)));
-        os_a.task_activate(ctx, me);
-        os_a.time_wait(ctx, us(50));
-        h.send(ctx);
+        os_a.task_activate(&ctx, me).await;
+        os_a.time_wait(&ctx, us(50)).await;
+        h.send(&ctx).await;
         l.lock().push(("sent", ctx.now().as_micros()));
-        os_a.task_terminate(ctx);
+        os_a.task_terminate(&ctx);
     }));
     let os_b = os.clone();
     let h = hs.clone();
     let l = Arc::clone(&log);
-    sim.spawn(Child::new("consumer", move |ctx| {
+    sim.spawn(Child::new("consumer", move |ctx| async move {
         let me = os_b.task_create(&TaskParams::aperiodic("consumer", Priority(1)));
-        os_b.task_activate(ctx, me);
-        h.recv(ctx);
+        os_b.task_activate(&ctx, me).await;
+        h.recv(&ctx).await;
         l.lock().push(("received", ctx.now().as_micros()));
-        os_b.task_terminate(ctx);
+        os_b.task_terminate(&ctx);
     }));
 
     let report = sim.run().unwrap();
@@ -105,36 +105,36 @@ fn mixed_layers_coexist_in_one_simulation() {
 
     // Plain SLDL pair.
     let r = raw.clone();
-    sim.spawn(Child::new("raw_rel", move |ctx| {
-        ctx.waitfor(us(10));
-        r.release(ctx);
+    sim.spawn(Child::new("raw_rel", move |ctx| async move {
+        ctx.waitfor(us(10)).await;
+        r.release(&ctx).await;
     }));
     let r = raw.clone();
     let d = Arc::clone(&done);
-    sim.spawn(Child::new("raw_acq", move |ctx| {
-        r.acquire(ctx);
+    sim.spawn(Child::new("raw_acq", move |ctx| async move {
+        r.acquire(&ctx).await;
         d.fetch_add(1, Ordering::SeqCst);
     }));
 
     // RTOS task pair.
     let os_rel = os.clone();
     let s = refined.clone();
-    sim.spawn(Child::new("task_rel", move |ctx| {
+    sim.spawn(Child::new("task_rel", move |ctx| async move {
         let me = os_rel.task_create(&TaskParams::aperiodic("task_rel", Priority(2)));
-        os_rel.task_activate(ctx, me);
-        os_rel.time_wait(ctx, us(20));
-        s.release(ctx);
-        os_rel.task_terminate(ctx);
+        os_rel.task_activate(&ctx, me).await;
+        os_rel.time_wait(&ctx, us(20)).await;
+        s.release(&ctx).await;
+        os_rel.task_terminate(&ctx);
     }));
     let os_acq = os.clone();
     let s = refined.clone();
     let d = Arc::clone(&done);
-    sim.spawn(Child::new("task_acq", move |ctx| {
+    sim.spawn(Child::new("task_acq", move |ctx| async move {
         let me = os_acq.task_create(&TaskParams::aperiodic("task_acq", Priority(1)));
-        os_acq.task_activate(ctx, me);
-        s.acquire(ctx);
+        os_acq.task_activate(&ctx, me).await;
+        s.acquire(&ctx).await;
         d.fetch_add(1, Ordering::SeqCst);
-        os_acq.task_terminate(ctx);
+        os_acq.task_terminate(&ctx);
     }));
 
     let report = sim.run().unwrap();
@@ -154,25 +154,25 @@ fn queue_backpressure_under_rtos_scheduling() {
 
     let os_p = os.clone();
     let tx = q.clone();
-    sim.spawn(Child::new("producer", move |ctx| {
+    sim.spawn(Child::new("producer", move |ctx| async move {
         let me = os_p.task_create(&TaskParams::aperiodic("producer", Priority(1)));
-        os_p.task_activate(ctx, me);
+        os_p.task_activate(&ctx, me).await;
         for i in 0..4 {
-            os_p.time_wait(ctx, us(5));
-            tx.send(ctx, i);
+            os_p.time_wait(&ctx, us(5)).await;
+            tx.send(&ctx, i).await;
         }
-        os_p.task_terminate(ctx);
+        os_p.task_terminate(&ctx);
     }));
     let os_c = os.clone();
     let rx = q.clone();
-    sim.spawn(Child::new("consumer", move |ctx| {
+    sim.spawn(Child::new("consumer", move |ctx| async move {
         let me = os_c.task_create(&TaskParams::aperiodic("consumer", Priority(2)));
-        os_c.task_activate(ctx, me);
+        os_c.task_activate(&ctx, me).await;
         for _ in 0..4 {
-            let _ = rx.recv(ctx);
-            os_c.time_wait(ctx, us(100));
+            let _ = rx.recv(&ctx).await;
+            os_c.time_wait(&ctx, us(100)).await;
         }
-        os_c.task_terminate(ctx);
+        os_c.task_terminate(&ctx);
     }));
 
     let report = sim.run().unwrap();

@@ -1,7 +1,7 @@
 //! Scheduler conformance under kernel chaos.
 //!
-//! The chaos engine perturbs *kernel* decisions (same-delta dispatch
-//! order, handoff stalls) underneath the RTOS model. These tests pin down
+//! The chaos engine perturbs a *kernel* decision (same-delta dispatch
+//! order) underneath the RTOS model. These tests pin down
 //! that the RTOS layer stays well-formed under that pressure:
 //!
 //! * a chaotic run is a pure function of its seed (replays are exact);
@@ -51,21 +51,21 @@ fn run_scenario(chaos: Option<ChaosPlan>, oracle: bool) -> Digest {
     // load once the budget is exhausted. Its preemptions give the chaos
     // engine same-delta queues to reorder.
     let os_o = os.clone();
-    sim.spawn(Child::new("overrunner", move |ctx| {
+    sim.spawn(Child::new("overrunner", move |ctx| async move {
         let mut p = TaskParams::periodic("overrunner", us(100));
         p.priority(Priority(1))
             .wcet(us(40))
             .miss_policy(MissPolicy::SkipCycle)
             .miss_budget(2);
         let me = os_o.task_create(&p);
-        os_o.task_activate(ctx, me);
+        os_o.task_activate(&ctx, me).await;
         for _ in 0..6 {
-            os_o.time_wait(ctx, us(130)); // overruns the 100 us period
-            if os_o.task_endcycle(ctx) == CycleOutcome::Stop {
+            os_o.time_wait(&ctx, us(130)).await; // overruns the 100 us period
+            if os_o.task_endcycle(&ctx).await == CycleOutcome::Stop {
                 return;
             }
         }
-        os_o.task_terminate(ctx);
+        os_o.task_terminate(&ctx);
     }));
     // Holder: grabs the mutex and parks on an RTOS event while holding it
     // — on a single CPU a lock can only be *attempted* while the holder is
@@ -73,13 +73,13 @@ fn run_scenario(chaos: Option<ChaosPlan>, oracle: bool) -> Digest {
     let release_ev = os.event_new();
     let os_h = os.clone();
     let mh = m.clone();
-    sim.spawn(Child::new("holder", move |ctx| {
+    sim.spawn(Child::new("holder", move |ctx| async move {
         let me = os_h.task_create(&TaskParams::aperiodic("holder", Priority(2)));
-        os_h.task_activate(ctx, me);
-        mh.lock(ctx);
-        os_h.event_wait(ctx, release_ev);
-        mh.unlock(ctx);
-        os_h.task_terminate(ctx);
+        os_h.task_activate(&ctx, me).await;
+        mh.lock(&ctx).await;
+        os_h.event_wait(&ctx, release_ev).await;
+        mh.unlock(&ctx).await;
+        os_h.task_terminate(&ctx);
     }));
     // Two same-priority contenders hammer the mutex with bounded waits.
     // A timed-out contender asks the holder to release, so later attempts
@@ -88,25 +88,25 @@ fn run_scenario(chaos: Option<ChaosPlan>, oracle: bool) -> Digest {
         let os_c = os.clone();
         let mc = m.clone();
         let log = Arc::clone(&locks);
-        sim.spawn(Child::new(format!("contender{i}"), move |ctx| {
+        sim.spawn(Child::new(format!("contender{i}"), move |ctx| async move {
             let me = os_c.task_create(&TaskParams::aperiodic(format!("contender{i}"), Priority(3)));
-            os_c.task_activate(ctx, me);
+            os_c.task_activate(&ctx, me).await;
             for _ in 0..4 {
-                let got = mc.lock_timeout(ctx, us(35));
+                let got = mc.lock_timeout(&ctx, us(35)).await;
                 log.lock().push((ctx.now().as_micros(), got));
                 match got {
                     Ok(()) => {
-                        os_c.time_wait(ctx, us(20));
-                        mc.unlock(ctx);
+                        os_c.time_wait(&ctx, us(20)).await;
+                        mc.unlock(&ctx).await;
                     }
-                    Err(_) => os_c.event_notify(ctx, release_ev),
+                    Err(_) => os_c.event_notify(&ctx, release_ev).await,
                 }
-                os_c.time_wait(ctx, us(10));
+                os_c.time_wait(&ctx, us(10)).await;
             }
             // Retire the holder in case every bounded wait happened to
             // succeed (a lost notify on a free event is harmless).
-            os_c.event_notify(ctx, release_ev);
-            os_c.task_terminate(ctx);
+            os_c.event_notify(&ctx, release_ev).await;
+            os_c.task_terminate(&ctx);
         }));
     }
 
@@ -118,7 +118,7 @@ fn run_scenario(chaos: Option<ChaosPlan>, oracle: bool) -> Digest {
 }
 
 fn torture_plan(seed: u64) -> ChaosPlan {
-    ChaosPlan::seeded(seed).with_reorder(0.6).with_stall(0.4)
+    ChaosPlan::seeded(seed).with_reorder(0.6)
 }
 
 #[test]

@@ -70,14 +70,14 @@ fn run_set(
         let spec = spec.clone();
         let log = Arc::clone(&log);
         let name = format!("t{i}");
-        sim.spawn(Child::new(name.clone(), move |ctx| {
+        sim.spawn(Child::new(name.clone(), move |ctx| async move {
             let me = os.task_create(&TaskParams::aperiodic(&name, Priority(spec.priority)));
-            os.task_activate(ctx, me);
+            os.task_activate(&ctx, me).await;
             for d in &spec.steps {
-                os.time_wait(ctx, Duration::from_micros(*d));
+                os.time_wait(&ctx, Duration::from_micros(*d)).await;
             }
             log.lock().push((name.clone(), ctx.now().as_micros()));
-            os.task_terminate(ctx);
+            os.task_terminate(&ctx);
         }));
     }
     let report = sim.run().expect("no panics");

@@ -21,11 +21,11 @@ fn init_resets_the_instance_for_reuse() {
         let os = Rtos::new("pe", sim.sync_layer());
         os.start(SchedAlg::PriorityPreemptive);
         let os2 = os.clone();
-        sim.spawn(Child::new("t", move |ctx| {
+        sim.spawn(Child::new("t", move |ctx| async move {
             let me = os2.task_create(&TaskParams::aperiodic("t", Priority(1)));
-            os2.task_activate(ctx, me);
-            os2.time_wait(ctx, us(100));
-            os2.task_terminate(ctx);
+            os2.task_activate(&ctx, me).await;
+            os2.time_wait(&ctx, us(100)).await;
+            os2.task_terminate(&ctx);
         }));
         sim.run().unwrap();
         assert_eq!(os.metrics().tasks.len(), 1);
@@ -49,21 +49,21 @@ fn isr_resumes_a_sleeping_task() {
     let os_t = os.clone();
     let tc = Arc::clone(&tid_cell);
     let w = Arc::clone(&woke_at);
-    sim.spawn(Child::new("sleeper", move |ctx| {
+    sim.spawn(Child::new("sleeper", move |ctx| async move {
         let me = os_t.task_create(&TaskParams::aperiodic("sleeper", Priority(1)));
         *tc.lock() = Some(me);
-        os_t.task_activate(ctx, me);
-        os_t.task_sleep(ctx);
+        os_t.task_activate(&ctx, me).await;
+        os_t.task_sleep(&ctx).await;
         *w.lock() = Some(ctx.now());
-        os_t.task_terminate(ctx);
+        os_t.task_terminate(&ctx);
     }));
     let os_isr = os.clone();
     let tc = Arc::clone(&tid_cell);
-    sim.spawn(Child::new("wake_isr", move |ctx| {
-        ctx.waitfor(us(75));
+    sim.spawn(Child::new("wake_isr", move |ctx| async move {
+        ctx.waitfor(us(75)).await;
         let tid = tc.lock().expect("sleeper registered");
-        os_isr.task_activate(ctx, tid); // ISR-context resume
-        os_isr.interrupt_return(ctx);
+        os_isr.task_activate(&ctx, tid).await; // ISR-context resume
+        os_isr.interrupt_return(&ctx);
     }));
 
     let report = sim.run().unwrap();
@@ -82,15 +82,15 @@ fn edf_deadline_rolls_over_each_cycle() {
     for (name, period_us, work_us) in [("a", 1_000u64, 100u64), ("b", 1_500, 200)] {
         let os = os.clone();
         let order = Arc::clone(&order);
-        sim.spawn(Child::new(name, move |ctx| {
+        sim.spawn(Child::new(name, move |ctx| async move {
             let me = os.task_create(&TaskParams::periodic(name, us(period_us)));
-            os.task_activate(ctx, me);
+            os.task_activate(&ctx, me).await;
             for _ in 0..4 {
-                os.time_wait(ctx, us(work_us));
+                os.time_wait(&ctx, us(work_us)).await;
                 order.lock().push((name, ctx.now().as_micros()));
-                let _ = os.task_endcycle(ctx); // Count policy: always Continue
+                let _ = os.task_endcycle(&ctx).await; // Count policy: always Continue
             }
-            os.task_terminate(ctx);
+            os.task_terminate(&ctx);
         }));
     }
     let report = sim.run().unwrap();
@@ -116,21 +116,21 @@ fn terminated_task_cannot_be_activated() {
     let tid_cell = Arc::new(Mutex::new(None));
     let os_a = os.clone();
     let tc = Arc::clone(&tid_cell);
-    sim.spawn(Child::new("short", move |ctx| {
+    sim.spawn(Child::new("short", move |ctx| async move {
         let me = os_a.task_create(&TaskParams::aperiodic("short", Priority(1)));
         *tc.lock() = Some(me);
-        os_a.task_activate(ctx, me);
-        os_a.task_terminate(ctx);
+        os_a.task_activate(&ctx, me).await;
+        os_a.task_terminate(&ctx);
     }));
     let os_b = os.clone();
     let tc = Arc::clone(&tid_cell);
-    sim.spawn(Child::new("necromancer", move |ctx| {
+    sim.spawn(Child::new("necromancer", move |ctx| async move {
         let me = os_b.task_create(&TaskParams::aperiodic("necromancer", Priority(2)));
-        os_b.task_activate(ctx, me);
-        os_b.time_wait(ctx, us(10));
+        os_b.task_activate(&ctx, me).await;
+        os_b.time_wait(&ctx, us(10)).await;
         let dead = tc.lock().expect("short ran");
         assert_eq!(os_b.task_state(dead), TaskState::Terminated);
-        os_b.task_activate(ctx, dead); // must panic
+        os_b.task_activate(&ctx, dead).await; // must panic
     }));
     assert!(matches!(
         sim.run(),
@@ -144,8 +144,8 @@ fn time_wait_from_unbound_process_panics() {
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
     let os2 = os.clone();
-    sim.spawn(Child::new("not_a_task", move |ctx| {
-        os2.time_wait(ctx, us(10));
+    sim.spawn(Child::new("not_a_task", move |ctx| async move {
+        os2.time_wait(&ctx, us(10)).await;
     }));
     match sim.run() {
         // Misuse is now a *typed* error (not a raw panic) carrying the
@@ -170,16 +170,16 @@ fn event_del_with_waiters_panics() {
     os.start(SchedAlg::PriorityPreemptive);
     let e = os.event_new();
     let os_w = os.clone();
-    sim.spawn(Child::new("waiter", move |ctx| {
+    sim.spawn(Child::new("waiter", move |ctx| async move {
         let me = os_w.task_create(&TaskParams::aperiodic("waiter", Priority(1)));
-        os_w.task_activate(ctx, me);
-        os_w.event_wait(ctx, e);
+        os_w.task_activate(&ctx, me).await;
+        os_w.event_wait(&ctx, e).await;
     }));
     let os_d = os.clone();
-    sim.spawn(Child::new("deleter", move |ctx| {
+    sim.spawn(Child::new("deleter", move |ctx| async move {
         let me = os_d.task_create(&TaskParams::aperiodic("deleter", Priority(2)));
-        os_d.task_activate(ctx, me);
-        os_d.time_wait(ctx, us(5));
+        os_d.task_activate(&ctx, me).await;
+        os_d.time_wait(&ctx, us(5)).await;
         os_d.event_del(e); // waiter still queued → panic
     }));
     assert!(matches!(
@@ -198,11 +198,11 @@ fn dispatch_latency_includes_switch_cost_position() {
     os.set_context_switch_cost(us(20));
     for (name, prio, work) in [("a", 1u32, 100u64), ("b", 2, 100)] {
         let os = os.clone();
-        sim.spawn(Child::new(name, move |ctx| {
+        sim.spawn(Child::new(name, move |ctx| async move {
             let me = os.task_create(&TaskParams::aperiodic(name, Priority(prio)));
-            os.task_activate(ctx, me);
-            os.time_wait(ctx, us(work));
-            os.task_terminate(ctx);
+            os.task_activate(&ctx, me).await;
+            os.time_wait(&ctx, us(work)).await;
+            os.task_terminate(&ctx);
         }));
     }
     let report = sim.run().unwrap();

@@ -34,38 +34,38 @@ fn run_inversion(policy: InheritancePolicy) -> u64 {
     // L: locks immediately, works 100 µs inside the critical section.
     let os_l = os.clone();
     let m_l = m.clone();
-    sim.spawn(Child::new("low", move |ctx| {
+    sim.spawn(Child::new("low", move |ctx| async move {
         let me = os_l.task_create(&TaskParams::aperiodic("low", Priority(9)));
-        os_l.task_activate(ctx, me);
-        m_l.lock(ctx);
-        os_l.time_wait(ctx, us(100));
-        m_l.unlock(ctx);
-        os_l.task_terminate(ctx);
+        os_l.task_activate(&ctx, me).await;
+        m_l.lock(&ctx).await;
+        os_l.time_wait(&ctx, us(100)).await;
+        m_l.unlock(&ctx).await;
+        os_l.task_terminate(&ctx);
     }));
 
     // H: arrives at 20 µs, needs the mutex for 50 µs of work.
     let os_h = os.clone();
     let m_h = m.clone();
     let done = Arc::clone(&h_done);
-    sim.spawn(Child::new("high", move |ctx| {
+    sim.spawn(Child::new("high", move |ctx| async move {
         let me = os_h.task_create(&TaskParams::aperiodic("high", Priority(1)));
-        os_h.task_activate(ctx, me);
-        os_h.time_wait(ctx, us(20)); // arrival offset
-        m_h.lock(ctx);
-        os_h.time_wait(ctx, us(50));
-        m_h.unlock(ctx);
+        os_h.task_activate(&ctx, me).await;
+        os_h.time_wait(&ctx, us(20)).await; // arrival offset
+        m_h.lock(&ctx).await;
+        os_h.time_wait(&ctx, us(50)).await;
+        m_h.unlock(&ctx).await;
         *done.lock() = ctx.now().as_micros();
-        os_h.task_terminate(ctx);
+        os_h.task_terminate(&ctx);
     }));
 
     // M: arrives at 20 µs, hogs the CPU for 500 µs, never touches the mutex.
     let os_m = os.clone();
-    sim.spawn(Child::new("medium", move |ctx| {
+    sim.spawn(Child::new("medium", move |ctx| async move {
         let me = os_m.task_create(&TaskParams::aperiodic("medium", Priority(5)));
-        os_m.task_activate(ctx, me);
-        os_m.time_wait(ctx, us(20));
-        os_m.time_wait(ctx, us(500));
-        os_m.task_terminate(ctx);
+        os_m.task_activate(&ctx, me).await;
+        os_m.time_wait(&ctx, us(20)).await;
+        os_m.time_wait(&ctx, us(500)).await;
+        os_m.task_terminate(&ctx);
     }));
 
     let report = sim.run().unwrap();
@@ -112,22 +112,22 @@ fn mutex_provides_mutual_exclusion() {
         let os = os.clone();
         let m = m.clone();
         let counter = Arc::clone(&in_section);
-        sim.spawn(Child::new(format!("t{i}"), move |ctx| {
+        sim.spawn(Child::new(format!("t{i}"), move |ctx| async move {
             let me = os.task_create(&TaskParams::aperiodic(format!("t{i}"), Priority(i)));
-            os.task_activate(ctx, me);
+            os.task_activate(&ctx, me).await;
             for _ in 0..3 {
-                m.lock(ctx);
+                m.lock(&ctx).await;
                 {
                     let mut c = counter.lock();
                     c.0 += 1;
                     c.1 = c.1.max(c.0);
                 }
-                os.time_wait(ctx, us(30));
+                os.time_wait(&ctx, us(30)).await;
                 counter.lock().0 -= 1;
-                m.unlock(ctx);
-                os.time_wait(ctx, us(10));
+                m.unlock(&ctx).await;
+                os.time_wait(&ctx, us(10)).await;
             }
-            os.task_terminate(ctx);
+            os.task_terminate(&ctx);
         }));
     }
     let report = sim.run().unwrap();
@@ -142,16 +142,16 @@ fn recursive_lock_by_owner() {
     os.start(SchedAlg::PriorityPreemptive);
     let m = RtosMutex::new(os.clone(), InheritancePolicy::Inherit);
     let os2 = os.clone();
-    sim.spawn(Child::new("t", move |ctx| {
+    sim.spawn(Child::new("t", move |ctx| async move {
         let me = os2.task_create(&TaskParams::aperiodic("t", Priority(1)));
-        os2.task_activate(ctx, me);
-        m.lock(ctx);
-        m.lock(ctx); // recursive
-        assert!(m.try_lock(ctx));
-        m.unlock(ctx);
-        m.unlock(ctx);
-        m.unlock(ctx);
-        os2.task_terminate(ctx);
+        os2.task_activate(&ctx, me).await;
+        m.lock(&ctx).await;
+        m.lock(&ctx).await; // recursive
+        assert!(m.try_lock(&ctx));
+        m.unlock(&ctx).await;
+        m.unlock(&ctx).await;
+        m.unlock(&ctx).await;
+        os2.task_terminate(&ctx);
     }));
     sim.run().unwrap();
 }
@@ -170,30 +170,107 @@ fn try_lock_fails_when_contended() {
 
     let os_a = os.clone();
     let m_a = m.clone();
-    sim.spawn(Child::new("holder", move |ctx| {
+    sim.spawn(Child::new("holder", move |ctx| async move {
         let me = os_a.task_create(&TaskParams::aperiodic("holder", Priority(1)));
-        os_a.task_activate(ctx, me);
-        m_a.lock(ctx);
-        os_a.event_wait(ctx, dma_done); // blocks while holding the mutex
-        m_a.unlock(ctx);
-        os_a.task_terminate(ctx);
+        os_a.task_activate(&ctx, me).await;
+        m_a.lock(&ctx).await;
+        os_a.event_wait(&ctx, dma_done).await; // blocks while holding the mutex
+        m_a.unlock(&ctx).await;
+        os_a.task_terminate(&ctx);
     }));
     let os_b = os.clone();
     let o = Arc::clone(&outcome);
-    sim.spawn(Child::new("prober", move |ctx| {
+    sim.spawn(Child::new("prober", move |ctx| async move {
         let me = os_b.task_create(&TaskParams::aperiodic("prober", Priority(2)));
-        os_b.task_activate(ctx, me);
-        os_b.time_wait(ctx, us(10));
-        *o.lock() = Some(m.try_lock(ctx)); // holder still owns it
-        os_b.task_terminate(ctx);
+        os_b.task_activate(&ctx, me).await;
+        os_b.time_wait(&ctx, us(10)).await;
+        *o.lock() = Some(m.try_lock(&ctx)); // holder still owns it
+        os_b.task_terminate(&ctx);
     }));
     let os_isr = os.clone();
-    sim.spawn(Child::new("dma_isr", move |ctx| {
-        ctx.waitfor(us(50));
-        os_isr.event_notify(ctx, dma_done);
-        os_isr.interrupt_return(ctx);
+    sim.spawn(Child::new("dma_isr", move |ctx| async move {
+        ctx.waitfor(us(50)).await;
+        os_isr.event_notify(&ctx, dma_done).await;
+        os_isr.interrupt_return(&ctx);
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty(), "{:?}", report.blocked);
     assert_eq!(*outcome.lock(), Some(false));
+}
+
+/// Releases a task's bookkeeping when dropped, calling back into both the
+/// kernel (the wait-for graph) and the RTOS (task state) — what a task
+/// blocked on a mutex must be able to do when it is killed.
+struct KillGuard {
+    os: Rtos,
+    task: Arc<Mutex<Option<rtos_model::TaskId>>>,
+    dropped: Arc<Mutex<u32>>,
+}
+
+impl Drop for KillGuard {
+    fn drop(&mut self) {
+        self.os.sync_layer().clear_wait("victim");
+        let task = self.task.lock().expect("victim created");
+        assert_eq!(self.os.task_state(task), rtos_model::TaskState::Terminated);
+        *self.dropped.lock() += 1;
+    }
+}
+
+#[test]
+fn killing_a_task_blocked_on_a_mutex_runs_its_destructors() {
+    let mut sim = Simulation::new();
+    let os = Rtos::new("pe", sim.sync_layer());
+    os.start(SchedAlg::PriorityPreemptive);
+    // Slice delays so the arrivals below preempt the owner promptly.
+    os.set_time_slice(TimeSlice::Quantum(us(5)));
+    let m = RtosMutex::named(os.clone(), InheritancePolicy::Inherit, "m");
+    let victim_task = Arc::new(Mutex::new(None));
+    let dropped = Arc::new(Mutex::new(0u32));
+
+    // Owner: holds the mutex across 50 µs of work.
+    let (os_o, m_o) = (os.clone(), m.clone());
+    sim.spawn(Child::new("owner", move |ctx| async move {
+        let me = os_o.task_create(&TaskParams::aperiodic("owner", Priority(5)));
+        os_o.task_activate(&ctx, me).await;
+        m_o.lock(&ctx).await;
+        os_o.time_wait(&ctx, us(50)).await;
+        m_o.unlock(&ctx).await;
+        os_o.task_terminate(&ctx);
+    }));
+    // Victim: arrives at 10 µs and blocks on the owned mutex.
+    let (os_v, m_v) = (os.clone(), m.clone());
+    let guard = KillGuard {
+        os: os.clone(),
+        task: Arc::clone(&victim_task),
+        dropped: Arc::clone(&dropped),
+    };
+    let vt = Arc::clone(&victim_task);
+    sim.spawn(Child::new("victim", move |ctx| async move {
+        let _guard = guard;
+        ctx.waitfor(us(10)).await;
+        let me = os_v.task_create(&TaskParams::aperiodic("victim", Priority(2)));
+        *vt.lock() = Some(me);
+        os_v.task_activate(&ctx, me).await;
+        m_v.lock(&ctx).await;
+        unreachable!("killed while blocked on the mutex");
+    }));
+    // Killer: a more urgent task that kills the blocked victim at 20 µs.
+    let os_k = os.clone();
+    let (vt, seen) = (Arc::clone(&victim_task), Arc::clone(&dropped));
+    sim.spawn(Child::new("killer", move |ctx| async move {
+        ctx.waitfor(us(20)).await;
+        let me = os_k.task_create(&TaskParams::aperiodic("killer", Priority(1)));
+        os_k.task_activate(&ctx, me).await;
+        let victim = vt.lock().expect("victim created");
+        assert_eq!(os_k.task_state(victim), rtos_model::TaskState::Blocked);
+        os_k.task_kill(&ctx, victim);
+        // The victim's destructors ran inside the kill, exactly once.
+        assert_eq!(*seen.lock(), 1);
+        os_k.task_terminate(&ctx);
+    }));
+
+    let report = sim.run().expect("the kill tears the victim down cleanly");
+    assert!(report.blocked.is_empty(), "{:?}", report.blocked);
+    assert_eq!(*dropped.lock(), 1);
+    assert_eq!(report.end_time.as_micros(), 50);
 }

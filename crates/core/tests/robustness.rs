@@ -30,22 +30,22 @@ fn run_overrunner(
     let ran = Arc::new(Mutex::new(0u64));
     let os2 = os.clone();
     let ran2 = Arc::clone(&ran);
-    sim.spawn(Child::new("overrunner", move |ctx| {
+    sim.spawn(Child::new("overrunner", move |ctx| async move {
         let mut p = TaskParams::periodic("overrunner", us(100));
         p.priority(Priority(1))
             .wcet(us(80))
             .miss_policy(policy)
             .miss_budget(budget);
         let me = os2.task_create(&p);
-        os2.task_activate(ctx, me);
+        os2.task_activate(&ctx, me).await;
         for _ in 0..cycles {
-            os2.time_wait(ctx, us(160)); // forced 2x WCET overrun
+            os2.time_wait(&ctx, us(160)).await; // forced 2x WCET overrun
             *ran2.lock() += 1;
-            if os2.task_endcycle(ctx) == CycleOutcome::Stop {
+            if os2.task_endcycle(&ctx).await == CycleOutcome::Stop {
                 return; // killed by policy: leave without task_terminate
             }
         }
-        os2.task_terminate(ctx);
+        os2.task_terminate(&ctx);
     }));
     let report = sim.run_until(SimTime::from_millis(20)).expect("run ok");
     let m = os.metrics_at(report.end_time);
@@ -115,17 +115,17 @@ fn kill_task_frees_the_cpu_for_others() {
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
     let os_o = os.clone();
-    sim.spawn(Child::new("overrunner", move |ctx| {
+    sim.spawn(Child::new("overrunner", move |ctx| async move {
         let mut p = TaskParams::periodic("overrunner", us(100));
         p.priority(Priority(1))
             .wcet(us(80))
             .miss_policy(MissPolicy::KillTask)
             .miss_budget(1);
         let me = os_o.task_create(&p);
-        os_o.task_activate(ctx, me);
+        os_o.task_activate(&ctx, me).await;
         loop {
-            os_o.time_wait(ctx, us(160));
-            if os_o.task_endcycle(ctx) == CycleOutcome::Stop {
+            os_o.time_wait(&ctx, us(160)).await;
+            if os_o.task_endcycle(&ctx).await == CycleOutcome::Stop {
                 return;
             }
         }
@@ -133,12 +133,12 @@ fn kill_task_frees_the_cpu_for_others() {
     let done = Arc::new(Mutex::new(false));
     let done2 = Arc::clone(&done);
     let os_b = os.clone();
-    sim.spawn(Child::new("background", move |ctx| {
+    sim.spawn(Child::new("background", move |ctx| async move {
         let me = os_b.task_create(&TaskParams::aperiodic("background", Priority(5)));
-        os_b.task_activate(ctx, me);
-        os_b.time_wait(ctx, us(500));
+        os_b.task_activate(&ctx, me).await;
+        os_b.time_wait(&ctx, us(500)).await;
         *done2.lock() = true;
-        os_b.task_terminate(ctx);
+        os_b.task_terminate(&ctx);
     }));
     let report = sim.run().expect("run ok");
     assert!(*done.lock(), "background work completed after the kill");
@@ -161,22 +161,22 @@ fn abba_deadlock_is_detected_with_named_cycle() {
     // t1 (urgent): locks A, parks on an event, then wants B.
     let os1 = os.clone();
     let (ma1, mb1) = (ma.clone(), mb.clone());
-    sim.spawn(Child::new("t1", move |ctx| {
+    sim.spawn(Child::new("t1", move |ctx| async move {
         let me = os1.task_create(&TaskParams::aperiodic("t1", Priority(1)));
-        os1.task_activate(ctx, me);
-        ma1.lock(ctx);
-        os1.event_wait(ctx, handoff); // let t2 take B first
-        mb1.lock(ctx); // blocks: B held by t2
+        os1.task_activate(&ctx, me).await;
+        ma1.lock(&ctx).await;
+        os1.event_wait(&ctx, handoff).await; // let t2 take B first
+        mb1.lock(&ctx).await; // blocks: B held by t2
         unreachable!("t1 must deadlock");
     }));
     // t2: locks B, wakes t1, then wants A.
     let os2 = os.clone();
-    sim.spawn(Child::new("t2", move |ctx| {
+    sim.spawn(Child::new("t2", move |ctx| async move {
         let me = os2.task_create(&TaskParams::aperiodic("t2", Priority(2)));
-        os2.task_activate(ctx, me);
-        mb.lock(ctx);
-        os2.event_notify(ctx, handoff); // t1 preempts, blocks on B
-        ma.lock(ctx); // blocks: A held by t1 → ABBA cycle closed
+        os2.task_activate(&ctx, me).await;
+        mb.lock(&ctx).await;
+        os2.event_notify(&ctx, handoff).await; // t1 preempts, blocks on B
+        ma.lock(&ctx).await; // blocks: A held by t1 → ABBA cycle closed
         unreachable!("t2 must deadlock");
     }));
 
@@ -212,17 +212,17 @@ fn watchdog_abort_run_names_the_watchdog() {
     let (wd, monitor) = os.watchdog("heartbeat", us(100), WatchdogAction::AbortRun);
     sim.spawn(monitor);
     let os2 = os.clone();
-    sim.spawn(Child::new("worker", move |ctx| {
+    sim.spawn(Child::new("worker", move |ctx| async move {
         let me = os2.task_create(&TaskParams::aperiodic("worker", Priority(1)));
-        os2.task_activate(ctx, me);
+        os2.task_activate(&ctx, me).await;
         // Healthy phase: kicks comfortably inside the window…
         for _ in 0..3 {
-            os2.time_wait(ctx, us(50));
-            wd.kick(ctx);
+            os2.time_wait(&ctx, us(50)).await;
+            wd.kick(&ctx);
         }
         // …then goes silent for far longer than the timeout.
-        os2.time_wait(ctx, us(1_000));
-        os2.task_terminate(ctx);
+        os2.time_wait(&ctx, us(1_000)).await;
+        os2.task_terminate(&ctx);
     }));
     match sim.run() {
         Err(RunError::WatchdogExpired { watchdog, at }) => {
@@ -243,13 +243,13 @@ fn watchdog_count_records_trips_and_run_survives() {
     sim.spawn(monitor);
     let os2 = os.clone();
     let wd2 = wd.clone();
-    sim.spawn(Child::new("worker", move |ctx| {
+    sim.spawn(Child::new("worker", move |ctx| async move {
         let me = os2.task_create(&TaskParams::aperiodic("worker", Priority(1)));
-        os2.task_activate(ctx, me);
-        os2.time_wait(ctx, us(350)); // silent: ~3 trips
+        os2.task_activate(&ctx, me).await;
+        os2.time_wait(&ctx, us(350)).await; // silent: ~3 trips
         wd2.disarm();
-        wd2.kick(ctx); // retire the monitor immediately
-        os2.task_terminate(ctx);
+        wd2.kick(&ctx); // retire the monitor immediately
+        os2.task_terminate(&ctx);
     }));
     let report = sim.run().expect("Count trips never abort");
     assert!(
@@ -268,15 +268,18 @@ fn lock_timeout_reports_self_deadlock_as_already_owned() {
     os.start(SchedAlg::PriorityPreemptive);
     let m = RtosMutex::named(os.clone(), InheritancePolicy::Inherit, "m");
     let os2 = os.clone();
-    sim.spawn(Child::new("t", move |ctx| {
+    sim.spawn(Child::new("t", move |ctx| async move {
         let me = os2.task_create(&TaskParams::aperiodic("t", Priority(1)));
-        os2.task_activate(ctx, me);
-        assert_eq!(m.lock_timeout(ctx, us(10)), Ok(()));
+        os2.task_activate(&ctx, me).await;
+        assert_eq!(m.lock_timeout(&ctx, us(10)).await, Ok(()));
         // The hazard: re-acquiring a non-recursive mutex we already hold
         // would block forever — reported as an error instead.
-        assert_eq!(m.lock_timeout(ctx, us(10)), Err(MutexError::AlreadyOwned));
-        m.unlock(ctx);
-        os2.task_terminate(ctx);
+        assert_eq!(
+            m.lock_timeout(&ctx, us(10)).await,
+            Err(MutexError::AlreadyOwned)
+        );
+        m.unlock(&ctx).await;
+        os2.task_terminate(&ctx);
     }));
     sim.run().expect("run ok");
 }
@@ -296,30 +299,30 @@ fn lock_timeout_times_out_while_held_and_succeeds_after_release() {
     // holder is blocked, not while it is computing).
     let os_h = os.clone();
     let mh = m.clone();
-    sim.spawn(Child::new("holder", move |ctx| {
+    sim.spawn(Child::new("holder", move |ctx| async move {
         let me = os_h.task_create(&TaskParams::aperiodic("holder", Priority(1)));
-        os_h.task_activate(ctx, me);
-        mh.lock(ctx);
-        os_h.event_wait(ctx, release_ev);
-        mh.unlock(ctx);
-        os_h.task_terminate(ctx);
+        os_h.task_activate(&ctx, me).await;
+        mh.lock(&ctx).await;
+        os_h.event_wait(&ctx, release_ev).await;
+        mh.unlock(&ctx).await;
+        os_h.task_terminate(&ctx);
     }));
     // Contender: a 100 us bound fails while the holder sits on the lock;
     // after asking the holder to release, a second attempt succeeds.
     let os_c = os.clone();
     let out2 = Arc::clone(&outcome);
-    sim.spawn(Child::new("contender", move |ctx| {
+    sim.spawn(Child::new("contender", move |ctx| async move {
         let me = os_c.task_create(&TaskParams::aperiodic("contender", Priority(2)));
-        os_c.task_activate(ctx, me);
-        let first = m.lock_timeout(ctx, us(100));
+        os_c.task_activate(&ctx, me).await;
+        let first = m.lock_timeout(&ctx, us(100)).await;
         out2.lock().push((first, ctx.now()));
-        os_c.event_notify(ctx, release_ev); // holder wakes and unlocks
-        let second = m.lock_timeout(ctx, us(1_000));
+        os_c.event_notify(&ctx, release_ev).await; // holder wakes and unlocks
+        let second = m.lock_timeout(&ctx, us(1_000)).await;
         out2.lock().push((second, ctx.now()));
         if second.is_ok() {
-            m.unlock(ctx);
+            m.unlock(&ctx).await;
         }
-        os_c.task_terminate(ctx);
+        os_c.task_terminate(&ctx);
     }));
     let report = sim.run().expect("run ok");
     assert!(report.blocked.is_empty());

@@ -25,12 +25,12 @@ fn spawn_worker(
 ) {
     let os = os.clone();
     let log = Arc::clone(log);
-    sim.spawn(Child::new(name, move |ctx| {
+    sim.spawn(Child::new(name, move |ctx| async move {
         let me = os.task_create(&TaskParams::aperiodic(name, Priority(prio)));
-        os.task_activate(ctx, me);
-        os.time_wait(ctx, us(work));
+        os.task_activate(&ctx, me).await;
+        os.time_wait(&ctx, us(work)).await;
         log.lock().push((name.to_string(), ctx.now().as_micros()));
-        os.task_terminate(ctx);
+        os.task_terminate(&ctx);
     }));
 }
 
@@ -95,35 +95,35 @@ fn interrupt_wakes_high_priority_task_preemption_delayed_to_step_end() {
     // High-priority task: waits for the interrupt, then runs 100us.
     let os_hi = os.clone();
     let log_hi = Arc::clone(&log);
-    sim.spawn(Child::new("hi", move |ctx| {
+    sim.spawn(Child::new("hi", move |ctx| async move {
         let me = os_hi.task_create(&TaskParams::aperiodic("hi", Priority(1)));
-        os_hi.task_activate(ctx, me);
-        os_hi.event_wait(ctx, irq);
+        os_hi.task_activate(&ctx, me).await;
+        os_hi.event_wait(&ctx, irq).await;
         log_hi.lock().push(("hi-start", ctx.now().as_micros()));
-        os_hi.time_wait(ctx, us(100));
+        os_hi.time_wait(&ctx, us(100)).await;
         log_hi.lock().push(("hi-end", ctx.now().as_micros()));
-        os_hi.task_terminate(ctx);
+        os_hi.task_terminate(&ctx);
     }));
 
     // Low-priority task: two 300us delay steps.
     let os_lo = os.clone();
     let log_lo = Arc::clone(&log);
-    sim.spawn(Child::new("lo", move |ctx| {
+    sim.spawn(Child::new("lo", move |ctx| async move {
         let me = os_lo.task_create(&TaskParams::aperiodic("lo", Priority(5)));
-        os_lo.task_activate(ctx, me);
-        os_lo.time_wait(ctx, us(300));
+        os_lo.task_activate(&ctx, me).await;
+        os_lo.time_wait(&ctx, us(300)).await;
         log_lo.lock().push(("lo-step1", ctx.now().as_micros()));
-        os_lo.time_wait(ctx, us(300));
+        os_lo.time_wait(&ctx, us(300)).await;
         log_lo.lock().push(("lo-step2", ctx.now().as_micros()));
-        os_lo.task_terminate(ctx);
+        os_lo.task_terminate(&ctx);
     }));
 
     // ISR: fires at t = 400us, in the middle of lo's second step.
     let os_isr = os.clone();
-    sim.spawn(Child::new("isr", move |ctx| {
-        ctx.waitfor(us(400));
-        os_isr.event_notify(ctx, irq);
-        os_isr.interrupt_return(ctx);
+    sim.spawn(Child::new("isr", move |ctx| async move {
+        ctx.waitfor(us(400)).await;
+        os_isr.event_notify(&ctx, irq).await;
+        os_isr.interrupt_return(&ctx);
     }));
 
     let report = sim.run().unwrap();
@@ -156,30 +156,30 @@ fn quantum_slicing_preempts_within_a_delay() {
 
     let os_hi = os.clone();
     let log_hi = Arc::clone(&log);
-    sim.spawn(Child::new("hi", move |ctx| {
+    sim.spawn(Child::new("hi", move |ctx| async move {
         let me = os_hi.task_create(&TaskParams::aperiodic("hi", Priority(1)));
-        os_hi.task_activate(ctx, me);
-        os_hi.event_wait(ctx, irq);
+        os_hi.task_activate(&ctx, me).await;
+        os_hi.event_wait(&ctx, irq).await;
         log_hi.lock().push(("hi-start", ctx.now().as_micros()));
-        os_hi.time_wait(ctx, us(100));
-        os_hi.task_terminate(ctx);
+        os_hi.time_wait(&ctx, us(100)).await;
+        os_hi.task_terminate(&ctx);
     }));
 
     let os_lo = os.clone();
     let log_lo = Arc::clone(&log);
-    sim.spawn(Child::new("lo", move |ctx| {
+    sim.spawn(Child::new("lo", move |ctx| async move {
         let me = os_lo.task_create(&TaskParams::aperiodic("lo", Priority(5)));
-        os_lo.task_activate(ctx, me);
-        os_lo.time_wait(ctx, us(600));
+        os_lo.task_activate(&ctx, me).await;
+        os_lo.time_wait(&ctx, us(600)).await;
         log_lo.lock().push(("lo-end", ctx.now().as_micros()));
-        os_lo.task_terminate(ctx);
+        os_lo.task_terminate(&ctx);
     }));
 
     let os_isr = os.clone();
-    sim.spawn(Child::new("isr", move |ctx| {
-        ctx.waitfor(us(425));
-        os_isr.event_notify(ctx, irq);
-        os_isr.interrupt_return(ctx);
+    sim.spawn(Child::new("isr", move |ctx| async move {
+        ctx.waitfor(us(425)).await;
+        os_isr.event_notify(&ctx, irq).await;
+        os_isr.interrupt_return(&ctx);
     }));
 
     let report = sim.run().unwrap();
@@ -220,30 +220,30 @@ fn cooperative_priority_never_preempts() {
 
     let os_hi = os.clone();
     let log_hi = Arc::clone(&log);
-    sim.spawn(Child::new("hi", move |ctx| {
+    sim.spawn(Child::new("hi", move |ctx| async move {
         let me = os_hi.task_create(&TaskParams::aperiodic("hi", Priority(0)));
-        os_hi.task_activate(ctx, me);
-        os_hi.event_wait(ctx, irq);
+        os_hi.task_activate(&ctx, me).await;
+        os_hi.event_wait(&ctx, irq).await;
         log_hi.lock().push(("hi", ctx.now().as_micros()));
-        os_hi.task_terminate(ctx);
+        os_hi.task_terminate(&ctx);
     }));
     let os_lo = os.clone();
     let log_lo = Arc::clone(&log);
-    sim.spawn(Child::new("lo", move |ctx| {
+    sim.spawn(Child::new("lo", move |ctx| async move {
         let me = os_lo.task_create(&TaskParams::aperiodic("lo", Priority(9)));
-        os_lo.task_activate(ctx, me);
+        os_lo.task_activate(&ctx, me).await;
         // Two steps: even though hi becomes ready at 50, lo keeps the CPU
         // through both steps (no preemption between them).
-        os_lo.time_wait(ctx, us(100));
-        os_lo.time_wait(ctx, us(100));
+        os_lo.time_wait(&ctx, us(100)).await;
+        os_lo.time_wait(&ctx, us(100)).await;
         log_lo.lock().push(("lo", ctx.now().as_micros()));
-        os_lo.task_terminate(ctx);
+        os_lo.task_terminate(&ctx);
     }));
     let os_isr = os.clone();
-    sim.spawn(Child::new("isr", move |ctx| {
-        ctx.waitfor(us(50));
-        os_isr.event_notify(ctx, irq);
-        os_isr.interrupt_return(ctx);
+    sim.spawn(Child::new("isr", move |ctx| async move {
+        ctx.waitfor(us(50)).await;
+        os_isr.event_notify(&ctx, irq).await;
+        os_isr.interrupt_return(&ctx);
     }));
 
     sim.run().unwrap();
@@ -261,14 +261,14 @@ fn edf_prefers_earliest_deadline() {
     for (name, deadline, work) in [("late", 10_000u64, 100u64), ("soon", 500, 100)] {
         let os = os.clone();
         let log = Arc::clone(&log);
-        sim.spawn(Child::new(name, move |ctx| {
+        sim.spawn(Child::new(name, move |ctx| async move {
             let mut p = TaskParams::aperiodic(name, Priority(5));
             p.deadline(us(deadline));
             let me = os.task_create(&p);
-            os.task_activate(ctx, me);
-            os.time_wait(ctx, us(work));
+            os.task_activate(&ctx, me).await;
+            os.time_wait(&ctx, us(work)).await;
             log.lock().push((name.to_string(), ctx.now().as_micros()));
-            os.task_terminate(ctx);
+            os.task_terminate(&ctx);
         }));
     }
     sim.run().unwrap();
@@ -287,15 +287,15 @@ fn rms_prefers_shorter_period() {
     for (name, period_us, work) in [("slow", 50_000u64, 200u64), ("fast", 10_000, 200)] {
         let os = os.clone();
         let order = Arc::clone(&order);
-        sim.spawn(Child::new(name, move |ctx| {
+        sim.spawn(Child::new(name, move |ctx| async move {
             let me = os.task_create(&TaskParams::periodic(name, us(period_us)));
-            os.task_activate(ctx, me);
+            os.task_activate(&ctx, me).await;
             for _ in 0..2 {
-                os.time_wait(ctx, us(work));
+                os.time_wait(&ctx, us(work)).await;
                 order.lock().push((name, ctx.now().as_micros()));
-                let _ = os.task_endcycle(ctx); // Count policy: always Continue
+                let _ = os.task_endcycle(&ctx).await; // Count policy: always Continue
             }
-            os.task_terminate(ctx);
+            os.task_terminate(&ctx);
         }));
     }
     sim.run().unwrap();
@@ -314,16 +314,16 @@ fn periodic_task_records_response_times_and_meets_deadlines() {
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::Rms);
     let os2 = os.clone();
-    sim.spawn(Child::new("periodic", move |ctx| {
+    sim.spawn(Child::new("periodic", move |ctx| async move {
         let mut p = TaskParams::periodic("periodic", us(1_000));
         p.wcet(us(300));
         let me = os2.task_create(&p);
-        os2.task_activate(ctx, me);
+        os2.task_activate(&ctx, me).await;
         for _ in 0..5 {
-            os2.time_wait(ctx, us(300));
-            let _ = os2.task_endcycle(ctx); // Count policy: always Continue
+            os2.time_wait(&ctx, us(300)).await;
+            let _ = os2.task_endcycle(&ctx).await; // Count policy: always Continue
         }
-        os2.task_terminate(ctx);
+        os2.task_terminate(&ctx);
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
@@ -341,14 +341,14 @@ fn overrunning_periodic_task_misses_deadlines() {
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::Rms);
     let os2 = os.clone();
-    sim.spawn(Child::new("overrun", move |ctx| {
+    sim.spawn(Child::new("overrun", move |ctx| async move {
         let me = os2.task_create(&TaskParams::periodic("overrun", us(100)));
-        os2.task_activate(ctx, me);
+        os2.task_activate(&ctx, me).await;
         for _ in 0..3 {
-            os2.time_wait(ctx, us(150)); // longer than the period
-            let _ = os2.task_endcycle(ctx); // Count policy: always Continue
+            os2.time_wait(&ctx, us(150)).await; // longer than the period
+            let _ = os2.task_endcycle(&ctx).await; // Count policy: always Continue
         }
-        os2.task_terminate(ctx);
+        os2.task_terminate(&ctx);
     }));
     sim.run().unwrap();
     let m = os.metrics();
@@ -366,26 +366,26 @@ fn task_sleep_and_remote_activate() {
     let os_s = os.clone();
     let log_s = Arc::clone(&log);
     let tid_cell = Arc::clone(&sleeper_tid);
-    sim.spawn(Child::new("sleeper", move |ctx| {
+    sim.spawn(Child::new("sleeper", move |ctx| async move {
         let me = os_s.task_create(&TaskParams::aperiodic("sleeper", Priority(1)));
         *tid_cell.lock() = Some(me);
-        os_s.task_activate(ctx, me);
+        os_s.task_activate(&ctx, me).await;
         log_s.lock().push(("pre-sleep", ctx.now().as_micros()));
-        os_s.task_sleep(ctx);
+        os_s.task_sleep(&ctx).await;
         log_s.lock().push(("post-sleep", ctx.now().as_micros()));
-        os_s.task_terminate(ctx);
+        os_s.task_terminate(&ctx);
     }));
 
     let os_w = os.clone();
     let tid_cell = Arc::clone(&sleeper_tid);
-    sim.spawn(Child::new("waker", move |ctx| {
+    sim.spawn(Child::new("waker", move |ctx| async move {
         let me = os_w.task_create(&TaskParams::aperiodic("waker", Priority(5)));
-        os_w.task_activate(ctx, me);
-        os_w.time_wait(ctx, us(100));
+        os_w.task_activate(&ctx, me).await;
+        os_w.time_wait(&ctx, us(100)).await;
         let tid = tid_cell.lock().expect("sleeper created");
-        os_w.task_activate(ctx, tid); // resume; sleeper has higher priority
-        os_w.time_wait(ctx, us(50));
-        os_w.task_terminate(ctx);
+        os_w.task_activate(&ctx, tid).await; // resume; sleeper has higher priority
+        os_w.time_wait(&ctx, us(50)).await;
+        os_w.task_terminate(&ctx);
     }));
 
     let report = sim.run().unwrap();
@@ -406,23 +406,23 @@ fn task_kill_removes_blocked_task() {
 
     let os_v = os.clone();
     let tid_cell = Arc::clone(&victim_tid);
-    sim.spawn(Child::new("victim", move |ctx| {
+    sim.spawn(Child::new("victim", move |ctx| async move {
         let me = os_v.task_create(&TaskParams::aperiodic("victim", Priority(1)));
         *tid_cell.lock() = Some(me);
-        os_v.task_activate(ctx, me);
-        os_v.event_wait(ctx, e); // never notified
+        os_v.task_activate(&ctx, me).await;
+        os_v.event_wait(&ctx, e).await; // never notified
         unreachable!("victim must not resume");
     }));
 
     let os_k = os.clone();
     let tid_cell = Arc::clone(&victim_tid);
-    sim.spawn(Child::new("killer", move |ctx| {
+    sim.spawn(Child::new("killer", move |ctx| async move {
         let me = os_k.task_create(&TaskParams::aperiodic("killer", Priority(5)));
-        os_k.task_activate(ctx, me);
-        os_k.time_wait(ctx, us(10));
-        os_k.task_kill(ctx, tid_cell.lock().expect("victim created"));
-        os_k.time_wait(ctx, us(10));
-        os_k.task_terminate(ctx);
+        os_k.task_activate(&ctx, me).await;
+        os_k.time_wait(&ctx, us(10)).await;
+        os_k.task_kill(&ctx, tid_cell.lock().expect("victim created"));
+        os_k.time_wait(&ctx, us(10)).await;
+        os_k.task_terminate(&ctx);
     }));
 
     let report = sim.run().unwrap();
@@ -441,34 +441,35 @@ fn par_start_end_forks_child_tasks() {
 
     let os_p = os.clone();
     let log_p = Arc::clone(&log);
-    sim.spawn(Child::new("task_pe", move |ctx| {
+    sim.spawn(Child::new("task_pe", move |ctx| async move {
         let me = os_p.task_create(&TaskParams::aperiodic("task_pe", Priority(2)));
-        os_p.task_activate(ctx, me);
-        os_p.time_wait(ctx, us(100)); // B1
+        os_p.task_activate(&ctx, me).await;
+        os_p.time_wait(&ctx, us(100)).await; // B1
         let b2 = os_p.task_create(&TaskParams::aperiodic("task_b2", Priority(3)));
         let b3 = os_p.task_create(&TaskParams::aperiodic("task_b3", Priority(1)));
-        os_p.par_start(ctx);
+        os_p.par_start(&ctx);
         let os_b2 = os_p.clone();
         let os_b3 = os_p.clone();
         let log_b2 = Arc::clone(&log_p);
         let log_b3 = Arc::clone(&log_p);
         ctx.par(vec![
-            Child::new("b2", move |ctx| {
-                os_b2.task_activate(ctx, b2);
-                os_b2.time_wait(ctx, us(200));
+            Child::new("b2", move |ctx| async move {
+                os_b2.task_activate(&ctx, b2).await;
+                os_b2.time_wait(&ctx, us(200)).await;
                 log_b2.lock().push(("b2-done", ctx.now().as_micros()));
-                os_b2.task_terminate(ctx);
+                os_b2.task_terminate(&ctx);
             }),
-            Child::new("b3", move |ctx| {
-                os_b3.task_activate(ctx, b3);
-                os_b3.time_wait(ctx, us(150));
+            Child::new("b3", move |ctx| async move {
+                os_b3.task_activate(&ctx, b3).await;
+                os_b3.time_wait(&ctx, us(150)).await;
                 log_b3.lock().push(("b3-done", ctx.now().as_micros()));
-                os_b3.task_terminate(ctx);
+                os_b3.task_terminate(&ctx);
             }),
-        ]);
-        os_p.par_end(ctx);
+        ])
+        .await;
+        os_p.par_end(&ctx).await;
         log_p.lock().push(("parent-done", ctx.now().as_micros()));
-        os_p.task_terminate(ctx);
+        os_p.task_terminate(&ctx);
     }));
 
     let report = sim.run().unwrap();
@@ -523,25 +524,25 @@ fn event_notify_by_task_preempts_notifier() {
 
     let os_hi = os.clone();
     let log_hi = Arc::clone(&log);
-    sim.spawn(Child::new("hi", move |ctx| {
+    sim.spawn(Child::new("hi", move |ctx| async move {
         let me = os_hi.task_create(&TaskParams::aperiodic("hi", Priority(1)));
-        os_hi.task_activate(ctx, me);
-        os_hi.event_wait(ctx, e);
-        os_hi.time_wait(ctx, us(50));
+        os_hi.task_activate(&ctx, me).await;
+        os_hi.event_wait(&ctx, e).await;
+        os_hi.time_wait(&ctx, us(50)).await;
         log_hi.lock().push(("hi-done", ctx.now().as_micros()));
-        os_hi.task_terminate(ctx);
+        os_hi.task_terminate(&ctx);
     }));
     let os_lo = os.clone();
     let log_lo = Arc::clone(&log);
-    sim.spawn(Child::new("lo", move |ctx| {
+    sim.spawn(Child::new("lo", move |ctx| async move {
         let me = os_lo.task_create(&TaskParams::aperiodic("lo", Priority(5)));
-        os_lo.task_activate(ctx, me);
-        os_lo.time_wait(ctx, us(100));
-        os_lo.event_notify(ctx, e); // wakes hi → immediate preemption here
+        os_lo.task_activate(&ctx, me).await;
+        os_lo.time_wait(&ctx, us(100)).await;
+        os_lo.event_notify(&ctx, e).await; // wakes hi → immediate preemption here
         log_lo
             .lock()
             .push(("lo-after-notify", ctx.now().as_micros()));
-        os_lo.task_terminate(ctx);
+        os_lo.task_terminate(&ctx);
     }));
 
     sim.run().unwrap();
@@ -563,25 +564,25 @@ fn rtos_as_sync_layer_runs_sldl_channels() {
 
     let os_p = os.clone();
     let q_p = q.clone();
-    sim.spawn(Child::new("producer", move |ctx| {
+    sim.spawn(Child::new("producer", move |ctx| async move {
         let me = os_p.task_create(&TaskParams::aperiodic("producer", Priority(2)));
-        os_p.task_activate(ctx, me);
+        os_p.task_activate(&ctx, me).await;
         for i in 0..5 {
-            os_p.time_wait(ctx, us(10));
-            q_p.send(ctx, i);
+            os_p.time_wait(&ctx, us(10)).await;
+            q_p.send(&ctx, i).await;
         }
-        os_p.task_terminate(ctx);
+        os_p.task_terminate(&ctx);
     }));
     let os_c = os.clone();
     let got_c = Arc::clone(&got);
-    sim.spawn(Child::new("consumer", move |ctx| {
+    sim.spawn(Child::new("consumer", move |ctx| async move {
         let me = os_c.task_create(&TaskParams::aperiodic("consumer", Priority(1)));
-        os_c.task_activate(ctx, me);
+        os_c.task_activate(&ctx, me).await;
         for _ in 0..5 {
-            let v = q.recv(ctx);
+            let v = q.recv(&ctx).await;
             got_c.lock().push(v);
         }
-        os_c.task_terminate(ctx);
+        os_c.task_terminate(&ctx);
     }));
 
     let report = sim.run().unwrap();

@@ -16,7 +16,7 @@
 //!   call `interrupt_return` (Fig. 3(b)).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use rtos_model::{Priority, Rtos, SchedAlg, TaskId, TaskParams, TimeSlice};
 use sldl_sim::{Child, Handshake, ProcCtx, RecordKind, Semaphore, Simulation, TraceConfig};
@@ -34,22 +34,20 @@ enum ArchChan {
 }
 
 impl ArchChan {
-    fn send(&self, ctx: &ProcCtx) {
+    async fn send(&self, ctx: &ProcCtx) {
         match self {
-            ArchChan::Rendezvous(h) => h.send(ctx),
-            ArchChan::Cross(c) => c.send(ctx),
-            ArchChan::Bus(b) => b.send(ctx, ()),
+            ArchChan::Rendezvous(h) => h.send(ctx).await,
+            ArchChan::Cross(c) => c.send(ctx).await,
+            ArchChan::Bus(b) => b.send(ctx, ()).await,
             ArchChan::Sem(_) => panic!("send on semaphore channel"),
         }
     }
 
-    fn recv(&self, ctx: &ProcCtx) {
+    async fn recv(&self, ctx: &ProcCtx) {
         match self {
-            ArchChan::Rendezvous(h) => h.recv(ctx),
-            ArchChan::Cross(c) => c.recv(ctx),
-            ArchChan::Bus(b) => {
-                b.recv(ctx);
-            }
+            ArchChan::Rendezvous(h) => h.recv(ctx).await,
+            ArchChan::Cross(c) => c.recv(ctx).await,
+            ArchChan::Bus(b) => b.recv(ctx).await,
             ArchChan::Sem(_) => panic!("recv on semaphore channel"),
         }
     }
@@ -72,7 +70,7 @@ struct ChanUse {
 
 struct Env {
     os: Rtos,
-    chans: Arc<Vec<ArchChan>>,
+    chans: Rc<Vec<ArchChan>>,
     priorities: HashMap<String, Priority>,
 }
 
@@ -168,7 +166,7 @@ fn run_architecture_inner(
         .map(|m| m.buses().iter().cloned().map(SharedBus::new).collect())
         .unwrap_or_default();
 
-    let chans: Arc<Vec<ArchChan>> = Arc::new(
+    let chans: Rc<Vec<ArchChan>> = Rc::new(
         spec.channels
             .iter()
             .enumerate()
@@ -213,14 +211,14 @@ fn run_architecture_inner(
 
     // One main task per PE running the root behavior.
     for (pe_idx, pe) in spec.pes.iter().enumerate() {
-        let env = Arc::new(Env {
+        let env = Rc::new(Env {
             os: oses[pe_idx].clone(),
-            chans: Arc::clone(&chans),
+            chans: Rc::clone(&chans),
             priorities: pe.priorities.clone(),
         });
         let root = pe.root.clone();
         let main_name = format!("{}_main", pe.name);
-        sim.spawn(Child::new(main_name.clone(), move |ctx| {
+        sim.spawn(Child::new(main_name.clone(), move |ctx| async move {
             // A periodic root becomes the PE's periodic main task.
             let task_name = match &root {
                 Behavior::Periodic { name, .. } => name.clone(),
@@ -230,33 +228,33 @@ fn run_architecture_inner(
             let me = env
                 .os
                 .task_create(&task_params_for(&root, &task_name, prio));
-            env.os.task_activate(ctx, me);
-            if exec(&root, ctx, &env, &task_name) {
-                env.os.task_terminate(ctx);
+            env.os.task_activate(&ctx, me).await;
+            if exec(&root, &ctx, &env, &task_name).await {
+                env.os.task_terminate(&ctx);
             }
         }));
     }
 
     // Interrupt sources → ISR processes.
     for irq in &spec.interrupts {
-        let chans = Arc::clone(&chans);
+        let chans = Rc::clone(&chans);
         let os = oses[irq.pe].clone();
         let name = irq.name.clone();
         let mut times = irq.fire_times.clone();
         times.sort();
         let target = irq.target;
-        sim.spawn(Child::new(format!("isr_{name}"), move |ctx| {
+        sim.spawn(Child::new(format!("isr_{name}"), move |ctx| async move {
             for t in times {
                 let now = ctx.now();
                 if t > now {
-                    ctx.waitfor(t - now);
+                    ctx.waitfor(t - now).await;
                 }
                 ctx.record(RecordKind::Marker {
                     track: name.clone(),
                     label: "interrupt".into(),
                 });
-                chans[target.0].sem().release(ctx);
-                os.interrupt_return(ctx);
+                chans[target.0].sem().release(&ctx).await;
+                os.interrupt_return(&ctx);
             }
         }));
     }
@@ -361,10 +359,10 @@ fn task_params_for(b: &Behavior, name: &str, prio: Priority) -> TaskParams {
 /// for composite par branches. Returns `false` when the calling task was
 /// killed by its deadline-miss policy (the caller must not touch the RTOS
 /// for this task again, in particular not `task_terminate`).
-fn exec(b: &Behavior, ctx: &ProcCtx, env: &Arc<Env>, path: &str) -> bool {
+async fn exec(b: &Behavior, ctx: &ProcCtx, env: &Rc<Env>, path: &str) -> bool {
     match b {
         Behavior::Leaf { actions, .. } => {
-            run_actions(actions, ctx, env);
+            run_actions(actions, ctx, env).await;
             true
         }
         Behavior::Periodic {
@@ -376,8 +374,8 @@ fn exec(b: &Behavior, ctx: &ProcCtx, env: &Arc<Env>, path: &str) -> bool {
             // `Stop` outcome means the task's deadline-miss policy killed
             // it — unwind without touching the RTOS again.
             for _ in 0..*cycles {
-                run_actions(actions, ctx, env);
-                if env.os.task_endcycle(ctx) == rtos_model::CycleOutcome::Stop {
+                run_actions(actions, ctx, env).await;
+                if env.os.task_endcycle(ctx).await == rtos_model::CycleOutcome::Stop {
                     return false;
                 }
             }
@@ -385,7 +383,8 @@ fn exec(b: &Behavior, ctx: &ProcCtx, env: &Arc<Env>, path: &str) -> bool {
         }
         Behavior::Seq(children) => {
             for (i, c) in children.iter().enumerate() {
-                if !exec(c, ctx, env, &format!("{path}.{i}")) {
+                // Boxed: the future of a recursive async fn needs a fixed size.
+                if !Box::pin(exec(c, ctx, env, &format!("{path}.{i}"))).await {
                     return false;
                 }
             }
@@ -413,33 +412,33 @@ fn exec(b: &Behavior, ctx: &ProcCtx, env: &Arc<Env>, path: &str) -> bool {
             let kids = named
                 .into_iter()
                 .map(|(name, tid, c)| {
-                    let env = Arc::clone(env);
+                    let env = Rc::clone(env);
                     let child_path = name.clone();
-                    Child::new(name, move |ctx: &ProcCtx| {
-                        env.os.task_activate(ctx, tid);
-                        if exec(&c, ctx, &env, &child_path) {
-                            env.os.task_terminate(ctx);
+                    Child::new(name, move |ctx| async move {
+                        env.os.task_activate(&ctx, tid).await;
+                        if exec(&c, &ctx, &env, &child_path).await {
+                            env.os.task_terminate(&ctx);
                         }
                     })
                 })
                 .collect();
-            ctx.par(kids);
-            env.os.par_end(ctx);
+            ctx.par(kids).await;
+            env.os.par_end(ctx).await;
             true
         }
     }
 }
 
-fn run_actions(actions: &[Action], ctx: &ProcCtx, env: &Arc<Env>) {
+async fn run_actions(actions: &[Action], ctx: &ProcCtx, env: &Rc<Env>) {
     for a in actions {
         match a {
             Action::Compute { label, duration } => {
-                env.os.time_wait_as(ctx, *duration, label);
+                env.os.time_wait_as(ctx, *duration, label).await;
             }
-            Action::Send(c) => env.chans[c.0].send(ctx),
-            Action::Recv(c) => env.chans[c.0].recv(ctx),
-            Action::Acquire(c) => env.chans[c.0].sem().acquire(ctx),
-            Action::Release(c) => env.chans[c.0].sem().release(ctx),
+            Action::Send(c) => env.chans[c.0].send(ctx).await,
+            Action::Recv(c) => env.chans[c.0].recv(ctx).await,
+            Action::Acquire(c) => env.chans[c.0].sem().acquire(ctx).await,
+            Action::Release(c) => env.chans[c.0].sem().release(ctx).await,
         }
     }
 }

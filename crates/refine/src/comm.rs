@@ -31,7 +31,9 @@
 //!
 //! [`run_architecture`]: crate::run_architecture
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use rtos_model::{Rtos, RtosEvent};
@@ -124,14 +126,14 @@ struct Waker {
 /// onto it. Clonable; all clones share the same state.
 pub struct SharedBus {
     bus: Bus,
-    wakers: Arc<Mutex<Vec<Waker>>>,
+    wakers: Rc<RefCell<Vec<Waker>>>,
 }
 
 impl Clone for SharedBus {
     fn clone(&self) -> Self {
         SharedBus {
             bus: self.bus.clone(),
-            wakers: Arc::clone(&self.wakers),
+            wakers: Rc::clone(&self.wakers),
         }
     }
 }
@@ -150,7 +152,7 @@ impl SharedBus {
     pub fn new(cfg: BusConfig) -> Self {
         SharedBus {
             bus: Bus::new(cfg),
-            wakers: Arc::new(Mutex::new(Vec::new())),
+            wakers: Rc::new(RefCell::new(Vec::new())),
         }
     }
 
@@ -166,7 +168,7 @@ impl SharedBus {
     pub fn port(&self, name: impl Into<String>, os: &Rtos, priority: u32) -> BusPort {
         let master = self.bus.register_master(name, priority);
         let wake = os.event_new();
-        self.wakers.lock().push(Waker {
+        self.wakers.borrow_mut().push(Waker {
             os: os.clone(),
             wake,
         });
@@ -209,12 +211,12 @@ impl Clone for BusPort {
 impl BusPort {
     /// Acquires bus ownership, blocking the calling task through its own
     /// RTOS while a competing master holds the bus.
-    pub fn acquire(&self, ctx: &ProcCtx) {
+    pub async fn acquire(&self, ctx: &ProcCtx) {
         if self.shared.bus.acquire(ctx, self.master) {
             return;
         }
         loop {
-            self.os.event_wait(ctx, self.wake);
+            self.os.event_wait(ctx, self.wake).await;
             if self.shared.bus.owns(self.master) {
                 return;
             }
@@ -224,13 +226,13 @@ impl BusPort {
     /// Releases the bus; the arbiter picks the next queued master and this
     /// port wakes it through *that* master's RTOS (an interrupt-context
     /// notify from this PE's point of view).
-    pub fn release(&self, ctx: &ProcCtx) {
+    pub async fn release(&self, ctx: &ProcCtx) {
         if let Some(next) = self.shared.bus.release(ctx, self.master) {
-            let wakers = self.shared.wakers.lock();
-            let w = &wakers[next.0 as usize];
-            let (os, wake) = (w.os.clone(), w.wake);
-            drop(wakers);
-            os.event_notify(ctx, wake);
+            let (os, wake) = {
+                let w = &self.shared.wakers.borrow()[next.0 as usize];
+                (w.os.clone(), w.wake)
+            };
+            os.event_notify(ctx, wake).await;
         }
     }
 }
@@ -282,7 +284,7 @@ impl<T> core::fmt::Debug for BusChannel<T> {
     }
 }
 
-impl<T: Send + 'static> BusChannel<T> {
+impl<T> BusChannel<T> {
     /// Lowers channel `name` (senders on `sender_os`, receivers on
     /// `receiver_os`) onto `bus`, registering the sender side as a master
     /// port with the given arbitration `priority`.
@@ -316,21 +318,21 @@ impl<T: Send + 'static> BusChannel<T> {
     /// Sends `value` to the receiver PE: rendezvous with a receiver, win
     /// the bus, charge the transfer through the sender's RTOS, then raise
     /// the receive interrupt on the remote RTOS.
-    pub fn send(&self, ctx: &ProcCtx, value: T) {
+    pub async fn send(&self, ctx: &ProcCtx, value: T) {
         if self.zero_cost {
             // Structurally identical to the abstract rendezvous: the data
             // moves at the match point, no extra kernel operations. Only
             // the bus statistics see the message.
             self.q.lock().payloads.push_back(value);
             self.port.shared.bus.count_zero_transfer(self.bytes_per_msg);
-            self.cross.send(ctx);
+            self.cross.send(ctx).await;
             return;
         }
         // Match phase: block until a receiver has arrived (the paper's
         // two-party channel protocol precedes the bus transaction).
-        self.cross.send(ctx);
+        self.cross.send(ctx).await;
         // Arbitration + data phase, charged to the sending task.
-        self.port.acquire(ctx);
+        self.port.acquire(ctx).await;
         let dur = self
             .port
             .shared
@@ -338,10 +340,10 @@ impl<T: Send + 'static> BusChannel<T> {
             .transfer_begin(ctx, self.port.master, self.bytes_per_msg);
         if !dur.is_zero() {
             let label = format!("bus:{}", self.port.shared.config().name);
-            self.port.os.time_wait_as(ctx, dur, &label);
+            self.port.os.time_wait_as(ctx, dur, &label).await;
         }
         self.port.shared.bus.transfer_end(ctx, self.port.master);
-        self.port.release(ctx);
+        self.port.release(ctx).await;
         // Delivery: the transfer-complete interrupt lands on the receiver
         // PE; its ISR publishes the data and returns through the RTOS.
         {
@@ -353,16 +355,16 @@ impl<T: Send + 'static> BusChannel<T> {
             track: format!("{}:irq", self.receiver_os.name()),
             label: format!("rx:{}", self.name),
         });
-        self.receiver_os.event_notify(ctx, self.data_ready);
+        self.receiver_os.event_notify(ctx, self.data_ready).await;
         self.receiver_os.interrupt_return(ctx);
     }
 
     /// Receives one message: rendezvous with a sender, then block until
     /// its bus transfer completes and the receive interrupt publishes the
     /// data.
-    pub fn recv(&self, ctx: &ProcCtx) -> T {
+    pub async fn recv(&self, ctx: &ProcCtx) -> T {
         if self.zero_cost {
-            self.cross.recv(ctx);
+            self.cross.recv(ctx).await;
             return self
                 .q
                 .lock()
@@ -370,7 +372,7 @@ impl<T: Send + 'static> BusChannel<T> {
                 .pop_front()
                 .expect("rendezvous completed without a payload");
         }
-        self.cross.recv(ctx);
+        self.cross.recv(ctx).await;
         loop {
             {
                 let mut q = self.q.lock();
@@ -382,7 +384,7 @@ impl<T: Send + 'static> BusChannel<T> {
                         .expect("data-ready signaled without a payload");
                 }
             }
-            self.receiver_os.event_wait(ctx, self.data_ready);
+            self.receiver_os.event_wait(ctx, self.data_ready).await;
         }
     }
 

@@ -126,24 +126,28 @@ impl CrossRendezvous {
     }
 
     /// Blocks the calling task (on the sender PE) until a receiver arrives.
-    pub fn send(&self, ctx: &ProcCtx) {
-        {
+    pub async fn send(&self, ctx: &ProcCtx) {
+        let partner_waiting = {
             let mut st = self.state.lock();
             if st.pending_receivers > 0 {
                 st.pending_receivers -= 1;
                 st.grants_to_receivers += 1;
                 st.receiver_grants_total += 1;
-                drop(st);
-                self.grant_instant(ctx, "receiver");
-                // Wakes the partner through *its* RTOS: from this PE's point
-                // of view that is an interrupt-context notify.
-                self.receiver_os.event_notify(ctx, self.receiver_wake);
-                return;
+                true
+            } else {
+                st.pending_senders += 1;
+                false
             }
-            st.pending_senders += 1;
+        };
+        if partner_waiting {
+            self.grant_instant(ctx, "receiver");
+            // Wakes the partner through *its* RTOS: from this PE's point
+            // of view that is an interrupt-context notify.
+            self.receiver_os.event_notify(ctx, self.receiver_wake).await;
+            return;
         }
         loop {
-            self.sender_os.event_wait(ctx, self.sender_wake);
+            self.sender_os.event_wait(ctx, self.sender_wake).await;
             let mut st = self.state.lock();
             if st.grants_to_senders > 0 {
                 st.grants_to_senders -= 1;
@@ -153,22 +157,26 @@ impl CrossRendezvous {
     }
 
     /// Blocks the calling task (on the receiver PE) until a sender arrives.
-    pub fn recv(&self, ctx: &ProcCtx) {
-        {
+    pub async fn recv(&self, ctx: &ProcCtx) {
+        let partner_waiting = {
             let mut st = self.state.lock();
             if st.pending_senders > 0 {
                 st.pending_senders -= 1;
                 st.grants_to_senders += 1;
                 st.sender_grants_total += 1;
-                drop(st);
-                self.grant_instant(ctx, "sender");
-                self.sender_os.event_notify(ctx, self.sender_wake);
-                return;
+                true
+            } else {
+                st.pending_receivers += 1;
+                false
             }
-            st.pending_receivers += 1;
+        };
+        if partner_waiting {
+            self.grant_instant(ctx, "sender");
+            self.sender_os.event_notify(ctx, self.sender_wake).await;
+            return;
         }
         loop {
-            self.receiver_os.event_wait(ctx, self.receiver_wake);
+            self.receiver_os.event_wait(ctx, self.receiver_wake).await;
             let mut st = self.state.lock();
             if st.grants_to_receivers > 0 {
                 st.grants_to_receivers -= 1;

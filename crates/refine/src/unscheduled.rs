@@ -1,7 +1,7 @@
 //! Executor for the *unscheduled model*: behaviors run truly in parallel on
 //! the raw SLDL kernel (paper Fig. 3(a) / Fig. 8(a)).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use sldl_sim::{
     Child, Handshake, ProcCtx, RecordKind, Semaphore, Simulation, SldlSync, TraceConfig,
@@ -45,7 +45,7 @@ pub fn run_unscheduled(spec: &SystemSpec, cfg: &RunConfig) -> Result<ModelRun, R
     let trace = sim.trace_handle().expect("trace configured");
     let layer = sim.sync_layer();
 
-    let chans: Arc<Vec<SpecChan>> = Arc::new(
+    let chans: Rc<Vec<SpecChan>> = Rc::new(
         spec.channels
             .iter()
             .map(|c| match c.kind {
@@ -59,29 +59,32 @@ pub fn run_unscheduled(spec: &SystemSpec, cfg: &RunConfig) -> Result<ModelRun, R
 
     for pe in &spec.pes {
         let root = pe.root.clone();
-        let chans = Arc::clone(&chans);
-        sim.spawn(Child::new(format!("{}_main", pe.name), move |ctx| {
-            exec(&root, ctx, &chans);
-        }));
+        let chans = Rc::clone(&chans);
+        sim.spawn(Child::new(
+            format!("{}_main", pe.name),
+            move |ctx| async move {
+                exec(&root, &ctx, &chans).await;
+            },
+        ));
     }
 
     for irq in &spec.interrupts {
-        let chans = Arc::clone(&chans);
+        let chans = Rc::clone(&chans);
         let name = irq.name.clone();
         let mut times = irq.fire_times.clone();
         times.sort();
         let target = irq.target;
-        sim.spawn(Child::new(format!("isr_{name}"), move |ctx| {
+        sim.spawn(Child::new(format!("isr_{name}"), move |ctx| async move {
             for t in times {
                 let now = ctx.now();
                 if t > now {
-                    ctx.waitfor(t - now);
+                    ctx.waitfor(t - now).await;
                 }
                 ctx.record(RecordKind::Marker {
                     track: name.clone(),
                     label: "interrupt".into(),
                 });
-                chans[target.0].sem().release(ctx);
+                chans[target.0].sem().release(&ctx).await;
             }
         }));
     }
@@ -99,9 +102,9 @@ pub fn run_unscheduled(spec: &SystemSpec, cfg: &RunConfig) -> Result<ModelRun, R
     })
 }
 
-fn exec(b: &Behavior, ctx: &ProcCtx, chans: &Arc<Vec<SpecChan>>) {
+async fn exec(b: &Behavior, ctx: &ProcCtx, chans: &Rc<Vec<SpecChan>>) {
     match b {
-        Behavior::Leaf { name, actions } => run_actions(name, actions, ctx, chans),
+        Behavior::Leaf { name, actions } => run_actions(name, actions, ctx, chans).await,
         Behavior::Periodic {
             name,
             period,
@@ -110,18 +113,19 @@ fn exec(b: &Behavior, ctx: &ProcCtx, chans: &Arc<Vec<SpecChan>>) {
         } => {
             let start = ctx.now();
             for k in 0..*cycles {
-                run_actions(name, actions, ctx, chans);
+                run_actions(name, actions, ctx, chans).await;
                 // Wait out the rest of the period (skipped if overrun).
                 let next = start + *period * (k + 1);
                 let now = ctx.now();
                 if next > now {
-                    ctx.waitfor(next - now);
+                    ctx.waitfor(next - now).await;
                 }
             }
         }
         Behavior::Seq(children) => {
             for c in children {
-                exec(c, ctx, chans);
+                // Boxed: the future of a recursive async fn needs a fixed size.
+                Box::pin(exec(c, ctx, chans)).await;
             }
         }
         Behavior::Par(children) => {
@@ -130,18 +134,18 @@ fn exec(b: &Behavior, ctx: &ProcCtx, chans: &Arc<Vec<SpecChan>>) {
                 .enumerate()
                 .map(|(i, c)| {
                     let c = c.clone();
-                    let chans = Arc::clone(chans);
-                    Child::new(format!("{}_{i}", c.task_name()), move |ctx: &ProcCtx| {
-                        exec(&c, ctx, &chans);
+                    let chans = Rc::clone(chans);
+                    Child::new(format!("{}_{i}", c.task_name()), move |ctx| async move {
+                        exec(&c, &ctx, &chans).await;
                     })
                 })
                 .collect();
-            ctx.par(kids);
+            ctx.par(kids).await;
         }
     }
 }
 
-fn run_actions(name: &str, actions: &[Action], ctx: &ProcCtx, chans: &Arc<Vec<SpecChan>>) {
+async fn run_actions(name: &str, actions: &[Action], ctx: &ProcCtx, chans: &Rc<Vec<SpecChan>>) {
     for a in actions {
         match a {
             Action::Compute { label, duration } => {
@@ -149,15 +153,15 @@ fn run_actions(name: &str, actions: &[Action], ctx: &ProcCtx, chans: &Arc<Vec<Sp
                     track: name.to_string(),
                     label: label.clone(),
                 });
-                ctx.waitfor(*duration);
+                ctx.waitfor(*duration).await;
                 ctx.record(RecordKind::SpanEnd {
                     track: name.to_string(),
                 });
             }
-            Action::Send(c) => chans[c.0].rendezvous().send(ctx),
-            Action::Recv(c) => chans[c.0].rendezvous().recv(ctx),
-            Action::Acquire(c) => chans[c.0].sem().acquire(ctx),
-            Action::Release(c) => chans[c.0].sem().release(ctx),
+            Action::Send(c) => chans[c.0].rendezvous().send(ctx).await,
+            Action::Recv(c) => chans[c.0].rendezvous().recv(ctx).await,
+            Action::Acquire(c) => chans[c.0].sem().acquire(ctx).await,
+            Action::Release(c) => chans[c.0].sem().release(ctx).await,
         }
     }
 }

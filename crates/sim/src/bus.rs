@@ -523,24 +523,24 @@ mod tests {
 
         // m1 grabs the bus first, m0 queues, release must grant m0.
         let b = bus.clone();
-        sim.spawn(Child::new("holder", move |ctx| {
-            assert!(b.acquire(ctx, m1));
-            let d = b.transfer_begin(ctx, m1, 4);
-            ctx.waitfor(d);
-            b.transfer_end(ctx, m1);
-            assert_eq!(b.release(ctx, m1), Some(m0));
+        sim.spawn(Child::new("holder", move |ctx| async move {
+            assert!(b.acquire(&ctx, m1));
+            let d = b.transfer_begin(&ctx, m1, 4);
+            ctx.waitfor(d).await;
+            b.transfer_end(&ctx, m1);
+            assert_eq!(b.release(&ctx, m1), Some(m0));
             ctx.notify(done);
         }));
         let b = bus.clone();
-        sim.spawn(Child::new("contender", move |ctx| {
+        sim.spawn(Child::new("contender", move |ctx| async move {
             // Queue behind the holder in the same instant.
-            assert!(!b.acquire(ctx, m0));
-            ctx.wait(done);
+            assert!(!b.acquire(&ctx, m0));
+            ctx.wait(done).await;
             assert!(b.owns(m0));
-            let d = b.transfer_begin(ctx, m0, 2);
-            ctx.waitfor(d);
-            b.transfer_end(ctx, m0);
-            assert_eq!(b.release(ctx, m0), None);
+            let d = b.transfer_begin(&ctx, m0, 2);
+            ctx.waitfor(d).await;
+            b.transfer_end(&ctx, m0);
+            assert_eq!(b.release(&ctx, m0), None);
         }));
         sim.run().unwrap();
 
@@ -588,13 +588,13 @@ mod tests {
         let m1 = bus.register_master("m1", 0);
         let m2 = bus.register_master("m2", 0);
         let b = bus.clone();
-        sim.spawn(Child::new("driver", move |ctx| {
-            assert!(b.acquire(ctx, m2));
-            assert!(!b.acquire(ctx, m1));
-            assert!(!b.acquire(ctx, m0));
-            assert_eq!(b.release(ctx, m2), Some(m0));
-            assert_eq!(b.release(ctx, m0), Some(m1));
-            assert_eq!(b.release(ctx, m1), None);
+        sim.spawn(Child::new("driver", move |ctx| async move {
+            assert!(b.acquire(&ctx, m2));
+            assert!(!b.acquire(&ctx, m1));
+            assert!(!b.acquire(&ctx, m0));
+            assert_eq!(b.release(&ctx, m2), Some(m0));
+            assert_eq!(b.release(&ctx, m0), Some(m1));
+            assert_eq!(b.release(&ctx, m1), None);
         }));
         sim.run().unwrap();
     }

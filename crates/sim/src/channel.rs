@@ -7,6 +7,7 @@
 //! synchronization primitives to map to corresponding RTOS calls".
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::sync::Mutex;
@@ -19,18 +20,22 @@ use crate::kernel::ProcCtx;
 /// Implemented by [`SldlSync`] (raw SLDL events) and by the RTOS model
 /// (`rtos-model::Rtos`), so the same channel code runs unmodified in both
 /// the specification and the architecture model.
-pub trait SyncLayer: Clone + Send + Sync + 'static {
+// The executor is single-threaded, so the futures need no `Send` bound.
+#[allow(async_fn_in_trait)]
+pub trait SyncLayer: Clone + 'static {
     /// Handle type for this layer's events.
-    type Ev: Copy + core::fmt::Debug + Send;
+    type Ev: Copy + core::fmt::Debug;
 
     /// Allocates a fresh event in this layer.
     fn ev_new(&self) -> Self::Ev;
 
-    /// Blocks the calling process until `e` is notified.
-    fn ev_wait(&self, ctx: &ProcCtx, e: Self::Ev);
+    /// Suspends the calling process until `e` is notified.
+    async fn ev_wait(&self, ctx: &ProcCtx, e: Self::Ev);
 
-    /// Notifies `e`, waking all processes blocked on it.
-    fn ev_notify(&self, ctx: &ProcCtx, e: Self::Ev);
+    /// Notifies `e`, waking all processes blocked on it. Awaited because
+    /// a layer may make the notifier pass a preemption point (the RTOS
+    /// model does).
+    async fn ev_notify(&self, ctx: &ProcCtx, e: Self::Ev);
 }
 
 /// The raw SLDL synchronization layer: kernel events with delta-cycle
@@ -41,7 +46,7 @@ pub trait SyncLayer: Clone + Send + Sync + 'static {
 /// [`ProcCtx::sync_layer`]: crate::ProcCtx::sync_layer
 #[derive(Clone)]
 pub struct SldlSync {
-    pub(crate) shared: Arc<crate::kernel::Shared>,
+    pub(crate) shared: Rc<crate::kernel::Shared>,
 }
 
 impl core::fmt::Debug for SldlSync {
@@ -86,11 +91,11 @@ impl SyncLayer for SldlSync {
         self.shared.alloc_event()
     }
 
-    fn ev_wait(&self, ctx: &ProcCtx, e: EventId) {
-        ctx.wait(e);
+    async fn ev_wait(&self, ctx: &ProcCtx, e: EventId) {
+        ctx.wait(e).await;
     }
 
-    fn ev_notify(&self, ctx: &ProcCtx, e: EventId) {
+    async fn ev_notify(&self, ctx: &ProcCtx, e: EventId) {
         ctx.notify(e);
     }
 }
@@ -143,7 +148,7 @@ impl<L: SyncLayer> Semaphore<L> {
     }
 
     /// Blocks until a permit is available, then takes it.
-    pub fn acquire(&self, ctx: &ProcCtx) {
+    pub async fn acquire(&self, ctx: &ProcCtx) {
         loop {
             {
                 let mut st = self.state.lock();
@@ -152,7 +157,7 @@ impl<L: SyncLayer> Semaphore<L> {
                     return;
                 }
             }
-            self.layer.ev_wait(ctx, self.ev);
+            self.layer.ev_wait(ctx, self.ev).await;
         }
     }
 
@@ -168,9 +173,9 @@ impl<L: SyncLayer> Semaphore<L> {
     }
 
     /// Returns a permit and wakes blocked acquirers.
-    pub fn release(&self, ctx: &ProcCtx) {
+    pub async fn release(&self, ctx: &ProcCtx) {
         self.state.lock().count += 1;
-        self.layer.ev_notify(ctx, self.ev);
+        self.layer.ev_notify(ctx, self.ev).await;
     }
 
     /// Current number of available permits.
@@ -223,7 +228,7 @@ impl<T, L: SyncLayer> core::fmt::Debug for Queue<T, L> {
     }
 }
 
-impl<T: Send + 'static, L: SyncLayer> Queue<T, L> {
+impl<T, L: SyncLayer> Queue<T, L> {
     /// Creates a queue holding at most `capacity` items.
     ///
     /// # Panics
@@ -254,7 +259,7 @@ impl<T: Send + 'static, L: SyncLayer> Queue<T, L> {
     }
 
     /// Enqueues `value`, blocking while the queue is full.
-    pub fn send(&self, ctx: &ProcCtx, value: T) {
+    pub async fn send(&self, ctx: &ProcCtx, value: T) {
         let mut value = Some(value);
         loop {
             {
@@ -266,31 +271,28 @@ impl<T: Send + 'static, L: SyncLayer> Queue<T, L> {
                     break;
                 }
             }
-            self.layer.ev_wait(ctx, self.eack);
+            self.layer.ev_wait(ctx, self.eack).await;
         }
-        self.layer.ev_notify(ctx, self.erdy);
+        self.layer.ev_notify(ctx, self.erdy).await;
     }
 
     /// Dequeues the next value, blocking while the queue is empty.
-    pub fn recv(&self, ctx: &ProcCtx) -> T {
+    pub async fn recv(&self, ctx: &ProcCtx) -> T {
         loop {
-            {
-                let mut st = self.state.lock();
-                if let Some(v) = st.items.pop_front() {
-                    drop(st);
-                    self.layer.ev_notify(ctx, self.eack);
-                    return v;
-                }
+            let popped = self.state.lock().items.pop_front();
+            if let Some(v) = popped {
+                self.layer.ev_notify(ctx, self.eack).await;
+                return v;
             }
-            self.layer.ev_wait(ctx, self.erdy);
+            self.layer.ev_wait(ctx, self.erdy).await;
         }
     }
 
     /// Dequeues the next value if one is available, without blocking.
-    pub fn try_recv(&self, ctx: &ProcCtx) -> Option<T> {
+    pub async fn try_recv(&self, ctx: &ProcCtx) -> Option<T> {
         let v = self.state.lock().items.pop_front();
         if v.is_some() {
-            self.layer.ev_notify(ctx, self.eack);
+            self.layer.ev_notify(ctx, self.eack).await;
         }
         v
     }
@@ -371,20 +373,24 @@ impl<L: SyncLayer> Handshake<L> {
     }
 
     /// Blocks until a receiver has arrived (or is already waiting).
-    pub fn send(&self, ctx: &ProcCtx) {
-        {
+    pub async fn send(&self, ctx: &ProcCtx) {
+        let partner_waiting = {
             let mut st = self.state.lock();
             if st.pending_receivers > 0 {
                 st.pending_receivers -= 1;
                 st.grants_to_receivers += 1;
-                drop(st);
-                self.layer.ev_notify(ctx, self.receiver_wake);
-                return;
+                true
+            } else {
+                st.pending_senders += 1;
+                false
             }
-            st.pending_senders += 1;
+        };
+        if partner_waiting {
+            self.layer.ev_notify(ctx, self.receiver_wake).await;
+            return;
         }
         loop {
-            self.layer.ev_wait(ctx, self.sender_wake);
+            self.layer.ev_wait(ctx, self.sender_wake).await;
             let mut st = self.state.lock();
             if st.grants_to_senders > 0 {
                 st.grants_to_senders -= 1;
@@ -394,20 +400,24 @@ impl<L: SyncLayer> Handshake<L> {
     }
 
     /// Blocks until a sender has arrived (or is already waiting).
-    pub fn recv(&self, ctx: &ProcCtx) {
-        {
+    pub async fn recv(&self, ctx: &ProcCtx) {
+        let partner_waiting = {
             let mut st = self.state.lock();
             if st.pending_senders > 0 {
                 st.pending_senders -= 1;
                 st.grants_to_senders += 1;
-                drop(st);
-                self.layer.ev_notify(ctx, self.sender_wake);
-                return;
+                true
+            } else {
+                st.pending_receivers += 1;
+                false
             }
-            st.pending_receivers += 1;
+        };
+        if partner_waiting {
+            self.layer.ev_notify(ctx, self.sender_wake).await;
+            return;
         }
         loop {
-            self.layer.ev_wait(ctx, self.receiver_wake);
+            self.layer.ev_wait(ctx, self.receiver_wake).await;
             let mut st = self.state.lock();
             if st.grants_to_receivers > 0 {
                 st.grants_to_receivers -= 1;

@@ -3,33 +3,24 @@
 //!
 //! The [`FaultPlan`](crate::FaultPlan) layer injects *model-level*
 //! anomalies (lost interrupts, WCET overruns). A [`ChaosPlan`] attacks one
-//! layer below: it perturbs decisions of the *kernel itself* — which
-//! runnable process of a delta cycle is dispatched first, and whether a
-//! token handoff takes the fast (spin) or slow (park) path — so the
-//! direct-handoff and delta-stamp machinery gets exercised under
-//! interleavings the default FIFO order never produces. Perturbations
-//! never change the *set* of work performed, only its order within a delta
-//! and the host-side handoff path, so a chaotic run is still a pure
-//! function of *(model, plans, seeds)* and replays exactly.
+//! layer below: it perturbs a decision of the *kernel itself* — which
+//! runnable process of a delta cycle is dispatched first — so the
+//! delta-stamp machinery and every model layer above it get exercised
+//! under interleavings the default FIFO order never produces.
+//! Perturbations never change the *set* of work performed, only its order
+//! within a delta, so a chaotic run is still a pure function of
+//! *(model, plans, seeds)* and replays exactly.
 //!
-//! Two chaos knobs exist:
-//!
-//! * **Dispatch reorder** — with probability [`ChaosPlan::reorder`], the
-//!   next runnable process is drawn from anywhere in the ready queue
-//!   instead of its head.
-//! * **Handoff stall** — with probability [`ChaosPlan::stall`], the resume
-//!   token is delivered on the slow path (the resuming thread yields the
-//!   host CPU first; a process that is its own successor round-trips the
-//!   token through its own [`ParkCell`](crate::ParkCell) instead of simply
-//!   continuing), widening race windows in the spin-then-park protocol.
-//!
-//! Both draw from per-category [`SmallRng`] streams forked from the plan
-//! seed, and both can be restricted to a window of kernel dispatch
-//! decisions ([`ChaosPlan::with_window`]) — the lever the repro shrinker in
-//! `bench --bin chaos` uses to narrow a failure.
+//! The knob is **dispatch reorder**: with probability
+//! [`ChaosPlan::reorder`], the next runnable process is drawn from
+//! anywhere in the ready queue instead of its head. Draws come from a
+//! [`SmallRng`] stream forked from the plan seed, and can be restricted to
+//! a window of kernel dispatch decisions ([`ChaosPlan::with_window`]) —
+//! the lever the repro shrinker in `bench --bin chaos` uses to narrow a
+//! failure.
 //!
 //! **Invariant:** an empty plan ([`ChaosPlan::none`], or any plan whose
-//! rates are all zero) is not armed by the kernel at all and leaves the
+//! rate is zero) is not armed by the kernel at all and leaves the
 //! simulation byte-identical to one with no plan installed — the same
 //! structural guarantee [`FaultPlan`](crate::FaultPlan) gives.
 //!
@@ -60,9 +51,6 @@ pub struct ChaosPlan {
     /// Per-dispatch probability that the next runnable process is drawn
     /// from a random ready-queue position instead of the head.
     pub reorder: f64,
-    /// Per-dispatch probability that the resume handoff is forced onto
-    /// the slow (yield/park) path.
-    pub stall: f64,
     /// Half-open window `[lo, hi)` of kernel dispatch decisions inside
     /// which perturbations may fire; `None` means the whole run.
     pub window: Option<(u64, u64)>,
@@ -83,7 +71,6 @@ impl ChaosPlan {
         ChaosPlan {
             seed,
             reorder: 0.0,
-            stall: 0.0,
             window: None,
         }
     }
@@ -93,13 +80,6 @@ impl ChaosPlan {
     #[must_use]
     pub fn with_reorder(mut self, probability: f64) -> Self {
         self.reorder = probability;
-        self
-    }
-
-    /// Enables handoff stalls with the given per-dispatch probability.
-    #[must_use]
-    pub fn with_stall(mut self, probability: f64) -> Self {
-        self.stall = probability;
         self
     }
 
@@ -132,7 +112,7 @@ impl ChaosPlan {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         let windowed_out = self.window.is_some_and(|(lo, hi)| hi <= lo);
-        (self.reorder <= 0.0 && self.stall <= 0.0) || windowed_out
+        self.reorder <= 0.0 || windowed_out
     }
 }
 
@@ -148,13 +128,6 @@ pub enum InjectedChaos {
         /// Ready-queue position the process was pulled from.
         position: u64,
         /// The process dispatched out of order.
-        process: ProcessId,
-    },
-    /// A resume handoff was forced onto the slow (yield/park) path.
-    StalledHandoff {
-        /// Index of the kernel dispatch decision (0-based, monotonic).
-        decision: u64,
-        /// The process whose resume was stalled.
         process: ProcessId,
     },
 }
@@ -174,7 +147,6 @@ pub struct ChaosRecord {
 pub(crate) struct ChaosState {
     plan: ChaosPlan,
     rng_reorder: SmallRng,
-    rng_stall: SmallRng,
     /// Kernel dispatch decisions taken so far (the window clock).
     decisions: u64,
     pub(crate) log: Vec<ChaosRecord>,
@@ -185,32 +157,23 @@ impl ChaosState {
         let root = SmallRng::seed_from_u64(plan.seed);
         ChaosState {
             rng_reorder: root.fork(1),
-            rng_stall: root.fork(2),
             plan,
             decisions: 0,
             log: Vec::new(),
         }
     }
 
-    /// Decides the perturbations for one dispatch of a ready queue of
-    /// `len` processes: the queue index to pull from (`None` = head) and
-    /// whether to stall the handoff. Advances the decision clock.
-    pub(crate) fn decide(&mut self, len: usize) -> (Option<usize>, bool) {
+    /// Decides the perturbation for one dispatch of a ready queue of
+    /// `len` processes: the queue index to pull from (`None` = head).
+    /// Advances the decision clock.
+    pub(crate) fn decide(&mut self, len: usize) -> Option<usize> {
         let d = self.decisions;
         self.decisions += 1;
         if !self.plan.window.is_none_or(|(lo, hi)| d >= lo && d < hi) {
-            return (None, false);
+            return None;
         }
-        let pick = if len >= 2
-            && self.plan.reorder > 0.0
-            && self.rng_reorder.gen_bool(self.plan.reorder)
-        {
-            Some(self.rng_reorder.gen_range_usize(len))
-        } else {
-            None
-        };
-        let stall = self.plan.stall > 0.0 && self.rng_stall.gen_bool(self.plan.stall);
-        (pick, stall)
+        (len >= 2 && self.plan.reorder > 0.0 && self.rng_reorder.gen_bool(self.plan.reorder))
+            .then(|| self.rng_reorder.gen_range_usize(len))
     }
 
     /// The decision index of the perturbation just decided (for logging).
@@ -225,19 +188,19 @@ impl ChaosState {
 /// [`RunError::InvariantViolation`](crate::RunError::InvariantViolation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelInvariants {
-    /// ParkCell token state machine: while the kernel drives a scheduling
-    /// decision, no unfinished process may hold an unconsumed resume
-    /// token (strict token passing).
-    pub park_tokens: bool,
+    /// One process runs at a time: at every delta flush no process is
+    /// still `Running` (each poll ended in a kernel suspension or in the
+    /// process finishing).
+    pub single_runner: bool,
     /// The delta generation counter strictly increases across flushes
     /// (the O(1) dedup stamps depend on it).
     pub delta_monotonic: bool,
     /// Every event queued for the current delta is alive and carries the
     /// current generation stamp.
     pub event_consistency: bool,
-    /// After teardown quiesces the worker pool, no process job is
-    /// outstanding and no resume token is left unconsumed.
-    pub pool_quiescence: bool,
+    /// After teardown, no process future remains: every unfinished body
+    /// was dropped.
+    pub teardown_drained: bool,
     /// A wait-for cycle reported at end of run is well formed (each
     /// edge's holder is the next edge's waiter).
     pub wait_graph_acyclic: bool,
@@ -248,10 +211,10 @@ impl KernelInvariants {
     #[must_use]
     pub fn all() -> Self {
         KernelInvariants {
-            park_tokens: true,
+            single_runner: true,
             delta_monotonic: true,
             event_consistency: true,
-            pool_quiescence: true,
+            teardown_drained: true,
             wait_graph_acyclic: true,
         }
     }
@@ -267,10 +230,10 @@ impl KernelInvariants {
     /// kernel, guaranteeing the zero-overhead invariant structurally.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        !(self.park_tokens
+        !(self.single_runner
             || self.delta_monotonic
             || self.event_consistency
-            || self.pool_quiescence
+            || self.teardown_drained
             || self.wait_graph_acyclic)
     }
 }
@@ -303,7 +266,6 @@ mod tests {
         assert!(ChaosPlan::seeded(1).is_empty());
         assert!(ChaosPlan::seeded(1).with_reorder(0.0).is_empty());
         assert!(!ChaosPlan::seeded(1).with_reorder(0.5).is_empty());
-        assert!(!ChaosPlan::seeded(1).with_stall(0.5).is_empty());
         // A collapsed window makes any plan inert.
         assert!(ChaosPlan::seeded(1)
             .with_reorder(1.0)
@@ -313,7 +275,7 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_per_seed() {
-        let plan = ChaosPlan::seeded(11).with_reorder(0.8).with_stall(0.5);
+        let plan = ChaosPlan::seeded(11).with_reorder(0.8);
         let mut a = ChaosState::new(plan.clone());
         let mut b = ChaosState::new(plan);
         for len in [1usize, 2, 5, 3, 8, 1, 4] {
@@ -326,7 +288,7 @@ mod tests {
         let plan = ChaosPlan::seeded(3).with_reorder(1.0).with_window(2, 4);
         let mut st = ChaosState::new(plan);
         for d in 0..8u64 {
-            let (pick, _) = st.decide(6);
+            let pick = st.decide(6);
             let in_window = (2..4).contains(&d);
             assert_eq!(pick.is_some(), in_window, "decision {d}");
             if let Some(j) = pick {
@@ -339,7 +301,7 @@ mod tests {
     fn singleton_queue_is_never_reordered() {
         let mut st = ChaosState::new(ChaosPlan::seeded(5).with_reorder(1.0));
         for _ in 0..16 {
-            assert_eq!(st.decide(1).0, None);
+            assert_eq!(st.decide(1), None);
         }
     }
 
@@ -349,7 +311,7 @@ mod tests {
         assert!(KernelInvariants::default().is_empty());
         assert!(!KernelInvariants::all().is_empty());
         assert!(!KernelInvariants {
-            park_tokens: true,
+            single_runner: true,
             ..KernelInvariants::none()
         }
         .is_empty());

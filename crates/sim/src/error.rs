@@ -38,7 +38,7 @@ impl fmt::Display for WaitEdge {
 /// [`RunError::ModelMisuse`] so a caller can triage a faulty model
 /// programmatically. The offending simulated process still stops (its
 /// state is undefined after misuse), but the simulation tears down
-/// cleanly and every other process is joined.
+/// cleanly and every other process's body is dropped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ModelError {

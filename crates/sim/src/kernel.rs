@@ -3,8 +3,8 @@
 //! Semantics follow the SpecC/SystemC family of system-level design
 //! languages, which the RTOS model of the reproduced paper is layered on:
 //!
-//! * **Processes** are imperative bodies (closures) that suspend themselves
-//!   with [`ProcCtx::wait`] / [`ProcCtx::waitfor`] and compose with
+//! * **Processes** are imperative bodies that suspend themselves with
+//!   [`ProcCtx::wait`] / [`ProcCtx::waitfor`] and compose with
 //!   [`ProcCtx::par`] fork/join.
 //! * **Events** are pure synchronization points. [`ProcCtx::notify`] marks an
 //!   event as notified for the *current delta cycle*; all processes waiting
@@ -12,43 +12,42 @@
 //! * **Time** advances in discrete steps to the earliest pending timed
 //!   wake-up once no ready process and no pending notification remains.
 //!
-//! Each process runs on a real OS thread, but the kernel enforces that at
-//! most one process executes at any host instant by strict token passing, so
-//! simulations are sequential and deterministic — the same co-routine model
-//! used by the SpecC reference simulator.
+//! ## Execution engine
 //!
-//! ## Hot path
+//! A process body is an `async` block: every call that can suspend the
+//! process (`wait*`, `waitfor`, `par`, and every layer call built on them)
+//! is awaited. [`Simulation::run_until`] is a single-threaded executor — the
+//! co-routine model of the SpecC reference simulator, with no OS thread per
+//! process:
 //!
-//! The scheduling step is the product (the paper's speedup over an
-//! ISS-based model comes entirely from making it cheap), so the kernel
-//! keeps it lean:
+//! * the scheduler (`next_step`) picks the next process, exactly as the
+//!   SLDL semantics dictate (ready queue, then delta flush, then timed
+//!   wake-ups);
+//! * the executor polls that process's future once. A suspension primitive
+//!   records *why* the process waits in the kernel state and returns
+//!   `Pending`; the kernel alone decides when it is ready again, so the
+//!   futures never need a real waker ([`Waker::noop`]);
+//! * a resume is a function call, so a scheduling step costs nanoseconds
+//!   and no host context switch;
+//! * each poll runs under `catch_unwind`: a panicking body becomes
+//!   [`RunError::ProcessPanicked`] and its future is dropped;
+//! * cancellation and teardown *drop* the future, running its destructors.
 //!
-//! * **Handoffs** use a spin-then-park token word per process
-//!   ([`ParkCell`]): resuming a process is one atomic store plus at most
-//!   one `unpark`, and the kernel parks the same way waiting for the
-//!   yield — no channels, no condvar round-trips.
-//! * **Direct handoff**: the *yielding* thread drives the scheduler
-//!   itself (under the state lock) and passes the run token straight to
-//!   the successor process — or simply keeps running when it *is* its own
-//!   successor (e.g. the only process stepping through `waitfor`s). The
-//!   kernel thread parks for the whole stretch and is only woken for
-//!   errors, quiescence, or the run horizon, so a scheduling step costs
-//!   at most one host context switch instead of two. Decisions are made
-//!   on the same shared state under the same lock in the same order no
-//!   matter which thread drives, so the schedule (and every stat and
-//!   trace byte) is identical to the kernel-driven one.
-//! * **Threads are recycled** through the process-global worker pool
-//!   ([`crate::pool`]): teardown quiesces via a [`WaitGroup`] instead of
-//!   joining, and the next simulation's processes run on the parked
-//!   workers instead of fresh OS threads.
-//! * **Delta-cycle dedup is O(1)**: each event carries a generation stamp
-//!   (`queued_gen`) matched against the kernel's current `delta_gen`, so
-//!   queuing a notification never scans the notified list.
+//! The futures live outside the kernel-state cell and each is taken out of
+//! its slot while it is polled, so a body (or a destructor run by
+//! `cancel`/teardown) can call back into the kernel freely.
+//!
+//! **Delta-cycle dedup is O(1)**: each event carries a generation stamp
+//! (`queued_gen`) matched against the kernel's current `delta_gen`, so
+//! queuing a notification never scans the notified list.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::future::Future;
+use std::panic::{self, AssertUnwindSafe, Location};
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use crate::chaos::{
@@ -57,28 +56,41 @@ use crate::chaos::{
 use crate::error::{AbortReason, ModelError, RunError, WaitEdge};
 use crate::fault::{FaultPlan, FaultRecord, FaultState, NotifyFate};
 use crate::ids::{EventId, ProcessId};
-use crate::pool;
-use crate::sync::{Mutex, ParkCell, WaitGroup, MIN_TOKEN};
 use crate::time::SimTime;
 use crate::trace::{
     CompactKind, KernelStats, RecordKind, SuspendReason, TraceConfig, TraceHandle, TraceSink,
 };
 use crate::wheel::TimerWheel;
 
-/// A process body: runs once on its own thread with a [`ProcCtx`].
-pub type ProcBody = Box<dyn FnOnce(&ProcCtx) + Send + 'static>;
+/// A process body once started: the future the executor polls.
+type ProcFuture = Pin<Box<dyn Future<Output = ()>>>;
+
+/// A process body before it starts: builds the future from its context.
+type ProcBody = Box<dyn FnOnce(ProcCtx) -> ProcFuture>;
 
 /// A named child process description for [`ProcCtx::par`],
 /// [`ProcCtx::spawn`] and [`Simulation::spawn`].
 ///
+/// The body receives the process's [`ProcCtx`] and returns the future
+/// the kernel runs — typically an `async move` block:
+///
 /// ```
 /// use sldl_sim::{Child, Simulation};
+/// use std::time::Duration;
 ///
 /// let mut sim = Simulation::new();
-/// sim.spawn(Child::new("hello", |_ctx| {}));
+/// sim.spawn(Child::new("hello", |ctx| async move {
+///     ctx.waitfor(Duration::from_micros(5)).await;
+/// }));
 /// let report = sim.run().unwrap();
 /// assert!(report.blocked.is_empty());
 /// ```
+///
+/// A body may only suspend on the kernel's own waits (directly or through
+/// a layer built on them). Awaiting any other future that returns
+/// `Pending` parks the process for good: nothing ever resumes it, and the
+/// `single_runner` check of [`KernelInvariants`] reports it at the next
+/// delta flush.
 pub struct Child {
     pub(crate) name: String,
     pub(crate) body: ProcBody,
@@ -86,10 +98,14 @@ pub struct Child {
 
 impl Child {
     /// Creates a child process description with a debug `name`.
-    pub fn new(name: impl Into<String>, body: impl FnOnce(&ProcCtx) + Send + 'static) -> Self {
+    pub fn new<F, Fut>(name: impl Into<String>, body: F) -> Self
+    where
+        F: FnOnce(ProcCtx) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
+    {
         Child {
             name: name.into(),
-            body: Box::new(body),
+            body: Box::new(move |ctx| Box::pin(body(ctx))),
         }
     }
 
@@ -97,13 +113,6 @@ impl Child {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Consumes the child, returning its body — useful for executors that
-    /// wrap a process body with extra setup/teardown.
-    #[must_use]
-    pub fn into_body(self) -> ProcBody {
-        self.body
     }
 }
 
@@ -164,15 +173,6 @@ pub enum StallPolicy {
 // Kernel state
 // ---------------------------------------------------------------------------
 
-/// Resume token: run until the next suspension point.
-const TOK_GO: u32 = MIN_TOKEN;
-/// Resume token: unwind and exit — the simulation is being torn down or the
-/// process was cancelled.
-const TOK_CANCEL: u32 = MIN_TOKEN + 1;
-
-/// Payload used to unwind a cancelled process thread.
-struct CancelUnwind;
-
 /// Payload used to unwind a process that misused the model; the misuse
 /// details were already stored in the kernel state.
 struct MisuseUnwind;
@@ -220,10 +220,6 @@ enum ProcState {
 struct ProcEntry {
     name: String,
     state: ProcState,
-    /// The process thread's spin-then-park resume cell: the kernel (or a
-    /// canceller) deposits [`TOK_GO`] / [`TOK_CANCEL`] here. Shared with
-    /// the pooled worker running the process body.
-    cell: Arc<ParkCell>,
     /// Parent joining on this process through `par`, if any.
     parent: Option<ProcessId>,
     /// Waiter-slab node indices this process holds, one per event it is
@@ -274,7 +270,7 @@ struct EventEntry {
 struct State {
     now: SimTime,
     /// Horizon of the current `run_until` call: timed activity beyond it
-    /// returns control to the kernel thread. `SimTime::MAX` outside runs.
+    /// ends the run. `SimTime::MAX` outside runs.
     until: SimTime,
     procs: Vec<ProcEntry>,
     ready: VecDeque<ProcessId>,
@@ -326,8 +322,8 @@ struct State {
     /// Kernel self-metrics, updated unconditionally (cheap integer stores;
     /// no allocation) on every run.
     stats: KernelStats,
-    /// Last process handed the run token, for the kernel-level
-    /// context-switch count.
+    /// Last process resumed, for the process-switch count
+    /// (`KernelStats::context_switches`).
     last_resumed: Option<ProcessId>,
 }
 
@@ -522,6 +518,34 @@ impl State {
         None
     }
 
+    /// Drains the first pending failure — a panic, misuse, abort or
+    /// invariant violation, in that order — into its [`RunError`].
+    fn take_error(&mut self) -> Option<RunError> {
+        let at = self.now;
+        if let Some((process, message)) = self.panic.take() {
+            return Some(RunError::ProcessPanicked { process, message });
+        }
+        if let Some(m) = self.misuse.take() {
+            return Some(RunError::ModelMisuse {
+                process: m.process,
+                location: m.location,
+                error: m.error,
+            });
+        }
+        if let Some(reason) = self.abort.take() {
+            return Some(match reason {
+                AbortReason::Watchdog { name } => RunError::WatchdogExpired { watchdog: name, at },
+                AbortReason::Fault { reason } => RunError::FaultAbort { reason, at },
+            });
+        }
+        self.invariant.take().map(|v| RunError::InvariantViolation {
+            invariant: v.invariant,
+            subject: v.subject,
+            details: v.details,
+            at,
+        })
+    }
+
     /// Marks `pid` finished and propagates par-join bookkeeping.
     fn finish(&mut self, pid: ProcessId) {
         let entry = &mut self.procs[pid.index()];
@@ -547,129 +571,77 @@ impl State {
 }
 
 pub(crate) struct Shared {
-    state: Mutex<State>,
-    /// Processes ping the kernel here after updating their state: one
-    /// token deposit instead of the old mpsc channel send.
-    kernel_cell: ParkCell,
-    /// Outstanding process jobs on pooled worker threads. Teardown
-    /// *quiesces* (waits for this to drain) instead of joining handles,
-    /// because pooled threads outlive the simulation.
-    wg: WaitGroup,
-    /// Mirror of `State::now` in nanoseconds, so `ProcCtx::now` is a
-    /// lock-free load. Safe: time only advances while no process runs.
-    now_ns: AtomicU64,
+    state: RefCell<State>,
+    /// Process futures, indexed by pid. A slot is `None` while its future
+    /// is being polled and after the process finished, was cancelled or
+    /// was torn down. Kept outside `state` so a polled body — or a
+    /// destructor run by `cancel`/teardown — can borrow the state freely.
+    bodies: RefCell<Vec<Option<ProcFuture>>>,
 }
 
 impl Shared {
-    /// Publishes the simulated clock to the lock-free mirror read by
-    /// [`ProcCtx::now`]. `Relaxed` suffices: time only advances while no
-    /// process runs, and the resuming handoff orders the store anyway.
-    fn store_now(&self, now: SimTime) {
-        self.now_ns.store(now.as_nanos(), Ordering::Relaxed);
-    }
-
-    /// Lock-free read of the simulated clock.
-    fn load_now(&self) -> SimTime {
-        SimTime::from_nanos(self.now_ns.load(Ordering::Relaxed))
-    }
-
     /// Allocates an event (used by `SldlSync` so channels can be built
     /// outside of a running process).
     pub(crate) fn alloc_event(&self) -> EventId {
-        alloc_event(&mut self.state.lock())
+        alloc_event(&mut self.state.borrow_mut())
     }
 
     /// Declares a wait-for edge: `waiter` is blocked on `resource`, held
     /// by `holder` (used by `SldlSync::declare_wait`).
     pub(crate) fn declare_wait(&self, waiter: String, resource: String, holder: String) {
         self.state
-            .lock()
+            .borrow_mut()
             .wait_graph
             .insert(waiter, (resource, holder));
     }
 
     /// Removes `waiter`'s declared wait-for edge, if any.
     pub(crate) fn clear_wait(&self, waiter: &str) {
-        self.state.lock().wait_graph.remove(waiter);
+        self.state.borrow_mut().wait_graph.remove(waiter);
     }
 }
 
-/// Outcome of driving the scheduler to its next decision.
-enum Step {
-    /// Hand the run token to this process (already marked `Running` and
-    /// counted in the stats by [`next_step`]). The flag asks the resuming
-    /// side to *stall* the handoff (chaos injection): deliver the token on
-    /// the slow path to widen race windows in the spin-then-park protocol.
-    /// Always `false` without an armed [`ChaosPlan`].
-    Resume(ProcessId, Arc<ParkCell>, bool),
-    /// The kernel thread must take over: an error is pending, the run is
-    /// quiescent, or the next timed activity lies beyond the horizon.
-    Kernel,
-}
-
-/// Drives the scheduler until a process must be resumed or the kernel
-/// thread must take over. Runs under the state lock on **whichever thread
-/// yields** — direct handoff: the yielding thread resumes its successor
-/// itself (and skips the park entirely when it *is* its own successor),
-/// leaving the kernel thread asleep. Every decision reads only the locked
-/// state, so the schedule — and every stat and trace record — is byte-
-/// identical no matter which thread happens to drive.
-fn next_step(shared: &Shared, st: &mut State) -> Step {
+/// Drives the scheduler to its next decision: returns the process to
+/// resume (already marked `Running` and counted in the stats), or `None`
+/// when the executor must take over — the run is quiescent, the next
+/// timed activity lies beyond the horizon, or the oracle just recorded a
+/// violation.
+fn next_step(st: &mut State) -> Option<ProcessId> {
     loop {
-        // Pending errors always bounce control to the kernel thread before
-        // any further resume, preserving the "nothing runs after a
-        // panic/misuse/abort" invariant regardless of who is driving.
-        if st.panic.is_some() || st.misuse.is_some() || st.abort.is_some() || st.invariant.is_some()
-        {
-            return Step::Kernel;
-        }
         // Chaos hook: an armed plan may pull the next runnable process
-        // from inside the ready queue instead of its head, and/or force
-        // the handoff onto the slow path. `st.chaos` is `None` unless a
-        // non-empty plan was installed, so the common path is exactly the
-        // old `pop_front`.
-        let (pick, stall) = match st.chaos.as_mut() {
+        // from inside the ready queue instead of its head. `st.chaos` is
+        // `None` unless a non-empty plan was installed, so the common path
+        // is exactly `pop_front`.
+        let pick = match st.chaos.as_mut() {
             Some(c) if !st.ready.is_empty() => c.decide(st.ready.len()),
-            _ => (None, false),
+            _ => None,
         };
         let popped = match pick {
             Some(j) if j > 0 => st.ready.remove(j),
             _ => st.ready.pop_front(),
         };
         if let Some(pid) = popped {
-            let entry = &mut st.procs[pid.index()];
-            entry.state = ProcState::Running;
-            let cell = Arc::clone(&entry.cell);
+            st.procs[pid.index()].state = ProcState::Running;
             st.stats.processes_resumed += 1;
             if st.last_resumed.is_some_and(|last| last != pid) {
                 st.stats.context_switches += 1;
             }
             st.last_resumed = Some(pid);
             st.record_kernel(CompactKind::ProcessResumed { pid });
-            let now = st.now;
-            if let Some(c) = st.chaos.as_mut() {
+            if let Some(position) = pick.filter(|&j| j > 0) {
+                let at = st.now;
+                let c = st.chaos.as_mut().expect("a pick implies an armed plan");
                 let decision = c.last_decision();
-                if let Some(position) = pick.filter(|&j| j > 0) {
-                    c.log.push(ChaosRecord {
-                        at: now,
-                        chaos: InjectedChaos::ReorderedDispatch {
-                            decision,
-                            position: position as u64,
-                            process: pid,
-                        },
-                    });
-                }
-                if stall {
-                    c.log.push(ChaosRecord {
-                        at: now,
-                        chaos: InjectedChaos::StalledHandoff {
-                            decision,
-                            process: pid,
-                        },
-                    });
-                }
+                c.log.push(ChaosRecord {
+                    at,
+                    chaos: InjectedChaos::ReorderedDispatch {
+                        decision,
+                        position: position as u64,
+                        process: pid,
+                    },
+                });
             }
-            return Step::Resume(pid, cell, stall);
+            return Some(pid);
         }
         if !st.notified.is_empty() {
             // Oracle hook: validate the delta-flush boundary before
@@ -678,7 +650,7 @@ fn next_step(shared: &Shared, st: &mut State) -> Step {
             if st.oracle.is_some() {
                 oracle_delta_flush(st);
                 if st.invariant.is_some() {
-                    return Step::Kernel;
+                    return None;
                 }
             }
             // Delta boundary: deliver notifications in order. The
@@ -715,11 +687,10 @@ fn next_step(shared: &Shared, st: &mut State) -> Step {
         }
         if let Some(top) = st.timed.peek_next_time() {
             if top > st.until {
-                return Step::Kernel;
+                return None;
             }
             let now = top;
             st.now = now;
-            shared.store_now(now);
             // Pull everything due at this instant out of the wheel in one
             // go, into a scratch buffer that is reused across steps. The
             // wheel hands entries back sorted by seq — the exact pop order
@@ -773,14 +744,14 @@ fn next_step(shared: &Shared, st: &mut State) -> Step {
             continue;
         }
         // Quiescent: no ready process, no pending notification, no timed
-        // wake-up. The kernel applies the stall policy.
-        return Step::Kernel;
+        // wake-up. The executor applies the stall policy.
+        return None;
     }
 }
 
-/// Invariant-oracle checks at a delta-flush boundary (under the state
-/// lock, before notifications are delivered). Only the first violation is
-/// recorded; `next_step` bounces to the kernel as soon as one exists.
+/// Invariant-oracle checks at a delta-flush boundary (before notifications
+/// are delivered). Only the first violation is recorded; `next_step` hands
+/// control back to the executor as soon as one exists.
 fn oracle_delta_flush(st: &mut State) {
     let Some(mut o) = st.oracle.take() else {
         return;
@@ -829,24 +800,17 @@ fn oracle_delta_flush(st: &mut State) {
             }
         }
     }
-    if checks.park_tokens && viol.is_none() {
-        // Strict token passing: while a scheduling decision runs (under
-        // the lock), every token deposited earlier has been consumed, so
-        // no unfinished process may hold one. Finished processes may
-        // legitimately hold an unconsumed cancel token.
-        for p in &st.procs {
-            if p.state == ProcState::Finished {
-                continue;
-            }
-            let raw = p.cell.peek_raw();
-            if raw >= MIN_TOKEN {
-                viol = Some(Violation {
-                    invariant: "park-tokens",
-                    subject: format!("process `{}`", p.name),
-                    details: format!("unconsumed resume token {raw} outside a handoff"),
-                });
-                break;
-            }
+    if checks.single_runner && viol.is_none() {
+        // The executor runs one process at a time, and a poll only ends
+        // once the process has suspended or finished. So between polls no
+        // process may still be `Running`: one that is returned `Pending`
+        // without a kernel wait and will never be resumed.
+        if let Some(p) = st.procs.iter().find(|p| p.state == ProcState::Running) {
+            viol = Some(Violation {
+                invariant: "single-runner",
+                subject: format!("process `{}`", p.name),
+                details: "still running at a delta flush (suspended outside a kernel wait)".into(),
+            });
         }
     }
     if let Some(v) = viol {
@@ -855,38 +819,24 @@ fn oracle_delta_flush(st: &mut State) {
     st.oracle = Some(o);
 }
 
-/// Invariant-oracle checks after teardown has quiesced the worker pool.
+/// Invariant-oracle checks after teardown dropped the process futures.
 /// Violations found here are surfaced by `run_until` when the run would
 /// otherwise have succeeded.
-fn oracle_teardown(shared: &Shared, st: &mut State) {
+fn oracle_teardown(shared: &Shared) {
+    let mut st = shared.state.borrow_mut();
     let Some(o) = st.oracle.take() else {
         return;
     };
     let checks = o.checks;
     let mut viol: Option<Violation> = None;
-    if checks.pool_quiescence {
-        let outstanding = shared.wg.outstanding();
-        if outstanding != 0 {
+    if checks.teardown_drained {
+        let bodies = shared.bodies.borrow();
+        if let Some(pid) = bodies.iter().position(Option::is_some) {
             viol = Some(Violation {
-                invariant: "pool-quiescence",
-                subject: "worker pool".into(),
-                details: format!("{outstanding} process job(s) outstanding after drain"),
+                invariant: "teardown-drained",
+                subject: format!("process `{}`", st.procs[pid].name),
+                details: "future still alive after teardown".into(),
             });
-        } else {
-            // After quiescence every worker consumed its final token
-            // (resume or cancel) on the way out; a leftover token means a
-            // handoff was lost.
-            for p in &st.procs {
-                let raw = p.cell.peek_raw();
-                if raw >= MIN_TOKEN {
-                    viol = Some(Violation {
-                        invariant: "pool-quiescence",
-                        subject: format!("process `{}`", p.name),
-                        details: format!("token {raw} left unconsumed after pool drain"),
-                    });
-                    break;
-                }
-            }
         }
     }
     if checks.wait_graph_acyclic && viol.is_none() {
@@ -926,15 +876,15 @@ fn oracle_teardown(shared: &Shared, st: &mut State) {
 /// use std::time::Duration;
 ///
 /// let mut sim = Simulation::new();
-/// sim.spawn(Child::new("main", |ctx| {
-///     ctx.waitfor(Duration::from_micros(500));
+/// sim.spawn(Child::new("main", |ctx| async move {
+///     ctx.waitfor(Duration::from_micros(500)).await;
 ///     assert_eq!(ctx.now().as_micros(), 500);
 /// }));
 /// let report = sim.run().unwrap();
 /// assert_eq!(report.end_time.as_micros(), 500);
 /// ```
 pub struct Simulation {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
     torn_down: bool,
 }
 
@@ -1074,8 +1024,8 @@ impl Simulation {
     /// Creates an empty simulation at time zero.
     #[must_use]
     pub fn new() -> Self {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
+        let shared = Rc::new(Shared {
+            state: RefCell::new(State {
                 now: SimTime::ZERO,
                 until: SimTime::MAX,
                 procs: Vec::new(),
@@ -1104,9 +1054,7 @@ impl Simulation {
                 stats: KernelStats::default(),
                 last_resumed: None,
             }),
-            kernel_cell: ParkCell::new(),
-            wg: WaitGroup::new(),
-            now_ns: AtomicU64::new(0),
+            bodies: RefCell::new(Vec::new()),
         });
         Simulation {
             shared,
@@ -1115,8 +1063,7 @@ impl Simulation {
     }
 
     fn install_fault_plan(&mut self, plan: FaultPlan) {
-        let mut st = self.shared.state.lock();
-        st.faults = if plan.is_empty() {
+        self.shared.state.borrow_mut().faults = if plan.is_empty() {
             None
         } else {
             Some(FaultState::new(plan))
@@ -1124,8 +1071,7 @@ impl Simulation {
     }
 
     fn install_chaos_plan(&mut self, plan: ChaosPlan) {
-        let mut st = self.shared.state.lock();
-        st.chaos = if plan.is_empty() {
+        self.shared.state.borrow_mut().chaos = if plan.is_empty() {
             None
         } else {
             Some(ChaosState::new(plan))
@@ -1133,8 +1079,7 @@ impl Simulation {
     }
 
     fn install_invariants(&mut self, checks: KernelInvariants) {
-        let mut st = self.shared.state.lock();
-        st.oracle = if checks.is_empty() {
+        self.shared.state.borrow_mut().oracle = if checks.is_empty() {
             None
         } else {
             Some(OracleState::new(checks))
@@ -1142,7 +1087,7 @@ impl Simulation {
     }
 
     fn install_stall_policy(&mut self, policy: StallPolicy) {
-        self.shared.state.lock().stall_policy = policy;
+        self.shared.state.borrow_mut().stall_policy = policy;
     }
 
     fn install_trace(
@@ -1154,7 +1099,7 @@ impl Simulation {
             Some(sink) => TraceHandle::with_sink(sink),
             None => TraceHandle::from_config(config.sink),
         };
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         st.trace = Some(handle.clone());
         st.trace_kernel = config.kernel_records;
         handle
@@ -1165,7 +1110,7 @@ impl Simulation {
     /// [`SimulationBuilder::trace_sink`]).
     #[must_use]
     pub fn trace_handle(&self) -> Option<TraceHandle> {
-        self.shared.state.lock().trace.clone()
+        self.shared.state.borrow().trace.clone()
     }
 
     /// Snapshot of the kernel self-metrics collected so far. The final
@@ -1173,12 +1118,12 @@ impl Simulation {
     /// run consumes the simulation).
     #[must_use]
     pub fn kernel_stats(&self) -> KernelStats {
-        self.shared.state.lock().stats.clone()
+        self.shared.state.borrow().stats.clone()
     }
 
     /// Allocates a fresh event before the simulation starts.
     pub fn event_new(&mut self) -> EventId {
-        alloc_event(&mut self.shared.state.lock())
+        self.shared.alloc_event()
     }
 
     /// Returns the raw SLDL synchronization layer for building channels
@@ -1186,7 +1131,7 @@ impl Simulation {
     #[must_use]
     pub fn sync_layer(&self) -> crate::channel::SldlSync {
         crate::channel::SldlSync {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
         }
     }
 
@@ -1194,8 +1139,7 @@ impl Simulation {
     ///
     /// Returns the new process's id.
     pub fn spawn(&mut self, child: Child) -> ProcessId {
-        let mut st = self.shared.state.lock();
-        spawn_locked(&self.shared, &mut st, child, None)
+        spawn_process(&self.shared, child, None)
     }
 
     /// Runs the simulation until no activity remains.
@@ -1220,150 +1164,121 @@ impl Simulation {
         let result = self.run_loop(until);
         let wall_time = started.elapsed();
         self.teardown();
-        match result {
-            Err(e) => Err(e),
-            Ok(end_time) => {
-                let mut st = self.shared.state.lock();
-                // Violations observed by the oracle's teardown checks (or
-                // stored by a layer hook racing the end of the run) fail
-                // an otherwise clean run.
-                if let Some(v) = st.invariant.take() {
-                    let at = st.now;
-                    return Err(RunError::InvariantViolation {
-                        invariant: v.invariant,
-                        subject: v.subject,
-                        details: v.details,
-                        at,
-                    });
-                }
-                st.stats.wall_time = wall_time;
-                let blocked = st
-                    .procs
-                    .iter()
-                    .filter(|p| p.state != ProcState::Finished)
-                    .map(|p| p.name.clone())
-                    .collect();
-                let faults = st
-                    .faults
-                    .as_mut()
-                    .map(|f| std::mem::take(&mut f.log))
-                    .unwrap_or_default();
-                let chaos = st
-                    .chaos
-                    .as_mut()
-                    .map(|c| std::mem::take(&mut c.log))
-                    .unwrap_or_default();
-                let kernel = st.stats.clone();
-                Ok(Report {
-                    end_time,
-                    blocked,
-                    faults,
-                    chaos,
-                    kernel,
-                })
-            }
+        let end_time = result?;
+        let mut st = self.shared.state.borrow_mut();
+        // Violations observed by the oracle's teardown checks (or stored
+        // by a destructor during teardown) fail an otherwise clean run.
+        if let Some(err) = st.take_error() {
+            return Err(err);
         }
+        st.stats.wall_time = wall_time;
+        let blocked = st
+            .procs
+            .iter()
+            .filter(|p| p.state != ProcState::Finished)
+            .map(|p| p.name.clone())
+            .collect();
+        let faults = st
+            .faults
+            .as_mut()
+            .map(|f| std::mem::take(&mut f.log))
+            .unwrap_or_default();
+        let chaos = st
+            .chaos
+            .as_mut()
+            .map(|c| std::mem::take(&mut c.log))
+            .unwrap_or_default();
+        Ok(Report {
+            end_time,
+            blocked,
+            faults,
+            chaos,
+            kernel: st.stats.clone(),
+        })
     }
 
+    /// The executor: asks the scheduler for the next process and polls its
+    /// future once, until an error is pending, the run is quiescent or the
+    /// next timed activity lies beyond the horizon.
     fn run_loop(&mut self, until: SimTime) -> Result<SimTime, RunError> {
-        // The kernel waits on its own park cell; process threads drive the
-        // schedule among themselves (direct handoff) and only wake the
-        // kernel for errors, quiescence, or the run horizon.
-        self.shared.kernel_cell.register();
-        self.shared.state.lock().until = until;
+        self.shared.state.borrow_mut().until = until;
+        let mut cx = Context::from_waker(Waker::noop());
         loop {
-            let (cell, stall) = {
-                let mut st = self.shared.state.lock();
-                if let Some((process, message)) = st.panic.take() {
-                    return Err(RunError::ProcessPanicked { process, message });
+            let pid = {
+                let mut st = self.shared.state.borrow_mut();
+                if let Some(err) = st.take_error() {
+                    return Err(err);
                 }
-                if let Some(m) = st.misuse.take() {
-                    return Err(RunError::ModelMisuse {
-                        process: m.process,
-                        location: m.location,
-                        error: m.error,
-                    });
-                }
-                if let Some(reason) = st.abort.take() {
-                    let at = st.now;
-                    return Err(match reason {
-                        AbortReason::Watchdog { name } => {
-                            RunError::WatchdogExpired { watchdog: name, at }
-                        }
-                        AbortReason::Fault { reason } => RunError::FaultAbort { reason, at },
-                    });
-                }
-                if let Some(v) = st.invariant.take() {
-                    let at = st.now;
-                    return Err(RunError::InvariantViolation {
-                        invariant: v.invariant,
-                        subject: v.subject,
-                        details: v.details,
-                        at,
-                    });
-                }
-                match next_step(&self.shared, &mut st) {
-                    Step::Resume(_, cell, stall) => (cell, stall),
-                    Step::Kernel => {
-                        // No error is pending (just checked), so either the
-                        // next timed activity lies beyond the horizon, or
-                        // the run is quiescent.
-                        if !st.timed.is_empty() {
-                            return Ok(until);
-                        }
-                        if let Some(err) = st.stall_error() {
-                            return Err(err);
-                        }
-                        return Ok(st.now);
-                    }
+                match next_step(&mut st) {
+                    Some(pid) => pid,
+                    // The oracle may just have recorded a violation; the
+                    // next iteration reports it.
+                    None if st.invariant.is_some() => continue,
+                    None if !st.timed.is_empty() => return Ok(until),
+                    None => return st.stall_error().map_or(Ok(st.now), Err),
                 }
             };
-            // Hand the token to the process: one atomic store (plus at most
-            // one unpark). The state lock is released before either side
-            // runs, and the kernel stays parked until the simulation needs
-            // it again — possibly many scheduling steps later.
-            if stall {
-                // Chaos: widen the race window between the decision and
-                // the token deposit (host-side only; the simulated
-                // schedule is already fixed).
-                std::thread::yield_now();
-            }
-            cell.set(TOK_GO);
-            self.shared.kernel_cell.wait();
+            self.poll_process(pid, &mut cx);
         }
     }
 
-    /// Cancels every unfinished process and quiesces: waits until every
-    /// process job dispatched to the worker pool has finished, so no
-    /// pooled thread can touch this simulation's state afterwards. The
-    /// workers themselves are *not* joined — they return to the pool for
-    /// the next simulation. Idempotent.
+    /// Polls `pid`'s future once with no kernel borrow held. The future is
+    /// taken out of its slot for the poll and put back if it suspended.
+    fn poll_process(&self, pid: ProcessId, cx: &mut Context<'_>) {
+        let mut body = self.shared.bodies.borrow_mut()[pid.index()]
+            .take()
+            .expect("a resumed process has a body");
+        let polled = panic::catch_unwind(AssertUnwindSafe(|| body.as_mut().poll(cx)));
+        match polled {
+            Ok(Poll::Pending) => {
+                self.shared.bodies.borrow_mut()[pid.index()] = Some(body);
+                return;
+            }
+            Ok(Poll::Ready(())) => drop(body),
+            Err(payload) => {
+                drop(body);
+                // Note `&*payload`: coercing `&Box<dyn Any>` directly would
+                // wrap the box itself and every downcast would fail.
+                let payload: &(dyn std::any::Any + Send) = &*payload;
+                // Misuse/abort/violation unwinds carry no message: their
+                // details were already stored by `ProcCtx::misuse`,
+                // `abort_run` or `invariant_violation`.
+                let reported = payload.is::<MisuseUnwind>()
+                    || payload.is::<AbortUnwind>()
+                    || payload.is::<InvariantUnwind>();
+                let mut st = self.shared.state.borrow_mut();
+                if !reported && st.panic.is_none() {
+                    let name = st.procs[pid.index()].name.clone();
+                    st.panic = Some((name, panic_message(payload)));
+                }
+            }
+        }
+        self.shared.state.borrow_mut().finish(pid);
+    }
+
+    /// Drops every remaining process future — blocked at the end of the
+    /// run, never started, or abandoned after an error — one at a time
+    /// with no kernel borrow held, since destructors may call back into
+    /// the kernel. A panicking destructor is contained: the run already
+    /// has its outcome. Idempotent.
     fn teardown(&mut self) {
         if self.torn_down {
             return;
         }
         self.torn_down = true;
-        {
-            let st = self.shared.state.lock();
-            for p in &st.procs {
-                if p.state != ProcState::Finished {
-                    // Depositing `TOK_CANCEL` overwrites any stale `GO`
-                    // token a panicked thread left unconsumed — exactly the
-                    // case the old one-slot channel handled with `try_send`.
-                    p.cell.set(TOK_CANCEL);
-                }
+        let mut i = 0;
+        loop {
+            // Re-borrow per slot: a destructor may spawn (push a slot).
+            let body = match self.shared.bodies.borrow_mut().get_mut(i) {
+                Some(slot) => slot.take(),
+                None => break,
+            };
+            if let Some(body) = body {
+                let _ = panic::catch_unwind(AssertUnwindSafe(move || drop(body)));
             }
+            i += 1;
         }
-        // A cancelled process unwinds via CancelUnwind, which the harness
-        // catches; a panicked process already recorded its message. Either
-        // way the job wrapper calls `wg.done()` on its way out.
-        self.shared.wg.wait_zero();
-        // Oracle hook: with the pool quiesced, no thread but this one can
-        // touch the state — validate the post-drain invariants.
-        let mut st = self.shared.state.lock();
-        if st.oracle.is_some() {
-            oracle_teardown(&self.shared, &mut st);
-        }
+        oracle_teardown(&self.shared);
     }
 }
 
@@ -1375,7 +1290,7 @@ impl Drop for Simulation {
 
 impl core::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let st = self.shared.state.lock();
+        let st = self.shared.state.borrow();
         f.debug_struct("Simulation")
             .field("now", &st.now)
             .field("processes", &st.procs.len())
@@ -1395,128 +1310,42 @@ fn alloc_event(st: &mut State) -> EventId {
     id
 }
 
-/// Creates the process entry for `child` and dispatches its body to the
-/// worker pool (recycling a parked thread when one is idle — no per-spawn
-/// `thread::spawn`, no per-spawn name formatting). Caller holds the lock.
-fn spawn_locked(
-    shared: &Arc<Shared>,
-    st: &mut State,
-    child: Child,
-    parent: Option<ProcessId>,
-) -> ProcessId {
-    let pid = ProcessId(u32::try_from(st.procs.len()).expect("process ids exhausted"));
-    let cell = Arc::new(ParkCell::new());
-    st.procs.push(ProcEntry {
-        name: child.name.clone(),
-        state: ProcState::Ready,
-        cell: Arc::clone(&cell),
-        parent,
-        waiting_on: Vec::new(),
-        wake_cause: None,
-        wake_gen: 0,
-    });
-    st.live_procs += 1;
-    st.ready.push_back(pid);
-    st.note_ready_depth();
-    st.stats.processes_spawned += 1;
-    if st.trace_kernel {
-        if let Some(t) = &st.trace {
-            t.process_spawned(st.now, pid, &child.name);
+/// Creates the process entry for `child`, ready in the current delta, and
+/// stores its future. The body closure runs with no kernel borrow held
+/// (it may spawn in turn), after its slot was reserved so slot index and
+/// pid stay equal.
+fn spawn_process(shared: &Rc<Shared>, child: Child, parent: Option<ProcessId>) -> ProcessId {
+    let Child { name, body } = child;
+    let pid = {
+        let mut st = shared.state.borrow_mut();
+        let pid = ProcessId(u32::try_from(st.procs.len()).expect("process ids exhausted"));
+        st.procs.push(ProcEntry {
+            name: name.clone(),
+            state: ProcState::Ready,
+            parent,
+            waiting_on: Vec::new(),
+            wake_cause: None,
+            wake_gen: 0,
+        });
+        st.live_procs += 1;
+        st.ready.push_back(pid);
+        st.note_ready_depth();
+        st.stats.processes_spawned += 1;
+        if st.trace_kernel {
+            if let Some(t) = &st.trace {
+                t.process_spawned(st.now, pid, &name);
+            }
         }
-    }
-
-    let ctx = ProcCtx {
-        shared: Arc::clone(shared),
+        pid
+    };
+    shared.bodies.borrow_mut().push(None);
+    let future = body(ProcCtx {
+        shared: Rc::clone(shared),
         pid,
-        name: child.name.clone(),
-        cell,
-    };
-    let body = child.body;
-    // Teardown quiesces on the wait group instead of joining: `add` under
-    // the lock (before the job can possibly run), `done` as the job's very
-    // last action, after which the worker never touches this simulation.
-    shared.wg.add(1);
-    let wg_shared = Arc::clone(shared);
-    let recycled = pool::dispatch(Box::new(move || {
-        run_process(&ctx, body);
-        wg_shared.wg.done();
-    }));
-    if recycled {
-        st.stats.threads_recycled += 1;
-    }
+        name,
+    });
+    shared.bodies.borrow_mut()[pid.index()] = Some(future);
     pid
-}
-
-/// Drives one more scheduling decision as a process exits (consuming the
-/// caller's state guard): hands the run token to the next process
-/// directly, or wakes the kernel thread when it must take over (error
-/// pending, quiescence, horizon). The exiting thread touches no
-/// simulation state afterwards.
-fn drive_after_exit(shared: &Arc<Shared>, mut st: crate::sync::MutexGuard<'_, State>) {
-    let target = match next_step(shared, &mut st) {
-        Step::Resume(_, cell, stall) => Some((cell, stall)),
-        Step::Kernel => None,
-    };
-    drop(st);
-    match target {
-        Some((cell, stall)) => {
-            if stall {
-                std::thread::yield_now();
-            }
-            cell.set(TOK_GO);
-        }
-        None => shared.kernel_cell.set(TOK_GO),
-    }
-}
-
-/// Pool-job harness: waits for the first token, runs the body, and performs
-/// finish/panic bookkeeping.
-fn run_process(ctx: &ProcCtx, body: ProcBody) {
-    ctx.cell.register();
-    if ctx.cell.wait() != TOK_GO {
-        return; // TOK_CANCEL before first resume
-    }
-    let result = panic::catch_unwind(AssertUnwindSafe(|| body(ctx)));
-    match result {
-        Ok(()) => {
-            let mut st = ctx.shared.state.lock();
-            st.finish(ctx.pid);
-            drive_after_exit(&ctx.shared, st);
-        }
-        Err(payload) => {
-            // Note `&*payload`: coercing `&Box<dyn Any>` directly would wrap
-            // the box itself and every downcast would fail.
-            let payload: &(dyn std::any::Any + Send) = &*payload;
-            if payload.downcast_ref::<CancelUnwind>().is_some() {
-                // Cancelled: bookkeeping was done by the canceller (or by
-                // teardown); just exit the thread.
-                return;
-            }
-            if payload.downcast_ref::<MisuseUnwind>().is_some()
-                || payload.downcast_ref::<AbortUnwind>().is_some()
-                || payload.downcast_ref::<InvariantUnwind>().is_some()
-            {
-                // Misuse/abort/violation details were already stored in
-                // kernel state by `ProcCtx::misuse` / `ProcCtx::abort_run`
-                // / `ProcCtx::invariant_violation`; finish this process
-                // and hand control back to the kernel, which will convert
-                // the stored record into a structured `RunError`.
-                let mut st = ctx.shared.state.lock();
-                st.finish(ctx.pid);
-                // The pending misuse/abort makes `next_step` bounce to the
-                // kernel without resuming anything further.
-                drive_after_exit(&ctx.shared, st);
-                return;
-            }
-            let message = panic_message(payload);
-            let mut st = ctx.shared.state.lock();
-            if st.panic.is_none() {
-                st.panic = Some((ctx.name.clone(), message));
-            }
-            st.finish(ctx.pid);
-            drive_after_exit(&ctx.shared, st);
-        }
-    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1529,22 +1358,39 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The future a suspension primitive awaits after moving its process out
+/// of `Running`: `Pending` once, so the executor moves on; `Ready` when
+/// the kernel resumes the process and the executor polls it again.
+#[derive(Default)]
+struct Suspend {
+    parked: bool,
+}
+
+impl Future for Suspend {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        if self.parked {
+            Poll::Ready(())
+        } else {
+            self.parked = true;
+            Poll::Pending
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // ProcCtx
 // ---------------------------------------------------------------------------
 
 /// The execution context handed to every simulated process.
 ///
-/// All suspension primitives (`wait*`, `waitfor`, `par`) must only be called
-/// from the process's own thread, which is guaranteed when using the `&self`
-/// reference passed to the process body.
+/// The body owns it; suspension primitives (`wait*`, `waitfor`, `par`)
+/// return futures to await from that body.
 pub struct ProcCtx {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
     pid: ProcessId,
     name: String,
-    /// This process's spin-then-park resume cell (shared with the kernel's
-    /// `ProcEntry`).
-    cell: Arc<ParkCell>,
 }
 
 impl core::fmt::Debug for ProcCtx {
@@ -1569,17 +1415,15 @@ impl ProcCtx {
         &self.name
     }
 
-    /// Current simulated time. Lock-free: reads the kernel's atomic clock
-    /// mirror (coherent because time only advances while no process runs).
+    /// Current simulated time.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.shared.load_now()
+        self.shared.state.borrow().now
     }
 
     /// Appends a record to the attached trace (no-op without a trace).
     pub fn record(&self, kind: RecordKind) {
-        let st = self.shared.state.lock();
-        st.record(kind);
+        self.shared.state.borrow().record(kind);
     }
 
     /// Returns the raw SLDL synchronization layer for building channels
@@ -1587,26 +1431,24 @@ impl ProcCtx {
     #[must_use]
     pub fn sync_layer(&self) -> crate::channel::SldlSync {
         crate::channel::SldlSync {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
         }
     }
 
     /// Allocates a fresh event.
     pub fn event_new(&self) -> EventId {
-        alloc_event(&mut self.shared.state.lock())
+        self.shared.alloc_event()
     }
 
-    /// Reports model misuse: stores the details (with the caller's source
-    /// location) for the kernel to turn into [`RunError::ModelMisuse`] and
+    /// Reports model misuse: stores the details (with the source location
+    /// `at`) for the kernel to turn into [`RunError::ModelMisuse`] and
     /// unwinds this process. Never returns.
-    #[track_caller]
-    fn misuse(&self, error: ModelError) -> ! {
-        let location = core::panic::Location::caller();
-        let mut st = self.shared.state.lock();
+    fn misuse(&self, at: &Location<'_>, error: ModelError) -> ! {
+        let mut st = self.shared.state.borrow_mut();
         if st.misuse.is_none() {
             st.misuse = Some(Misuse {
                 process: self.name.clone(),
-                location: format!("{}:{}", location.file(), location.line()),
+                location: format!("{}:{}", at.file(), at.line()),
                 error,
             });
         }
@@ -1620,14 +1462,17 @@ impl ProcCtx {
     /// through the kernel's structured-error channel: the run fails with
     /// [`RunError::ModelMisuse`] carrying
     /// [`ModelError::Layer`] and the caller's
-    /// source location. Never returns — this process unwinds, the
-    /// simulation tears down cleanly and every other process is joined.
+    /// source location. Never returns — this process unwinds and the
+    /// simulation tears down cleanly.
     #[track_caller]
     pub fn misuse_layer(&self, layer: impl Into<String>, message: impl Into<String>) -> ! {
-        self.misuse(ModelError::Layer {
-            layer: layer.into(),
-            message: message.into(),
-        })
+        self.misuse(
+            Location::caller(),
+            ModelError::Layer {
+                layer: layer.into(),
+                message: message.into(),
+            },
+        )
     }
 
     /// Reports a broken invariant observed by a layer-level conformance
@@ -1642,7 +1487,7 @@ impl ProcCtx {
         subject: impl Into<String>,
         details: impl Into<String>,
     ) -> ! {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         if st.invariant.is_none() {
             st.invariant = Some(Violation {
                 invariant,
@@ -1659,7 +1504,7 @@ impl ProcCtx {
     /// on `reason`. Never returns. Used by health monitors (e.g. the RTOS
     /// watchdog service) whose expiry action is to stop the run.
     pub fn abort_run(&self, reason: AbortReason) -> ! {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         if st.abort.is_none() {
             st.abort = Some(reason);
         }
@@ -1677,14 +1522,12 @@ impl ProcCtx {
     /// time (e.g. waiting out a periodic release) should not be perturbed.
     #[must_use]
     pub fn perturb_delay(&self, requested: Duration) -> Duration {
-        let mut st = self.shared.state.lock();
-        let Some(mut f) = st.faults.take() else {
-            return requested;
-        };
+        let mut st = self.shared.state.borrow_mut();
         let now = st.now;
-        let injected = f.perturb_delay(now, &self.name, requested);
-        st.faults = Some(f);
-        injected
+        match st.faults.as_mut() {
+            Some(f) => f.perturb_delay(now, &self.name, requested),
+            None => requested,
+        }
     }
 
     /// Deletes an event. Processes still waiting on it will never be woken
@@ -1697,15 +1540,15 @@ impl ProcCtx {
     /// process stops and the run fails with [`RunError::ModelMisuse`].
     #[track_caller]
     pub fn event_del(&self, event: EventId) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         match st.events.get(event.index()).map(|e| e.alive) {
             None => {
                 drop(st);
-                self.misuse(ModelError::EventNeverCreated { event });
+                self.misuse(Location::caller(), ModelError::EventNeverCreated { event });
             }
             Some(false) => {
                 drop(st);
-                self.misuse(ModelError::EventDeletedTwice { event });
+                self.misuse(Location::caller(), ModelError::EventDeletedTwice { event });
             }
             Some(true) => st.events[event.index()].alive = false,
         }
@@ -1727,10 +1570,10 @@ impl ProcCtx {
     /// the run fails with [`RunError::ModelMisuse`].
     #[track_caller]
     pub fn notify(&self, event: EventId) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         if !st.event_alive(event) {
             drop(st);
-            self.misuse(ModelError::NotifyDeadEvent { event });
+            self.misuse(Location::caller(), ModelError::NotifyDeadEvent { event });
         }
         // Fault hook: decide the notification's fate. `st.faults` is `None`
         // unless a non-empty plan was armed.
@@ -1771,7 +1614,7 @@ impl ProcCtx {
     /// (SpecC timed `notify`). A zero delay notifies in the next delta of
     /// the current time step.
     pub fn notify_delayed(&self, event: EventId, delay: Duration) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         let time = st.now + delay;
         st.push_timed(time, TimedKind::Notify(event));
     }
@@ -1783,9 +1626,12 @@ impl ProcCtx {
     /// Waiting on a deleted event is model misuse: this process stops and
     /// the run fails with [`RunError::ModelMisuse`].
     #[track_caller]
-    pub fn wait(&self, event: EventId) {
-        let woke = self.wait_any(&[event]);
-        debug_assert_eq!(woke, event);
+    pub fn wait(&self, event: EventId) -> impl Future<Output = ()> + '_ {
+        let at = Location::caller();
+        async move {
+            let woke = self.block_on_events(at, &[event], None).await;
+            debug_assert_eq!(woke, Some(event));
+        }
     }
 
     /// Suspends until any of `events` is notified, returning the event that
@@ -1797,12 +1643,16 @@ impl ProcCtx {
     /// Passing an empty set or a deleted event is model misuse: this
     /// process stops and the run fails with [`RunError::ModelMisuse`].
     #[track_caller]
-    pub fn wait_any(&self, events: &[EventId]) -> EventId {
-        if events.is_empty() {
-            self.misuse(ModelError::WaitEmptySet);
+    pub fn wait_any<'a>(&'a self, events: &'a [EventId]) -> impl Future<Output = EventId> + 'a {
+        let at = Location::caller();
+        async move {
+            if events.is_empty() {
+                self.misuse(at, ModelError::WaitEmptySet);
+            }
+            self.block_on_events(at, events, None)
+                .await
+                .expect("no timeout was set")
         }
-        self.block_on_events(events, None)
-            .expect("no timeout was set")
     }
 
     /// Suspends until `event` is notified or `timeout` elapses.
@@ -1814,20 +1664,29 @@ impl ProcCtx {
     /// Waiting on a deleted event is model misuse: this process stops and
     /// the run fails with [`RunError::ModelMisuse`].
     #[track_caller]
-    pub fn wait_timeout(&self, event: EventId, timeout: Duration) -> Option<EventId> {
-        self.block_on_events(&[event], Some(timeout))
+    pub fn wait_timeout(
+        &self,
+        event: EventId,
+        timeout: Duration,
+    ) -> impl Future<Output = Option<EventId>> + '_ {
+        let at = Location::caller();
+        async move { self.block_on_events(at, &[event], Some(timeout)).await }
     }
 
-    #[track_caller]
-    fn block_on_events(&self, events: &[EventId], timeout: Option<Duration>) -> Option<EventId> {
+    async fn block_on_events(
+        &self,
+        at: &Location<'_>,
+        events: &[EventId],
+        timeout: Option<Duration>,
+    ) -> Option<EventId> {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = self.shared.state.borrow_mut();
             // Validate the whole set before registering anything, so misuse
             // leaves no stale waiter entries behind.
             for &e in events {
                 if !st.event_alive(e) {
                     drop(st);
-                    self.misuse(ModelError::WaitDeadEvent { event: e });
+                    self.misuse(at, ModelError::WaitDeadEvent { event: e });
                 }
             }
             let mut nodes = std::mem::take(&mut st.procs[self.pid.index()].waiting_on);
@@ -1850,17 +1709,17 @@ impl ProcCtx {
                 reason: SuspendReason::WaitEvent,
             });
         }
-        self.yield_to_kernel();
-        self.shared.state.lock().procs[self.pid.index()].wake_cause
+        Suspend::default().await;
+        self.shared.state.borrow().procs[self.pid.index()].wake_cause
     }
 
     /// Suspends for `delay` of simulated time (the SLDL `waitfor`).
     ///
     /// `waitfor(Duration::ZERO)` suspends until all remaining delta cycles
     /// of the current time step have been processed.
-    pub fn waitfor(&self, delay: Duration) {
+    pub async fn waitfor(&self, delay: Duration) {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = self.shared.state.borrow_mut();
             let gen = st.procs[self.pid.index()].wake_gen;
             let time = st.now + delay;
             st.push_timed(time, TimedKind::Wake { pid: self.pid, gen });
@@ -1873,23 +1732,23 @@ impl ProcCtx {
                 reason: SuspendReason::WaitTime,
             });
         }
-        self.yield_to_kernel();
+        Suspend::default().await;
     }
 
     /// Runs `children` in parallel and suspends until **all** of them have
     /// finished (the SLDL `par` composition).
     ///
     /// An empty list returns immediately.
-    pub fn par(&self, children: Vec<Child>) {
+    pub async fn par(&self, children: Vec<Child>) {
         if children.is_empty() {
             return;
         }
+        let n = children.len();
+        for child in children {
+            spawn_process(&self.shared, child, Some(self.pid));
+        }
         {
-            let mut st = self.shared.state.lock();
-            let n = children.len();
-            for child in children {
-                spawn_locked(&self.shared, &mut st, child, Some(self.pid));
-            }
+            let mut st = self.shared.state.borrow_mut();
             st.procs[self.pid.index()].state = ProcState::Joining { pending: n };
             st.stats.processes_suspended += 1;
             st.record_kernel(CompactKind::ProcessSuspended {
@@ -1897,92 +1756,53 @@ impl ProcCtx {
                 reason: SuspendReason::Join,
             });
         }
-        self.yield_to_kernel();
+        Suspend::default().await;
     }
 
     /// Spawns a detached process (fire-and-forget), returning its id.
     ///
     /// The new process becomes ready in the current delta cycle.
     pub fn spawn(&self, child: Child) -> ProcessId {
-        let mut st = self.shared.state.lock();
-        spawn_locked(&self.shared, &mut st, child, None)
+        spawn_process(&self.shared, child, None)
     }
 
     /// Cancels a *blocked* process: it is treated as finished (par-joins on
-    /// it complete) and its thread unwinds without running the rest of its
-    /// body. Used to model OS-level `task_kill`.
+    /// it complete) and its future is dropped without running the rest of
+    /// its body, running its destructors. Used to model OS-level
+    /// `task_kill`.
     ///
     /// Cancelling an already-finished process is a no-op.
     ///
     /// # Errors
     ///
     /// Cancelling this process itself (finish by returning instead) or the
-    /// currently running process (impossible for well-formed
-    /// single-processor models) is model misuse: this process stops and
+    /// currently running process is model misuse: this process stops and
     /// the run fails with [`RunError::ModelMisuse`].
     #[track_caller]
     pub fn cancel(&self, pid: ProcessId) {
         if pid == self.pid {
-            self.misuse(ModelError::CancelSelf { pid });
+            self.misuse(Location::caller(), ModelError::CancelSelf { pid });
         }
-        let mut st = self.shared.state.lock();
-        match st.procs[pid.index()].state {
-            ProcState::Finished => return,
-            ProcState::Running => {
-                drop(st);
-                self.misuse(ModelError::CancelRunning { pid });
-            }
-            _ => {}
-        }
-        let entry = &mut st.procs[pid.index()];
-        entry.wake_gen += 1; // invalidate stale timed wake-ups
-        let cell = Arc::clone(&entry.cell);
-        while let Some(idx) = st.procs[pid.index()].waiting_on.pop() {
-            st.unlink_waiter(idx);
-        }
-        st.ready.retain(|&p| p != pid);
-        st.finish(pid);
-        drop(st);
-        // Wake the thread so it can unwind; it will not touch kernel state
-        // (the cancel token makes `yield_to_kernel` resume-unwind).
-        cell.set(TOK_CANCEL);
-    }
-
-    /// Yields to the kernel and blocks until resumed.
-    ///
-    /// # Panics (internal)
-    ///
-    /// Unwinds with a cancellation payload if the simulation is torn down
-    /// while this process is blocked.
-    fn yield_to_kernel(&self) {
-        // Direct handoff: this thread drives the scheduler itself. Three
-        // outcomes, cheapest first: (a) this process is its own successor
-        // — keep running, zero context switches; (b) another process is
-        // next — pass the token straight to it, one switch, kernel stays
-        // asleep; (c) the kernel is needed — wake it. A chaos stall
-        // disables shortcut (a): the token round-trips through this
-        // process's own cell, exercising the set-then-wait slow path.
-        let target = {
-            let mut st = self.shared.state.lock();
-            match next_step(&self.shared, &mut st) {
-                Step::Resume(pid, _, false) if pid == self.pid => return,
-                Step::Resume(_, cell, stall) => Some((cell, stall)),
-                Step::Kernel => None,
-            }
-        };
-        match target {
-            Some((cell, stall)) => {
-                if stall {
-                    std::thread::yield_now();
+        {
+            let mut st = self.shared.state.borrow_mut();
+            match st.procs[pid.index()].state {
+                ProcState::Finished => return,
+                ProcState::Running => {
+                    drop(st);
+                    self.misuse(Location::caller(), ModelError::CancelRunning { pid });
                 }
-                cell.set(TOK_GO);
+                _ => {}
             }
-            None => self.shared.kernel_cell.set(TOK_GO),
+            st.procs[pid.index()].wake_gen += 1; // invalidate stale timed wake-ups
+            while let Some(idx) = st.procs[pid.index()].waiting_on.pop() {
+                st.unlink_waiter(idx);
+            }
+            st.ready.retain(|&p| p != pid);
+            st.finish(pid);
         }
-        if self.cell.wait() != TOK_GO {
-            // `resume_unwind` (not `panic_any`) so the global panic hook
-            // does not fire for this expected control-flow unwind.
-            panic::resume_unwind(Box::new(CancelUnwind));
-        }
+        // Drop the body only now that the state borrow is released: its
+        // destructors may call back into the kernel.
+        let body = self.shared.bodies.borrow_mut()[pid.index()].take();
+        drop(body);
     }
 }

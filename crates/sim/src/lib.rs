@@ -16,12 +16,12 @@
 //! let mut sim = Simulation::new();
 //! let done = sim.event_new();
 //!
-//! sim.spawn(Child::new("producer", move |ctx| {
-//!     ctx.waitfor(Duration::from_micros(100));
+//! sim.spawn(Child::new("producer", move |ctx| async move {
+//!     ctx.waitfor(Duration::from_micros(100)).await;
 //!     ctx.notify(done);
 //! }));
-//! sim.spawn(Child::new("consumer", move |ctx| {
-//!     ctx.wait(done);
+//! sim.spawn(Child::new("consumer", move |ctx| async move {
+//!     ctx.wait(done).await;
 //!     assert_eq!(ctx.now().as_micros(), 100);
 //! }));
 //!
@@ -31,8 +31,10 @@
 //!
 //! ## Semantics
 //!
-//! * At most one process executes at a time (strict token passing between
-//!   the kernel and process threads), so simulations are deterministic.
+//! * Process bodies are `async` blocks that await every suspension
+//!   (`wait*`, `waitfor`, `par`). One single-threaded executor polls them
+//!   in the order the scheduler picks, so at most one process executes at
+//!   a time and simulations are deterministic.
 //! * [`ProcCtx::notify`] has SpecC delta-cycle semantics: every process
 //!   waiting on the event when the current delta's runnable processes have
 //!   all yielded is resumed; then the notification expires. A `notify` with
@@ -58,7 +60,7 @@
 //!   dropped/duplicated notifications and spurious event releases
 //!   (see [`fault`]).
 //! * [`ChaosPlan`] — seeded, deterministic perturbation of *kernel*
-//!   scheduling decisions (same-delta dispatch order, handoff stalls) and
+//!   scheduling decisions (same-delta dispatch order) and
 //!   the opt-in [`KernelInvariants`] oracle checking the kernel's own
 //!   consistency at delta-flush and teardown boundaries (see [`chaos`]).
 //! * [`StallPolicy`] / [`RunError::Deadlock`] — wait-for-graph deadlock
@@ -76,7 +78,6 @@ mod error;
 pub mod fault;
 mod ids;
 mod kernel;
-pub mod pool;
 pub mod prelude;
 pub mod rng;
 pub mod sync;
@@ -101,9 +102,8 @@ pub use chaos::{ChaosPlan, ChaosRecord, InjectedChaos, KernelInvariants};
 pub use error::{AbortReason, ModelError, RunError, WaitEdge};
 pub use fault::{FaultPlan, FaultRecord, InjectedFault, SpuriousRelease, WcetJitter};
 pub use ids::{EventId, ProcessId};
-pub use kernel::{Child, ProcBody, ProcCtx, Report, Simulation, SimulationBuilder, StallPolicy};
+pub use kernel::{Child, ProcCtx, Report, Simulation, SimulationBuilder, StallPolicy};
 pub use rng::SmallRng;
-pub use sync::{ParkCell, WaitGroup};
 pub use time::SimTime;
 pub use trace::{
     CompactKind, CompactRecord, DecisionReason, Interner, KernelStats, LabelId, MemorySink, Record,

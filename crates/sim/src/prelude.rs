@@ -11,7 +11,7 @@
 //!
 //! let mut sim = Simulation::new();
 //! let evt = sim.event_new();
-//! sim.spawn(Child::new("p", move |ctx| ctx.notify(evt)));
+//! sim.spawn(Child::new("p", move |ctx| async move { ctx.notify(evt) }));
 //! let report: Report = sim.run().unwrap();
 //! assert!(report.blocked.is_empty());
 //! ```
@@ -24,9 +24,7 @@ pub use crate::chaos::{ChaosPlan, ChaosRecord, InjectedChaos, KernelInvariants};
 pub use crate::error::{AbortReason, ModelError, RunError, WaitEdge};
 pub use crate::fault::{FaultPlan, FaultRecord, InjectedFault, SpuriousRelease, WcetJitter};
 pub use crate::ids::{EventId, ProcessId};
-pub use crate::kernel::{
-    Child, ProcBody, ProcCtx, Report, Simulation, SimulationBuilder, StallPolicy,
-};
+pub use crate::kernel::{Child, ProcCtx, Report, Simulation, SimulationBuilder, StallPolicy};
 pub use crate::rng::SmallRng;
 pub use crate::time::SimTime;
 pub use crate::trace::{KernelStats, Record, RecordKind, TraceConfig, TraceHandle};

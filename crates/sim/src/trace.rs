@@ -756,13 +756,10 @@ pub struct KernelStats {
     pub timer_ops: u64,
     /// High-water mark of the ready queue depth.
     pub max_ready_depth: u64,
-    /// Kernel-level context switches (consecutive resumes of different
-    /// processes).
+    /// Kernel-level process switches: consecutive resumes of different
+    /// processes. Every process runs on the one executor, so these are not
+    /// OS context switches; each is a poll of a different future.
     pub context_switches: u64,
-    /// Process spawns served by recycling a parked worker thread from the
-    /// process-global pool ([`crate::pool`]) instead of an OS
-    /// `thread::spawn`. Always ≤ `processes_spawned`.
-    pub threads_recycled: u64,
     /// Host wall-clock time of the run loop.
     pub wall_time: Duration,
 }

@@ -22,17 +22,17 @@ fn semaphore_isr_to_driver_pattern() {
 
     let s = sem.clone();
     let count = Arc::clone(&served);
-    sim.spawn(Child::new("driver", move |ctx| {
+    sim.spawn(Child::new("driver", move |ctx| async move {
         for _ in 0..3 {
-            s.acquire(ctx);
+            s.acquire(&ctx).await;
             count.fetch_add(1, Ordering::SeqCst);
         }
     }));
     let s = sem.clone();
-    sim.spawn(Child::new("isr", move |ctx| {
+    sim.spawn(Child::new("isr", move |ctx| async move {
         for _ in 0..3 {
-            ctx.waitfor(us(50));
-            s.release(ctx);
+            ctx.waitfor(us(50)).await;
+            s.release(&ctx).await;
         }
     }));
 
@@ -47,9 +47,9 @@ fn semaphore_initial_permits_do_not_block() {
     let mut sim = Simulation::new();
     let sem = Semaphore::new(2, sim.sync_layer());
     let s = sem.clone();
-    sim.spawn(Child::new("taker", move |ctx| {
-        s.acquire(ctx);
-        s.acquire(ctx);
+    sim.spawn(Child::new("taker", move |ctx| async move {
+        s.acquire(&ctx).await;
+        s.acquire(&ctx).await;
         assert_eq!(ctx.now(), SimTime::ZERO);
     }));
     let report = sim.run().unwrap();
@@ -74,15 +74,15 @@ fn semaphore_multiple_waiters_each_need_a_release() {
     for i in 0..3 {
         let s = sem.clone();
         let g = Arc::clone(&got);
-        sim.spawn(Child::new(format!("w{i}"), move |ctx| {
-            s.acquire(ctx);
+        sim.spawn(Child::new(format!("w{i}"), move |ctx| async move {
+            s.acquire(&ctx).await;
             g.fetch_add(1, Ordering::SeqCst);
         }));
     }
     let s = sem.clone();
-    sim.spawn(Child::new("releaser", move |ctx| {
-        ctx.waitfor(us(1));
-        s.release(ctx); // only one permit: exactly one waiter proceeds
+    sim.spawn(Child::new("releaser", move |ctx| async move {
+        ctx.waitfor(us(1)).await;
+        s.release(&ctx).await; // only one permit: exactly one waiter proceeds
     }));
     let report = sim.run().unwrap();
     assert_eq!(got.load(Ordering::SeqCst), 1);
@@ -96,17 +96,17 @@ fn queue_passes_data_in_order() {
     let out = Arc::new(Mutex::new(Vec::new()));
 
     let tx = q.clone();
-    sim.spawn(Child::new("producer", move |ctx| {
+    sim.spawn(Child::new("producer", move |ctx| async move {
         for i in 0..10 {
-            ctx.waitfor(us(3));
-            tx.send(ctx, i);
+            ctx.waitfor(us(3)).await;
+            tx.send(&ctx, i).await;
         }
     }));
     let rx = q.clone();
     let o = Arc::clone(&out);
-    sim.spawn(Child::new("consumer", move |ctx| {
+    sim.spawn(Child::new("consumer", move |ctx| async move {
         for _ in 0..10 {
-            let v = rx.recv(ctx);
+            let v = rx.recv(&ctx).await;
             o.lock().push(v);
         }
     }));
@@ -124,17 +124,17 @@ fn bounded_queue_backpressures_sender() {
 
     let tx = q.clone();
     let st = Arc::clone(&sent_times);
-    sim.spawn(Child::new("producer", move |ctx| {
+    sim.spawn(Child::new("producer", move |ctx| async move {
         for i in 0..3 {
-            tx.send(ctx, i);
+            tx.send(&ctx, i).await;
             st.lock().push(ctx.now().as_micros());
         }
     }));
     let rx = q.clone();
-    sim.spawn(Child::new("slow-consumer", move |ctx| {
+    sim.spawn(Child::new("slow-consumer", move |ctx| async move {
         for _ in 0..3 {
-            ctx.waitfor(us(100));
-            let _ = rx.recv(ctx);
+            ctx.waitfor(us(100)).await;
+            let _ = rx.recv(&ctx).await;
         }
     }));
 
@@ -150,9 +150,9 @@ fn unbounded_queue_never_blocks_sender() {
     let mut sim = Simulation::new();
     let q: Queue<u64, _> = Queue::unbounded(sim.sync_layer());
     let tx = q.clone();
-    sim.spawn(Child::new("producer", move |ctx| {
+    sim.spawn(Child::new("producer", move |ctx| async move {
         for i in 0..1000 {
-            tx.send(ctx, i);
+            tx.send(&ctx, i).await;
         }
         assert_eq!(ctx.now(), SimTime::ZERO);
     }));
@@ -168,10 +168,12 @@ fn queue_try_recv() {
     let q2 = q.clone();
     let seen = Arc::new(Mutex::new(Vec::new()));
     let s = Arc::clone(&seen);
-    sim.spawn(Child::new("p", move |ctx| {
-        s.lock().push(q2.try_recv(ctx));
-        q2.send(ctx, 9);
-        s.lock().push(q2.try_recv(ctx));
+    sim.spawn(Child::new("p", move |ctx| async move {
+        let empty = q2.try_recv(&ctx).await;
+        s.lock().push(empty);
+        q2.send(&ctx, 9).await;
+        let nine = q2.try_recv(&ctx).await;
+        s.lock().push(nine);
         assert!(q2.is_empty());
     }));
     sim.run().unwrap();
@@ -186,16 +188,16 @@ fn handshake_rendezvous_synchronizes_both_sides() {
 
     let h = hs.clone();
     let t = Arc::clone(&times);
-    sim.spawn(Child::new("sender", move |ctx| {
-        ctx.waitfor(us(10));
-        h.send(ctx);
+    sim.spawn(Child::new("sender", move |ctx| async move {
+        ctx.waitfor(us(10)).await;
+        h.send(&ctx).await;
         t.lock().push(("sender", ctx.now().as_micros()));
     }));
     let h = hs.clone();
     let t = Arc::clone(&times);
-    sim.spawn(Child::new("receiver", move |ctx| {
-        ctx.waitfor(us(40));
-        h.recv(ctx);
+    sim.spawn(Child::new("receiver", move |ctx| async move {
+        ctx.waitfor(us(40)).await;
+        h.recv(&ctx).await;
         t.lock().push(("receiver", ctx.now().as_micros()));
     }));
 
@@ -215,15 +217,15 @@ fn handshake_receiver_first() {
 
     let h = hs.clone();
     let d = Arc::clone(&done);
-    sim.spawn(Child::new("receiver", move |ctx| {
-        h.recv(ctx);
+    sim.spawn(Child::new("receiver", move |ctx| async move {
+        h.recv(&ctx).await;
         d.fetch_add(1, Ordering::SeqCst);
     }));
     let h = hs.clone();
     let d = Arc::clone(&done);
-    sim.spawn(Child::new("sender", move |ctx| {
-        ctx.waitfor(us(5));
-        h.send(ctx);
+    sim.spawn(Child::new("sender", move |ctx| async move {
+        ctx.waitfor(us(5)).await;
+        h.send(&ctx).await;
         d.fetch_add(1, Ordering::SeqCst);
     }));
 
@@ -240,16 +242,16 @@ fn handshake_many_pairs_match_one_to_one() {
     for i in 0..4u64 {
         let h = hs.clone();
         let d = Arc::clone(&done);
-        sim.spawn(Child::new(format!("s{i}"), move |ctx| {
-            ctx.waitfor(us(i));
-            h.send(ctx);
+        sim.spawn(Child::new(format!("s{i}"), move |ctx| async move {
+            ctx.waitfor(us(i)).await;
+            h.send(&ctx).await;
             d.fetch_add(1, Ordering::SeqCst);
         }));
         let h = hs.clone();
         let d = Arc::clone(&done);
-        sim.spawn(Child::new(format!("r{i}"), move |ctx| {
-            ctx.waitfor(us(10 + i));
-            h.recv(ctx);
+        sim.spawn(Child::new(format!("r{i}"), move |ctx| async move {
+            ctx.waitfor(us(10 + i)).await;
+            h.recv(&ctx).await;
             d.fetch_add(1, Ordering::SeqCst);
         }));
     }
@@ -265,18 +267,18 @@ fn queue_two_producers_one_consumer() {
     let sum = Arc::new(AtomicU64::new(0));
     for p in 0..2u64 {
         let tx = q.clone();
-        sim.spawn(Child::new(format!("prod{p}"), move |ctx| {
+        sim.spawn(Child::new(format!("prod{p}"), move |ctx| async move {
             for i in 0..5 {
-                ctx.waitfor(us(2 + p));
-                tx.send(ctx, 10 * p + i);
+                ctx.waitfor(us(2 + p)).await;
+                tx.send(&ctx, 10 * p + i).await;
             }
         }));
     }
     let rx = q.clone();
     let s = Arc::clone(&sum);
-    sim.spawn(Child::new("consumer", move |ctx| {
+    sim.spawn(Child::new("consumer", move |ctx| async move {
         for _ in 0..10 {
-            let v = rx.recv(ctx);
+            let v = rx.recv(&ctx).await;
             s.fetch_add(v, Ordering::SeqCst);
         }
     }));

@@ -50,9 +50,9 @@ fn run_workload(
     let ev = sim.event_new();
     let log = Arc::new(Mutex::new(Vec::new()));
 
-    sim.spawn(Child::new("ticker", move |ctx| {
+    sim.spawn(Child::new("ticker", move |ctx| async move {
         for _ in 0..20 {
-            ctx.waitfor(us(50));
+            ctx.waitfor(us(50)).await;
             ctx.notify(ev);
         }
     }));
@@ -61,13 +61,13 @@ fn run_workload(
     // dispatch order.
     for i in 0..3usize {
         let l = Arc::clone(&log);
-        sim.spawn(Child::new(format!("waiter{i}"), move |ctx| {
+        sim.spawn(Child::new(format!("waiter{i}"), move |ctx| async move {
             for _ in 0..20 {
-                ctx.wait(ev);
+                ctx.wait(ev).await;
                 l.lock().push((ctx.now().as_micros(), i));
                 // A little same-delta compute churn so ready queues of
                 // depth > 1 exist at dispatch time.
-                ctx.waitfor(Duration::ZERO);
+                ctx.waitfor(Duration::ZERO).await;
             }
         }));
     }
@@ -83,7 +83,7 @@ fn empty_plan_is_byte_identical_to_no_plan() {
     let empties = [
         ChaosPlan::none(),
         ChaosPlan::seeded(42),
-        ChaosPlan::seeded(7).with_reorder(0.0).with_stall(0.0),
+        ChaosPlan::seeded(7).with_reorder(0.0),
         ChaosPlan::seeded(9).with_reorder(1.0).with_window(3, 3),
     ];
     for plan in empties {
@@ -110,7 +110,7 @@ fn oracle_alone_does_not_change_the_schedule() {
 #[test]
 fn seeded_plans_replay_exactly() {
     for seed in 0..16u64 {
-        let plan = ChaosPlan::seeded(seed).with_reorder(0.5).with_stall(0.3);
+        let plan = ChaosPlan::seeded(seed).with_reorder(0.5);
         let a = run_workload(Some(plan.clone()), None);
         let b = run_workload(Some(plan), None);
         assert_eq!(a.0, b.0, "seed {seed}");
@@ -143,25 +143,9 @@ fn certain_reorder_actually_perturbs_dispatch_order() {
 }
 
 #[test]
-fn stalls_are_logged_and_do_not_change_results() {
-    let baseline = run_workload(None, None);
-    let run = run_workload(Some(ChaosPlan::seeded(5).with_stall(1.0)), None);
-    // Stalls are host-side only: simulated time, trace and wake order are
-    // untouched; only the chaos log shows them.
-    assert_eq!(run.0, baseline.0);
-    assert_eq!(run.1, baseline.1);
-    assert_eq!(run.3, baseline.3);
-    assert!(run
-        .2
-        .iter()
-        .all(|r| matches!(r.chaos, InjectedChaos::StalledHandoff { .. })));
-    assert!(!run.2.is_empty(), "certain stall must log");
-}
-
-#[test]
 fn oracle_stays_quiet_across_chaotic_seeds() {
     for seed in 0..32u64 {
-        let plan = ChaosPlan::seeded(seed).with_reorder(0.7).with_stall(0.5);
+        let plan = ChaosPlan::seeded(seed).with_reorder(0.7);
         let (_, _, _, log) = run_workload(Some(plan), Some(KernelInvariants::all()));
         assert_eq!(log.len(), 60, "seed {seed} lost wakeups");
     }
@@ -183,24 +167,20 @@ fn oracle_composes_with_fault_injection() {
                     .with_drop_notify(0.2)
                     .with_dup_notify(0.2),
             )
-            .chaos_plan(
-                ChaosPlan::seeded(seed ^ 0xC0FFEE)
-                    .with_reorder(0.6)
-                    .with_stall(0.4),
-            )
+            .chaos_plan(ChaosPlan::seeded(seed ^ 0xC0FFEE).with_reorder(0.6))
             .invariants(KernelInvariants::all())
             .build();
         let ev = sim.event_new();
-        sim.spawn(Child::new("producer", move |ctx| {
+        sim.spawn(Child::new("producer", move |ctx| async move {
             for _ in 0..15 {
-                ctx.waitfor(us(10));
+                ctx.waitfor(us(10)).await;
                 ctx.notify(ev);
             }
         }));
         for i in 0..3 {
-            sim.spawn(Child::new(format!("consumer{i}"), move |ctx| {
+            sim.spawn(Child::new(format!("consumer{i}"), move |ctx| async move {
                 for _ in 0..15 {
-                    if ctx.wait_timeout(ev, us(25)).is_none() {
+                    if ctx.wait_timeout(ev, us(25)).await.is_none() {
                         // timed out (dropped notify) — keep going
                     }
                 }
@@ -224,15 +204,15 @@ fn injected_bug_is_caught_by_the_oracle() {
             .invariants(KernelInvariants::all())
             .build();
         let ev = sim.event_new();
-        sim.spawn(Child::new("producer", move |ctx| {
+        sim.spawn(Child::new("producer", move |ctx| async move {
             for _ in 0..10 {
-                ctx.waitfor(us(10));
+                ctx.waitfor(us(10)).await;
                 ctx.notify(ev);
             }
         }));
-        sim.spawn(Child::new("consumer", move |ctx| {
+        sim.spawn(Child::new("consumer", move |ctx| async move {
             for _ in 0..10 {
-                let _ = ctx.wait_timeout(ev, us(25));
+                let _ = ctx.wait_timeout(ev, us(25)).await;
             }
         }));
         if let Err(sldl_sim::RunError::InvariantViolation { invariant, .. }) = sim.run() {

@@ -70,21 +70,22 @@ fn run_workload(w: &Workload) -> (SimTime, Vec<String>, usize) {
         let script = script.clone();
         let events = events.clone();
         let log = Arc::clone(&log);
-        sim.spawn(Child::new(format!("p{i}"), move |ctx| {
+        sim.spawn(Child::new(format!("p{i}"), move |ctx| async move {
             for step in &script {
                 match step {
-                    Step::Wait(d) => ctx.waitfor(Duration::from_micros(u64::from(*d))),
+                    Step::Wait(d) => ctx.waitfor(Duration::from_micros(u64::from(*d))).await,
                     Step::Notify(e) => ctx.notify(events[*e as usize]),
                     Step::WaitEvent(e) => {
                         // Guard with a timeout so random scripts cannot hang
                         // forever; determinism is what we check.
-                        let _ = ctx.wait_timeout(events[*e as usize], Duration::from_micros(500));
+                        let _ = ctx
+                            .wait_timeout(events[*e as usize], Duration::from_micros(500))
+                            .await;
                     }
                     Step::TimeoutWait(e, d) => {
-                        let _ = ctx.wait_timeout(
-                            events[*e as usize],
-                            Duration::from_micros(u64::from(*d)),
-                        );
+                        let _ = ctx
+                            .wait_timeout(events[*e as usize], Duration::from_micros(u64::from(*d)))
+                            .await;
                     }
                 }
             }
@@ -124,9 +125,9 @@ fn pure_delay_processes_end_at_sum() {
         for (i, ds) in delays.iter().enumerate() {
             let ds = ds.clone();
             let ft = Arc::clone(&finish_times);
-            sim.spawn(Child::new(format!("p{i}"), move |ctx| {
+            sim.spawn(Child::new(format!("p{i}"), move |ctx| async move {
                 for d in &ds {
-                    ctx.waitfor(Duration::from_micros(*d));
+                    ctx.waitfor(Duration::from_micros(*d)).await;
                 }
                 ft.lock().push((ctx.name().to_string(), ctx.now()));
             }));
@@ -157,13 +158,13 @@ fn trace_spans_match_annotated_delays() {
         let mut sim = Simulation::builder().trace(TraceConfig::default()).build();
         let trace = sim.trace_handle().expect("trace configured");
         let durs2 = durs.clone();
-        sim.spawn(Child::new("annotated", move |ctx| {
+        sim.spawn(Child::new("annotated", move |ctx| async move {
             for (k, d) in durs2.iter().enumerate() {
                 ctx.record(RecordKind::SpanBegin {
                     track: "t".into(),
                     label: format!("d{k}"),
                 });
-                ctx.waitfor(Duration::from_micros(*d));
+                ctx.waitfor(Duration::from_micros(*d)).await;
                 ctx.record(RecordKind::SpanEnd { track: "t".into() });
             }
         }));

@@ -18,9 +18,9 @@ fn us(n: u64) -> Duration {
 fn wait_on_deleted_event_is_model_misuse() {
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    sim.spawn(Child::new("p", move |ctx| {
+    sim.spawn(Child::new("p", move |ctx| async move {
         ctx.event_del(e);
-        ctx.wait(e);
+        ctx.wait(e).await;
     }));
     match sim.run() {
         Err(RunError::ModelMisuse {
@@ -41,7 +41,7 @@ fn wait_on_deleted_event_is_model_misuse() {
 fn double_event_del_is_model_misuse() {
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    sim.spawn(Child::new("p", move |ctx| {
+    sim.spawn(Child::new("p", move |ctx| async move {
         ctx.event_del(e);
         ctx.event_del(e);
     }));
@@ -61,14 +61,14 @@ fn delayed_notify_on_deleted_event_is_dropped() {
     let e = sim.event_new();
     let woke = Arc::new(AtomicU64::new(0));
     let w = Arc::clone(&woke);
-    sim.spawn(Child::new("waiter", move |ctx| {
-        let got = ctx.wait_timeout(e, us(100));
+    sim.spawn(Child::new("waiter", move |ctx| async move {
+        let got = ctx.wait_timeout(e, us(100)).await;
         assert_eq!(got, None, "timeout, not the dead event");
         w.fetch_add(1, Ordering::SeqCst);
     }));
-    sim.spawn(Child::new("deleter", move |ctx| {
+    sim.spawn(Child::new("deleter", move |ctx| async move {
         ctx.notify_delayed(e, us(50));
-        ctx.waitfor(us(10));
+        ctx.waitfor(us(10)).await;
         // Delete before the delayed notify fires. The waiter is still
         // registered; deletion does not unblock it, only its timeout does.
         ctx.event_del(e);
@@ -84,10 +84,10 @@ fn run_until_exact_event_time_includes_the_event() {
     let mut sim = Simulation::new();
     let hits = Arc::new(AtomicU64::new(0));
     let h = Arc::clone(&hits);
-    sim.spawn(Child::new("p", move |ctx| {
-        ctx.waitfor(us(100));
+    sim.spawn(Child::new("p", move |ctx| async move {
+        ctx.waitfor(us(100)).await;
         h.fetch_add(1, Ordering::SeqCst);
-        ctx.waitfor(us(100));
+        ctx.waitfor(us(100)).await;
         h.fetch_add(1, Ordering::SeqCst);
     }));
     let report = sim.run_until(SimTime::from_micros(100)).unwrap();
@@ -102,15 +102,15 @@ fn multiple_notifies_same_delta_wake_once() {
     let e = sim.event_new();
     let wakes = Arc::new(AtomicU64::new(0));
     let w = Arc::clone(&wakes);
-    sim.spawn(Child::new("waiter", move |ctx| {
-        ctx.wait(e);
+    sim.spawn(Child::new("waiter", move |ctx| async move {
+        ctx.wait(e).await;
         w.fetch_add(1, Ordering::SeqCst);
         // If we were woken "twice", a second wait would return instantly;
         // it must block forever instead.
-        ctx.wait(e);
+        ctx.wait(e).await;
         w.fetch_add(1, Ordering::SeqCst);
     }));
-    sim.spawn(Child::new("notifier", move |ctx| {
+    sim.spawn(Child::new("notifier", move |ctx| async move {
         ctx.notify(e);
         ctx.notify(e); // coalesced within the delta
         ctx.notify(e);
@@ -129,18 +129,18 @@ fn wait_any_deregisters_from_all_events() {
     let b = sim.event_new();
     let log = Arc::new(Mutex::new(Vec::new()));
     let l = Arc::clone(&log);
-    sim.spawn(Child::new("waiter", move |ctx| {
-        let first = ctx.wait_any(&[a, b]);
+    sim.spawn(Child::new("waiter", move |ctx| async move {
+        let first = ctx.wait_any(&[a, b]).await;
         l.lock().push(("woke", first == a, ctx.now().as_micros()));
         // Now wait for b only; the earlier registration on b must be gone,
         // so this requires a *new* notify of b at t=20.
-        ctx.wait(b);
+        ctx.wait(b).await;
         l.lock().push(("woke-b", true, ctx.now().as_micros()));
     }));
-    sim.spawn(Child::new("driver", move |ctx| {
-        ctx.waitfor(us(10));
+    sim.spawn(Child::new("driver", move |ctx| async move {
+        ctx.waitfor(us(10)).await;
         ctx.notify(a);
-        ctx.waitfor(us(10));
+        ctx.waitfor(us(10)).await;
         ctx.notify(b);
     }));
     let report = sim.run().unwrap();
@@ -153,17 +153,17 @@ fn cancel_during_timed_wait_discards_stale_timer() {
     let mut sim = Simulation::new();
     let victim_pid = Arc::new(Mutex::new(None));
     let v = Arc::clone(&victim_pid);
-    sim.spawn(Child::new("victim", move |ctx| {
+    sim.spawn(Child::new("victim", move |ctx| async move {
         *v.lock() = Some(ctx.pid());
-        ctx.waitfor(us(1_000));
+        ctx.waitfor(us(1_000)).await;
         unreachable!("cancelled during waitfor");
     }));
     let v = Arc::clone(&victim_pid);
-    sim.spawn(Child::new("canceller", move |ctx| {
-        ctx.waitfor(us(10));
+    sim.spawn(Child::new("canceller", move |ctx| async move {
+        ctx.waitfor(us(10)).await;
         ctx.cancel(v.lock().expect("victim registered"));
         // Outlive the victim's stale timer to prove it fires harmlessly.
-        ctx.waitfor(us(2_000));
+        ctx.waitfor(us(2_000)).await;
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
@@ -180,12 +180,12 @@ fn kernel_records_cover_process_lifecycle() {
         .build();
     let trace = sim.trace_handle().expect("trace configured");
     let e = sim.event_new();
-    sim.spawn(Child::new("a", move |ctx| {
-        ctx.waitfor(us(5));
+    sim.spawn(Child::new("a", move |ctx| async move {
+        ctx.waitfor(us(5)).await;
         ctx.notify(e);
     }));
-    sim.spawn(Child::new("b", move |ctx| {
-        ctx.wait(e);
+    sim.spawn(Child::new("b", move |ctx| async move {
+        ctx.wait(e).await;
     }));
     sim.run().unwrap();
     let records = trace.snapshot();
@@ -226,13 +226,13 @@ fn kernel_records_cover_process_lifecycle() {
 fn deep_nested_par_stack() {
     // 16 levels of nested single-child pars exercise join bookkeeping.
     fn nest(depth: u32, counter: Arc<AtomicU64>) -> Child {
-        Child::new(format!("level{depth}"), move |ctx| {
+        Child::new(format!("level{depth}"), move |ctx| async move {
             counter.fetch_add(1, Ordering::SeqCst);
             if depth > 0 {
                 let c = Arc::clone(&counter);
-                ctx.par(vec![nest(depth - 1, c)]);
+                ctx.par(vec![nest(depth - 1, c)]).await;
             } else {
-                ctx.waitfor(us(1));
+                ctx.waitfor(us(1)).await;
             }
         })
     }
@@ -251,12 +251,12 @@ fn notify_delayed_zero_is_next_delta_not_lost() {
     let e = sim.event_new();
     let woke = Arc::new(AtomicU64::new(0));
     let w = Arc::clone(&woke);
-    sim.spawn(Child::new("waiter", move |ctx| {
-        ctx.wait(e);
+    sim.spawn(Child::new("waiter", move |ctx| async move {
+        ctx.wait(e).await;
         w.fetch_add(1, Ordering::SeqCst);
         assert_eq!(ctx.now(), SimTime::ZERO);
     }));
-    sim.spawn(Child::new("notifier", move |ctx| {
+    sim.spawn(Child::new("notifier", move |ctx| async move {
         ctx.notify_delayed(e, Duration::ZERO);
     }));
     let report = sim.run().unwrap();
@@ -267,7 +267,10 @@ fn notify_delayed_zero_is_next_delta_not_lost() {
 #[test]
 fn simulation_debug_impl_reports_state() {
     let mut sim = Simulation::new();
-    sim.spawn(Child::new("p", |ctx| ctx.waitfor(us(1))));
+    sim.spawn(Child::new(
+        "p",
+        |ctx| async move { ctx.waitfor(us(1)).await },
+    ));
     let dbg = format!("{sim:?}");
     assert!(dbg.contains("Simulation"));
     assert!(dbg.contains("processes: 1"));

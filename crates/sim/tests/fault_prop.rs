@@ -36,20 +36,20 @@ fn run_workload(
     let ev = sim.event_new();
     let log = Arc::new(Mutex::new(Vec::new()));
 
-    sim.spawn(Child::new("producer", move |ctx| {
+    sim.spawn(Child::new("producer", move |ctx| async move {
         for _ in 0..10 {
-            ctx.waitfor(us(100));
+            ctx.waitfor(us(100)).await;
             ctx.notify(ev);
         }
     }));
     let l = Arc::clone(&log);
-    sim.spawn(Child::new("consumer", move |ctx| {
+    sim.spawn(Child::new("consumer", move |ctx| async move {
         for _ in 0..10 {
-            if ctx.wait_timeout(ev, us(150)).is_some() {
+            if ctx.wait_timeout(ev, us(150)).await.is_some() {
                 // A computation delay, routed through the perturbation
                 // hook exactly like the RTOS model's `time_wait`.
                 let d = ctx.perturb_delay(us(20));
-                ctx.waitfor(d);
+                ctx.waitfor(d).await;
             }
             l.lock().push(ctx.now().as_micros());
         }
@@ -143,16 +143,16 @@ fn spurious_releases_fire_and_log() {
     assert_eq!(sim.event_new(), ev, "event ids are deterministic");
     let hits = Arc::new(Mutex::new(0u32));
     let h = Arc::clone(&hits);
-    sim.spawn(Child::new("ticker", move |ctx| {
+    sim.spawn(Child::new("ticker", move |ctx| async move {
         for _ in 0..5 {
-            ctx.waitfor(us(10));
+            ctx.waitfor(us(10)).await;
         }
     }));
-    sim.spawn(Child::new("victim", move |ctx| {
+    sim.spawn(Child::new("victim", move |ctx| async move {
         // Nobody ever notifies `ev` for real; only spurious releases can
         // wake this loop.
         for _ in 0..3 {
-            ctx.wait(ev);
+            ctx.wait(ev).await;
             *h.lock() += 1;
         }
     }));

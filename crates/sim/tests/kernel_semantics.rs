@@ -26,11 +26,11 @@ fn waitfor_advances_time() {
     let mut sim = Simulation::new();
     let seen = Arc::new(Mutex::new(Vec::new()));
     let s = Arc::clone(&seen);
-    sim.spawn(Child::new("p", move |ctx| {
+    sim.spawn(Child::new("p", move |ctx| async move {
         s.lock().push(ctx.now());
-        ctx.waitfor(us(10));
+        ctx.waitfor(us(10)).await;
         s.lock().push(ctx.now());
-        ctx.waitfor(us(5));
+        ctx.waitfor(us(5)).await;
         s.lock().push(ctx.now());
     }));
     let report = sim.run().unwrap();
@@ -51,8 +51,8 @@ fn two_processes_interleave_by_time() {
     let order = Arc::new(Mutex::new(Vec::new()));
     for (name, delay) in [("slow", 20u64), ("fast", 5)] {
         let o = Arc::clone(&order);
-        sim.spawn(Child::new(name, move |ctx| {
-            ctx.waitfor(us(delay));
+        sim.spawn(Child::new(name, move |ctx| async move {
+            ctx.waitfor(us(delay)).await;
             o.lock().push(name);
         }));
     }
@@ -66,12 +66,12 @@ fn notify_wakes_waiter_in_next_delta_same_time() {
     let e = sim.event_new();
     let woke_at = Arc::new(Mutex::new(None));
     let w = Arc::clone(&woke_at);
-    sim.spawn(Child::new("waiter", move |ctx| {
-        ctx.wait(e);
+    sim.spawn(Child::new("waiter", move |ctx| async move {
+        ctx.wait(e).await;
         *w.lock() = Some(ctx.now());
     }));
-    sim.spawn(Child::new("notifier", move |ctx| {
-        ctx.waitfor(us(7));
+    sim.spawn(Child::new("notifier", move |ctx| async move {
+        ctx.waitfor(us(7)).await;
         ctx.notify(e);
         // The notifier keeps running in this delta; the waiter wakes at the
         // same simulated time but in the next delta.
@@ -87,12 +87,12 @@ fn notify_before_wait_is_lost() {
     // process that starts waiting later misses it.
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    sim.spawn(Child::new("early-notifier", move |ctx| {
+    sim.spawn(Child::new("early-notifier", move |ctx| async move {
         ctx.notify(e);
     }));
-    sim.spawn(Child::new("late-waiter", move |ctx| {
-        ctx.waitfor(us(1)); // now strictly after the notification expired
-        ctx.wait(e);
+    sim.spawn(Child::new("late-waiter", move |ctx| async move {
+        ctx.waitfor(us(1)).await; // now strictly after the notification expired
+        ctx.wait(e).await;
     }));
     let report = sim.run().unwrap();
     assert_eq!(report.blocked, vec!["late-waiter".to_string()]);
@@ -107,11 +107,11 @@ fn notify_within_same_delta_reaches_process_already_waiting() {
     let e = sim.event_new();
     let woken = Arc::new(AtomicU64::new(0));
     let w = Arc::clone(&woken);
-    sim.spawn(Child::new("waiter", move |ctx| {
-        ctx.wait(e);
+    sim.spawn(Child::new("waiter", move |ctx| async move {
+        ctx.wait(e).await;
         w.fetch_add(1, Ordering::SeqCst);
     }));
-    sim.spawn(Child::new("notifier", move |ctx| {
+    sim.spawn(Child::new("notifier", move |ctx| async move {
         ctx.notify(e);
     }));
     let report = sim.run().unwrap();
@@ -126,13 +126,13 @@ fn notify_wakes_all_waiters() {
     let woken = Arc::new(AtomicU64::new(0));
     for i in 0..5 {
         let w = Arc::clone(&woken);
-        sim.spawn(Child::new(format!("waiter{i}"), move |ctx| {
-            ctx.wait(e);
+        sim.spawn(Child::new(format!("waiter{i}"), move |ctx| async move {
+            ctx.wait(e).await;
             w.fetch_add(1, Ordering::SeqCst);
         }));
     }
-    sim.spawn(Child::new("notifier", move |ctx| {
-        ctx.waitfor(us(3));
+    sim.spawn(Child::new("notifier", move |ctx| async move {
+        ctx.waitfor(us(3)).await;
         ctx.notify(e);
     }));
     let report = sim.run().unwrap();
@@ -146,11 +146,11 @@ fn notify_delayed_fires_at_absolute_time() {
     let e = sim.event_new();
     let woke_at = Arc::new(Mutex::new(None));
     let w = Arc::clone(&woke_at);
-    sim.spawn(Child::new("waiter", move |ctx| {
-        ctx.wait(e);
+    sim.spawn(Child::new("waiter", move |ctx| async move {
+        ctx.wait(e).await;
         *w.lock() = Some(ctx.now());
     }));
-    sim.spawn(Child::new("notifier", move |ctx| {
+    sim.spawn(Child::new("notifier", move |ctx| async move {
         ctx.notify_delayed(e, us(42));
     }));
     sim.run().unwrap();
@@ -164,12 +164,12 @@ fn wait_any_reports_cause() {
     let b = sim.event_new();
     let cause = Arc::new(Mutex::new(None));
     let c = Arc::clone(&cause);
-    sim.spawn(Child::new("waiter", move |ctx| {
-        let woke = ctx.wait_any(&[a, b]);
+    sim.spawn(Child::new("waiter", move |ctx| async move {
+        let woke = ctx.wait_any(&[a, b]).await;
         *c.lock() = Some(woke);
     }));
-    sim.spawn(Child::new("notifier", move |ctx| {
-        ctx.waitfor(us(1));
+    sim.spawn(Child::new("notifier", move |ctx| async move {
+        ctx.waitfor(us(1)).await;
         ctx.notify(b);
     }));
     sim.run().unwrap();
@@ -182,8 +182,8 @@ fn wait_timeout_times_out() {
     let e = sim.event_new();
     let outcome = Arc::new(Mutex::new(None));
     let o = Arc::clone(&outcome);
-    sim.spawn(Child::new("waiter", move |ctx| {
-        let r = ctx.wait_timeout(e, us(30));
+    sim.spawn(Child::new("waiter", move |ctx| async move {
+        let r = ctx.wait_timeout(e, us(30)).await;
         *o.lock() = Some((r, ctx.now()));
     }));
     sim.run().unwrap();
@@ -196,14 +196,14 @@ fn wait_timeout_event_beats_timer() {
     let e = sim.event_new();
     let outcome = Arc::new(Mutex::new(None));
     let o = Arc::clone(&outcome);
-    sim.spawn(Child::new("waiter", move |ctx| {
-        let r = ctx.wait_timeout(e, us(30));
+    sim.spawn(Child::new("waiter", move |ctx| async move {
+        let r = ctx.wait_timeout(e, us(30)).await;
         *o.lock() = Some((r, ctx.now()));
         // Sleep past the stale timer to prove it does not wake us again.
-        ctx.waitfor(us(100));
+        ctx.waitfor(us(100)).await;
     }));
-    sim.spawn(Child::new("notifier", move |ctx| {
-        ctx.waitfor(us(10));
+    sim.spawn(Child::new("notifier", move |ctx| async move {
+        ctx.waitfor(us(10)).await;
         ctx.notify(e);
     }));
     let report = sim.run().unwrap();
@@ -217,20 +217,21 @@ fn par_joins_all_children() {
     let mut sim = Simulation::new();
     let log = Arc::new(Mutex::new(Vec::new()));
     let l = Arc::clone(&log);
-    sim.spawn(Child::new("parent", move |ctx| {
+    sim.spawn(Child::new("parent", move |ctx| async move {
         l.lock().push(("parent-pre", ctx.now().as_micros()));
         let l1 = Arc::clone(&l);
         let l2 = Arc::clone(&l);
         ctx.par(vec![
-            Child::new("c1", move |ctx| {
-                ctx.waitfor(us(10));
+            Child::new("c1", move |ctx| async move {
+                ctx.waitfor(us(10)).await;
                 l1.lock().push(("c1", ctx.now().as_micros()));
             }),
-            Child::new("c2", move |ctx| {
-                ctx.waitfor(us(25));
+            Child::new("c2", move |ctx| async move {
+                ctx.waitfor(us(25)).await;
                 l2.lock().push(("c2", ctx.now().as_micros()));
             }),
-        ]);
+        ])
+        .await;
         l.lock().push(("parent-post", ctx.now().as_micros()));
     }));
     let report = sim.run().unwrap();
@@ -251,23 +252,23 @@ fn nested_par() {
     let mut sim = Simulation::new();
     let count = Arc::new(AtomicU64::new(0));
     let c = Arc::clone(&count);
-    sim.spawn(Child::new("root", move |ctx| {
+    sim.spawn(Child::new("root", move |ctx| async move {
         let mut children = Vec::new();
         for i in 0..3 {
             let c = Arc::clone(&c);
-            children.push(Child::new(format!("mid{i}"), move |ctx| {
+            children.push(Child::new(format!("mid{i}"), move |ctx| async move {
                 let mut leaves = Vec::new();
                 for j in 0..4u64 {
                     let c = Arc::clone(&c);
-                    leaves.push(Child::new(format!("leaf{i}.{j}"), move |ctx| {
-                        ctx.waitfor(us(1 + j));
+                    leaves.push(Child::new(format!("leaf{i}.{j}"), move |ctx| async move {
+                        ctx.waitfor(us(1 + j)).await;
                         c.fetch_add(1, Ordering::SeqCst);
                     }));
                 }
-                ctx.par(leaves);
+                ctx.par(leaves).await;
             }));
         }
-        ctx.par(children);
+        ctx.par(children).await;
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
@@ -278,9 +279,9 @@ fn nested_par() {
 #[test]
 fn empty_par_returns_immediately() {
     let mut sim = Simulation::new();
-    sim.spawn(Child::new("p", |ctx| {
-        ctx.par(vec![]);
-        ctx.waitfor(us(1));
+    sim.spawn(Child::new("p", |ctx| async move {
+        ctx.par(vec![]).await;
+        ctx.waitfor(us(1)).await;
     }));
     let report = sim.run().unwrap();
     assert_eq!(report.end_time, SimTime::from_micros(1));
@@ -291,13 +292,13 @@ fn detached_spawn_runs_concurrently() {
     let mut sim = Simulation::new();
     let log = Arc::new(Mutex::new(Vec::new()));
     let l = Arc::clone(&log);
-    sim.spawn(Child::new("main", move |ctx| {
+    sim.spawn(Child::new("main", move |ctx| async move {
         let l2 = Arc::clone(&l);
-        ctx.spawn(Child::new("bg", move |ctx| {
-            ctx.waitfor(us(5));
+        ctx.spawn(Child::new("bg", move |ctx| async move {
+            ctx.waitfor(us(5)).await;
             l2.lock().push("bg");
         }));
-        ctx.waitfor(us(10));
+        ctx.waitfor(us(10)).await;
         l.lock().push("main");
     }));
     sim.run().unwrap();
@@ -312,23 +313,24 @@ fn cancel_unblocks_par_join() {
     let finished = Arc::new(AtomicU64::new(0));
     let v = Arc::clone(&victim_pid);
     let f = Arc::clone(&finished);
-    sim.spawn(Child::new("parent", move |ctx| {
+    sim.spawn(Child::new("parent", move |ctx| async move {
         let v_victim = Arc::clone(&v);
         let v_killer = Arc::clone(&v);
         let f2 = Arc::clone(&f);
         ctx.par(vec![
-            Child::new("victim", move |ctx| {
+            Child::new("victim", move |ctx| async move {
                 *v_victim.lock() = Some(ctx.pid());
-                ctx.wait(e); // never notified
+                ctx.wait(e).await; // never notified
                 unreachable!("victim must not resume");
             }),
-            Child::new("killer", move |ctx| {
-                ctx.waitfor(us(10));
+            Child::new("killer", move |ctx| async move {
+                ctx.waitfor(us(10)).await;
                 let pid = v_killer.lock().expect("victim registered");
                 ctx.cancel(pid);
                 f2.fetch_add(1, Ordering::SeqCst);
             }),
-        ]);
+        ])
+        .await;
         f.fetch_add(10, Ordering::SeqCst);
     }));
     let report = sim.run().unwrap();
@@ -341,12 +343,12 @@ fn cancel_finished_process_is_noop() {
     let mut sim = Simulation::new();
     let pid_cell = Arc::new(Mutex::new(None));
     let p = Arc::clone(&pid_cell);
-    sim.spawn(Child::new("short", move |ctx| {
+    sim.spawn(Child::new("short", move |ctx| async move {
         *p.lock() = Some(ctx.pid());
     }));
     let p = Arc::clone(&pid_cell);
-    sim.spawn(Child::new("canceller", move |ctx| {
-        ctx.waitfor(us(5));
+    sim.spawn(Child::new("canceller", move |ctx| async move {
+        ctx.waitfor(us(5)).await;
         ctx.cancel(p.lock().expect("short ran first"));
     }));
     let report = sim.run().unwrap();
@@ -356,7 +358,7 @@ fn cancel_finished_process_is_noop() {
 #[test]
 fn process_panic_is_reported() {
     let mut sim = Simulation::new();
-    sim.spawn(Child::new("bomb", |_ctx| {
+    sim.spawn(Child::new("bomb", |_ctx| async move {
         panic!("kaboom");
     }));
     match sim.run() {
@@ -373,9 +375,9 @@ fn run_until_stops_at_bound() {
     let mut sim = Simulation::new();
     let reached = Arc::new(AtomicU64::new(0));
     let r = Arc::clone(&reached);
-    sim.spawn(Child::new("ticker", move |ctx| {
+    sim.spawn(Child::new("ticker", move |ctx| async move {
         for _ in 0..100 {
-            ctx.waitfor(us(10));
+            ctx.waitfor(us(10)).await;
             r.fetch_add(1, Ordering::SeqCst);
         }
     }));
@@ -391,14 +393,14 @@ fn waitfor_zero_yields_to_end_of_current_time() {
     let e = sim.event_new();
     let log = Arc::new(Mutex::new(Vec::new()));
     let l = Arc::clone(&log);
-    sim.spawn(Child::new("a", move |ctx| {
+    sim.spawn(Child::new("a", move |ctx| async move {
         ctx.notify(e);
-        ctx.waitfor(us(0));
+        ctx.waitfor(us(0)).await;
         l.lock().push("a-after-yield");
     }));
     let l = Arc::clone(&log);
-    sim.spawn(Child::new("b", move |ctx| {
-        ctx.wait(e);
+    sim.spawn(Child::new("b", move |ctx| async move {
+        ctx.wait(e).await;
         l.lock().push("b-woke");
     }));
     sim.run().unwrap();
@@ -411,7 +413,7 @@ fn waitfor_zero_yields_to_end_of_current_time() {
 fn event_del_then_notify_is_model_misuse() {
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    sim.spawn(Child::new("deleter", move |ctx| {
+    sim.spawn(Child::new("deleter", move |ctx| async move {
         ctx.event_del(e);
         ctx.notify(e); // must fail the run with a structured error
     }));
@@ -426,14 +428,14 @@ fn deterministic_across_runs() {
         let log = Arc::new(Mutex::new(Vec::new()));
         for i in 0..8u64 {
             let l = Arc::clone(&log);
-            sim.spawn(Child::new(format!("p{i}"), move |ctx| {
-                ctx.waitfor(us(i % 3));
+            sim.spawn(Child::new(format!("p{i}"), move |ctx| async move {
+                ctx.waitfor(us(i % 3)).await;
                 if i % 2 == 0 {
                     ctx.notify(e);
                 } else {
-                    let _ = ctx.wait_timeout(e, us(2));
+                    let _ = ctx.wait_timeout(e, us(2)).await;
                 }
-                ctx.waitfor(us(i));
+                ctx.waitfor(us(i)).await;
                 l.lock().push(format!("{}@{}", ctx.name(), ctx.now()));
             }));
         }
@@ -453,9 +455,9 @@ fn many_processes_scale() {
     let count = Arc::new(AtomicU64::new(0));
     for i in 0..200u64 {
         let c = Arc::clone(&count);
-        sim.spawn(Child::new(format!("w{i}"), move |ctx| {
+        sim.spawn(Child::new(format!("w{i}"), move |ctx| async move {
             for _ in 0..10 {
-                ctx.waitfor(us(1 + i % 7));
+                ctx.waitfor(us(1 + i % 7)).await;
             }
             c.fetch_add(1, Ordering::SeqCst);
         }));
@@ -468,8 +470,8 @@ fn many_processes_scale() {
 #[test]
 fn dropping_unrun_simulation_is_clean() {
     let mut sim = Simulation::new();
-    sim.spawn(Child::new("never-run", |ctx| {
-        ctx.waitfor(us(1));
+    sim.spawn(Child::new("never-run", |ctx| async move {
+        ctx.waitfor(us(1)).await;
     }));
     drop(sim); // must not hang or leak a blocked thread
 }

@@ -16,8 +16,8 @@ fn blocked_server_without_edges_ends_normally() {
     // forever on an event (no declared edges) ends the run cleanly.
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    sim.spawn(Child::new("server", move |ctx| {
-        ctx.wait(e);
+    sim.spawn(Child::new("server", move |ctx| async move {
+        ctx.wait(e).await;
     }));
     let report = sim.run().unwrap();
     assert_eq!(report.blocked, vec!["server".to_string()]);
@@ -31,16 +31,16 @@ fn declared_cycle_fails_with_deadlock() {
     let sync = sim.sync_layer();
     // a blocks on m1 (held by b); b blocks on m0 (held by a).
     let sa = sync.clone();
-    sim.spawn(Child::new("a", move |ctx| {
-        ctx.waitfor(us(5));
+    sim.spawn(Child::new("a", move |ctx| async move {
+        ctx.waitfor(us(5)).await;
         sa.declare_wait("a", "m1", "b");
-        ctx.wait(ea);
+        ctx.wait(ea).await;
     }));
     let sb = sync.clone();
-    sim.spawn(Child::new("b", move |ctx| {
-        ctx.waitfor(us(5));
+    sim.spawn(Child::new("b", move |ctx| async move {
+        ctx.waitfor(us(5)).await;
         sb.declare_wait("b", "m0", "a");
-        ctx.wait(eb);
+        ctx.wait(eb).await;
     }));
     match sim.run() {
         Err(RunError::Deadlock { at, cycle, blocked }) => {
@@ -66,16 +66,16 @@ fn cleared_edge_defuses_detection() {
     let eb = sim.event_new();
     let sync = sim.sync_layer();
     let sa = sync.clone();
-    sim.spawn(Child::new("a", move |ctx| {
+    sim.spawn(Child::new("a", move |ctx| async move {
         sa.declare_wait("a", "m1", "b");
         sa.clear_wait("a"); // acquired after all
-        ctx.wait(ea);
+        ctx.wait(ea).await;
     }));
     let sb = sync.clone();
-    sim.spawn(Child::new("b", move |ctx| {
+    sim.spawn(Child::new("b", move |ctx| async move {
         sb.declare_wait("b", "m0", "a");
         sb.clear_wait("b");
-        ctx.wait(eb);
+        ctx.wait(eb).await;
     }));
     let report = sim.run().unwrap();
     assert_eq!(report.blocked.len(), 2);
@@ -88,9 +88,9 @@ fn allow_blocked_policy_ignores_cycles() {
         .build();
     let e = sim.event_new();
     let sync = sim.sync_layer();
-    sim.spawn(Child::new("a", move |ctx| {
+    sim.spawn(Child::new("a", move |ctx| async move {
         sync.declare_wait("a", "m", "a"); // even a self-cycle
-        ctx.wait(e);
+        ctx.wait(e).await;
     }));
     let report = sim.run().unwrap();
     assert_eq!(report.blocked, vec!["a".to_string()]);
@@ -102,8 +102,8 @@ fn fail_if_any_blocked_is_strict() {
         .stall_policy(StallPolicy::FailIfAnyBlocked)
         .build();
     let e = sim.event_new();
-    sim.spawn(Child::new("server", move |ctx| {
-        ctx.wait(e);
+    sim.spawn(Child::new("server", move |ctx| async move {
+        ctx.wait(e).await;
     }));
     match sim.run() {
         Err(RunError::Deadlock { cycle, blocked, .. }) => {
@@ -119,9 +119,9 @@ fn deadlock_display_names_the_cycle() {
     let mut sim = Simulation::new();
     let e = sim.event_new();
     let sync = sim.sync_layer();
-    sim.spawn(Child::new("t", move |ctx| {
+    sim.spawn(Child::new("t", move |ctx| async move {
         sync.declare_wait("t", "lock", "t");
-        ctx.wait(e);
+        ctx.wait(e).await;
     }));
     let err = sim.run().unwrap_err();
     let s = err.to_string();

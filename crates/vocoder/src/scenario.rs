@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rtos_model::{
-    MetricsSnapshot, Priority, Rtos, SchedAlg, TaskParams, TimeSlice, WatchdogAction,
+    MetricsSnapshot, Priority, Rtos, SchedAlg, TaskParams, TimeSlice, Watchdog, WatchdogAction,
 };
 use sldl_sim::sync::Mutex;
 use sldl_sim::{
@@ -153,24 +153,83 @@ pub(crate) struct Sink {
     pub(crate) snr_count: u32,
 }
 
-/// Drives the data path shared by both models. `enc_step`/`dec_step` model
-/// the passage of DSP time for one stage (plain `waitfor` vs. RTOS
-/// `time_wait`).
-#[allow(clippy::too_many_arguments)]
-fn spawn_pipeline<L, E, D>(
+/// How the codec tasks of the pipeline execute: as plain SLDL processes
+/// (unscheduled model) or as RTOS tasks on one DSP (architecture model).
+trait Execution: Clone + 'static {
+    /// Models `d` of DSP time for one stage of codec task `name`.
+    async fn stage(&self, ctx: &ProcCtx, name: &'static str, label: &'static str, d: Duration);
+    /// Runs after the A/D source queued a frame.
+    fn source_kick(&self, ctx: &ProcCtx);
+    /// Runs before the body of codec task `name`.
+    async fn task_begin(&self, ctx: &ProcCtx, name: &'static str);
+    /// Runs after the body of codec task `name` completed.
+    fn task_end(&self, ctx: &ProcCtx, name: &'static str);
+}
+
+/// The unscheduled model: stages are plain `waitfor`s.
+#[derive(Clone)]
+struct Unscheduled;
+
+impl Execution for Unscheduled {
+    async fn stage(&self, ctx: &ProcCtx, _name: &'static str, _label: &'static str, d: Duration) {
+        ctx.waitfor(d).await;
+    }
+
+    fn source_kick(&self, _ctx: &ProcCtx) {}
+
+    async fn task_begin(&self, _ctx: &ProcCtx, _name: &'static str) {}
+
+    fn task_end(&self, _ctx: &ProcCtx, _name: &'static str) {}
+}
+
+/// The architecture model: codec tasks on one RTOS, the decoder at higher
+/// priority and (optionally) watched by a health watchdog.
+#[derive(Clone)]
+struct OnRtos {
+    os: Rtos,
+    watchdog: Option<Watchdog>,
+}
+
+impl Execution for OnRtos {
+    async fn stage(&self, ctx: &ProcCtx, name: &'static str, label: &'static str, d: Duration) {
+        self.os.time_wait_as(ctx, d, label).await;
+        if let Some(wd) = self.watchdog.as_ref().filter(|_| name == "decoder") {
+            wd.kick(ctx);
+        }
+    }
+
+    fn source_kick(&self, ctx: &ProcCtx) {
+        self.os.interrupt_return(ctx);
+    }
+
+    async fn task_begin(&self, ctx: &ProcCtx, name: &'static str) {
+        let prio = match name {
+            "decoder" => Priority(1),
+            _ => Priority(2),
+        };
+        let me = self.os.task_create(&TaskParams::aperiodic(name, prio));
+        self.os.task_activate(ctx, me).await;
+    }
+
+    fn task_end(&self, ctx: &ProcCtx, name: &'static str) {
+        // Healthy completion: retire the watchdog before leaving.
+        if let Some(wd) = self.watchdog.as_ref().filter(|_| name == "decoder") {
+            wd.disarm();
+            wd.kick(ctx);
+        }
+        self.os.task_terminate(ctx);
+    }
+}
+
+/// Drives the data path shared by both models; `exec` decides how the
+/// codec tasks consume DSP time.
+fn spawn_pipeline<L: SyncLayer>(
     sim: &mut Simulation,
     layer: L,
     cfg: &VocoderConfig,
     sink: Arc<Mutex<Sink>>,
-    enc_step: E,
-    dec_step: D,
-    source_kick: impl Fn(&ProcCtx) + Send + 'static,
-    wrap_task: impl Fn(Child, &'static str) -> Child,
-) where
-    L: SyncLayer,
-    E: Fn(&ProcCtx, &'static str, Duration) + Send + Sync + 'static,
-    D: Fn(&ProcCtx, &'static str, Duration) + Send + Sync + 'static,
-{
+    exec: impl Execution,
+) {
     // A/D → encoder: unbounded (samples arrive regardless of DSP load).
     let enc_in: Queue<Frame, L> = Queue::unbounded(layer.clone());
     // Encoder → decoder: subframe stream.
@@ -183,14 +242,15 @@ fn spawn_pipeline<L, E, D>(
     let originals: Arc<Mutex<Vec<Frame>>> = Arc::new(Mutex::new(Vec::new()));
     let tx = enc_in.clone();
     let originals_src = Arc::clone(&originals);
-    sim.spawn(Child::new("ad_source", move |ctx| {
+    let x = exec.clone();
+    sim.spawn(Child::new("ad_source", move |ctx| async move {
         let mut src = SpeechSource::new(seed);
         for _ in 0..frames {
             let frame = src.next_frame(ctx.now());
             originals_src.lock().push(frame.clone());
-            tx.send(ctx, frame);
-            source_kick(ctx);
-            ctx.waitfor(FRAME_PERIOD);
+            tx.send(&ctx, frame).await;
+            x.source_kick(&ctx);
+            ctx.waitfor(FRAME_PERIOD).await;
         }
     }));
 
@@ -198,36 +258,39 @@ fn spawn_pipeline<L, E, D>(
     let timing = cfg.timing.clone();
     let rx = enc_in;
     let tx = enc_out.clone();
-    let encoder_child = Child::new("encoder", move |ctx: &ProcCtx| {
+    let x = exec.clone();
+    sim.spawn(Child::new("encoder", move |ctx| async move {
+        x.task_begin(&ctx, "encoder").await;
         let mut enc = Encoder::new();
         for _ in 0..frames {
-            let frame = rx.recv(ctx);
+            let frame = rx.recv(&ctx).await;
             for sub in 0..timing.subframes {
                 for stage in &timing.encoder_subframe {
-                    enc_step(ctx, stage.label, stage.duration);
+                    x.stage(&ctx, "encoder", stage.label, stage.duration).await;
                 }
                 let last = sub + 1 == timing.subframes;
                 let payload = last.then(|| Box::new(enc.encode(&frame)));
-                tx.send(ctx, SubframeMsg { payload });
+                tx.send(&ctx, SubframeMsg { payload }).await;
             }
         }
-    });
-    sim.spawn(wrap_task(encoder_child, "encoder"));
+        x.task_end(&ctx, "encoder");
+    }));
 
     // Decoder task.
     let timing = cfg.timing.clone();
     let total_subs = cfg.frames * cfg.timing.subframes as usize;
-    let sink2 = Arc::clone(&sink);
-    let decoder_child = Child::new("decoder", move |ctx: &ProcCtx| {
+    sim.spawn(Child::new("decoder", move |ctx| async move {
+        exec.task_begin(&ctx, "decoder").await;
         let mut dec = Decoder::new();
         for _ in 0..total_subs {
-            let msg = enc_out.recv(ctx);
+            let msg = enc_out.recv(&ctx).await;
             for stage in &timing.decoder_subframe {
-                dec_step(ctx, stage.label, stage.duration);
+                exec.stage(&ctx, "decoder", stage.label, stage.duration)
+                    .await;
             }
             if let Some(encoded) = msg.payload {
                 let out = dec.decode(&encoded);
-                let mut s = sink2.lock();
+                let mut s = sink.lock();
                 s.delays.push(ctx.now() - out.arrived);
                 let original = &originals.lock()[usize::try_from(out.seq).expect("seq fits")];
                 let snr = snr_db(&original.samples, &out.samples);
@@ -237,8 +300,8 @@ fn spawn_pipeline<L, E, D>(
                 s.snr_count += 1;
             }
         }
-    });
-    sim.spawn(wrap_task(decoder_child, "decoder"));
+        exec.task_end(&ctx, "decoder");
+    }));
 }
 
 pub(crate) fn finish(
@@ -288,16 +351,7 @@ pub fn simulate_unscheduled(cfg: &VocoderConfig) -> Result<VocoderRun, RunError>
     let trace = sim.trace_handle();
     let layer = sim.sync_layer();
     let sink = Arc::new(Mutex::new(Sink::default()));
-    spawn_pipeline(
-        &mut sim,
-        layer,
-        cfg,
-        Arc::clone(&sink),
-        |ctx, _label, d| ctx.waitfor(d),
-        |ctx, _label, d| ctx.waitfor(d),
-        |_ctx| {},
-        |child, _| child,
-    );
+    spawn_pipeline(&mut sim, layer, cfg, Arc::clone(&sink), Unscheduled);
     finish(sim.run(), &sink, None, trace, started)
 }
 
@@ -339,53 +393,16 @@ pub fn simulate_architecture(
 
     // Decoder health watchdog: armed before the pipeline, kicked on every
     // decoder stage, disarmed when the decoder task completes normally.
-    let wd = cfg.watchdog.map(|spec| {
+    let watchdog = cfg.watchdog.map(|spec| {
         let (wd, monitor) = os.watchdog("decoder", spec.timeout, spec.action);
         sim.spawn(monitor);
         wd
     });
-    let wd_dec = wd.clone();
-    let wd_wrap = wd;
-
-    let os_enc = os.clone();
-    let os_dec = os.clone();
-    let os_src = os.clone();
-    let os_wrap = os.clone();
-    spawn_pipeline(
-        &mut sim,
-        os.clone(),
-        cfg,
-        Arc::clone(&sink),
-        move |ctx, label, d| os_enc.time_wait_as(ctx, d, label),
-        move |ctx, label, d| {
-            os_dec.time_wait_as(ctx, d, label);
-            if let Some(wd) = &wd_dec {
-                wd.kick(ctx);
-            }
-        },
-        move |ctx| os_src.interrupt_return(ctx),
-        move |child, name| {
-            let os = os_wrap.clone();
-            let prio = match name {
-                "decoder" => Priority(1),
-                _ => Priority(2),
-            };
-            let wd = (name == "decoder").then(|| wd_wrap.clone()).flatten();
-            let inner = child;
-            Child::new(name, move |ctx: &ProcCtx| {
-                let me = os.task_create(&TaskParams::aperiodic(name, prio));
-                os.task_activate(ctx, me);
-                // Run the task body inline.
-                (inner.into_body())(ctx);
-                // Healthy completion: retire the watchdog before leaving.
-                if let Some(wd) = &wd {
-                    wd.disarm();
-                    wd.kick(ctx);
-                }
-                os.task_terminate(ctx);
-            })
-        },
-    );
+    let exec = OnRtos {
+        os: os.clone(),
+        watchdog,
+    };
+    spawn_pipeline(&mut sim, os.clone(), cfg, Arc::clone(&sink), exec);
     let report = sim.run();
     let end = match &report {
         Ok(r) => r.end_time,

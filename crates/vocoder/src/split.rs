@@ -21,9 +21,7 @@ use model_refine::{BusChannel, CrossFairness, SharedBus};
 use rtos_model::{MetricsSnapshot, Priority, Rtos, SchedAlg, TaskParams, TimeSlice};
 use sldl_sim::bus::{BusConfig, BusStats};
 use sldl_sim::sync::Mutex;
-use sldl_sim::{
-    Child, KernelInvariants, ProcCtx, Queue, RunError, SimTime, Simulation, TraceConfig,
-};
+use sldl_sim::{Child, KernelInvariants, Queue, RunError, SimTime, Simulation, TraceConfig};
 
 use crate::codec::{Decoder, Encoder};
 use crate::frame::{Frame, SpeechSource, FRAME_PERIOD};
@@ -169,14 +167,14 @@ pub fn simulate_split(
     let tx = enc_in.clone();
     let originals_src = Arc::clone(&originals);
     let os_src = enc_os.clone();
-    sim.spawn(Child::new("ad_source", move |ctx| {
+    sim.spawn(Child::new("ad_source", move |ctx| async move {
         let mut src = SpeechSource::new(seed);
         for _ in 0..frames {
             let frame = src.next_frame(ctx.now());
             originals_src.lock().push(frame.clone());
-            tx.send(ctx, frame);
-            os_src.interrupt_return(ctx);
-            ctx.waitfor(FRAME_PERIOD);
+            tx.send(&ctx, frame).await;
+            os_src.interrupt_return(&ctx);
+            ctx.waitfor(FRAME_PERIOD).await;
         }
     }));
 
@@ -185,22 +183,22 @@ pub fn simulate_split(
     let rx = enc_in;
     let tx = link.clone();
     let os = enc_os.clone();
-    sim.spawn(Child::new("encoder", move |ctx: &ProcCtx| {
+    sim.spawn(Child::new("encoder", move |ctx| async move {
         let me = os.task_create(&TaskParams::aperiodic("encoder", Priority(2)));
-        os.task_activate(ctx, me);
+        os.task_activate(&ctx, me).await;
         let mut enc = Encoder::new();
         for _ in 0..frames {
-            let frame = rx.recv(ctx);
+            let frame = rx.recv(&ctx).await;
             for sub in 0..timing.subframes {
                 for stage in &timing.encoder_subframe {
-                    os.time_wait_as(ctx, stage.duration, stage.label);
+                    os.time_wait_as(&ctx, stage.duration, stage.label).await;
                 }
                 let last = sub + 1 == timing.subframes;
                 let payload = last.then(|| Box::new(enc.encode(&frame)));
-                tx.send(ctx, SubframeMsg { payload });
+                tx.send(&ctx, SubframeMsg { payload }).await;
             }
         }
-        os.task_terminate(ctx);
+        os.task_terminate(&ctx);
     }));
 
     // Decoder task on the decoder PE; hands one acknowledgment per
@@ -214,16 +212,16 @@ pub fn simulate_split(
     let ack_q_tx = ack_q.clone();
     let os = dec_os.clone();
     let wd_dec = wd.clone();
-    sim.spawn(Child::new("decoder", move |ctx: &ProcCtx| {
+    sim.spawn(Child::new("decoder", move |ctx| async move {
         let me = os.task_create(&TaskParams::aperiodic("decoder", Priority(1)));
-        os.task_activate(ctx, me);
+        os.task_activate(&ctx, me).await;
         let mut dec = Decoder::new();
         for sub in 0..total_subs {
-            let msg = rx.recv(ctx);
+            let msg = rx.recv(&ctx).await;
             for stage in &timing.decoder_subframe {
-                os.time_wait_as(ctx, stage.duration, stage.label);
+                os.time_wait_as(&ctx, stage.duration, stage.label).await;
                 if let Some(wd) = &wd_dec {
-                    wd.kick(ctx);
+                    wd.kick(&ctx);
                 }
             }
             if let Some(encoded) = msg.payload {
@@ -237,13 +235,13 @@ pub fn simulate_split(
                 }
                 s.snr_count += 1;
             }
-            ack_q_tx.send(ctx, sub as u64);
+            ack_q_tx.send(&ctx, sub as u64).await;
         }
         if let Some(wd) = &wd_dec {
             wd.disarm();
-            wd.kick(ctx);
+            wd.kick(&ctx);
         }
-        os.task_terminate(ctx);
+        os.task_terminate(&ctx);
     }));
 
     // Reporter task on the decoder PE: drains the local ack queue and
@@ -252,14 +250,14 @@ pub fn simulate_split(
     // the two bus masters genuinely contend.
     let ack_tx = ack.clone();
     let os = dec_os.clone();
-    sim.spawn(Child::new("reporter", move |ctx: &ProcCtx| {
+    sim.spawn(Child::new("reporter", move |ctx| async move {
         let me = os.task_create(&TaskParams::aperiodic("reporter", Priority(2)));
-        os.task_activate(ctx, me);
+        os.task_activate(&ctx, me).await;
         for _ in 0..total_subs {
-            let seq = ack_q.recv(ctx);
-            ack_tx.send(ctx, seq);
+            let seq = ack_q.recv(&ctx).await;
+            ack_tx.send(&ctx, seq).await;
         }
-        os.task_terminate(ctx);
+        os.task_terminate(&ctx);
     }));
 
     // Status task on the encoder PE: consumes the per-subframe acks.
@@ -272,14 +270,14 @@ pub fn simulate_split(
     let ack_rx = ack.clone();
     let os = enc_os.clone();
     let acks2 = Arc::clone(&acks_received);
-    sim.spawn(Child::new("status", move |ctx: &ProcCtx| {
+    sim.spawn(Child::new("status", move |ctx| async move {
         let me = os.task_create(&TaskParams::aperiodic("status", Priority(1)));
-        os.task_activate(ctx, me);
+        os.task_activate(&ctx, me).await;
         for _ in 0..total_subs {
-            ack_rx.recv(ctx);
+            ack_rx.recv(&ctx).await;
             *acks2.lock() += 1;
         }
-        os.task_terminate(ctx);
+        os.task_terminate(&ctx);
     }));
 
     let report = sim.run();

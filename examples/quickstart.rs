@@ -22,42 +22,42 @@ fn main() {
 
     // 3. A high-priority worker task: waits for data, then processes it.
     let os_worker = os.clone();
-    sim.spawn(Child::new("worker", move |ctx| {
+    sim.spawn(Child::new("worker", move |ctx| async move {
         let me = os_worker.task_create(&TaskParams::aperiodic("worker", Priority(1)));
-        os_worker.task_activate(ctx, me);
+        os_worker.task_activate(&ctx, me).await;
         for i in 0..3 {
-            os_worker.event_wait(ctx, data_ready);
+            os_worker.event_wait(&ctx, data_ready).await;
             println!("[{:>7}] worker: processing item {i}", ctx.now().to_string());
-            os_worker.time_wait(ctx, Duration::from_micros(200));
+            os_worker.time_wait(&ctx, Duration::from_micros(200)).await;
         }
-        os_worker.task_terminate(ctx);
+        os_worker.task_terminate(&ctx);
     }));
 
     // 4. A low-priority background task: long delay steps; it is preempted
     //    at step boundaries whenever the worker becomes ready.
     let os_bg = os.clone();
-    sim.spawn(Child::new("background", move |ctx| {
+    sim.spawn(Child::new("background", move |ctx| async move {
         let me = os_bg.task_create(&TaskParams::aperiodic("background", Priority(7)));
-        os_bg.task_activate(ctx, me);
+        os_bg.task_activate(&ctx, me).await;
         for step in 0..4 {
-            os_bg.time_wait(ctx, Duration::from_micros(500));
+            os_bg.time_wait(&ctx, Duration::from_micros(500)).await;
             println!(
                 "[{:>7}] background: finished step {step}",
                 ctx.now().to_string()
             );
         }
-        os_bg.task_terminate(ctx);
+        os_bg.task_terminate(&ctx);
     }));
 
     // 5. An interrupt source: a plain SLDL process (not an RTOS task) that
     //    fires every 600 µs, wakes the worker, and returns to the kernel.
     let os_isr = os.clone();
-    sim.spawn(Child::new("isr", move |ctx| {
+    sim.spawn(Child::new("isr", move |ctx| async move {
         for _ in 0..3 {
-            ctx.waitfor(Duration::from_micros(600));
+            ctx.waitfor(Duration::from_micros(600)).await;
             println!("[{:>7}] isr: interrupt!", ctx.now().to_string());
-            os_isr.event_notify(ctx, data_ready);
-            os_isr.interrupt_return(ctx);
+            os_isr.event_notify(&ctx, data_ready).await;
+            os_isr.interrupt_return(&ctx);
         }
     }));
 
