@@ -57,7 +57,7 @@ enum Irq {
 }
 
 /// Machine state: registers, memories, devices, cycle counter.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct Machine {
     text: Vec<Instr>,
     data: Vec<i32>,
@@ -169,39 +169,68 @@ impl Machine {
         &self.frame_arrivals
     }
 
-    /// Runs until `halt` or until at least `max_cycles` have elapsed.
+    /// Runs until `halt`, or until the cycle counter reaches `max_cycles`:
+    /// an absolute count, not a budget for this call. The limit is checked
+    /// between instructions, so the last one may overshoot it.
+    ///
+    /// Exactly equivalent to calling [`step`](Self::step) until then, but
+    /// the devices are polled once per device event, not before every
+    /// instruction. Until the next device fire time a poll would find
+    /// nothing due, and no interrupt can be taken: the poll has just
+    /// dispatched any pending one that was enabled. So instructions run
+    /// back to back up to that *horizon* (capped at `max_cycles`), or until
+    /// one that can change interrupt or device state sends the loop back
+    /// to the poll. Each instruction still retires at its own cycle, so
+    /// guest reads of [`ports::CYCLES`] and host event stamps are
+    /// unchanged.
     pub fn run(&mut self, max_cycles: u64) -> ExitReason {
         while !self.halted {
             if self.cycles >= max_cycles {
                 return ExitReason::CycleLimit;
             }
-            self.step();
+            self.poll_interrupts();
+            let horizon = self
+                .next_device_cycle()
+                .map_or(max_cycles, |t| t.min(max_cycles));
+            while !self.execute() && self.cycles < horizon {}
         }
         ExitReason::Halted
     }
 
     /// Executes one instruction (plus any due interrupt dispatch).
     pub fn step(&mut self) {
-        if self.halted {
-            return;
+        if !self.halted {
+            self.poll_interrupts();
+            self.execute();
         }
+    }
+
+    /// Polls the devices, then enters the handler of a pending interrupt
+    /// if interrupts are enabled.
+    fn poll_interrupts(&mut self) {
         self.poll_devices();
         if self.interrupts_enabled {
             if let Some(irq) = self.take_pending() {
                 self.enter_handler(irq);
             }
         }
-        let instr = match self.text.get(self.pc as usize) {
-            Some(i) => *i,
-            None => {
-                // Falling off the text segment halts the machine.
-                self.halted = true;
-                return;
-            }
+    }
+
+    /// Executes the instruction at `pc`: the whole ISA's semantics.
+    /// Returns whether the devices must be polled before the next one:
+    /// the instruction halted, changed interrupt state (`sti`, `rti`,
+    /// `trap`), idled to a device event (`wait`), or wrote an MMIO port.
+    // Forced inline: a call per instruction measurably slows `run`.
+    #[inline(always)]
+    fn execute(&mut self) -> bool {
+        let Some(&instr) = self.text.get(self.pc as usize) else {
+            // Falling off the text segment halts the machine.
+            self.halted = true;
+            return true;
         };
         self.instructions += 1;
         let mut next_pc = self.pc + 1;
-        let mut cost = instr.cycles();
+        let mut mmio_store = false;
         match instr {
             Instr::Movi { rd, imm } => self.set(rd.0, imm),
             Instr::Alu { op, rd, rs, rt } => {
@@ -236,7 +265,7 @@ impl Machine {
             Instr::St { rs, rd, offset } => {
                 let addr = self.regs[rd.0 as usize].wrapping_add(offset);
                 let v = self.regs[rs.0 as usize];
-                self.store(addr, v);
+                mmio_store = self.store(addr, v);
             }
             Instr::Branch {
                 cond,
@@ -277,13 +306,11 @@ impl Machine {
             Instr::Wait => {
                 // Idle until the next device event (or halt if none).
                 match self.next_device_cycle() {
-                    Some(next) if next > self.cycles => {
-                        cost = next - self.cycles;
-                    }
-                    Some(_) => cost = 1,
+                    Some(next) if next > self.cycles => self.cycles = next,
+                    Some(_) => self.cycles += 1,
                     None => {
                         self.halted = true;
-                        return;
+                        return true;
                     }
                 }
                 // Stay on the `wait`: the pending interrupt is taken at the
@@ -295,11 +322,17 @@ impl Machine {
             Instr::Nop => {}
             Instr::Halt => {
                 self.halted = true;
-                return;
+                return true;
             }
         }
         self.pc = next_pc;
-        self.cycles += cost;
+        // Zero for `wait`, which has already idled.
+        self.cycles += instr.cycles();
+        mmio_store
+            || matches!(
+                instr,
+                Instr::Sti | Instr::Rti | Instr::Trap { .. } | Instr::Wait
+            )
     }
 
     fn set(&mut self, rd: u8, value: i32) {
@@ -316,13 +349,15 @@ impl Machine {
         self.data[addr as usize]
     }
 
-    fn store(&mut self, addr: i32, value: i32) {
+    /// Returns whether the store went to an MMIO port.
+    fn store(&mut self, addr: i32, value: i32) -> bool {
         let addr = addr as u32;
         if addr >= ports::MMIO_BASE {
             self.mmio_write(addr, value);
-            return;
+            return true;
         }
         self.data[addr as usize] = value;
+        false
     }
 
     fn mmio_read(&mut self, addr: u32) -> i32 {
