@@ -23,13 +23,12 @@
 //!
 //! The matrix itself is a set of declarative [`ScenarioSpec`] points on
 //! the shared [`SweepApp`] skeleton (watchdog-guarded farm, `--json`
-//! document, incremental `--cache-dir` reruns); the shrinker and replay
-//! pipeline stay bin-local.
+//! document); the shrinker and replay pipeline stay bin-local.
 //!
 //! Run with `cargo run -p bench --bin chaos -- [--frames N] [--seeds N]
 //! [--jobs N] [--seed S] [--oracle 0|1] [--shrink 0|1]
 //! [--watchdog-us US] [--repro-out PATH] [--repro PATH] [--json PATH]
-//! [--cache-dir DIR] [--quiet]`. Exits nonzero iff chaos failures were
+//! [--quiet]`. Exits nonzero iff chaos failures were
 //! found (or, in `--repro` mode, iff the artifact fails to reproduce).
 
 use std::path::{Path, PathBuf};

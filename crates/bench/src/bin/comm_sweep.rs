@@ -17,11 +17,12 @@
 //!
 //! Each point is one declarative [`ScenarioSpec`] driven by the shared
 //! [`SweepApp`] skeleton (`--jobs` parallel, bit-identical results;
-//! `--json` writes the `rtos-sld-bench/1` document; `--cache-dir` makes
-//! reruns incremental).
+//! `--json` writes the `rtos-sld-bench/1` document). At default flags the
+//! document is pinned byte for byte by
+//! `crates/bench/tests/golden/comm_sweep_f10_s192.json`.
 //!
 //! Run with `cargo run -p bench --bin comm_sweep -- [--frames N]
-//! [--jobs N] [--seed S] [--json PATH] [--cache-dir DIR] [--quiet]`.
+//! [--jobs N] [--seed S] [--json PATH] [--quiet]`.
 
 use bench::cli::{self, SweepApp, SweepPoint};
 use bench::farm::PointResult;

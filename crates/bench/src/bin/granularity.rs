@@ -12,11 +12,10 @@
 //! Each quantum is one declarative [`ScenarioSpec`] point driven by the
 //! shared [`SweepApp`] skeleton. The JSON document contains only the
 //! deterministic columns (response error, trace records); host time is
-//! printed to stdout only (and reads ~0 for points answered from a
-//! `--cache-dir` cache, which skip simulation entirely).
+//! printed to stdout only.
 //!
 //! Run with `cargo run -p bench --bin granularity -- [--jobs N]
-//! [--seed S] [--json PATH] [--cache-dir DIR] [--quiet]`.
+//! [--seed S] [--json PATH] [--quiet]`.
 
 use std::time::Duration;
 

@@ -6,11 +6,10 @@
 //!
 //! Each scale factor is one declarative [`ScenarioSpec`] point driven by
 //! the shared [`SweepApp`] skeleton (`--jobs` parallel, bit-identical
-//! results; `--json` writes the `rtos-sld-bench/1` document;
-//! `--cache-dir` makes reruns incremental).
+//! results; `--json` writes the `rtos-sld-bench/1` document).
 //!
 //! Run with `cargo run -p bench --bin load_sweep -- [--frames N]
-//! [--jobs N] [--seed S] [--json PATH] [--cache-dir DIR] [--quiet]`.
+//! [--jobs N] [--seed S] [--json PATH] [--quiet]`.
 
 use bench::cli::{self, SweepApp, SweepPoint};
 use bench::farm::PointResult;

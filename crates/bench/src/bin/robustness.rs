@@ -13,11 +13,10 @@
 //! All points are declarative [`ScenarioSpec`]s driven by the shared
 //! [`SweepApp`] skeleton: `--jobs N` parallelizes the sweep with
 //! bit-identical results, `--json PATH` writes the `rtos-sld-bench/1`
-//! document, `--cache-dir DIR` makes reruns incremental.
+//! document.
 //!
 //! Run with `cargo run -p bench --bin robustness -- [--frames N]
-//! [--jobs N] [--seed S] [--watchdog-us US] [--json PATH]
-//! [--cache-dir DIR] [--quiet]`. `--watchdog-us` tunes the decoder
+//! [--jobs N] [--seed S] [--watchdog-us US] [--json PATH] [--quiet]`. `--watchdog-us` tunes the decoder
 //! watchdog timeout (default 60000 µs, i.e. the 60 ms the sweep
 //! historically hardcoded).
 

@@ -17,8 +17,7 @@
 //! `--jobs`-independent.
 //!
 //! Run with `cargo run -p bench --bin schedulers -- [--sets N]
-//! [--frames HORIZON_MS] [--jobs N] [--seed S] [--json PATH]
-//! [--cache-dir DIR] [--quiet]`.
+//! [--frames HORIZON_MS] [--jobs N] [--seed S] [--json PATH] [--quiet]`.
 
 use std::time::Duration;
 

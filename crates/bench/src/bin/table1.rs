@@ -15,12 +15,10 @@
 //! The three models are declarative [`ScenarioSpec`] points driven by the
 //! shared [`SweepApp`] skeleton, so they run concurrently under
 //! `--jobs ≥ 3`. The JSON document carries the deterministic rows (LoC,
-//! switches, delay, SNR); host execution time is printed to stdout only
-//! (points answered from a `--cache-dir` cache skip simulation, so their
-//! host time reads ~0).
+//! switches, delay, SNR); host execution time is printed to stdout only.
 //!
 //! Run with `cargo run -p bench --bin table1 -- [--frames N] [--jobs N]
-//! [--json PATH] [--cache-dir DIR] [--quiet]`.
+//! [--json PATH] [--quiet]`.
 
 use bench::cli::{self, SweepApp, SweepPoint};
 use bench::farm::PointResult;

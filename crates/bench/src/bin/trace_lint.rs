@@ -24,26 +24,16 @@
 //!   `degraded` array (points the farm quarantined) must carry numeric
 //!   `index`/`seed`, a `kind` of `"panicked"`/`"overtime"`, and a string
 //!   `message`; a document may have an empty `points` array only when
-//!   `degraded` is non-empty. Rates in a `host_dependent` document are
-//!   wall-clock measurements: this lint gates on *shape*, never on
-//!   throughput values. A `rtos-sld-bench/1` document whose `bench` is
-//!   `sched_micro` additionally must be `host_dependent` and carry its
-//!   select-scaling points in `select_indexed@N`/`select_linear@N` pairs,
-//!   each with a `selects_per_sec` metric — the pairing the perf gate and
-//!   the scaling table consume. A `comm_sweep` document must *not* be
-//!   `host_dependent` (its `bus_bytes_per_sec` is a simulated-time rate),
-//!   must include the zero-latency `ideal` point, and every completed
-//!   point must carry the full bus metric set (`bus_transactions`,
-//!   `bus_bytes`, `bus_busy_us`, `bus_max_wait_us`, `bus_contended`,
-//!   `bus_bytes_per_sec`). For `rtos-sld-chaos-repro/1` (the chaos
-//!   minimal-repro artifact) the replay coordinates are checked: string
-//!   `workload`, numeric `frames`/`seed`, a `failure` object with a known
-//!   `kind`, and `fault_plan`/`chaos_plan` objects with numeric rates.
-//!   For `rtos-sld-cache/1` (one content-addressed result-cache entry,
-//!   see `bench::cache`) the `key` and `payload_hash` must be
-//!   32-hex-digit strings and the cached `point` object must carry a
-//!   string `status`, a boolean `completed` and all-numeric `metrics`.
-//!   For `rtos-sld-analysis/1` (the `analyze` bin's derived-analytics
+//!   `degraded` is non-empty. This lint gates on *shape*, never on
+//!   metric values. A `comm_sweep` document must include the
+//!   zero-latency `ideal` point, and every completed point must carry the
+//!   full bus metric set (`bus_transactions`, `bus_bytes`, `bus_busy_us`,
+//!   `bus_max_wait_us`, `bus_contended`, `bus_bytes_per_sec`). For
+//!   `rtos-sld-chaos-repro/1` (the chaos minimal-repro artifact) the
+//!   replay coordinates are checked: string `workload`, numeric
+//!   `frames`/`seed`, a `failure` object with a known `kind`, and
+//!   `fault_plan`/`chaos_plan` objects with numeric rates. For
+//!   `rtos-sld-analysis/1` (the `analyze` bin's derived-analytics
 //!   document, see `bench::analyze`) the per-PE, per-task, preemption
 //!   and blocking sections are shape-checked and `dropped_records` must
 //!   be zero — the analyzer refuses lossy traces, so a nonzero count in
@@ -158,9 +148,6 @@ fn lint_results(top: &[(String, Json)], schema: &str) -> Result<String, String> 
     if schema == "rtos-sld-chaos-repro/1" {
         return lint_chaos_repro(top);
     }
-    if schema == "rtos-sld-cache/1" {
-        return lint_cache_entry(top);
-    }
     if schema == "rtos-sld-analysis/1" {
         return lint_analysis(top);
     }
@@ -196,83 +183,22 @@ fn lint_results(top: &[(String, Json)], schema: &str) -> Result<String, String> 
     for (i, p) in points.iter().enumerate() {
         lint_point(i, p)?;
     }
-    if matches!(field(top, "bench"), Some(Json::Str(b)) if b == "sched_micro") {
-        lint_sched_micro(top, points)?;
-    }
     if matches!(field(top, "bench"), Some(Json::Str(b)) if b == "comm_sweep") {
-        lint_comm_sweep(top, points)?;
+        lint_comm_sweep(points)?;
     }
-    let advisory = matches!(field(top, "host_dependent"), Some(Json::Bool(true)));
     Ok(format!(
-        "valid rtos-sld-bench/1 document ({} points{}{})",
+        "valid rtos-sld-bench/1 document ({} points{})",
         points.len(),
         if degraded.is_empty() {
             String::new()
         } else {
             format!("; {} degraded", degraded.len())
-        },
-        if advisory {
-            "; host-dependent rates"
-        } else {
-            ""
         }
     ))
 }
 
-/// Extra shape checks for `sched_micro` documents: wall-clock rates must
-/// be flagged `host_dependent`, and the select-scaling points must come in
-/// indexed/linear pairs (per ready-set size) each carrying the
-/// `selects_per_sec` metric — the pairing is what the perf gate and the
-/// EXPERIMENTS.md scaling table consume.
-fn lint_sched_micro(top: &[(String, Json)], points: &[Json]) -> Result<(), String> {
-    if !matches!(field(top, "host_dependent"), Some(Json::Bool(true))) {
-        return Err("sched_micro document must set `host_dependent` to true".into());
-    }
-    let mut indexed: Vec<&str> = Vec::new();
-    let mut linear: Vec<&str> = Vec::new();
-    for (i, p) in points.iter().enumerate() {
-        let Json::Obj(fields) = p else { continue };
-        let Some(Json::Str(name)) = field(fields, "name") else {
-            continue;
-        };
-        let bucket = if let Some(n) = name.strip_prefix("select_indexed@") {
-            indexed.push(n);
-            true
-        } else if let Some(n) = name.strip_prefix("select_linear@") {
-            linear.push(n);
-            true
-        } else {
-            false
-        };
-        if bucket {
-            match field(fields, "metrics") {
-                Some(Json::Obj(metrics)) => {
-                    if !metrics.iter().any(|(k, _)| k == "selects_per_sec") {
-                        return Err(format!("points[{i}] ({name}) lacks `selects_per_sec`"));
-                    }
-                }
-                _ => return Err(format!("points[{i}] ({name}) lacks a `metrics` object")),
-            }
-        }
-    }
-    if indexed.is_empty() {
-        return Err("sched_micro document has no `select_indexed@N` points".into());
-    }
-    for n in &indexed {
-        if !linear.contains(n) {
-            return Err(format!("select_indexed@{n} has no select_linear@{n} pair"));
-        }
-    }
-    for n in &linear {
-        if !indexed.contains(n) {
-            return Err(format!("select_linear@{n} has no select_indexed@{n} pair"));
-        }
-    }
-    Ok(())
-}
-
 /// Metrics every completed `comm_sweep` point must carry — the bus
-/// instrumentation the contention tables and the perf gate consume.
+/// instrumentation the contention tables consume.
 const COMM_SWEEP_METRICS: [&str; 6] = [
     "bus_transactions",
     "bus_bytes",
@@ -282,16 +208,10 @@ const COMM_SWEEP_METRICS: [&str; 6] = [
     "bus_bytes_per_sec",
 ];
 
-/// Extra shape checks for `comm_sweep` documents: all rates are
-/// simulated-time (never `host_dependent`), the zero-latency `ideal`
-/// baseline point must be present, and every completed point must carry
-/// the full bus metric set.
-fn lint_comm_sweep(top: &[(String, Json)], points: &[Json]) -> Result<(), String> {
-    if matches!(field(top, "host_dependent"), Some(Json::Bool(true))) {
-        return Err(
-            "comm_sweep rates are simulated-time; the document must not be `host_dependent`".into(),
-        );
-    }
+/// Extra shape checks for `comm_sweep` documents: the zero-latency
+/// `ideal` baseline point must be present, and every completed point must
+/// carry the full bus metric set.
+fn lint_comm_sweep(points: &[Json]) -> Result<(), String> {
     let mut has_ideal = false;
     for (i, p) in points.iter().enumerate() {
         let Json::Obj(fields) = p else { continue };
@@ -361,41 +281,6 @@ fn lint_chaos_repro(top: &[(String, Json)]) -> Result<String, String> {
         }
     }
     Ok("valid rtos-sld-chaos-repro/1 artifact".into())
-}
-
-/// Checks a `rtos-sld-cache/1` content-addressed cache entry: two
-/// 32-hex-digit hashes plus the cached point outcome.
-fn lint_cache_entry(top: &[(String, Json)]) -> Result<String, String> {
-    for key in ["key", "payload_hash"] {
-        match field(top, key) {
-            Some(Json::Str(h)) if h.len() == 32 && h.bytes().all(|b| b.is_ascii_hexdigit()) => {}
-            Some(Json::Str(h)) => {
-                return Err(format!("cache entry `{key}` {h:?} is not 32 hex digits"));
-            }
-            _ => return Err(format!("cache entry lacks a string `{key}`")),
-        }
-    }
-    let Some(Json::Obj(point)) = field(top, "point") else {
-        return Err("cache entry lacks a `point` object".into());
-    };
-    match field(point, "status") {
-        Some(Json::Str(_)) => {}
-        _ => return Err("cache entry point lacks a string `status`".into()),
-    }
-    if !matches!(field(point, "completed"), Some(Json::Bool(_))) {
-        return Err("cache entry point lacks a boolean `completed`".into());
-    }
-    match field(point, "metrics") {
-        Some(Json::Obj(metrics)) => {
-            for (key, value) in metrics {
-                if !is_number(value) {
-                    return Err(format!("cache entry point metrics.{key} is not numeric"));
-                }
-            }
-        }
-        _ => return Err("cache entry point lacks a `metrics` object".into()),
-    }
-    Ok("valid rtos-sld-cache/1 entry".into())
 }
 
 /// Checks a `rtos-sld-analysis/1` derived-analytics document (the
@@ -722,85 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn sched_micro_documents_are_validated() {
-        let point = |name: &str, metric: &str| {
-            format!(
-                r#"{{"name":"{name}","index":0,"seed":1,"status":"completed",
-                     "completed":true,"metrics":{{"ops":5,"{metric}":1.5}}}}"#
-            )
-        };
-        let doc = |host: bool, points: &[String]| {
-            let body = points.join(",");
-            let text = format!(
-                r#"{{"schema":"rtos-sld-bench/1","bench":"sched_micro","base_seed":1,
-                     "host_dependent":{host},"points":[{body}]}}"#
-            );
-            Json::parse(&text).unwrap()
-        };
-
-        let ok = doc(
-            true,
-            &[
-                point("churn", "ops_per_sec"),
-                point("select_indexed@8", "selects_per_sec"),
-                point("select_linear@8", "selects_per_sec"),
-            ],
-        );
-        let Json::Obj(top) = &ok else { unreachable!() };
-        assert!(lint_results(top, "rtos-sld-bench/1").is_ok());
-
-        // Wall-clock rates must be flagged host-dependent.
-        let not_flagged = doc(
-            false,
-            &[
-                point("select_indexed@8", "selects_per_sec"),
-                point("select_linear@8", "selects_per_sec"),
-            ],
-        );
-        let Json::Obj(top) = &not_flagged else {
-            unreachable!()
-        };
-        assert!(lint_results(top, "rtos-sld-bench/1").is_err());
-
-        // An indexed point without its linear twin (and vice versa) is a
-        // broken scaling pair.
-        for lonely in ["select_indexed@64", "select_linear@64"] {
-            let unpaired = doc(
-                true,
-                &[
-                    point("select_indexed@8", "selects_per_sec"),
-                    point("select_linear@8", "selects_per_sec"),
-                    point(lonely, "selects_per_sec"),
-                ],
-            );
-            let Json::Obj(top) = &unpaired else {
-                unreachable!()
-            };
-            assert!(lint_results(top, "rtos-sld-bench/1").is_err(), "{lonely}");
-        }
-
-        // No select points at all: not a sched_micro document.
-        let no_selects = doc(true, &[point("churn", "ops_per_sec")]);
-        let Json::Obj(top) = &no_selects else {
-            unreachable!()
-        };
-        assert!(lint_results(top, "rtos-sld-bench/1").is_err());
-
-        // A select point must carry the selects_per_sec metric.
-        let wrong_metric = doc(
-            true,
-            &[
-                point("select_indexed@8", "ops_per_sec"),
-                point("select_linear@8", "selects_per_sec"),
-            ],
-        );
-        let Json::Obj(top) = &wrong_metric else {
-            unreachable!()
-        };
-        assert!(lint_results(top, "rtos-sld-bench/1").is_err());
-    }
-
-    #[test]
     fn chaos_repro_artifacts_are_validated() {
         let ok = Json::parse(
             r#"{"schema":"rtos-sld-chaos-repro/1","bench":"chaos","workload":"vocoder",
@@ -835,53 +641,6 @@ mod tests {
             unreachable!()
         };
         assert!(lint_results(top, "rtos-sld-chaos-repro/1").is_err());
-    }
-
-    #[test]
-    fn cache_entries_are_validated() {
-        let ok = Json::parse(
-            r#"{"schema":"rtos-sld-cache/1",
-                "key":"0123456789abcdef0123456789abcdef",
-                "payload_hash":"fedcba9876543210fedcba9876543210",
-                "point":{"status":"ok","completed":true,"metrics":{"cycles":12}}}"#,
-        )
-        .unwrap();
-        let Json::Obj(top) = &ok else { unreachable!() };
-        assert!(lint_results(top, "rtos-sld-cache/1").is_ok());
-
-        let short_key = Json::parse(
-            r#"{"schema":"rtos-sld-cache/1","key":"abc",
-                "payload_hash":"fedcba9876543210fedcba9876543210",
-                "point":{"status":"ok","completed":true,"metrics":{}}}"#,
-        )
-        .unwrap();
-        let Json::Obj(top) = &short_key else {
-            unreachable!()
-        };
-        assert!(lint_results(top, "rtos-sld-cache/1").is_err());
-
-        let bad_metrics = Json::parse(
-            r#"{"schema":"rtos-sld-cache/1",
-                "key":"0123456789abcdef0123456789abcdef",
-                "payload_hash":"fedcba9876543210fedcba9876543210",
-                "point":{"status":"ok","completed":true,"metrics":{"cycles":"twelve"}}}"#,
-        )
-        .unwrap();
-        let Json::Obj(top) = &bad_metrics else {
-            unreachable!()
-        };
-        assert!(lint_results(top, "rtos-sld-cache/1").is_err());
-
-        let no_point = Json::parse(
-            r#"{"schema":"rtos-sld-cache/1",
-                "key":"0123456789abcdef0123456789abcdef",
-                "payload_hash":"fedcba9876543210fedcba9876543210"}"#,
-        )
-        .unwrap();
-        let Json::Obj(top) = &no_point else {
-            unreachable!()
-        };
-        assert!(lint_results(top, "rtos-sld-cache/1").is_err());
     }
 
     #[test]
@@ -943,36 +702,21 @@ mod tests {
                      "bus_bytes_per_sec":3400.5{extra}}}}}"#
             )
         };
-        let doc = |host: Option<bool>, points: &[String]| {
+        let doc = |points: &[String]| {
             let body = points.join(",");
-            let host = match host {
-                Some(h) => format!(r#""host_dependent":{h},"#),
-                None => String::new(),
-            };
             let text = format!(
                 r#"{{"schema":"rtos-sld-bench/1","bench":"comm_sweep","base_seed":1,
-                     {host}"points":[{body}]}}"#
+                     "points":[{body}]}}"#
             );
             Json::parse(&text).unwrap()
         };
 
-        let ok = doc(
-            None,
-            &[point("ideal", ""), point("w1_c500_fixed_priority", "")],
-        );
+        let ok = doc(&[point("ideal", ""), point("w1_c500_fixed_priority", "")]);
         let Json::Obj(top) = &ok else { unreachable!() };
         assert!(lint_results(top, "rtos-sld-bench/1").is_ok());
 
-        // Simulated-time bus metrics must not be flagged host-dependent.
-        let host_flagged = doc(Some(true), &[point("ideal", "")]);
-        let Json::Obj(top) = &host_flagged else {
-            unreachable!()
-        };
-        let err = lint_results(top, "rtos-sld-bench/1").unwrap_err();
-        assert!(err.contains("host_dependent"), "{err}");
-
         // Without the zero-latency baseline the sweep is uninterpretable.
-        let no_ideal = doc(None, &[point("w1_c500_fixed_priority", "")]);
+        let no_ideal = doc(&[point("w1_c500_fixed_priority", "")]);
         let Json::Obj(top) = &no_ideal else {
             unreachable!()
         };
@@ -981,7 +725,7 @@ mod tests {
 
         // A completed point missing any bus metric is rejected.
         let truncated = point("ideal", "").replace(r#""bus_contended":30,"#, "");
-        let missing_metric = doc(None, &[truncated]);
+        let missing_metric = doc(&[truncated]);
         let Json::Obj(top) = &missing_metric else {
             unreachable!()
         };

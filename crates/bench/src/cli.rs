@@ -10,17 +10,13 @@
 //! * `--seed S` — base seed from which per-point seeds are derived;
 //! * `--json PATH` — write the machine-readable results document
 //!   (see `EXPERIMENTS.md` for the schema) to `PATH`;
-//! * `--cache-dir DIR` — reuse previously computed point results from the
-//!   content-addressed cache at `DIR` (see [`crate::cache`]); unchanged
-//!   points replay instead of re-simulating, and the resulting document
-//!   is byte-identical to a cold run;
 //! * `--quiet` — suppress the human-readable tables;
 //! * `--help` — print usage.
 //!
-//! Unknown flags produce a usage message and a nonzero exit instead of
-//! being silently ignored. Binary-specific extras (e.g. `schedulers
-//! --sets N`) are declared at the parse site and folded into the same
-//! usage text.
+//! Unknown flags and malformed values produce a usage message and exit
+//! code 2 instead of being silently ignored. Binary-specific extras (e.g.
+//! `schedulers --sets N`) are declared at the parse site and folded into
+//! the same usage text.
 //!
 //! ## The sweep driver
 //!
@@ -35,10 +31,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use crate::cache::ScenarioCache;
-use crate::farm::{
-    derive_seed, run_sweep_cached, run_sweep_guarded_cached, CacheHooks, PointCtx, PointResult,
-};
+use crate::farm::{derive_seed, run_sweep, run_sweep_guarded, PointCtx, PointResult};
 use crate::json::Json;
 use crate::results::ResultsDoc;
 use crate::scenario::{ScenarioOutcome, ScenarioSpec};
@@ -67,12 +60,10 @@ pub struct Args {
     /// derived-analytics document ([`crate::analyze`]) of the sweep's
     /// representative point (same point `--trace-out` exports).
     pub analyze_out: Option<PathBuf>,
-    /// `--cache-dir DIR`: root of the persistent content-addressed result
-    /// cache ([`crate::cache`]); unset disables caching entirely.
-    pub cache_dir: Option<PathBuf>,
     /// `--quiet`: suppress human-readable output.
     pub quiet: bool,
     extras: BTreeMap<&'static str, String>,
+    usage: String,
 }
 
 impl Args {
@@ -83,20 +74,16 @@ impl Args {
     }
 
     /// Parses an extra flag's value, falling back to `default` when the
-    /// flag was not passed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flag was passed but does not parse as `T` (the value
-    /// was already validated syntactically at parse time for core flags;
-    /// extras are validated here).
+    /// flag was not passed. A value that does not parse as `T` prints the
+    /// usage error and exits with code 2, like a malformed core flag
+    /// (core flags are validated at parse time, extras here).
     #[must_use]
     pub fn extra_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         match self.extra(name) {
             None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| panic!("--{name} {v}: invalid value")),
+            Some(v) => v.parse().unwrap_or_else(|_| {
+                exit_invalid(&format!("--{name} {v}: invalid value"), &self.usage)
+            }),
         }
     }
 }
@@ -121,7 +108,6 @@ fn usage(bin: &str, about: &str, extras: &[ExtraFlag]) -> String {
          \x20 --json PATH   write machine-readable results JSON to PATH\n\
          \x20 --trace-out PATH  write a Perfetto/Chrome trace JSON of a representative point\n\
          \x20 --analyze-out PATH  write a derived-analytics (rtos-sld-analysis/1) JSON of that point\n\
-         \x20 --cache-dir DIR   reuse cached point results (incremental sweeps; byte-identical)\n\
          \x20 --quiet       suppress human-readable tables\n\
          \x20 --help        print this message\n"
     );
@@ -158,9 +144,9 @@ pub fn parse_from(
         json: None,
         trace_out: None,
         analyze_out: None,
-        cache_dir: None,
         quiet: false,
         extras: BTreeMap::new(),
+        usage: usage_text.clone(),
     };
     let mut it = argv.iter().peekable();
     while let Some(arg) = it.next() {
@@ -210,9 +196,6 @@ pub fn parse_from(
             "--analyze-out" => {
                 args.analyze_out = Some(PathBuf::from(value(&mut it)?));
             }
-            "--cache-dir" => {
-                args.cache_dir = Some(PathBuf::from(value(&mut it)?));
-            }
             other => {
                 let extra = extras
                     .iter()
@@ -241,11 +224,14 @@ pub fn parse(bin: &str, about: &str, default_seed: u64, extras: &[ExtraFlag]) ->
             print!("{u}");
             std::process::exit(0);
         }
-        Err(CliError::Invalid(msg, u)) => {
-            eprint!("error: {msg}\n\n{u}");
-            std::process::exit(2);
-        }
+        Err(CliError::Invalid(msg, u)) => exit_invalid(&msg, &u),
     }
+}
+
+/// Prints a usage error to stderr and exits with code 2.
+fn exit_invalid(msg: &str, usage: &str) -> ! {
+    eprint!("error: {msg}\n\n{usage}");
+    std::process::exit(2);
 }
 
 /// One point of a [`SweepApp`] sweep: the scenario to run plus the
@@ -260,8 +246,8 @@ pub struct SweepPoint {
     pub spec: ScenarioSpec,
     /// The point's JSON `params` object, in insertion order.
     pub params: Vec<(String, Json)>,
-    /// When set, the spec's own pre-baked seed is used for running,
-    /// caching and tracing (paired-sampling sweeps like `schedulers`);
+    /// When set, the spec's own pre-baked seed is used for running and
+    /// tracing (paired-sampling sweeps like `schedulers`);
     /// otherwise the farm derives the per-point seed from the base seed
     /// and point index.
     pub prebaked_seed: bool,
@@ -314,34 +300,18 @@ impl SweepPoint {
 }
 
 /// Everything [`SweepApp::run`] produced: the per-point outcomes (in
-/// point order, `--jobs`-independent), the sweep wall time, and the
-/// opened result cache (when `--cache-dir` was passed).
+/// point order, `--jobs`-independent) and the sweep wall time.
 #[derive(Debug)]
 pub struct SweepRun {
     /// Per-point results, in point order.
     pub outcomes: Vec<PointResult<ScenarioOutcome>>,
     /// Host wall clock of the whole sweep.
     pub wall: Duration,
-    cache: Option<ScenarioCache>,
-}
-
-impl SweepRun {
-    /// The cache's one-line stdout summary, if a cache was active.
-    #[must_use]
-    pub fn cache_summary(&self) -> Option<String> {
-        self.cache.as_ref().map(ScenarioCache::summary)
-    }
-
-    /// The active cache, if any (tests use this to inspect counters).
-    #[must_use]
-    pub fn cache(&self) -> Option<&ScenarioCache> {
-        self.cache.as_ref()
-    }
 }
 
 /// The shared skeleton of every sweep binary: farm execution (optionally
-/// watchdog-guarded and cache-accelerated), the farm/cache summary
-/// lines, the `--json` results document and the `--trace-out` export.
+/// watchdog-guarded), the farm summary line, the `--json` results
+/// document and the `--trace-out` export.
 ///
 /// ```no_run
 /// use bench::cli::{self, SweepApp, SweepPoint};
@@ -411,33 +381,10 @@ impl SweepApp {
         self
     }
 
-    /// Executes the sweep on the farm. With `--cache-dir`, each point is
-    /// answered from the content-addressed cache when possible and every
-    /// fresh completed outcome is recorded; degraded points are never
-    /// cached. Results are in point order and byte-identical for any
-    /// `--jobs` and any cache state.
+    /// Executes the sweep on the farm. Results are in point order and
+    /// byte-identical for any `--jobs`.
     #[must_use]
     pub fn run(&self, points: &[SweepPoint]) -> SweepRun {
-        let cache = self.args.cache_dir.as_ref().map(|dir| {
-            ScenarioCache::open(dir).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            })
-        });
-        let lookup = |ctx: PointCtx, p: &SweepPoint| {
-            cache
-                .as_ref()
-                .and_then(|c| c.lookup_spec(&p.spec, p.effective_seed(ctx.seed)))
-        };
-        let insert = |ctx: PointCtx, p: &SweepPoint, r: &ScenarioOutcome| {
-            if let Some(c) = cache.as_ref() {
-                c.insert_spec(&p.spec, p.effective_seed(ctx.seed), r);
-            }
-        };
-        let hooks = cache.as_ref().map(|_| CacheHooks {
-            lookup: &lookup,
-            insert: &insert,
-        });
         let runner = |ctx: PointCtx, p: &SweepPoint| {
             if p.prebaked_seed {
                 p.spec.run()
@@ -447,24 +394,18 @@ impl SweepApp {
         };
         let started = Instant::now();
         let outcomes = match self.watchdog {
-            Some(timeout) => run_sweep_guarded_cached(
-                self.args.seed,
-                self.args.jobs,
-                timeout,
-                points,
-                hooks,
-                runner,
-            ),
-            None => run_sweep_cached(self.args.seed, self.args.jobs, points, hooks, runner),
+            Some(timeout) => {
+                run_sweep_guarded(self.args.seed, self.args.jobs, timeout, points, runner)
+            }
+            None => run_sweep(self.args.seed, self.args.jobs, points, runner),
         };
         SweepRun {
             outcomes,
             wall: started.elapsed(),
-            cache,
         }
     }
 
-    /// The shared epilogue: farm/cache summary lines (unless `--quiet`),
+    /// The shared epilogue: the farm summary line (unless `--quiet`),
     /// the `--json` document (headers, points and degraded entries in
     /// point order, then whatever `aggregates` appends), and the
     /// `--trace-out` export of the representative point. Exits nonzero if
@@ -490,9 +431,6 @@ impl SweepApp {
                     self.args.jobs,
                     crate::fmt_host(run.wall)
                 ),
-            }
-            if let Some(summary) = run.cache_summary() {
-                println!("{summary}");
             }
         }
 

@@ -170,42 +170,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Cache hooks for the farm's cache-aware sweep path
-/// ([`run_sweep_cached`] / [`run_sweep_guarded_cached`]).
-///
-/// The farm stays agnostic of what the cache stores or how keys are
-/// computed: `lookup` is consulted *before* a point is simulated (a
-/// `Some` result short-circuits the simulation entirely — on the guarded
-/// path it also skips the disposable watchdog thread), and `insert` is
-/// called with every freshly computed completed result. Degraded
-/// (panicked/overtime) points are **never** offered to `insert`: a
-/// quarantined point must be re-attempted on the next sweep, not replayed
-/// from a cache.
-///
-/// Both hooks run on farm worker threads and must be infallible: a
-/// corrupt or unreadable cache entry is a `lookup` miss (`None`), never a
-/// panic.
-pub struct CacheHooks<'a, P, R> {
-    /// Returns the cached result of `(ctx, point)`, if any.
-    pub lookup: &'a (dyn Fn(PointCtx, &P) -> Option<R> + Sync),
-    /// Offers a freshly computed completed result for insertion.
-    pub insert: &'a (dyn Fn(PointCtx, &P, &R) + Sync),
-}
-
-impl<P, R> std::fmt::Debug for CacheHooks<'_, P, R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheHooks").finish_non_exhaustive()
-    }
-}
-
-impl<P, R> Clone for CacheHooks<'_, P, R> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<P, R> Copy for CacheHooks<'_, P, R> {}
-
 /// Runs `f` over every point of `points` on `jobs` worker threads and
 /// returns the outcomes **in point order** (index `i` of the output is the
 /// outcome of `points[i]`, regardless of which worker ran it when).
@@ -226,95 +190,20 @@ where
     R: Send,
     F: Fn(PointCtx, &P) -> R + Sync,
 {
-    run_sweep_cached(base_seed, jobs, points, None, f)
-}
-
-/// [`run_sweep`] with an optional persistent-result cache: each point is
-/// looked up via [`CacheHooks::lookup`] before being simulated, and every
-/// freshly computed result is offered to [`CacheHooks::insert`]. Because
-/// results merge in point order either way, a sweep that mixes cache hits
-/// and fresh simulations is byte-identical to an all-cold one — provided
-/// the cache faithfully round-trips results (which `bench::cache`
-/// enforces at insert time).
-pub fn run_sweep_cached<P, R, F>(
-    base_seed: u64,
-    jobs: usize,
-    points: &[P],
-    cache: Option<CacheHooks<'_, P, R>>,
-    f: F,
-) -> Vec<PointResult<R>>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(PointCtx, &P) -> R + Sync,
-{
-    let jobs = jobs.clamp(1, points.len().max(1));
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<PointResult<R>>> =
-        std::iter::repeat_with(|| None).take(points.len()).collect();
-
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut mine: Vec<(usize, PointResult<R>)> = Vec::new();
-                    loop {
-                        // The "queue": claim the next unclaimed index.
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= points.len() {
-                            break;
-                        }
-                        let ctx = PointCtx {
-                            index,
-                            seed: derive_seed(base_seed, index as u64),
-                        };
-                        if let Some(r) = cache.and_then(|hooks| (hooks.lookup)(ctx, &points[index]))
-                        {
-                            mine.push((index, PointResult::Completed(r)));
-                            continue;
-                        }
-                        let outcome = match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            f(ctx, &points[index])
-                        })) {
-                            Ok(r) => {
-                                if let Some(hooks) = cache {
-                                    (hooks.insert)(ctx, &points[index], &r);
-                                }
-                                PointResult::Completed(r)
-                            }
-                            Err(payload) => PointResult::Degraded(DegradedPoint {
-                                index,
-                                seed: ctx.seed,
-                                kind: DegradedKind::Panicked,
-                                message: panic_message(payload.as_ref()),
-                            }),
-                        };
-                        mine.push((index, outcome));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for worker in workers {
-            match worker.join() {
-                Ok(results) => {
-                    for (index, r) in results {
-                        slots[index] = Some(r);
-                    }
-                }
-                // Workers themselves cannot panic (points are caught), but
-                // don't swallow a harness bug if one ever does.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index claimed exactly once"))
-        .collect()
+    farm(
+        base_seed,
+        jobs,
+        points.len(),
+        |ctx| match std::panic::catch_unwind(AssertUnwindSafe(|| f(ctx, &points[ctx.index]))) {
+            Ok(r) => PointResult::Completed(r),
+            Err(payload) => PointResult::Degraded(DegradedPoint {
+                index: ctx.index,
+                seed: ctx.seed,
+                kind: DegradedKind::Panicked,
+                message: panic_message(payload.as_ref()),
+            }),
+        },
+    )
 }
 
 /// Outcome of [`run_guarded`]: completion, a caught panic, or a watchdog
@@ -358,7 +247,7 @@ where
 /// deadlock, livelock, pathological chaos schedule) is quarantined as
 /// [`DegradedKind::Overtime`] after `watchdog` instead of stalling the
 /// sweep. The hung thread is abandoned; use this for torture sweeps, not
-/// for hot-loop microbenches (the per-point thread costs ~50 µs).
+/// for hot loops (the per-point thread costs ~50 µs).
 ///
 /// The extra `'static`/`Clone` bounds are what allow a point to outlive
 /// the farm's scope when abandoned.
@@ -374,79 +263,59 @@ where
     R: Send + 'static,
     F: Fn(PointCtx, &P) -> R + Send + Sync + 'static,
 {
-    run_sweep_guarded_cached(base_seed, jobs, watchdog, points, None, f)
+    let f = Arc::new(f);
+    farm(base_seed, jobs, points.len(), |ctx| {
+        let point = points[ctx.index].clone();
+        let f = Arc::clone(&f);
+        let degraded = |kind, message| {
+            PointResult::Degraded(DegradedPoint {
+                index: ctx.index,
+                seed: ctx.seed,
+                kind,
+                message,
+            })
+        };
+        match run_guarded(watchdog, move || f(ctx, &point)) {
+            Guarded::Finished(r) => PointResult::Completed(r),
+            Guarded::Panicked(message) => degraded(DegradedKind::Panicked, message),
+            Guarded::Overtime => degraded(
+                DegradedKind::Overtime,
+                format!("exceeded the {} ms point watchdog", watchdog.as_millis()),
+            ),
+        }
+    })
 }
 
-/// [`run_sweep_guarded`] with an optional persistent-result cache (see
-/// [`run_sweep_cached`]). A cache hit bypasses the disposable watchdog
-/// thread entirely — an index lookup cannot hang — so warm torture sweeps
-/// skip both the simulation and the per-point thread cost.
-pub fn run_sweep_guarded_cached<P, R, F>(
-    base_seed: u64,
-    jobs: usize,
-    watchdog: Duration,
-    points: &[P],
-    cache: Option<CacheHooks<'_, P, R>>,
-    f: F,
-) -> Vec<PointResult<R>>
+/// The farm itself: `jobs` workers claim point indices `0..n` from a
+/// shared counter, run `point` on each, and the outcomes are merged back
+/// in index order.
+fn farm<R, F>(base_seed: u64, jobs: usize, n: usize, point: F) -> Vec<PointResult<R>>
 where
-    P: Clone + Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(PointCtx, &P) -> R + Send + Sync + 'static,
+    R: Send,
+    F: Fn(PointCtx) -> PointResult<R> + Sync,
 {
-    let jobs = jobs.clamp(1, points.len().max(1));
+    let jobs = jobs.clamp(1, n.max(1));
     let next = AtomicUsize::new(0);
-    let f = Arc::new(f);
-    let mut slots: Vec<Option<PointResult<R>>> =
-        std::iter::repeat_with(|| None).take(points.len()).collect();
+    let mut slots: Vec<Option<PointResult<R>>> = std::iter::repeat_with(|| None).take(n).collect();
 
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..jobs)
             .map(|_| {
                 let next = &next;
-                let f = &f;
+                let point = &point;
                 scope.spawn(move || {
                     let mut mine: Vec<(usize, PointResult<R>)> = Vec::new();
                     loop {
+                        // The "queue": claim the next unclaimed index.
                         let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= points.len() {
+                        if index >= n {
                             break;
                         }
                         let ctx = PointCtx {
                             index,
                             seed: derive_seed(base_seed, index as u64),
                         };
-                        if let Some(r) = cache.and_then(|hooks| (hooks.lookup)(ctx, &points[index]))
-                        {
-                            mine.push((index, PointResult::Completed(r)));
-                            continue;
-                        }
-                        let point = points[index].clone();
-                        let f = Arc::clone(f);
-                        let outcome = match run_guarded(watchdog, move || f(ctx, &point)) {
-                            Guarded::Finished(r) => {
-                                if let Some(hooks) = cache {
-                                    (hooks.insert)(ctx, &points[index], &r);
-                                }
-                                PointResult::Completed(r)
-                            }
-                            Guarded::Panicked(message) => PointResult::Degraded(DegradedPoint {
-                                index,
-                                seed: ctx.seed,
-                                kind: DegradedKind::Panicked,
-                                message,
-                            }),
-                            Guarded::Overtime => PointResult::Degraded(DegradedPoint {
-                                index,
-                                seed: ctx.seed,
-                                kind: DegradedKind::Overtime,
-                                message: format!(
-                                    "exceeded the {} ms point watchdog",
-                                    watchdog.as_millis()
-                                ),
-                            }),
-                        };
-                        mine.push((index, outcome));
+                        mine.push((index, point(ctx)));
                     }
                     mine
                 })
@@ -459,6 +328,8 @@ where
                         slots[index] = Some(r);
                     }
                 }
+                // Workers themselves cannot panic (points are caught), but
+                // don't swallow a harness bug if one ever does.
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }

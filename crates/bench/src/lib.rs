@@ -10,8 +10,6 @@
 //! * [`cli`] — the shared `--frames/--jobs/--seed/--json/--quiet` argv
 //!   parsing used by every bench binary, plus the [`cli::SweepApp`]
 //!   driver the sweep binaries are built on;
-//! * [`cache`] — the persistent content-addressed result cache behind
-//!   every sweep binary's `--cache-dir` flag (incremental sweeps);
 //! * [`stats`] / [`json`] / [`results`] — typed aggregates and the
 //!   hand-rolled, deterministic JSON results writer
 //!   (`bench-results/<bin>.json`, schema `rtos-sld-bench/1`);
@@ -19,7 +17,6 @@
 //!   every binary's `--trace-out` flag.
 
 pub mod analyze;
-pub mod cache;
 pub mod cli;
 pub mod farm;
 pub mod json;

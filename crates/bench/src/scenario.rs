@@ -19,7 +19,6 @@ use dsp_iss::vocoder_app::{run_impl_model, ImplConfig};
 use model_refine::{figure3_spec, run_architecture, Figure3Delays, RunConfig, RunModelError};
 use rtos_model::{
     CycleOutcome, MissPolicy, Priority, Rtos, SchedAlg, TaskParams, TaskStats, TimeSlice,
-    WatchdogAction,
 };
 use sldl_sim::bus::{Arbitration, BusConfig};
 use sldl_sim::prelude::*;
@@ -29,10 +28,6 @@ use vocoder::{
 };
 
 use crate::json::Json;
-
-/// Schema identifier of the canonical [`ScenarioSpec`] JSON serialization
-/// produced by [`ScenarioSpec::to_canonical_json`].
-pub const SPEC_SCHEMA: &str = "rtos-sld-spec/1";
 
 /// Which model/workload a scenario executes.
 #[derive(Debug, Clone, PartialEq)]
@@ -373,7 +368,7 @@ impl ScenarioSpec {
                 o.set("bus_max_wait_us", run.bus.max_wait.as_secs_f64() * 1e6);
                 o.set("bus_contended", run.bus.contended as f64);
                 // Deterministic throughput: payload bytes per *simulated*
-                // second — the perf-gated headline metric of comm sweeps.
+                // second — the headline metric of comm sweeps.
                 let end_s = base.end_time.as_secs_f64();
                 if end_s > 0.0 {
                     o.set("bus_bytes_per_sec", run.bus.bytes as f64 / end_s);
@@ -604,361 +599,6 @@ impl ScenarioSpec {
             Err(e) => ScenarioOutcome::failed(describe_run_error(&e)),
         }
     }
-
-    /// The canonical JSON form of this spec (schema [`SPEC_SCHEMA`]).
-    ///
-    /// Field order and representation are fixed, so equal specs render
-    /// byte-identically — this serialization is what the
-    /// content-addressed result cache ([`crate::cache`]) hashes, and
-    /// [`ScenarioSpec::from_json`] is its lossless inverse: a spec
-    /// rebuilt from its canonical JSON reruns to the same outcome bytes.
-    /// Durations are serialized as integer nanoseconds (`*_ns`).
-    #[must_use]
-    pub fn to_canonical_json(&self) -> Json {
-        Json::obj([
-            ("schema", Json::str(SPEC_SCHEMA)),
-            ("name", Json::str(&self.name)),
-            ("workload", workload_to_json(&self.workload)),
-            ("sched", sched_to_json(self.sched)),
-            ("slice", slice_to_json(self.slice)),
-            ("timing_scale", Json::Num(self.timing_scale)),
-            ("faults", faults_to_json(&self.faults)),
-            ("chaos", chaos_to_json(&self.chaos)),
-            ("oracle", Json::Bool(self.oracle)),
-            (
-                "watchdog",
-                self.watchdog.map_or(Json::Null, |w| watchdog_to_json(&w)),
-            ),
-            ("frames", Json::U64(self.frames as u64)),
-            ("seed", Json::U64(self.seed)),
-            ("speech_seed", Json::U64(self.speech_seed)),
-            ("trace", Json::Bool(self.trace)),
-        ])
-    }
-
-    /// Reconstructs a spec from its
-    /// [`to_canonical_json`](Self::to_canonical_json) form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or ill-typed field. A spec
-    /// document with an unknown `schema` is rejected outright.
-    pub fn from_json(doc: &Json) -> Result<ScenarioSpec, String> {
-        let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != SPEC_SCHEMA {
-            return Err(format!("unsupported spec schema `{schema}`"));
-        }
-        let name = doc
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("spec: missing string `name`")?;
-        let workload = workload_from_json(field(doc, "workload")?)?;
-        let mut spec = ScenarioSpec::new(name, workload);
-        spec.sched = sched_from_json(field(doc, "sched")?)?;
-        spec.slice = slice_from_json(field(doc, "slice")?)?;
-        spec.timing_scale = f64_field(doc, "timing_scale")?;
-        spec.faults = faults_from_json(field(doc, "faults")?)?;
-        spec.chaos = chaos_from_json(field(doc, "chaos")?)?;
-        spec.oracle = bool_field(doc, "oracle")?;
-        spec.watchdog = match field(doc, "watchdog")? {
-            Json::Null => None,
-            w => Some(watchdog_from_json(w)?),
-        };
-        spec.frames = usize::try_from(u64_field(doc, "frames")?)
-            .map_err(|_| "spec: `frames` out of range".to_string())?;
-        spec.seed = u64_field(doc, "seed")?;
-        spec.speech_seed = u64_field(doc, "speech_seed")?;
-        spec.trace = bool_field(doc, "trace")?;
-        Ok(spec)
-    }
-}
-
-/// Duration → integer nanoseconds (saturating; no spec uses 584-year
-/// delays, so saturation never fires in practice).
-fn ns(d: Duration) -> Json {
-    Json::U64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-}
-
-fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
-    doc.get(key).ok_or_else(|| format!("spec: missing `{key}`"))
-}
-
-fn u64_field(doc: &Json, key: &str) -> Result<u64, String> {
-    field(doc, key)?
-        .as_u64()
-        .ok_or_else(|| format!("spec: `{key}` must be an unsigned integer"))
-}
-
-fn f64_field(doc: &Json, key: &str) -> Result<f64, String> {
-    field(doc, key)?
-        .as_f64()
-        .ok_or_else(|| format!("spec: `{key}` must be numeric"))
-}
-
-fn bool_field(doc: &Json, key: &str) -> Result<bool, String> {
-    match field(doc, key)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("spec: `{key}` must be a boolean")),
-    }
-}
-
-fn dur_field(doc: &Json, key: &str) -> Result<Duration, String> {
-    u64_field(doc, key).map(Duration::from_nanos)
-}
-
-fn workload_to_json(w: &Workload) -> Json {
-    let kind = |k: &str| Json::obj([("kind", Json::str(k))]);
-    match w {
-        Workload::VocoderUnscheduled => kind("vocoder_unscheduled"),
-        Workload::VocoderArchitecture => kind("vocoder_architecture"),
-        Workload::VocoderImpl => kind("vocoder_impl"),
-        Workload::VocoderSplit {
-            clock_ns,
-            width,
-            setup_ns,
-            arbitration,
-            enc_pe,
-            dec_pe,
-        } => Json::obj([
-            ("kind", Json::str("vocoder_split")),
-            ("clock_ns", Json::U64(*clock_ns)),
-            ("width", Json::U64(u64::from(*width))),
-            ("setup_ns", Json::U64(*setup_ns)),
-            ("arbitration", Json::str(arbitration.as_str())),
-            ("enc_pe", Json::U64(*enc_pe as u64)),
-            ("dec_pe", Json::U64(*dec_pe as u64)),
-        ]),
-        Workload::TaskSet {
-            tasks,
-            utilization,
-            horizon_us,
-        } => Json::obj([
-            ("kind", Json::str("task_set")),
-            ("tasks", Json::U64(*tasks as u64)),
-            ("utilization", Json::Num(*utilization)),
-            ("horizon_us", Json::U64(*horizon_us)),
-        ]),
-        Workload::Figure3 => kind("figure3"),
-        Workload::MissPolicyOverrun { policy } => Json::obj([
-            ("kind", Json::str("miss_policy_overrun")),
-            ("policy", miss_policy_to_json(*policy)),
-        ]),
-    }
-}
-
-fn workload_from_json(j: &Json) -> Result<Workload, String> {
-    let kind = j.get("kind").and_then(Json::as_str).unwrap_or("");
-    match kind {
-        "vocoder_unscheduled" => Ok(Workload::VocoderUnscheduled),
-        "vocoder_architecture" => Ok(Workload::VocoderArchitecture),
-        "vocoder_impl" => Ok(Workload::VocoderImpl),
-        "vocoder_split" => Ok(Workload::VocoderSplit {
-            clock_ns: u64_field(j, "clock_ns")?,
-            width: u32::try_from(u64_field(j, "width")?)
-                .map_err(|_| "spec: workload `width` out of range".to_string())?,
-            setup_ns: u64_field(j, "setup_ns")?,
-            arbitration: match j.get("arbitration").and_then(Json::as_str).unwrap_or("") {
-                "fixed_priority" => Arbitration::FixedPriority,
-                "round_robin" => Arbitration::RoundRobin,
-                other => return Err(format!("spec: unknown arbitration `{other}`")),
-            },
-            enc_pe: usize::try_from(u64_field(j, "enc_pe")?)
-                .map_err(|_| "spec: workload `enc_pe` out of range".to_string())?,
-            dec_pe: usize::try_from(u64_field(j, "dec_pe")?)
-                .map_err(|_| "spec: workload `dec_pe` out of range".to_string())?,
-        }),
-        "task_set" => Ok(Workload::TaskSet {
-            tasks: usize::try_from(u64_field(j, "tasks")?)
-                .map_err(|_| "spec: workload `tasks` out of range".to_string())?,
-            utilization: f64_field(j, "utilization")?,
-            horizon_us: u64_field(j, "horizon_us")?,
-        }),
-        "figure3" => Ok(Workload::Figure3),
-        "miss_policy_overrun" => Ok(Workload::MissPolicyOverrun {
-            policy: miss_policy_from_json(field(j, "policy")?)?,
-        }),
-        other => Err(format!("spec: unknown workload kind `{other}`")),
-    }
-}
-
-fn miss_policy_to_json(p: MissPolicy) -> Json {
-    match p {
-        MissPolicy::Count => Json::str("count"),
-        MissPolicy::SkipCycle => Json::str("skip_cycle"),
-        MissPolicy::KillTask => Json::str("kill_task"),
-        MissPolicy::RestartTask => Json::str("restart_task"),
-        MissPolicy::Degrade(Priority(to)) => Json::obj([("degrade", Json::U64(u64::from(to)))]),
-        // `MissPolicy` is #[non_exhaustive]; a new upstream variant must
-        // be given a canonical form here before specs using it can be
-        // serialized (and therefore cached).
-        other => panic!("miss policy {other:?} has no canonical JSON form"),
-    }
-}
-
-fn miss_policy_from_json(j: &Json) -> Result<MissPolicy, String> {
-    if let Some(to) = j.get("degrade").and_then(Json::as_u64) {
-        let to = u32::try_from(to).map_err(|_| "spec: `degrade` priority out of range")?;
-        return Ok(MissPolicy::Degrade(Priority(to)));
-    }
-    match j.as_str().unwrap_or("") {
-        "count" => Ok(MissPolicy::Count),
-        "skip_cycle" => Ok(MissPolicy::SkipCycle),
-        "kill_task" => Ok(MissPolicy::KillTask),
-        "restart_task" => Ok(MissPolicy::RestartTask),
-        other => Err(format!("spec: unknown miss policy `{other}`")),
-    }
-}
-
-fn sched_to_json(alg: SchedAlg) -> Json {
-    match alg {
-        SchedAlg::PriorityPreemptive => Json::str("priority_preemptive"),
-        SchedAlg::PriorityCooperative => Json::str("priority_cooperative"),
-        SchedAlg::Fifo => Json::str("fifo"),
-        SchedAlg::RoundRobin { quantum } => Json::obj([("round_robin_quantum_ns", ns(quantum))]),
-        SchedAlg::Rms => Json::str("rms"),
-        SchedAlg::Edf => Json::str("edf"),
-        // `SchedAlg` is #[non_exhaustive]; see `miss_policy_to_json`.
-        other => panic!("scheduler {other:?} has no canonical JSON form"),
-    }
-}
-
-fn sched_from_json(j: &Json) -> Result<SchedAlg, String> {
-    if let Some(q) = j.get("round_robin_quantum_ns").and_then(Json::as_u64) {
-        return Ok(SchedAlg::RoundRobin {
-            quantum: Duration::from_nanos(q),
-        });
-    }
-    match j.as_str().unwrap_or("") {
-        "priority_preemptive" => Ok(SchedAlg::PriorityPreemptive),
-        "priority_cooperative" => Ok(SchedAlg::PriorityCooperative),
-        "fifo" => Ok(SchedAlg::Fifo),
-        "rms" => Ok(SchedAlg::Rms),
-        "edf" => Ok(SchedAlg::Edf),
-        other => Err(format!("spec: unknown scheduler `{other}`")),
-    }
-}
-
-fn slice_to_json(slice: TimeSlice) -> Json {
-    match slice {
-        TimeSlice::WholeDelay => Json::str("whole_delay"),
-        TimeSlice::Quantum(q) => Json::obj([("quantum_ns", ns(q))]),
-    }
-}
-
-fn slice_from_json(j: &Json) -> Result<TimeSlice, String> {
-    if let Some(q) = j.get("quantum_ns").and_then(Json::as_u64) {
-        return Ok(TimeSlice::Quantum(Duration::from_nanos(q)));
-    }
-    match j.as_str().unwrap_or("") {
-        "whole_delay" => Ok(TimeSlice::WholeDelay),
-        other => Err(format!("spec: unknown time slice `{other}`")),
-    }
-}
-
-fn faults_to_json(p: &FaultPlan) -> Json {
-    Json::obj([
-        ("seed", Json::U64(p.seed())),
-        (
-            "wcet",
-            p.wcet.map_or(Json::Null, |w| {
-                Json::obj([
-                    ("probability", Json::Num(w.probability)),
-                    ("max_stretch", Json::Num(w.max_stretch)),
-                ])
-            }),
-        ),
-        ("drop_notify", Json::Num(p.drop_notify)),
-        ("dup_notify", Json::Num(p.dup_notify)),
-        (
-            "spurious",
-            Json::Arr(
-                p.spurious
-                    .iter()
-                    .map(|s| {
-                        Json::obj([
-                            ("event", Json::U64(s.event.index() as u64)),
-                            ("probability", Json::Num(s.probability)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn faults_from_json(j: &Json) -> Result<FaultPlan, String> {
-    let mut plan = FaultPlan::seeded(u64_field(j, "seed")?);
-    match field(j, "wcet")? {
-        Json::Null => {}
-        w => {
-            plan =
-                plan.with_wcet_jitter(f64_field(w, "probability")?, f64_field(w, "max_stretch")?);
-        }
-    }
-    plan = plan
-        .with_drop_notify(f64_field(j, "drop_notify")?)
-        .with_dup_notify(f64_field(j, "dup_notify")?);
-    let spurious = field(j, "spurious")?
-        .as_array()
-        .ok_or("spec: `spurious` must be an array")?;
-    for s in spurious {
-        let index = usize::try_from(u64_field(s, "event")?)
-            .map_err(|_| "spec: spurious `event` out of range".to_string())?;
-        plan = plan.with_spurious(EventId::from_index(index), f64_field(s, "probability")?);
-    }
-    Ok(plan)
-}
-
-fn chaos_to_json(p: &ChaosPlan) -> Json {
-    Json::obj([
-        ("seed", Json::U64(p.seed())),
-        ("reorder", Json::Num(p.reorder)),
-        (
-            "window",
-            p.window.map_or(Json::Null, |(lo, hi)| {
-                Json::Arr(vec![Json::U64(lo), Json::U64(hi)])
-            }),
-        ),
-    ])
-}
-
-fn chaos_from_json(j: &Json) -> Result<ChaosPlan, String> {
-    let mut plan = ChaosPlan::seeded(u64_field(j, "seed")?).with_reorder(f64_field(j, "reorder")?);
-    match field(j, "window")? {
-        Json::Null => {}
-        w => {
-            let bounds = w.as_array().ok_or("spec: `window` must be an array")?;
-            let (lo, hi) = match bounds {
-                [lo, hi] => (lo.as_u64(), hi.as_u64()),
-                _ => (None, None),
-            };
-            match (lo, hi) {
-                (Some(lo), Some(hi)) => plan = plan.with_window(lo, hi),
-                _ => return Err("spec: `window` must be [lo, hi]".into()),
-            }
-        }
-    }
-    Ok(plan)
-}
-
-fn watchdog_to_json(w: &WatchdogSpec) -> Json {
-    let action = match w.action {
-        WatchdogAction::AbortRun => "abort_run",
-        WatchdogAction::Count => "count",
-    };
-    Json::obj([("timeout_ns", ns(w.timeout)), ("action", Json::str(action))])
-}
-
-fn watchdog_from_json(j: &Json) -> Result<WatchdogSpec, String> {
-    let action = match j.get("action").and_then(Json::as_str).unwrap_or("") {
-        "abort_run" => WatchdogAction::AbortRun,
-        "count" => WatchdogAction::Count,
-        other => return Err(format!("spec: unknown watchdog action `{other}`")),
-    };
-    Ok(WatchdogSpec {
-        timeout: dur_field(j, "timeout_ns")?,
-        action,
-    })
 }
 
 /// One periodic task of a synthetic set.
@@ -1126,101 +766,6 @@ impl ScenarioOutcome {
             ("tasks", tasks),
         ])
     }
-
-    /// Reconstructs an outcome from its [`to_json`](Self::to_json) form —
-    /// the result cache's value decoder. Fields excluded from the JSON
-    /// come back empty: `records` is empty, `host_time` is zero, and the
-    /// kernel counters that `to_json` does not serialize are defaulted.
-    /// By construction `from_json(o.to_json()).to_json()` renders
-    /// byte-identically to `o.to_json()`, which is what makes warm-cache
-    /// result documents byte-identical to cold ones.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or ill-typed field.
-    pub fn from_json(doc: &Json) -> Result<ScenarioOutcome, String> {
-        let status = doc
-            .get("status")
-            .and_then(Json::as_str)
-            .ok_or("outcome: missing string `status`")?
-            .to_string();
-        let completed = match doc.get("completed") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err("outcome: missing boolean `completed`".into()),
-        };
-        let mut metrics = BTreeMap::new();
-        match doc.get("metrics") {
-            Some(Json::Obj(fields)) => {
-                for (k, v) in fields {
-                    let v = v
-                        .as_f64()
-                        .ok_or_else(|| format!("outcome: metric `{k}` not numeric"))?;
-                    metrics.insert(k.clone(), v);
-                }
-            }
-            _ => return Err("outcome: missing object `metrics`".into()),
-        }
-        let kernel_stats = match doc.get("kernel_stats") {
-            None => return Err("outcome: missing `kernel_stats`".into()),
-            Some(Json::Null) => None,
-            Some(k) => {
-                let g = |key: &str| {
-                    k.get(key)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("outcome: kernel_stats `{key}` not numeric"))
-                };
-                Some(KernelStats {
-                    delta_cycles: g("delta_cycles")?,
-                    events_notified: g("events_notified")?,
-                    processes_spawned: g("processes_spawned")?,
-                    processes_resumed: g("processes_resumed")?,
-                    processes_suspended: g("processes_suspended")?,
-                    timer_ops: g("timer_ops")?,
-                    max_ready_depth: g("max_ready_depth")?,
-                    context_switches: g("context_switches")?,
-                    ..KernelStats::default()
-                })
-            }
-        };
-        let tasks = doc
-            .get("tasks")
-            .and_then(Json::as_array)
-            .ok_or("outcome: missing array `tasks`")?
-            .iter()
-            .map(task_stats_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ScenarioOutcome {
-            status,
-            completed,
-            metrics,
-            kernel_stats,
-            tasks,
-            records: Vec::new(),
-            dropped_records: 0,
-            host_time: Duration::ZERO,
-        })
-    }
-}
-
-fn task_stats_from_json(j: &Json) -> Result<TaskStats, String> {
-    let g = |key: &str| {
-        j.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("outcome: task `{key}` not numeric"))
-    };
-    Ok(TaskStats {
-        name: j
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("outcome: task missing string `name`")?
-            .to_string(),
-        activations: g("activations")?,
-        dispatches: g("dispatches")?,
-        preemptions: g("preemptions")?,
-        deadline_misses: g("deadline_misses")?,
-        busy: Duration::from_micros(g("busy_us")?),
-        ..TaskStats::default()
-    })
 }
 
 /// Deterministic, human-readable description of a [`RunError`].
@@ -1349,116 +894,5 @@ mod tests {
         let b = spec.run().to_json().render();
         assert_eq!(a, b);
         assert!(!a.contains("host"), "{a}");
-    }
-
-    /// A spec exercising every serialized knob at once.
-    fn maximal_spec() -> ScenarioSpec {
-        ScenarioSpec::new("max", Workload::VocoderArchitecture)
-            .sched(SchedAlg::RoundRobin {
-                quantum: Duration::from_micros(250),
-            })
-            .slice(TimeSlice::Quantum(Duration::from_micros(100)))
-            .timing_scale(1.25)
-            .faults(
-                FaultPlan::seeded(7)
-                    .with_wcet_jitter(0.25, 2.0)
-                    .with_drop_notify(0.01)
-                    .with_dup_notify(0.02)
-                    .with_spurious(EventId::from_index(3), 0.05),
-            )
-            .chaos(ChaosPlan::seeded(9).with_reorder(0.1).with_window(5, 500))
-            .oracle(true)
-            .watchdog(WatchdogSpec {
-                timeout: Duration::from_millis(60),
-                action: WatchdogAction::Count,
-            })
-            .frames(3)
-            .seeded(42)
-    }
-
-    #[test]
-    fn canonical_json_round_trips_losslessly() {
-        let workloads = [
-            Workload::VocoderUnscheduled,
-            Workload::VocoderImpl,
-            Workload::VocoderSplit {
-                clock_ns: 500,
-                width: 4,
-                setup_ns: 2_000,
-                arbitration: Arbitration::RoundRobin,
-                enc_pe: 1,
-                dec_pe: 0,
-            },
-            Workload::TaskSet {
-                tasks: 5,
-                utilization: 0.75,
-                horizon_us: 40_000,
-            },
-            Workload::Figure3,
-            Workload::MissPolicyOverrun {
-                policy: MissPolicy::Degrade(Priority(9)),
-            },
-            Workload::MissPolicyOverrun {
-                policy: MissPolicy::SkipCycle,
-            },
-        ];
-        for w in workloads {
-            let mut spec = maximal_spec();
-            spec.workload = w;
-            let rendered = spec.to_canonical_json().render();
-            let back = ScenarioSpec::from_json(&Json::parse(&rendered).unwrap()).unwrap();
-            assert_eq!(back.to_canonical_json().render(), rendered);
-        }
-    }
-
-    #[test]
-    fn spec_rebuilt_from_json_reruns_to_identical_outcome_bytes() {
-        // Seeded property test: a spec that survives the JSON round trip
-        // must also *rerun* identically — the canonical form captures
-        // everything outcome-relevant. The periodic watchdog timer must
-        // stay disarmed here: combined with `drop_notify` it is an
-        // inexhaustible event source (a dropped frame never completes,
-        // so only the timer advances virtual time — forever).
-        let mut spec = maximal_spec();
-        spec.watchdog = None;
-        let back = ScenarioSpec::from_json(&spec.to_canonical_json()).unwrap();
-        for round in 0..3 {
-            let seed = crate::farm::derive_seed(0xF00D, round);
-            assert_eq!(
-                spec.run_seeded(seed).to_json().render(),
-                back.run_seeded(seed).to_json().render(),
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_specs() {
-        assert!(ScenarioSpec::from_json(&Json::Null).is_err());
-        assert!(ScenarioSpec::from_json(&Json::obj([("schema", Json::str("bogus/9"))])).is_err());
-        let mut doc = maximal_spec().to_canonical_json();
-        if let Json::Obj(fields) = &mut doc {
-            fields.retain(|(k, _)| k != "frames");
-        }
-        let err = ScenarioSpec::from_json(&doc).unwrap_err();
-        assert!(err.contains("frames"), "{err}");
-    }
-
-    #[test]
-    fn outcome_round_trips_to_identical_bytes() {
-        for spec in [
-            ScenarioSpec::new("a", Workload::VocoderArchitecture).frames(2),
-            ScenarioSpec::new("b", Workload::VocoderImpl).frames(2),
-            ScenarioSpec::new(
-                "c",
-                Workload::MissPolicyOverrun {
-                    policy: MissPolicy::KillTask,
-                },
-            ),
-        ] {
-            let rendered = spec.run().to_json().render();
-            let back = ScenarioOutcome::from_json(&Json::parse(&rendered).unwrap()).unwrap();
-            assert_eq!(back.to_json().render(), rendered);
-        }
     }
 }

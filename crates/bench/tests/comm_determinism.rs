@@ -2,8 +2,8 @@
 //! zero-latency bus must be observationally identical to the abstract
 //! (pre-refinement) communication for **every** encoder/decoder
 //! placement, the `comm_sweep` results document must be byte-identical
-//! across `--jobs`, and contention must grow monotonically as the bus
-//! narrows.
+//! across `--jobs` and match its golden at default flags, and contention
+//! must grow monotonically as the bus narrows.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -80,32 +80,46 @@ fn split_outcome_is_deterministic_per_placement() {
 #[test]
 fn comm_sweep_json_is_jobs_invariant() {
     let exe = env!("CARGO_BIN_EXE_comm_sweep");
-    let run = |tag: &str, jobs: &str| -> Vec<u8> {
+    let run = |tag: &str, args: &[&str]| -> Vec<u8> {
         let path: PathBuf = std::env::temp_dir().join(format!(
             "comm-determinism-{}-{tag}.json",
             std::process::id()
         ));
         let status = Command::new(exe)
-            .args(["--frames", "2", "--seed", "5", "--jobs", jobs, "-q"])
+            .args(args)
+            .arg("-q")
             .arg("--json")
             .arg(&path)
             .status()
             .expect("comm_sweep runs");
-        assert!(
-            status.success(),
-            "comm_sweep --jobs {jobs} failed: {status}"
-        );
+        assert!(status.success(), "comm_sweep {args:?} failed: {status}");
         let bytes = std::fs::read(&path).expect("json written");
         let _ = std::fs::remove_file(&path);
         bytes
     };
-    let j1 = run("j1", "1");
-    let j4 = run("j4", "4");
+    let j1 = run("j1", &["--frames", "2", "--seed", "5", "--jobs", "1"]);
+    let j4 = run("j4", &["--frames", "2", "--seed", "5", "--jobs", "4"]);
     assert!(!j1.is_empty());
     assert_eq!(j1, j4, "comm_sweep JSON differs between --jobs 1 and 4");
     let text = String::from_utf8(j1).unwrap();
     assert!(text.contains("\"bench\": \"comm_sweep\""), "{text}");
     assert!(text.contains("\"name\": \"ideal\""), "{text}");
+
+    // At default flags (10 frames, seed 192) every byte is pinned: the
+    // bus metrics, the simulated-time `bus_bytes_per_sec` rates and the
+    // transcoding delays of every point.
+    let golden_path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/comm_sweep_f10_s192.json");
+    let golden = std::fs::read(&golden_path)
+        .unwrap_or_else(|e| panic!("golden {}: {e}", golden_path.display()));
+    for jobs in ["1", "4"] {
+        let got = run(&format!("default-j{jobs}"), &["--jobs", jobs]);
+        assert!(
+            got == golden,
+            "comm_sweep --jobs {jobs} at default flags diverged from {}",
+            golden_path.display()
+        );
+    }
 }
 
 #[test]

@@ -273,64 +273,6 @@ fn exported_trace_matches_pre_overhaul_golden_bytes() {
 }
 
 #[test]
-fn warm_cache_rerun_is_byte_identical_with_full_hits() {
-    // End-to-end tentpole property: a robustness sweep into a fresh
-    // --cache-dir, rerun warm under a *different* --jobs, must emit a
-    // byte-identical document with every point answered from the cache —
-    // and both must still match the pre-overhaul golden bytes.
-    let exe = env!("CARGO_BIN_EXE_robustness");
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("farm-determinism-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    // Not -q: the cache summary line is part of what we assert on.
-    let run = |tag: &str, jobs: &str| -> (Vec<u8>, String) {
-        let path: PathBuf = std::env::temp_dir().join(format!(
-            "farm-determinism-cache-{}-{tag}.json",
-            std::process::id()
-        ));
-        let out = Command::new(exe)
-            .args(["--frames", "2", "--seed", "7", "--jobs", jobs])
-            .arg("--cache-dir")
-            .arg(&dir)
-            .arg("--json")
-            .arg(&path)
-            .output()
-            .expect("robustness runs");
-        assert!(out.status.success(), "robustness --cache-dir failed");
-        let bytes = std::fs::read(&path).expect("json written");
-        let _ = std::fs::remove_file(&path);
-        (bytes, String::from_utf8_lossy(&out.stdout).into_owned())
-    };
-
-    let (cold, cold_stdout) = run("cold", "2");
-    let (warm, warm_stdout) = run("warm", "4");
-    assert_eq!(cold, warm, "warm cache rerun diverged from the cold bytes");
-    assert_eq!(
-        cold,
-        golden("robustness_f2_s7.json"),
-        "cached run diverged from the golden document"
-    );
-
-    let summary = |stdout: &str| -> String {
-        stdout
-            .lines()
-            .find(|l| l.starts_with("cache: "))
-            .unwrap_or_else(|| panic!("no cache summary in:\n{stdout}"))
-            .to_string()
-    };
-    let cold_line = summary(&cold_stdout);
-    assert!(cold_line.contains("hits=0"), "{cold_line}");
-    let warm_line = summary(&warm_stdout);
-    assert!(
-        warm_line.contains("misses=0") && warm_line.contains("corrupt=0"),
-        "warm run must be 100% hits: {warm_line}"
-    );
-    assert!(!warm_line.contains("hits=0"), "{warm_line}");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn per_point_seeds_do_not_collide_across_256_points() {
     for base in [0u64, 7, 0xDEAD_BEEF, u64::MAX] {
         let mut seeds: Vec<u64> = (0..256).map(|i| derive_seed(base, i)).collect();

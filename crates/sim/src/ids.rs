@@ -23,18 +23,6 @@ impl EventId {
     pub const fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Reconstructs a handle from a raw [`index`](Self::index) — the
-    /// inverse used when deserializing plans (e.g. a
-    /// [`FaultPlan`](crate::FaultPlan) with spurious-release
-    /// registrations) from their canonical JSON form. The caller is
-    /// responsible for the index naming the same event in the target
-    /// simulation; event indices are allocated densely from 0 in creation
-    /// order, so specs built the same way yield the same indices.
-    #[must_use]
-    pub const fn from_index(index: usize) -> Self {
-        EventId(index as u32)
-    }
 }
 
 impl fmt::Display for EventId {

@@ -86,16 +86,6 @@ pub mod trace;
 mod time;
 mod wheel;
 
-/// Monotonic revision of the kernel/model *semantics*.
-///
-/// Bump this whenever a change alters what a simulation computes — event
-/// delivery order, fault/chaos stream derivation, scheduler semantics,
-/// metric definitions — even if no public API changed. Persistent result
-/// caches (`bench::cache`) fold this constant (together with the crate
-/// version) into every cache key, so stale entries produced by an older
-/// kernel self-invalidate instead of silently resurfacing.
-pub const KERNEL_SCHEMA_REV: u32 = 1;
-
 pub use bus::{Arbitration, Bus, BusConfig, BusStats, MasterGrants, MasterId};
 pub use channel::{Handshake, Queue, Semaphore, SldlSync, SyncLayer};
 pub use chaos::{ChaosPlan, ChaosRecord, InjectedChaos, KernelInvariants};

@@ -28,4 +28,3 @@ pub use crate::kernel::{Child, ProcCtx, Report, Simulation, SimulationBuilder, S
 pub use crate::rng::SmallRng;
 pub use crate::time::SimTime;
 pub use crate::trace::{KernelStats, Record, RecordKind, TraceConfig, TraceHandle};
-pub use crate::KERNEL_SCHEMA_REV;

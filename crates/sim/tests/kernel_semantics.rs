@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sldl_sim::sync::Mutex;
-use sldl_sim::{Child, RunError, SimTime, Simulation};
+use sldl_sim::{Child, KernelStats, RunError, SimTime, Simulation};
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -474,4 +474,183 @@ fn dropping_unrun_simulation_is_clean() {
         ctx.waitfor(us(1)).await;
     }));
     drop(sim); // must not hang or leak a blocked thread
+}
+
+/// `stats` with the host-dependent wall time cleared, so the remaining
+/// counters compare exactly.
+fn counts(stats: KernelStats) -> KernelStats {
+    KernelStats {
+        wall_time: Duration::ZERO,
+        ..stats
+    }
+}
+
+/// One process yielding with `waitfor(0)` `n` times.
+fn handoff(n: u64) -> KernelStats {
+    let mut sim = Simulation::new();
+    sim.spawn(Child::new("yielder", move |ctx| async move {
+        for _ in 0..n {
+            ctx.waitfor(Duration::ZERO).await;
+        }
+    }));
+    sim.run().unwrap().kernel
+}
+
+/// Two processes ping-ponging event notifications `n` times.
+fn notify_ping_pong(n: u64) -> KernelStats {
+    let mut sim = Simulation::new();
+    let ping = sim.event_new();
+    let pong = sim.event_new();
+    sim.spawn(Child::new("ping", move |ctx| async move {
+        for _ in 0..n {
+            ctx.notify(ping);
+            ctx.wait(pong).await;
+        }
+        ctx.notify(ping);
+    }));
+    sim.spawn(Child::new("pong", move |ctx| async move {
+        for _ in 0..=n {
+            ctx.wait(ping).await;
+            // The last notify has no waiter and is lost.
+            ctx.notify(pong);
+        }
+    }));
+    sim.run().unwrap().kernel
+}
+
+/// `sims` fresh simulations of `procs` processes that each wait once and
+/// exit: the stats of every run.
+fn spawn_teardown(sims: u64, procs: u64) -> Vec<KernelStats> {
+    (0..sims)
+        .map(|_| {
+            let mut sim = Simulation::new();
+            for p in 0..procs {
+                sim.spawn(Child::new("leaf", move |ctx| async move {
+                    ctx.waitfor(us(p)).await;
+                }));
+            }
+            sim.run().unwrap().kernel
+        })
+        .collect()
+}
+
+/// `waiters` processes blocking on one event, released all at once for
+/// `rounds` rounds.
+fn waiter_storm(waiters: u64, rounds: u64) -> KernelStats {
+    let mut sim = Simulation::new();
+    let ev = sim.event_new();
+    for _ in 0..waiters {
+        sim.spawn(Child::new("waiter", move |ctx| async move {
+            for _ in 0..rounds {
+                ctx.wait(ev).await;
+            }
+        }));
+    }
+    sim.spawn(Child::new("storm", move |ctx| async move {
+        for _ in 0..rounds {
+            ctx.waitfor(us(1)).await;
+            ctx.notify(ev);
+        }
+    }));
+    sim.run().unwrap().kernel
+}
+
+/// `procs` processes running staggered `waitfor` loops of `laps` laps,
+/// spreading due times over the timer wheel's slots and levels.
+fn timer_wheel(procs: u64, laps: u64) -> KernelStats {
+    let mut sim = Simulation::new();
+    for p in 0..procs {
+        sim.spawn(Child::new("timer", move |ctx| async move {
+            let delay = Duration::from_nanos(977 * (p + 1) + 61);
+            for _ in 0..laps {
+                ctx.waitfor(delay).await;
+            }
+        }));
+    }
+    sim.run().unwrap().kernel
+}
+
+/// Exact kernel work on five hot-path scenarios: every resume, suspend,
+/// timer operation, delta cycle and process switch. The counts are
+/// host-independent, so any extra work the kernel starts doing per
+/// operation fails this test. The sizes are the ones the counts were
+/// first recorded at.
+#[test]
+fn hot_path_work_counts_are_exact() {
+    let n = 200_000;
+    assert_eq!(
+        counts(handoff(n)),
+        KernelStats {
+            processes_spawned: 1,
+            processes_resumed: n + 1,
+            processes_suspended: n,
+            timer_ops: 2 * n,
+            max_ready_depth: 1,
+            ..KernelStats::default()
+        },
+        "handoff"
+    );
+
+    let n = 100_000;
+    assert_eq!(
+        counts(notify_ping_pong(n)),
+        KernelStats {
+            delta_cycles: 2 * n + 2,
+            events_notified: 2 * n + 2,
+            processes_spawned: 2,
+            processes_resumed: 2 * n + 3,
+            processes_suspended: 2 * n + 1,
+            max_ready_depth: 2,
+            context_switches: 2 * n + 1,
+            ..KernelStats::default()
+        },
+        "notify"
+    );
+
+    // 16,000 spawns, 32,000 resumes and 32,000 timer ops in total.
+    for (i, stats) in spawn_teardown(2_000, 8).into_iter().enumerate() {
+        assert_eq!(
+            counts(stats),
+            KernelStats {
+                processes_spawned: 8,
+                processes_resumed: 16,
+                processes_suspended: 8,
+                timer_ops: 16,
+                max_ready_depth: 8,
+                context_switches: 15,
+                ..KernelStats::default()
+            },
+            "spawn, simulation {i}"
+        );
+    }
+
+    assert_eq!(
+        counts(waiter_storm(256, 100)),
+        KernelStats {
+            delta_cycles: 100,
+            events_notified: 100,
+            processes_spawned: 257,
+            processes_resumed: 25_957,
+            processes_suspended: 25_700,
+            timer_ops: 200,
+            max_ready_depth: 257,
+            context_switches: 25_955,
+            ..KernelStats::default()
+        },
+        "waiter storm"
+    );
+
+    assert_eq!(
+        counts(timer_wheel(64, 1_562)),
+        KernelStats {
+            processes_spawned: 64,
+            processes_resumed: 100_032,
+            processes_suspended: 99_968,
+            timer_ops: 199_936,
+            max_ready_depth: 64,
+            context_switches: 99_989,
+            ..KernelStats::default()
+        },
+        "timer wheel"
+    );
 }
