@@ -272,6 +272,57 @@ fn exported_trace_matches_pre_overhaul_golden_bytes() {
     );
 }
 
+/// Runs `exe` with `args` plus `-q` and one output flag per `(flag,
+/// golden)` pair, and asserts each written file equals its golden bytes.
+fn assert_outputs_match_goldens(exe: &str, args: &[&str], outputs: &[(&str, &str)]) {
+    let mut cmd = Command::new(exe);
+    cmd.args(args).arg("-q");
+    let paths: Vec<PathBuf> = outputs
+        .iter()
+        .map(|(flag, name)| {
+            let path = std::env::temp_dir()
+                .join(format!("farm-determinism-{}-{name}", std::process::id()));
+            cmd.arg(flag).arg(&path);
+            path
+        })
+        .collect();
+    let status = cmd.status().expect("bench binary runs");
+    assert!(status.success(), "{exe} {args:?} failed: {status}");
+    for ((flag, name), path) in outputs.iter().zip(&paths) {
+        let got = std::fs::read(path).expect("output written");
+        let _ = std::fs::remove_file(path);
+        assert!(
+            got == golden(name),
+            "{exe} {flag} diverged from the golden bytes of {name}"
+        );
+    }
+}
+
+#[test]
+fn comm_sweep_trace_matches_golden_bytes() {
+    // Bus `req:`/`grant:`/`contend:` markers, `xfer:` spans, `xchan:`
+    // grants and `rx:` receive interrupts, as exported.
+    assert_outputs_match_goldens(
+        env!("CARGO_BIN_EXE_comm_sweep"),
+        &["--frames", "2", "--jobs", "2"],
+        &[("--trace-out", "comm_sweep_trace_f2_s192.json")],
+    );
+}
+
+#[test]
+fn inversion_trace_and_analysis_match_golden_bytes() {
+    // Mutex wait/acquire/release records, and the analysis document the
+    // in-memory road builds from them.
+    assert_outputs_match_goldens(
+        env!("CARGO_BIN_EXE_inversion"),
+        &[],
+        &[
+            ("--trace-out", "inversion_trace.json"),
+            ("--analyze-out", "inversion_analysis.json"),
+        ],
+    );
+}
+
 #[test]
 fn per_point_seeds_do_not_collide_across_256_points() {
     for base in [0u64, 7, 0xDEAD_BEEF, u64::MAX] {
