@@ -2,10 +2,10 @@
 //! and priority-inversion extraction, structural trace diffing, and the
 //! schedulability report behind `bench --bin analyze`.
 //!
-//! The pipeline is `records → TraceData → Analysis → report`:
+//! The pipeline is `trace → TraceData → Analysis → report`:
 //!
-//! 1. **Ingestion** — [`TraceData`] is built either from in-memory
-//!    [`Record`]s ([`TraceData::from_records`]) or from an exported
+//! 1. **Ingestion** — [`TraceData`] is built either from an in-memory
+//!    [`Trace`] ([`TraceData::from_records`]) or from an exported
 //!    Chrome/Perfetto JSON file ([`TraceData::from_chrome_json`], via the
 //!    crate's own [`Json::parse`]). Both roads produce the same
 //!    intermediate form, so every analysis is oblivious to where the
@@ -27,7 +27,7 @@
 //! Two guarantees make the module trustworthy rather than merely
 //! plausible:
 //!
-//! * **Lossless input only** — a trace whose sink dropped records
+//! * **Lossless input only** — a trace whose bounded ring dropped records
 //!   ([`TraceData::dropped_records`] > 0) is rejected by
 //!   [`check_lossless`]: derived counts from a lossy trace would
 //!   silently undercount.
@@ -50,8 +50,8 @@ use rtos_model::analysis::{
     edf_schedulable, liu_layland_bound, rta_rms, total_utilization, PeriodicSpec,
 };
 use rtos_model::TaskStats;
-use sldl_sim::trace::segments;
-use sldl_sim::{Record, RecordKind, SimTime};
+use sldl_sim::trace::{segments, TrackId};
+use sldl_sim::{LabelId, RecordKind, SimTime, Trace};
 
 use crate::json::Json;
 use crate::stats::Aggregate;
@@ -171,7 +171,7 @@ pub struct TraceData {
     pub bus_markers: Vec<BusMarkEv>,
     /// Context-switch markers (`"{pe}:switch"` tracks).
     pub switch_markers: u64,
-    /// Records the producing sink discarded; nonzero means this trace is
+    /// Records a bounded trace ring dropped; nonzero means this trace is
     /// lossy and [`check_lossless`] rejects it.
     pub dropped_records: u64,
     /// Latest event time seen (the trace horizon).
@@ -179,18 +179,26 @@ pub struct TraceData {
 }
 
 impl TraceData {
-    /// Ingests in-memory records (the `--analyze-out` road).
-    /// `dropped_records` is the producing sink's drop count
-    /// ([`sldl_sim::TraceHandle::dropped_records`]).
+    /// Ingests an in-memory trace (the `--analyze-out` road).
     #[must_use]
-    pub fn from_records(records: &[Record], dropped_records: u64) -> TraceData {
+    pub fn from_records(trace: &Trace) -> TraceData {
         let mut data = TraceData {
-            dropped_records,
+            dropped_records: trace.dropped,
             ..TraceData::default()
         };
-        for r in records {
+        let name = |id: LabelId| trace.label(id).to_string();
+        let pe = |track: TrackId| pe_of(trace.track(track));
+        for r in &trace.records {
             data.end = data.end.max(r.time);
-            match &r.kind {
+            let mutex = |op, track, task, owner: Option<LabelId>, mutex| MutexEv {
+                time: r.time,
+                op,
+                pe: pe(track),
+                task: name(task),
+                owner: owner.map(name),
+                mutex,
+            };
+            match r.kind {
                 RecordKind::SchedDecision {
                     track,
                     dispatched,
@@ -198,64 +206,59 @@ impl TraceData {
                     reason,
                 } => data.sched.push(SchedEv {
                     time: r.time,
-                    pe: pe_of(track),
-                    dispatched: dispatched.clone(),
-                    displaced: displaced.clone(),
+                    pe: pe(track),
+                    dispatched: dispatched.map(name),
+                    displaced: displaced.map(name),
                     reason: reason.as_str().to_string(),
                 }),
                 RecordKind::TaskReleased { task, release, .. } => data.releases.push(ReleaseEv {
                     time: r.time,
-                    task: task.clone(),
-                    release: *release,
+                    task: name(task),
+                    release,
                 }),
                 RecordKind::MutexWait {
                     track,
                     task,
                     owner,
-                    mutex,
-                } => data.mutexes.push(MutexEv {
-                    time: r.time,
-                    op: MutexOp::Wait,
-                    pe: pe_of(track),
-                    task: task.clone(),
-                    owner: Some(owner.clone()),
-                    mutex: *mutex,
-                }),
-                RecordKind::MutexAcquired { track, task, mutex } => data.mutexes.push(MutexEv {
-                    time: r.time,
-                    op: MutexOp::Acquired,
-                    pe: pe_of(track),
-                    task: task.clone(),
-                    owner: None,
-                    mutex: *mutex,
-                }),
-                RecordKind::MutexReleased { track, task, mutex } => data.mutexes.push(MutexEv {
-                    time: r.time,
-                    op: MutexOp::Released,
-                    pe: pe_of(track),
-                    task: task.clone(),
-                    owner: None,
-                    mutex: *mutex,
-                }),
-                RecordKind::Marker { track, label } if track.starts_with("bus:") => {
-                    data.bus_markers.push(BusMarkEv {
-                        time: r.time,
-                        bus: track["bus:".len()..].to_string(),
-                        label: label.clone(),
-                    });
-                }
-                RecordKind::Marker { track, .. } if track.ends_with(":switch") => {
-                    data.switch_markers += 1;
+                    mutex: m,
+                } => data
+                    .mutexes
+                    .push(mutex(MutexOp::Wait, track, task, Some(owner), m)),
+                RecordKind::MutexAcquired {
+                    track,
+                    task,
+                    mutex: m,
+                } => data
+                    .mutexes
+                    .push(mutex(MutexOp::Acquired, track, task, None, m)),
+                RecordKind::MutexReleased {
+                    track,
+                    task,
+                    mutex: m,
+                } => data
+                    .mutexes
+                    .push(mutex(MutexOp::Released, track, task, None, m)),
+                RecordKind::Marker { track, label } => {
+                    let track = trace.track(track);
+                    if let Some(bus) = track.strip_prefix("bus:") {
+                        data.bus_markers.push(BusMarkEv {
+                            time: r.time,
+                            bus: bus.to_string(),
+                            label: name(label),
+                        });
+                    } else if track.ends_with(":switch") {
+                        data.switch_markers += 1;
+                    }
                 }
                 _ => {}
             }
         }
-        for segs in segments(records).into_values() {
+        for segs in segments(trace).into_values() {
             for s in segs {
                 data.end = data.end.max(s.end);
                 data.spans.push(SpanEv {
-                    track: s.track,
-                    label: s.label,
+                    track: s.track.to_string(),
+                    label: s.label.to_string(),
                     start: s.start,
                     end: s.end,
                 });
@@ -307,6 +310,22 @@ impl TraceData {
                 }
             }
         }
+
+        // Pass 2: the events themselves. Errors name the event's index.
+        for (i, e) in events.iter().enumerate() {
+            data.ingest_event(e, &tracks)
+                .map_err(|err| format!("traceEvents[{i}]: {err}"))?;
+        }
+        data.sort_spans();
+        Ok(data)
+    }
+
+    /// Ingests one Chrome event (see [`TraceData::from_chrome_json`]).
+    fn ingest_event(
+        &mut self,
+        e: &Json,
+        tracks: &BTreeMap<(u64, u64), String>,
+    ) -> Result<(), String> {
         let track_of = |e: &Json| -> Result<String, String> {
             let (Some(pid), Some(tid)) = (
                 e.get("pid").and_then(Json::as_u64),
@@ -319,106 +338,96 @@ impl TraceData {
                 .cloned()
                 .ok_or_else(|| format!("event on unnamed thread pid={pid} tid={tid}"))
         };
-        let time_of = |e: &Json, key: &str| -> Result<SimTime, String> {
-            let us = e
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("event missing `{key}`"))?;
-            Ok(us_to_time(us))
-        };
-        let arg_str = |e: &Json, key: &str| -> Option<String> {
-            e.get("args")
-                .and_then(|a| a.get(key))
-                .and_then(Json::as_str)
-                .map(ToString::to_string)
-        };
-
-        // Pass 2: the events themselves.
-        for e in events {
-            let ph = e.get("ph").and_then(Json::as_str).unwrap_or("");
-            let name = e.get("name").and_then(Json::as_str).unwrap_or("");
-            match ph {
-                "X" => {
+        let time_of = |e: &Json, key: &str| us_at(e.get(key), key).map(us_to_time);
+        let arg = |key: &str| e.get("args").and_then(|a| a.get(key));
+        let arg_str = |key: &str| arg(key).and_then(Json::as_str).map(ToString::to_string);
+        let ph = e.get("ph").and_then(Json::as_str).unwrap_or("");
+        let name = e.get("name").and_then(Json::as_str).unwrap_or("");
+        match ph {
+            "X" => {
+                let track = track_of(e)?;
+                let start = time_of(e, "ts")?;
+                let dur = us_at(e.get("dur"), "dur")?;
+                let end = us_to_time(start.as_nanos() as f64 / 1e3 + dur);
+                self.end = self.end.max(end);
+                self.spans.push(SpanEv {
+                    track,
+                    label: name.to_string(),
+                    start,
+                    end,
+                });
+            }
+            "i" => {
+                let time = time_of(e, "ts")?;
+                self.end = self.end.max(time);
+                if let Some(reason) = name.strip_prefix("sched:") {
                     let track = track_of(e)?;
-                    let start = time_of(e, "ts")?;
-                    let dur = e.get("dur").and_then(Json::as_f64).unwrap_or(0.0);
-                    let end = us_to_time(start.as_nanos() as f64 / 1e3 + dur);
-                    data.end = data.end.max(end);
-                    data.spans.push(SpanEv {
-                        track,
-                        label: name.to_string(),
-                        start,
-                        end,
+                    self.sched.push(SchedEv {
+                        time,
+                        pe: pe_of(&track),
+                        dispatched: arg_str("dispatched"),
+                        displaced: arg_str("displaced"),
+                        reason: reason.to_string(),
                     });
-                }
-                "i" => {
-                    let time = time_of(e, "ts")?;
-                    data.end = data.end.max(time);
-                    if let Some(reason) = name.strip_prefix("sched:") {
-                        let track = track_of(e)?;
-                        data.sched.push(SchedEv {
+                } else if name == "task:released" {
+                    let task = arg_str("task").ok_or("task:released event missing args.task")?;
+                    let release = us_to_time(us_at(arg("release"), "args.release")?);
+                    self.releases.push(ReleaseEv {
+                        time,
+                        task,
+                        release,
+                    });
+                } else if let Some(op) = match name {
+                    "mutex:wait" => Some(MutexOp::Wait),
+                    "mutex:acquired" => Some(MutexOp::Acquired),
+                    "mutex:released" => Some(MutexOp::Released),
+                    _ => None,
+                } {
+                    let track = track_of(e)?;
+                    let task = arg_str("task").ok_or("mutex event missing args.task")?;
+                    let mutex = arg("mutex")
+                        .and_then(Json::as_u64)
+                        .ok_or("mutex event missing args.mutex")?;
+                    let mutex = u32::try_from(mutex)
+                        .map_err(|_| format!("mutex id {mutex} does not fit u32"))?;
+                    self.mutexes.push(MutexEv {
+                        time,
+                        op,
+                        pe: pe_of(&track),
+                        task,
+                        owner: arg_str("owner"),
+                        mutex,
+                    });
+                } else if let Ok(track) = track_of(e) {
+                    if let Some(bus) = track.strip_prefix("bus:") {
+                        self.bus_markers.push(BusMarkEv {
                             time,
-                            pe: pe_of(&track),
-                            dispatched: arg_str(e, "dispatched"),
-                            displaced: arg_str(e, "displaced"),
-                            reason: reason.to_string(),
+                            bus: bus.to_string(),
+                            label: name.to_string(),
                         });
-                    } else if name == "task:released" {
-                        let task =
-                            arg_str(e, "task").ok_or("task:released event missing args.task")?;
-                        let release = e
-                            .get("args")
-                            .and_then(|a| a.get("release"))
-                            .and_then(Json::as_f64)
-                            .ok_or("task:released event missing args.release")?;
-                        data.releases.push(ReleaseEv {
-                            time,
-                            task,
-                            release: us_to_time(release),
-                        });
-                    } else if let Some(op) = match name {
-                        "mutex:wait" => Some(MutexOp::Wait),
-                        "mutex:acquired" => Some(MutexOp::Acquired),
-                        "mutex:released" => Some(MutexOp::Released),
-                        _ => None,
-                    } {
-                        let track = track_of(e)?;
-                        let task = arg_str(e, "task").ok_or("mutex event missing args.task")?;
-                        let mutex = e
-                            .get("args")
-                            .and_then(|a| a.get("mutex"))
-                            .and_then(Json::as_u64)
-                            .ok_or("mutex event missing args.mutex")?;
-                        data.mutexes.push(MutexEv {
-                            time,
-                            op,
-                            pe: pe_of(&track),
-                            task,
-                            owner: arg_str(e, "owner"),
-                            mutex: u32::try_from(mutex).unwrap_or(u32::MAX),
-                        });
-                    } else if let Ok(track) = track_of(e) {
-                        if let Some(bus) = track.strip_prefix("bus:") {
-                            data.bus_markers.push(BusMarkEv {
-                                time,
-                                bus: bus.to_string(),
-                                label: name.to_string(),
-                            });
-                        } else if track.ends_with(":switch") {
-                            data.switch_markers += 1;
-                        }
+                    } else if track.ends_with(":switch") {
+                        self.switch_markers += 1;
                     }
                 }
-                _ => {}
             }
+            _ => {}
         }
-        data.sort_spans();
-        Ok(data)
+        Ok(())
     }
 
     fn sort_spans(&mut self) {
         self.spans
             .sort_by(|a, b| (&a.track, a.start, a.end).cmp(&(&b.track, b.start, b.end)));
+    }
+}
+
+/// The microseconds at `value`. Absent, negative and non-finite values are
+/// errors, never silently clamped.
+fn us_at(value: Option<&Json>, key: &str) -> Result<f64, String> {
+    match value.and_then(Json::as_f64) {
+        Some(us) if us >= 0.0 && us.is_finite() => Ok(us),
+        Some(us) => Err(format!("`{key}` is {us}, not a non-negative time")),
+        None => Err(format!("event without numeric `{key}`")),
     }
 }
 
@@ -1498,7 +1507,11 @@ pub fn check_lossless(data: &TraceData) -> Result<(), ConsistencyError> {
         return Err(ConsistencyError {
             metric: "dropped_records".into(),
             task: None,
-            trace_value: format!("{} records dropped (lossy trace)", data.dropped_records),
+            trace_value: format!(
+                "a bounded trace ring dropped {} records; record the trace again \
+                 with the default unbounded sink",
+                data.dropped_records
+            ),
             kernel_value: "0 expected for analysis".into(),
         });
     }
@@ -1821,7 +1834,7 @@ pub fn diff_traces(a: &TraceData, b: &TraceData) -> TraceDiff {
 mod tests {
     use super::*;
     use crate::scenario::{ScenarioSpec, Workload};
-    use crate::trace::to_chrome_json_with_meta;
+    use crate::trace::to_chrome_json;
 
     fn traced_outcome(sched: rtos_model::SchedAlg) -> crate::scenario::ScenarioOutcome {
         ScenarioSpec::new(
@@ -1840,8 +1853,8 @@ mod tests {
     #[test]
     fn records_and_chrome_roads_agree() {
         let o = traced_outcome(rtos_model::SchedAlg::PriorityPreemptive);
-        let from_records = TraceData::from_records(&o.records, o.dropped_records);
-        let doc = to_chrome_json_with_meta(&o.records, o.dropped_records);
+        let from_records = TraceData::from_records(&o.records);
+        let doc = to_chrome_json(&o.records);
         let reparsed = Json::parse(&doc.render()).expect("exporter output parses");
         let from_chrome = TraceData::from_chrome_json(&reparsed).expect("ingests");
         assert_eq!(from_records.sched, from_chrome.sched);
@@ -1873,9 +1886,9 @@ mod tests {
         .frames(3)
         .trace(true)
         .run();
-        let from_records = TraceData::from_records(&o.records, o.dropped_records);
+        let from_records = TraceData::from_records(&o.records);
         assert!(!from_records.bus_markers.is_empty(), "bus markers ingested");
-        let doc = to_chrome_json_with_meta(&o.records, o.dropped_records);
+        let doc = to_chrome_json(&o.records);
         let reparsed = Json::parse(&doc.render()).expect("exporter output parses");
         let from_chrome = TraceData::from_chrome_json(&reparsed).expect("ingests");
         assert_eq!(from_records.bus_markers, from_chrome.bus_markers);
@@ -1901,7 +1914,7 @@ mod tests {
         assert!(a.to_json().render().contains("\"buses\""));
         // Single-PE traces carry no bus section at all.
         let single = traced_outcome(rtos_model::SchedAlg::PriorityPreemptive);
-        let sa = Analysis::from_trace(&TraceData::from_records(&single.records, 0));
+        let sa = Analysis::from_trace(&TraceData::from_records(&single.records));
         assert!(sa.buses.is_empty());
         assert!(!sa.to_json().render().contains("\"buses\""));
     }
@@ -1909,7 +1922,7 @@ mod tests {
     #[test]
     fn oracle_accepts_real_run_and_names_mismatches() {
         let o = traced_outcome(rtos_model::SchedAlg::PriorityPreemptive);
-        let data = TraceData::from_records(&o.records, o.dropped_records);
+        let data = TraceData::from_records(&o.records);
         let analysis = Analysis::from_trace(&data);
         check_consistency(&analysis, &o.tasks).expect("trace agrees with kernel");
 
@@ -1924,9 +1937,54 @@ mod tests {
     }
 
     #[test]
+    fn chrome_ingest_rejects_what_it_used_to_repair() {
+        let doc = |event: &str| {
+            Json::parse(&format!(
+                r#"{{"traceEvents": [
+                    {{"name": "thread_name", "ph": "M", "pid": 1, "tid": 1,
+                      "args": {{"name": "pe:mutex"}}}},
+                    {event}
+                ]}}"#
+            ))
+            .unwrap()
+        };
+        let mutex = |id: u64| {
+            format!(
+                r#"{{"name": "mutex:acquired", "ph": "i", "pid": 1, "tid": 1, "ts": 1,
+                     "args": {{"task": "t", "mutex": {id}}}}}"#
+            )
+        };
+        for (event, want) in [
+            (
+                r#"{"name": "d", "ph": "X", "pid": 1, "tid": 1, "ts": 1}"#.to_string(),
+                "without numeric `dur`",
+            ),
+            (
+                r#"{"name": "d", "ph": "X", "pid": 1, "tid": 1, "ts": -5, "dur": 1}"#.into(),
+                "`ts` is -5",
+            ),
+            (
+                r#"{"name": "task:released", "ph": "i", "pid": 1, "tid": 1, "ts": 1,
+                    "args": {"task": "t", "release": -1}}"#
+                    .into(),
+                "`args.release` is -1",
+            ),
+            (mutex(1 << 32), "mutex id 4294967296 does not fit u32"),
+        ] {
+            let err = TraceData::from_chrome_json(&doc(&event)).unwrap_err();
+            assert!(err.starts_with("traceEvents[1]: "), "{err}");
+            assert!(err.contains(want), "{err}");
+        }
+        let data = TraceData::from_chrome_json(&doc(&mutex(u64::from(u32::MAX)))).unwrap();
+        assert_eq!(data.mutexes[0].mutex, u32::MAX);
+    }
+
+    #[test]
     fn lossy_traces_are_rejected() {
         let o = traced_outcome(rtos_model::SchedAlg::Fifo);
-        let data = TraceData::from_records(&o.records, 3);
+        let mut lossy = o.records.clone();
+        lossy.dropped = 3;
+        let data = TraceData::from_records(&lossy);
         assert!(check_lossless(&data).is_err());
         let analysis = Analysis::from_trace(&data);
         let err = check_consistency(&analysis, &o.tasks).unwrap_err();
@@ -1936,10 +1994,10 @@ mod tests {
     #[test]
     fn analysis_json_is_deterministic_and_tagged() {
         let o = traced_outcome(rtos_model::SchedAlg::Rms);
-        let data = TraceData::from_records(&o.records, 0);
+        let data = TraceData::from_records(&o.records);
         let analysis = Analysis::from_trace(&data);
         let a = analysis.to_json().render();
-        let b = Analysis::from_trace(&TraceData::from_records(&o.records, 0))
+        let b = Analysis::from_trace(&TraceData::from_records(&o.records))
             .to_json()
             .render();
         assert_eq!(a, b);
@@ -1954,14 +2012,14 @@ mod tests {
     fn same_seed_diff_is_empty_and_cross_scheduler_diverges() {
         let a = traced_outcome(rtos_model::SchedAlg::PriorityPreemptive);
         let b = traced_outcome(rtos_model::SchedAlg::PriorityPreemptive);
-        let da = TraceData::from_records(&a.records, 0);
-        let db = TraceData::from_records(&b.records, 0);
+        let da = TraceData::from_records(&a.records);
+        let db = TraceData::from_records(&b.records);
         let d = diff_traces(&da, &db);
         assert!(d.identical(), "{:?}", d.divergence);
         assert_eq!(d.edit_distance, 0);
 
         let c = traced_outcome(rtos_model::SchedAlg::Fifo);
-        let dc = TraceData::from_records(&c.records, 0);
+        let dc = TraceData::from_records(&c.records);
         let d1 = diff_traces(&da, &dc);
         let d2 = diff_traces(&da, &dc);
         assert_eq!(d1, d2, "diff must be deterministic");

@@ -24,10 +24,10 @@
 //!   `diff` and summarized on stdout.
 //! * `--quiet` — suppress the stdout summary.
 //!
-//! The analyzer refuses **lossy traces** (the exporting sink dropped
-//! records, recorded in the trace's `otherData.dropped_records`): every
-//! derived count from such a trace would silently undercount. Re-export
-//! with a larger ring (`SLDL_TRACE_CAP`) instead.
+//! The analyzer refuses **lossy traces** (a bounded trace ring dropped
+//! records, counted in the trace's `otherData.dropped_records`): every
+//! derived count from such a trace would silently undercount. Record the
+//! trace again with the default unbounded sink instead.
 //!
 //! Exit codes: 0 ok, 1 analysis refused (lossy/malformed trace), 2 usage.
 
@@ -99,9 +99,8 @@ fn load_trace(path: &str) -> Result<TraceData, String> {
     let data = TraceData::from_chrome_json(&doc).map_err(|e| format!("{path}: {e}"))?;
     check_lossless(&data).map_err(|e| {
         format!(
-            "{path}: refusing to analyze a lossy trace ({}); every derived \
-             count would undercount — re-export with a larger trace ring \
-             (SLDL_TRACE_CAP)",
+            "{path}: refusing to analyze a lossy trace, because every derived \
+             count would undercount: {}",
             e.trace_value
         )
     })?;

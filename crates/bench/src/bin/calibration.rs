@@ -60,8 +60,7 @@ impl Stage {
             metrics,
             kernel_stats: None,
             tasks: Vec::new(),
-            records: Vec::new(),
-            dropped_records: 0,
+            records: Default::default(),
             host_time: self.host,
         }
     }

@@ -39,7 +39,7 @@ fn print_model(title: &str, run: &model_refine::ModelRun, tracks: &[&str]) {
             for s in list {
                 table.row([
                     (*t).to_string(),
-                    s.label.clone(),
+                    s.label.to_string(),
                     s.start.to_string(),
                     s.end.to_string(),
                 ]);
@@ -48,7 +48,7 @@ fn print_model(title: &str, run: &model_refine::ModelRun, tracks: &[&str]) {
     }
     print!("{}", table.render());
     let end = run.end_time();
-    let seg_refs: Vec<(&str, &[sldl_sim::trace::Segment])> = tracks
+    let seg_refs: Vec<(&str, &[sldl_sim::trace::Segment<'_>])> = tracks
         .iter()
         .filter_map(|t| segs.get(*t).map(|v| (*t, v.as_slice())))
         .collect();
@@ -84,8 +84,7 @@ fn outcome(run: &model_refine::ModelRun) -> ScenarioOutcome {
         metrics,
         kernel_stats: None,
         tasks: Vec::new(),
-        records: Vec::new(),
-        dropped_records: 0,
+        records: Default::default(),
         host_time: Duration::ZERO,
     }
 }
@@ -163,7 +162,7 @@ fn main() {
     }
 
     if let Some(path) = &args.analyze_out {
-        let data = bench::analyze::TraceData::from_records(&arch.records, 0);
+        let data = bench::analyze::TraceData::from_records(&arch.records);
         let analysis = bench::analyze::Analysis::from_trace(&data);
         match analysis.to_json().write_to(path) {
             Ok(()) => {

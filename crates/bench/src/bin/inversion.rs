@@ -27,7 +27,7 @@ use bench::scenario::ScenarioOutcome;
 use bench::TextTable;
 use rtos_model::{InheritancePolicy, Priority, Rtos, RtosMutex, SchedAlg, TaskParams, TimeSlice};
 use sldl_sim::sync::Mutex;
-use sldl_sim::{Child, Record, Simulation, TraceConfig};
+use sldl_sim::{Child, Simulation, Trace, TraceConfig};
 
 const ABOUT: &str = "A4: priority inversion — H needs a mutex L holds while M hogs the CPU; \
                      with vs without priority inheritance";
@@ -43,10 +43,8 @@ fn us(n: u64) -> Duration {
 struct RunResult {
     /// H's completion time in µs.
     h_completion_us: u64,
-    /// Trace records (empty unless `traced`).
-    records: Vec<Record>,
-    /// Records the sink dropped during a traced run.
-    dropped_records: u64,
+    /// The trace (empty unless `traced`).
+    records: Trace,
 }
 
 /// Runs the H/M/L scenario under `policy` with M working `medium_work_us`.
@@ -104,8 +102,7 @@ fn run_scenario(policy: InheritancePolicy, medium_work_us: u64, traced: bool) ->
     let h_completion_us = *h_done.lock();
     RunResult {
         h_completion_us,
-        records: trace.as_ref().map(|t| t.snapshot()).unwrap_or_default(),
-        dropped_records: trace.as_ref().map_or(0, |t| t.dropped_records()),
+        records: trace.map(|t| t.snapshot()).unwrap_or_default(),
     }
 }
 
@@ -126,8 +123,7 @@ fn outcome(r: &RunResult) -> ScenarioOutcome {
         metrics,
         kernel_stats: None,
         tasks: Vec::new(),
-        records: Vec::new(),
-        dropped_records: 0,
+        records: Trace::default(),
         host_time: Duration::ZERO,
     }
 }
@@ -211,11 +207,7 @@ fn main() {
         let worst = *MEDIUM_WORK_US.last().expect("nonempty sweep");
         let traced = run_scenario(InheritancePolicy::None, worst, true);
         if let Some(path) = &args.trace_out {
-            match bench::trace::write_chrome_trace_with_meta(
-                path,
-                &traced.records,
-                traced.dropped_records,
-            ) {
+            match bench::trace::write_chrome_trace(path, &traced.records) {
                 Ok(n) => {
                     if !args.quiet {
                         println!(
@@ -231,10 +223,9 @@ fn main() {
             }
         }
         if let Some(path) = &args.analyze_out {
-            let data =
-                bench::analyze::TraceData::from_records(&traced.records, traced.dropped_records);
+            let data = bench::analyze::TraceData::from_records(&traced.records);
             if let Err(e) = bench::analyze::check_lossless(&data) {
-                eprintln!("error: traced run was lossy ({e}); raise SLDL_TRACE_CAP");
+                eprintln!("error: {}: {}", path.display(), e.trace_value);
                 std::process::exit(1);
             }
             let analysis = bench::analyze::Analysis::from_trace(&data);
@@ -277,7 +268,7 @@ mod tests {
         // The analyzer sees the no-inheritance run as unbounded inversion
         // (M interferes while H waits) and the inheritance run as bounded.
         let traced = run_scenario(InheritancePolicy::None, 2_000, true);
-        let data = bench::analyze::TraceData::from_records(&traced.records, traced.dropped_records);
+        let data = bench::analyze::TraceData::from_records(&traced.records);
         let analysis = bench::analyze::Analysis::from_trace(&data);
         let h_waits: Vec<_> = analysis
             .blocking
@@ -291,7 +282,7 @@ mod tests {
         );
 
         let traced = run_scenario(InheritancePolicy::Inherit, 2_000, true);
-        let data = bench::analyze::TraceData::from_records(&traced.records, traced.dropped_records);
+        let data = bench::analyze::TraceData::from_records(&traced.records);
         let analysis = bench::analyze::Analysis::from_trace(&data);
         assert!(
             analysis

@@ -656,17 +656,18 @@ mod tests {
         )
         .trace(true)
         .run_seeded(5);
-        let data = bench::analyze::TraceData::from_records(&o.records, o.dropped_records);
+        let data = bench::analyze::TraceData::from_records(&o.records);
         let doc = bench::analyze::Analysis::from_trace(&data).to_json();
         let Json::Obj(top) = &doc else { unreachable!() };
         let msg = lint_results(top, "rtos-sld-analysis/1").unwrap();
         assert!(msg.contains("valid rtos-sld-analysis/1"), "{msg}");
 
         // A lossy trace's document is rejected even though well-shaped.
-        let lossy = bench::analyze::Analysis::from_trace(&bench::analyze::TraceData::from_records(
-            &o.records, 7,
-        ))
-        .to_json();
+        let mut lossy = o.records.clone();
+        lossy.dropped = 7;
+        let lossy =
+            bench::analyze::Analysis::from_trace(&bench::analyze::TraceData::from_records(&lossy))
+                .to_json();
         let Json::Obj(top) = &lossy else {
             unreachable!()
         };

@@ -492,7 +492,6 @@ impl ScenarioSpec {
                 o.kernel_stats = Some(report.kernel);
                 o.tasks = m.tasks;
                 if let Some(t) = &trace {
-                    o.dropped_records = t.dropped_records();
                     o.records = t.snapshot();
                 }
                 o
@@ -591,7 +590,6 @@ impl ScenarioSpec {
                 o.kernel_stats = Some(report.kernel);
                 o.tasks = m.tasks;
                 if let Some(t) = &trace {
-                    o.dropped_records = t.dropped_records();
                     o.records = t.snapshot();
                 }
                 o
@@ -654,16 +652,12 @@ pub struct ScenarioOutcome {
     /// workloads). Serialized as a compact summary in
     /// [`to_json`](Self::to_json).
     pub tasks: Vec<TaskStats>,
-    /// Execution trace records (empty unless [`ScenarioSpec::trace`] was
-    /// set). **Not** serialized by [`to_json`](Self::to_json); exported
-    /// separately via [`crate::trace::to_chrome_json`].
-    pub records: Vec<Record>,
-    /// Records the trace sink discarded during the run (ring-buffer
-    /// overflow). Nonzero means [`records`](Self::records) is lossy:
-    /// trace-derived metrics would silently undercount. Exported into the
-    /// Chrome JSON metadata and checked by `bench::analyze`. **Not**
-    /// serialized by [`to_json`](Self::to_json).
-    pub dropped_records: u64,
+    /// Execution trace (empty unless [`ScenarioSpec::trace`] was set). Its
+    /// [`dropped`](Trace::dropped) count travels into the Chrome JSON
+    /// metadata and is checked by `bench::analyze`. **Not** serialized by
+    /// [`to_json`](Self::to_json); exported separately via
+    /// [`crate::trace::to_chrome_json`].
+    pub records: Trace,
     /// Host wall-clock cost of the run. **Not** part of the
     /// deterministic payload; excluded from [`to_json`](Self::to_json).
     pub host_time: Duration,
@@ -677,8 +671,7 @@ impl ScenarioOutcome {
             metrics: BTreeMap::new(),
             kernel_stats: None,
             tasks: Vec::new(),
-            records: Vec::new(),
-            dropped_records: 0,
+            records: Trace::default(),
             host_time: Duration::ZERO,
         }
     }
@@ -690,8 +683,7 @@ impl ScenarioOutcome {
             metrics: BTreeMap::new(),
             kernel_stats: None,
             tasks: Vec::new(),
-            records: Vec::new(),
-            dropped_records: 0,
+            records: Trace::default(),
             host_time: Duration::ZERO,
         }
     }

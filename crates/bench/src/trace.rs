@@ -26,11 +26,10 @@
 //!
 //! [`segments`]: sldl_sim::trace::segments
 
-use std::collections::HashMap;
 use std::path::Path;
 
-use sldl_sim::trace::segments;
-use sldl_sim::{Record, RecordKind, SimTime};
+use sldl_sim::trace::{segments, TrackId};
+use sldl_sim::{LabelId, RecordKind, SimTime, Trace};
 
 use crate::json::Json;
 use crate::scenario::ScenarioSpec;
@@ -40,13 +39,16 @@ use crate::scenario::ScenarioSpec;
 /// into that PE's process instead.
 const DEFAULT_PROCESS: &str = "sim";
 
-/// Deterministic pid/tid assignment for a record sequence.
-struct TrackMap {
+/// Deterministic pid/tid assignment for a trace.
+struct TrackMap<'a> {
     /// `(process name, pid)` in first-appearance order; pids start at 1.
-    processes: Vec<(String, u32)>,
-    /// track name → `(pid, tid)`; tids are globally unique, starting at 1.
-    tracks: Vec<(String, (u32, u32))>,
-    index: HashMap<String, (u32, u32)>,
+    processes: Vec<(&'a str, u32)>,
+    /// `(track name, (pid, tid))` in tid order; tids are globally unique,
+    /// starting at 1.
+    tracks: Vec<(&'a str, (u32, u32))>,
+    /// `(pid, tid)` per interned name (`(0, 0)` for names that are no
+    /// record's track).
+    index: Vec<(u32, u32)>,
 }
 
 /// The PE prefix of a track (`"dsp:sched"` → `"dsp"`), if it has one.
@@ -57,59 +59,51 @@ fn pe_prefix(track: &str) -> Option<&str> {
         .filter(|p| !p.is_empty())
 }
 
-impl TrackMap {
-    fn build(records: &[Record]) -> TrackMap {
-        // Tracks in first-appearance order.
-        let mut order: Vec<String> = Vec::new();
-        let mut seen: HashMap<String, ()> = HashMap::new();
-        let mut note = |t: &str| {
-            if seen.insert(t.to_string(), ()).is_none() {
-                order.push(t.to_string());
-            }
-        };
-        for r in records {
-            // Every track-addressed kind (spans, markers, scheduler
-            // decisions, mutex records) claims its track.
-            if let Some(track) = r.kind.track() {
-                note(track);
-            }
-        }
+impl<'a> TrackMap<'a> {
+    fn build(trace: &'a Trace) -> TrackMap<'a> {
+        // Every track-addressed kind (spans, markers, scheduler decisions,
+        // mutex records) claims its track, in first-appearance order.
+        let mut seen = vec![false; trace.names.len()];
+        let order: Vec<TrackId> = trace
+            .records
+            .iter()
+            .filter_map(|r| r.kind.track())
+            .filter(|t| !std::mem::replace(&mut seen[t.index()], true))
+            .collect();
 
         // One pid per PE. With exactly one PE in the trace, unprefixed
         // (task) tracks join its process; otherwise they live under a
         // synthetic "sim" process.
-        let mut pes: Vec<String> = Vec::new();
-        for t in &order {
-            if let Some(pe) = pe_prefix(t) {
-                if !pes.iter().any(|p| p == pe) {
-                    pes.push(pe.to_string());
+        let mut pes: Vec<&str> = Vec::new();
+        for &t in &order {
+            if let Some(pe) = pe_prefix(trace.track(t)) {
+                if !pes.contains(&pe) {
+                    pes.push(pe);
                 }
             }
         }
         let default_process = if pes.len() == 1 {
-            pes[0].clone()
+            pes[0]
         } else {
-            DEFAULT_PROCESS.to_string()
+            DEFAULT_PROCESS
         };
 
-        let mut processes: Vec<(String, u32)> = Vec::new();
-        let pid_of = |name: &str, processes: &mut Vec<(String, u32)>| -> u32 {
-            if let Some((_, pid)) = processes.iter().find(|(n, _)| n == name) {
-                return *pid;
-            }
-            let pid = u32::try_from(processes.len()).unwrap_or(u32::MAX) + 1;
-            processes.push((name.to_string(), pid));
-            pid
-        };
-
+        let mut processes: Vec<(&str, u32)> = Vec::new();
         let mut tracks = Vec::with_capacity(order.len());
-        let mut index = HashMap::with_capacity(order.len());
-        for (i, t) in order.iter().enumerate() {
-            let process = pe_prefix(t).unwrap_or(&default_process).to_string();
-            let pid = pid_of(&process, &mut processes);
-            let tid = u32::try_from(i).unwrap_or(u32::MAX) + 1;
-            tracks.push((t.clone(), (pid, tid)));
-            index.insert(t.clone(), (pid, tid));
+        let mut index = vec![(0, 0); trace.names.len()];
+        for (tid, &t) in (1u32..).zip(&order) {
+            let name = trace.track(t);
+            let process = pe_prefix(name).unwrap_or(default_process);
+            let pid = match processes.iter().find(|(n, _)| *n == process) {
+                Some(&(_, pid)) => pid,
+                None => {
+                    let pid = u32::try_from(processes.len()).unwrap_or(u32::MAX) + 1;
+                    processes.push((process, pid));
+                    pid
+                }
+            };
+            tracks.push((name, (pid, tid)));
+            index[t.index()] = (pid, tid);
         }
         TrackMap {
             processes,
@@ -118,8 +112,8 @@ impl TrackMap {
         }
     }
 
-    fn ids(&self, track: &str) -> (u32, u32) {
-        self.index.get(track).copied().unwrap_or((0, 0))
+    fn ids(&self, track: TrackId) -> (u32, u32) {
+        self.index[track.index()]
     }
 }
 
@@ -137,51 +131,41 @@ fn event(name: &str, ph: &str, pid: u32, tid: u32) -> Vec<(String, Json)> {
     ]
 }
 
-/// Converts trace records to a Chrome-trace-event JSON document
-/// (`{"traceEvents": [...]}`) with `dropped_records: 0` metadata —
-/// shorthand for [`to_chrome_json_with_meta`] when the source sink is
-/// known to be lossless.
-#[must_use]
-pub fn to_chrome_json(records: &[Record]) -> Json {
-    to_chrome_json_with_meta(records, 0)
-}
-
-/// Converts trace records to a Chrome-trace-event JSON document
+/// Converts a trace to a Chrome-trace-event JSON document
 /// (`{"traceEvents": [...]}`).
 ///
 /// Spans are exported from [`segments`], so the span multiset of the JSON
 /// equals the one every existing analysis sees; markers, scheduler
 /// decisions and mutex records are exported in record order as instant
-/// events. `dropped_records` (the count of records the source sink
-/// discarded, e.g. on ring-buffer overflow) lands in the top-level
-/// `otherData` object so consumers — notably `bench::analyze` — can tell
-/// a lossless trace from a lossy one. Output bytes are a pure function of
-/// the arguments.
+/// events. [`Trace::dropped`] (the count of records a bounded buffer
+/// discarded) lands in the top-level `otherData.dropped_records` so
+/// consumers — notably `bench::analyze` — can tell a lossless trace from
+/// a lossy one. Output bytes are a pure function of the trace.
 #[must_use]
-pub fn to_chrome_json_with_meta(records: &[Record], dropped_records: u64) -> Json {
-    let map = TrackMap::build(records);
+pub fn to_chrome_json(trace: &Trace) -> Json {
+    let map = TrackMap::build(trace);
     let mut events: Vec<Json> = Vec::new();
 
     // Metadata: process and thread names.
     for (name, pid) in &map.processes {
         let mut e = event("process_name", "M", *pid, 0);
-        e.push(("args".into(), Json::obj([("name", Json::str(name))])));
+        e.push(("args".into(), Json::obj([("name", Json::str(*name))])));
         events.push(Json::Obj(e));
     }
     for (track, (pid, tid)) in &map.tracks {
         let mut e = event("thread_name", "M", *pid, *tid);
-        e.push(("args".into(), Json::obj([("name", Json::str(track))])));
+        e.push(("args".into(), Json::obj([("name", Json::str(*track))])));
         events.push(Json::Obj(e));
     }
 
     // Complete events, per track in tid order, time-ordered within track.
-    let segs = segments(records);
+    let segs = segments(trace);
     for (track, (pid, tid)) in &map.tracks {
         let Some(track_segs) = segs.get(track) else {
             continue;
         };
         for s in track_segs {
-            let mut e = event(&s.label, "X", *pid, *tid);
+            let mut e = event(s.label, "X", *pid, *tid);
             e.push(("ts".into(), ts_us(s.start)));
             e.push((
                 "dur".into(),
@@ -192,26 +176,25 @@ pub fn to_chrome_json_with_meta(records: &[Record], dropped_records: u64) -> Jso
     }
 
     // Instant events in record order.
-    for r in records {
-        match &r.kind {
-            RecordKind::Marker { track, label } => {
-                let (pid, tid) = map.ids(track);
-                let mut e = event(label, "i", pid, tid);
-                e.push(("ts".into(), ts_us(r.time)));
-                e.push(("s".into(), Json::str("t")));
-                events.push(Json::Obj(e));
-            }
+    let name = |id: LabelId| Json::str(trace.label(id));
+    let instant = |label: &str, track: TrackId, time: SimTime| {
+        let (pid, tid) = map.ids(track);
+        let mut e = event(label, "i", pid, tid);
+        e.push(("ts".into(), ts_us(time)));
+        e.push(("s".into(), Json::str("t")));
+        e
+    };
+    for r in &trace.records {
+        let e = match r.kind {
+            RecordKind::Marker { track, label } => instant(trace.label(label), track, r.time),
             RecordKind::SchedDecision {
                 track,
                 dispatched,
                 displaced,
                 reason,
             } => {
-                let (pid, tid) = map.ids(track);
-                let mut e = event(&format!("sched:{reason}"), "i", pid, tid);
-                e.push(("ts".into(), ts_us(r.time)));
-                e.push(("s".into(), Json::str("t")));
-                let opt = |v: &Option<String>| v.as_ref().map_or(Json::Null, Json::str);
+                let mut e = instant(&format!("sched:{reason}"), track, r.time);
+                let opt = |v: Option<LabelId>| v.map_or(Json::Null, name);
                 e.push((
                     "args".into(),
                     Json::obj([
@@ -220,7 +203,7 @@ pub fn to_chrome_json_with_meta(records: &[Record], dropped_records: u64) -> Jso
                         ("reason", Json::str(reason.as_str())),
                     ]),
                 ));
-                events.push(Json::Obj(e));
+                e
             }
             RecordKind::MutexWait {
                 track,
@@ -228,101 +211,70 @@ pub fn to_chrome_json_with_meta(records: &[Record], dropped_records: u64) -> Jso
                 owner,
                 mutex,
             } => {
-                let (pid, tid) = map.ids(track);
-                let mut e = event("mutex:wait", "i", pid, tid);
-                e.push(("ts".into(), ts_us(r.time)));
-                e.push(("s".into(), Json::str("t")));
+                let mut e = instant("mutex:wait", track, r.time);
                 e.push((
                     "args".into(),
                     Json::obj([
-                        ("task", Json::str(task)),
-                        ("owner", Json::str(owner)),
-                        ("mutex", Json::U64(u64::from(*mutex))),
+                        ("task", name(task)),
+                        ("owner", name(owner)),
+                        ("mutex", Json::U64(u64::from(mutex))),
                     ]),
                 ));
-                events.push(Json::Obj(e));
+                e
             }
             RecordKind::TaskReleased {
                 track,
                 task,
                 release,
             } => {
-                let (pid, tid) = map.ids(track);
-                let mut e = event("task:released", "i", pid, tid);
-                e.push(("ts".into(), ts_us(r.time)));
-                e.push(("s".into(), Json::str("t")));
+                let mut e = instant("task:released", track, r.time);
                 e.push((
                     "args".into(),
-                    Json::obj([("task", Json::str(task)), ("release", ts_us(*release))]),
+                    Json::obj([("task", name(task)), ("release", ts_us(release))]),
                 ));
-                events.push(Json::Obj(e));
+                e
             }
             RecordKind::MutexAcquired { track, task, mutex }
             | RecordKind::MutexReleased { track, task, mutex } => {
-                let name = match &r.kind {
+                let op = match r.kind {
                     RecordKind::MutexAcquired { .. } => "mutex:acquired",
                     _ => "mutex:released",
                 };
-                let (pid, tid) = map.ids(track);
-                let mut e = event(name, "i", pid, tid);
-                e.push(("ts".into(), ts_us(r.time)));
-                e.push(("s".into(), Json::str("t")));
+                let mut e = instant(op, track, r.time);
                 e.push((
                     "args".into(),
-                    Json::obj([
-                        ("task", Json::str(task)),
-                        ("mutex", Json::U64(u64::from(*mutex))),
-                    ]),
+                    Json::obj([("task", name(task)), ("mutex", Json::U64(u64::from(mutex)))]),
                 ));
-                events.push(Json::Obj(e));
+                e
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        events.push(Json::Obj(e));
     }
 
     Json::obj([
         ("displayTimeUnit", Json::str("ms")),
         (
             "otherData",
-            Json::obj([("dropped_records", Json::U64(dropped_records))]),
+            Json::obj([("dropped_records", Json::U64(trace.dropped))]),
         ),
         ("traceEvents", Json::Arr(events)),
     ])
 }
 
-/// Renders and writes `records` as a Chrome trace to `path`, creating
+/// Renders and writes `trace` as a Chrome trace to `path`, creating
 /// parent directories as needed. Returns the number of trace events
 /// written.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn write_chrome_trace(path: &Path, records: &[Record]) -> std::io::Result<usize> {
-    write_chrome_trace_with_meta(path, records, 0)
-}
-
-/// [`write_chrome_trace`] carrying a `dropped_records` count into the
-/// document metadata (see [`to_chrome_json_with_meta`]).
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_chrome_trace_with_meta(
-    path: &Path,
-    records: &[Record],
-    dropped_records: u64,
-) -> std::io::Result<usize> {
-    let doc = to_chrome_json_with_meta(records, dropped_records);
-    let n = match &doc {
-        Json::Obj(pairs) => pairs
-            .iter()
-            .find(|(k, _)| k == "traceEvents")
-            .map_or(0, |(_, v)| match v {
-                Json::Arr(items) => items.len(),
-                _ => 0,
-            }),
-        _ => 0,
-    };
+pub fn write_chrome_trace(path: &Path, trace: &Trace) -> std::io::Result<usize> {
+    let doc = to_chrome_json(trace);
+    let n = doc
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .map_or(0, <[Json]>::len);
     doc.write_to(path)?;
     Ok(n)
 }
@@ -342,7 +294,7 @@ pub fn export_scenario_trace(
     path: &Path,
 ) -> std::io::Result<usize> {
     let outcome = spec.clone().trace(true).run_seeded(seed);
-    write_chrome_trace_with_meta(path, &outcome.records, outcome.dropped_records)
+    write_chrome_trace(path, &outcome.records)
 }
 
 /// Handles a binary's `--trace-out` flag: when present, re-runs `spec`
@@ -377,7 +329,7 @@ pub fn handle_trace_out(args: &crate::cli::Args, spec: &ScenarioSpec, seed: u64)
 /// Handles a binary's `--analyze-out` flag: when present, re-runs `spec`
 /// (the same representative point `--trace-out` exports, under the same
 /// seed) with tracing enabled, runs the [`crate::analyze`] engine over
-/// the in-memory records, and writes the `rtos-sld-analysis/1` document.
+/// the in-memory trace, and writes the `rtos-sld-analysis/1` document.
 /// A lossy traced re-run (ring overflow) is a hard error, mirroring the
 /// `analyze` bin. Exits the process with status 1 on failure.
 pub fn handle_analyze_out(args: &crate::cli::Args, spec: &ScenarioSpec, seed: u64) {
@@ -385,13 +337,9 @@ pub fn handle_analyze_out(args: &crate::cli::Args, spec: &ScenarioSpec, seed: u6
         return;
     };
     let outcome = spec.clone().trace(true).run_seeded(seed);
-    let data = crate::analyze::TraceData::from_records(&outcome.records, outcome.dropped_records);
+    let data = crate::analyze::TraceData::from_records(&outcome.records);
     if let Err(e) = crate::analyze::check_lossless(&data) {
-        eprintln!(
-            "error: {}: traced re-run was lossy ({}); raise SLDL_TRACE_CAP",
-            path.display(),
-            e.trace_value
-        );
+        eprintln!("error: {}: {}", path.display(), e.trace_value);
         std::process::exit(1);
     }
     let analysis = crate::analyze::Analysis::from_trace(&data);
@@ -413,34 +361,26 @@ mod tests {
     use super::*;
     use sldl_sim::{DecisionReason, TraceHandle};
 
-    fn sample_records() -> Vec<Record> {
+    fn sample_trace() -> Trace {
         let t = TraceHandle::new();
-        t.record(
+        let encoder = t.intern_track("encoder");
+        t.span_begin(
             SimTime::from_micros(0),
-            RecordKind::SpanBegin {
-                track: "encoder".into(),
-                label: "LP_analysis".into(),
-            },
+            encoder,
+            t.intern_label("LP_analysis"),
         );
-        t.record(
+        t.span_end(SimTime::from_micros(40), encoder);
+        t.marker(
             SimTime::from_micros(40),
-            RecordKind::SpanEnd {
-                track: "encoder".into(),
-            },
+            t.intern_track("dsp:switch"),
+            t.intern_label("→decoder"),
         );
-        t.record(
-            SimTime::from_micros(40),
-            RecordKind::Marker {
-                track: "dsp:switch".into(),
-                label: "→decoder".into(),
-            },
-        );
-        t.record(
+        t.emit(
             SimTime::from_micros(40),
             RecordKind::SchedDecision {
-                track: "dsp:sched".into(),
-                dispatched: Some("decoder".into()),
-                displaced: Some("encoder".into()),
+                track: t.intern_track("dsp:sched"),
+                dispatched: Some(t.intern_label("decoder")),
+                displaced: Some(t.intern_label("encoder")),
                 reason: DecisionReason::Preemption,
             },
         );
@@ -449,22 +389,15 @@ mod tests {
 
     #[test]
     fn export_is_deterministic_and_parses() {
-        let records = sample_records();
-        let a = to_chrome_json(&records).render();
-        let b = to_chrome_json(&records).render();
+        let trace = sample_trace();
+        let a = to_chrome_json(&trace).render();
+        let b = to_chrome_json(&trace).render();
         assert_eq!(a, b);
         let doc = Json::parse(&a).expect("valid JSON");
-        let Json::Obj(pairs) = doc else {
-            panic!("expected object")
-        };
-        let events = pairs
-            .iter()
-            .find(|(k, _)| k == "traceEvents")
-            .map(|(_, v)| v)
+        let items = doc
+            .get("traceEvents")
+            .and_then(Json::as_array)
             .expect("traceEvents");
-        let Json::Arr(items) = events else {
-            panic!("expected array")
-        };
         // 1 process + 3 threads metadata, 1 X span, 1 marker, 1 decision.
         assert_eq!(items.len(), 7, "{a}");
     }
@@ -472,25 +405,28 @@ mod tests {
     #[test]
     fn mutex_records_and_dropped_count_are_exported() {
         let t = TraceHandle::new();
-        t.record(
+        let track = t.intern_track("dsp:mutex");
+        let (a, b) = (t.intern_label("a"), t.intern_label("b"));
+        t.emit(
             SimTime::from_micros(5),
             RecordKind::MutexWait {
-                track: "dsp:mutex".into(),
-                task: "b".into(),
-                owner: "a".into(),
+                track,
+                task: b,
+                owner: a,
                 mutex: 3,
             },
         );
-        t.record(
+        t.emit(
             SimTime::from_micros(9),
             RecordKind::MutexAcquired {
-                track: "dsp:mutex".into(),
-                task: "b".into(),
+                track,
+                task: b,
                 mutex: 3,
             },
         );
-        let records = t.snapshot();
-        let text = to_chrome_json_with_meta(&records, 42).render();
+        let mut trace = t.snapshot();
+        trace.dropped = 42;
+        let text = to_chrome_json(&trace).render();
         let doc = Json::parse(&text).expect("valid JSON");
         assert_eq!(
             doc.get("otherData").and_then(|o| o.get("dropped_records")),
@@ -502,15 +438,15 @@ mod tests {
         assert!(text.contains("\"mutex:wait\""), "{text}");
         assert!(text.contains("\"mutex:acquired\""), "{text}");
         assert!(text.contains("\"owner\": \"a\""), "{text}");
-        let map = TrackMap::build(&records);
+        let map = TrackMap::build(&trace);
         assert_eq!(map.tracks.len(), 1);
         assert_eq!(map.tracks[0].0, "dsp:mutex");
     }
 
     #[test]
     fn single_pe_claims_task_tracks() {
-        let records = sample_records();
-        let map = TrackMap::build(&records);
+        let trace = sample_trace();
+        let map = TrackMap::build(&trace);
         // One PE ("dsp") in the trace: every track shares its pid.
         assert_eq!(map.processes.len(), 1);
         assert_eq!(map.processes[0].0, "dsp");
@@ -525,22 +461,14 @@ mod tests {
 
     #[test]
     fn span_multiset_matches_segments() {
-        let records = sample_records();
-        let doc = to_chrome_json(&records).render();
-        let parsed = Json::parse(&doc).unwrap();
-        let Json::Obj(pairs) = parsed else { panic!() };
-        let Json::Arr(events) = &pairs.iter().find(|(k, _)| k == "traceEvents").unwrap().1 else {
-            panic!()
-        };
-        let mut exported = 0usize;
-        for e in events {
-            let Json::Obj(fields) = e else { panic!() };
-            let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-            if get("ph") == Some(&Json::str("X")) {
-                exported += 1;
-            }
-        }
-        let total: usize = segments(&records).values().map(Vec::len).sum();
+        let trace = sample_trace();
+        let doc = Json::parse(&to_chrome_json(&trace).render()).unwrap();
+        let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
+        let exported = events
+            .iter()
+            .filter(|e| e.get("ph") == Some(&Json::str("X")))
+            .count();
+        let total: usize = segments(&trace).values().map(Vec::len).sum();
         assert_eq!(exported, total);
     }
 }

@@ -53,7 +53,7 @@ fn trace_counts_equal_kernel_stats_for_all_five_schedulers() {
     for (name, sched) in all_schedulers() {
         for seed in [3u64, 11, 42] {
             let o = task_set(sched, seed);
-            let data = TraceData::from_records(&o.records, o.dropped_records);
+            let data = TraceData::from_records(&o.records);
             let analysis = Analysis::from_trace(&data);
             check_consistency(&analysis, &o.tasks).unwrap_or_else(|e| {
                 panic!("scheduler {name} seed {seed}: {e}");
@@ -77,7 +77,7 @@ fn chrome_json_road_satisfies_the_same_oracle() {
     // Export → parse → ingest must lose nothing the oracle checks.
     for (name, sched) in [all_schedulers()[0], all_schedulers()[4]] {
         let o = task_set(sched, 7);
-        let doc = bench::trace::to_chrome_json_with_meta(&o.records, o.dropped_records);
+        let doc = bench::trace::to_chrome_json(&o.records);
         let reparsed = Json::parse(&doc.render()).expect("exporter output parses");
         let data = TraceData::from_chrome_json(&reparsed).expect("ingests");
         let analysis = Analysis::from_trace(&data);
@@ -101,7 +101,7 @@ fn miss_policy_paths_satisfy_the_oracle() {
         let o = ScenarioSpec::new("miss", Workload::MissPolicyOverrun { policy })
             .trace(true)
             .run_seeded(5);
-        let data = TraceData::from_records(&o.records, o.dropped_records);
+        let data = TraceData::from_records(&o.records);
         let analysis = Analysis::from_trace(&data);
         check_consistency(&analysis, &o.tasks)
             .unwrap_or_else(|e| panic!("miss policy {policy:?}: {e}"));
@@ -114,8 +114,8 @@ fn same_seed_traces_diff_empty_across_all_schedulers() {
         let a = task_set(sched, 13);
         let b = task_set(sched, 13);
         let d = diff_traces(
-            &TraceData::from_records(&a.records, 0),
-            &TraceData::from_records(&b.records, 0),
+            &TraceData::from_records(&a.records),
+            &TraceData::from_records(&b.records),
         );
         assert!(
             d.identical(),
@@ -129,8 +129,8 @@ fn same_seed_traces_diff_empty_across_all_schedulers() {
 fn cross_scheduler_diff_has_a_stable_divergence_point() {
     let a = task_set(SchedAlg::PriorityPreemptive, 13);
     let b = task_set(SchedAlg::Fifo, 13);
-    let da = TraceData::from_records(&a.records, 0);
-    let db = TraceData::from_records(&b.records, 0);
+    let da = TraceData::from_records(&a.records);
+    let db = TraceData::from_records(&b.records);
     let d1 = diff_traces(&da, &db);
     let d2 = diff_traces(&da, &db);
     assert_eq!(d1, d2, "diff must be deterministic");
@@ -144,8 +144,8 @@ fn cross_scheduler_diff_has_a_stable_divergence_point() {
     let a2 = task_set(SchedAlg::PriorityPreemptive, 13);
     let b2 = task_set(SchedAlg::Fifo, 13);
     let d3 = diff_traces(
-        &TraceData::from_records(&a2.records, 0),
-        &TraceData::from_records(&b2.records, 0),
+        &TraceData::from_records(&a2.records),
+        &TraceData::from_records(&b2.records),
     );
     assert_eq!(Some(div), d3.divergence.as_ref());
 }
@@ -157,7 +157,7 @@ fn analysis_document_is_jobs_and_rerun_invariant() {
     // reduces to this, since each traced point is a single re-run).
     let render = || {
         let o = task_set(SchedAlg::Rms, 21);
-        let data = TraceData::from_records(&o.records, o.dropped_records);
+        let data = TraceData::from_records(&o.records);
         Analysis::from_trace(&data).to_json().render()
     };
     let first = render();
@@ -171,15 +171,17 @@ fn context_switch_markers_match_rtos_metric() {
     // — checked against the analyzer's independent recount of marker
     // records.
     let o = task_set(SchedAlg::PriorityPreemptive, 3);
-    let data = TraceData::from_records(&o.records, o.dropped_records);
+    let data = TraceData::from_records(&o.records);
     let analysis = Analysis::from_trace(&data);
-    let switch_markers = o
+    let trace = &o.records;
+    let switch_markers = trace
         .records
         .iter()
         .filter(|r| {
             matches!(
-                &r.kind,
-                sldl_sim::RecordKind::Marker { track, .. } if track.ends_with(":switch")
+                r.kind,
+                sldl_sim::RecordKind::Marker { track, .. }
+                    if trace.track(track).ends_with(":switch")
             )
         })
         .count() as u64;

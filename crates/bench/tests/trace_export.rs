@@ -105,8 +105,8 @@ fn figure8_trace_matches_segments_analysis() {
         .flatten()
         .map(|s| {
             (
-                s.track.clone(),
-                s.label.clone(),
+                s.track.to_string(),
+                s.label.to_string(),
                 s.start.as_nanos(),
                 s.end.as_nanos(),
             )

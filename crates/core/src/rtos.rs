@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sldl_sim::{
-    AbortReason, Child, CompactKind, DecisionReason, EventId, LabelId, ProcCtx, ProcessId, SimTime,
+    AbortReason, Child, DecisionReason, EventId, LabelId, ProcCtx, ProcessId, RecordKind, SimTime,
     SldlSync, SyncLayer, TraceHandle, TrackId,
 };
 
@@ -1373,12 +1373,14 @@ impl Rtos {
         } else if let Some((displaced, reason)) = st.pending_decision.take() {
             if let Some((_, displaced_label, _)) = task_trace_ids(st, displaced) {
                 let tr = st.trace.as_ref().expect("trace present");
-                tr.handle.sched_decision(
+                tr.handle.emit(
                     ctx.now(),
-                    tr.sched_track,
-                    None,
-                    Some(displaced_label),
-                    reason,
+                    RecordKind::SchedDecision {
+                        track: tr.sched_track,
+                        dispatched: None,
+                        displaced: Some(displaced_label),
+                        reason,
+                    },
                 );
             }
         }
@@ -1459,12 +1461,14 @@ impl Rtos {
                 .map(|ids| ids.1);
             let reason = decision.map_or(DecisionReason::Activation, |(_, r)| r);
             let tr = st.trace.as_ref().expect("trace present");
-            tr.handle.sched_decision(
+            tr.handle.emit(
                 now,
-                tr.sched_track,
-                Some(dispatched_ids.1),
-                displaced_label,
-                reason,
+                RecordKind::SchedDecision {
+                    track: tr.sched_track,
+                    dispatched: Some(dispatched_ids.1),
+                    displaced: displaced_label,
+                    reason,
+                },
             );
             if switched {
                 tr.handle.marker(now, tr.switch_track, dispatched_ids.2);
@@ -1588,7 +1592,7 @@ impl Rtos {
         let tr = st.trace.as_ref().expect("trace present");
         tr.handle.emit(
             now,
-            CompactKind::MutexWait {
+            RecordKind::MutexWait {
                 track: tr.mutex_track,
                 task: task_label,
                 owner: owner_label,
@@ -1609,7 +1613,7 @@ impl Rtos {
         let tr = st.trace.as_ref().expect("trace present");
         tr.handle.emit(
             now,
-            CompactKind::MutexAcquired {
+            RecordKind::MutexAcquired {
                 track: tr.mutex_track,
                 task: task_label,
                 mutex,
@@ -1630,7 +1634,7 @@ impl Rtos {
         let tr = st.trace.as_ref().expect("trace present");
         tr.handle.emit(
             now,
-            CompactKind::MutexReleased {
+            RecordKind::MutexReleased {
                 track: tr.mutex_track,
                 task: task_label,
                 mutex,
@@ -1654,7 +1658,7 @@ impl Rtos {
         let tr = st.trace.as_ref().expect("trace present");
         tr.handle.emit(
             now,
-            CompactKind::TaskReleased {
+            RecordKind::TaskReleased {
                 track: task_track,
                 task: task_label,
                 release,
@@ -1674,7 +1678,8 @@ impl Rtos {
             return;
         };
         if let Some(tr) = &st.trace {
-            tr.handle.span_begin_dyn(ctx.now(), track, label);
+            tr.handle
+                .span_begin(ctx.now(), track, tr.handle.intern_label(label));
         }
     }
 

@@ -84,7 +84,8 @@ fn run_set(
     assert!(report.blocked.is_empty(), "blocked: {:?}", report.blocked);
 
     // Serialization invariant: no two task execution segments overlap.
-    let segs = sldl_sim::trace::segments(&trace.snapshot());
+    let trace = trace.snapshot();
+    let segs = sldl_sim::trace::segments(&trace);
     let tracks: Vec<&Vec<_>> = segs.values().collect();
     for i in 0..tracks.len() {
         for j in (i + 1)..tracks.len() {

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use rtos_model::{Priority, Rtos, SchedAlg, TaskId, TaskParams, TimeSlice};
-use sldl_sim::{Child, Handshake, ProcCtx, RecordKind, Semaphore, Simulation, TraceConfig};
+use sldl_sim::{Child, Handshake, ProcCtx, Semaphore, Simulation, TraceConfig};
 
 use crate::comm::{BusChannel, BusMap, SharedBus};
 use crate::cross::CrossRendezvous;
@@ -239,24 +239,25 @@ fn run_architecture_inner(
     for irq in &spec.interrupts {
         let chans = Rc::clone(&chans);
         let os = oses[irq.pe].clone();
-        let name = irq.name.clone();
+        let (trace, track) = (trace.clone(), trace.intern_track(&irq.name));
+        let label = trace.intern_label("interrupt");
         let mut times = irq.fire_times.clone();
         times.sort();
         let target = irq.target;
-        sim.spawn(Child::new(format!("isr_{name}"), move |ctx| async move {
-            for t in times {
-                let now = ctx.now();
-                if t > now {
-                    ctx.waitfor(t - now).await;
+        sim.spawn(Child::new(
+            format!("isr_{}", irq.name),
+            move |ctx| async move {
+                for t in times {
+                    let now = ctx.now();
+                    if t > now {
+                        ctx.waitfor(t - now).await;
+                    }
+                    trace.marker(ctx.now(), track, label);
+                    chans[target.0].sem().release(&ctx).await;
+                    os.interrupt_return(&ctx);
                 }
-                ctx.record(RecordKind::Marker {
-                    track: name.clone(),
-                    label: "interrupt".into(),
-                });
-                chans[target.0].sem().release(&ctx).await;
-                os.interrupt_return(&ctx);
-            }
-        }));
+            },
+        ));
     }
 
     let report = match cfg.run_until {

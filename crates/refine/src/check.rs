@@ -96,10 +96,10 @@ pub fn check(run: &ModelRun, constraints: &[Constraint]) -> Vec<Violation> {
             } => {
                 let markers = sldl_sim::trace::markers(&run.records, marker_track);
                 let starts: Vec<SimTime> = segs
-                    .get(track)
+                    .get(track.as_str())
                     .map(|v| {
                         v.iter()
-                            .filter(|s| &s.label == label)
+                            .filter(|s| s.label == label)
                             .map(|s| s.start)
                             .collect()
                     })
@@ -129,7 +129,8 @@ pub fn check(run: &ModelRun, constraints: &[Constraint]) -> Vec<Violation> {
             Constraint::NoOverlap { tracks } => {
                 for i in 0..tracks.len() {
                     for j in (i + 1)..tracks.len() {
-                        let (Some(a), Some(b)) = (segs.get(&tracks[i]), segs.get(&tracks[j]))
+                        let (Some(a), Some(b)) =
+                            (segs.get(tracks[i].as_str()), segs.get(tracks[j].as_str()))
                         else {
                             continue;
                         };
@@ -148,8 +149,8 @@ pub fn check(run: &ModelRun, constraints: &[Constraint]) -> Vec<Violation> {
                 }
             }
             Constraint::SegmentLatency { track, label, max } => {
-                if let Some(v) = segs.get(track) {
-                    for s in v.iter().filter(|s| &s.label == label) {
+                if let Some(v) = segs.get(track.as_str()) {
+                    for s in v.iter().filter(|s| s.label == label) {
                         if s.duration() > *max {
                             violations.push(Violation {
                                 constraint: idx,
@@ -170,10 +171,10 @@ pub fn check(run: &ModelRun, constraints: &[Constraint]) -> Vec<Violation> {
                 jitter,
             } => {
                 let starts: Vec<SimTime> = segs
-                    .get(track)
+                    .get(track.as_str())
                     .map(|v| {
                         v.iter()
-                            .filter(|s| &s.label == label)
+                            .filter(|s| s.label == label)
                             .map(|s| s.start)
                             .collect()
                     })

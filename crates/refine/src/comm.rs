@@ -39,7 +39,7 @@ use std::sync::Arc;
 use rtos_model::{Rtos, RtosEvent};
 use sldl_sim::bus::{Bus, BusConfig, BusStats, MasterId};
 use sldl_sim::sync::Mutex;
-use sldl_sim::{ProcCtx, RecordKind};
+use sldl_sim::{LabelId, ProcCtx, TraceHandle, TrackId};
 
 use crate::cross::{CrossFairness, CrossRendezvous};
 
@@ -242,6 +242,10 @@ struct ChanQ<T> {
     ready: u64,
 }
 
+/// The receive-interrupt track and the `rx:` label, interned into the
+/// trace a channel records into.
+type RxIds = Option<(TraceHandle, TrackId, LabelId)>;
+
 /// A cross-PE channel lowered onto a bus: rendezvous match phase, timed
 /// arbitrated transfer charged to the sender's RTOS, interrupt-driven
 /// delivery on the receiver's RTOS. With a zero-cost bus configuration
@@ -253,9 +257,12 @@ pub struct BusChannel<T> {
     receiver_os: Rtos,
     data_ready: RtosEvent,
     name: Arc<str>,
+    /// `bus:{bus}`, the label of the sender's transfer segments.
+    xfer_label: Arc<str>,
     bytes_per_msg: u64,
     zero_cost: bool,
     q: Arc<Mutex<ChanQ<T>>>,
+    rx_trace: Rc<RefCell<RxIds>>,
 }
 
 impl<T> Clone for BusChannel<T> {
@@ -266,9 +273,11 @@ impl<T> Clone for BusChannel<T> {
             receiver_os: self.receiver_os.clone(),
             data_ready: self.data_ready,
             name: Arc::clone(&self.name),
+            xfer_label: Arc::clone(&self.xfer_label),
             bytes_per_msg: self.bytes_per_msg,
             zero_cost: self.zero_cost,
             q: Arc::clone(&self.q),
+            rx_trace: Rc::clone(&self.rx_trace),
         }
     }
 }
@@ -306,12 +315,14 @@ impl<T> BusChannel<T> {
             receiver_os,
             data_ready,
             name: Arc::from(name),
+            xfer_label: Arc::from(format!("bus:{}", bus.config().name)),
             bytes_per_msg,
             zero_cost: bus.config().is_zero_cost(),
             q: Arc::new(Mutex::new(ChanQ {
                 payloads: VecDeque::new(),
                 ready: 0,
             })),
+            rx_trace: Rc::default(),
         }
     }
 
@@ -339,8 +350,7 @@ impl<T> BusChannel<T> {
             .bus
             .transfer_begin(ctx, self.port.master, self.bytes_per_msg);
         if !dur.is_zero() {
-            let label = format!("bus:{}", self.port.shared.config().name);
-            self.port.os.time_wait_as(ctx, dur, &label).await;
+            self.port.os.time_wait_as(ctx, dur, &self.xfer_label).await;
         }
         self.port.shared.bus.transfer_end(ctx, self.port.master);
         self.port.release(ctx).await;
@@ -351,10 +361,16 @@ impl<T> BusChannel<T> {
             q.payloads.push_back(value);
             q.ready += 1;
         }
-        ctx.record(RecordKind::Marker {
-            track: format!("{}:irq", self.receiver_os.name()),
-            label: format!("rx:{}", self.name),
-        });
+        if let Some(handle) = ctx.trace_handle() {
+            let mut slot = self.rx_trace.borrow_mut();
+            if slot.as_ref().is_none_or(|t| t.0 != handle) {
+                let track = handle.intern_track(&format!("{}:irq", self.receiver_os.name()));
+                let label = handle.intern_label(&format!("rx:{}", self.name));
+                *slot = Some((handle, track, label));
+            }
+            let (handle, track, label) = slot.as_ref().expect("installed above");
+            handle.marker(ctx.now(), *track, *label);
+        }
         self.receiver_os.event_notify(ctx, self.data_ready).await;
         self.receiver_os.interrupt_return(ctx);
     }

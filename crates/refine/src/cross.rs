@@ -8,11 +8,13 @@
 //! remote RTOS in interrupt context (it dispatches immediately only if that
 //! CPU is idle; a running task is preempted at its next delay boundary).
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use rtos_model::{Rtos, RtosEvent};
 use sldl_sim::sync::Mutex;
-use sldl_sim::{ProcCtx, RecordKind};
+use sldl_sim::{LabelId, ProcCtx, TraceHandle, TrackId};
 
 struct CrossState {
     pending_senders: u64,
@@ -24,6 +26,10 @@ struct CrossState {
     sender_grants_total: u64,
     receiver_grants_total: u64,
 }
+
+/// The `xchan:` track and the `grant:sender` / `grant:receiver` labels,
+/// interned into the trace a rendezvous records into.
+type GrantIds = Option<(TraceHandle, (TrackId, LabelId, LabelId))>;
 
 /// Cumulative grant counts of one cross-PE rendezvous: how often each side
 /// arrived second and was granted by an already-waiting partner. A heavily
@@ -47,6 +53,7 @@ pub struct CrossRendezvous {
     /// `xchan:{label}` track (`grant:sender` / `grant:receiver`).
     label: Option<Arc<str>>,
     state: Arc<Mutex<CrossState>>,
+    trace: Rc<RefCell<GrantIds>>,
 }
 
 impl Clone for CrossRendezvous {
@@ -58,6 +65,7 @@ impl Clone for CrossRendezvous {
             receiver_wake: self.receiver_wake,
             label: self.label.clone(),
             state: Arc::clone(&self.state),
+            trace: Rc::clone(&self.trace),
         }
     }
 }
@@ -94,6 +102,7 @@ impl CrossRendezvous {
                 sender_grants_total: 0,
                 receiver_grants_total: 0,
             })),
+            trace: Rc::default(),
         }
     }
 
@@ -116,13 +125,27 @@ impl CrossRendezvous {
         }
     }
 
-    fn grant_instant(&self, ctx: &ProcCtx, side: &str) {
-        if let Some(label) = &self.label {
-            ctx.record(RecordKind::Marker {
-                track: format!("xchan:{label}"),
-                label: format!("grant:{side}"),
-            });
+    /// Records a `grant:sender` or `grant:receiver` instant, interning
+    /// the names on first use in each trace.
+    fn grant_instant(&self, ctx: &ProcCtx, to_sender: bool) {
+        let (Some(label), Some(handle)) = (&self.label, ctx.trace_handle()) else {
+            return;
+        };
+        let mut slot = self.trace.borrow_mut();
+        if slot.as_ref().is_none_or(|t| t.0 != handle) {
+            let ids = (
+                handle.intern_track(&format!("xchan:{label}")),
+                handle.intern_label("grant:sender"),
+                handle.intern_label("grant:receiver"),
+            );
+            *slot = Some((handle, ids));
         }
+        let (handle, (track, sender, receiver)) = slot.as_ref().expect("installed above");
+        handle.marker(
+            ctx.now(),
+            *track,
+            if to_sender { *sender } else { *receiver },
+        );
     }
 
     /// Blocks the calling task (on the sender PE) until a receiver arrives.
@@ -140,7 +163,7 @@ impl CrossRendezvous {
             }
         };
         if partner_waiting {
-            self.grant_instant(ctx, "receiver");
+            self.grant_instant(ctx, false);
             // Wakes the partner through *its* RTOS: from this PE's point
             // of view that is an interrupt-context notify.
             self.receiver_os.event_notify(ctx, self.receiver_wake).await;
@@ -171,7 +194,7 @@ impl CrossRendezvous {
             }
         };
         if partner_waiting {
-            self.grant_instant(ctx, "sender");
+            self.grant_instant(ctx, true);
             self.sender_os.event_notify(ctx, self.sender_wake).await;
             return;
         }

@@ -6,7 +6,7 @@ use std::time::Duration;
 use rtos_model::MetricsSnapshot;
 use sldl_sim::bus::BusStats;
 use sldl_sim::trace::Segment;
-use sldl_sim::{Record, Report, RunError, SimTime};
+use sldl_sim::{Report, RunError, SimTime, Trace};
 
 use crate::spec::ValidateSpecError;
 
@@ -44,8 +44,8 @@ pub struct ChannelFairness {
 pub struct ModelRun {
     /// Kernel run report (end time, blocked processes).
     pub report: Report,
-    /// All trace records collected during the run.
-    pub records: Vec<Record>,
+    /// The trace collected during the run.
+    pub records: Trace,
     /// Per-PE RTOS metrics (empty for the unscheduled model).
     pub pe_metrics: Vec<PeMetrics>,
     /// Per-bus transaction statistics, in [`BusMap`](crate::BusMap) bus
@@ -65,7 +65,7 @@ impl ModelRun {
 
     /// Execution segments per track (behavior/task name).
     #[must_use]
-    pub fn segments(&self) -> HashMap<String, Vec<Segment>> {
+    pub fn segments(&self) -> HashMap<&str, Vec<Segment<'_>>> {
         sldl_sim::trace::segments(&self.records)
     }
 
@@ -135,10 +135,14 @@ impl From<RunError> for RunModelError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sldl_sim::RecordKind;
+    use sldl_sim::TraceHandle;
 
     #[test]
     fn model_run_accessors() {
+        let trace = TraceHandle::new();
+        let a = trace.intern_track("a");
+        trace.span_begin(SimTime::ZERO, a, trace.intern_label("x"));
+        trace.span_end(SimTime::from_micros(4), a);
         let run = ModelRun {
             report: Report {
                 end_time: SimTime::from_micros(10),
@@ -147,19 +151,7 @@ mod tests {
                 chaos: vec![],
                 kernel: sldl_sim::KernelStats::default(),
             },
-            records: vec![
-                Record {
-                    time: SimTime::ZERO,
-                    kind: RecordKind::SpanBegin {
-                        track: "a".into(),
-                        label: "x".into(),
-                    },
-                },
-                Record {
-                    time: SimTime::from_micros(4),
-                    kind: RecordKind::SpanEnd { track: "a".into() },
-                },
-            ],
+            records: trace.snapshot(),
             pe_metrics: vec![],
             bus_stats: vec![],
             channel_fairness: vec![],

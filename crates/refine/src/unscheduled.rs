@@ -3,9 +3,7 @@
 
 use std::rc::Rc;
 
-use sldl_sim::{
-    Child, Handshake, ProcCtx, RecordKind, Semaphore, Simulation, SldlSync, TraceConfig,
-};
+use sldl_sim::{Child, Handshake, ProcCtx, Semaphore, Simulation, SldlSync, TraceConfig};
 
 use crate::run::{ModelRun, RunConfig, RunModelError};
 use crate::spec::{Action, Behavior, ChannelKind, SystemSpec};
@@ -70,23 +68,24 @@ pub fn run_unscheduled(spec: &SystemSpec, cfg: &RunConfig) -> Result<ModelRun, R
 
     for irq in &spec.interrupts {
         let chans = Rc::clone(&chans);
-        let name = irq.name.clone();
+        let (trace, track) = (trace.clone(), trace.intern_track(&irq.name));
+        let label = trace.intern_label("interrupt");
         let mut times = irq.fire_times.clone();
         times.sort();
         let target = irq.target;
-        sim.spawn(Child::new(format!("isr_{name}"), move |ctx| async move {
-            for t in times {
-                let now = ctx.now();
-                if t > now {
-                    ctx.waitfor(t - now).await;
+        sim.spawn(Child::new(
+            format!("isr_{}", irq.name),
+            move |ctx| async move {
+                for t in times {
+                    let now = ctx.now();
+                    if t > now {
+                        ctx.waitfor(t - now).await;
+                    }
+                    trace.marker(ctx.now(), track, label);
+                    chans[target.0].sem().release(&ctx).await;
                 }
-                ctx.record(RecordKind::Marker {
-                    track: name.clone(),
-                    label: "interrupt".into(),
-                });
-                chans[target.0].sem().release(&ctx).await;
-            }
-        }));
+            },
+        ));
     }
 
     let report = match cfg.run_until {
@@ -146,17 +145,17 @@ async fn exec(b: &Behavior, ctx: &ProcCtx, chans: &Rc<Vec<SpecChan>>) {
 }
 
 async fn run_actions(name: &str, actions: &[Action], ctx: &ProcCtx, chans: &Rc<Vec<SpecChan>>) {
+    let trace = ctx.trace_handle().map(|t| (t.intern_track(name), t));
     for a in actions {
         match a {
             Action::Compute { label, duration } => {
-                ctx.record(RecordKind::SpanBegin {
-                    track: name.to_string(),
-                    label: label.clone(),
-                });
+                if let Some((track, t)) = &trace {
+                    t.span_begin(ctx.now(), *track, t.intern_label(label));
+                }
                 ctx.waitfor(*duration).await;
-                ctx.record(RecordKind::SpanEnd {
-                    track: name.to_string(),
-                });
+                if let Some((track, t)) = &trace {
+                    t.span_end(ctx.now(), *track);
+                }
             }
             Action::Send(c) => chans[c.0].rendezvous().send(ctx).await,
             Action::Recv(c) => chans[c.0].rendezvous().recv(ctx).await,

@@ -144,17 +144,19 @@ fn timed_bus_charges_transfers_and_raises_rx_interrupts() {
     let mut reqs = 0;
     let mut xfers = 0;
     let mut irqs = 0;
-    for r in &timed.records {
-        match &r.kind {
-            RecordKind::Marker { track, label } if track == "bus:b0" && label == "req:pe0:link" => {
-                reqs += 1;
-            }
-            RecordKind::Marker { track, label } if track == "pe1:irq" => {
-                assert_eq!(label, "rx:link");
-                irqs += 1;
-            }
-            RecordKind::SpanBegin { track, label } if track == "bus:b0" => {
-                assert_eq!(label, "xfer:pe0:link:64");
+    let trace = &timed.records;
+    for r in &trace.records {
+        match r.kind {
+            RecordKind::Marker { track, label } => match trace.track(track) {
+                "bus:b0" if trace.label(label) == "req:pe0:link" => reqs += 1,
+                "pe1:irq" => {
+                    assert_eq!(trace.label(label), "rx:link");
+                    irqs += 1;
+                }
+                _ => {}
+            },
+            RecordKind::SpanBegin { track, label } if trace.track(track) == "bus:b0" => {
+                assert_eq!(trace.label(label), "xfer:pe0:link:64");
                 xfers += 1;
             }
             _ => {}

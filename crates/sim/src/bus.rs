@@ -31,17 +31,21 @@
 //! With a trace attached to the simulation, every protocol step lands on
 //! the `bus:{name}` track: `req:{master}` / `grant:{master}` /
 //! `contend:{master}` markers and one `xfer:{master}:{bytes}` span per
-//! transfer. The records reuse the kernel's ordinary [`RecordKind`]
-//! marker/span variants, so they survive Chrome export and re-ingestion
-//! unchanged.
+//! transfer. The records are the kernel's ordinary
+//! [`RecordKind::Marker`](crate::RecordKind::Marker) and span records, so
+//! they survive Chrome export and re-ingestion unchanged. The bus interns
+//! its track and each master's labels once per trace, at their first
+//! record; without a trace it formats nothing.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::kernel::ProcCtx;
 use crate::sync::Mutex;
 use crate::time::SimTime;
-use crate::trace::RecordKind;
+use crate::trace::{LabelId, TraceHandle, TrackId};
 
 /// Bus arbitration policy deciding which queued master is granted next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,6 +184,24 @@ struct MasterState {
     grants: u64,
 }
 
+/// The ids one bus interned into the trace it records into.
+struct BusTrace {
+    handle: TraceHandle,
+    track: TrackId,
+    /// Per master, interned at the master's first record.
+    masters: Vec<Option<MasterLabels>>,
+}
+
+/// The interned labels of one master.
+#[derive(Clone, Copy)]
+struct MasterLabels {
+    req: LabelId,
+    grant: LabelId,
+    contend: LabelId,
+    /// Byte count and `xfer:{master}:{bytes}` label of the last transfer.
+    xfer: Option<(u64, LabelId)>,
+}
+
 struct Core {
     owner: Option<MasterId>,
     /// Queued masters in request order.
@@ -196,6 +218,8 @@ struct Core {
 pub struct Bus {
     cfg: Arc<BusConfig>,
     core: Arc<Mutex<Core>>,
+    /// The ids this bus interned into the trace it records into.
+    trace: Rc<RefCell<Option<BusTrace>>>,
 }
 
 impl Clone for Bus {
@@ -203,6 +227,7 @@ impl Clone for Bus {
         Bus {
             cfg: Arc::clone(&self.cfg),
             core: Arc::clone(&self.core),
+            trace: Rc::clone(&self.trace),
         }
     }
 }
@@ -234,6 +259,7 @@ impl Bus {
                 max_wait: Duration::ZERO,
                 contended: 0,
             })),
+            trace: Rc::default(),
         }
     }
 
@@ -257,14 +283,54 @@ impl Bus {
         id
     }
 
-    fn track(&self) -> String {
-        format!("bus:{}", self.cfg.name)
+    /// Calls `record` with the trace `ctx` records into, the bus track,
+    /// and `master`'s labels and name. Interns the track and the labels on
+    /// first use in each trace; does nothing when no trace is attached.
+    fn record(
+        &self,
+        core: &Core,
+        ctx: &ProcCtx,
+        master: MasterId,
+        record: impl FnOnce(&TraceHandle, TrackId, &mut MasterLabels, &str),
+    ) {
+        let Some(handle) = ctx.trace_handle() else {
+            return;
+        };
+        let mut slot = self.trace.borrow_mut();
+        if slot.as_ref().is_none_or(|t| t.handle != handle) {
+            let track = handle.intern_track(&format!("bus:{}", self.cfg.name));
+            *slot = Some(BusTrace {
+                handle,
+                track,
+                masters: Vec::new(),
+            });
+        }
+        let t = slot.as_mut().expect("installed above");
+        let i = master.index();
+        if t.masters.len() <= i {
+            t.masters.resize(i + 1, None);
+        }
+        let name = &core.masters[i].name;
+        let handle = &t.handle;
+        let labels = t.masters[i].get_or_insert_with(|| MasterLabels {
+            req: handle.intern_label(&format!("req:{name}")),
+            grant: handle.intern_label(&format!("grant:{name}")),
+            contend: handle.intern_label(&format!("contend:{name}")),
+            xfer: None,
+        });
+        record(handle, t.track, labels, name);
     }
 
-    fn mark(&self, ctx: &ProcCtx, label: String) {
-        ctx.record(RecordKind::Marker {
-            track: self.track(),
-            label,
+    /// Records the marker `pick` chooses among `master`'s labels.
+    fn mark(
+        &self,
+        core: &Core,
+        ctx: &ProcCtx,
+        master: MasterId,
+        pick: fn(&MasterLabels) -> LabelId,
+    ) {
+        self.record(core, ctx, master, |t, track, labels, _| {
+            t.marker(ctx.now(), track, pick(labels));
         });
     }
 
@@ -285,18 +351,17 @@ impl Bus {
             self.cfg.name,
             core.masters[master.index()].name
         );
-        let name = core.masters[master.index()].name.clone();
-        self.mark(ctx, format!("req:{name}"));
+        self.mark(&core, ctx, master, |l| l.req);
         if core.owner.is_none() {
             core.owner = Some(master);
             core.masters[master.index()].grants += 1;
-            self.mark(ctx, format!("grant:{name}"));
+            self.mark(&core, ctx, master, |l| l.grant);
             true
         } else {
             core.contended += 1;
             core.masters[master.index()].waiting_since = Some(ctx.now());
             core.queue.push(master);
-            self.mark(ctx, format!("contend:{name}"));
+            self.mark(&core, ctx, master, |l| l.contend);
             false
         }
     }
@@ -326,10 +391,16 @@ impl Bus {
         core.transactions += 1;
         core.bytes += bytes;
         core.busy += dur;
-        let name = core.masters[master.index()].name.clone();
-        ctx.record(RecordKind::SpanBegin {
-            track: self.track(),
-            label: format!("xfer:{name}:{bytes}"),
+        self.record(&core, ctx, master, |t, track, labels, name| {
+            let label = match labels.xfer {
+                Some((b, label)) if b == bytes => label,
+                _ => {
+                    let label = t.intern_label(&format!("xfer:{name}:{bytes}"));
+                    labels.xfer = Some((bytes, label));
+                    label
+                }
+            };
+            t.span_begin(ctx.now(), track, label);
         });
         dur
     }
@@ -343,9 +414,8 @@ impl Bus {
             "bus {}: transfer_end without ownership",
             self.cfg.name
         );
-        drop(core);
-        ctx.record(RecordKind::SpanEnd {
-            track: self.track(),
+        self.record(&core, ctx, master, |t, track, _, _| {
+            t.span_end(ctx.now(), track);
         });
     }
 
@@ -405,8 +475,7 @@ impl Bus {
         core.max_wait = core.max_wait.max(waited);
         core.owner = Some(next);
         core.masters[next.index()].grants += 1;
-        let name = core.masters[next.index()].name.clone();
-        self.mark(ctx, format!("grant:{name}"));
+        self.mark(&core, ctx, next, |l| l.grant);
         Some(next)
     }
 
@@ -555,12 +624,9 @@ mod tests {
 
         // The protocol landed on the bus track as ordinary markers/spans.
         let records = trace.snapshot();
-        let on_bus: Vec<String> = records
-            .iter()
-            .filter_map(|r| match &r.kind {
-                RecordKind::Marker { track, label } if track == "bus:test" => Some(label.clone()),
-                _ => None,
-            })
+        let on_bus: Vec<&str> = crate::trace::markers(&records, "bus:test")
+            .into_iter()
+            .map(|m| m.1)
             .collect();
         assert_eq!(
             on_bus,

@@ -57,9 +57,7 @@ use crate::error::{AbortReason, ModelError, RunError, WaitEdge};
 use crate::fault::{FaultPlan, FaultRecord, FaultState, NotifyFate};
 use crate::ids::{EventId, ProcessId};
 use crate::time::SimTime;
-use crate::trace::{
-    CompactKind, KernelStats, RecordKind, SuspendReason, TraceConfig, TraceHandle, TraceSink,
-};
+use crate::trace::{KernelStats, RecordKind, SuspendReason, TraceConfig, TraceHandle};
 use crate::wheel::TimerWheel;
 
 /// A process body once started: the future the executor polls.
@@ -328,14 +326,8 @@ struct State {
 }
 
 impl State {
-    fn record(&self, kind: RecordKind) {
-        if let Some(t) = &self.trace {
-            t.record(self.now, kind);
-        }
-    }
-
     /// Emits an allocation-free kernel record, if kernel records are on.
-    fn record_kernel(&self, kind: CompactKind) {
+    fn record_kernel(&self, kind: RecordKind) {
         if self.trace_kernel {
             if let Some(t) = &self.trace {
                 t.emit(self.now, kind);
@@ -555,7 +547,7 @@ impl State {
         entry.state = ProcState::Finished;
         self.live_procs -= 1;
         let parent = entry.parent.take();
-        self.record_kernel(CompactKind::ProcessFinished { pid });
+        self.record_kernel(RecordKind::ProcessFinished { pid });
         if let Some(parent) = parent {
             let pentry = &mut self.procs[parent.index()];
             if let ProcState::Joining { pending } = &mut pentry.state {
@@ -627,7 +619,7 @@ fn next_step(st: &mut State) -> Option<ProcessId> {
                 st.stats.context_switches += 1;
             }
             st.last_resumed = Some(pid);
-            st.record_kernel(CompactKind::ProcessResumed { pid });
+            st.record_kernel(RecordKind::ProcessResumed { pid });
             if let Some(position) = pick.filter(|&j| j > 0) {
                 let at = st.now;
                 let c = st.chaos.as_mut().expect("a pick implies an armed plan");
@@ -718,7 +710,7 @@ fn next_step(st: &mut State) -> Option<ProcessId> {
                             // same timestamp coalesce into one queued
                             // delivery — the stamp makes the dedup O(1).
                             st.stats.events_notified += 1;
-                            st.record_kernel(CompactKind::EventNotified { event: e });
+                            st.record_kernel(RecordKind::EventNotified { event: e });
                             st.queue_notify(e);
                         }
                     }
@@ -736,7 +728,7 @@ fn next_step(st: &mut State) -> Option<ProcessId> {
                 for e in f.spurious_events(now) {
                     if st.event_alive(e) && st.queue_notify(e) {
                         st.stats.events_notified += 1;
-                        st.record_kernel(CompactKind::EventNotified { event: e });
+                        st.record_kernel(RecordKind::EventNotified { event: e });
                     }
                 }
                 st.faults = Some(f);
@@ -910,7 +902,6 @@ pub struct SimulationBuilder {
     invariants: Option<KernelInvariants>,
     stall_policy: Option<StallPolicy>,
     trace: Option<TraceConfig>,
-    trace_sink: Option<Box<dyn TraceSink>>,
 }
 
 impl core::fmt::Debug for SimulationBuilder {
@@ -921,7 +912,6 @@ impl core::fmt::Debug for SimulationBuilder {
             .field("invariants", &self.invariants)
             .field("stall_policy", &self.stall_policy)
             .field("trace", &self.trace)
-            .field("custom_sink", &self.trace_sink.is_some())
             .finish()
     }
 }
@@ -960,21 +950,10 @@ impl SimulationBuilder {
     }
 
     /// Attaches a trace recorder; fetch the handle from the built
-    /// simulation via [`Simulation::trace_handle`]. The sink is chosen by
-    /// [`TraceConfig::sink`] (in-memory by default, or a bounded ring
-    /// buffer); for arbitrary sinks use
-    /// [`trace_sink`](SimulationBuilder::trace_sink).
+    /// simulation via [`Simulation::trace_handle`]. The buffer keeps every
+    /// record unless [`TraceConfig::sink`] bounds it to a ring.
     pub fn trace(mut self, config: TraceConfig) -> Self {
         self.trace = Some(config);
-        self
-    }
-
-    /// Attaches a trace recorder over a caller-provided [`TraceSink`]
-    /// (e.g. a [`StreamSink`](crate::StreamSink) writing to a file),
-    /// overriding [`TraceConfig::sink`]. Implies tracing even without a
-    /// [`trace`](SimulationBuilder::trace) call.
-    pub fn trace_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.trace_sink = Some(sink);
         self
     }
 
@@ -994,9 +973,8 @@ impl SimulationBuilder {
         if let Some(policy) = self.stall_policy {
             sim.install_stall_policy(policy);
         }
-        if self.trace.is_some() || self.trace_sink.is_some() {
-            let config = self.trace.unwrap_or_default();
-            let _handle = sim.install_trace(config, self.trace_sink);
+        if let Some(config) = self.trace {
+            sim.install_trace(config);
         }
         sim
     }
@@ -1090,24 +1068,14 @@ impl Simulation {
         self.shared.state.borrow_mut().stall_policy = policy;
     }
 
-    fn install_trace(
-        &mut self,
-        config: TraceConfig,
-        sink: Option<Box<dyn TraceSink>>,
-    ) -> TraceHandle {
-        let handle = match sink {
-            Some(sink) => TraceHandle::with_sink(sink),
-            None => TraceHandle::from_config(config.sink),
-        };
+    fn install_trace(&mut self, config: TraceConfig) {
         let mut st = self.shared.state.borrow_mut();
-        st.trace = Some(handle.clone());
+        st.trace = Some(TraceHandle::from_config(config.sink));
         st.trace_kernel = config.kernel_records;
-        handle
     }
 
     /// Returns the trace handle if tracing was configured (via
-    /// [`SimulationBuilder::trace`] or
-    /// [`SimulationBuilder::trace_sink`]).
+    /// [`SimulationBuilder::trace`]).
     #[must_use]
     pub fn trace_handle(&self) -> Option<TraceHandle> {
         self.shared.state.borrow().trace.clone()
@@ -1333,7 +1301,8 @@ fn spawn_process(shared: &Rc<Shared>, child: Child, parent: Option<ProcessId>) -
         st.stats.processes_spawned += 1;
         if st.trace_kernel {
             if let Some(t) = &st.trace {
-                t.process_spawned(st.now, pid, &name);
+                let name = t.intern_label(&name);
+                t.emit(st.now, RecordKind::ProcessSpawned { pid, name });
             }
         }
         pid
@@ -1421,9 +1390,11 @@ impl ProcCtx {
         self.shared.state.borrow().now
     }
 
-    /// Appends a record to the attached trace (no-op without a trace).
-    pub fn record(&self, kind: RecordKind) {
-        self.shared.state.borrow().record(kind);
+    /// The attached trace, if any. Record sites intern their names through
+    /// it at first emission, and skip all formatting when it is `None`.
+    #[must_use]
+    pub fn trace_handle(&self) -> Option<TraceHandle> {
+        self.shared.state.borrow().trace.clone()
     }
 
     /// Returns the raw SLDL synchronization layer for building channels
@@ -1604,7 +1575,7 @@ impl ProcCtx {
                 NotifyFate::Deliver => {}
             }
         }
-        st.record_kernel(CompactKind::EventNotified { event });
+        st.record_kernel(RecordKind::EventNotified { event });
         if st.queue_notify(event) {
             st.stats.events_notified += 1;
         }
@@ -1704,7 +1675,7 @@ impl ProcCtx {
                 st.push_timed(time, TimedKind::Wake { pid: self.pid, gen });
             }
             st.stats.processes_suspended += 1;
-            st.record_kernel(CompactKind::ProcessSuspended {
+            st.record_kernel(RecordKind::ProcessSuspended {
                 pid: self.pid,
                 reason: SuspendReason::WaitEvent,
             });
@@ -1727,7 +1698,7 @@ impl ProcCtx {
             entry.state = ProcState::WaitTime;
             entry.wake_cause = None;
             st.stats.processes_suspended += 1;
-            st.record_kernel(CompactKind::ProcessSuspended {
+            st.record_kernel(RecordKind::ProcessSuspended {
                 pid: self.pid,
                 reason: SuspendReason::WaitTime,
             });
@@ -1751,7 +1722,7 @@ impl ProcCtx {
             let mut st = self.shared.state.borrow_mut();
             st.procs[self.pid.index()].state = ProcState::Joining { pending: n };
             st.stats.processes_suspended += 1;
-            st.record_kernel(CompactKind::ProcessSuspended {
+            st.record_kernel(RecordKind::ProcessSuspended {
                 pid: self.pid,
                 reason: SuspendReason::Join,
             });

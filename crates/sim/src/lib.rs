@@ -96,6 +96,6 @@ pub use kernel::{Child, ProcCtx, Report, Simulation, SimulationBuilder, StallPol
 pub use rng::SmallRng;
 pub use time::SimTime;
 pub use trace::{
-    CompactKind, CompactRecord, DecisionReason, Interner, KernelStats, LabelId, MemorySink, Record,
-    RecordKind, RingSink, SinkConfig, StreamSink, TraceConfig, TraceHandle, TraceSink, TrackId,
+    DecisionReason, KernelStats, LabelId, Record, RecordKind, SinkConfig, Trace, TraceConfig,
+    TraceHandle, TrackId,
 };

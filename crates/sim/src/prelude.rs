@@ -27,4 +27,4 @@ pub use crate::ids::{EventId, ProcessId};
 pub use crate::kernel::{Child, ProcCtx, Report, Simulation, SimulationBuilder, StallPolicy};
 pub use crate::rng::SmallRng;
 pub use crate::time::SimTime;
-pub use crate::trace::{KernelStats, Record, RecordKind, TraceConfig, TraceHandle};
+pub use crate::trace::{KernelStats, Record, RecordKind, Trace, TraceConfig, TraceHandle};

@@ -1,39 +1,35 @@
 //! Simulation trace recording and analysis.
 //!
-//! A [`TraceHandle`] collects time-stamped trace records during a run and
-//! forwards them to a pluggable [`TraceSink`]. The kernel can contribute
-//! low-level scheduling records (opt-in through
+//! A [`TraceHandle`] collects time-stamped [`Record`]s during a run. The
+//! kernel can contribute low-level scheduling records (opt-in through
 //! [`TraceConfig::kernel_records`]); models contribute semantic records —
 //! most importantly *spans* (`SpanBegin`/`SpanEnd` on a named track), which
 //! the analysis functions turn into execution segments like the simulation
 //! traces in Figure 8 of the paper.
 //!
-//! ## Hot path
+//! ## One record form
 //!
-//! Track and label names are interned once into `u32` ids ([`TrackId`] /
-//! [`LabelId`]); the per-record payload ([`CompactRecord`]) is `Copy` and
-//! allocation-free, so recording costs one mutex acquisition and a few
-//! stores. [`snapshot`](TraceHandle::snapshot) resolves ids back into the
-//! string-based [`Record`] form the analysis functions consume.
+//! Track and label names are interned once per handle into `u32` ids
+//! ([`TrackId`] / [`LabelId`]). A [`Record`] carries only ids, so it is
+//! `Copy` and recording one costs a `RefCell` borrow and a push. Record
+//! sites intern their names at first emission and format nothing when no
+//! trace is attached. [`snapshot`](TraceHandle::snapshot) copies the
+//! records and the name table into a plain-data [`Trace`]; the consumers
+//! ([`segments`], [`markers`], [`to_csv`]) read ids and resolve names only
+//! for their own output.
 //!
-//! ## Sinks
+//! ## Buffer
 //!
-//! Three sinks ship with the crate:
-//!
-//! * [`MemorySink`] — unbounded in-memory buffer (the default);
-//! * [`RingSink`] — bounded ring buffer that drops the *oldest* records on
-//!   overflow and counts them in `dropped_records`, for long runs;
-//! * [`StreamSink`] — resolves each record immediately and streams it as a
-//!   CSV row to any `Write` target.
+//! The handle keeps every record by default. [`SinkConfig::Ring`] bounds
+//! the buffer instead: it drops the *oldest* records on overflow and counts
+//! them in [`Trace::dropped`].
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
-use std::io::Write;
-use std::sync::Arc;
+use std::fmt::{self, Write as _};
+use std::rc::Rc;
 use std::time::Duration;
-
-use crate::sync::Mutex;
 
 use crate::ids::{EventId, ProcessId};
 use crate::time::SimTime;
@@ -99,8 +95,32 @@ impl fmt::Display for DecisionReason {
     }
 }
 
-/// One kind of trace record (resolved, string-based form).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Interned track name; [`Trace::track`] resolves it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TrackId(u32);
+
+/// Interned label name; [`Trace::label`] resolves it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct LabelId(u32);
+
+impl TrackId {
+    /// Index into [`Trace::names`].
+    #[must_use]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl LabelId {
+    /// Index into [`Trace::names`].
+    #[must_use]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One kind of trace record. Names are interned ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RecordKind {
     /// A process was created (kernel record).
@@ -108,7 +128,7 @@ pub enum RecordKind {
         /// New process id.
         pid: ProcessId,
         /// Debug name.
-        name: String,
+        name: LabelId,
     },
     /// A process received the run token (kernel record).
     ProcessResumed {
@@ -135,30 +155,30 @@ pub enum RecordKind {
     /// A point annotation on a named track (e.g. "interrupt").
     Marker {
         /// Track (row) the marker belongs to.
-        track: String,
+        track: TrackId,
         /// Marker label.
-        label: String,
+        label: LabelId,
     },
     /// Start of an execution segment on a named track.
     SpanBegin {
         /// Track (row) the segment belongs to.
-        track: String,
+        track: TrackId,
         /// Segment label (e.g. the delay annotation name "d6").
-        label: String,
+        label: LabelId,
     },
     /// End of the currently open segment on a named track.
     SpanEnd {
         /// Track (row) whose segment closes.
-        track: String,
+        track: TrackId,
     },
     /// An RTOS scheduler decision: who got the CPU, who lost it, and why.
     SchedDecision {
         /// Decision track, conventionally `"{pe}:sched"`.
-        track: String,
+        track: TrackId,
         /// Task that received the CPU (`None` if the CPU went idle).
-        dispatched: Option<String>,
+        dispatched: Option<LabelId>,
         /// Task that lost the CPU (`None` if the CPU was idle before).
-        displaced: Option<String>,
+        displaced: Option<LabelId>,
         /// Why the scheduler acted.
         reason: DecisionReason,
     },
@@ -166,11 +186,11 @@ pub enum RecordKind {
     /// edge (`task` → `owner`) of a potential blocking chain.
     MutexWait {
         /// Mutex track, conventionally `"{pe}:mutex"`.
-        track: String,
+        track: TrackId,
         /// Task that blocked.
-        task: String,
+        task: LabelId,
         /// Task holding the mutex at block time.
-        owner: String,
+        owner: LabelId,
         /// Stable mutex id (its kernel event index).
         mutex: u32,
     },
@@ -178,18 +198,18 @@ pub enum RecordKind {
     /// re-entry is not re-recorded).
     MutexAcquired {
         /// Mutex track, conventionally `"{pe}:mutex"`.
-        track: String,
+        track: TrackId,
         /// New owner.
-        task: String,
+        task: LabelId,
         /// Stable mutex id (its kernel event index).
         mutex: u32,
     },
     /// A task fully released an RTOS mutex (recursion depth reached zero).
     MutexReleased {
         /// Mutex track, conventionally `"{pe}:mutex"`.
-        track: String,
+        track: TrackId,
         /// Previous owner.
-        task: String,
+        task: LabelId,
         /// Stable mutex id (its kernel event index).
         mutex: u32,
     },
@@ -201,9 +221,9 @@ pub enum RecordKind {
     /// in the future (sleep until next period) or the past (overrun).
     TaskReleased {
         /// The task's own track (its name).
-        track: String,
+        track: TrackId,
         /// Task that was released.
-        task: String,
+        task: LabelId,
         /// Nominal release time of the new activation.
         release: SimTime,
     },
@@ -234,8 +254,8 @@ impl RecordKind {
     /// The track this record belongs to, for track-addressed kinds
     /// (spans, markers, scheduler decisions, mutex records).
     #[must_use]
-    pub fn track(&self) -> Option<&str> {
-        match self {
+    pub fn track(&self) -> Option<TrackId> {
+        match *self {
             RecordKind::Marker { track, .. }
             | RecordKind::SpanBegin { track, .. }
             | RecordKind::SpanEnd { track }
@@ -247,10 +267,72 @@ impl RecordKind {
             _ => None,
         }
     }
+
+    /// The same record with every name id passed through `f`.
+    fn map_names(self, f: impl Fn(u32) -> u32) -> RecordKind {
+        let t = |TrackId(id)| TrackId(f(id));
+        let l = |LabelId(id)| LabelId(f(id));
+        match self {
+            RecordKind::ProcessSpawned { pid, name } => {
+                RecordKind::ProcessSpawned { pid, name: l(name) }
+            }
+            RecordKind::Marker { track, label } => RecordKind::Marker {
+                track: t(track),
+                label: l(label),
+            },
+            RecordKind::SpanBegin { track, label } => RecordKind::SpanBegin {
+                track: t(track),
+                label: l(label),
+            },
+            RecordKind::SpanEnd { track } => RecordKind::SpanEnd { track: t(track) },
+            RecordKind::SchedDecision {
+                track,
+                dispatched,
+                displaced,
+                reason,
+            } => RecordKind::SchedDecision {
+                track: t(track),
+                dispatched: dispatched.map(l),
+                displaced: displaced.map(l),
+                reason,
+            },
+            RecordKind::MutexWait {
+                track,
+                task,
+                owner,
+                mutex,
+            } => RecordKind::MutexWait {
+                track: t(track),
+                task: l(task),
+                owner: l(owner),
+                mutex,
+            },
+            RecordKind::MutexAcquired { track, task, mutex } => RecordKind::MutexAcquired {
+                track: t(track),
+                task: l(task),
+                mutex,
+            },
+            RecordKind::MutexReleased { track, task, mutex } => RecordKind::MutexReleased {
+                track: t(track),
+                task: l(task),
+                mutex,
+            },
+            RecordKind::TaskReleased {
+                track,
+                task,
+                release,
+            } => RecordKind::TaskReleased {
+                track: t(track),
+                task: l(task),
+                release,
+            },
+            other => other,
+        }
+    }
 }
 
 /// A time-stamped trace record.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Record {
     /// Simulated time of the record.
     pub time: SimTime,
@@ -258,469 +340,93 @@ pub struct Record {
     pub kind: RecordKind,
 }
 
-/// Interned track name (index into the handle's [`Interner`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TrackId(u32);
-
-/// Interned label name (index into the handle's [`Interner`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct LabelId(u32);
-
-impl TrackId {
-    /// Raw table index.
-    #[must_use]
-    pub fn index(self) -> u32 {
-        self.0
-    }
+/// A recorded trace as plain data: the records, the name table their ids
+/// index, and how many records a bounded buffer dropped.
+///
+/// Two traces are equal when they hold the same records with the same
+/// names, whatever order the names were interned in.
+#[derive(Debug, Clone, Default)]
+pub struct Trace {
+    /// Records in arrival order.
+    pub records: Vec<Record>,
+    /// Interned names; a [`TrackId`] or [`LabelId`] indexes this table.
+    pub names: Vec<String>,
+    /// Records a bounded buffer ([`SinkConfig::Ring`]) dropped. Nonzero
+    /// means `records` is only the tail of the run.
+    pub dropped: u64,
 }
 
-impl LabelId {
-    /// Raw table index.
-    #[must_use]
-    pub fn index(self) -> u32 {
-        self.0
-    }
-}
-
-/// String intern table shared by tracks and labels. Interning the same
-/// string twice returns the same id; lookup on a hit is allocation-free.
-#[derive(Debug, Default)]
-pub struct Interner {
-    map: HashMap<String, u32>,
-    names: Vec<String>,
-}
-
-impl Interner {
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.map.get(s) {
-            return id;
-        }
-        let id = u32::try_from(self.names.len()).expect("intern table overflow");
-        self.names.push(s.to_string());
-        self.map.insert(s.to_string(), id);
-        id
-    }
-
-    /// Resolves an id back to its string.
-    #[must_use]
-    pub fn resolve(&self, id: u32) -> &str {
-        &self.names[id as usize]
-    }
-
-    /// Resolves a track id.
-    #[must_use]
-    pub fn track(&self, id: TrackId) -> &str {
-        self.resolve(id.0)
-    }
-
-    /// Resolves a label id.
-    #[must_use]
-    pub fn label(&self, id: LabelId) -> &str {
-        self.resolve(id.0)
-    }
-
-    /// Number of interned strings.
+impl Trace {
+    /// Number of records.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the table is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-}
-
-/// One kind of trace record in interned, `Copy` form — the shape that moves
-/// through the hot path and sits in sink buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum CompactKind {
-    /// See [`RecordKind::ProcessSpawned`].
-    ProcessSpawned {
-        /// New process id.
-        pid: ProcessId,
-        /// Interned debug name.
-        name: LabelId,
-    },
-    /// See [`RecordKind::ProcessResumed`].
-    ProcessResumed {
-        /// Resumed process.
-        pid: ProcessId,
-    },
-    /// See [`RecordKind::ProcessSuspended`].
-    ProcessSuspended {
-        /// Suspended process.
-        pid: ProcessId,
-        /// What it is blocked on.
-        reason: SuspendReason,
-    },
-    /// See [`RecordKind::ProcessFinished`].
-    ProcessFinished {
-        /// Finished process.
-        pid: ProcessId,
-    },
-    /// See [`RecordKind::EventNotified`].
-    EventNotified {
-        /// Notified event.
-        event: EventId,
-    },
-    /// See [`RecordKind::Marker`].
-    Marker {
-        /// Interned track.
-        track: TrackId,
-        /// Interned label.
-        label: LabelId,
-    },
-    /// See [`RecordKind::SpanBegin`].
-    SpanBegin {
-        /// Interned track.
-        track: TrackId,
-        /// Interned label.
-        label: LabelId,
-    },
-    /// See [`RecordKind::SpanEnd`].
-    SpanEnd {
-        /// Interned track.
-        track: TrackId,
-    },
-    /// See [`RecordKind::SchedDecision`].
-    SchedDecision {
-        /// Interned decision track.
-        track: TrackId,
-        /// Task that received the CPU.
-        dispatched: Option<LabelId>,
-        /// Task that lost the CPU.
-        displaced: Option<LabelId>,
-        /// Why the scheduler acted.
-        reason: DecisionReason,
-    },
-    /// See [`RecordKind::MutexWait`].
-    MutexWait {
-        /// Interned mutex track.
-        track: TrackId,
-        /// Task that blocked.
-        task: LabelId,
-        /// Task holding the mutex.
-        owner: LabelId,
-        /// Stable mutex id.
-        mutex: u32,
-    },
-    /// See [`RecordKind::MutexAcquired`].
-    MutexAcquired {
-        /// Interned mutex track.
-        track: TrackId,
-        /// New owner.
-        task: LabelId,
-        /// Stable mutex id.
-        mutex: u32,
-    },
-    /// See [`RecordKind::MutexReleased`].
-    MutexReleased {
-        /// Interned mutex track.
-        track: TrackId,
-        /// Previous owner.
-        task: LabelId,
-        /// Stable mutex id.
-        mutex: u32,
-    },
-    /// See [`RecordKind::TaskReleased`].
-    TaskReleased {
-        /// Interned task track.
-        track: TrackId,
-        /// Released task.
-        task: LabelId,
-        /// Nominal release time.
-        release: SimTime,
-    },
-}
-
-/// A time-stamped record in interned form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactRecord {
-    /// Simulated time of the record.
-    pub time: SimTime,
-    /// What happened (interned).
-    pub kind: CompactKind,
-}
-
-/// Resolves a compact record back into the string-based [`Record`] form.
-#[must_use]
-pub fn resolve_record(rec: &CompactRecord, interner: &Interner) -> Record {
-    let kind = match rec.kind {
-        CompactKind::ProcessSpawned { pid, name } => RecordKind::ProcessSpawned {
-            pid,
-            name: interner.label(name).to_string(),
-        },
-        CompactKind::ProcessResumed { pid } => RecordKind::ProcessResumed { pid },
-        CompactKind::ProcessSuspended { pid, reason } => {
-            RecordKind::ProcessSuspended { pid, reason }
-        }
-        CompactKind::ProcessFinished { pid } => RecordKind::ProcessFinished { pid },
-        CompactKind::EventNotified { event } => RecordKind::EventNotified { event },
-        CompactKind::Marker { track, label } => RecordKind::Marker {
-            track: interner.track(track).to_string(),
-            label: interner.label(label).to_string(),
-        },
-        CompactKind::SpanBegin { track, label } => RecordKind::SpanBegin {
-            track: interner.track(track).to_string(),
-            label: interner.label(label).to_string(),
-        },
-        CompactKind::SpanEnd { track } => RecordKind::SpanEnd {
-            track: interner.track(track).to_string(),
-        },
-        CompactKind::SchedDecision {
-            track,
-            dispatched,
-            displaced,
-            reason,
-        } => RecordKind::SchedDecision {
-            track: interner.track(track).to_string(),
-            dispatched: dispatched.map(|l| interner.label(l).to_string()),
-            displaced: displaced.map(|l| interner.label(l).to_string()),
-            reason,
-        },
-        CompactKind::MutexWait {
-            track,
-            task,
-            owner,
-            mutex,
-        } => RecordKind::MutexWait {
-            track: interner.track(track).to_string(),
-            task: interner.label(task).to_string(),
-            owner: interner.label(owner).to_string(),
-            mutex,
-        },
-        CompactKind::MutexAcquired { track, task, mutex } => RecordKind::MutexAcquired {
-            track: interner.track(track).to_string(),
-            task: interner.label(task).to_string(),
-            mutex,
-        },
-        CompactKind::MutexReleased { track, task, mutex } => RecordKind::MutexReleased {
-            track: interner.track(track).to_string(),
-            task: interner.label(task).to_string(),
-            mutex,
-        },
-        CompactKind::TaskReleased {
-            track,
-            task,
-            release,
-        } => RecordKind::TaskReleased {
-            track: interner.track(track).to_string(),
-            task: interner.label(task).to_string(),
-            release,
-        },
-    };
-    Record {
-        time: rec.time,
-        kind,
-    }
-}
-
-/// Destination for trace records. Implementations receive the interned form
-/// plus the live intern table (for sinks that resolve eagerly, like
-/// [`StreamSink`]).
-pub trait TraceSink: Send {
-    /// Accepts one record.
-    fn record(&mut self, rec: CompactRecord, interner: &Interner);
-
-    /// Number of records currently retained.
-    fn len(&self) -> usize;
-
-    /// Whether no records are retained.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Resolves retained records (in arrival order) to the string-based
-    /// form. Streaming sinks that retain nothing return an empty vec.
-    fn snapshot(&self, interner: &Interner) -> Vec<Record>;
-
-    /// Records discarded by the sink (overflow / write failure).
-    fn dropped_records(&self) -> u64 {
-        0
-    }
-
-    /// Flushes any buffered output.
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Unbounded in-memory sink — the default. Retains every record.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    records: Vec<CompactRecord>,
-}
-
-impl MemorySink {
-    /// Creates an empty sink.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn record(&mut self, rec: CompactRecord, _interner: &Interner) {
-        self.records.push(rec);
-    }
-
-    fn len(&self) -> usize {
         self.records.len()
     }
 
-    fn snapshot(&self, interner: &Interner) -> Vec<Record> {
+    /// Whether the trace holds no records.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The name of a track.
+    #[must_use]
+    pub fn track(&self, id: TrackId) -> &str {
+        &self.names[id.index()]
+    }
+
+    /// The name of a label.
+    #[must_use]
+    pub fn label(&self, id: LabelId) -> &str {
+        &self.names[id.index()]
+    }
+
+    /// The id of the track called `name`, if the trace interned it.
+    #[must_use]
+    pub fn track_id(&self, name: &str) -> Option<TrackId> {
+        let i = self.names.iter().position(|n| n == name)?;
+        Some(TrackId(u32::try_from(i).expect("intern table fits u32")))
+    }
+}
+
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        if self.dropped != other.dropped || self.records.len() != other.records.len() {
+            return false;
+        }
+        if self.names == other.names {
+            return self.records == other.records;
+        }
+        // Translate `other`'s ids into ours; a name we never interned maps
+        // to an id no record of ours carries.
+        let ours: HashMap<&str, u32> = self
+            .names
+            .iter()
+            .zip(0u32..)
+            .map(|(n, i)| (n.as_str(), i))
+            .collect();
+        let map: Vec<u32> = other
+            .names
+            .iter()
+            .map(|n| ours.get(n.as_str()).copied().unwrap_or(u32::MAX))
+            .collect();
         self.records
             .iter()
-            .map(|r| resolve_record(r, interner))
-            .collect()
+            .zip(&other.records)
+            .all(|(a, b)| a.time == b.time && a.kind == b.kind.map_names(|id| map[id as usize]))
     }
 }
 
-/// Bounded ring buffer: keeps the most recent `capacity` records, dropping
-/// the *oldest* on overflow (survivor order is preserved) and counting the
-/// drops. Suitable for long runs where only the tail matters.
-#[derive(Debug)]
-pub struct RingSink {
-    capacity: usize,
-    buf: VecDeque<CompactRecord>,
-    dropped: u64,
-}
+impl Eq for Trace {}
 
-impl RingSink {
-    /// Creates a ring sink retaining at most `capacity` records
-    /// (`capacity` ≥ 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            capacity,
-            buf: VecDeque::with_capacity(capacity),
-            dropped: 0,
-        }
-    }
-
-    /// Configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, rec: CompactRecord, _interner: &Interner) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(rec);
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn snapshot(&self, interner: &Interner) -> Vec<Record> {
-        self.buf
-            .iter()
-            .map(|r| resolve_record(r, interner))
-            .collect()
-    }
-
-    fn dropped_records(&self) -> u64 {
-        self.dropped
-    }
-}
-
-/// Streaming sink: resolves each record eagerly and writes it as one CSV
-/// row (same format as [`to_csv`], header included) to any `Write` target.
-/// Retains nothing, so [`snapshot`](TraceSink::snapshot) is empty. Records
-/// that fail to write are counted in `dropped_records` and the writer is
-/// abandoned after the first failure.
-pub struct StreamSink {
-    out: Option<Box<dyn Write + Send>>,
-    written: usize,
-    dropped: u64,
-    header_done: bool,
-}
-
-impl fmt::Debug for StreamSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StreamSink")
-            .field("written", &self.written)
-            .field("dropped", &self.dropped)
-            .finish_non_exhaustive()
-    }
-}
-
-impl StreamSink {
-    /// Creates a streaming sink over `out`.
-    #[must_use]
-    pub fn new(out: Box<dyn Write + Send>) -> Self {
-        Self {
-            out: Some(out),
-            written: 0,
-            dropped: 0,
-            header_done: false,
-        }
-    }
-
-    /// Records successfully written so far.
-    #[must_use]
-    pub fn written(&self) -> usize {
-        self.written
-    }
-}
-
-impl TraceSink for StreamSink {
-    fn record(&mut self, rec: CompactRecord, interner: &Interner) {
-        let Some(out) = self.out.as_mut() else {
-            self.dropped += 1;
-            return;
-        };
-        let mut line = String::new();
-        if !self.header_done {
-            line.push_str(CSV_HEADER);
-            self.header_done = true;
-        }
-        csv_row(&mut line, &resolve_record(&rec, interner));
-        if out.write_all(line.as_bytes()).is_err() {
-            self.out = None;
-            self.dropped += 1;
-        } else {
-            self.written += 1;
-        }
-    }
-
-    fn len(&self) -> usize {
-        0
-    }
-
-    fn snapshot(&self, _interner: &Interner) -> Vec<Record> {
-        Vec::new()
-    }
-
-    fn dropped_records(&self) -> u64 {
-        self.dropped
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self.out.as_mut() {
-            Some(out) => out.flush(),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Which sink the kernel installs for a traced run.
+/// Bound on the buffer the kernel installs for a traced run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SinkConfig {
-    /// Unbounded in-memory buffer ([`MemorySink`]).
+    /// Keep every record.
     #[default]
     Memory,
-    /// Bounded ring buffer ([`RingSink`]) with the given capacity.
+    /// Keep the newest `n` records (`n` ≥ 1), dropping the oldest and
+    /// counting them in [`Trace::dropped`].
     Ring(usize),
 }
 
@@ -729,10 +435,9 @@ pub enum SinkConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceConfig {
     /// Also record kernel-level scheduling records (spawn/resume/suspend/
-    /// finish/notify). Cheap since interning made records allocation-free,
-    /// but still high-volume.
+    /// finish/notify). Allocation-free, but high-volume.
     pub kernel_records: bool,
-    /// Which sink to install (default: unbounded in-memory buffer).
+    /// Bound on the record buffer (default: unbounded).
     pub sink: SinkConfig,
 }
 
@@ -764,276 +469,152 @@ pub struct KernelStats {
     pub wall_time: Duration,
 }
 
-struct TraceInner {
-    interner: Interner,
-    sink: Box<dyn TraceSink>,
+#[derive(Debug, Default)]
+struct Buffer {
+    records: VecDeque<Record>,
+    /// Ring bound (`None` keeps every record).
+    cap: Option<usize>,
+    dropped: u64,
+    names: Vec<String>,
+    ids: HashMap<String, u32>,
 }
 
-/// Shared, clonable handle to a trace sink plus its intern table.
-#[derive(Clone)]
+impl Buffer {
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let id = u32::try_from(self.names.len()).expect("intern table overflow");
+        self.names.push(s.to_string());
+        self.ids.insert(s.to_string(), id);
+        id
+    }
+}
+
+/// Shared, clonable handle to one run's record buffer and name table.
+/// Clones share the buffer; `==` tells whether two handles do.
+#[derive(Clone, Default)]
 pub struct TraceHandle {
-    inner: Arc<Mutex<TraceInner>>,
+    inner: Rc<RefCell<Buffer>>,
 }
 
 impl fmt::Debug for TraceHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         f.debug_struct("TraceHandle")
-            .field("records", &inner.sink.len())
-            .field("interned", &inner.interner.len())
+            .field("records", &inner.records.len())
+            .field("interned", &inner.names.len())
             .finish()
     }
 }
 
-impl Default for TraceHandle {
-    fn default() -> Self {
-        Self::new()
+impl PartialEq for TraceHandle {
+    fn eq(&self, other: &Self) -> bool {
+        Rc::ptr_eq(&self.inner, &other.inner)
     }
 }
 
+impl Eq for TraceHandle {}
+
 impl TraceHandle {
-    /// Creates a handle over an unbounded in-memory sink (usually obtained
-    /// from [`Simulation::trace_handle`](crate::Simulation::trace_handle)
-    /// after configuring tracing through the builder).
+    /// Creates a handle that keeps every record (usually obtained from
+    /// [`Simulation::trace_handle`](crate::Simulation::trace_handle) after
+    /// configuring tracing through the builder).
     #[must_use]
     pub fn new() -> Self {
-        Self::with_sink(Box::new(MemorySink::new()))
+        Self::default()
     }
 
-    /// Creates a handle over a caller-provided sink.
-    #[must_use]
-    pub fn with_sink(sink: Box<dyn TraceSink>) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(TraceInner {
-                interner: Interner::default(),
-                sink,
-            })),
-        }
-    }
-
-    /// Creates a handle from a [`SinkConfig`].
+    /// Creates a handle bounded as `cfg` says.
     #[must_use]
     pub fn from_config(cfg: SinkConfig) -> Self {
-        match cfg {
-            SinkConfig::Memory => Self::new(),
-            SinkConfig::Ring(cap) => Self::with_sink(Box::new(RingSink::new(cap))),
+        let handle = Self::new();
+        if let SinkConfig::Ring(n) = cfg {
+            let mut inner = handle.inner.borrow_mut();
+            inner.cap = Some(n.max(1));
+            inner.records.reserve(n.max(1));
         }
+        handle
     }
 
     /// Interns a track name, returning a stable id for the handle's
-    /// lifetime.
+    /// lifetime. Allocates only on first sight of the name.
     #[must_use]
     pub fn intern_track(&self, name: &str) -> TrackId {
-        TrackId(self.inner.lock().interner.intern(name))
+        TrackId(self.inner.borrow_mut().intern(name))
     }
 
     /// Interns a label, returning a stable id for the handle's lifetime.
+    /// Allocates only on first sight of the label.
     #[must_use]
     pub fn intern_label(&self, name: &str) -> LabelId {
-        LabelId(self.inner.lock().interner.intern(name))
+        LabelId(self.inner.borrow_mut().intern(name))
     }
 
-    /// Appends a record in interned form — the allocation-free hot path.
-    pub fn emit(&self, time: SimTime, kind: CompactKind) {
-        let mut inner = self.inner.lock();
-        let TraceInner { interner, sink } = &mut *inner;
-        sink.record(CompactRecord { time, kind }, interner);
+    /// Appends a record.
+    pub fn emit(&self, time: SimTime, kind: RecordKind) {
+        let mut inner = self.inner.borrow_mut();
+        if inner.cap == Some(inner.records.len()) {
+            inner.records.pop_front();
+            inner.dropped += 1;
+        }
+        inner.records.push_back(Record { time, kind });
     }
 
-    /// Begins a span with pre-interned ids.
+    /// Begins a span.
     pub fn span_begin(&self, time: SimTime, track: TrackId, label: LabelId) {
-        self.emit(time, CompactKind::SpanBegin { track, label });
-    }
-
-    /// Begins a span, interning the label under the same lock (one
-    /// acquisition; allocation only on first sight of the label).
-    pub fn span_begin_dyn(&self, time: SimTime, track: TrackId, label: &str) {
-        let mut inner = self.inner.lock();
-        let label = LabelId(inner.interner.intern(label));
-        let TraceInner { interner, sink } = &mut *inner;
-        sink.record(
-            CompactRecord {
-                time,
-                kind: CompactKind::SpanBegin { track, label },
-            },
-            interner,
-        );
+        self.emit(time, RecordKind::SpanBegin { track, label });
     }
 
     /// Ends the open span on `track`.
     pub fn span_end(&self, time: SimTime, track: TrackId) {
-        self.emit(time, CompactKind::SpanEnd { track });
+        self.emit(time, RecordKind::SpanEnd { track });
     }
 
-    /// Records a marker with pre-interned ids.
+    /// Records a marker.
     pub fn marker(&self, time: SimTime, track: TrackId, label: LabelId) {
-        self.emit(time, CompactKind::Marker { track, label });
+        self.emit(time, RecordKind::Marker { track, label });
     }
 
-    /// Records a scheduler decision.
-    pub fn sched_decision(
-        &self,
-        time: SimTime,
-        track: TrackId,
-        dispatched: Option<LabelId>,
-        displaced: Option<LabelId>,
-        reason: DecisionReason,
-    ) {
-        self.emit(
-            time,
-            CompactKind::SchedDecision {
-                track,
-                dispatched,
-                displaced,
-                reason,
-            },
-        );
-    }
-
-    /// Records a process spawn, interning the name under the same lock.
-    pub fn process_spawned(&self, time: SimTime, pid: ProcessId, name: &str) {
-        let mut inner = self.inner.lock();
-        let name = LabelId(inner.interner.intern(name));
-        let TraceInner { interner, sink } = &mut *inner;
-        sink.record(
-            CompactRecord {
-                time,
-                kind: CompactKind::ProcessSpawned { pid, name },
-            },
-            interner,
-        );
-    }
-
-    /// Appends a record in resolved (string) form, interning as needed.
-    /// Convenience path for models; prefer [`emit`](Self::emit) with
-    /// pre-interned ids on hot paths.
-    pub fn record(&self, time: SimTime, kind: RecordKind) {
-        let mut inner = self.inner.lock();
-        let compact = match &kind {
-            RecordKind::ProcessSpawned { pid, name } => CompactKind::ProcessSpawned {
-                pid: *pid,
-                name: LabelId(inner.interner.intern(name)),
-            },
-            RecordKind::ProcessResumed { pid } => CompactKind::ProcessResumed { pid: *pid },
-            RecordKind::ProcessSuspended { pid, reason } => CompactKind::ProcessSuspended {
-                pid: *pid,
-                reason: *reason,
-            },
-            RecordKind::ProcessFinished { pid } => CompactKind::ProcessFinished { pid: *pid },
-            RecordKind::EventNotified { event } => CompactKind::EventNotified { event: *event },
-            RecordKind::Marker { track, label } => CompactKind::Marker {
-                track: TrackId(inner.interner.intern(track)),
-                label: LabelId(inner.interner.intern(label)),
-            },
-            RecordKind::SpanBegin { track, label } => CompactKind::SpanBegin {
-                track: TrackId(inner.interner.intern(track)),
-                label: LabelId(inner.interner.intern(label)),
-            },
-            RecordKind::SpanEnd { track } => CompactKind::SpanEnd {
-                track: TrackId(inner.interner.intern(track)),
-            },
-            RecordKind::SchedDecision {
-                track,
-                dispatched,
-                displaced,
-                reason,
-            } => CompactKind::SchedDecision {
-                track: TrackId(inner.interner.intern(track)),
-                dispatched: dispatched
-                    .as_deref()
-                    .map(|s| LabelId(inner.interner.intern(s))),
-                displaced: displaced
-                    .as_deref()
-                    .map(|s| LabelId(inner.interner.intern(s))),
-                reason: *reason,
-            },
-            RecordKind::MutexWait {
-                track,
-                task,
-                owner,
-                mutex,
-            } => CompactKind::MutexWait {
-                track: TrackId(inner.interner.intern(track)),
-                task: LabelId(inner.interner.intern(task)),
-                owner: LabelId(inner.interner.intern(owner)),
-                mutex: *mutex,
-            },
-            RecordKind::MutexAcquired { track, task, mutex } => CompactKind::MutexAcquired {
-                track: TrackId(inner.interner.intern(track)),
-                task: LabelId(inner.interner.intern(task)),
-                mutex: *mutex,
-            },
-            RecordKind::MutexReleased { track, task, mutex } => CompactKind::MutexReleased {
-                track: TrackId(inner.interner.intern(track)),
-                task: LabelId(inner.interner.intern(task)),
-                mutex: *mutex,
-            },
-            RecordKind::TaskReleased {
-                track,
-                task,
-                release,
-            } => CompactKind::TaskReleased {
-                track: TrackId(inner.interner.intern(track)),
-                task: LabelId(inner.interner.intern(task)),
-                release: *release,
-            },
-        };
-        let TraceInner { interner, sink } = &mut *inner;
-        sink.record(
-            CompactRecord {
-                time,
-                kind: compact,
-            },
-            interner,
-        );
-    }
-
-    /// Number of records currently retained by the sink.
+    /// Number of records the buffer holds.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().sink.len()
+        self.inner.borrow().records.len()
     }
 
-    /// Whether the sink retains no records.
+    /// Whether the buffer holds no records.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().sink.is_empty()
+        self.inner.borrow().records.is_empty()
     }
 
-    /// Records the sink has discarded (ring overflow / stream failure).
+    /// Copies the records and the name table out as a [`Trace`].
     #[must_use]
-    pub fn dropped_records(&self) -> u64 {
-        self.inner.lock().sink.dropped_records()
-    }
-
-    /// Resolves the retained records to the string-based [`Record`] form.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<Record> {
-        let inner = self.inner.lock();
-        inner.sink.snapshot(&inner.interner)
-    }
-
-    /// Flushes the sink's buffered output (no-op for in-memory sinks).
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.inner.lock().sink.flush()
+    pub fn snapshot(&self) -> Trace {
+        let inner = self.inner.borrow();
+        Trace {
+            records: inner.records.iter().copied().collect(),
+            names: inner.names.clone(),
+            dropped: inner.dropped,
+        }
     }
 }
 
 /// One contiguous execution segment on a track, produced by
-/// [`segments`].
+/// [`segments`]. Names borrow from the [`Trace`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segment {
+pub struct Segment<'a> {
     /// Track the segment belongs to.
-    pub track: String,
+    pub track: &'a str,
     /// Label given at `SpanBegin`.
-    pub label: String,
+    pub label: &'a str,
     /// Segment start time.
     pub start: SimTime,
     /// Segment end time.
     pub end: SimTime,
 }
 
-impl Segment {
+impl Segment<'_> {
     /// Length of the segment.
     #[must_use]
     pub fn duration(&self) -> Duration {
@@ -1043,7 +624,7 @@ impl Segment {
     /// Whether this segment overlaps `other` in time (shared boundary
     /// points do not count as overlap).
     #[must_use]
-    pub fn overlaps(&self, other: &Segment) -> bool {
+    pub fn overlaps(&self, other: &Segment<'_>) -> bool {
         self.start < other.end && other.start < self.end
     }
 }
@@ -1054,57 +635,53 @@ impl Segment {
 /// last record. Unmatched `SpanEnd`s are ignored.
 ///
 /// ```
-/// use sldl_sim::trace::{segments, RecordKind, TraceHandle};
+/// use sldl_sim::trace::{segments, TraceHandle};
 /// use sldl_sim::SimTime;
 ///
 /// let t = TraceHandle::new();
-/// t.record(SimTime::from_micros(0), RecordKind::SpanBegin {
-///     track: "task".into(), label: "d1".into() });
-/// t.record(SimTime::from_micros(5), RecordKind::SpanEnd { track: "task".into() });
-/// let segs = segments(&t.snapshot());
+/// let (task, d1) = (t.intern_track("task"), t.intern_label("d1"));
+/// t.span_begin(SimTime::from_micros(0), task, d1);
+/// t.span_end(SimTime::from_micros(5), task);
+/// let trace = t.snapshot();
+/// let segs = segments(&trace);
 /// assert_eq!(segs["task"].len(), 1);
 /// assert_eq!(segs["task"][0].duration().as_micros(), 5);
 /// ```
 #[must_use]
-pub fn segments(records: &[Record]) -> HashMap<String, Vec<Segment>> {
-    let mut open: HashMap<String, (String, SimTime)> = HashMap::new();
-    let mut out: HashMap<String, Vec<Segment>> = HashMap::new();
+pub fn segments(trace: &Trace) -> HashMap<&str, Vec<Segment<'_>>> {
+    let mut open: Vec<Option<(LabelId, SimTime)>> = vec![None; trace.names.len()];
+    let mut out: HashMap<&str, Vec<Segment<'_>>> = HashMap::new();
+    let mut close = |track: TrackId, (label, start): (LabelId, SimTime), end: SimTime| {
+        let track = trace.track(track);
+        out.entry(track).or_default().push(Segment {
+            track,
+            label: trace.label(label),
+            start,
+            end,
+        });
+    };
     let mut last_time = SimTime::ZERO;
-    for r in records {
+    for r in &trace.records {
         last_time = last_time.max(r.time);
-        match &r.kind {
+        match r.kind {
+            // A begin implicitly closes a dangling open span on its track.
             RecordKind::SpanBegin { track, label } => {
-                // Implicitly close a dangling open span on the same track.
-                if let Some((old_label, start)) = open.remove(track) {
-                    out.entry(track.clone()).or_default().push(Segment {
-                        track: track.clone(),
-                        label: old_label,
-                        start,
-                        end: r.time,
-                    });
+                if let Some(prev) = open[track.index()].replace((label, r.time)) {
+                    close(track, prev, r.time);
                 }
-                open.insert(track.clone(), (label.clone(), r.time));
             }
             RecordKind::SpanEnd { track } => {
-                if let Some((label, start)) = open.remove(track) {
-                    out.entry(track.clone()).or_default().push(Segment {
-                        track: track.clone(),
-                        label,
-                        start,
-                        end: r.time,
-                    });
+                if let Some(prev) = open[track.index()].take() {
+                    close(track, prev, r.time);
                 }
             }
             _ => {}
         }
     }
-    for (track, (label, start)) in open {
-        out.entry(track.clone()).or_default().push(Segment {
-            track,
-            label,
-            start,
-            end: last_time,
-        });
+    for (id, prev) in (0u32..).zip(open) {
+        if let Some(prev) = prev {
+            close(TrackId(id), prev, last_time);
+        }
     }
     for segs in out.values_mut() {
         segs.sort_by_key(|s| (s.start, s.end));
@@ -1114,11 +691,17 @@ pub fn segments(records: &[Record]) -> HashMap<String, Vec<Segment>> {
 
 /// All markers on a given track, as `(time, label)` pairs in time order.
 #[must_use]
-pub fn markers(records: &[Record], track: &str) -> Vec<(SimTime, String)> {
-    let mut out: Vec<(SimTime, String)> = records
+pub fn markers<'a>(trace: &'a Trace, track: &str) -> Vec<(SimTime, &'a str)> {
+    let Some(id) = trace.track_id(track) else {
+        return Vec::new();
+    };
+    let mut out: Vec<(SimTime, &str)> = trace
+        .records
         .iter()
-        .filter_map(|r| match &r.kind {
-            RecordKind::Marker { track: t, label } if t == track => Some((r.time, label.clone())),
+        .filter_map(|r| match r.kind {
+            RecordKind::Marker { track, label } if track == id => {
+                Some((r.time, trace.label(label)))
+            }
             _ => None,
         })
         .collect();
@@ -1131,7 +714,7 @@ pub fn markers(records: &[Record], track: &str) -> Vec<(SimTime, String)> {
 /// parallel execution (paper Fig. 8(a)); an RTOS-scheduled model must show
 /// zero overlap (Fig. 8(b)).
 #[must_use]
-pub fn overlap(a: &[Segment], b: &[Segment]) -> Duration {
+pub fn overlap(a: &[Segment<'_>], b: &[Segment<'_>]) -> Duration {
     let mut total = Duration::ZERO;
     for x in a {
         for y in b {
@@ -1144,8 +727,6 @@ pub fn overlap(a: &[Segment], b: &[Segment]) -> Duration {
     }
     total
 }
-
-const CSV_HEADER: &str = "time_ns,kind,track,label,id\n";
 
 /// Appends a quoted CSV field, doubling embedded quotes per RFC 4180.
 fn csv_quote(out: &mut String, s: &str) {
@@ -1160,50 +741,50 @@ fn csv_quote(out: &mut String, s: &str) {
 }
 
 /// Appends one CSV row for `r` (with trailing newline).
-fn csv_row(out: &mut String, r: &Record) {
-    let t = r.time.as_nanos();
-    let (kind, track, label, id): (&str, &str, Cow<'_, str>, i64) = match &r.kind {
-        RecordKind::ProcessSpawned { pid, name } => (
+fn csv_row(out: &mut String, trace: &Trace, r: &Record) {
+    let name = |id: LabelId| trace.label(id);
+    let (kind, track, label, id): (&str, Option<TrackId>, Cow<'_, str>, i64) = match r.kind {
+        RecordKind::ProcessSpawned { pid, name: n } => (
             "process_spawned",
-            "",
-            Cow::Borrowed(name.as_str()),
+            None,
+            Cow::Borrowed(name(n)),
             pid.index() as i64,
         ),
-        RecordKind::ProcessResumed { pid } => {
-            ("process_resumed", "", Cow::Borrowed(""), pid.index() as i64)
-        }
+        RecordKind::ProcessResumed { pid } => (
+            "process_resumed",
+            None,
+            Cow::Borrowed(""),
+            pid.index() as i64,
+        ),
         RecordKind::ProcessSuspended { pid, reason } => (
             match reason {
                 SuspendReason::WaitEvent => "suspended_wait_event",
                 SuspendReason::WaitTime => "suspended_wait_time",
                 SuspendReason::Join => "suspended_join",
             },
-            "",
+            None,
             Cow::Borrowed(""),
             pid.index() as i64,
         ),
         RecordKind::ProcessFinished { pid } => (
             "process_finished",
-            "",
+            None,
             Cow::Borrowed(""),
             pid.index() as i64,
         ),
         RecordKind::EventNotified { event } => (
             "event_notified",
-            "",
+            None,
             Cow::Borrowed(""),
             event.index() as i64,
         ),
         RecordKind::Marker { track, label } => {
-            ("marker", track.as_str(), Cow::Borrowed(label.as_str()), -1)
+            ("marker", Some(track), Cow::Borrowed(name(label)), -1)
         }
-        RecordKind::SpanBegin { track, label } => (
-            "span_begin",
-            track.as_str(),
-            Cow::Borrowed(label.as_str()),
-            -1,
-        ),
-        RecordKind::SpanEnd { track } => ("span_end", track.as_str(), Cow::Borrowed(""), -1),
+        RecordKind::SpanBegin { track, label } => {
+            ("span_begin", Some(track), Cow::Borrowed(name(label)), -1)
+        }
+        RecordKind::SpanEnd { track } => ("span_end", Some(track), Cow::Borrowed(""), -1),
         RecordKind::SchedDecision {
             track,
             dispatched,
@@ -1211,11 +792,11 @@ fn csv_row(out: &mut String, r: &Record) {
             reason,
         } => (
             "sched_decision",
-            track.as_str(),
+            Some(track),
             Cow::Owned(format!(
                 "dispatched={} displaced={} reason={reason}",
-                dispatched.as_deref().unwrap_or("-"),
-                displaced.as_deref().unwrap_or("-"),
+                dispatched.map_or("-", name),
+                displaced.map_or("-", name),
             )),
             -1,
         ),
@@ -1226,21 +807,21 @@ fn csv_row(out: &mut String, r: &Record) {
             mutex,
         } => (
             "mutex_wait",
-            track.as_str(),
-            Cow::Owned(format!("task={task} owner={owner}")),
-            i64::from(*mutex),
+            Some(track),
+            Cow::Owned(format!("task={} owner={}", name(task), name(owner))),
+            i64::from(mutex),
         ),
         RecordKind::MutexAcquired { track, task, mutex } => (
             "mutex_acquired",
-            track.as_str(),
-            Cow::Owned(format!("task={task}")),
-            i64::from(*mutex),
+            Some(track),
+            Cow::Owned(format!("task={}", name(task))),
+            i64::from(mutex),
         ),
         RecordKind::MutexReleased { track, task, mutex } => (
             "mutex_released",
-            track.as_str(),
-            Cow::Owned(format!("task={task}")),
-            i64::from(*mutex),
+            Some(track),
+            Cow::Owned(format!("task={}", name(task))),
+            i64::from(mutex),
         ),
         RecordKind::TaskReleased {
             track,
@@ -1248,34 +829,33 @@ fn csv_row(out: &mut String, r: &Record) {
             release,
         } => (
             "task_released",
-            track.as_str(),
-            Cow::Owned(format!("task={task} release={}", release.as_nanos())),
+            Some(track),
+            Cow::Owned(format!(
+                "task={} release={}",
+                name(task),
+                release.as_nanos()
+            )),
             -1,
         ),
     };
-    out.push_str(&t.to_string());
-    out.push(',');
-    out.push_str(kind);
-    out.push(',');
+    let _ = write!(out, "{},{kind},", r.time.as_nanos());
     // Free-form fields are always quoted, with embedded quotes doubled per
     // RFC 4180, so hostile track/label strings cannot corrupt the row.
-    csv_quote(out, track);
+    csv_quote(out, track.map_or("", |t| trace.track(t)));
     out.push(',');
     csv_quote(out, &label);
-    out.push(',');
-    out.push_str(&id.to_string());
-    out.push('\n');
+    let _ = writeln!(out, ",{id}");
 }
 
-/// Serializes records as CSV (`time_ns,kind,track,label,id`) for external
+/// Serializes a trace as CSV (`time_ns,kind,track,label,id`) for external
 /// plotting tools. Kernel record ids (`pid`/`event`) land in the `id`
 /// column; span/marker records fill `track` and `label`. Track and label
 /// are always quoted, with embedded quotes doubled per RFC 4180.
 #[must_use]
-pub fn to_csv(records: &[Record]) -> String {
-    let mut out = String::from(CSV_HEADER);
-    for r in records {
-        csv_row(&mut out, r);
+pub fn to_csv(trace: &Trace) -> String {
+    let mut out = String::from("time_ns,kind,track,label,id\n");
+    for r in &trace.records {
+        csv_row(&mut out, trace, r);
     }
     out
 }
@@ -1286,7 +866,7 @@ pub fn to_csv(records: &[Record]) -> String {
 /// character of their label when it is printable ASCII, `#` otherwise.
 #[must_use]
 pub fn render_gantt(
-    tracks: &[(&str, &[Segment])],
+    tracks: &[(&str, &[Segment<'_>])],
     start: SimTime,
     end: SimTime,
     width: usize,
@@ -1336,43 +916,34 @@ pub fn render_gantt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
 
-    fn span(track: &str, label: &str, start_us: u64, end_us: u64) -> Segment {
+    fn us(t: u64) -> SimTime {
+        SimTime::from_micros(t)
+    }
+
+    fn span<'a>(track: &'a str, label: &'a str, start_us: u64, end_us: u64) -> Segment<'a> {
         Segment {
-            track: track.into(),
-            label: label.into(),
-            start: SimTime::from_micros(start_us),
-            end: SimTime::from_micros(end_us),
+            track,
+            label,
+            start: us(start_us),
+            end: us(end_us),
         }
     }
 
     #[test]
     fn segments_pairs_begin_end() {
         let t = TraceHandle::new();
-        t.record(
-            SimTime::from_micros(1),
-            RecordKind::SpanBegin {
-                track: "a".into(),
-                label: "x".into(),
-            },
+        let (a, x, y) = (
+            t.intern_track("a"),
+            t.intern_label("x"),
+            t.intern_label("y"),
         );
-        t.record(
-            SimTime::from_micros(4),
-            RecordKind::SpanEnd { track: "a".into() },
-        );
-        t.record(
-            SimTime::from_micros(6),
-            RecordKind::SpanBegin {
-                track: "a".into(),
-                label: "y".into(),
-            },
-        );
-        t.record(
-            SimTime::from_micros(9),
-            RecordKind::SpanEnd { track: "a".into() },
-        );
-        let segs = segments(&t.snapshot());
+        t.span_begin(us(1), a, x);
+        t.span_end(us(4), a);
+        t.span_begin(us(6), a, y);
+        t.span_end(us(9), a);
+        let trace = t.snapshot();
+        let segs = segments(&trace);
         assert_eq!(segs["a"].len(), 2);
         assert_eq!(segs["a"][0].label, "x");
         assert_eq!(segs["a"][1].label, "y");
@@ -1382,48 +953,23 @@ mod tests {
     #[test]
     fn open_span_closed_at_last_record() {
         let t = TraceHandle::new();
-        t.record(
-            SimTime::from_micros(2),
-            RecordKind::SpanBegin {
-                track: "a".into(),
-                label: "x".into(),
-            },
-        );
-        t.record(
-            SimTime::from_micros(7),
-            RecordKind::Marker {
-                track: "m".into(),
-                label: "end".into(),
-            },
-        );
-        let segs = segments(&t.snapshot());
-        assert_eq!(segs["a"][0].end, SimTime::from_micros(7));
+        t.span_begin(us(2), t.intern_track("a"), t.intern_label("x"));
+        t.marker(us(7), t.intern_track("m"), t.intern_label("end"));
+        let trace = t.snapshot();
+        assert_eq!(segments(&trace)["a"][0].end, us(7));
     }
 
     #[test]
     fn begin_begin_closes_implicitly() {
         let t = TraceHandle::new();
-        t.record(
-            SimTime::from_micros(0),
-            RecordKind::SpanBegin {
-                track: "a".into(),
-                label: "x".into(),
-            },
-        );
-        t.record(
-            SimTime::from_micros(3),
-            RecordKind::SpanBegin {
-                track: "a".into(),
-                label: "y".into(),
-            },
-        );
-        t.record(
-            SimTime::from_micros(5),
-            RecordKind::SpanEnd { track: "a".into() },
-        );
-        let segs = segments(&t.snapshot());
+        let a = t.intern_track("a");
+        t.span_begin(us(0), a, t.intern_label("x"));
+        t.span_begin(us(3), a, t.intern_label("y"));
+        t.span_end(us(5), a);
+        let trace = t.snapshot();
+        let segs = segments(&trace);
         assert_eq!(segs["a"].len(), 2);
-        assert_eq!(segs["a"][0].end, SimTime::from_micros(3));
+        assert_eq!(segs["a"][0].end, us(3));
     }
 
     #[test]
@@ -1438,43 +984,20 @@ mod tests {
     #[test]
     fn markers_filters_and_sorts() {
         let t = TraceHandle::new();
-        t.record(
-            SimTime::from_micros(9),
-            RecordKind::Marker {
-                track: "irq".into(),
-                label: "late".into(),
-            },
-        );
-        t.record(
-            SimTime::from_micros(2),
-            RecordKind::Marker {
-                track: "irq".into(),
-                label: "early".into(),
-            },
-        );
-        t.record(
-            SimTime::from_micros(5),
-            RecordKind::Marker {
-                track: "other".into(),
-                label: "skip".into(),
-            },
-        );
-        let ms = markers(&t.snapshot(), "irq");
-        assert_eq!(ms.len(), 2);
-        assert_eq!(ms[0].1, "early");
-        assert_eq!(ms[1].1, "late");
+        let irq = t.intern_track("irq");
+        t.marker(us(9), irq, t.intern_label("late"));
+        t.marker(us(2), irq, t.intern_label("early"));
+        t.marker(us(5), t.intern_track("other"), t.intern_label("skip"));
+        let trace = t.snapshot();
+        assert_eq!(markers(&trace, "irq"), [(us(2), "early"), (us(9), "late")]);
+        assert!(markers(&trace, "missing").is_empty());
     }
 
     #[test]
     fn gantt_renders_rows() {
         let a = [span("taskA", "d", 0, 50)];
         let b = [span("taskB", "e", 50, 100)];
-        let g = render_gantt(
-            &[("taskA", &a), ("taskB", &b)],
-            SimTime::ZERO,
-            SimTime::from_micros(100),
-            20,
-        );
+        let g = render_gantt(&[("taskA", &a), ("taskB", &b)], SimTime::ZERO, us(100), 20);
         let lines: Vec<&str> = g.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("taskA |dddddddddd..........|"));
@@ -1487,37 +1010,21 @@ mod tests {
         // of a multi-byte char, producing invalid UTF-8 and panicking in
         // `from_utf8`.
         let a = [span("t", "λ-stage", 0, 100)];
-        let g = render_gantt(&[("t", &a)], SimTime::ZERO, SimTime::from_micros(100), 10);
+        let g = render_gantt(&[("t", &a)], SimTime::ZERO, us(100), 10);
         assert!(g.contains("t |##########|"), "got: {g}");
         // Empty labels also fall back.
         let b = [span("t", "", 0, 100)];
-        let g = render_gantt(&[("t", &b)], SimTime::ZERO, SimTime::from_micros(100), 10);
+        let g = render_gantt(&[("t", &b)], SimTime::ZERO, us(100), 10);
         assert!(g.contains("t |##########|"), "got: {g}");
     }
 
     #[test]
     fn csv_export_round_trips_fields() {
         let t = TraceHandle::new();
-        t.record(
-            SimTime::from_micros(1),
-            RecordKind::SpanBegin {
-                track: "taskA".into(),
-                label: "d1".into(),
-            },
-        );
-        t.record(
-            SimTime::from_micros(2),
-            RecordKind::SpanEnd {
-                track: "taskA".into(),
-            },
-        );
-        t.record(
-            SimTime::from_micros(3),
-            RecordKind::Marker {
-                track: "irq".into(),
-                label: "fire".into(),
-            },
-        );
+        let task = t.intern_track("taskA");
+        t.span_begin(us(1), task, t.intern_label("d1"));
+        t.span_end(us(2), task);
+        t.marker(us(3), t.intern_track("irq"), t.intern_label("fire"));
         let csv = to_csv(&t.snapshot());
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "time_ns,kind,track,label,id");
@@ -1561,14 +1068,13 @@ mod tests {
         // Embedded quotes and commas used to corrupt the row structure.
         let hostile_track = "tr\"ack,1";
         let hostile_label = "he said \"hi\", twice";
-        let recs = vec![Record {
-            time: SimTime::from_micros(1),
-            kind: RecordKind::SpanBegin {
-                track: hostile_track.into(),
-                label: hostile_label.into(),
-            },
-        }];
-        let csv = to_csv(&recs);
+        let t = TraceHandle::new();
+        t.span_begin(
+            us(1),
+            t.intern_track(hostile_track),
+            t.intern_label(hostile_label),
+        );
+        let csv = to_csv(&t.snapshot());
         let line = csv.lines().nth(1).unwrap();
         let fields = split_csv_row(line);
         assert_eq!(fields.len(), 5, "row kept exactly 5 fields: {line}");
@@ -1581,16 +1087,17 @@ mod tests {
 
     #[test]
     fn csv_includes_sched_decisions() {
-        let recs = vec![Record {
-            time: SimTime::from_micros(5),
-            kind: RecordKind::SchedDecision {
-                track: "dsp:sched".into(),
-                dispatched: Some("enc".into()),
-                displaced: Some("dec".into()),
+        let t = TraceHandle::new();
+        t.emit(
+            us(5),
+            RecordKind::SchedDecision {
+                track: t.intern_track("dsp:sched"),
+                dispatched: Some(t.intern_label("enc")),
+                displaced: Some(t.intern_label("dec")),
                 reason: DecisionReason::Preemption,
             },
-        }];
-        let csv = to_csv(&recs);
+        );
+        let csv = to_csv(&t.snapshot());
         let line = csv.lines().nth(1).unwrap();
         assert_eq!(
             line,
@@ -1600,34 +1107,36 @@ mod tests {
 
     #[test]
     fn csv_includes_mutex_records() {
-        let recs = vec![
-            Record {
-                time: SimTime::from_micros(1),
-                kind: RecordKind::MutexWait {
-                    track: "dsp:mutex".into(),
-                    task: "enc".into(),
-                    owner: "dec".into(),
-                    mutex: 7,
-                },
+        let t = TraceHandle::new();
+        let track = t.intern_track("dsp:mutex");
+        let (task, owner) = (t.intern_label("enc"), t.intern_label("dec"));
+        t.emit(
+            us(1),
+            RecordKind::MutexWait {
+                track,
+                task,
+                owner,
+                mutex: 7,
             },
-            Record {
-                time: SimTime::from_micros(2),
-                kind: RecordKind::MutexAcquired {
-                    track: "dsp:mutex".into(),
-                    task: "enc".into(),
-                    mutex: 7,
-                },
+        );
+        t.emit(
+            us(2),
+            RecordKind::MutexAcquired {
+                track,
+                task,
+                mutex: 7,
             },
-            Record {
-                time: SimTime::from_micros(3),
-                kind: RecordKind::MutexReleased {
-                    track: "dsp:mutex".into(),
-                    task: "enc".into(),
-                    mutex: 7,
-                },
+        );
+        t.emit(
+            us(3),
+            RecordKind::MutexReleased {
+                track,
+                task,
+                mutex: 7,
             },
-        ];
-        let csv = to_csv(&recs);
+        );
+        let trace = t.snapshot();
+        let csv = to_csv(&trace);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(
             lines[1],
@@ -1635,12 +1144,14 @@ mod tests {
         );
         assert_eq!(lines[2], "2000,mutex_acquired,\"dsp:mutex\",\"task=enc\",7");
         assert_eq!(lines[3], "3000,mutex_released,\"dsp:mutex\",\"task=enc\",7");
-        for (r, want) in recs
-            .iter()
-            .zip(["mutex_wait", "mutex_acquired", "mutex_released"])
+        for (r, want) in
+            trace
+                .records
+                .iter()
+                .zip(["mutex_wait", "mutex_acquired", "mutex_released"])
         {
             assert_eq!(r.kind.kind_name(), want);
-            assert_eq!(r.kind.track(), Some("dsp:mutex"));
+            assert_eq!(r.kind.track(), Some(track));
         }
     }
 
@@ -1648,9 +1159,10 @@ mod tests {
     fn handle_len_and_empty() {
         let t = TraceHandle::new();
         assert!(t.is_empty());
-        t.record(SimTime::ZERO, RecordKind::SpanEnd { track: "a".into() });
+        t.span_end(SimTime::ZERO, t.intern_track("a"));
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
+        assert_eq!(t.snapshot().len(), 1);
     }
 
     #[test]
@@ -1660,96 +1172,64 @@ mod tests {
         let a2 = t.intern_track("taskA");
         assert_eq!(a1, a2);
         let l = t.intern_label("d1");
-        t.span_begin(SimTime::from_micros(1), a1, l);
-        t.span_end(SimTime::from_micros(4), a1);
-        let snap = t.snapshot();
-        assert_eq!(
-            snap[0].kind,
-            RecordKind::SpanBegin {
-                track: "taskA".into(),
-                label: "d1".into()
-            }
-        );
-        assert_eq!(
-            snap[1].kind,
-            RecordKind::SpanEnd {
-                track: "taskA".into()
-            }
-        );
+        t.span_begin(us(1), a1, l);
+        t.span_end(us(4), a1);
+        let trace = t.snapshot();
+        assert_eq!(trace.names, ["taskA", "d1"]);
+        assert_eq!(trace.track(a1), "taskA");
+        assert_eq!(trace.label(l), "d1");
+        assert_eq!(trace.track_id("taskA"), Some(a1));
+        assert_eq!(trace.records[1].kind, RecordKind::SpanEnd { track: a1 });
+    }
+
+    #[test]
+    fn traces_compare_by_resolved_names() {
+        // The same records, interned in a different order, are equal.
+        let a = TraceHandle::new();
+        a.marker(us(1), a.intern_track("t"), a.intern_label("x"));
+        let b = TraceHandle::new();
+        let x = b.intern_label("x");
+        b.marker(us(1), b.intern_track("t"), x);
+        assert_ne!(a.snapshot().names, b.snapshot().names);
+        assert_eq!(a.snapshot(), b.snapshot());
+        b.marker(us(2), b.intern_track("t"), x);
+        assert_ne!(a.snapshot(), b.snapshot());
+        a.marker(us(2), a.intern_track("t"), a.intern_label("y"));
+        assert_ne!(a.snapshot(), b.snapshot());
     }
 
     #[test]
     fn ring_sink_overflow_counts_drops_and_keeps_order() {
-        let t = TraceHandle::with_sink(Box::new(RingSink::new(3)));
+        let t = TraceHandle::from_config(SinkConfig::Ring(3));
         let tr = t.intern_track("t");
         for i in 0..5u64 {
             let l = t.intern_label(&format!("l{i}"));
-            t.marker(SimTime::from_micros(i), tr, l);
+            t.marker(us(i), tr, l);
         }
         assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped_records(), 2);
+        let trace = t.snapshot();
+        assert_eq!(trace.dropped, 2);
         // Survivors are the *newest* records, in original order.
-        let labels: Vec<String> = t
-            .snapshot()
-            .iter()
-            .map(|r| match &r.kind {
-                RecordKind::Marker { label, .. } => label.clone(),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
+        let labels: Vec<&str> = markers(&trace, "t").into_iter().map(|m| m.1).collect();
         assert_eq!(labels, ["l2", "l3", "l4"]);
     }
 
     #[test]
     fn ring_sink_below_capacity_drops_nothing() {
         let t = TraceHandle::from_config(SinkConfig::Ring(16));
-        let tr = t.intern_track("t");
-        let l = t.intern_label("x");
-        t.marker(SimTime::ZERO, tr, l);
+        t.marker(SimTime::ZERO, t.intern_track("t"), t.intern_label("x"));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.dropped_records(), 0);
-    }
-
-    /// `Write` adapter over an mpsc sender so the test can observe bytes
-    /// written by a `Box<dyn Write + Send>` it no longer owns.
-    struct ChanWriter(mpsc::Sender<Vec<u8>>);
-    impl Write for ChanWriter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0
-                .send(buf.to_vec())
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn stream_sink_writes_csv_rows_and_retains_nothing() {
-        let (tx, rx) = mpsc::channel();
-        let t = TraceHandle::with_sink(Box::new(StreamSink::new(Box::new(ChanWriter(tx)))));
-        let tr = t.intern_track("taskA");
-        let l = t.intern_label("d1");
-        t.span_begin(SimTime::from_micros(1), tr, l);
-        t.span_end(SimTime::from_micros(2), tr);
-        t.flush().unwrap();
-        assert_eq!(t.len(), 0, "streaming sink retains nothing");
-        assert!(t.snapshot().is_empty());
-        let bytes: Vec<u8> = rx.try_iter().flatten().collect();
-        let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "time_ns,kind,track,label,id");
-        assert_eq!(lines[1], "1000,span_begin,\"taskA\",\"d1\",-1");
-        assert_eq!(lines[2], "2000,span_end,\"taskA\",\"\",-1");
+        assert_eq!(t.snapshot().dropped, 0);
     }
 
     #[test]
     fn compact_records_are_copy_and_small() {
-        // The hot-path payload must stay `Copy` (compile-time check) and
-        // reasonably small.
+        // The record must stay `Copy` (compile-time check) and small, and
+        // the trace must cross threads (farm outcomes carry one).
         fn assert_copy<T: Copy>() {}
-        assert_copy::<CompactRecord>();
-        assert!(std::mem::size_of::<CompactRecord>() <= 40);
+        fn assert_send<T: Send>() {}
+        assert_copy::<Record>();
+        assert_send::<Trace>();
+        assert!(std::mem::size_of::<Record>() <= 40);
     }
 }

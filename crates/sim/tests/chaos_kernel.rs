@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use sldl_sim::sync::Mutex;
 use sldl_sim::{
-    ChaosPlan, Child, FaultPlan, InjectedChaos, KernelInvariants, Record, SimTime, Simulation,
+    ChaosPlan, Child, FaultPlan, InjectedChaos, KernelInvariants, SimTime, Simulation, Trace,
     TraceConfig,
 };
 
@@ -31,7 +31,7 @@ fn run_workload(
     checks: Option<KernelInvariants>,
 ) -> (
     SimTime,
-    Vec<Record>,
+    Trace,
     Vec<sldl_sim::ChaosRecord>,
     Vec<(u64, usize)>,
 ) {

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sldl_sim::sync::Mutex;
-use sldl_sim::{Child, RecordKind, SimTime, Simulation, SmallRng, TraceConfig};
+use sldl_sim::{Child, SimTime, Simulation, SmallRng, TraceConfig};
 
 /// One scripted step of a random process.
 #[derive(Debug, Clone)]
@@ -158,18 +158,18 @@ fn trace_spans_match_annotated_delays() {
         let mut sim = Simulation::builder().trace(TraceConfig::default()).build();
         let trace = sim.trace_handle().expect("trace configured");
         let durs2 = durs.clone();
+        let t = trace.clone();
         sim.spawn(Child::new("annotated", move |ctx| async move {
+            let track = t.intern_track("t");
             for (k, d) in durs2.iter().enumerate() {
-                ctx.record(RecordKind::SpanBegin {
-                    track: "t".into(),
-                    label: format!("d{k}"),
-                });
+                t.span_begin(ctx.now(), track, t.intern_label(&format!("d{k}")));
                 ctx.waitfor(Duration::from_micros(*d)).await;
-                ctx.record(RecordKind::SpanEnd { track: "t".into() });
+                t.span_end(ctx.now(), track);
             }
         }));
         sim.run().unwrap();
-        let segs = sldl_sim::trace::segments(&trace.snapshot());
+        let trace = trace.snapshot();
+        let segs = sldl_sim::trace::segments(&trace);
         let segs = &segs["t"];
         assert_eq!(segs.len(), durs.len(), "seed {seed}");
         for (seg, d) in segs.iter().zip(&durs) {

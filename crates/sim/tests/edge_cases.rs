@@ -190,23 +190,25 @@ fn kernel_records_cover_process_lifecycle() {
     sim.run().unwrap();
     let records = trace.snapshot();
     let spawned = records
+        .records
         .iter()
         .filter(|r| matches!(r.kind, RecordKind::ProcessSpawned { .. }))
         .count();
     let finished = records
+        .records
         .iter()
         .filter(|r| matches!(r.kind, RecordKind::ProcessFinished { .. }))
         .count();
     assert_eq!(spawned, 2);
     assert_eq!(finished, 2);
-    assert!(records.iter().any(|r| matches!(
+    assert!(records.records.iter().any(|r| matches!(
         r.kind,
         RecordKind::ProcessSuspended {
             reason: SuspendReason::WaitEvent,
             ..
         }
     )));
-    assert!(records.iter().any(|r| matches!(
+    assert!(records.records.iter().any(|r| matches!(
         r.kind,
         RecordKind::ProcessSuspended {
             reason: SuspendReason::WaitTime,
@@ -214,6 +216,7 @@ fn kernel_records_cover_process_lifecycle() {
         }
     )));
     assert!(records
+        .records
         .iter()
         .any(|r| matches!(r.kind, RecordKind::EventNotified { .. })));
     // The CSV export of every kernel record kind is pinned byte for byte.

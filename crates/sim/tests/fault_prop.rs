@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use sldl_sim::sync::Mutex;
 use sldl_sim::{
-    Child, FaultPlan, InjectedFault, Record, SimTime, Simulation, SmallRng, TraceConfig,
+    Child, FaultPlan, InjectedFault, SimTime, Simulation, SmallRng, Trace, TraceConfig,
 };
 
 fn us(n: u64) -> Duration {
@@ -21,9 +21,7 @@ fn us(n: u64) -> Duration {
 /// A small but representative workload: a periodic notifier, an event
 /// consumer with perturbable computation delays, and a timeout user.
 /// Returns (end_time, kernel trace, fault log length, consumer log).
-fn run_workload(
-    plan: Option<FaultPlan>,
-) -> (SimTime, Vec<Record>, Vec<sldl_sim::FaultRecord>, Vec<u64>) {
+fn run_workload(plan: Option<FaultPlan>) -> (SimTime, Trace, Vec<sldl_sim::FaultRecord>, Vec<u64>) {
     let mut builder = Simulation::builder().trace(TraceConfig {
         kernel_records: true,
         ..TraceConfig::default()

@@ -19,8 +19,8 @@ use rtos_model::{
 };
 use sldl_sim::sync::Mutex;
 use sldl_sim::{
-    ChaosPlan, Child, FaultPlan, KernelInvariants, KernelStats, ProcCtx, Queue, Record, RunError,
-    SimTime, Simulation, SyncLayer, TraceConfig, TraceHandle,
+    ChaosPlan, Child, FaultPlan, KernelInvariants, KernelStats, ProcCtx, Queue, RunError, SimTime,
+    Simulation, SyncLayer, Trace, TraceConfig, TraceHandle,
 };
 
 use crate::codec::{Decoder, EncodedFrame, Encoder};
@@ -121,8 +121,8 @@ pub struct VocoderRun {
     /// Simulation-kernel self-metrics of the run (delta cycles, events
     /// notified, process churn, …). Collected unconditionally.
     pub kernel_stats: KernelStats,
-    /// Trace records (empty unless [`VocoderConfig::trace`] was set).
-    pub records: Vec<Record>,
+    /// The trace (empty unless [`VocoderConfig::trace`] was set).
+    pub records: Trace,
 }
 
 impl VocoderRun {
