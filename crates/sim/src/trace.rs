@@ -530,9 +530,7 @@ impl TraceHandle {
     pub fn from_config(cfg: SinkConfig) -> Self {
         let handle = Self::new();
         if let SinkConfig::Ring(n) = cfg {
-            let mut inner = handle.inner.borrow_mut();
-            inner.cap = Some(n.max(1));
-            inner.records.reserve(n.max(1));
+            handle.inner.borrow_mut().cap = Some(n.max(1));
         }
         handle
     }
