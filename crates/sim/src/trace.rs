@@ -514,8 +514,6 @@ impl PartialEq for TraceHandle {
     }
 }
 
-impl Eq for TraceHandle {}
-
 impl TraceHandle {
     /// Creates a handle that keeps every record (usually obtained from
     /// [`Simulation::trace_handle`](crate::Simulation::trace_handle) after
