@@ -1496,8 +1496,8 @@ impl core::fmt::Display for ConsistencyError {
 
 impl std::error::Error for ConsistencyError {}
 
-/// Rejects lossy traces: derived counts from a trace whose sink dropped
-/// records would silently undercount.
+/// Rejects lossy traces: derived counts from a trace whose bounded ring
+/// dropped records would silently undercount.
 ///
 /// # Errors
 ///
