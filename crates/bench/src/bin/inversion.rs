@@ -17,8 +17,9 @@
 //! document in which `bench::analyze` classifies exactly those windows
 //! as unbounded inversion.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 use bench::json::Json;
@@ -26,7 +27,6 @@ use bench::results::ResultsDoc;
 use bench::scenario::ScenarioOutcome;
 use bench::TextTable;
 use rtos_model::{InheritancePolicy, Priority, Rtos, RtosMutex, SchedAlg, TaskParams, TimeSlice};
-use sldl_sim::sync::Mutex;
 use sldl_sim::{Child, Simulation, Trace, TraceConfig};
 
 const ABOUT: &str = "A4: priority inversion — H needs a mutex L holds while M hogs the CPU; \
@@ -62,7 +62,7 @@ fn run_scenario(policy: InheritancePolicy, medium_work_us: u64, traced: bool) ->
     os.start(SchedAlg::PriorityPreemptive);
     os.set_time_slice(TimeSlice::Quantum(us(10)));
     let m = RtosMutex::new(os.clone(), policy);
-    let h_done = Arc::new(Mutex::new(0u64));
+    let h_done: Rc<Cell<u64>> = Rc::default();
 
     let os_l = os.clone();
     let m_l = m.clone();
@@ -77,7 +77,7 @@ fn run_scenario(policy: InheritancePolicy, medium_work_us: u64, traced: bool) ->
 
     let os_h = os.clone();
     let m_h = m.clone();
-    let done = Arc::clone(&h_done);
+    let done = Rc::clone(&h_done);
     sim.spawn(Child::new("high", move |ctx| async move {
         let me = os_h.task_create(&TaskParams::aperiodic("high", Priority(1)));
         os_h.task_activate(&ctx, me).await;
@@ -85,7 +85,7 @@ fn run_scenario(policy: InheritancePolicy, medium_work_us: u64, traced: bool) ->
         m_h.lock(&ctx).await;
         os_h.time_wait(&ctx, us(50)).await;
         m_h.unlock(&ctx).await;
-        *done.lock() = ctx.now().as_micros();
+        done.set(ctx.now().as_micros());
         os_h.task_terminate(&ctx);
     }));
 
@@ -99,7 +99,7 @@ fn run_scenario(policy: InheritancePolicy, medium_work_us: u64, traced: bool) ->
     }));
 
     sim.run().expect("scenario runs");
-    let h_completion_us = *h_done.lock();
+    let h_completion_us = h_done.get();
     RunResult {
         h_completion_us,
         records: trace.map(|t| t.snapshot()).unwrap_or_default(),

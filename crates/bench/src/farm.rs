@@ -42,6 +42,11 @@
 //! by index exactly as before, so the non-degraded portion of a document
 //! stays byte-identical for any `--jobs` value.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the farm runs whole simulations on worker threads"
+)]
+
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};

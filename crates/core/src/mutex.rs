@@ -11,10 +11,10 @@
 //!
 //! [pip]: https://en.wikipedia.org/wiki/Priority_inheritance
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
-use sldl_sim::sync::Mutex as HostMutex;
 use sldl_sim::ProcCtx;
 
 use crate::rtos::{Rtos, RtosEvent};
@@ -53,7 +53,7 @@ impl core::fmt::Display for MutexError {
 
 impl std::error::Error for MutexError {}
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct MutexState {
     owner: Option<TaskId>,
     /// Tasks currently blocked in `lock`.
@@ -86,31 +86,20 @@ struct MutexState {
 /// }));
 /// sim.run().unwrap();
 /// ```
+#[derive(Clone)]
 pub struct RtosMutex {
     os: Rtos,
-    name: Arc<String>,
+    name: Rc<str>,
     policy: InheritancePolicy,
     freed: RtosEvent,
-    state: Arc<HostMutex<MutexState>>,
-}
-
-impl Clone for RtosMutex {
-    fn clone(&self) -> Self {
-        RtosMutex {
-            os: self.os.clone(),
-            name: Arc::clone(&self.name),
-            policy: self.policy,
-            freed: self.freed,
-            state: Arc::clone(&self.state),
-        }
-    }
+    state: Rc<RefCell<MutexState>>,
 }
 
 impl core::fmt::Debug for RtosMutex {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         f.debug_struct("RtosMutex")
-            .field("name", &*self.name)
+            .field("name", &self.name)
             .field("owner", &st.owner)
             .field("waiters", &st.waiters.len())
             .field("policy", &self.policy)
@@ -139,14 +128,10 @@ impl RtosMutex {
     fn build(os: Rtos, policy: InheritancePolicy, freed: RtosEvent, name: String) -> Self {
         RtosMutex {
             os,
-            name: Arc::new(name),
+            name: Rc::from(name),
             policy,
             freed,
-            state: Arc::new(HostMutex::new(MutexState {
-                owner: None,
-                waiters: Vec::new(),
-                depth: 0,
-            })),
+            state: Rc::default(),
         }
     }
 
@@ -167,7 +152,7 @@ impl RtosMutex {
     fn declare_edge(&self, me: TaskId, owner: TaskId) {
         self.os.sync_layer().declare_wait(
             self.os.task_name(me),
-            (*self.name).clone(),
+            &*self.name,
             self.os.task_name(owner),
         );
     }
@@ -190,7 +175,7 @@ impl RtosMutex {
             .expect("mutex lock from a non-task process");
         loop {
             {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 match st.owner {
                     None => {
                         st.owner = Some(me);
@@ -219,7 +204,7 @@ impl RtosMutex {
             // Block until the owner releases, then re-contend.
             self.os.event_wait(ctx, self.freed).await;
             self.clear_edge(me);
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             st.waiters.retain(|&t| t != me);
         }
     }
@@ -246,7 +231,7 @@ impl RtosMutex {
         let deadline = ctx.now() + timeout;
         loop {
             let owner = {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 match st.owner {
                     None => {
                         st.owner = Some(me);
@@ -263,7 +248,7 @@ impl RtosMutex {
             if now >= deadline {
                 return Err(MutexError::Timeout);
             }
-            self.state.lock().waiters.push(me);
+            self.state.borrow_mut().waiters.push(me);
             self.declare_edge(me, owner);
             if self.policy == InheritancePolicy::Inherit {
                 self.inherit(owner, me);
@@ -274,7 +259,7 @@ impl RtosMutex {
                 .event_wait_timeout(ctx, self.freed, deadline - now)
                 .await;
             self.clear_edge(me);
-            self.state.lock().waiters.retain(|&t| t != me);
+            self.state.borrow_mut().waiters.retain(|&t| t != me);
             if !fired {
                 return Err(MutexError::Timeout);
             }
@@ -300,7 +285,7 @@ impl RtosMutex {
             .current_task(ctx)
             .expect("mutex unlock from a non-task process");
         let fully_released = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             assert_eq!(st.owner, Some(me), "unlock by non-owner task");
             st.depth -= 1;
             if st.depth == 0 {
@@ -332,7 +317,7 @@ impl RtosMutex {
             .os
             .current_task(ctx)
             .expect("mutex try_lock from a non-task process");
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         match st.owner {
             None => {
                 st.owner = Some(me);

@@ -14,11 +14,9 @@
 //! Fig. 8(b): the switch at `t4` is delayed to `t4'`). An optional
 //! [`TimeSlice`] refines that granularity for accuracy studies.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use sldl_sim::{
@@ -105,16 +103,16 @@ pub enum WatchdogAction {
 /// monitor that is not kicked exits at its next scheduled wake instead.
 #[derive(Clone)]
 pub struct Watchdog {
-    name: Arc<String>,
+    name: Rc<str>,
     kick_ev: EventId,
-    armed: Arc<AtomicBool>,
+    armed: Rc<Cell<bool>>,
 }
 
 impl core::fmt::Debug for Watchdog {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Watchdog")
-            .field("name", &*self.name)
-            .field("armed", &self.armed.load(Ordering::SeqCst))
+            .field("name", &self.name)
+            .field("armed", &self.armed.get())
             .finish()
     }
 }
@@ -136,13 +134,13 @@ impl Watchdog {
     ///
     /// [`kick`]: Watchdog::kick
     pub fn disarm(&self) {
-        self.armed.store(false, Ordering::SeqCst);
+        self.armed.set(false);
     }
 
     /// Whether the watchdog is still armed.
     #[must_use]
     pub fn is_armed(&self) -> bool {
-        self.armed.load(Ordering::SeqCst)
+        self.armed.get()
     }
 }
 
@@ -283,16 +281,9 @@ struct Inner {
 /// sim.run().unwrap();
 /// assert_eq!(os.metrics().context_switches, 0);
 /// ```
+#[derive(Clone)]
 pub struct Rtos {
     inner: Rc<Inner>,
-}
-
-impl Clone for Rtos {
-    fn clone(&self) -> Self {
-        Rtos {
-            inner: Rc::clone(&self.inner),
-        }
-    }
 }
 
 impl core::fmt::Debug for Rtos {
@@ -1218,23 +1209,21 @@ impl Rtos {
         timeout: Duration,
         action: WatchdogAction,
     ) -> (Watchdog, Child) {
-        let name = Arc::new(name.into());
+        let name: Rc<str> = Rc::from(name.into());
         let wd = Watchdog {
-            name: Arc::clone(&name),
+            name: Rc::clone(&name),
             kick_ev: self.inner.layer.ev_new(),
-            armed: Arc::new(AtomicBool::new(true)),
+            armed: Rc::new(Cell::new(true)),
         };
         let handle = wd.clone();
         let os = self.clone();
         let monitor = Child::new(format!("watchdog:{name}"), move |ctx| async move {
-            while handle.armed.load(Ordering::SeqCst) {
-                if ctx.wait_timeout(handle.kick_ev, timeout).await.is_none()
-                    && handle.armed.load(Ordering::SeqCst)
-                {
+            while handle.is_armed() {
+                if ctx.wait_timeout(handle.kick_ev, timeout).await.is_none() && handle.is_armed() {
                     match action {
                         WatchdogAction::AbortRun => {
                             ctx.abort_run(AbortReason::Watchdog {
-                                name: (*handle.name).clone(),
+                                name: handle.name.to_string(),
                             });
                         }
                         WatchdogAction::Count => {

@@ -2,12 +2,11 @@
 //! `Semaphore` and `Handshake` (not just `Queue`) running with RTOS events
 //! as their synchronization layer, including ISR-side releases.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::time::Duration;
 
 use rtos_model::{Priority, Rtos, SchedAlg, TaskParams};
-use sldl_sim::sync::Mutex;
 use sldl_sim::{Child, Handshake, Semaphore, SimTime, Simulation};
 
 fn us(n: u64) -> Duration {
@@ -23,18 +22,18 @@ fn semaphore_on_rtos_layer_isr_to_task() {
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
     let sem: Semaphore<Rtos> = Semaphore::new(0, os.clone());
-    let served = Arc::new(AtomicU64::new(0));
+    let served = Rc::new(Cell::new(0));
 
     let os_d = os.clone();
     let s = sem.clone();
-    let count = Arc::clone(&served);
+    let count = Rc::clone(&served);
     sim.spawn(Child::new("driver", move |ctx| async move {
         let me = os_d.task_create(&TaskParams::aperiodic("driver", Priority(1)));
         os_d.task_activate(&ctx, me).await;
         for _ in 0..3 {
             s.acquire(&ctx).await;
             os_d.time_wait(&ctx, us(30)).await;
-            count.fetch_add(1, Ordering::SeqCst);
+            count.set(count.get() + 1);
         }
         os_d.task_terminate(&ctx);
     }));
@@ -50,7 +49,7 @@ fn semaphore_on_rtos_layer_isr_to_task() {
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty(), "{:?}", report.blocked);
-    assert_eq!(served.load(Ordering::SeqCst), 3);
+    assert_eq!(served.get(), 3);
     assert_eq!(report.end_time, SimTime::from_micros(330));
 }
 
@@ -60,33 +59,33 @@ fn handshake_on_rtos_layer_synchronizes_tasks() {
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
     let hs: Handshake<Rtos> = Handshake::new(os.clone());
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
 
     let os_a = os.clone();
     let h = hs.clone();
-    let l = Arc::clone(&log);
+    let l = Rc::clone(&log);
     sim.spawn(Child::new("producer", move |ctx| async move {
         let me = os_a.task_create(&TaskParams::aperiodic("producer", Priority(2)));
         os_a.task_activate(&ctx, me).await;
         os_a.time_wait(&ctx, us(50)).await;
         h.send(&ctx).await;
-        l.lock().push(("sent", ctx.now().as_micros()));
+        l.borrow_mut().push(("sent", ctx.now().as_micros()));
         os_a.task_terminate(&ctx);
     }));
     let os_b = os.clone();
     let h = hs.clone();
-    let l = Arc::clone(&log);
+    let l = Rc::clone(&log);
     sim.spawn(Child::new("consumer", move |ctx| async move {
         let me = os_b.task_create(&TaskParams::aperiodic("consumer", Priority(1)));
         os_b.task_activate(&ctx, me).await;
         h.recv(&ctx).await;
-        l.lock().push(("received", ctx.now().as_micros()));
+        l.borrow_mut().push(("received", ctx.now().as_micros()));
         os_b.task_terminate(&ctx);
     }));
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    let log = log.lock().clone();
+    let log = log.borrow().clone();
     // Rendezvous completes when the producer's 50 us of work is done.
     assert!(log.contains(&("sent", 50)));
     assert!(log.contains(&("received", 50)));
@@ -101,7 +100,7 @@ fn mixed_layers_coexist_in_one_simulation() {
     os.start(SchedAlg::PriorityPreemptive);
     let raw: Semaphore<sldl_sim::SldlSync> = Semaphore::new(0, sim.sync_layer());
     let refined: Semaphore<Rtos> = Semaphore::new(0, os.clone());
-    let done = Arc::new(AtomicU64::new(0));
+    let done = Rc::new(Cell::new(0));
 
     // Plain SLDL pair.
     let r = raw.clone();
@@ -110,10 +109,10 @@ fn mixed_layers_coexist_in_one_simulation() {
         r.release(&ctx).await;
     }));
     let r = raw.clone();
-    let d = Arc::clone(&done);
+    let d = Rc::clone(&done);
     sim.spawn(Child::new("raw_acq", move |ctx| async move {
         r.acquire(&ctx).await;
-        d.fetch_add(1, Ordering::SeqCst);
+        d.set(d.get() + 1);
     }));
 
     // RTOS task pair.
@@ -128,18 +127,18 @@ fn mixed_layers_coexist_in_one_simulation() {
     }));
     let os_acq = os.clone();
     let s = refined.clone();
-    let d = Arc::clone(&done);
+    let d = Rc::clone(&done);
     sim.spawn(Child::new("task_acq", move |ctx| async move {
         let me = os_acq.task_create(&TaskParams::aperiodic("task_acq", Priority(1)));
         os_acq.task_activate(&ctx, me).await;
         s.acquire(&ctx).await;
-        d.fetch_add(1, Ordering::SeqCst);
+        d.set(d.get() + 1);
         os_acq.task_terminate(&ctx);
     }));
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty(), "{:?}", report.blocked);
-    assert_eq!(done.load(Ordering::SeqCst), 2);
+    assert_eq!(done.get(), 2);
 }
 
 #[test]

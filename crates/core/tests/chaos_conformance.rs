@@ -11,14 +11,14 @@
 //!   deadline-miss policies;
 //! * enabling the oracles does not change observable results.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use rtos_model::{
     CycleOutcome, InheritancePolicy, MissPolicy, MutexError, Priority, Rtos, RtosMutex, SchedAlg,
     TaskParams,
 };
-use sldl_sim::sync::Mutex;
 use sldl_sim::{ChaosPlan, Child, KernelInvariants, SimTime, Simulation};
 
 fn us(n: u64) -> Duration {
@@ -45,7 +45,7 @@ fn run_scenario(chaos: Option<ChaosPlan>, oracle: bool) -> Digest {
     os.start(SchedAlg::PriorityPreemptive);
     os.set_conformance_checks(oracle);
     let m = RtosMutex::named(os.clone(), InheritancePolicy::Inherit, "shared");
-    let locks = Arc::new(Mutex::new(Vec::new()));
+    let locks = Rc::new(RefCell::new(Vec::new()));
 
     // Periodic task that overruns its WCET every cycle; SkipCycle sheds
     // load once the budget is exhausted. Its preemptions give the chaos
@@ -87,13 +87,13 @@ fn run_scenario(chaos: Option<ChaosPlan>, oracle: bool) -> Digest {
     for i in 0..2u32 {
         let os_c = os.clone();
         let mc = m.clone();
-        let log = Arc::clone(&locks);
+        let log = Rc::clone(&locks);
         sim.spawn(Child::new(format!("contender{i}"), move |ctx| async move {
             let me = os_c.task_create(&TaskParams::aperiodic(format!("contender{i}"), Priority(3)));
             os_c.task_activate(&ctx, me).await;
             for _ in 0..4 {
                 let got = mc.lock_timeout(&ctx, us(35)).await;
-                log.lock().push((ctx.now().as_micros(), got));
+                log.borrow_mut().push((ctx.now().as_micros(), got));
                 match got {
                     Ok(()) => {
                         os_c.time_wait(&ctx, us(20)).await;
@@ -113,7 +113,7 @@ fn run_scenario(chaos: Option<ChaosPlan>, oracle: bool) -> Digest {
     let report = sim.run().expect("scenario must survive chaos");
     let metrics = os.metrics_at(report.end_time);
     let misses: u64 = metrics.tasks.iter().map(|t| t.deadline_misses).sum();
-    let locks = Arc::try_unwrap(locks).unwrap().into_inner();
+    let locks = Rc::try_unwrap(locks).unwrap().into_inner();
     (report.end_time, metrics.context_switches, misses, locks)
 }
 

@@ -6,11 +6,11 @@
 //! [`SmallRng`] (fixed seeds, many cases per property), so failures are
 //! reproducible from the printed seed alone.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use rtos_model::{Priority, Rtos, SchedAlg, TaskParams, TimeSlice};
-use sldl_sim::sync::Mutex;
 use sldl_sim::{Child, SimTime, Simulation, SmallRng, TraceConfig};
 
 #[derive(Debug, Clone)]
@@ -64,11 +64,11 @@ fn run_set(
     os.start(alg);
     os.set_time_slice(slice);
     os.attach_trace(trace.clone());
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     for (i, spec) in specs.iter().enumerate() {
         let os = os.clone();
         let spec = spec.clone();
-        let log = Arc::clone(&log);
+        let log = Rc::clone(&log);
         let name = format!("t{i}");
         sim.spawn(Child::new(name.clone(), move |ctx| async move {
             let me = os.task_create(&TaskParams::aperiodic(&name, Priority(spec.priority)));
@@ -76,7 +76,7 @@ fn run_set(
             for d in &spec.steps {
                 os.time_wait(&ctx, Duration::from_micros(*d)).await;
             }
-            log.lock().push((name.clone(), ctx.now().as_micros()));
+            log.borrow_mut().push((name.clone(), ctx.now().as_micros()));
             os.task_terminate(&ctx);
         }));
     }
@@ -98,7 +98,7 @@ fn run_set(
     }
 
     let m = os.metrics();
-    let completions = log.lock().clone();
+    let completions = log.borrow().clone();
     (report.end_time, completions, m.context_switches, m.cpu_busy)
 }
 

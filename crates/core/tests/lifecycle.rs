@@ -2,11 +2,11 @@
 //! task resumption, EDF deadline rollover across cycles, and misuse
 //! diagnostics.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use rtos_model::{Priority, Rtos, SchedAlg, TaskParams, TaskState};
-use sldl_sim::sync::Mutex;
 use sldl_sim::{Child, SimTime, Simulation};
 
 fn us(n: u64) -> Duration {
@@ -43,32 +43,32 @@ fn isr_resumes_a_sleeping_task() {
     let mut sim = Simulation::new();
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
-    let tid_cell = Arc::new(Mutex::new(None));
-    let woke_at = Arc::new(Mutex::new(None));
+    let tid_cell = Rc::new(RefCell::new(None));
+    let woke_at = Rc::new(RefCell::new(None));
 
     let os_t = os.clone();
-    let tc = Arc::clone(&tid_cell);
-    let w = Arc::clone(&woke_at);
+    let tc = Rc::clone(&tid_cell);
+    let w = Rc::clone(&woke_at);
     sim.spawn(Child::new("sleeper", move |ctx| async move {
         let me = os_t.task_create(&TaskParams::aperiodic("sleeper", Priority(1)));
-        *tc.lock() = Some(me);
+        *tc.borrow_mut() = Some(me);
         os_t.task_activate(&ctx, me).await;
         os_t.task_sleep(&ctx).await;
-        *w.lock() = Some(ctx.now());
+        *w.borrow_mut() = Some(ctx.now());
         os_t.task_terminate(&ctx);
     }));
     let os_isr = os.clone();
-    let tc = Arc::clone(&tid_cell);
+    let tc = Rc::clone(&tid_cell);
     sim.spawn(Child::new("wake_isr", move |ctx| async move {
         ctx.waitfor(us(75)).await;
-        let tid = tc.lock().expect("sleeper registered");
+        let tid = tc.borrow().expect("sleeper registered");
         os_isr.task_activate(&ctx, tid).await; // ISR-context resume
         os_isr.interrupt_return(&ctx);
     }));
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(*woke_at.lock(), Some(SimTime::from_micros(75)));
+    assert_eq!(*woke_at.borrow(), Some(SimTime::from_micros(75)));
 }
 
 #[test]
@@ -78,16 +78,16 @@ fn edf_deadline_rolls_over_each_cycle() {
     let mut sim = Simulation::new();
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::Edf);
-    let order = Arc::new(Mutex::new(Vec::new()));
+    let order = Rc::new(RefCell::new(Vec::new()));
     for (name, period_us, work_us) in [("a", 1_000u64, 100u64), ("b", 1_500, 200)] {
         let os = os.clone();
-        let order = Arc::clone(&order);
+        let order = Rc::clone(&order);
         sim.spawn(Child::new(name, move |ctx| async move {
             let me = os.task_create(&TaskParams::periodic(name, us(period_us)));
             os.task_activate(&ctx, me).await;
             for _ in 0..4 {
                 os.time_wait(&ctx, us(work_us)).await;
-                order.lock().push((name, ctx.now().as_micros()));
+                order.borrow_mut().push((name, ctx.now().as_micros()));
                 let _ = os.task_endcycle(&ctx).await; // Count policy: always Continue
             }
             os.task_terminate(&ctx);
@@ -95,7 +95,7 @@ fn edf_deadline_rolls_over_each_cycle() {
     }
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    let order = order.lock().clone();
+    let order = order.borrow().clone();
     // t=0: deadlines 1000 (a) vs 1500 (b): a first.
     assert_eq!(order[0], ("a", 100));
     assert_eq!(order[1], ("b", 300));
@@ -113,22 +113,22 @@ fn terminated_task_cannot_be_activated() {
     let mut sim = Simulation::new();
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
-    let tid_cell = Arc::new(Mutex::new(None));
+    let tid_cell = Rc::new(RefCell::new(None));
     let os_a = os.clone();
-    let tc = Arc::clone(&tid_cell);
+    let tc = Rc::clone(&tid_cell);
     sim.spawn(Child::new("short", move |ctx| async move {
         let me = os_a.task_create(&TaskParams::aperiodic("short", Priority(1)));
-        *tc.lock() = Some(me);
+        *tc.borrow_mut() = Some(me);
         os_a.task_activate(&ctx, me).await;
         os_a.task_terminate(&ctx);
     }));
     let os_b = os.clone();
-    let tc = Arc::clone(&tid_cell);
+    let tc = Rc::clone(&tid_cell);
     sim.spawn(Child::new("necromancer", move |ctx| async move {
         let me = os_b.task_create(&TaskParams::aperiodic("necromancer", Priority(2)));
         os_b.task_activate(&ctx, me).await;
         os_b.time_wait(&ctx, us(10)).await;
-        let dead = tc.lock().expect("short ran");
+        let dead = tc.borrow().expect("short ran");
         assert_eq!(os_b.task_state(dead), TaskState::Terminated);
         os_b.task_activate(&ctx, dead).await; // must panic
     }));

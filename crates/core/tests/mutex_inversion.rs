@@ -2,12 +2,12 @@
 //! (the Mars Pathfinder failure mode) with and without priority
 //! inheritance, plus basic mutex semantics.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use rtos_model::{InheritancePolicy, Priority, Rtos, RtosMutex, SchedAlg, TaskParams, TimeSlice};
-use sldl_sim::sync::Mutex;
-use sldl_sim::{Child, Simulation};
+use sldl_sim::{Child, RunError, Simulation};
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -29,7 +29,7 @@ fn run_inversion(policy: InheritancePolicy) -> u64 {
     // Fine slicing so preemption decisions are prompt.
     os.set_time_slice(TimeSlice::Quantum(us(10)));
     let m = RtosMutex::new(os.clone(), policy);
-    let h_done = Arc::new(Mutex::new(0u64));
+    let h_done = Rc::new(RefCell::new(0u64));
 
     // L: locks immediately, works 100 µs inside the critical section.
     let os_l = os.clone();
@@ -46,7 +46,7 @@ fn run_inversion(policy: InheritancePolicy) -> u64 {
     // H: arrives at 20 µs, needs the mutex for 50 µs of work.
     let os_h = os.clone();
     let m_h = m.clone();
-    let done = Arc::clone(&h_done);
+    let done = Rc::clone(&h_done);
     sim.spawn(Child::new("high", move |ctx| async move {
         let me = os_h.task_create(&TaskParams::aperiodic("high", Priority(1)));
         os_h.task_activate(&ctx, me).await;
@@ -54,7 +54,7 @@ fn run_inversion(policy: InheritancePolicy) -> u64 {
         m_h.lock(&ctx).await;
         os_h.time_wait(&ctx, us(50)).await;
         m_h.unlock(&ctx).await;
-        *done.lock() = ctx.now().as_micros();
+        *done.borrow_mut() = ctx.now().as_micros();
         os_h.task_terminate(&ctx);
     }));
 
@@ -70,7 +70,7 @@ fn run_inversion(policy: InheritancePolicy) -> u64 {
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty(), "{:?}", report.blocked);
-    let done = *h_done.lock();
+    let done = *h_done.borrow();
     done
 }
 
@@ -106,24 +106,24 @@ fn mutex_provides_mutual_exclusion() {
     os.start(SchedAlg::PriorityPreemptive);
     os.set_time_slice(TimeSlice::Quantum(us(7)));
     let m = RtosMutex::new(os.clone(), InheritancePolicy::Inherit);
-    let in_section = Arc::new(Mutex::new((0u32, 0u32))); // (current, max seen)
+    let in_section = Rc::new(RefCell::new((0u32, 0u32))); // (current, max seen)
 
     for i in 0..4u32 {
         let os = os.clone();
         let m = m.clone();
-        let counter = Arc::clone(&in_section);
+        let counter = Rc::clone(&in_section);
         sim.spawn(Child::new(format!("t{i}"), move |ctx| async move {
             let me = os.task_create(&TaskParams::aperiodic(format!("t{i}"), Priority(i)));
             os.task_activate(&ctx, me).await;
             for _ in 0..3 {
                 m.lock(&ctx).await;
                 {
-                    let mut c = counter.lock();
+                    let mut c = counter.borrow_mut();
                     c.0 += 1;
                     c.1 = c.1.max(c.0);
                 }
                 os.time_wait(&ctx, us(30)).await;
-                counter.lock().0 -= 1;
+                counter.borrow_mut().0 -= 1;
                 m.unlock(&ctx).await;
                 os.time_wait(&ctx, us(10)).await;
             }
@@ -132,7 +132,7 @@ fn mutex_provides_mutual_exclusion() {
     }
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(in_section.lock().1, 1, "critical sections overlapped");
+    assert_eq!(in_section.borrow().1, 1, "critical sections overlapped");
 }
 
 #[test]
@@ -166,7 +166,7 @@ fn try_lock_fails_when_contended() {
     os.start(SchedAlg::PriorityPreemptive);
     let m = RtosMutex::new(os.clone(), InheritancePolicy::None);
     let dma_done = os.event_new();
-    let outcome = Arc::new(Mutex::new(None));
+    let outcome = Rc::new(RefCell::new(None));
 
     let os_a = os.clone();
     let m_a = m.clone();
@@ -179,12 +179,12 @@ fn try_lock_fails_when_contended() {
         os_a.task_terminate(&ctx);
     }));
     let os_b = os.clone();
-    let o = Arc::clone(&outcome);
+    let o = Rc::clone(&outcome);
     sim.spawn(Child::new("prober", move |ctx| async move {
         let me = os_b.task_create(&TaskParams::aperiodic("prober", Priority(2)));
         os_b.task_activate(&ctx, me).await;
         os_b.time_wait(&ctx, us(10)).await;
-        *o.lock() = Some(m.try_lock(&ctx)); // holder still owns it
+        *o.borrow_mut() = Some(m.try_lock(&ctx)); // holder still owns it
         os_b.task_terminate(&ctx);
     }));
     let os_isr = os.clone();
@@ -195,7 +195,7 @@ fn try_lock_fails_when_contended() {
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty(), "{:?}", report.blocked);
-    assert_eq!(*outcome.lock(), Some(false));
+    assert_eq!(*outcome.borrow(), Some(false));
 }
 
 /// Releases a task's bookkeeping when dropped, calling back into both the
@@ -203,16 +203,16 @@ fn try_lock_fails_when_contended() {
 /// blocked on a mutex must be able to do when it is killed.
 struct KillGuard {
     os: Rtos,
-    task: Arc<Mutex<Option<rtos_model::TaskId>>>,
-    dropped: Arc<Mutex<u32>>,
+    task: Rc<RefCell<Option<rtos_model::TaskId>>>,
+    dropped: Rc<RefCell<u32>>,
 }
 
 impl Drop for KillGuard {
     fn drop(&mut self) {
         self.os.sync_layer().clear_wait("victim");
-        let task = self.task.lock().expect("victim created");
+        let task = self.task.borrow().expect("victim created");
         assert_eq!(self.os.task_state(task), rtos_model::TaskState::Terminated);
-        *self.dropped.lock() += 1;
+        *self.dropped.borrow_mut() += 1;
     }
 }
 
@@ -224,8 +224,8 @@ fn killing_a_task_blocked_on_a_mutex_runs_its_destructors() {
     // Slice delays so the arrivals below preempt the owner promptly.
     os.set_time_slice(TimeSlice::Quantum(us(5)));
     let m = RtosMutex::named(os.clone(), InheritancePolicy::Inherit, "m");
-    let victim_task = Arc::new(Mutex::new(None));
-    let dropped = Arc::new(Mutex::new(0u32));
+    let victim_task = Rc::new(RefCell::new(None));
+    let dropped = Rc::new(RefCell::new(0u32));
 
     // Owner: holds the mutex across 50 µs of work.
     let (os_o, m_o) = (os.clone(), m.clone());
@@ -241,36 +241,75 @@ fn killing_a_task_blocked_on_a_mutex_runs_its_destructors() {
     let (os_v, m_v) = (os.clone(), m.clone());
     let guard = KillGuard {
         os: os.clone(),
-        task: Arc::clone(&victim_task),
-        dropped: Arc::clone(&dropped),
+        task: Rc::clone(&victim_task),
+        dropped: Rc::clone(&dropped),
     };
-    let vt = Arc::clone(&victim_task);
+    let vt = Rc::clone(&victim_task);
     sim.spawn(Child::new("victim", move |ctx| async move {
         let _guard = guard;
         ctx.waitfor(us(10)).await;
         let me = os_v.task_create(&TaskParams::aperiodic("victim", Priority(2)));
-        *vt.lock() = Some(me);
+        *vt.borrow_mut() = Some(me);
         os_v.task_activate(&ctx, me).await;
         m_v.lock(&ctx).await;
         unreachable!("killed while blocked on the mutex");
     }));
     // Killer: a more urgent task that kills the blocked victim at 20 µs.
     let os_k = os.clone();
-    let (vt, seen) = (Arc::clone(&victim_task), Arc::clone(&dropped));
+    let (vt, seen) = (Rc::clone(&victim_task), Rc::clone(&dropped));
     sim.spawn(Child::new("killer", move |ctx| async move {
         ctx.waitfor(us(20)).await;
         let me = os_k.task_create(&TaskParams::aperiodic("killer", Priority(1)));
         os_k.task_activate(&ctx, me).await;
-        let victim = vt.lock().expect("victim created");
+        let victim = vt.borrow().expect("victim created");
         assert_eq!(os_k.task_state(victim), rtos_model::TaskState::Blocked);
         os_k.task_kill(&ctx, victim);
         // The victim's destructors ran inside the kill, exactly once.
-        assert_eq!(*seen.lock(), 1);
+        assert_eq!(*seen.borrow(), 1);
         os_k.task_terminate(&ctx);
     }));
 
     let report = sim.run().expect("the kill tears the victim down cleanly");
     assert!(report.blocked.is_empty(), "{:?}", report.blocked);
-    assert_eq!(*dropped.lock(), 1);
+    assert_eq!(*dropped.borrow(), 1);
     assert_eq!(report.end_time.as_micros(), 50);
+}
+
+#[test]
+fn panic_inside_a_mutex_call_leaves_the_mutex_readable() {
+    // The intruder unlocks a mutex the owner holds, tripping the mutex's
+    // assert while its state is borrowed; the run reports the panic and
+    // the state stays usable.
+    let mut sim = Simulation::new();
+    let os = Rtos::new("pe", sim.sync_layer());
+    os.start(SchedAlg::PriorityPreemptive);
+    os.set_time_slice(TimeSlice::Quantum(us(5)));
+    let m = RtosMutex::named(os.clone(), InheritancePolicy::Inherit, "m");
+
+    let (os_o, m_o) = (os.clone(), m.clone());
+    sim.spawn(Child::new("owner", move |ctx| async move {
+        let me = os_o.task_create(&TaskParams::aperiodic("owner", Priority(2)));
+        os_o.task_activate(&ctx, me).await;
+        m_o.lock(&ctx).await;
+        os_o.time_wait(&ctx, us(50)).await;
+        m_o.unlock(&ctx).await;
+        os_o.task_terminate(&ctx);
+    }));
+    let (os_i, m_i) = (os.clone(), m.clone());
+    sim.spawn(Child::new("intruder", move |ctx| async move {
+        ctx.waitfor(us(10)).await;
+        let me = os_i.task_create(&TaskParams::aperiodic("intruder", Priority(1)));
+        os_i.task_activate(&ctx, me).await;
+        m_i.unlock(&ctx).await;
+    }));
+
+    match sim.run() {
+        Err(RunError::ProcessPanicked { process, message }) => {
+            assert_eq!(process, "intruder");
+            assert!(message.contains("unlock by non-owner task"), "{message}");
+        }
+        other => panic!("expected a process panic, got {other:?}"),
+    }
+    let state = format!("{m:?}");
+    assert!(state.contains("owner: Some(TaskId(0))"), "{state}");
 }

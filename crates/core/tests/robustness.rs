@@ -2,14 +2,14 @@
 //! tasks, ABBA mutex deadlock detection with a named wait cycle, watchdog
 //! services, and bounded mutex acquisition.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use rtos_model::{
     CycleOutcome, InheritancePolicy, MissPolicy, MutexError, Priority, Rtos, RtosMutex, SchedAlg,
     TaskParams, WatchdogAction,
 };
-use sldl_sim::sync::Mutex;
 use sldl_sim::{Child, RunError, SimTime, Simulation};
 
 fn us(n: u64) -> Duration {
@@ -27,9 +27,9 @@ fn run_overrunner(
     let mut sim = Simulation::new();
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
-    let ran = Arc::new(Mutex::new(0u64));
+    let ran = Rc::new(RefCell::new(0u64));
     let os2 = os.clone();
-    let ran2 = Arc::clone(&ran);
+    let ran2 = Rc::clone(&ran);
     sim.spawn(Child::new("overrunner", move |ctx| async move {
         let mut p = TaskParams::periodic("overrunner", us(100));
         p.priority(Priority(1))
@@ -40,7 +40,7 @@ fn run_overrunner(
         os2.task_activate(&ctx, me).await;
         for _ in 0..cycles {
             os2.time_wait(&ctx, us(160)).await; // forced 2x WCET overrun
-            *ran2.lock() += 1;
+            *ran2.borrow_mut() += 1;
             if os2.task_endcycle(&ctx).await == CycleOutcome::Stop {
                 return; // killed by policy: leave without task_terminate
             }
@@ -49,7 +49,7 @@ fn run_overrunner(
     }));
     let report = sim.run_until(SimTime::from_millis(20)).expect("run ok");
     let m = os.metrics_at(report.end_time);
-    let ran = *ran.lock();
+    let ran = *ran.borrow();
     (m, ran)
 }
 
@@ -130,18 +130,18 @@ fn kill_task_frees_the_cpu_for_others() {
             }
         }
     }));
-    let done = Arc::new(Mutex::new(false));
-    let done2 = Arc::clone(&done);
+    let done = Rc::new(RefCell::new(false));
+    let done2 = Rc::clone(&done);
     let os_b = os.clone();
     sim.spawn(Child::new("background", move |ctx| async move {
         let me = os_b.task_create(&TaskParams::aperiodic("background", Priority(5)));
         os_b.task_activate(&ctx, me).await;
         os_b.time_wait(&ctx, us(500)).await;
-        *done2.lock() = true;
+        *done2.borrow_mut() = true;
         os_b.task_terminate(&ctx);
     }));
     let report = sim.run().expect("run ok");
-    assert!(*done.lock(), "background work completed after the kill");
+    assert!(*done.borrow(), "background work completed after the kill");
     let m = os.metrics_at(report.end_time);
     let over = m.tasks.iter().find(|t| t.name == "overrunner").unwrap();
     assert!(over.killed_by_policy);
@@ -290,7 +290,7 @@ fn lock_timeout_times_out_while_held_and_succeeds_after_release() {
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
     let m = RtosMutex::named(os.clone(), InheritancePolicy::Inherit, "m");
-    let outcome = Arc::new(Mutex::new(Vec::new()));
+    let outcome = Rc::new(RefCell::new(Vec::new()));
     let release_ev = os.event_new();
 
     // Holder (urgent): grabs the mutex, then parks on an event — holding
@@ -310,15 +310,15 @@ fn lock_timeout_times_out_while_held_and_succeeds_after_release() {
     // Contender: a 100 us bound fails while the holder sits on the lock;
     // after asking the holder to release, a second attempt succeeds.
     let os_c = os.clone();
-    let out2 = Arc::clone(&outcome);
+    let out2 = Rc::clone(&outcome);
     sim.spawn(Child::new("contender", move |ctx| async move {
         let me = os_c.task_create(&TaskParams::aperiodic("contender", Priority(2)));
         os_c.task_activate(&ctx, me).await;
         let first = m.lock_timeout(&ctx, us(100)).await;
-        out2.lock().push((first, ctx.now()));
+        out2.borrow_mut().push((first, ctx.now()));
         os_c.event_notify(&ctx, release_ev).await; // holder wakes and unlocks
         let second = m.lock_timeout(&ctx, us(1_000)).await;
-        out2.lock().push((second, ctx.now()));
+        out2.borrow_mut().push((second, ctx.now()));
         if second.is_ok() {
             m.unlock(&ctx).await;
         }
@@ -326,7 +326,7 @@ fn lock_timeout_times_out_while_held_and_succeeds_after_release() {
     }));
     let report = sim.run().expect("run ok");
     assert!(report.blocked.is_empty());
-    let out = outcome.lock().clone();
+    let out = outcome.borrow().clone();
     assert_eq!(out[0].0, Err(MutexError::Timeout));
     assert_eq!(out[0].1, SimTime::from_micros(100), "bounded wait honored");
     assert_eq!(out[1].0, Ok(()));

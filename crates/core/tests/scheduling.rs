@@ -2,11 +2,11 @@
 //! preemption at delay boundaries (the paper's Fig. 8(b) behavior), and the
 //! scheduling algorithms.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use rtos_model::{Priority, Rtos, SchedAlg, TaskParams, TimeSlice};
-use sldl_sim::sync::Mutex;
 use sldl_sim::{Child, SimTime, Simulation, TraceConfig};
 
 fn us(n: u64) -> Duration {
@@ -21,15 +21,16 @@ fn spawn_worker(
     name: &'static str,
     prio: u32,
     work: u64,
-    log: &Arc<Mutex<Vec<(String, u64)>>>,
+    log: &Rc<RefCell<Vec<(String, u64)>>>,
 ) {
     let os = os.clone();
-    let log = Arc::clone(log);
+    let log = Rc::clone(log);
     sim.spawn(Child::new(name, move |ctx| async move {
         let me = os.task_create(&TaskParams::aperiodic(name, Priority(prio)));
         os.task_activate(&ctx, me).await;
         os.time_wait(&ctx, us(work)).await;
-        log.lock().push((name.to_string(), ctx.now().as_micros()));
+        log.borrow_mut()
+            .push((name.to_string(), ctx.now().as_micros()));
         os.task_terminate(&ctx);
     }));
 }
@@ -39,7 +40,7 @@ fn tasks_serialize_and_priority_orders_them() {
     let mut sim = Simulation::new();
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     spawn_worker(&mut sim, &os, "lo", 5, 100, &log);
     spawn_worker(&mut sim, &os, "hi", 1, 100, &log);
     spawn_worker(&mut sim, &os, "mid", 3, 100, &log);
@@ -48,7 +49,7 @@ fn tasks_serialize_and_priority_orders_them() {
     // Serialized total, ordered high → mid → low.
     assert_eq!(report.end_time, SimTime::from_micros(300));
     assert_eq!(
-        *log.lock(),
+        *log.borrow(),
         vec![
             ("hi".to_string(), 100),
             ("mid".to_string(), 200),
@@ -62,12 +63,12 @@ fn fifo_runs_in_arrival_order_regardless_of_priority() {
     let mut sim = Simulation::new();
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::Fifo);
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     spawn_worker(&mut sim, &os, "first-low", 9, 50, &log);
     spawn_worker(&mut sim, &os, "second-high", 0, 50, &log);
     sim.run().unwrap();
-    assert_eq!(log.lock()[0].0, "first-low");
-    assert_eq!(log.lock()[1].0, "second-high");
+    assert_eq!(log.borrow()[0].0, "first-low");
+    assert_eq!(log.borrow()[1].0, "second-high");
 }
 
 #[test]
@@ -75,7 +76,7 @@ fn context_switch_count_single_task_is_zero() {
     let mut sim = Simulation::new();
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     spawn_worker(&mut sim, &os, "only", 1, 500, &log);
     sim.run().unwrap();
     assert_eq!(os.metrics().context_switches, 0);
@@ -90,31 +91,37 @@ fn interrupt_wakes_high_priority_task_preemption_delayed_to_step_end() {
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
     let irq = os.event_new();
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
 
     // High-priority task: waits for the interrupt, then runs 100us.
     let os_hi = os.clone();
-    let log_hi = Arc::clone(&log);
+    let log_hi = Rc::clone(&log);
     sim.spawn(Child::new("hi", move |ctx| async move {
         let me = os_hi.task_create(&TaskParams::aperiodic("hi", Priority(1)));
         os_hi.task_activate(&ctx, me).await;
         os_hi.event_wait(&ctx, irq).await;
-        log_hi.lock().push(("hi-start", ctx.now().as_micros()));
+        log_hi
+            .borrow_mut()
+            .push(("hi-start", ctx.now().as_micros()));
         os_hi.time_wait(&ctx, us(100)).await;
-        log_hi.lock().push(("hi-end", ctx.now().as_micros()));
+        log_hi.borrow_mut().push(("hi-end", ctx.now().as_micros()));
         os_hi.task_terminate(&ctx);
     }));
 
     // Low-priority task: two 300us delay steps.
     let os_lo = os.clone();
-    let log_lo = Arc::clone(&log);
+    let log_lo = Rc::clone(&log);
     sim.spawn(Child::new("lo", move |ctx| async move {
         let me = os_lo.task_create(&TaskParams::aperiodic("lo", Priority(5)));
         os_lo.task_activate(&ctx, me).await;
         os_lo.time_wait(&ctx, us(300)).await;
-        log_lo.lock().push(("lo-step1", ctx.now().as_micros()));
+        log_lo
+            .borrow_mut()
+            .push(("lo-step1", ctx.now().as_micros()));
         os_lo.time_wait(&ctx, us(300)).await;
-        log_lo.lock().push(("lo-step2", ctx.now().as_micros()));
+        log_lo
+            .borrow_mut()
+            .push(("lo-step2", ctx.now().as_micros()));
         os_lo.task_terminate(&ctx);
     }));
 
@@ -128,7 +135,7 @@ fn interrupt_wakes_high_priority_task_preemption_delayed_to_step_end() {
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    let log = log.lock().clone();
+    let log = log.borrow().clone();
     // lo's second step completes at 600 (not preempted mid-step), THEN hi
     // runs 100us (600..700), then lo logs step2 completion... wait: lo's
     // step2 delay already elapsed, so lo logs at its preemption point
@@ -152,26 +159,28 @@ fn quantum_slicing_preempts_within_a_delay() {
     os.start(SchedAlg::PriorityPreemptive);
     os.set_time_slice(TimeSlice::Quantum(us(50)));
     let irq = os.event_new();
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
 
     let os_hi = os.clone();
-    let log_hi = Arc::clone(&log);
+    let log_hi = Rc::clone(&log);
     sim.spawn(Child::new("hi", move |ctx| async move {
         let me = os_hi.task_create(&TaskParams::aperiodic("hi", Priority(1)));
         os_hi.task_activate(&ctx, me).await;
         os_hi.event_wait(&ctx, irq).await;
-        log_hi.lock().push(("hi-start", ctx.now().as_micros()));
+        log_hi
+            .borrow_mut()
+            .push(("hi-start", ctx.now().as_micros()));
         os_hi.time_wait(&ctx, us(100)).await;
         os_hi.task_terminate(&ctx);
     }));
 
     let os_lo = os.clone();
-    let log_lo = Arc::clone(&log);
+    let log_lo = Rc::clone(&log);
     sim.spawn(Child::new("lo", move |ctx| async move {
         let me = os_lo.task_create(&TaskParams::aperiodic("lo", Priority(5)));
         os_lo.task_activate(&ctx, me).await;
         os_lo.time_wait(&ctx, us(600)).await;
-        log_lo.lock().push(("lo-end", ctx.now().as_micros()));
+        log_lo.borrow_mut().push(("lo-end", ctx.now().as_micros()));
         os_lo.task_terminate(&ctx);
     }));
 
@@ -184,7 +193,7 @@ fn quantum_slicing_preempts_within_a_delay() {
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    let log = log.lock().clone();
+    let log = log.borrow().clone();
     // Interrupt at 425; next slice boundary is 450 → hi runs 450..550;
     // lo retains its remaining 150us (450 of 600 consumed) and finishes at
     // 550 + 150 = 700.
@@ -198,13 +207,13 @@ fn round_robin_rotates_on_quantum() {
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::RoundRobin { quantum: us(100) });
     os.set_time_slice(TimeSlice::Quantum(us(100)));
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     spawn_worker(&mut sim, &os, "a", 1, 200, &log);
     spawn_worker(&mut sim, &os, "b", 1, 200, &log);
     let report = sim.run().unwrap();
     assert_eq!(report.end_time, SimTime::from_micros(400));
     // Interleaved: a runs 0-100, b 100-200, a 200-300, b 300-400.
-    let log = log.lock().clone();
+    let log = log.borrow().clone();
     assert_eq!(log[0], ("a".to_string(), 300));
     assert_eq!(log[1], ("b".to_string(), 400));
     assert!(os.metrics().context_switches >= 3);
@@ -216,19 +225,19 @@ fn cooperative_priority_never_preempts() {
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityCooperative);
     let irq = os.event_new();
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
 
     let os_hi = os.clone();
-    let log_hi = Arc::clone(&log);
+    let log_hi = Rc::clone(&log);
     sim.spawn(Child::new("hi", move |ctx| async move {
         let me = os_hi.task_create(&TaskParams::aperiodic("hi", Priority(0)));
         os_hi.task_activate(&ctx, me).await;
         os_hi.event_wait(&ctx, irq).await;
-        log_hi.lock().push(("hi", ctx.now().as_micros()));
+        log_hi.borrow_mut().push(("hi", ctx.now().as_micros()));
         os_hi.task_terminate(&ctx);
     }));
     let os_lo = os.clone();
-    let log_lo = Arc::clone(&log);
+    let log_lo = Rc::clone(&log);
     sim.spawn(Child::new("lo", move |ctx| async move {
         let me = os_lo.task_create(&TaskParams::aperiodic("lo", Priority(9)));
         os_lo.task_activate(&ctx, me).await;
@@ -236,7 +245,7 @@ fn cooperative_priority_never_preempts() {
         // through both steps (no preemption between them).
         os_lo.time_wait(&ctx, us(100)).await;
         os_lo.time_wait(&ctx, us(100)).await;
-        log_lo.lock().push(("lo", ctx.now().as_micros()));
+        log_lo.borrow_mut().push(("lo", ctx.now().as_micros()));
         os_lo.task_terminate(&ctx);
     }));
     let os_isr = os.clone();
@@ -247,7 +256,7 @@ fn cooperative_priority_never_preempts() {
     }));
 
     sim.run().unwrap();
-    let log = log.lock().clone();
+    let log = log.borrow().clone();
     assert_eq!(log, vec![("lo", 200), ("hi", 200)]);
 }
 
@@ -256,23 +265,24 @@ fn edf_prefers_earliest_deadline() {
     let mut sim = Simulation::new();
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::Edf);
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
 
     for (name, deadline, work) in [("late", 10_000u64, 100u64), ("soon", 500, 100)] {
         let os = os.clone();
-        let log = Arc::clone(&log);
+        let log = Rc::clone(&log);
         sim.spawn(Child::new(name, move |ctx| async move {
             let mut p = TaskParams::aperiodic(name, Priority(5));
             p.deadline(us(deadline));
             let me = os.task_create(&p);
             os.task_activate(&ctx, me).await;
             os.time_wait(&ctx, us(work)).await;
-            log.lock().push((name.to_string(), ctx.now().as_micros()));
+            log.borrow_mut()
+                .push((name.to_string(), ctx.now().as_micros()));
             os.task_terminate(&ctx);
         }));
     }
     sim.run().unwrap();
-    let log = log.lock().clone();
+    let log = log.borrow().clone();
     assert_eq!(log[0].0, "soon");
     assert_eq!(log[1].0, "late");
 }
@@ -282,24 +292,24 @@ fn rms_prefers_shorter_period() {
     let mut sim = Simulation::new();
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::Rms);
-    let order = Arc::new(Mutex::new(Vec::new()));
+    let order = Rc::new(RefCell::new(Vec::new()));
 
     for (name, period_us, work) in [("slow", 50_000u64, 200u64), ("fast", 10_000, 200)] {
         let os = os.clone();
-        let order = Arc::clone(&order);
+        let order = Rc::clone(&order);
         sim.spawn(Child::new(name, move |ctx| async move {
             let me = os.task_create(&TaskParams::periodic(name, us(period_us)));
             os.task_activate(&ctx, me).await;
             for _ in 0..2 {
                 os.time_wait(&ctx, us(work)).await;
-                order.lock().push((name, ctx.now().as_micros()));
+                order.borrow_mut().push((name, ctx.now().as_micros()));
                 let _ = os.task_endcycle(&ctx).await; // Count policy: always Continue
             }
             os.task_terminate(&ctx);
         }));
     }
     sim.run().unwrap();
-    let order = order.lock().clone();
+    let order = order.borrow().clone();
     // First cycle at t=0: fast (period 10ms) beats slow (50ms).
     assert_eq!(order[0], ("fast", 200));
     assert_eq!(order[1], ("slow", 400));
@@ -360,29 +370,33 @@ fn task_sleep_and_remote_activate() {
     let mut sim = Simulation::new();
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let sleeper_tid = Arc::new(Mutex::new(None));
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let sleeper_tid = Rc::new(RefCell::new(None));
 
     let os_s = os.clone();
-    let log_s = Arc::clone(&log);
-    let tid_cell = Arc::clone(&sleeper_tid);
+    let log_s = Rc::clone(&log);
+    let tid_cell = Rc::clone(&sleeper_tid);
     sim.spawn(Child::new("sleeper", move |ctx| async move {
         let me = os_s.task_create(&TaskParams::aperiodic("sleeper", Priority(1)));
-        *tid_cell.lock() = Some(me);
+        *tid_cell.borrow_mut() = Some(me);
         os_s.task_activate(&ctx, me).await;
-        log_s.lock().push(("pre-sleep", ctx.now().as_micros()));
+        log_s
+            .borrow_mut()
+            .push(("pre-sleep", ctx.now().as_micros()));
         os_s.task_sleep(&ctx).await;
-        log_s.lock().push(("post-sleep", ctx.now().as_micros()));
+        log_s
+            .borrow_mut()
+            .push(("post-sleep", ctx.now().as_micros()));
         os_s.task_terminate(&ctx);
     }));
 
     let os_w = os.clone();
-    let tid_cell = Arc::clone(&sleeper_tid);
+    let tid_cell = Rc::clone(&sleeper_tid);
     sim.spawn(Child::new("waker", move |ctx| async move {
         let me = os_w.task_create(&TaskParams::aperiodic("waker", Priority(5)));
         os_w.task_activate(&ctx, me).await;
         os_w.time_wait(&ctx, us(100)).await;
-        let tid = tid_cell.lock().expect("sleeper created");
+        let tid = tid_cell.borrow().expect("sleeper created");
         os_w.task_activate(&ctx, tid).await; // resume; sleeper has higher priority
         os_w.time_wait(&ctx, us(50)).await;
         os_w.task_terminate(&ctx);
@@ -390,7 +404,7 @@ fn task_sleep_and_remote_activate() {
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    let log = log.lock().clone();
+    let log = log.borrow().clone();
     assert_eq!(log[0], ("pre-sleep", 0));
     // Woken at 100; preempts the waker right at the activate call.
     assert_eq!(log[1], ("post-sleep", 100));
@@ -402,32 +416,32 @@ fn task_kill_removes_blocked_task() {
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
     let e = os.event_new();
-    let victim_tid = Arc::new(Mutex::new(None));
+    let victim_tid = Rc::new(RefCell::new(None));
 
     let os_v = os.clone();
-    let tid_cell = Arc::clone(&victim_tid);
+    let tid_cell = Rc::clone(&victim_tid);
     sim.spawn(Child::new("victim", move |ctx| async move {
         let me = os_v.task_create(&TaskParams::aperiodic("victim", Priority(1)));
-        *tid_cell.lock() = Some(me);
+        *tid_cell.borrow_mut() = Some(me);
         os_v.task_activate(&ctx, me).await;
         os_v.event_wait(&ctx, e).await; // never notified
         unreachable!("victim must not resume");
     }));
 
     let os_k = os.clone();
-    let tid_cell = Arc::clone(&victim_tid);
+    let tid_cell = Rc::clone(&victim_tid);
     sim.spawn(Child::new("killer", move |ctx| async move {
         let me = os_k.task_create(&TaskParams::aperiodic("killer", Priority(5)));
         os_k.task_activate(&ctx, me).await;
         os_k.time_wait(&ctx, us(10)).await;
-        os_k.task_kill(&ctx, tid_cell.lock().expect("victim created"));
+        os_k.task_kill(&ctx, tid_cell.borrow().expect("victim created"));
         os_k.time_wait(&ctx, us(10)).await;
         os_k.task_terminate(&ctx);
     }));
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty(), "blocked: {:?}", report.blocked);
-    let tid = victim_tid.lock().expect("victim created");
+    let tid = victim_tid.borrow().expect("victim created");
     assert_eq!(os.task_state(tid), rtos_model::TaskState::Terminated);
 }
 
@@ -437,10 +451,10 @@ fn par_start_end_forks_child_tasks() {
     let mut sim = Simulation::new();
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
 
     let os_p = os.clone();
-    let log_p = Arc::clone(&log);
+    let log_p = Rc::clone(&log);
     sim.spawn(Child::new("task_pe", move |ctx| async move {
         let me = os_p.task_create(&TaskParams::aperiodic("task_pe", Priority(2)));
         os_p.task_activate(&ctx, me).await;
@@ -450,31 +464,33 @@ fn par_start_end_forks_child_tasks() {
         os_p.par_start(&ctx);
         let os_b2 = os_p.clone();
         let os_b3 = os_p.clone();
-        let log_b2 = Arc::clone(&log_p);
-        let log_b3 = Arc::clone(&log_p);
+        let log_b2 = Rc::clone(&log_p);
+        let log_b3 = Rc::clone(&log_p);
         ctx.par(vec![
             Child::new("b2", move |ctx| async move {
                 os_b2.task_activate(&ctx, b2).await;
                 os_b2.time_wait(&ctx, us(200)).await;
-                log_b2.lock().push(("b2-done", ctx.now().as_micros()));
+                log_b2.borrow_mut().push(("b2-done", ctx.now().as_micros()));
                 os_b2.task_terminate(&ctx);
             }),
             Child::new("b3", move |ctx| async move {
                 os_b3.task_activate(&ctx, b3).await;
                 os_b3.time_wait(&ctx, us(150)).await;
-                log_b3.lock().push(("b3-done", ctx.now().as_micros()));
+                log_b3.borrow_mut().push(("b3-done", ctx.now().as_micros()));
                 os_b3.task_terminate(&ctx);
             }),
         ])
         .await;
         os_p.par_end(&ctx).await;
-        log_p.lock().push(("parent-done", ctx.now().as_micros()));
+        log_p
+            .borrow_mut()
+            .push(("parent-done", ctx.now().as_micros()));
         os_p.task_terminate(&ctx);
     }));
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    let log = log.lock().clone();
+    let log = log.borrow().clone();
     // b3 has higher priority: runs 100..250; b2 runs 250..450.
     assert_eq!(log[0], ("b3-done", 250));
     assert_eq!(log[1], ("b2-done", 450));
@@ -488,7 +504,7 @@ fn trace_records_task_spans_without_overlap() {
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
     os.attach_trace(trace.clone());
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     spawn_worker(&mut sim, &os, "t1", 1, 100, &log);
     spawn_worker(&mut sim, &os, "t2", 2, 100, &log);
     sim.run().unwrap();
@@ -505,7 +521,7 @@ fn metrics_busy_time_and_utilization() {
     let mut sim = Simulation::new();
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     spawn_worker(&mut sim, &os, "t", 1, 400, &log);
     let report = sim.run().unwrap();
     let m = os.metrics_at(report.end_time);
@@ -521,33 +537,33 @@ fn event_notify_by_task_preempts_notifier() {
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
     let e = os.event_new();
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
 
     let os_hi = os.clone();
-    let log_hi = Arc::clone(&log);
+    let log_hi = Rc::clone(&log);
     sim.spawn(Child::new("hi", move |ctx| async move {
         let me = os_hi.task_create(&TaskParams::aperiodic("hi", Priority(1)));
         os_hi.task_activate(&ctx, me).await;
         os_hi.event_wait(&ctx, e).await;
         os_hi.time_wait(&ctx, us(50)).await;
-        log_hi.lock().push(("hi-done", ctx.now().as_micros()));
+        log_hi.borrow_mut().push(("hi-done", ctx.now().as_micros()));
         os_hi.task_terminate(&ctx);
     }));
     let os_lo = os.clone();
-    let log_lo = Arc::clone(&log);
+    let log_lo = Rc::clone(&log);
     sim.spawn(Child::new("lo", move |ctx| async move {
         let me = os_lo.task_create(&TaskParams::aperiodic("lo", Priority(5)));
         os_lo.task_activate(&ctx, me).await;
         os_lo.time_wait(&ctx, us(100)).await;
         os_lo.event_notify(&ctx, e).await; // wakes hi → immediate preemption here
         log_lo
-            .lock()
+            .borrow_mut()
             .push(("lo-after-notify", ctx.now().as_micros()));
         os_lo.task_terminate(&ctx);
     }));
 
     sim.run().unwrap();
-    let log = log.lock().clone();
+    let log = log.borrow().clone();
     // hi runs 100..150 before lo continues past its notify call.
     assert_eq!(log[0], ("hi-done", 150));
     assert_eq!(log[1], ("lo-after-notify", 150));
@@ -561,7 +577,7 @@ fn rtos_as_sync_layer_runs_sldl_channels() {
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
     let q: sldl_sim::Queue<u32, Rtos> = sldl_sim::Queue::bounded(2, os.clone());
-    let got = Arc::new(Mutex::new(Vec::new()));
+    let got = Rc::new(RefCell::new(Vec::new()));
 
     let os_p = os.clone();
     let q_p = q.clone();
@@ -575,20 +591,20 @@ fn rtos_as_sync_layer_runs_sldl_channels() {
         os_p.task_terminate(&ctx);
     }));
     let os_c = os.clone();
-    let got_c = Arc::clone(&got);
+    let got_c = Rc::clone(&got);
     sim.spawn(Child::new("consumer", move |ctx| async move {
         let me = os_c.task_create(&TaskParams::aperiodic("consumer", Priority(1)));
         os_c.task_activate(&ctx, me).await;
         for _ in 0..5 {
             let v = q.recv(&ctx).await;
-            got_c.lock().push(v);
+            got_c.borrow_mut().push(v);
         }
         os_c.task_terminate(&ctx);
     }));
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(*got.lock(), vec![0, 1, 2, 3, 4]);
+    assert_eq!(*got.borrow(), vec![0, 1, 2, 3, 4]);
 }
 
 #[test]
@@ -596,7 +612,7 @@ fn dispatch_latency_recorded_for_delayed_dispatch() {
     let mut sim = Simulation::new();
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     spawn_worker(&mut sim, &os, "hog", 1, 200, &log);
     spawn_worker(&mut sim, &os, "waiter", 5, 50, &log);
     sim.run().unwrap();
@@ -615,14 +631,14 @@ fn two_pes_schedule_independently() {
     let os1 = Rtos::new("pe1", sim.sync_layer());
     os0.start(SchedAlg::PriorityPreemptive);
     os1.start(SchedAlg::PriorityPreemptive);
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     spawn_worker(&mut sim, &os0, "pe0-a", 1, 100, &log);
     spawn_worker(&mut sim, &os0, "pe0-b", 2, 100, &log);
     spawn_worker(&mut sim, &os1, "pe1-a", 1, 100, &log);
     let report = sim.run().unwrap();
     // pe0 serializes its two tasks (200us); pe1 finishes at 100us.
     assert_eq!(report.end_time, SimTime::from_micros(200));
-    let log = log.lock().clone();
+    let log = log.borrow().clone();
     assert!(log.contains(&("pe1-a".to_string(), 100)));
     assert!(log.contains(&("pe0-b".to_string(), 200)));
 }
@@ -633,7 +649,7 @@ fn context_switch_cost_extends_makespan() {
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
     os.set_context_switch_cost(us(10));
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     spawn_worker(&mut sim, &os, "hi", 1, 100, &log);
     spawn_worker(&mut sim, &os, "lo", 5, 100, &log);
     let report = sim.run().unwrap();
@@ -641,7 +657,7 @@ fn context_switch_cost_extends_makespan() {
     // costing 10us: total 100 + 10 + 100.
     assert_eq!(report.end_time, SimTime::from_micros(210));
     assert_eq!(os.metrics().context_switches, 1);
-    let log = log.lock().clone();
+    let log = log.borrow().clone();
     assert_eq!(log[0], ("hi".to_string(), 100));
     assert_eq!(log[1], ("lo".to_string(), 210));
 }
@@ -651,7 +667,7 @@ fn zero_switch_cost_is_default() {
     let mut sim = Simulation::new();
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     spawn_worker(&mut sim, &os, "a", 1, 50, &log);
     spawn_worker(&mut sim, &os, "b", 2, 50, &log);
     let report = sim.run().unwrap();

@@ -24,7 +24,7 @@ use sldl_sim::{Child, Handshake, ProcCtx, Semaphore, Simulation, TraceConfig};
 use crate::comm::{BusChannel, BusMap, SharedBus};
 use crate::cross::CrossRendezvous;
 use crate::run::{ChannelFairness, ModelRun, PeMetrics, RunConfig, RunModelError};
-use crate::spec::{Action, Behavior, ChannelKind, SystemSpec};
+use crate::spec::{Action, Behavior, ChannelKind, SystemSpec, ValidateSpecError};
 
 enum ArchChan {
     Rendezvous(Handshake<Rtos>),
@@ -105,7 +105,9 @@ pub fn run_architecture(
 ///
 /// # Errors
 ///
-/// Returns [`RunModelError::Invalid`] if the spec fails validation and
+/// Returns [`RunModelError::Invalid`] if the spec fails validation or
+/// `map` assigns a channel that is not a rendezvous between two PEs
+/// ([`ValidateSpecError::UnloweredBusAssignment`]), and
 /// [`RunModelError::Sim`] if a process panics during simulation.
 pub fn run_architecture_with_comm(
     spec: &SystemSpec,
@@ -137,6 +139,15 @@ fn run_architecture_inner(
     map: Option<&BusMap>,
 ) -> Result<ModelRun, RunModelError> {
     spec.validate()?;
+    // Discover which PEs use each channel to place its refined instance.
+    let mut uses = vec![ChanUse::default(); spec.channels.len()];
+    for (pe_idx, pe) in spec.pes.iter().enumerate() {
+        collect_uses(&pe.root, pe_idx, &mut uses);
+    }
+    if let Some(map) = map {
+        check_bus_map(spec, &uses, map)?;
+    }
+
     let mut sim = Simulation::builder().trace(TraceConfig::default()).build();
     let trace = sim.trace_handle().expect("trace configured");
     let layer = sim.sync_layer();
@@ -154,12 +165,6 @@ fn run_architecture_inner(
             os
         })
         .collect();
-
-    // Discover which PEs use each channel to place its refined instance.
-    let mut uses = vec![ChanUse::default(); spec.channels.len()];
-    for (pe_idx, pe) in spec.pes.iter().enumerate() {
-        collect_uses(&pe.root, pe_idx, &mut uses);
-    }
 
     // Instantiate the communication architecture's buses (if any).
     let buses: Vec<SharedBus> = map
@@ -187,7 +192,7 @@ fn run_architecture_inner(
                                         b.bytes_per_msg,
                                         b.priority,
                                     )),
-                                    None => ArchChan::Cross(CrossRendezvous::named(
+                                    None => ArchChan::Cross(CrossRendezvous::new(
                                         oses[s].clone(),
                                         oses[r].clone(),
                                         &c.name,
@@ -320,6 +325,34 @@ fn collect_uses(b: &Behavior, pe: usize, uses: &mut [ChanUse]) {
             }
         }
     }
+}
+
+/// Rejects a bus assignment that lowers nothing: its channel must be a
+/// rendezvous whose senders and receivers sit on two different PEs.
+fn check_bus_map(
+    spec: &SystemSpec,
+    uses: &[ChanUse],
+    map: &BusMap,
+) -> Result<(), ValidateSpecError> {
+    for channel in map.assigned_channels() {
+        let lowered = spec.channels.iter().zip(uses).any(|(c, u)| {
+            c.name == channel
+                && c.kind == ChannelKind::Rendezvous
+                && matches!(
+                    (
+                        unique_pe(&u.sender_pes, channel, "senders"),
+                        unique_pe(&u.receiver_pes, channel, "receivers"),
+                    ),
+                    (Some(s), Some(r)) if s != r
+                )
+        });
+        if !lowered {
+            return Err(ValidateSpecError::UnloweredBusAssignment {
+                channel: channel.to_string(),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// All users of one role must sit on a single PE; returns it.

@@ -34,11 +34,9 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use rtos_model::{Rtos, RtosEvent};
 use sldl_sim::bus::{Bus, BusConfig, BusStats, MasterId};
-use sldl_sim::sync::Mutex;
 use sldl_sim::{LabelId, ProcCtx, TraceHandle, TrackId};
 
 use crate::cross::{CrossFairness, CrossRendezvous};
@@ -105,6 +103,11 @@ impl BusMap {
         &self.buses
     }
 
+    /// The assigned channel names, in [`assign`](BusMap::assign) order.
+    pub(crate) fn assigned_channels(&self) -> impl Iterator<Item = &str> {
+        self.assignments.iter().map(|(c, _)| c.as_str())
+    }
+
     /// The binding of `channel`, if it was assigned to a bus.
     #[must_use]
     pub fn binding(&self, channel: &str) -> Option<&BusBinding> {
@@ -124,18 +127,10 @@ struct Waker {
 
 /// A bus instantiated for one run, shared by every [`BusChannel`] lowered
 /// onto it. Clonable; all clones share the same state.
+#[derive(Clone)]
 pub struct SharedBus {
     bus: Bus,
     wakers: Rc<RefCell<Vec<Waker>>>,
-}
-
-impl Clone for SharedBus {
-    fn clone(&self) -> Self {
-        SharedBus {
-            bus: self.bus.clone(),
-            wakers: Rc::clone(&self.wakers),
-        }
-    }
 }
 
 impl core::fmt::Debug for SharedBus {
@@ -189,23 +184,12 @@ impl SharedBus {
 
 /// One master port of a [`SharedBus`], bound to the RTOS instance its
 /// owning task blocks through.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BusPort {
     shared: SharedBus,
     master: MasterId,
     os: Rtos,
     wake: RtosEvent,
-}
-
-impl Clone for BusPort {
-    fn clone(&self) -> Self {
-        BusPort {
-            shared: self.shared.clone(),
-            master: self.master,
-            os: self.os.clone(),
-            wake: self.wake,
-        }
-    }
 }
 
 impl BusPort {
@@ -240,11 +224,23 @@ impl BusPort {
 struct ChanQ<T> {
     payloads: VecDeque<T>,
     ready: u64,
+    /// The receive-interrupt track and the `rx:` label, interned into the
+    /// trace the channel records into.
+    rx_ids: Option<(TraceHandle, TrackId, LabelId)>,
 }
 
-/// The receive-interrupt track and the `rx:` label, interned into the
-/// trace a channel records into.
-type RxIds = Option<(TraceHandle, TrackId, LabelId)>;
+struct Chan<T> {
+    cross: CrossRendezvous,
+    port: BusPort,
+    receiver_os: Rtos,
+    data_ready: RtosEvent,
+    name: String,
+    /// `bus:{bus}`, the label of the sender's transfer segments.
+    xfer_label: String,
+    bytes_per_msg: u64,
+    zero_cost: bool,
+    q: RefCell<ChanQ<T>>,
+}
 
 /// A cross-PE channel lowered onto a bus: rendezvous match phase, timed
 /// arbitrated transfer charged to the sender's RTOS, interrupt-driven
@@ -252,43 +248,26 @@ type RxIds = Option<(TraceHandle, TrackId, LabelId)>;
 /// the transaction machinery is skipped entirely and the channel performs
 /// exactly the kernel operations of its abstract [`CrossRendezvous`].
 pub struct BusChannel<T> {
-    cross: CrossRendezvous,
-    port: BusPort,
-    receiver_os: Rtos,
-    data_ready: RtosEvent,
-    name: Arc<str>,
-    /// `bus:{bus}`, the label of the sender's transfer segments.
-    xfer_label: Arc<str>,
-    bytes_per_msg: u64,
-    zero_cost: bool,
-    q: Arc<Mutex<ChanQ<T>>>,
-    rx_trace: Rc<RefCell<RxIds>>,
+    inner: Rc<Chan<T>>,
 }
 
+// Written out because a derive would require `T: Clone`.
 impl<T> Clone for BusChannel<T> {
     fn clone(&self) -> Self {
         BusChannel {
-            cross: self.cross.clone(),
-            port: self.port.clone(),
-            receiver_os: self.receiver_os.clone(),
-            data_ready: self.data_ready,
-            name: Arc::clone(&self.name),
-            xfer_label: Arc::clone(&self.xfer_label),
-            bytes_per_msg: self.bytes_per_msg,
-            zero_cost: self.zero_cost,
-            q: Arc::clone(&self.q),
-            rx_trace: Rc::clone(&self.rx_trace),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
 
 impl<T> core::fmt::Debug for BusChannel<T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        let c = &self.inner;
         f.debug_struct("BusChannel")
-            .field("name", &self.name)
-            .field("bus", &self.port.shared.config().name)
-            .field("bytes_per_msg", &self.bytes_per_msg)
-            .field("zero_cost", &self.zero_cost)
+            .field("name", &c.name)
+            .field("bus", &c.port.shared.config().name)
+            .field("bytes_per_msg", &c.bytes_per_msg)
+            .field("zero_cost", &c.zero_cost)
             .finish()
     }
 }
@@ -306,23 +285,25 @@ impl<T> BusChannel<T> {
         bytes_per_msg: u64,
         priority: u32,
     ) -> Self {
-        let cross = CrossRendezvous::named(sender_os.clone(), receiver_os.clone(), name);
+        let cross = CrossRendezvous::new(sender_os.clone(), receiver_os.clone(), name);
         let port = bus.port(format!("{}:{name}", sender_os.name()), &sender_os, priority);
         let data_ready = receiver_os.event_new();
         BusChannel {
-            cross,
-            port,
-            receiver_os,
-            data_ready,
-            name: Arc::from(name),
-            xfer_label: Arc::from(format!("bus:{}", bus.config().name)),
-            bytes_per_msg,
-            zero_cost: bus.config().is_zero_cost(),
-            q: Arc::new(Mutex::new(ChanQ {
-                payloads: VecDeque::new(),
-                ready: 0,
-            })),
-            rx_trace: Rc::default(),
+            inner: Rc::new(Chan {
+                cross,
+                port,
+                receiver_os,
+                data_ready,
+                name: name.to_string(),
+                xfer_label: format!("bus:{}", bus.config().name),
+                bytes_per_msg,
+                zero_cost: bus.config().is_zero_cost(),
+                q: RefCell::new(ChanQ {
+                    payloads: VecDeque::new(),
+                    ready: 0,
+                    rx_ids: None,
+                }),
+            }),
         }
     }
 
@@ -330,68 +311,68 @@ impl<T> BusChannel<T> {
     /// the bus, charge the transfer through the sender's RTOS, then raise
     /// the receive interrupt on the remote RTOS.
     pub async fn send(&self, ctx: &ProcCtx, value: T) {
-        if self.zero_cost {
+        let c = &*self.inner;
+        if c.zero_cost {
             // Structurally identical to the abstract rendezvous: the data
             // moves at the match point, no extra kernel operations. Only
             // the bus statistics see the message.
-            self.q.lock().payloads.push_back(value);
-            self.port.shared.bus.count_zero_transfer(self.bytes_per_msg);
-            self.cross.send(ctx).await;
+            c.q.borrow_mut().payloads.push_back(value);
+            c.port.shared.bus.count_zero_transfer(c.bytes_per_msg);
+            c.cross.send(ctx).await;
             return;
         }
         // Match phase: block until a receiver has arrived (the paper's
         // two-party channel protocol precedes the bus transaction).
-        self.cross.send(ctx).await;
+        c.cross.send(ctx).await;
         // Arbitration + data phase, charged to the sending task.
-        self.port.acquire(ctx).await;
-        let dur = self
+        c.port.acquire(ctx).await;
+        let dur = c
             .port
             .shared
             .bus
-            .transfer_begin(ctx, self.port.master, self.bytes_per_msg);
+            .transfer_begin(ctx, c.port.master, c.bytes_per_msg);
         if !dur.is_zero() {
-            self.port.os.time_wait_as(ctx, dur, &self.xfer_label).await;
+            c.port.os.time_wait_as(ctx, dur, &c.xfer_label).await;
         }
-        self.port.shared.bus.transfer_end(ctx, self.port.master);
-        self.port.release(ctx).await;
+        c.port.shared.bus.transfer_end(ctx, c.port.master);
+        c.port.release(ctx).await;
         // Delivery: the transfer-complete interrupt lands on the receiver
         // PE; its ISR publishes the data and returns through the RTOS.
         {
-            let mut q = self.q.lock();
+            let mut q = c.q.borrow_mut();
             q.payloads.push_back(value);
             q.ready += 1;
-        }
-        if let Some(handle) = ctx.trace_handle() {
-            let mut slot = self.rx_trace.borrow_mut();
-            if slot.as_ref().is_none_or(|t| t.0 != handle) {
-                let track = handle.intern_track(&format!("{}:irq", self.receiver_os.name()));
-                let label = handle.intern_label(&format!("rx:{}", self.name));
-                *slot = Some((handle, track, label));
+            if let Some(handle) = ctx.trace_handle() {
+                if q.rx_ids.as_ref().is_none_or(|t| t.0 != handle) {
+                    let track = handle.intern_track(&format!("{}:irq", c.receiver_os.name()));
+                    let label = handle.intern_label(&format!("rx:{}", c.name));
+                    q.rx_ids = Some((handle, track, label));
+                }
+                let (handle, track, label) = q.rx_ids.as_ref().expect("installed above");
+                handle.marker(ctx.now(), *track, *label);
             }
-            let (handle, track, label) = slot.as_ref().expect("installed above");
-            handle.marker(ctx.now(), *track, *label);
         }
-        self.receiver_os.event_notify(ctx, self.data_ready).await;
-        self.receiver_os.interrupt_return(ctx);
+        c.receiver_os.event_notify(ctx, c.data_ready).await;
+        c.receiver_os.interrupt_return(ctx);
     }
 
     /// Receives one message: rendezvous with a sender, then block until
     /// its bus transfer completes and the receive interrupt publishes the
     /// data.
     pub async fn recv(&self, ctx: &ProcCtx) -> T {
-        if self.zero_cost {
-            self.cross.recv(ctx).await;
-            return self
+        let c = &*self.inner;
+        c.cross.recv(ctx).await;
+        if c.zero_cost {
+            return c
                 .q
-                .lock()
+                .borrow_mut()
                 .payloads
                 .pop_front()
                 .expect("rendezvous completed without a payload");
         }
-        self.cross.recv(ctx).await;
         loop {
             {
-                let mut q = self.q.lock();
+                let mut q = c.q.borrow_mut();
                 if q.ready > 0 {
                     q.ready -= 1;
                     return q
@@ -400,26 +381,26 @@ impl<T> BusChannel<T> {
                         .expect("data-ready signaled without a payload");
                 }
             }
-            self.receiver_os.event_wait(ctx, self.data_ready).await;
+            c.receiver_os.event_wait(ctx, c.data_ready).await;
         }
     }
 
     /// Cumulative rendezvous fairness counters of the match phase.
     #[must_use]
     pub fn fairness(&self) -> CrossFairness {
-        self.cross.fairness()
+        self.inner.cross.fairness()
     }
 
     /// The channel name.
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.inner.name
     }
 
     /// Statistics of the bus this channel is lowered onto (shared with
     /// every other channel on the same bus).
     #[must_use]
     pub fn bus_stats(&self) -> BusStats {
-        self.port.shared.stats()
+        self.inner.port.shared.stats()
     }
 }

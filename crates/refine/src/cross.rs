@@ -10,12 +10,11 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use rtos_model::{Rtos, RtosEvent};
-use sldl_sim::sync::Mutex;
 use sldl_sim::{LabelId, ProcCtx, TraceHandle, TrackId};
 
+#[derive(Default)]
 struct CrossState {
     pending_senders: u64,
     pending_receivers: u64,
@@ -25,11 +24,10 @@ struct CrossState {
     /// consumable tokens). Exported via [`CrossRendezvous::fairness`].
     sender_grants_total: u64,
     receiver_grants_total: u64,
+    /// The `xchan:` track and the `grant:sender` / `grant:receiver`
+    /// labels, interned into the trace the rendezvous records into.
+    grant_ids: Option<(TraceHandle, TrackId, LabelId, LabelId)>,
 }
-
-/// The `xchan:` track and the `grant:sender` / `grant:receiver` labels,
-/// interned into the trace a rendezvous records into.
-type GrantIds = Option<(TraceHandle, (TrackId, LabelId, LabelId))>;
 
 /// Cumulative grant counts of one cross-PE rendezvous: how often each side
 /// arrived second and was granted by an already-waiting partner. A heavily
@@ -44,35 +42,21 @@ pub struct CrossFairness {
 
 /// A rendezvous whose sender tasks live on `sender_os` and receiver tasks
 /// on `receiver_os`. Clonable; all clones share the same state.
+#[derive(Clone)]
 pub struct CrossRendezvous {
     sender_os: Rtos,
     receiver_os: Rtos,
     sender_wake: RtosEvent,
     receiver_wake: RtosEvent,
-    /// When set, every grant lands in the trace as an instant on the
+    /// Every grant lands in the trace as an instant on the
     /// `xchan:{label}` track (`grant:sender` / `grant:receiver`).
-    label: Option<Arc<str>>,
-    state: Arc<Mutex<CrossState>>,
-    trace: Rc<RefCell<GrantIds>>,
-}
-
-impl Clone for CrossRendezvous {
-    fn clone(&self) -> Self {
-        CrossRendezvous {
-            sender_os: self.sender_os.clone(),
-            receiver_os: self.receiver_os.clone(),
-            sender_wake: self.sender_wake,
-            receiver_wake: self.receiver_wake,
-            label: self.label.clone(),
-            state: Arc::clone(&self.state),
-            trace: Rc::clone(&self.trace),
-        }
-    }
+    label: Rc<str>,
+    state: Rc<RefCell<CrossState>>,
 }
 
 impl core::fmt::Debug for CrossRendezvous {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         f.debug_struct("CrossRendezvous")
             .field("sender_os", &self.sender_os.name())
             .field("receiver_os", &self.receiver_os.name())
@@ -83,9 +67,10 @@ impl core::fmt::Debug for CrossRendezvous {
 }
 
 impl CrossRendezvous {
-    /// Creates a cross-PE rendezvous between the two RTOS instances.
+    /// Creates a cross-PE rendezvous between the two RTOS instances that
+    /// emits a trace instant on the `xchan:{label}` track at every grant.
     #[must_use]
-    pub fn new(sender_os: Rtos, receiver_os: Rtos) -> Self {
+    pub fn new(sender_os: Rtos, receiver_os: Rtos, label: &str) -> Self {
         let sender_wake = sender_os.event_new();
         let receiver_wake = receiver_os.event_new();
         CrossRendezvous {
@@ -93,32 +78,15 @@ impl CrossRendezvous {
             receiver_os,
             sender_wake,
             receiver_wake,
-            label: None,
-            state: Arc::new(Mutex::new(CrossState {
-                pending_senders: 0,
-                pending_receivers: 0,
-                grants_to_senders: 0,
-                grants_to_receivers: 0,
-                sender_grants_total: 0,
-                receiver_grants_total: 0,
-            })),
-            trace: Rc::default(),
+            label: Rc::from(label),
+            state: Rc::default(),
         }
-    }
-
-    /// Like [`new`](CrossRendezvous::new), additionally emitting a trace
-    /// instant on the `xchan:{label}` track at every grant.
-    #[must_use]
-    pub fn named(sender_os: Rtos, receiver_os: Rtos, label: &str) -> Self {
-        let mut c = CrossRendezvous::new(sender_os, receiver_os);
-        c.label = Some(Arc::from(label));
-        c
     }
 
     /// Cumulative grant totals of this rendezvous.
     #[must_use]
     pub fn fairness(&self) -> CrossFairness {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         CrossFairness {
             grants_to_senders: st.sender_grants_total,
             grants_to_receivers: st.receiver_grants_total,
@@ -128,19 +96,17 @@ impl CrossRendezvous {
     /// Records a `grant:sender` or `grant:receiver` instant, interning
     /// the names on first use in each trace.
     fn grant_instant(&self, ctx: &ProcCtx, to_sender: bool) {
-        let (Some(label), Some(handle)) = (&self.label, ctx.trace_handle()) else {
+        let Some(handle) = ctx.trace_handle() else {
             return;
         };
-        let mut slot = self.trace.borrow_mut();
+        let slot = &mut self.state.borrow_mut().grant_ids;
         if slot.as_ref().is_none_or(|t| t.0 != handle) {
-            let ids = (
-                handle.intern_track(&format!("xchan:{label}")),
-                handle.intern_label("grant:sender"),
-                handle.intern_label("grant:receiver"),
-            );
-            *slot = Some((handle, ids));
+            let track = handle.intern_track(&format!("xchan:{}", self.label));
+            let sender = handle.intern_label("grant:sender");
+            let receiver = handle.intern_label("grant:receiver");
+            *slot = Some((handle, track, sender, receiver));
         }
-        let (handle, (track, sender, receiver)) = slot.as_ref().expect("installed above");
+        let (handle, track, sender, receiver) = slot.as_ref().expect("installed above");
         handle.marker(
             ctx.now(),
             *track,
@@ -151,7 +117,7 @@ impl CrossRendezvous {
     /// Blocks the calling task (on the sender PE) until a receiver arrives.
     pub async fn send(&self, ctx: &ProcCtx) {
         let partner_waiting = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             if st.pending_receivers > 0 {
                 st.pending_receivers -= 1;
                 st.grants_to_receivers += 1;
@@ -171,7 +137,7 @@ impl CrossRendezvous {
         }
         loop {
             self.sender_os.event_wait(ctx, self.sender_wake).await;
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             if st.grants_to_senders > 0 {
                 st.grants_to_senders -= 1;
                 return;
@@ -182,7 +148,7 @@ impl CrossRendezvous {
     /// Blocks the calling task (on the receiver PE) until a sender arrives.
     pub async fn recv(&self, ctx: &ProcCtx) {
         let partner_waiting = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             if st.pending_senders > 0 {
                 st.pending_senders -= 1;
                 st.grants_to_senders += 1;
@@ -200,7 +166,7 @@ impl CrossRendezvous {
         }
         loop {
             self.receiver_os.event_wait(ctx, self.receiver_wake).await;
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             if st.grants_to_receivers > 0 {
                 st.grants_to_receivers -= 1;
                 return;

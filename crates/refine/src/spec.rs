@@ -349,7 +349,8 @@ fn check_periodic_placement(b: &Behavior, task_position: bool) -> Result<(), Val
     }
 }
 
-/// Error from [`SystemSpec::validate`].
+/// Error from [`SystemSpec::validate`], or from the bus-map check of
+/// [`run_architecture_with_comm`](crate::run_architecture_with_comm).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ValidateSpecError {
@@ -366,6 +367,12 @@ pub enum ValidateSpecError {
     },
     /// A periodic behavior is nested where it cannot become its own task.
     PeriodicNotATask(String),
+    /// A [`BusMap`](crate::BusMap) assigns a channel that is not a
+    /// rendezvous between two PEs, so the assignment would lower nothing.
+    UnloweredBusAssignment {
+        /// The assigned channel's name.
+        channel: String,
+    },
 }
 
 impl core::fmt::Display for ValidateSpecError {
@@ -383,6 +390,10 @@ impl core::fmt::Display for ValidateSpecError {
                     "periodic behavior `{name}` must be a PE root or a par branch"
                 )
             }
+            ValidateSpecError::UnloweredBusAssignment { channel } => write!(
+                f,
+                "bus assignment `{channel}` names no rendezvous between two PEs"
+            ),
         }
     }
 }

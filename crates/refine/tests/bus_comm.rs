@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use model_refine::{
     run_architecture, run_architecture_with_comm, Action, Behavior, BusBinding, BusMap,
-    ChannelKind, PeSpec, RunConfig, SystemSpec,
+    ChannelKind, PeSpec, RunConfig, RunModelError, SystemSpec, ValidateSpecError,
 };
 use rtos_model::{Priority, SchedAlg, TimeSlice};
 use sldl_sim::bus::{Arbitration, BusConfig};
@@ -51,10 +51,14 @@ fn stream_spec(msgs: u64) -> SystemSpec {
 }
 
 fn map_with(cfg: BusConfig) -> BusMap {
+    map_assigning("link", cfg)
+}
+
+fn map_assigning(channel: &str, cfg: BusConfig) -> BusMap {
     let mut map = BusMap::default();
     let bus = map.add_bus(cfg);
     map.assign(
-        "link",
+        channel,
         BusBinding {
             bus,
             bytes_per_msg: 64,
@@ -271,4 +275,54 @@ fn contention_is_monotone_as_the_bus_narrows() {
         prev_wait > Duration::ZERO,
         "narrow bus must show contention"
     );
+}
+
+/// A bus assignment that lowers nothing is rejected before the run: a
+/// misspelled channel, a rendezvous inside one PE and a semaphore would
+/// otherwise stay abstract and leave their bus at 0 transactions.
+#[test]
+fn assignments_that_lower_nothing_are_rejected() {
+    let mut spec = SystemSpec::new();
+    let link = spec.add_channel("link", ChannelKind::Rendezvous);
+    let local = spec.add_channel("local", ChannelKind::Rendezvous);
+    let sem = spec.add_channel("sem", ChannelKind::Semaphore { initial: 1 });
+    spec.add_pe(PeSpec {
+        name: "pe0".into(),
+        root: Behavior::leaf("producer", vec![Action::Send(link)]),
+        priorities: HashMap::new(),
+    });
+    spec.add_pe(PeSpec {
+        name: "pe1".into(),
+        root: Behavior::Par(vec![
+            Behavior::leaf(
+                "consumer",
+                vec![
+                    Action::Recv(link),
+                    Action::Acquire(sem),
+                    Action::Send(local),
+                ],
+            ),
+            Behavior::leaf("helper", vec![Action::Recv(local)]),
+        ]),
+        priorities: HashMap::new(),
+    });
+    let run = |channel: &str| {
+        run_architecture_with_comm(
+            &spec,
+            SchedAlg::PriorityPreemptive,
+            TimeSlice::WholeDelay,
+            &RunConfig::default(),
+            &map_assigning(channel, BusConfig::ideal("b0")),
+        )
+    };
+
+    assert_eq!(run("link").unwrap().bus_stats[0].transactions, 1);
+    for channel in ["lnik", "local", "sem"] {
+        match run(channel) {
+            Err(RunModelError::Invalid(ValidateSpecError::UnloweredBusAssignment {
+                channel: named,
+            })) => assert_eq!(named, channel),
+            other => panic!("`{channel}`: expected a rejected map, got {other:?}"),
+        }
+    }
 }

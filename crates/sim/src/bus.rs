@@ -39,11 +39,9 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::kernel::ProcCtx;
-use crate::sync::Mutex;
 use crate::time::SimTime;
 use crate::trace::{LabelId, TraceHandle, TrackId};
 
@@ -202,6 +200,7 @@ struct MasterLabels {
     xfer: Option<(u64, LabelId)>,
 }
 
+#[derive(Default)]
 struct Core {
     owner: Option<MasterId>,
     /// Queued masters in request order.
@@ -212,31 +211,26 @@ struct Core {
     busy: Duration,
     max_wait: Duration,
     contended: u64,
+    /// The ids this bus interned into the trace it records into.
+    trace: Option<BusTrace>,
+}
+
+struct Inner {
+    cfg: BusConfig,
+    core: RefCell<Core>,
 }
 
 /// One shared bus instance. Clonable; all clones share the same state.
+#[derive(Clone)]
 pub struct Bus {
-    cfg: Arc<BusConfig>,
-    core: Arc<Mutex<Core>>,
-    /// The ids this bus interned into the trace it records into.
-    trace: Rc<RefCell<Option<BusTrace>>>,
-}
-
-impl Clone for Bus {
-    fn clone(&self) -> Self {
-        Bus {
-            cfg: Arc::clone(&self.cfg),
-            core: Arc::clone(&self.core),
-            trace: Rc::clone(&self.trace),
-        }
-    }
+    inner: Rc<Inner>,
 }
 
 impl core::fmt::Debug for Bus {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let core = self.core.lock();
+        let core = self.inner.core.borrow();
         f.debug_struct("Bus")
-            .field("name", &self.cfg.name)
+            .field("name", &self.inner.cfg.name)
             .field("owner", &core.owner)
             .field("queued", &core.queue.len())
             .finish()
@@ -248,31 +242,23 @@ impl Bus {
     #[must_use]
     pub fn new(cfg: BusConfig) -> Self {
         Bus {
-            cfg: Arc::new(cfg),
-            core: Arc::new(Mutex::new(Core {
-                owner: None,
-                queue: Vec::new(),
-                masters: Vec::new(),
-                transactions: 0,
-                bytes: 0,
-                busy: Duration::ZERO,
-                max_wait: Duration::ZERO,
-                contended: 0,
-            })),
-            trace: Rc::default(),
+            inner: Rc::new(Inner {
+                cfg,
+                core: RefCell::default(),
+            }),
         }
     }
 
     /// The bus configuration.
     #[must_use]
     pub fn config(&self) -> &BusConfig {
-        &self.cfg
+        &self.inner.cfg
     }
 
     /// Registers a master port. `priority` matters only under
     /// [`Arbitration::FixedPriority`] (lower value = more urgent).
     pub fn register_master(&self, name: impl Into<String>, priority: u32) -> MasterId {
-        let mut core = self.core.lock();
+        let mut core = self.inner.core.borrow_mut();
         let id = MasterId(u32::try_from(core.masters.len()).expect("master ids exhausted"));
         core.masters.push(MasterState {
             name: name.into(),
@@ -288,7 +274,7 @@ impl Bus {
     /// first use in each trace; does nothing when no trace is attached.
     fn record(
         &self,
-        core: &Core,
+        core: &mut Core,
         ctx: &ProcCtx,
         master: MasterId,
         record: impl FnOnce(&TraceHandle, TrackId, &mut MasterLabels, &str),
@@ -296,9 +282,9 @@ impl Bus {
         let Some(handle) = ctx.trace_handle() else {
             return;
         };
-        let mut slot = self.trace.borrow_mut();
+        let slot = &mut core.trace;
         if slot.as_ref().is_none_or(|t| t.handle != handle) {
-            let track = handle.intern_track(&format!("bus:{}", self.cfg.name));
+            let track = handle.intern_track(&format!("bus:{}", self.inner.cfg.name));
             *slot = Some(BusTrace {
                 handle,
                 track,
@@ -324,7 +310,7 @@ impl Bus {
     /// Records the marker `pick` chooses among `master`'s labels.
     fn mark(
         &self,
-        core: &Core,
+        core: &mut Core,
         ctx: &ProcCtx,
         master: MasterId,
         pick: fn(&MasterLabels) -> LabelId,
@@ -344,24 +330,24 @@ impl Bus {
     ///
     /// Panics if `master` already owns or already queued on the bus.
     pub fn acquire(&self, ctx: &ProcCtx, master: MasterId) -> bool {
-        let mut core = self.core.lock();
+        let mut core = self.inner.core.borrow_mut();
         assert!(
             core.owner != Some(master) && !core.queue.contains(&master),
             "bus {}: master {} acquired twice",
-            self.cfg.name,
+            self.inner.cfg.name,
             core.masters[master.index()].name
         );
-        self.mark(&core, ctx, master, |l| l.req);
+        self.mark(&mut core, ctx, master, |l| l.req);
         if core.owner.is_none() {
             core.owner = Some(master);
             core.masters[master.index()].grants += 1;
-            self.mark(&core, ctx, master, |l| l.grant);
+            self.mark(&mut core, ctx, master, |l| l.grant);
             true
         } else {
             core.contended += 1;
             core.masters[master.index()].waiting_since = Some(ctx.now());
             core.queue.push(master);
-            self.mark(&core, ctx, master, |l| l.contend);
+            self.mark(&mut core, ctx, master, |l| l.contend);
             false
         }
     }
@@ -369,7 +355,7 @@ impl Bus {
     /// True while `master` owns the bus.
     #[must_use]
     pub fn owns(&self, master: MasterId) -> bool {
-        self.core.lock().owner == Some(master)
+        self.inner.core.borrow().owner == Some(master)
     }
 
     /// Begins the data phase of a transfer of `bytes`, returning the
@@ -380,18 +366,18 @@ impl Bus {
     ///
     /// Panics if `master` does not own the bus.
     pub fn transfer_begin(&self, ctx: &ProcCtx, master: MasterId, bytes: u64) -> Duration {
-        let dur = self.cfg.transfer_time(bytes);
-        let mut core = self.core.lock();
+        let dur = self.inner.cfg.transfer_time(bytes);
+        let mut core = self.inner.core.borrow_mut();
         assert_eq!(
             core.owner,
             Some(master),
             "bus {}: transfer without ownership",
-            self.cfg.name
+            self.inner.cfg.name
         );
         core.transactions += 1;
         core.bytes += bytes;
         core.busy += dur;
-        self.record(&core, ctx, master, |t, track, labels, name| {
+        self.record(&mut core, ctx, master, |t, track, labels, name| {
             let label = match labels.xfer {
                 Some((b, label)) if b == bytes => label,
                 _ => {
@@ -407,14 +393,14 @@ impl Bus {
 
     /// Ends the data phase begun by [`Bus::transfer_begin`].
     pub fn transfer_end(&self, ctx: &ProcCtx, master: MasterId) {
-        let core = self.core.lock();
+        let mut core = self.inner.core.borrow_mut();
         assert_eq!(
             core.owner,
             Some(master),
             "bus {}: transfer_end without ownership",
-            self.cfg.name
+            self.inner.cfg.name
         );
-        self.record(&core, ctx, master, |t, track, _, _| {
+        self.record(&mut core, ctx, master, |t, track, _, _| {
             t.span_end(ctx.now(), track);
         });
     }
@@ -428,18 +414,18 @@ impl Bus {
     ///
     /// Panics if `master` does not own the bus.
     pub fn release(&self, ctx: &ProcCtx, master: MasterId) -> Option<MasterId> {
-        let mut core = self.core.lock();
+        let mut core = self.inner.core.borrow_mut();
         assert_eq!(
             core.owner,
             Some(master),
             "bus {}: release without ownership",
-            self.cfg.name
+            self.inner.cfg.name
         );
         core.owner = None;
         if core.queue.is_empty() {
             return None;
         }
-        let pos = match self.cfg.arbitration {
+        let pos = match self.inner.cfg.arbitration {
             Arbitration::FixedPriority => {
                 // Min priority value; ties broken by request order.
                 let mut best = 0usize;
@@ -475,7 +461,7 @@ impl Bus {
         core.max_wait = core.max_wait.max(waited);
         core.owner = Some(next);
         core.masters[next.index()].grants += 1;
-        self.mark(&core, ctx, next, |l| l.grant);
+        self.mark(&mut core, ctx, next, |l| l.grant);
         Some(next)
     }
 
@@ -484,7 +470,7 @@ impl Bus {
     /// must stay structurally identical to the abstract channel it
     /// refines (no extra kernel operations, no extra records).
     pub fn count_zero_transfer(&self, bytes: u64) {
-        let mut core = self.core.lock();
+        let mut core = self.inner.core.borrow_mut();
         core.transactions += 1;
         core.bytes += bytes;
     }
@@ -492,9 +478,9 @@ impl Bus {
     /// Snapshot of the bus statistics.
     #[must_use]
     pub fn stats(&self) -> BusStats {
-        let core = self.core.lock();
+        let core = self.inner.core.borrow();
         BusStats {
-            name: self.cfg.name.clone(),
+            name: self.inner.cfg.name.clone(),
             transactions: core.transactions,
             bytes: core.bytes,
             busy: core.busy,

@@ -6,11 +6,9 @@
 //! Figure 7: "existing SLDL channels are reused by refining their internal
 //! synchronization primitives to map to corresponding RTOS calls".
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::Arc;
-
-use crate::sync::Mutex;
 
 use crate::ids::EventId;
 use crate::kernel::ProcCtx;
@@ -60,9 +58,9 @@ impl SldlSync {
     /// task name) is blocked on `resource` (e.g. a mutex name), which is
     /// currently held by `holder`. A waiter has at most one outstanding
     /// edge; declaring again replaces it. The kernel checks the declared
-    /// graph for cycles when all activity is exhausted (see
-    /// [`StallPolicy`](crate::StallPolicy)) and reports any cycle through
-    /// [`RunError::Deadlock`](crate::RunError::Deadlock).
+    /// graph for cycles when all activity is exhausted and reports any
+    /// cycle through [`RunError::Deadlock`](crate::RunError::Deadlock);
+    /// blocked processes without a cycle end the run normally.
     ///
     /// Synchronization layers built on the kernel (e.g. the RTOS model's
     /// mutex) call this when a process blocks on an owned resource and
@@ -104,34 +102,21 @@ impl SyncLayer for SldlSync {
 // Semaphore
 // ---------------------------------------------------------------------------
 
-struct SemState {
-    count: u64,
-}
-
 /// A counting semaphore channel (the `sem` of the paper's Figure 3 bus
 /// interface: the ISR releases it, the bus driver acquires it).
 ///
 /// Clonable; all clones share the same state.
+#[derive(Clone)]
 pub struct Semaphore<L: SyncLayer> {
     layer: L,
     ev: L::Ev,
-    state: Arc<Mutex<SemState>>,
-}
-
-impl<L: SyncLayer> Clone for Semaphore<L> {
-    fn clone(&self) -> Self {
-        Semaphore {
-            layer: self.layer.clone(),
-            ev: self.ev,
-            state: Arc::clone(&self.state),
-        }
-    }
+    count: Rc<Cell<u64>>,
 }
 
 impl<L: SyncLayer> core::fmt::Debug for Semaphore<L> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Semaphore")
-            .field("count", &self.state.lock().count)
+            .field("count", &self.count.get())
             .finish()
     }
 }
@@ -143,29 +128,22 @@ impl<L: SyncLayer> Semaphore<L> {
         Semaphore {
             layer,
             ev,
-            state: Arc::new(Mutex::new(SemState { count: initial })),
+            count: Rc::new(Cell::new(initial)),
         }
     }
 
     /// Blocks until a permit is available, then takes it.
     pub async fn acquire(&self, ctx: &ProcCtx) {
-        loop {
-            {
-                let mut st = self.state.lock();
-                if st.count > 0 {
-                    st.count -= 1;
-                    return;
-                }
-            }
+        while !self.try_acquire() {
             self.layer.ev_wait(ctx, self.ev).await;
         }
     }
 
     /// Takes a permit if one is available without blocking.
     pub fn try_acquire(&self) -> bool {
-        let mut st = self.state.lock();
-        if st.count > 0 {
-            st.count -= 1;
+        let count = self.count.get();
+        if count > 0 {
+            self.count.set(count - 1);
             true
         } else {
             false
@@ -174,14 +152,14 @@ impl<L: SyncLayer> Semaphore<L> {
 
     /// Returns a permit and wakes blocked acquirers.
     pub async fn release(&self, ctx: &ProcCtx) {
-        self.state.lock().count += 1;
+        self.count.set(self.count.get() + 1);
         self.layer.ev_notify(ctx, self.ev).await;
     }
 
     /// Current number of available permits.
     #[must_use]
     pub fn permits(&self) -> u64 {
-        self.state.lock().count
+        self.count.get()
     }
 }
 
@@ -189,9 +167,14 @@ impl<L: SyncLayer> Semaphore<L> {
 // Queue
 // ---------------------------------------------------------------------------
 
-struct QueueState<T> {
-    items: VecDeque<T>,
+struct QueueInner<T, L: SyncLayer> {
+    layer: L,
+    /// "Ready": notified when an item is enqueued.
+    erdy: L::Ev,
+    /// "Acknowledge": notified when an item is dequeued.
+    eack: L::Ev,
     capacity: Option<usize>,
+    items: RefCell<VecDeque<T>>,
 }
 
 /// A FIFO message queue channel (the `c_queue` of the paper's Figure 7),
@@ -199,31 +182,23 @@ struct QueueState<T> {
 ///
 /// Clonable; all clones share the same state.
 pub struct Queue<T, L: SyncLayer> {
-    layer: L,
-    /// "Ready": notified when an item is enqueued.
-    erdy: L::Ev,
-    /// "Acknowledge": notified when an item is dequeued.
-    eack: L::Ev,
-    state: Arc<Mutex<QueueState<T>>>,
+    inner: Rc<QueueInner<T, L>>,
 }
 
+// Written out because a derive would require `T: Clone`.
 impl<T, L: SyncLayer> Clone for Queue<T, L> {
     fn clone(&self) -> Self {
         Queue {
-            layer: self.layer.clone(),
-            erdy: self.erdy,
-            eack: self.eack,
-            state: Arc::clone(&self.state),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
 
 impl<T, L: SyncLayer> core::fmt::Debug for Queue<T, L> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let st = self.state.lock();
         f.debug_struct("Queue")
-            .field("len", &st.items.len())
-            .field("capacity", &st.capacity)
+            .field("len", &self.len())
+            .field("capacity", &self.inner.capacity)
             .finish()
     }
 }
@@ -248,51 +223,45 @@ impl<T, L: SyncLayer> Queue<T, L> {
         let erdy = layer.ev_new();
         let eack = layer.ev_new();
         Queue {
-            layer,
-            erdy,
-            eack,
-            state: Arc::new(Mutex::new(QueueState {
-                items: VecDeque::new(),
+            inner: Rc::new(QueueInner {
+                layer,
+                erdy,
+                eack,
                 capacity,
-            })),
+                items: RefCell::default(),
+            }),
         }
     }
 
     /// Enqueues `value`, blocking while the queue is full.
     pub async fn send(&self, ctx: &ProcCtx, value: T) {
-        let mut value = Some(value);
-        loop {
-            {
-                let mut st = self.state.lock();
-                let full = st.capacity.is_some_and(|c| st.items.len() >= c);
-                if !full {
-                    st.items
-                        .push_back(value.take().expect("value still pending"));
-                    break;
-                }
-            }
-            self.layer.ev_wait(ctx, self.eack).await;
+        let q = &*self.inner;
+        while q.capacity.is_some_and(|c| q.items.borrow().len() >= c) {
+            q.layer.ev_wait(ctx, q.eack).await;
         }
-        self.layer.ev_notify(ctx, self.erdy).await;
+        q.items.borrow_mut().push_back(value);
+        q.layer.ev_notify(ctx, q.erdy).await;
     }
 
     /// Dequeues the next value, blocking while the queue is empty.
     pub async fn recv(&self, ctx: &ProcCtx) -> T {
+        let q = &*self.inner;
         loop {
-            let popped = self.state.lock().items.pop_front();
+            let popped = q.items.borrow_mut().pop_front();
             if let Some(v) = popped {
-                self.layer.ev_notify(ctx, self.eack).await;
+                q.layer.ev_notify(ctx, q.eack).await;
                 return v;
             }
-            self.layer.ev_wait(ctx, self.erdy).await;
+            q.layer.ev_wait(ctx, q.erdy).await;
         }
     }
 
     /// Dequeues the next value if one is available, without blocking.
     pub async fn try_recv(&self, ctx: &ProcCtx) -> Option<T> {
-        let v = self.state.lock().items.pop_front();
+        let q = &*self.inner;
+        let v = q.items.borrow_mut().pop_front();
         if v.is_some() {
-            self.layer.ev_notify(ctx, self.eack).await;
+            q.layer.ev_notify(ctx, q.eack).await;
         }
         v
     }
@@ -300,13 +269,13 @@ impl<T, L: SyncLayer> Queue<T, L> {
     /// Number of queued items.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.state.lock().items.len()
+        self.inner.items.borrow().len()
     }
 
     /// Whether the queue holds no items.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.state.lock().items.is_empty()
+        self.inner.items.borrow().is_empty()
     }
 }
 
@@ -314,6 +283,7 @@ impl<T, L: SyncLayer> Queue<T, L> {
 // Handshake
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct HandshakeState {
     pending_senders: u64,
     pending_receivers: u64,
@@ -326,27 +296,17 @@ struct HandshakeState {
 /// of the paper's Figure 3 example).
 ///
 /// Clonable; all clones share the same state.
+#[derive(Clone)]
 pub struct Handshake<L: SyncLayer> {
     layer: L,
     sender_wake: L::Ev,
     receiver_wake: L::Ev,
-    state: Arc<Mutex<HandshakeState>>,
-}
-
-impl<L: SyncLayer> Clone for Handshake<L> {
-    fn clone(&self) -> Self {
-        Handshake {
-            layer: self.layer.clone(),
-            sender_wake: self.sender_wake,
-            receiver_wake: self.receiver_wake,
-            state: Arc::clone(&self.state),
-        }
-    }
+    state: Rc<RefCell<HandshakeState>>,
 }
 
 impl<L: SyncLayer> core::fmt::Debug for Handshake<L> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         f.debug_struct("Handshake")
             .field("pending_senders", &st.pending_senders)
             .field("pending_receivers", &st.pending_receivers)
@@ -363,19 +323,14 @@ impl<L: SyncLayer> Handshake<L> {
             layer,
             sender_wake,
             receiver_wake,
-            state: Arc::new(Mutex::new(HandshakeState {
-                pending_senders: 0,
-                pending_receivers: 0,
-                grants_to_senders: 0,
-                grants_to_receivers: 0,
-            })),
+            state: Rc::default(),
         }
     }
 
     /// Blocks until a receiver has arrived (or is already waiting).
     pub async fn send(&self, ctx: &ProcCtx) {
         let partner_waiting = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             if st.pending_receivers > 0 {
                 st.pending_receivers -= 1;
                 st.grants_to_receivers += 1;
@@ -391,7 +346,7 @@ impl<L: SyncLayer> Handshake<L> {
         }
         loop {
             self.layer.ev_wait(ctx, self.sender_wake).await;
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             if st.grants_to_senders > 0 {
                 st.grants_to_senders -= 1;
                 return;
@@ -402,7 +357,7 @@ impl<L: SyncLayer> Handshake<L> {
     /// Blocks until a sender has arrived (or is already waiting).
     pub async fn recv(&self, ctx: &ProcCtx) {
         let partner_waiting = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             if st.pending_senders > 0 {
                 st.pending_senders -= 1;
                 st.grants_to_senders += 1;
@@ -418,7 +373,7 @@ impl<L: SyncLayer> Handshake<L> {
         }
         loop {
             self.layer.ev_wait(ctx, self.receiver_wake).await;
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             if st.grants_to_receivers > 0 {
                 st.grants_to_receivers -= 1;
                 return;

@@ -131,8 +131,9 @@ pub enum AbortReason {
 /// is *not* by itself an error (server processes waiting forever are a
 /// normal modeling idiom); those processes are listed in
 /// [`Report::blocked`](crate::Report::blocked). It becomes
-/// [`RunError::Deadlock`] only when the declared wait-for graph contains a
-/// cycle (see [`StallPolicy`](crate::StallPolicy)).
+/// [`RunError::Deadlock`] only when the wait-for graph declared through
+/// [`SldlSync::declare_wait`](crate::SldlSync::declare_wait) contains a
+/// cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RunError {

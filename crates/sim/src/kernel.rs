@@ -145,28 +145,6 @@ pub struct Report {
     pub kernel: KernelStats,
 }
 
-/// What the kernel does when all activity is exhausted while processes are
-/// still blocked (a *stall*). Configured with
-/// [`SimulationBuilder::stall_policy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum StallPolicy {
-    /// Blocked processes end the run normally **unless** the declared
-    /// wait-for graph (see [`SldlSync::declare_wait`](crate::SldlSync))
-    /// contains a cycle, in which case the run fails with
-    /// [`RunError::Deadlock`]. The default: server processes blocked on
-    /// events that never come are a normal modeling idiom and never
-    /// declare edges, so they keep ending runs cleanly.
-    #[default]
-    FailOnWaitCycle,
-    /// Never fail on a stall, even with a declared wait cycle (the
-    /// pre-deadlock-detection behavior).
-    AllowBlocked,
-    /// The strictest liveness predicate: *any* blocked process at the end
-    /// of the run is an error.
-    FailIfAnyBlocked,
-}
-
 // ---------------------------------------------------------------------------
 // Kernel state
 // ---------------------------------------------------------------------------
@@ -314,7 +292,6 @@ struct State {
     /// Declared wait-for edges, keyed by waiter name (sorted for
     /// deterministic cycle reporting): waiter → (resource, holder).
     wait_graph: BTreeMap<String, (String, String)>,
-    stall_policy: StallPolicy,
     trace: Option<TraceHandle>,
     trace_kernel: bool,
     /// Kernel self-metrics, updated unconditionally (cheap integer stores;
@@ -443,8 +420,11 @@ impl State {
         self.note_ready_depth();
     }
 
-    /// Checks the configured liveness predicate at a stall (all activity
-    /// exhausted). Returns the error to fail the run with, if any.
+    /// Checks the declared wait-for graph at a stall (all activity
+    /// exhausted) and returns [`RunError::Deadlock`] if it has a cycle.
+    /// Blocked processes without a cycle end the run normally: server
+    /// processes blocked on events that never come are a normal modeling
+    /// idiom and never declare edges.
     fn stall_error(&self) -> Option<RunError> {
         let blocked: Vec<String> = self
             .procs
@@ -455,21 +435,11 @@ impl State {
         if blocked.is_empty() {
             return None;
         }
-        match self.stall_policy {
-            StallPolicy::AllowBlocked => None,
-            StallPolicy::FailOnWaitCycle => {
-                self.find_wait_cycle().map(|cycle| RunError::Deadlock {
-                    at: self.now,
-                    cycle,
-                    blocked,
-                })
-            }
-            StallPolicy::FailIfAnyBlocked => Some(RunError::Deadlock {
-                at: self.now,
-                cycle: self.find_wait_cycle().unwrap_or_default(),
-                blocked,
-            }),
-        }
+        self.find_wait_cycle().map(|cycle| RunError::Deadlock {
+            at: self.now,
+            cycle,
+            blocked,
+        })
     }
 
     /// Finds a cycle in the declared wait-for graph, if one exists.
@@ -736,7 +706,7 @@ fn next_step(st: &mut State) -> Option<ProcessId> {
             continue;
         }
         // Quiescent: no ready process, no pending notification, no timed
-        // wake-up. The executor applies the stall policy.
+        // wake-up. The executor checks for a declared wait cycle.
         return None;
     }
 }
@@ -900,7 +870,6 @@ pub struct SimulationBuilder {
     fault_plan: Option<FaultPlan>,
     chaos_plan: Option<ChaosPlan>,
     invariants: Option<KernelInvariants>,
-    stall_policy: Option<StallPolicy>,
     trace: Option<TraceConfig>,
 }
 
@@ -910,7 +879,6 @@ impl core::fmt::Debug for SimulationBuilder {
             .field("fault_plan", &self.fault_plan)
             .field("chaos_plan", &self.chaos_plan)
             .field("invariants", &self.invariants)
-            .field("stall_policy", &self.stall_policy)
             .field("trace", &self.trace)
             .finish()
     }
@@ -942,13 +910,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Configures what happens when all activity is exhausted while
-    /// processes are still blocked (see [`StallPolicy`]).
-    pub fn stall_policy(mut self, policy: StallPolicy) -> Self {
-        self.stall_policy = Some(policy);
-        self
-    }
-
     /// Attaches a trace recorder; fetch the handle from the built
     /// simulation via [`Simulation::trace_handle`]. The buffer keeps every
     /// record unless [`TraceConfig::sink`] bounds it to a ring.
@@ -970,9 +931,6 @@ impl SimulationBuilder {
         if let Some(checks) = self.invariants {
             sim.install_invariants(checks);
         }
-        if let Some(policy) = self.stall_policy {
-            sim.install_stall_policy(policy);
-        }
         if let Some(config) = self.trace {
             sim.install_trace(config);
         }
@@ -982,14 +940,14 @@ impl SimulationBuilder {
 
 impl Simulation {
     /// Starts configuring a simulation declaratively. This is the only way
-    /// to set up pre-run kernel state (fault plan, stall policy, tracing).
+    /// to set up pre-run kernel state (fault plan, chaos plan, invariant
+    /// oracle, tracing).
     ///
     /// ```
-    /// use sldl_sim::{FaultPlan, Simulation, StallPolicy, TraceConfig};
+    /// use sldl_sim::{FaultPlan, Simulation, TraceConfig};
     ///
     /// let sim = Simulation::builder()
     ///     .fault_plan(FaultPlan::seeded(7).with_drop_notify(0.1))
-    ///     .stall_policy(StallPolicy::AllowBlocked)
     ///     .trace(TraceConfig::default())
     ///     .build();
     /// let trace = sim.trace_handle().expect("trace was configured");
@@ -1026,7 +984,6 @@ impl Simulation {
                 oracle: None,
                 invariant: None,
                 wait_graph: BTreeMap::new(),
-                stall_policy: StallPolicy::default(),
                 trace: None,
                 trace_kernel: false,
                 stats: KernelStats::default(),
@@ -1062,10 +1019,6 @@ impl Simulation {
         } else {
             Some(OracleState::new(checks))
         };
-    }
-
-    fn install_stall_policy(&mut self, policy: StallPolicy) {
-        self.shared.state.borrow_mut().stall_policy = policy;
     }
 
     fn install_trace(&mut self, config: TraceConfig) {

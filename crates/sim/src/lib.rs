@@ -63,9 +63,10 @@
 //!   scheduling decisions (same-delta dispatch order) and
 //!   the opt-in [`KernelInvariants`] oracle checking the kernel's own
 //!   consistency at delta-flush and teardown boundaries (see [`chaos`]).
-//! * [`StallPolicy`] / [`RunError::Deadlock`] — wait-for-graph deadlock
-//!   detection at quiescence, with edges declared by synchronization
-//!   layers through [`SldlSync::declare_wait`].
+//! * [`RunError::Deadlock`] — wait-for-graph deadlock detection at
+//!   quiescence, with edges declared by synchronization layers through
+//!   [`SldlSync::declare_wait`]; blocked processes without a declared
+//!   cycle end the run normally.
 //! * [`RunError::ModelMisuse`] — structured reporting of model misuse
 //!   (formerly bare panics), with `file:line` caller context.
 //! * [`RunError::InvariantViolation`] — structured reporting of oracle
@@ -80,7 +81,6 @@ mod ids;
 mod kernel;
 pub mod prelude;
 pub mod rng;
-pub mod sync;
 pub mod trace;
 
 mod time;
@@ -92,7 +92,7 @@ pub use chaos::{ChaosPlan, ChaosRecord, InjectedChaos, KernelInvariants};
 pub use error::{AbortReason, ModelError, RunError, WaitEdge};
 pub use fault::{FaultPlan, FaultRecord, InjectedFault, SpuriousRelease, WcetJitter};
 pub use ids::{EventId, ProcessId};
-pub use kernel::{Child, ProcCtx, Report, Simulation, SimulationBuilder, StallPolicy};
+pub use kernel::{Child, ProcCtx, Report, Simulation, SimulationBuilder};
 pub use rng::SmallRng;
 pub use time::SimTime;
 pub use trace::{

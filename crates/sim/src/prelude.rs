@@ -24,7 +24,7 @@ pub use crate::chaos::{ChaosPlan, ChaosRecord, InjectedChaos, KernelInvariants};
 pub use crate::error::{AbortReason, ModelError, RunError, WaitEdge};
 pub use crate::fault::{FaultPlan, FaultRecord, InjectedFault, SpuriousRelease, WcetJitter};
 pub use crate::ids::{EventId, ProcessId};
-pub use crate::kernel::{Child, ProcCtx, Report, Simulation, SimulationBuilder, StallPolicy};
+pub use crate::kernel::{Child, ProcCtx, Report, Simulation, SimulationBuilder};
 pub use crate::rng::SmallRng;
 pub use crate::time::SimTime;
 pub use crate::trace::{KernelStats, Record, RecordKind, Trace, TraceConfig, TraceHandle};

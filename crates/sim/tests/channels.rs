@@ -1,11 +1,10 @@
 //! Integration tests for the event-based channel library on the raw SLDL
 //! synchronization layer.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::time::Duration;
 
-use sldl_sim::sync::Mutex;
 use sldl_sim::{Child, Handshake, Queue, Semaphore, SimTime, Simulation};
 
 fn us(n: u64) -> Duration {
@@ -18,14 +17,14 @@ fn semaphore_isr_to_driver_pattern() {
     // the bus driver blocks on.
     let mut sim = Simulation::new();
     let sem = Semaphore::new(0, sim.sync_layer());
-    let served = Arc::new(AtomicU64::new(0));
+    let served = Rc::new(Cell::new(0));
 
     let s = sem.clone();
-    let count = Arc::clone(&served);
+    let count = Rc::clone(&served);
     sim.spawn(Child::new("driver", move |ctx| async move {
         for _ in 0..3 {
             s.acquire(&ctx).await;
-            count.fetch_add(1, Ordering::SeqCst);
+            count.set(count.get() + 1);
         }
     }));
     let s = sem.clone();
@@ -38,7 +37,7 @@ fn semaphore_isr_to_driver_pattern() {
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(served.load(Ordering::SeqCst), 3);
+    assert_eq!(served.get(), 3);
     assert_eq!(report.end_time, SimTime::from_micros(150));
 }
 
@@ -70,13 +69,13 @@ fn semaphore_try_acquire() {
 fn semaphore_multiple_waiters_each_need_a_release() {
     let mut sim = Simulation::new();
     let sem = Semaphore::new(0, sim.sync_layer());
-    let got = Arc::new(AtomicU64::new(0));
+    let got = Rc::new(Cell::new(0));
     for i in 0..3 {
         let s = sem.clone();
-        let g = Arc::clone(&got);
+        let g = Rc::clone(&got);
         sim.spawn(Child::new(format!("w{i}"), move |ctx| async move {
             s.acquire(&ctx).await;
-            g.fetch_add(1, Ordering::SeqCst);
+            g.set(g.get() + 1);
         }));
     }
     let s = sem.clone();
@@ -85,7 +84,7 @@ fn semaphore_multiple_waiters_each_need_a_release() {
         s.release(&ctx).await; // only one permit: exactly one waiter proceeds
     }));
     let report = sim.run().unwrap();
-    assert_eq!(got.load(Ordering::SeqCst), 1);
+    assert_eq!(got.get(), 1);
     assert_eq!(report.blocked.len(), 2);
 }
 
@@ -93,7 +92,7 @@ fn semaphore_multiple_waiters_each_need_a_release() {
 fn queue_passes_data_in_order() {
     let mut sim = Simulation::new();
     let q: Queue<u32, _> = Queue::bounded(4, sim.sync_layer());
-    let out = Arc::new(Mutex::new(Vec::new()));
+    let out = Rc::new(RefCell::new(Vec::new()));
 
     let tx = q.clone();
     sim.spawn(Child::new("producer", move |ctx| async move {
@@ -103,31 +102,31 @@ fn queue_passes_data_in_order() {
         }
     }));
     let rx = q.clone();
-    let o = Arc::clone(&out);
+    let o = Rc::clone(&out);
     sim.spawn(Child::new("consumer", move |ctx| async move {
         for _ in 0..10 {
             let v = rx.recv(&ctx).await;
-            o.lock().push(v);
+            o.borrow_mut().push(v);
         }
     }));
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(*out.lock(), (0..10).collect::<Vec<u32>>());
+    assert_eq!(*out.borrow(), (0..10).collect::<Vec<u32>>());
 }
 
 #[test]
 fn bounded_queue_backpressures_sender() {
     let mut sim = Simulation::new();
     let q: Queue<u32, _> = Queue::bounded(1, sim.sync_layer());
-    let sent_times = Arc::new(Mutex::new(Vec::new()));
+    let sent_times = Rc::new(RefCell::new(Vec::new()));
 
     let tx = q.clone();
-    let st = Arc::clone(&sent_times);
+    let st = Rc::clone(&sent_times);
     sim.spawn(Child::new("producer", move |ctx| async move {
         for i in 0..3 {
             tx.send(&ctx, i).await;
-            st.lock().push(ctx.now().as_micros());
+            st.borrow_mut().push(ctx.now().as_micros());
         }
     }));
     let rx = q.clone();
@@ -140,7 +139,7 @@ fn bounded_queue_backpressures_sender() {
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    let times = sent_times.lock().clone();
+    let times = sent_times.borrow().clone();
     // First send is immediate; each further send waits for a dequeue.
     assert_eq!(times, vec![0, 100, 200]);
 }
@@ -166,44 +165,44 @@ fn queue_try_recv() {
     let mut sim = Simulation::new();
     let q: Queue<u8, _> = Queue::bounded(2, sim.sync_layer());
     let q2 = q.clone();
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let s = Arc::clone(&seen);
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let s = Rc::clone(&seen);
     sim.spawn(Child::new("p", move |ctx| async move {
         let empty = q2.try_recv(&ctx).await;
-        s.lock().push(empty);
+        s.borrow_mut().push(empty);
         q2.send(&ctx, 9).await;
         let nine = q2.try_recv(&ctx).await;
-        s.lock().push(nine);
+        s.borrow_mut().push(nine);
         assert!(q2.is_empty());
     }));
     sim.run().unwrap();
-    assert_eq!(*seen.lock(), vec![None, Some(9)]);
+    assert_eq!(*seen.borrow(), vec![None, Some(9)]);
 }
 
 #[test]
 fn handshake_rendezvous_synchronizes_both_sides() {
     let mut sim = Simulation::new();
     let hs = Handshake::new(sim.sync_layer());
-    let times = Arc::new(Mutex::new(Vec::new()));
+    let times = Rc::new(RefCell::new(Vec::new()));
 
     let h = hs.clone();
-    let t = Arc::clone(&times);
+    let t = Rc::clone(&times);
     sim.spawn(Child::new("sender", move |ctx| async move {
         ctx.waitfor(us(10)).await;
         h.send(&ctx).await;
-        t.lock().push(("sender", ctx.now().as_micros()));
+        t.borrow_mut().push(("sender", ctx.now().as_micros()));
     }));
     let h = hs.clone();
-    let t = Arc::clone(&times);
+    let t = Rc::clone(&times);
     sim.spawn(Child::new("receiver", move |ctx| async move {
         ctx.waitfor(us(40)).await;
         h.recv(&ctx).await;
-        t.lock().push(("receiver", ctx.now().as_micros()));
+        t.borrow_mut().push(("receiver", ctx.now().as_micros()));
     }));
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    let times = times.lock().clone();
+    let times = times.borrow().clone();
     // Both complete at the later party's arrival time (40 us).
     assert!(times.contains(&("sender", 40)));
     assert!(times.contains(&("receiver", 40)));
@@ -213,58 +212,58 @@ fn handshake_rendezvous_synchronizes_both_sides() {
 fn handshake_receiver_first() {
     let mut sim = Simulation::new();
     let hs = Handshake::new(sim.sync_layer());
-    let done = Arc::new(AtomicU64::new(0));
+    let done = Rc::new(Cell::new(0));
 
     let h = hs.clone();
-    let d = Arc::clone(&done);
+    let d = Rc::clone(&done);
     sim.spawn(Child::new("receiver", move |ctx| async move {
         h.recv(&ctx).await;
-        d.fetch_add(1, Ordering::SeqCst);
+        d.set(d.get() + 1);
     }));
     let h = hs.clone();
-    let d = Arc::clone(&done);
+    let d = Rc::clone(&done);
     sim.spawn(Child::new("sender", move |ctx| async move {
         ctx.waitfor(us(5)).await;
         h.send(&ctx).await;
-        d.fetch_add(1, Ordering::SeqCst);
+        d.set(d.get() + 1);
     }));
 
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(done.load(Ordering::SeqCst), 2);
+    assert_eq!(done.get(), 2);
 }
 
 #[test]
 fn handshake_many_pairs_match_one_to_one() {
     let mut sim = Simulation::new();
     let hs = Handshake::new(sim.sync_layer());
-    let done = Arc::new(AtomicU64::new(0));
+    let done = Rc::new(Cell::new(0));
     for i in 0..4u64 {
         let h = hs.clone();
-        let d = Arc::clone(&done);
+        let d = Rc::clone(&done);
         sim.spawn(Child::new(format!("s{i}"), move |ctx| async move {
             ctx.waitfor(us(i)).await;
             h.send(&ctx).await;
-            d.fetch_add(1, Ordering::SeqCst);
+            d.set(d.get() + 1);
         }));
         let h = hs.clone();
-        let d = Arc::clone(&done);
+        let d = Rc::clone(&done);
         sim.spawn(Child::new(format!("r{i}"), move |ctx| async move {
             ctx.waitfor(us(10 + i)).await;
             h.recv(&ctx).await;
-            d.fetch_add(1, Ordering::SeqCst);
+            d.set(d.get() + 1);
         }));
     }
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty(), "blocked: {:?}", report.blocked);
-    assert_eq!(done.load(Ordering::SeqCst), 8);
+    assert_eq!(done.get(), 8);
 }
 
 #[test]
 fn queue_two_producers_one_consumer() {
     let mut sim = Simulation::new();
     let q: Queue<u64, _> = Queue::bounded(2, sim.sync_layer());
-    let sum = Arc::new(AtomicU64::new(0));
+    let sum = Rc::new(Cell::new(0));
     for p in 0..2u64 {
         let tx = q.clone();
         sim.spawn(Child::new(format!("prod{p}"), move |ctx| async move {
@@ -275,15 +274,15 @@ fn queue_two_producers_one_consumer() {
         }));
     }
     let rx = q.clone();
-    let s = Arc::clone(&sum);
+    let s = Rc::clone(&sum);
     sim.spawn(Child::new("consumer", move |ctx| async move {
         for _ in 0..10 {
             let v = rx.recv(&ctx).await;
-            s.fetch_add(v, Ordering::SeqCst);
+            s.set(s.get() + v);
         }
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
     // 0..5 + 10..15 summed
-    assert_eq!(sum.load(Ordering::SeqCst), 10 + 60);
+    assert_eq!(sum.get(), 10 + 60);
 }

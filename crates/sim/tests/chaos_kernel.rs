@@ -9,10 +9,10 @@
 //! * the invariant oracle never fires on a healthy kernel, chaotic or not,
 //!   and its presence does not change the simulated schedule.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
-use sldl_sim::sync::Mutex;
 use sldl_sim::{
     ChaosPlan, Child, FaultPlan, InjectedChaos, KernelInvariants, SimTime, Simulation, Trace,
     TraceConfig,
@@ -48,7 +48,7 @@ fn run_workload(
     let mut sim = builder.build();
     let trace = sim.trace_handle().expect("trace configured");
     let ev = sim.event_new();
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
 
     sim.spawn(Child::new("ticker", move |ctx| async move {
         for _ in 0..20 {
@@ -60,11 +60,11 @@ fn run_workload(
     // order they observe (and append to the log) is exactly the kernel's
     // dispatch order.
     for i in 0..3usize {
-        let l = Arc::clone(&log);
+        let l = Rc::clone(&log);
         sim.spawn(Child::new(format!("waiter{i}"), move |ctx| async move {
             for _ in 0..20 {
                 ctx.wait(ev).await;
-                l.lock().push((ctx.now().as_micros(), i));
+                l.borrow_mut().push((ctx.now().as_micros(), i));
                 // A little same-delta compute churn so ready queues of
                 // depth > 1 exist at dispatch time.
                 ctx.waitfor(Duration::ZERO).await;
@@ -73,7 +73,7 @@ fn run_workload(
     }
 
     let report = sim.run().expect("workload runs clean");
-    let log = Arc::try_unwrap(log).unwrap().into_inner();
+    let log = Rc::try_unwrap(log).unwrap().into_inner();
     (report.end_time, trace.snapshot(), report.chaos, log)
 }
 

@@ -7,10 +7,10 @@
 //! [`SmallRng`] (fixed seeds, many cases per property), so failures are
 //! reproducible from the printed seed alone.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
-use sldl_sim::sync::Mutex;
 use sldl_sim::{Child, SimTime, Simulation, SmallRng, TraceConfig};
 
 /// One scripted step of a random process.
@@ -64,12 +64,12 @@ fn run_workload(w: &Workload) -> (SimTime, Vec<String>, usize) {
         .build();
     let trace = sim.trace_handle().expect("trace configured");
     let events: Vec<_> = (0..w.num_events).map(|_| sim.event_new()).collect();
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
 
     for (i, script) in w.scripts.iter().enumerate() {
         let script = script.clone();
         let events = events.clone();
-        let log = Arc::clone(&log);
+        let log = Rc::clone(&log);
         sim.spawn(Child::new(format!("p{i}"), move |ctx| async move {
             for step in &script {
                 match step {
@@ -89,11 +89,12 @@ fn run_workload(w: &Workload) -> (SimTime, Vec<String>, usize) {
                     }
                 }
             }
-            log.lock().push(format!("{}@{}", ctx.name(), ctx.now()));
+            log.borrow_mut()
+                .push(format!("{}@{}", ctx.name(), ctx.now()));
         }));
     }
     let report = sim.run().expect("no panics in scripted workload");
-    let log = log.lock().clone();
+    let log = log.borrow().clone();
     (report.end_time, log, trace.len())
 }
 
@@ -121,22 +122,22 @@ fn pure_delay_processes_end_at_sum() {
             .collect();
 
         let mut sim = Simulation::new();
-        let finish_times = Arc::new(Mutex::new(Vec::new()));
+        let finish_times = Rc::new(RefCell::new(Vec::new()));
         for (i, ds) in delays.iter().enumerate() {
             let ds = ds.clone();
-            let ft = Arc::clone(&finish_times);
+            let ft = Rc::clone(&finish_times);
             sim.spawn(Child::new(format!("p{i}"), move |ctx| async move {
                 for d in &ds {
                     ctx.waitfor(Duration::from_micros(*d)).await;
                 }
-                ft.lock().push((ctx.name().to_string(), ctx.now()));
+                ft.borrow_mut().push((ctx.name().to_string(), ctx.now()));
             }));
         }
         let report = sim.run().unwrap();
         assert!(report.blocked.is_empty(), "seed {seed}");
         // Each process finishes exactly at the sum of its delays (true
         // parallelism: no serialization in the unscheduled model).
-        let fts = finish_times.lock().clone();
+        let fts = finish_times.borrow().clone();
         for (i, ds) in delays.iter().enumerate() {
             let expect = SimTime::from_micros(ds.iter().sum());
             let got = fts.iter().find(|(n, _)| n == &format!("p{i}")).unwrap().1;

@@ -2,11 +2,11 @@
 //! stale timers, same-instant boundaries, cancellation corner cases, and
 //! kernel-record tracing.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::time::Duration;
 
-use sldl_sim::sync::Mutex;
+use sldl_sim::bus::{Bus, BusConfig};
 use sldl_sim::trace::SuspendReason;
 use sldl_sim::{Child, ModelError, RecordKind, RunError, SimTime, Simulation, TraceConfig};
 
@@ -59,12 +59,12 @@ fn delayed_notify_on_deleted_event_is_dropped() {
     // discarded instead of waking anyone or panicking.
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    let woke = Arc::new(AtomicU64::new(0));
-    let w = Arc::clone(&woke);
+    let woke = Rc::new(Cell::new(0));
+    let w = Rc::clone(&woke);
     sim.spawn(Child::new("waiter", move |ctx| async move {
         let got = ctx.wait_timeout(e, us(100)).await;
         assert_eq!(got, None, "timeout, not the dead event");
-        w.fetch_add(1, Ordering::SeqCst);
+        w.set(w.get() + 1);
     }));
     sim.spawn(Child::new("deleter", move |ctx| async move {
         ctx.notify_delayed(e, us(50));
@@ -75,24 +75,24 @@ fn delayed_notify_on_deleted_event_is_dropped() {
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(woke.load(Ordering::SeqCst), 1);
+    assert_eq!(woke.get(), 1);
     assert_eq!(report.end_time, SimTime::from_micros(100));
 }
 
 #[test]
 fn run_until_exact_event_time_includes_the_event() {
     let mut sim = Simulation::new();
-    let hits = Arc::new(AtomicU64::new(0));
-    let h = Arc::clone(&hits);
+    let hits = Rc::new(Cell::new(0));
+    let h = Rc::clone(&hits);
     sim.spawn(Child::new("p", move |ctx| async move {
         ctx.waitfor(us(100)).await;
-        h.fetch_add(1, Ordering::SeqCst);
+        h.set(h.get() + 1);
         ctx.waitfor(us(100)).await;
-        h.fetch_add(1, Ordering::SeqCst);
+        h.set(h.get() + 1);
     }));
     let report = sim.run_until(SimTime::from_micros(100)).unwrap();
     // Activity at exactly t=100 still runs; the next (200) does not.
-    assert_eq!(hits.load(Ordering::SeqCst), 1);
+    assert_eq!(hits.get(), 1);
     assert_eq!(report.end_time, SimTime::from_micros(100));
 }
 
@@ -100,15 +100,15 @@ fn run_until_exact_event_time_includes_the_event() {
 fn multiple_notifies_same_delta_wake_once() {
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    let wakes = Arc::new(AtomicU64::new(0));
-    let w = Arc::clone(&wakes);
+    let wakes = Rc::new(Cell::new(0));
+    let w = Rc::clone(&wakes);
     sim.spawn(Child::new("waiter", move |ctx| async move {
         ctx.wait(e).await;
-        w.fetch_add(1, Ordering::SeqCst);
+        w.set(w.get() + 1);
         // If we were woken "twice", a second wait would return instantly;
         // it must block forever instead.
         ctx.wait(e).await;
-        w.fetch_add(1, Ordering::SeqCst);
+        w.set(w.get() + 1);
     }));
     sim.spawn(Child::new("notifier", move |ctx| async move {
         ctx.notify(e);
@@ -116,7 +116,7 @@ fn multiple_notifies_same_delta_wake_once() {
         ctx.notify(e);
     }));
     let report = sim.run().unwrap();
-    assert_eq!(wakes.load(Ordering::SeqCst), 1);
+    assert_eq!(wakes.get(), 1);
     assert_eq!(report.blocked, vec!["waiter".to_string()]);
 }
 
@@ -127,15 +127,16 @@ fn wait_any_deregisters_from_all_events() {
     let mut sim = Simulation::new();
     let a = sim.event_new();
     let b = sim.event_new();
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let l = Arc::clone(&log);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let l = Rc::clone(&log);
     sim.spawn(Child::new("waiter", move |ctx| async move {
         let first = ctx.wait_any(&[a, b]).await;
-        l.lock().push(("woke", first == a, ctx.now().as_micros()));
+        l.borrow_mut()
+            .push(("woke", first == a, ctx.now().as_micros()));
         // Now wait for b only; the earlier registration on b must be gone,
         // so this requires a *new* notify of b at t=20.
         ctx.wait(b).await;
-        l.lock().push(("woke-b", true, ctx.now().as_micros()));
+        l.borrow_mut().push(("woke-b", true, ctx.now().as_micros()));
     }));
     sim.spawn(Child::new("driver", move |ctx| async move {
         ctx.waitfor(us(10)).await;
@@ -145,23 +146,26 @@ fn wait_any_deregisters_from_all_events() {
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(*log.lock(), vec![("woke", true, 10), ("woke-b", true, 20)]);
+    assert_eq!(
+        *log.borrow(),
+        vec![("woke", true, 10), ("woke-b", true, 20)]
+    );
 }
 
 #[test]
 fn cancel_during_timed_wait_discards_stale_timer() {
     let mut sim = Simulation::new();
-    let victim_pid = Arc::new(Mutex::new(None));
-    let v = Arc::clone(&victim_pid);
+    let victim_pid = Rc::new(RefCell::new(None));
+    let v = Rc::clone(&victim_pid);
     sim.spawn(Child::new("victim", move |ctx| async move {
-        *v.lock() = Some(ctx.pid());
+        *v.borrow_mut() = Some(ctx.pid());
         ctx.waitfor(us(1_000)).await;
         unreachable!("cancelled during waitfor");
     }));
-    let v = Arc::clone(&victim_pid);
+    let v = Rc::clone(&victim_pid);
     sim.spawn(Child::new("canceller", move |ctx| async move {
         ctx.waitfor(us(10)).await;
-        ctx.cancel(v.lock().expect("victim registered"));
+        ctx.cancel(v.borrow().expect("victim registered"));
         // Outlive the victim's stale timer to prove it fires harmlessly.
         ctx.waitfor(us(2_000)).await;
     }));
@@ -227,11 +231,11 @@ fn kernel_records_cover_process_lifecycle() {
 #[test]
 fn deep_nested_par_stack() {
     // 16 levels of nested single-child pars exercise join bookkeeping.
-    fn nest(depth: u32, counter: Arc<AtomicU64>) -> Child {
+    fn nest(depth: u32, counter: Rc<Cell<u64>>) -> Child {
         Child::new(format!("level{depth}"), move |ctx| async move {
-            counter.fetch_add(1, Ordering::SeqCst);
+            counter.set(counter.get() + 1);
             if depth > 0 {
-                let c = Arc::clone(&counter);
+                let c = Rc::clone(&counter);
                 ctx.par(vec![nest(depth - 1, c)]).await;
             } else {
                 ctx.waitfor(us(1)).await;
@@ -239,11 +243,11 @@ fn deep_nested_par_stack() {
         })
     }
     let mut sim = Simulation::new();
-    let counter = Arc::new(AtomicU64::new(0));
-    sim.spawn(nest(16, Arc::clone(&counter)));
+    let counter = Rc::new(Cell::new(0));
+    sim.spawn(nest(16, Rc::clone(&counter)));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(counter.load(Ordering::SeqCst), 17);
+    assert_eq!(counter.get(), 17);
     assert_eq!(report.end_time, SimTime::from_micros(1));
 }
 
@@ -251,11 +255,11 @@ fn deep_nested_par_stack() {
 fn notify_delayed_zero_is_next_delta_not_lost() {
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    let woke = Arc::new(AtomicU64::new(0));
-    let w = Arc::clone(&woke);
+    let woke = Rc::new(Cell::new(0));
+    let w = Rc::clone(&woke);
     sim.spawn(Child::new("waiter", move |ctx| async move {
         ctx.wait(e).await;
-        w.fetch_add(1, Ordering::SeqCst);
+        w.set(w.get() + 1);
         assert_eq!(ctx.now(), SimTime::ZERO);
     }));
     sim.spawn(Child::new("notifier", move |ctx| async move {
@@ -263,7 +267,7 @@ fn notify_delayed_zero_is_next_delta_not_lost() {
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(woke.load(Ordering::SeqCst), 1);
+    assert_eq!(woke.get(), 1);
 }
 
 #[test]
@@ -276,4 +280,27 @@ fn simulation_debug_impl_reports_state() {
     let dbg = format!("{sim:?}");
     assert!(dbg.contains("Simulation"));
     assert!(dbg.contains("processes: 1"));
+}
+
+#[test]
+fn panic_inside_a_bus_call_leaves_the_bus_readable() {
+    // The second acquire trips the bus's assert while its state is
+    // borrowed; the run reports the panic and the state stays usable.
+    let mut sim = Simulation::new();
+    let bus = Bus::new(BusConfig::ideal("b"));
+    let m = bus.register_master("m", 0);
+    let b = bus.clone();
+    sim.spawn(Child::new("p", move |ctx| async move {
+        assert!(b.acquire(&ctx, m));
+        b.acquire(&ctx, m);
+    }));
+    match sim.run() {
+        Err(RunError::ProcessPanicked { process, message }) => {
+            assert_eq!(process, "p");
+            assert!(message.contains("acquired twice"), "{message}");
+        }
+        other => panic!("expected a process panic, got {other:?}"),
+    }
+    assert!(bus.owns(m));
+    assert_eq!(bus.stats().grants[0].grants, 1);
 }

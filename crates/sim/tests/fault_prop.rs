@@ -6,10 +6,10 @@
 //! for byte), empty fault log. Non-empty plans must be deterministic in
 //! their seed and actually log what they inject.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
-use sldl_sim::sync::Mutex;
 use sldl_sim::{
     Child, FaultPlan, InjectedFault, SimTime, Simulation, SmallRng, Trace, TraceConfig,
 };
@@ -32,7 +32,7 @@ fn run_workload(plan: Option<FaultPlan>) -> (SimTime, Trace, Vec<sldl_sim::Fault
     let mut sim = builder.build();
     let trace = sim.trace_handle().expect("trace configured");
     let ev = sim.event_new();
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
 
     sim.spawn(Child::new("producer", move |ctx| async move {
         for _ in 0..10 {
@@ -40,7 +40,7 @@ fn run_workload(plan: Option<FaultPlan>) -> (SimTime, Trace, Vec<sldl_sim::Fault
             ctx.notify(ev);
         }
     }));
-    let l = Arc::clone(&log);
+    let l = Rc::clone(&log);
     sim.spawn(Child::new("consumer", move |ctx| async move {
         for _ in 0..10 {
             if ctx.wait_timeout(ev, us(150)).await.is_some() {
@@ -49,12 +49,12 @@ fn run_workload(plan: Option<FaultPlan>) -> (SimTime, Trace, Vec<sldl_sim::Fault
                 let d = ctx.perturb_delay(us(20));
                 ctx.waitfor(d).await;
             }
-            l.lock().push(ctx.now().as_micros());
+            l.borrow_mut().push(ctx.now().as_micros());
         }
     }));
 
     let report = sim.run().expect("workload runs clean");
-    let log = Arc::try_unwrap(log).unwrap().into_inner();
+    let log = Rc::try_unwrap(log).unwrap().into_inner();
     (report.end_time, trace.snapshot(), report.faults, log)
 }
 
@@ -139,8 +139,8 @@ fn spurious_releases_fire_and_log() {
         .fault_plan(FaultPlan::seeded(5).with_spurious(ev, 1.0))
         .build();
     assert_eq!(sim.event_new(), ev, "event ids are deterministic");
-    let hits = Arc::new(Mutex::new(0u32));
-    let h = Arc::clone(&hits);
+    let hits = Rc::new(RefCell::new(0u32));
+    let h = Rc::clone(&hits);
     sim.spawn(Child::new("ticker", move |ctx| async move {
         for _ in 0..5 {
             ctx.waitfor(us(10)).await;
@@ -151,11 +151,11 @@ fn spurious_releases_fire_and_log() {
         // wake this loop.
         for _ in 0..3 {
             ctx.wait(ev).await;
-            *h.lock() += 1;
+            *h.borrow_mut() += 1;
         }
     }));
     let report = sim.run().unwrap();
-    assert_eq!(*hits.lock(), 3);
+    assert_eq!(*hits.borrow(), 3);
     assert!(report
         .faults
         .iter()

@@ -2,11 +2,10 @@
 //! notification, timed waits, par fork/join, cancellation, panics, and
 //! determinism.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::time::Duration;
 
-use sldl_sim::sync::Mutex;
 use sldl_sim::{Child, KernelStats, RunError, SimTime, Simulation};
 
 fn us(n: u64) -> Duration {
@@ -24,19 +23,19 @@ fn empty_simulation_ends_at_zero() {
 #[test]
 fn waitfor_advances_time() {
     let mut sim = Simulation::new();
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let s = Arc::clone(&seen);
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let s = Rc::clone(&seen);
     sim.spawn(Child::new("p", move |ctx| async move {
-        s.lock().push(ctx.now());
+        s.borrow_mut().push(ctx.now());
         ctx.waitfor(us(10)).await;
-        s.lock().push(ctx.now());
+        s.borrow_mut().push(ctx.now());
         ctx.waitfor(us(5)).await;
-        s.lock().push(ctx.now());
+        s.borrow_mut().push(ctx.now());
     }));
     let report = sim.run().unwrap();
     assert_eq!(report.end_time, SimTime::from_micros(15));
     assert_eq!(
-        *seen.lock(),
+        *seen.borrow(),
         vec![
             SimTime::ZERO,
             SimTime::from_micros(10),
@@ -48,27 +47,27 @@ fn waitfor_advances_time() {
 #[test]
 fn two_processes_interleave_by_time() {
     let mut sim = Simulation::new();
-    let order = Arc::new(Mutex::new(Vec::new()));
+    let order = Rc::new(RefCell::new(Vec::new()));
     for (name, delay) in [("slow", 20u64), ("fast", 5)] {
-        let o = Arc::clone(&order);
+        let o = Rc::clone(&order);
         sim.spawn(Child::new(name, move |ctx| async move {
             ctx.waitfor(us(delay)).await;
-            o.lock().push(name);
+            o.borrow_mut().push(name);
         }));
     }
     sim.run().unwrap();
-    assert_eq!(*order.lock(), vec!["fast", "slow"]);
+    assert_eq!(*order.borrow(), vec!["fast", "slow"]);
 }
 
 #[test]
 fn notify_wakes_waiter_in_next_delta_same_time() {
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    let woke_at = Arc::new(Mutex::new(None));
-    let w = Arc::clone(&woke_at);
+    let woke_at = Rc::new(RefCell::new(None));
+    let w = Rc::clone(&woke_at);
     sim.spawn(Child::new("waiter", move |ctx| async move {
         ctx.wait(e).await;
-        *w.lock() = Some(ctx.now());
+        *w.borrow_mut() = Some(ctx.now());
     }));
     sim.spawn(Child::new("notifier", move |ctx| async move {
         ctx.waitfor(us(7)).await;
@@ -78,7 +77,7 @@ fn notify_wakes_waiter_in_next_delta_same_time() {
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(*woke_at.lock(), Some(SimTime::from_micros(7)));
+    assert_eq!(*woke_at.borrow(), Some(SimTime::from_micros(7)));
 }
 
 #[test]
@@ -105,30 +104,30 @@ fn notify_within_same_delta_reaches_process_already_waiting() {
     // though the notifier ran "later" in the same delta.
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    let woken = Arc::new(AtomicU64::new(0));
-    let w = Arc::clone(&woken);
+    let woken = Rc::new(Cell::new(0));
+    let w = Rc::clone(&woken);
     sim.spawn(Child::new("waiter", move |ctx| async move {
         ctx.wait(e).await;
-        w.fetch_add(1, Ordering::SeqCst);
+        w.set(w.get() + 1);
     }));
     sim.spawn(Child::new("notifier", move |ctx| async move {
         ctx.notify(e);
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(woken.load(Ordering::SeqCst), 1);
+    assert_eq!(woken.get(), 1);
 }
 
 #[test]
 fn notify_wakes_all_waiters() {
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    let woken = Arc::new(AtomicU64::new(0));
+    let woken = Rc::new(Cell::new(0));
     for i in 0..5 {
-        let w = Arc::clone(&woken);
+        let w = Rc::clone(&woken);
         sim.spawn(Child::new(format!("waiter{i}"), move |ctx| async move {
             ctx.wait(e).await;
-            w.fetch_add(1, Ordering::SeqCst);
+            w.set(w.get() + 1);
         }));
     }
     sim.spawn(Child::new("notifier", move |ctx| async move {
@@ -137,24 +136,24 @@ fn notify_wakes_all_waiters() {
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(woken.load(Ordering::SeqCst), 5);
+    assert_eq!(woken.get(), 5);
 }
 
 #[test]
 fn notify_delayed_fires_at_absolute_time() {
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    let woke_at = Arc::new(Mutex::new(None));
-    let w = Arc::clone(&woke_at);
+    let woke_at = Rc::new(RefCell::new(None));
+    let w = Rc::clone(&woke_at);
     sim.spawn(Child::new("waiter", move |ctx| async move {
         ctx.wait(e).await;
-        *w.lock() = Some(ctx.now());
+        *w.borrow_mut() = Some(ctx.now());
     }));
     sim.spawn(Child::new("notifier", move |ctx| async move {
         ctx.notify_delayed(e, us(42));
     }));
     sim.run().unwrap();
-    assert_eq!(*woke_at.lock(), Some(SimTime::from_micros(42)));
+    assert_eq!(*woke_at.borrow(), Some(SimTime::from_micros(42)));
 }
 
 #[test]
@@ -162,43 +161,43 @@ fn wait_any_reports_cause() {
     let mut sim = Simulation::new();
     let a = sim.event_new();
     let b = sim.event_new();
-    let cause = Arc::new(Mutex::new(None));
-    let c = Arc::clone(&cause);
+    let cause = Rc::new(RefCell::new(None));
+    let c = Rc::clone(&cause);
     sim.spawn(Child::new("waiter", move |ctx| async move {
         let woke = ctx.wait_any(&[a, b]).await;
-        *c.lock() = Some(woke);
+        *c.borrow_mut() = Some(woke);
     }));
     sim.spawn(Child::new("notifier", move |ctx| async move {
         ctx.waitfor(us(1)).await;
         ctx.notify(b);
     }));
     sim.run().unwrap();
-    assert_eq!(*cause.lock(), Some(b));
+    assert_eq!(*cause.borrow(), Some(b));
 }
 
 #[test]
 fn wait_timeout_times_out() {
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    let outcome = Arc::new(Mutex::new(None));
-    let o = Arc::clone(&outcome);
+    let outcome = Rc::new(RefCell::new(None));
+    let o = Rc::clone(&outcome);
     sim.spawn(Child::new("waiter", move |ctx| async move {
         let r = ctx.wait_timeout(e, us(30)).await;
-        *o.lock() = Some((r, ctx.now()));
+        *o.borrow_mut() = Some((r, ctx.now()));
     }));
     sim.run().unwrap();
-    assert_eq!(*outcome.lock(), Some((None, SimTime::from_micros(30))));
+    assert_eq!(*outcome.borrow(), Some((None, SimTime::from_micros(30))));
 }
 
 #[test]
 fn wait_timeout_event_beats_timer() {
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    let outcome = Arc::new(Mutex::new(None));
-    let o = Arc::clone(&outcome);
+    let outcome = Rc::new(RefCell::new(None));
+    let o = Rc::clone(&outcome);
     sim.spawn(Child::new("waiter", move |ctx| async move {
         let r = ctx.wait_timeout(e, us(30)).await;
-        *o.lock() = Some((r, ctx.now()));
+        *o.borrow_mut() = Some((r, ctx.now()));
         // Sleep past the stale timer to prove it does not wake us again.
         ctx.waitfor(us(100)).await;
     }));
@@ -208,36 +207,36 @@ fn wait_timeout_event_beats_timer() {
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(*outcome.lock(), Some((Some(e), SimTime::from_micros(10))));
+    assert_eq!(*outcome.borrow(), Some((Some(e), SimTime::from_micros(10))));
     assert_eq!(report.end_time, SimTime::from_micros(110));
 }
 
 #[test]
 fn par_joins_all_children() {
     let mut sim = Simulation::new();
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let l = Arc::clone(&log);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let l = Rc::clone(&log);
     sim.spawn(Child::new("parent", move |ctx| async move {
-        l.lock().push(("parent-pre", ctx.now().as_micros()));
-        let l1 = Arc::clone(&l);
-        let l2 = Arc::clone(&l);
+        l.borrow_mut().push(("parent-pre", ctx.now().as_micros()));
+        let l1 = Rc::clone(&l);
+        let l2 = Rc::clone(&l);
         ctx.par(vec![
             Child::new("c1", move |ctx| async move {
                 ctx.waitfor(us(10)).await;
-                l1.lock().push(("c1", ctx.now().as_micros()));
+                l1.borrow_mut().push(("c1", ctx.now().as_micros()));
             }),
             Child::new("c2", move |ctx| async move {
                 ctx.waitfor(us(25)).await;
-                l2.lock().push(("c2", ctx.now().as_micros()));
+                l2.borrow_mut().push(("c2", ctx.now().as_micros()));
             }),
         ])
         .await;
-        l.lock().push(("parent-post", ctx.now().as_micros()));
+        l.borrow_mut().push(("parent-post", ctx.now().as_micros()));
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
     assert_eq!(
-        *log.lock(),
+        *log.borrow(),
         vec![
             ("parent-pre", 0),
             ("c1", 10),
@@ -250,19 +249,19 @@ fn par_joins_all_children() {
 #[test]
 fn nested_par() {
     let mut sim = Simulation::new();
-    let count = Arc::new(AtomicU64::new(0));
-    let c = Arc::clone(&count);
+    let count = Rc::new(Cell::new(0));
+    let c = Rc::clone(&count);
     sim.spawn(Child::new("root", move |ctx| async move {
         let mut children = Vec::new();
         for i in 0..3 {
-            let c = Arc::clone(&c);
+            let c = Rc::clone(&c);
             children.push(Child::new(format!("mid{i}"), move |ctx| async move {
                 let mut leaves = Vec::new();
                 for j in 0..4u64 {
-                    let c = Arc::clone(&c);
+                    let c = Rc::clone(&c);
                     leaves.push(Child::new(format!("leaf{i}.{j}"), move |ctx| async move {
                         ctx.waitfor(us(1 + j)).await;
-                        c.fetch_add(1, Ordering::SeqCst);
+                        c.set(c.get() + 1);
                     }));
                 }
                 ctx.par(leaves).await;
@@ -272,7 +271,7 @@ fn nested_par() {
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(count.load(Ordering::SeqCst), 12);
+    assert_eq!(count.get(), 12);
     assert_eq!(report.end_time, SimTime::from_micros(4));
 }
 
@@ -290,66 +289,66 @@ fn empty_par_returns_immediately() {
 #[test]
 fn detached_spawn_runs_concurrently() {
     let mut sim = Simulation::new();
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let l = Arc::clone(&log);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let l = Rc::clone(&log);
     sim.spawn(Child::new("main", move |ctx| async move {
-        let l2 = Arc::clone(&l);
+        let l2 = Rc::clone(&l);
         ctx.spawn(Child::new("bg", move |ctx| async move {
             ctx.waitfor(us(5)).await;
-            l2.lock().push("bg");
+            l2.borrow_mut().push("bg");
         }));
         ctx.waitfor(us(10)).await;
-        l.lock().push("main");
+        l.borrow_mut().push("main");
     }));
     sim.run().unwrap();
-    assert_eq!(*log.lock(), vec!["bg", "main"]);
+    assert_eq!(*log.borrow(), vec!["bg", "main"]);
 }
 
 #[test]
 fn cancel_unblocks_par_join() {
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    let victim_pid = Arc::new(Mutex::new(None));
-    let finished = Arc::new(AtomicU64::new(0));
-    let v = Arc::clone(&victim_pid);
-    let f = Arc::clone(&finished);
+    let victim_pid = Rc::new(RefCell::new(None));
+    let finished = Rc::new(Cell::new(0));
+    let v = Rc::clone(&victim_pid);
+    let f = Rc::clone(&finished);
     sim.spawn(Child::new("parent", move |ctx| async move {
-        let v_victim = Arc::clone(&v);
-        let v_killer = Arc::clone(&v);
-        let f2 = Arc::clone(&f);
+        let v_victim = Rc::clone(&v);
+        let v_killer = Rc::clone(&v);
+        let f2 = Rc::clone(&f);
         ctx.par(vec![
             Child::new("victim", move |ctx| async move {
-                *v_victim.lock() = Some(ctx.pid());
+                *v_victim.borrow_mut() = Some(ctx.pid());
                 ctx.wait(e).await; // never notified
                 unreachable!("victim must not resume");
             }),
             Child::new("killer", move |ctx| async move {
                 ctx.waitfor(us(10)).await;
-                let pid = v_killer.lock().expect("victim registered");
+                let pid = v_killer.borrow().expect("victim registered");
                 ctx.cancel(pid);
-                f2.fetch_add(1, Ordering::SeqCst);
+                f2.set(f2.get() + 1);
             }),
         ])
         .await;
-        f.fetch_add(10, Ordering::SeqCst);
+        f.set(f.get() + 10);
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty(), "blocked: {:?}", report.blocked);
-    assert_eq!(finished.load(Ordering::SeqCst), 11);
+    assert_eq!(finished.get(), 11);
 }
 
 #[test]
 fn cancel_finished_process_is_noop() {
     let mut sim = Simulation::new();
-    let pid_cell = Arc::new(Mutex::new(None));
-    let p = Arc::clone(&pid_cell);
+    let pid_cell = Rc::new(RefCell::new(None));
+    let p = Rc::clone(&pid_cell);
     sim.spawn(Child::new("short", move |ctx| async move {
-        *p.lock() = Some(ctx.pid());
+        *p.borrow_mut() = Some(ctx.pid());
     }));
-    let p = Arc::clone(&pid_cell);
+    let p = Rc::clone(&pid_cell);
     sim.spawn(Child::new("canceller", move |ctx| async move {
         ctx.waitfor(us(5)).await;
-        ctx.cancel(p.lock().expect("short ran first"));
+        ctx.cancel(p.borrow().expect("short ran first"));
     }));
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
@@ -373,17 +372,17 @@ fn process_panic_is_reported() {
 #[test]
 fn run_until_stops_at_bound() {
     let mut sim = Simulation::new();
-    let reached = Arc::new(AtomicU64::new(0));
-    let r = Arc::clone(&reached);
+    let reached = Rc::new(Cell::new(0));
+    let r = Rc::clone(&reached);
     sim.spawn(Child::new("ticker", move |ctx| async move {
         for _ in 0..100 {
             ctx.waitfor(us(10)).await;
-            r.fetch_add(1, Ordering::SeqCst);
+            r.set(r.get() + 1);
         }
     }));
     let report = sim.run_until(SimTime::from_micros(55)).unwrap();
     assert_eq!(report.end_time, SimTime::from_micros(55));
-    assert_eq!(reached.load(Ordering::SeqCst), 5);
+    assert_eq!(reached.get(), 5);
     assert_eq!(report.blocked, vec!["ticker".to_string()]);
 }
 
@@ -391,22 +390,22 @@ fn run_until_stops_at_bound() {
 fn waitfor_zero_yields_to_end_of_current_time() {
     let mut sim = Simulation::new();
     let e = sim.event_new();
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let l = Arc::clone(&log);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let l = Rc::clone(&log);
     sim.spawn(Child::new("a", move |ctx| async move {
         ctx.notify(e);
         ctx.waitfor(us(0)).await;
-        l.lock().push("a-after-yield");
+        l.borrow_mut().push("a-after-yield");
     }));
-    let l = Arc::clone(&log);
+    let l = Rc::clone(&log);
     sim.spawn(Child::new("b", move |ctx| async move {
         ctx.wait(e).await;
-        l.lock().push("b-woke");
+        l.borrow_mut().push("b-woke");
     }));
     sim.run().unwrap();
     // b wakes in the delta after a's notify; a's zero-waitfor resumes only
     // after all deltas at t=0 are done.
-    assert_eq!(*log.lock(), vec!["b-woke", "a-after-yield"]);
+    assert_eq!(*log.borrow(), vec!["b-woke", "a-after-yield"]);
 }
 
 #[test]
@@ -425,9 +424,9 @@ fn deterministic_across_runs() {
     fn run_once() -> (SimTime, Vec<String>) {
         let mut sim = Simulation::new();
         let e = sim.event_new();
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         for i in 0..8u64 {
-            let l = Arc::clone(&log);
+            let l = Rc::clone(&log);
             sim.spawn(Child::new(format!("p{i}"), move |ctx| async move {
                 ctx.waitfor(us(i % 3)).await;
                 if i % 2 == 0 {
@@ -436,11 +435,11 @@ fn deterministic_across_runs() {
                     let _ = ctx.wait_timeout(e, us(2)).await;
                 }
                 ctx.waitfor(us(i)).await;
-                l.lock().push(format!("{}@{}", ctx.name(), ctx.now()));
+                l.borrow_mut().push(format!("{}@{}", ctx.name(), ctx.now()));
             }));
         }
         let report = sim.run().unwrap();
-        let log = log.lock().clone();
+        let log = log.borrow().clone();
         (report.end_time, log)
     }
     let first = run_once();
@@ -452,19 +451,19 @@ fn deterministic_across_runs() {
 #[test]
 fn many_processes_scale() {
     let mut sim = Simulation::new();
-    let count = Arc::new(AtomicU64::new(0));
+    let count = Rc::new(Cell::new(0));
     for i in 0..200u64 {
-        let c = Arc::clone(&count);
+        let c = Rc::clone(&count);
         sim.spawn(Child::new(format!("w{i}"), move |ctx| async move {
             for _ in 0..10 {
                 ctx.waitfor(us(1 + i % 7)).await;
             }
-            c.fetch_add(1, Ordering::SeqCst);
+            c.set(c.get() + 1);
         }));
     }
     let report = sim.run().unwrap();
     assert!(report.blocked.is_empty());
-    assert_eq!(count.load(Ordering::SeqCst), 200);
+    assert_eq!(count.get(), 200);
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! Kernel-level stall/deadlock detection: the wait-for graph declared via
 //! [`SldlSync::declare_wait`] is checked for cycles when all activity is
-//! exhausted, governed by [`StallPolicy`].
+//! exhausted; blocked processes without a declared cycle end the run
+//! normally.
 
 use std::time::Duration;
 
-use sldl_sim::{Child, RunError, SimTime, Simulation, StallPolicy};
+use sldl_sim::{Child, RunError, SimTime, Simulation};
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -12,8 +13,8 @@ fn us(n: u64) -> Duration {
 
 #[test]
 fn blocked_server_without_edges_ends_normally() {
-    // The default policy keeps the classic idiom working: a server waiting
-    // forever on an event (no declared edges) ends the run cleanly.
+    // The classic idiom keeps working: a server waiting forever on an
+    // event (no declared edges) ends the run cleanly.
     let mut sim = Simulation::new();
     let e = sim.event_new();
     sim.spawn(Child::new("server", move |ctx| async move {
@@ -79,39 +80,6 @@ fn cleared_edge_defuses_detection() {
     }));
     let report = sim.run().unwrap();
     assert_eq!(report.blocked.len(), 2);
-}
-
-#[test]
-fn allow_blocked_policy_ignores_cycles() {
-    let mut sim = Simulation::builder()
-        .stall_policy(StallPolicy::AllowBlocked)
-        .build();
-    let e = sim.event_new();
-    let sync = sim.sync_layer();
-    sim.spawn(Child::new("a", move |ctx| async move {
-        sync.declare_wait("a", "m", "a"); // even a self-cycle
-        ctx.wait(e).await;
-    }));
-    let report = sim.run().unwrap();
-    assert_eq!(report.blocked, vec!["a".to_string()]);
-}
-
-#[test]
-fn fail_if_any_blocked_is_strict() {
-    let mut sim = Simulation::builder()
-        .stall_policy(StallPolicy::FailIfAnyBlocked)
-        .build();
-    let e = sim.event_new();
-    sim.spawn(Child::new("server", move |ctx| async move {
-        ctx.wait(e).await;
-    }));
-    match sim.run() {
-        Err(RunError::Deadlock { cycle, blocked, .. }) => {
-            assert!(cycle.is_empty(), "no declared edges");
-            assert_eq!(blocked, vec!["server".to_string()]);
-        }
-        other => panic!("expected strict stall failure, got {other:?}"),
-    }
 }
 
 #[test]

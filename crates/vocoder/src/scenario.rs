@@ -11,13 +11,13 @@
 //! * [`simulate_architecture`] — tasks run under one RTOS model instance
 //!   (the architecture model), decoder at higher priority.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use rtos_model::{
     MetricsSnapshot, Priority, Rtos, SchedAlg, TaskParams, TimeSlice, Watchdog, WatchdogAction,
 };
-use sldl_sim::sync::Mutex;
 use sldl_sim::{
     ChaosPlan, Child, FaultPlan, KernelInvariants, KernelStats, ProcCtx, Queue, RunError, SimTime,
     Simulation, SyncLayer, Trace, TraceConfig, TraceHandle,
@@ -227,7 +227,7 @@ fn spawn_pipeline<L: SyncLayer>(
     sim: &mut Simulation,
     layer: L,
     cfg: &VocoderConfig,
-    sink: Arc<Mutex<Sink>>,
+    sink: Rc<RefCell<Sink>>,
     exec: impl Execution,
 ) {
     // A/D → encoder: unbounded (samples arrive regardless of DSP load).
@@ -239,15 +239,15 @@ fn spawn_pipeline<L: SyncLayer>(
     // period; not an RTOS task in either model.
     let frames = cfg.frames;
     let seed = cfg.seed;
-    let originals: Arc<Mutex<Vec<Frame>>> = Arc::new(Mutex::new(Vec::new()));
+    let originals: Rc<RefCell<Vec<Frame>>> = Rc::default();
     let tx = enc_in.clone();
-    let originals_src = Arc::clone(&originals);
+    let originals_src = Rc::clone(&originals);
     let x = exec.clone();
     sim.spawn(Child::new("ad_source", move |ctx| async move {
         let mut src = SpeechSource::new(seed);
         for _ in 0..frames {
             let frame = src.next_frame(ctx.now());
-            originals_src.lock().push(frame.clone());
+            originals_src.borrow_mut().push(frame.clone());
             tx.send(&ctx, frame).await;
             x.source_kick(&ctx);
             ctx.waitfor(FRAME_PERIOD).await;
@@ -290,9 +290,9 @@ fn spawn_pipeline<L: SyncLayer>(
             }
             if let Some(encoded) = msg.payload {
                 let out = dec.decode(&encoded);
-                let mut s = sink.lock();
+                let mut s = sink.borrow_mut();
                 s.delays.push(ctx.now() - out.arrived);
-                let original = &originals.lock()[usize::try_from(out.seq).expect("seq fits")];
+                let original = &originals.borrow()[usize::try_from(out.seq).expect("seq fits")];
                 let snr = snr_db(&original.samples, &out.samples);
                 if snr.is_finite() {
                     s.snr_sum += snr;
@@ -306,13 +306,13 @@ fn spawn_pipeline<L: SyncLayer>(
 
 pub(crate) fn finish(
     report: Result<sldl_sim::Report, RunError>,
-    sink: &Arc<Mutex<Sink>>,
+    sink: &Rc<RefCell<Sink>>,
     metrics: Option<MetricsSnapshot>,
     trace: Option<TraceHandle>,
     started: std::time::Instant,
 ) -> Result<VocoderRun, RunError> {
     let report = report?;
-    let s = sink.lock();
+    let s = sink.borrow();
     Ok(VocoderRun {
         end_time: report.end_time,
         transcode_delays: s.delays.clone(),
@@ -350,8 +350,8 @@ pub fn simulate_unscheduled(cfg: &VocoderConfig) -> Result<VocoderRun, RunError>
     let mut sim = builder.build();
     let trace = sim.trace_handle();
     let layer = sim.sync_layer();
-    let sink = Arc::new(Mutex::new(Sink::default()));
-    spawn_pipeline(&mut sim, layer, cfg, Arc::clone(&sink), Unscheduled);
+    let sink: Rc<RefCell<Sink>> = Rc::default();
+    spawn_pipeline(&mut sim, layer, cfg, Rc::clone(&sink), Unscheduled);
     finish(sim.run(), &sink, None, trace, started)
 }
 
@@ -389,7 +389,7 @@ pub fn simulate_architecture(
     os.start(alg);
     os.set_time_slice(slice);
     os.set_context_switch_cost(cfg.switch_cost);
-    let sink = Arc::new(Mutex::new(Sink::default()));
+    let sink: Rc<RefCell<Sink>> = Rc::default();
 
     // Decoder health watchdog: armed before the pipeline, kicked on every
     // decoder stage, disarmed when the decoder task completes normally.
@@ -402,7 +402,7 @@ pub fn simulate_architecture(
         os: os.clone(),
         watchdog,
     };
-    spawn_pipeline(&mut sim, os.clone(), cfg, Arc::clone(&sink), exec);
+    spawn_pipeline(&mut sim, os.clone(), cfg, Rc::clone(&sink), exec);
     let report = sim.run();
     let end = match &report {
         Ok(r) => r.end_time,

@@ -15,12 +15,12 @@
 //! model transcodes exactly [`VocoderConfig::frames`] frames, just like
 //! the single-PE architecture model.
 
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use model_refine::{BusChannel, CrossFairness, SharedBus};
 use rtos_model::{MetricsSnapshot, Priority, Rtos, SchedAlg, TaskParams, TimeSlice};
 use sldl_sim::bus::{BusConfig, BusStats};
-use sldl_sim::sync::Mutex;
 use sldl_sim::{Child, KernelInvariants, Queue, RunError, SimTime, Simulation, TraceConfig};
 
 use crate::codec::{Decoder, Encoder};
@@ -154,8 +154,8 @@ pub fn simulate_split(
         wd
     });
 
-    let sink = Arc::new(Mutex::new(Sink::default()));
-    let acks_received = Arc::new(Mutex::new(0u64));
+    let sink: Rc<RefCell<Sink>> = Rc::default();
+    let acks_received: Rc<Cell<u64>> = Rc::default();
 
     // A/D → encoder: local unbounded queue on the encoder PE.
     let enc_in: Queue<Frame, Rtos> = Queue::unbounded(enc_os.clone());
@@ -163,15 +163,15 @@ pub fn simulate_split(
     // Source: the A/D converter interrupt on the encoder PE.
     let frames = cfg.frames;
     let seed = cfg.seed;
-    let originals: Arc<Mutex<Vec<Frame>>> = Arc::new(Mutex::new(Vec::new()));
+    let originals: Rc<RefCell<Vec<Frame>>> = Rc::default();
     let tx = enc_in.clone();
-    let originals_src = Arc::clone(&originals);
+    let originals_src = Rc::clone(&originals);
     let os_src = enc_os.clone();
     sim.spawn(Child::new("ad_source", move |ctx| async move {
         let mut src = SpeechSource::new(seed);
         for _ in 0..frames {
             let frame = src.next_frame(ctx.now());
-            originals_src.lock().push(frame.clone());
+            originals_src.borrow_mut().push(frame.clone());
             tx.send(&ctx, frame).await;
             os_src.interrupt_return(&ctx);
             ctx.waitfor(FRAME_PERIOD).await;
@@ -206,7 +206,7 @@ pub fn simulate_split(
     // it can post the next subframe receive immediately.
     let timing = cfg.timing.clone();
     let total_subs = cfg.frames * cfg.timing.subframes as usize;
-    let sink2 = Arc::clone(&sink);
+    let sink2 = Rc::clone(&sink);
     let rx = link.clone();
     let ack_q: Queue<u64, Rtos> = Queue::unbounded(dec_os.clone());
     let ack_q_tx = ack_q.clone();
@@ -226,9 +226,9 @@ pub fn simulate_split(
             }
             if let Some(encoded) = msg.payload {
                 let out = dec.decode(&encoded);
-                let mut s = sink2.lock();
+                let mut s = sink2.borrow_mut();
                 s.delays.push(ctx.now() - out.arrived);
-                let original = &originals.lock()[usize::try_from(out.seq).expect("seq fits")];
+                let original = &originals.borrow()[usize::try_from(out.seq).expect("seq fits")];
                 let snr = crate::dsp::snr_db(&original.samples, &out.samples);
                 if snr.is_finite() {
                     s.snr_sum += snr;
@@ -269,13 +269,13 @@ pub fn simulate_split(
     // stream on the bus.
     let ack_rx = ack.clone();
     let os = enc_os.clone();
-    let acks2 = Arc::clone(&acks_received);
+    let acks2 = Rc::clone(&acks_received);
     sim.spawn(Child::new("status", move |ctx| async move {
         let me = os.task_create(&TaskParams::aperiodic("status", Priority(1)));
         os.task_activate(&ctx, me).await;
         for _ in 0..total_subs {
             ack_rx.recv(&ctx).await;
-            *acks2.lock() += 1;
+            acks2.set(acks2.get() + 1);
         }
         os.task_terminate(&ctx);
     }));
@@ -291,7 +291,7 @@ pub fn simulate_split(
         .collect();
     let mut run = finish(report, &sink, None, trace, started)?;
     run.context_switches = pe_metrics.iter().map(|(_, m)| m.context_switches).sum();
-    let acks = *acks_received.lock();
+    let acks = acks_received.get();
     Ok(SplitRun {
         run,
         bus: bus.stats(),
