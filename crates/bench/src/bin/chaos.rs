@@ -8,34 +8,35 @@
 //! dispatch-reorder chaos combined with notify-drop,
 //! notify-dup and WCET-jitter faults, every point with
 //! [`KernelInvariants::all`] and the RTOS scheduler-conformance checks
-//! armed. Model-level failures (watchdog expiries, detected deadlocks)
-//! are *expected* under faults and count as clean outcomes; a **chaos
-//! failure** is a kernel invariant violation, a panic, or a point
-//! exceeding the wall-clock watchdog — the farm quarantines the latter
-//! two as `degraded` instead of aborting the sweep.
+//! armed. Model-level failures (watchdog expiries, detected deadlocks,
+//! model misuse) are *expected* under faults and count as clean outcomes;
+//! a **chaos failure** is a kernel invariant violation, a panic (of a
+//! simulated process, or of the point itself, which the farm quarantines
+//! as `degraded`), or a zero-time loop (`RunError::ZeroTimeLoop`). Every
+//! verdict is a pure function of the point's spec and seed.
 //!
 //! When a failure is found (and `--shrink 1`, the default), the first one
 //! is minimized through four stages — drop entire fault kinds, halve the
 //! surviving rates (floor 0.01), bisect the workload size, narrow the
 //! chaos dispatch-decision window — and the result is written as a
-//! `rtos-sld-chaos-repro/1` JSON artifact replayable with
-//! `--repro PATH`: one seed plus two plans reproduce the failure.
+//! `rtos-sld-chaos-repro/2` JSON artifact replayable with
+//! `--repro PATH`: one seed plus two plans reproduce the failure, kind
+//! and message alike.
 //!
 //! The matrix itself is a set of declarative [`ScenarioSpec`] points on
-//! the shared [`SweepApp`] skeleton (watchdog-guarded farm, `--json`
-//! document); the shrinker and replay pipeline stay bin-local.
+//! the shared [`SweepApp`] skeleton (farm, `--json` document); the
+//! shrinker and replay pipeline stay bin-local.
 //!
 //! Run with `cargo run -p bench --bin chaos -- [--frames N] [--seeds N]
 //! [--jobs N] [--seed S] [--oracle 0|1] [--shrink 0|1]
-//! [--watchdog-us US] [--repro-out PATH] [--repro PATH] [--json PATH]
-//! [--quiet]`. Exits nonzero iff chaos failures were
-//! found (or, in `--repro` mode, iff the artifact fails to reproduce).
+//! [--repro-out PATH] [--repro PATH] [--json PATH] [--quiet]`. Exits
+//! nonzero iff chaos failures were found (or, in `--repro` mode, iff the
+//! artifact fails to reproduce).
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use bench::cli::{self, SweepApp, SweepPoint};
-use bench::farm::{derive_seed, run_guarded, DegradedKind, Guarded, PointResult};
+use bench::farm::{catch_panic, derive_seed, PointResult};
 use bench::json::Json;
 use bench::scenario::{ScenarioOutcome, ScenarioSpec, Workload};
 use bench::TextTable;
@@ -45,9 +46,9 @@ const ABOUT: &str =
     "C1: chaos torture matrix (seed x ChaosPlan x FaultPlan) with auto-shrinking minimal repro";
 
 /// Artifact schema identifier.
-const REPRO_SCHEMA: &str = "rtos-sld-chaos-repro/1";
+const REPRO_SCHEMA: &str = "rtos-sld-chaos-repro/2";
 
-/// Upper bound on shrink trials; each trial is one guarded simulation.
+/// Upper bound on shrink trials; each trial is one simulation.
 const MAX_SHRINK_TRIALS: usize = 240;
 
 /// Smallest rate the halving stage will leave active.
@@ -94,10 +95,12 @@ enum FailureKind {
     /// The invariant oracle rejected the run
     /// (`RunError::InvariantViolation`).
     Invariant,
-    /// The point panicked and was quarantined by the farm.
+    /// A simulated process panicked (`RunError::ProcessPanicked`), or the
+    /// point itself panicked and the farm quarantined it.
     Panicked,
-    /// The point exceeded the wall-clock watchdog and was abandoned.
-    Overtime,
+    /// Simulated time stood still past the kernel's step limit
+    /// (`RunError::ZeroTimeLoop`).
+    ZeroTimeLoop,
 }
 
 impl FailureKind {
@@ -105,7 +108,7 @@ impl FailureKind {
         match self {
             FailureKind::Invariant => "invariant",
             FailureKind::Panicked => "panicked",
-            FailureKind::Overtime => "overtime",
+            FailureKind::ZeroTimeLoop => "zero_time_loop",
         }
     }
 
@@ -113,32 +116,37 @@ impl FailureKind {
         match s {
             "invariant" => Some(FailureKind::Invariant),
             "panicked" => Some(FailureKind::Panicked),
-            "overtime" => Some(FailureKind::Overtime),
+            "zero_time_loop" => Some(FailureKind::ZeroTimeLoop),
             _ => None,
         }
     }
 }
 
-/// Classifies a completed outcome: invariant violations are failures;
-/// model-level errors (watchdogs, deadlocks) are expected under faults.
+/// The chaos failure a failed run's status (its
+/// [`describe_run_error`](bench::scenario::describe_run_error) text)
+/// reports, if any. Model-level errors (watchdog expiries, deadlocks,
+/// misuse) are expected under faults and count as clean.
+fn failure_kind(status: &str) -> Option<FailureKind> {
+    if status.starts_with("kernel invariant") {
+        Some(FailureKind::Invariant)
+    } else if status.starts_with("process `") && status.contains("` panicked: ") {
+        Some(FailureKind::Panicked)
+    } else if status.starts_with("zero-time loop") {
+        Some(FailureKind::ZeroTimeLoop)
+    } else {
+        None
+    }
+}
+
 fn classify_outcome(o: &ScenarioOutcome) -> Option<(FailureKind, String)> {
-    (!o.completed && o.status.starts_with("kernel invariant"))
-        .then(|| (FailureKind::Invariant, o.status.clone()))
+    let kind = failure_kind(&o.status).filter(|_| !o.completed)?;
+    Some((kind, o.status.clone()))
 }
 
 fn classify(outcome: &PointResult<ScenarioOutcome>) -> Option<(FailureKind, String)> {
     match outcome {
         PointResult::Completed(o) => classify_outcome(o),
-        PointResult::Degraded(d) => {
-            let kind = match d.kind {
-                DegradedKind::Panicked => FailureKind::Panicked,
-                DegradedKind::Overtime => FailureKind::Overtime,
-                // `DegradedKind` is #[non_exhaustive]; treat future kinds
-                // as the most severe class until given their own bucket.
-                _ => FailureKind::Panicked,
-            };
-            Some((kind, d.message.clone()))
-        }
+        PointResult::Degraded(d) => Some((FailureKind::Panicked, d.message.clone())),
     }
 }
 
@@ -212,11 +220,11 @@ impl Repro {
             .get("kind")
             .and_then(Json::as_str)
             .and_then(FailureKind::from_str)
-            .ok_or("failure.kind must be invariant|panicked|overtime")?;
+            .ok_or("failure.kind must be invariant|panicked|zero_time_loop")?;
         let message = failure
             .get("message")
             .and_then(Json::as_str)
-            .unwrap_or_default()
+            .ok_or("failure.message must be a string")?
             .to_string();
 
         let fp = field("fault_plan")?;
@@ -263,24 +271,13 @@ impl Repro {
     }
 }
 
-/// Runs one candidate configuration on a guarded thread and classifies
-/// the result the same way the sweep does.
-fn run_candidate(
-    workload: &str,
-    frames: usize,
-    seed: u64,
-    faults: &FaultPlan,
-    chaos: &ChaosPlan,
-    watchdog: Duration,
-) -> Option<(FailureKind, String)> {
-    let spec = build_spec(workload, frames, faults, chaos, true);
-    match run_guarded(watchdog, move || spec.run_seeded(seed)) {
-        Guarded::Finished(o) => classify_outcome(&o),
-        Guarded::Panicked(message) => Some((FailureKind::Panicked, message)),
-        Guarded::Overtime => Some((
-            FailureKind::Overtime,
-            format!("exceeded the {} ms watchdog", watchdog.as_millis()),
-        )),
+/// Runs a repro's configuration and classifies the result the same way
+/// the sweep does.
+fn run_candidate(r: &Repro) -> Option<(FailureKind, String)> {
+    let spec = build_spec(&r.workload, r.frames, &r.faults, &r.chaos, true);
+    match catch_panic(|| spec.run_seeded(r.seed)) {
+        Ok(o) => classify_outcome(&o),
+        Err(message) => Some((FailureKind::Panicked, message)),
     }
 }
 
@@ -288,70 +285,42 @@ fn run_candidate(
 /// the *same failure kind* still reproduces.
 struct Shrinker {
     repro: Repro,
-    watchdog: Duration,
     trials: usize,
 }
 
 impl Shrinker {
-    fn new(repro: Repro, watchdog: Duration) -> Self {
-        Shrinker {
-            repro,
-            watchdog,
-            trials: 0,
-        }
+    fn new(repro: Repro) -> Self {
+        Shrinker { repro, trials: 0 }
     }
 
-    fn still_fails(&mut self, frames: usize, faults: &FaultPlan, chaos: &ChaosPlan) -> bool {
+    /// Runs `candidate` (within the trial budget) and adopts it if it
+    /// still fails with the same kind.
+    fn adopt_if_failing(&mut self, candidate: Repro) -> bool {
         if self.trials >= MAX_SHRINK_TRIALS {
             return false;
         }
         self.trials += 1;
-        let (workload, seed) = (self.repro.workload.clone(), self.repro.seed);
-        matches!(
-            run_candidate(&workload, frames, seed, faults, chaos, self.watchdog),
-            Some((kind, _)) if kind == self.repro.kind
-        )
+        let fails = matches!(run_candidate(&candidate), Some((kind, _)) if kind == self.repro.kind);
+        if fails {
+            self.repro = candidate;
+        }
+        fails
     }
 
     /// Stage 1: drop entire fault kinds while the failure persists.
     fn drop_fault_kinds(&mut self) {
+        // Each clears one fault kind and reports whether it was active.
+        let clears: [fn(&mut FaultPlan) -> bool; 4] = [
+            |f| f.wcet.take().is_some(),
+            |f| std::mem::take(&mut f.drop_notify) > 0.0,
+            |f| std::mem::take(&mut f.dup_notify) > 0.0,
+            |f| !std::mem::take(&mut f.spurious).is_empty(),
+        ];
         loop {
             let mut changed = false;
-            if self.repro.faults.wcet.is_some() {
-                let mut f = self.repro.faults.clone();
-                f.wcet = None;
-                let (frames, chaos) = (self.repro.frames, self.repro.chaos.clone());
-                if self.still_fails(frames, &f, &chaos) {
-                    self.repro.faults = f;
-                    changed = true;
-                }
-            }
-            if self.repro.faults.drop_notify > 0.0 {
-                let mut f = self.repro.faults.clone();
-                f.drop_notify = 0.0;
-                let (frames, chaos) = (self.repro.frames, self.repro.chaos.clone());
-                if self.still_fails(frames, &f, &chaos) {
-                    self.repro.faults = f;
-                    changed = true;
-                }
-            }
-            if self.repro.faults.dup_notify > 0.0 {
-                let mut f = self.repro.faults.clone();
-                f.dup_notify = 0.0;
-                let (frames, chaos) = (self.repro.frames, self.repro.chaos.clone());
-                if self.still_fails(frames, &f, &chaos) {
-                    self.repro.faults = f;
-                    changed = true;
-                }
-            }
-            if !self.repro.faults.spurious.is_empty() {
-                let mut f = self.repro.faults.clone();
-                f.spurious.clear();
-                let (frames, chaos) = (self.repro.frames, self.repro.chaos.clone());
-                if self.still_fails(frames, &f, &chaos) {
-                    self.repro.faults = f;
-                    changed = true;
-                }
+            for clear in clears {
+                let mut c = self.repro.clone();
+                changed |= clear(&mut c.faults) && self.adopt_if_failing(c);
             }
             if !changed {
                 break;
@@ -362,38 +331,23 @@ impl Shrinker {
     /// Stage 2: halve every surviving rate while the failure persists
     /// (floor [`RATE_FLOOR`]).
     fn halve_rates(&mut self) {
-        let fault_fields: [fn(&mut FaultPlan) -> Option<&mut f64>; 3] = [
-            |f| f.wcet.as_mut().map(|w: &mut WcetJitter| &mut w.probability),
-            |f| Some(&mut f.drop_notify),
-            |f| Some(&mut f.dup_notify),
+        let rates: [fn(&mut Repro) -> Option<&mut f64>; 4] = [
+            |r| Some(&mut r.faults.wcet.as_mut()?.probability),
+            |r| Some(&mut r.faults.drop_notify),
+            |r| Some(&mut r.faults.dup_notify),
+            |r| Some(&mut r.chaos.reorder),
         ];
-        for get in fault_fields {
+        for get in rates {
             loop {
-                let mut f = self.repro.faults.clone();
-                let Some(rate) = get(&mut f) else { break };
+                let mut c = self.repro.clone();
+                let Some(rate) = get(&mut c) else { break };
                 if *rate / 2.0 < RATE_FLOOR {
                     break;
                 }
                 *rate /= 2.0;
-                let (frames, chaos) = (self.repro.frames, self.repro.chaos.clone());
-                if self.still_fails(frames, &f, &chaos) {
-                    self.repro.faults = f;
-                } else {
+                if !self.adopt_if_failing(c) {
                     break;
                 }
-            }
-        }
-        loop {
-            let mut c = self.repro.chaos.clone();
-            if c.reorder / 2.0 < RATE_FLOOR {
-                break;
-            }
-            c.reorder /= 2.0;
-            let (frames, faults) = (self.repro.frames, self.repro.faults.clone());
-            if self.still_fails(frames, &faults, &c) {
-                self.repro.chaos = c;
-            } else {
-                break;
             }
         }
     }
@@ -405,46 +359,43 @@ impl Shrinker {
         // Invariant: `hi` frames reproduce the failure.
         while lo < hi {
             let mid = usize::midpoint(lo, hi);
-            let (faults, chaos) = (self.repro.faults.clone(), self.repro.chaos.clone());
-            if self.still_fails(mid, &faults, &chaos) {
+            let c = Repro {
+                frames: mid,
+                ..self.repro.clone()
+            };
+            if self.adopt_if_failing(c) {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
-        self.repro.frames = hi;
     }
 
     /// Stage 4: narrow the chaos dispatch-decision window — smallest
     /// power-of-two `hi` with `[0, hi)` still failing, then binary-search
     /// `lo` upward.
     fn narrow_window(&mut self) {
+        let window = |r: &Repro, lo, hi| Repro {
+            chaos: r.chaos.clone().with_window(lo, hi),
+            ..r.clone()
+        };
         let mut hi = 1u64;
-        let mut found = None;
-        while hi <= 1 << 20 && self.trials < MAX_SHRINK_TRIALS {
-            let c = self.repro.chaos.clone().with_window(0, hi);
-            let (frames, faults) = (self.repro.frames, self.repro.faults.clone());
-            if self.still_fails(frames, &faults, &c) {
-                found = Some(hi);
-                break;
-            }
+        while !self.adopt_if_failing(window(&self.repro, 0, hi)) {
             hi *= 2;
+            if hi > 1 << 20 {
+                return;
+            }
         }
-        let Some(hi) = found else { return };
-        self.repro.chaos = self.repro.chaos.clone().with_window(0, hi);
         // Invariant: `[lo, hi)` reproduces the failure.
         let (mut lo, mut bound) = (0u64, hi);
         while lo + 1 < bound {
             let mid = u64::midpoint(lo, bound);
-            let c = self.repro.chaos.clone().with_window(mid, hi);
-            let (frames, faults) = (self.repro.frames, self.repro.faults.clone());
-            if self.still_fails(frames, &faults, &c) {
+            if self.adopt_if_failing(window(&self.repro, mid, hi)) {
                 lo = mid;
             } else {
                 bound = mid;
             }
         }
-        self.repro.chaos = self.repro.chaos.clone().with_window(lo, hi);
     }
 
     fn shrink(mut self) -> (Repro, usize) {
@@ -452,13 +403,20 @@ impl Shrinker {
         self.halve_rates();
         self.bisect_frames();
         self.narrow_window();
+        // The stages compare failure kinds only, so the message still
+        // describes the unshrunk run. Record what the minimal
+        // configuration itself reports: replay checks both.
+        if let Some((kind, message)) = run_candidate(&self.repro) {
+            self.repro.kind = kind;
+            self.repro.message = message;
+        }
         (self.repro, self.trials)
     }
 }
 
 /// `--repro PATH` mode: replay a minimal-repro artifact and report
-/// whether the recorded failure kind reproduces.
-fn replay(path: &Path, watchdog: Duration, quiet: bool) -> i32 {
+/// whether the recorded failure (kind and message) reproduces.
+fn replay(path: &Path, quiet: bool) -> i32 {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -490,16 +448,8 @@ fn replay(path: &Path, watchdog: Duration, quiet: bool) -> i32 {
             repro.kind.as_str()
         );
     }
-    let observed = run_candidate(
-        &repro.workload,
-        repro.frames,
-        repro.seed,
-        &repro.faults,
-        &repro.chaos,
-        watchdog,
-    );
-    match observed {
-        Some((kind, message)) if kind == repro.kind => {
+    match run_candidate(&repro) {
+        Some((kind, message)) if kind == repro.kind && message == repro.message => {
             if !quiet {
                 println!("reproduced: {} — {message}", kind.as_str());
             }
@@ -507,9 +457,10 @@ fn replay(path: &Path, watchdog: Duration, quiet: bool) -> i32 {
         }
         Some((kind, message)) => {
             eprintln!(
-                "not reproduced: observed {} — {message} (artifact recorded {})",
+                "not reproduced: observed {} — {message} (artifact recorded {} — {})",
                 kind.as_str(),
-                repro.kind.as_str()
+                repro.kind.as_str(),
+                repro.message
             );
             1
         }
@@ -542,11 +493,6 @@ fn main() {
             ("oracle", "0|1", "arm the invariant oracle (default 1)"),
             ("shrink", "0|1", "auto-shrink the first failure (default 1)"),
             (
-                "watchdog-us",
-                "US",
-                "per-point wall-clock watchdog in microseconds (default 5000000)",
-            ),
-            (
                 "repro-out",
                 "PATH",
                 "where to write the minimal-repro artifact (default chaos_repro.json)",
@@ -558,9 +504,8 @@ fn main() {
             ),
         ],
     );
-    let watchdog = Duration::from_micros(args.extra_or("watchdog-us", 5_000_000u64));
     if let Some(path) = args.extra("repro") {
-        std::process::exit(replay(&PathBuf::from(path), watchdog, args.quiet));
+        std::process::exit(replay(&PathBuf::from(path), args.quiet));
     }
 
     let frames = args.frames.unwrap_or(4);
@@ -611,8 +556,7 @@ fn main() {
     let app = SweepApp::new("chaos", args)
         .header("frames", Json::U64(frames as u64))
         .header("seeds_per_cell", Json::U64(seeds as u64))
-        .header("oracle", Json::Bool(oracle))
-        .watchdog(watchdog);
+        .header("oracle", Json::Bool(oracle));
     let run = app.run(&points);
 
     struct Failure {
@@ -700,13 +644,7 @@ fn main() {
         return;
     }
 
-    // Prefer shrinking a deterministic failure (invariant/panic) over an
-    // overtime one — a hang is reproducible too, but every shrink trial
-    // would cost a full watchdog timeout.
-    let first = failures
-        .iter()
-        .find(|f| f.kind != FailureKind::Overtime)
-        .unwrap_or(&failures[0]);
+    let first = &failures[0];
     if shrink {
         let l = &labels[first.index];
         let repro = Repro {
@@ -734,7 +672,7 @@ fn main() {
                 first.message
             );
         }
-        let (minimal, trials) = Shrinker::new(repro, watchdog).shrink();
+        let (minimal, trials) = Shrinker::new(repro).shrink();
         match minimal.to_json().write_to(&repro_out) {
             Ok(()) => {
                 if !app.args.quiet {
@@ -764,4 +702,63 @@ fn main() {
         points.len()
     );
     std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bench::scenario::describe_run_error;
+
+    #[test]
+    fn run_errors_map_to_failure_kinds() {
+        let at = SimTime::from_micros(3);
+        let cases = [
+            (
+                RunError::InvariantViolation {
+                    invariant: "delta-monotonicity",
+                    subject: "delta generation 3".into(),
+                    details: "flush generation 3 does not exceed the previous flush's 3".into(),
+                    at,
+                },
+                Some(FailureKind::Invariant),
+            ),
+            (
+                RunError::ProcessPanicked {
+                    process: "decoder".into(),
+                    message: "index out of bounds".into(),
+                },
+                Some(FailureKind::Panicked),
+            ),
+            (
+                RunError::ZeroTimeLoop {
+                    at,
+                    steps: 1_000_001,
+                    woken: vec!["spinner".into()],
+                },
+                Some(FailureKind::ZeroTimeLoop),
+            ),
+            (
+                RunError::WatchdogExpired {
+                    watchdog: "decoder".into(),
+                    at,
+                },
+                None,
+            ),
+            (
+                RunError::Deadlock {
+                    at,
+                    cycle: vec![WaitEdge {
+                        waiter: "a".into(),
+                        resource: "m".into(),
+                        holder: "a".into(),
+                    }],
+                    blocked: vec!["a".into()],
+                },
+                None,
+            ),
+        ];
+        for (err, want) in cases {
+            assert_eq!(failure_kind(&describe_run_error(&err)), want, "{err}");
+        }
+    }
 }

@@ -27,9 +27,8 @@ use bench::json::Json;
 use bench::scenario::{ScenarioOutcome, ScenarioSpec, Workload};
 use bench::stats::Aggregate;
 use bench::TextTable;
-use rtos_model::{MissPolicy, Priority, SchedAlg, WatchdogAction};
+use rtos_model::{MissPolicy, Priority, SchedAlg};
 use sldl_sim::prelude::*;
-use vocoder::WatchdogSpec;
 
 const ABOUT: &str =
     "R1: vocoder fault-injection sweep per scheduler + deadline-miss-policy ablation";
@@ -45,13 +44,6 @@ fn algs() -> [(&'static str, SchedAlg); 3] {
             },
         ),
     ]
-}
-
-fn watchdog(timeout: Duration) -> WatchdogSpec {
-    WatchdogSpec {
-        timeout,
-        action: WatchdogAction::AbortRun,
-    }
 }
 
 /// The point's section tag (`r1a`/`r1b`/`r1c`): always its first param.
@@ -76,7 +68,7 @@ fn build_points(frames: usize, wd_timeout: Duration) -> Vec<SweepPoint> {
                     .frames(frames)
                     .sched(alg)
                     .faults(FaultPlan::none().with_wcet_jitter(rate, 2.0))
-                    .watchdog(watchdog(wd_timeout)),
+                    .watchdog(wd_timeout),
                 )
                 .param("section", Json::str("r1a"))
                 .param("jitter_rate", Json::Num(rate))
@@ -97,7 +89,7 @@ fn build_points(frames: usize, wd_timeout: Duration) -> Vec<SweepPoint> {
             .frames(frames)
             .faults(FaultPlan::none().with_drop_notify(rate));
             if armed {
-                spec = spec.watchdog(watchdog(wd_timeout));
+                spec = spec.watchdog(wd_timeout);
             }
             points.push(
                 SweepPoint::new(spec)

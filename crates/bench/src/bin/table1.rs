@@ -60,11 +60,8 @@ fn main() {
             PointResult::Completed(o) => o,
             PointResult::Degraded(d) => {
                 eprintln!(
-                    "error: table1 point {} {} (seed {}): {}",
-                    d.index,
-                    d.kind.as_str(),
-                    d.seed,
-                    d.message
+                    "error: table1 point {} panicked (seed {}): {}",
+                    d.index, d.seed, d.message
                 );
                 std::process::exit(1);
             }

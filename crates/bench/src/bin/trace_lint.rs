@@ -22,16 +22,17 @@
 //!   string `name`, numeric `index`/`seed`, a string `status`, a boolean
 //!   `completed` and an all-numeric `metrics` object. An optional
 //!   `degraded` array (points the farm quarantined) must carry numeric
-//!   `index`/`seed`, a `kind` of `"panicked"`/`"overtime"`, and a string
-//!   `message`; a document may have an empty `points` array only when
-//!   `degraded` is non-empty. This lint gates on *shape*, never on
+//!   `index`/`seed`, the `kind` `"panicked"`, and a string `message`; a
+//!   document may have an empty `points` array only when `degraded` is
+//!   non-empty. This lint gates on *shape*, never on
 //!   metric values. A `comm_sweep` document must include the
 //!   zero-latency `ideal` point, and every completed point must carry the
 //!   full bus metric set (`bus_transactions`, `bus_bytes`, `bus_busy_us`,
 //!   `bus_max_wait_us`, `bus_contended`, `bus_bytes_per_sec`). For
-//!   `rtos-sld-chaos-repro/1` (the chaos minimal-repro artifact) the
+//!   `rtos-sld-chaos-repro/2` (the chaos minimal-repro artifact) the
 //!   replay coordinates are checked: string `workload`, numeric
-//!   `frames`/`seed`, a `failure` object with a known `kind`, and
+//!   `frames`/`seed`, a `failure` object with a `kind` of `"invariant"`,
+//!   `"panicked"` or `"zero_time_loop"` and a string `message`, and
 //!   `fault_plan`/`chaos_plan` objects with numeric rates. For
 //!   `rtos-sld-analysis/1` (the `analyze` bin's derived-analytics
 //!   document, see `bench::analyze`) the per-PE, per-task, preemption
@@ -132,7 +133,7 @@ fn lint_degraded(idx: usize, point: &Json) -> Result<(), String> {
         }
     }
     match field(fields, "kind") {
-        Some(Json::Str(k)) if k == "panicked" || k == "overtime" => {}
+        Some(Json::Str(k)) if k == "panicked" => {}
         Some(Json::Str(k)) => return Err(format!("degraded[{idx}] has unknown kind {k:?}")),
         _ => return Err(format!("degraded[{idx}] lacks a string `kind`")),
     }
@@ -145,7 +146,7 @@ fn lint_degraded(idx: usize, point: &Json) -> Result<(), String> {
 
 /// Checks a results document claiming a `schema` against `rtos-sld-bench/1`.
 fn lint_results(top: &[(String, Json)], schema: &str) -> Result<String, String> {
-    if schema == "rtos-sld-chaos-repro/1" {
+    if schema == "rtos-sld-chaos-repro/2" {
         return lint_chaos_repro(top);
     }
     if schema == "rtos-sld-analysis/1" {
@@ -239,8 +240,11 @@ fn lint_comm_sweep(points: &[Json]) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks a `rtos-sld-chaos-repro/1` minimal-repro artifact: the replay
-/// coordinates must be complete and well-typed.
+/// The failure kinds a `rtos-sld-chaos-repro/2` artifact may record.
+const REPRO_FAILURE_KINDS: [&str; 3] = ["invariant", "panicked", "zero_time_loop"];
+
+/// Checks a `rtos-sld-chaos-repro/2` minimal-repro artifact: the replay
+/// coordinates and the expected failure must be complete and well-typed.
 fn lint_chaos_repro(top: &[(String, Json)]) -> Result<String, String> {
     match field(top, "workload") {
         Some(Json::Str(_)) => {}
@@ -255,9 +259,12 @@ fn lint_chaos_repro(top: &[(String, Json)]) -> Result<String, String> {
         return Err("repro artifact lacks a `failure` object".into());
     };
     match field(failure, "kind") {
-        Some(Json::Str(k)) if matches!(k.as_str(), "invariant" | "panicked" | "overtime") => {}
+        Some(Json::Str(k)) if REPRO_FAILURE_KINDS.contains(&k.as_str()) => {}
         Some(Json::Str(k)) => return Err(format!("failure.kind {k:?} is unknown")),
         _ => return Err("failure lacks a string `kind`".into()),
+    }
+    if !matches!(field(failure, "message"), Some(Json::Str(_))) {
+        return Err("failure lacks a string `message`".into());
     }
     for (obj, keys) in [
         (
@@ -280,7 +287,7 @@ fn lint_chaos_repro(top: &[(String, Json)]) -> Result<String, String> {
             }
         }
     }
-    Ok("valid rtos-sld-chaos-repro/1 artifact".into())
+    Ok("valid rtos-sld-chaos-repro/2 artifact".into())
 }
 
 /// Checks a `rtos-sld-analysis/1` derived-analytics document (the
@@ -577,7 +584,7 @@ mod tests {
     fn degraded_sections_are_validated() {
         let ok = Json::parse(
             r#"{"schema":"rtos-sld-bench/1","bench":"chaos","base_seed":1,"points":[],
-                "degraded":[{"index":2,"seed":9,"kind":"overtime","message":"hung"}]}"#,
+                "degraded":[{"index":2,"seed":9,"kind":"panicked","message":"boom"}]}"#,
         )
         .unwrap();
         let Json::Obj(top) = &ok else { unreachable!() };
@@ -608,39 +615,47 @@ mod tests {
 
     #[test]
     fn chaos_repro_artifacts_are_validated() {
-        let ok = Json::parse(
-            r#"{"schema":"rtos-sld-chaos-repro/1","bench":"chaos","workload":"vocoder",
-                "frames":4,"seed":7,
-                "failure":{"kind":"invariant","message":"delta went backwards"},
-                "fault_plan":{"wcet_probability":0,"wcet_max_stretch":0,
-                              "drop_notify":0.075,"dup_notify":0},
-                "chaos_plan":{"reorder":0.5,"window":[0,8]}}"#,
-        )
-        .unwrap();
-        let Json::Obj(top) = &ok else { unreachable!() };
-        assert!(lint_results(top, "rtos-sld-chaos-repro/1").is_ok());
-
-        let bad = Json::parse(
-            r#"{"schema":"rtos-sld-chaos-repro/1","workload":"vocoder","frames":4,"seed":7,
-                "failure":{"kind":"cosmic-rays","message":"?"},
-                "fault_plan":{"wcet_probability":0,"wcet_max_stretch":0,
-                              "drop_notify":0,"dup_notify":0},
-                "chaos_plan":{"reorder":0,"window":null}}"#,
-        )
-        .unwrap();
-        let Json::Obj(top) = &bad else { unreachable!() };
-        assert!(lint_results(top, "rtos-sld-chaos-repro/1").is_err());
+        let repro = |schema: &str, kind: &str| {
+            Json::parse(&format!(
+                r#"{{"schema":"{schema}","bench":"chaos","workload":"vocoder",
+                    "frames":4,"seed":7,
+                    "failure":{{"kind":"{kind}","message":"delta went backwards"}},
+                    "fault_plan":{{"wcet_probability":0,"wcet_max_stretch":0,
+                                  "drop_notify":0.075,"dup_notify":0}},
+                    "chaos_plan":{{"reorder":0.5,"window":[0,8]}}}}"#
+            ))
+            .unwrap()
+        };
+        let lint = |doc: &Json, schema: &str| {
+            let Json::Obj(top) = doc else { unreachable!() };
+            lint_results(top, schema)
+        };
+        for kind in REPRO_FAILURE_KINDS {
+            let doc = repro("rtos-sld-chaos-repro/2", kind);
+            assert!(lint(&doc, "rtos-sld-chaos-repro/2").is_ok(), "{kind}");
+        }
+        let bad = repro("rtos-sld-chaos-repro/2", "cosmic-rays");
+        assert!(lint(&bad, "rtos-sld-chaos-repro/2").is_err());
+        // A `/1` artifact is rejected: it may record a host-time verdict.
+        let old = repro("rtos-sld-chaos-repro/1", "invariant");
+        assert!(lint(&old, "rtos-sld-chaos-repro/1").is_err());
 
         let missing_plan = Json::parse(
-            r#"{"schema":"rtos-sld-chaos-repro/1","workload":"vocoder","frames":4,"seed":7,
+            r#"{"schema":"rtos-sld-chaos-repro/2","workload":"vocoder","frames":4,"seed":7,
                 "failure":{"kind":"invariant","message":"x"},
                 "chaos_plan":{"reorder":0}}"#,
         )
         .unwrap();
-        let Json::Obj(top) = &missing_plan else {
-            unreachable!()
-        };
-        assert!(lint_results(top, "rtos-sld-chaos-repro/1").is_err());
+        assert!(lint(&missing_plan, "rtos-sld-chaos-repro/2").is_err());
+        // Replay compares messages, so the message is required.
+        let no_message = Json::parse(
+            &repro("rtos-sld-chaos-repro/2", "invariant")
+                .render()
+                .replace(r#""message": "delta went backwards""#, r#""note": "x""#),
+        )
+        .unwrap();
+        let err = lint(&no_message, "rtos-sld-chaos-repro/2").unwrap_err();
+        assert!(err.contains("message"), "{err}");
     }
 
     #[test]

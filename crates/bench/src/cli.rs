@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use crate::farm::{derive_seed, run_sweep, run_sweep_guarded, PointCtx, PointResult};
+use crate::farm::{derive_seed, run_sweep, PointCtx, PointResult};
 use crate::json::Json;
 use crate::results::ResultsDoc;
 use crate::scenario::{ScenarioOutcome, ScenarioSpec};
@@ -309,9 +309,9 @@ pub struct SweepRun {
     pub wall: Duration,
 }
 
-/// The shared skeleton of every sweep binary: farm execution (optionally
-/// watchdog-guarded), the farm summary line, the `--json` results
-/// document and the `--trace-out` export.
+/// The shared skeleton of every sweep binary: farm execution, the farm
+/// summary line, the `--json` results document and the `--trace-out`
+/// export.
 ///
 /// ```no_run
 /// use bench::cli::{self, SweepApp, SweepPoint};
@@ -340,7 +340,6 @@ pub struct SweepApp {
     /// extras, …).
     pub args: Args,
     headers: Vec<(String, Json)>,
-    watchdog: Option<Duration>,
     trace_point: usize,
 }
 
@@ -353,7 +352,6 @@ impl SweepApp {
             bench,
             args,
             headers: Vec::new(),
-            watchdog: None,
             trace_point: 0,
         }
     }
@@ -362,15 +360,6 @@ impl SweepApp {
     #[must_use]
     pub fn header(mut self, key: impl Into<String>, value: Json) -> Self {
         self.headers.push((key.into(), value));
-        self
-    }
-
-    /// Guards every point with a per-point wall-clock watchdog
-    /// ([`crate::farm::run_sweep_guarded`]) — for sweeps whose points can
-    /// hang under injected faults.
-    #[must_use]
-    pub fn watchdog(mut self, timeout: Duration) -> Self {
-        self.watchdog = Some(timeout);
         self
     }
 
@@ -393,12 +382,7 @@ impl SweepApp {
             }
         };
         let started = Instant::now();
-        let outcomes = match self.watchdog {
-            Some(timeout) => {
-                run_sweep_guarded(self.args.seed, self.args.jobs, timeout, points, runner)
-            }
-            None => run_sweep(self.args.seed, self.args.jobs, points, runner),
-        };
+        let outcomes = run_sweep(self.args.seed, self.args.jobs, points, runner);
         SweepRun {
             outcomes,
             wall: started.elapsed(),
@@ -417,21 +401,12 @@ impl SweepApp {
         aggregates: impl FnOnce(&mut ResultsDoc),
     ) {
         if !self.args.quiet {
-            match self.watchdog {
-                Some(wd) => println!(
-                    "\nfarm: {} points, jobs={}, watchdog {} ms, wall {}",
-                    points.len(),
-                    self.args.jobs,
-                    wd.as_millis(),
-                    crate::fmt_host(run.wall)
-                ),
-                None => println!(
-                    "\nfarm: {} points, jobs={}, wall {}",
-                    points.len(),
-                    self.args.jobs,
-                    crate::fmt_host(run.wall)
-                ),
-            }
+            println!(
+                "\nfarm: {} points, jobs={}, wall {}",
+                points.len(),
+                self.args.jobs,
+                crate::fmt_host(run.wall)
+            );
         }
 
         if let Some(path) = &self.args.json {

@@ -31,33 +31,24 @@
 //!
 //! Exploration sweeps intentionally visit hostile corners of the design
 //! space (chaos plans, fault plans, adversarial seeds), so a single
-//! panicking or hanging point must not abort the other thousands. Every
-//! point runs under `catch_unwind`; [`run_sweep_guarded`] additionally
-//! runs each point on a disposable thread with a wall-clock watchdog.
-//! Failed points come back as [`PointResult::Degraded`] carrying the
-//! panic message (or the overtime verdict), the point's seed and its
-//! index — enough to replay the failure in isolation — and are rendered
-//! into the `degraded` section of the results document instead of
-//! crashing the farm. Healthy points are unaffected: their results merge
-//! by index exactly as before, so the non-degraded portion of a document
-//! stays byte-identical for any `--jobs` value.
-
-#![expect(
-    clippy::disallowed_types,
-    reason = "the farm runs whole simulations on worker threads"
-)]
+//! panicking point must not abort the other thousands. Every point runs
+//! under [`catch_panic`]; a point that panics comes back as
+//! [`PointResult::Degraded`] carrying the panic message, the point's seed
+//! and its index — enough to replay the failure in isolation — and is
+//! rendered into the `degraded` section of the results document instead
+//! of crashing the farm. Healthy points are unaffected: their results
+//! merge by index exactly as before, so the non-degraded portion of a
+//! document stays byte-identical for any `--jobs` value.
+//!
+//! A model that loops without consuming simulated time fails its own run
+//! with [`RunError::ZeroTimeLoop`](sldl_sim::RunError::ZeroTimeLoop), so
+//! the farm needs no wall-clock guard and every verdict is a pure
+//! function of the point's spec and seed.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
 
 use sldl_sim::SmallRng;
-
-/// Default per-point wall-clock budget of [`run_sweep_guarded`]: generous
-/// enough for any legitimate sweep point in this workspace, small enough
-/// that a hung kernel is quarantined rather than stalling CI forever.
-pub const DEFAULT_POINT_WATCHDOG: Duration = Duration::from_secs(30);
 
 /// Derives the deterministic seed of sweep point `index` from the sweep's
 /// base seed, via SplitMix64 stream splitting (fork + one draw). Distinct
@@ -78,32 +69,6 @@ pub struct PointCtx {
     pub seed: u64,
 }
 
-/// Why a sweep point was quarantined.
-///
-/// Non-exhaustive: future farms may quarantine for new reasons (resource
-/// exhaustion, cancelled sweeps, …); downstream matches need a wildcard
-/// arm so adding one is not a breaking change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum DegradedKind {
-    /// The point's closure panicked (caught by `catch_unwind`).
-    Panicked,
-    /// The point exceeded its wall-clock watchdog (hung or deadlocked at
-    /// the host level); its thread was abandoned.
-    Overtime,
-}
-
-impl DegradedKind {
-    /// Stable string form used in results documents.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DegradedKind::Panicked => "panicked",
-            DegradedKind::Overtime => "overtime",
-        }
-    }
-}
-
 /// A quarantined sweep point: everything needed to replay the failure in
 /// isolation, rendered into the `degraded` section of the results
 /// document.
@@ -113,9 +78,7 @@ pub struct DegradedPoint {
     pub index: usize,
     /// The point's derived seed.
     pub seed: u64,
-    /// How the point failed.
-    pub kind: DegradedKind,
-    /// Panic message, or a description of the watchdog expiry.
+    /// The panic message.
     pub message: String,
 }
 
@@ -124,7 +87,7 @@ pub struct DegradedPoint {
 pub enum PointResult<R> {
     /// The point ran to completion.
     Completed(R),
-    /// The point panicked or overran its watchdog and was quarantined.
+    /// The point panicked and was quarantined.
     Degraded(DegradedPoint),
 }
 
@@ -164,15 +127,21 @@ pub fn partition<R>(outcomes: Vec<PointResult<R>>) -> (Vec<R>, Vec<DegradedPoint
     (completed, degraded)
 }
 
-/// Best-effort extraction of a human-readable panic message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Runs `f`, catching a panic as its best-effort message.
+///
+/// # Errors
+///
+/// Returns the panic message if `f` panicked.
+pub fn catch_panic<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }
+    })
 }
 
 /// Runs `f` over every point of `points` on `jobs` worker threads and
@@ -186,122 +155,28 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// A panicking point is caught and quarantined as
 /// [`PointResult::Degraded`] instead of aborting the sweep; the remaining
 /// points run to completion and stay byte-identical to a sweep without
-/// the bad point's output. Points that can *hang* (chaos/fault torture)
-/// should go through [`run_sweep_guarded`], which adds a wall-clock
-/// watchdog.
+/// the bad point's output.
+///
+/// Workers claim point indices `0..n` from a shared counter, and the
+/// outcomes are merged back in index order.
 pub fn run_sweep<P, R, F>(base_seed: u64, jobs: usize, points: &[P], f: F) -> Vec<PointResult<R>>
 where
     P: Sync,
     R: Send,
     F: Fn(PointCtx, &P) -> R + Sync,
 {
-    farm(
-        base_seed,
-        jobs,
-        points.len(),
-        |ctx| match std::panic::catch_unwind(AssertUnwindSafe(|| f(ctx, &points[ctx.index]))) {
-            Ok(r) => PointResult::Completed(r),
-            Err(payload) => PointResult::Degraded(DegradedPoint {
-                index: ctx.index,
-                seed: ctx.seed,
-                kind: DegradedKind::Panicked,
-                message: panic_message(payload.as_ref()),
-            }),
-        },
-    )
-}
-
-/// Outcome of [`run_guarded`]: completion, a caught panic, or a watchdog
-/// expiry.
-#[derive(Debug)]
-pub enum Guarded<R> {
-    /// The closure returned within the budget.
-    Finished(R),
-    /// The closure panicked; the message was captured.
-    Panicked(String),
-    /// The budget elapsed; the closure's thread was abandoned.
-    Overtime,
-}
-
-/// Runs `f` on a disposable thread with a wall-clock budget. If the
-/// budget elapses the thread is *abandoned* (it keeps running detached
-/// until process exit — the only portable way to survive a genuinely hung
-/// computation) and [`Guarded::Overtime`] is returned.
-pub fn run_guarded<R, F>(watchdog: Duration, f: F) -> Guarded<R>
-where
-    R: Send + 'static,
-    F: FnOnce() -> R + Send + 'static,
-{
-    let (tx, rx) = mpsc::channel();
-    std::thread::Builder::new()
-        .name("farm-point".into())
-        .spawn(move || {
-            let result = std::panic::catch_unwind(AssertUnwindSafe(f));
-            let _ = tx.send(result);
-        })
-        .expect("spawn farm point thread");
-    match rx.recv_timeout(watchdog) {
-        Ok(Ok(r)) => Guarded::Finished(r),
-        Ok(Err(payload)) => Guarded::Panicked(panic_message(payload.as_ref())),
-        Err(_) => Guarded::Overtime,
-    }
-}
-
-/// [`run_sweep`] with a per-point wall-clock watchdog: each point runs on
-/// a disposable thread via [`run_guarded`], so a point that *hangs* (host
-/// deadlock, livelock, pathological chaos schedule) is quarantined as
-/// [`DegradedKind::Overtime`] after `watchdog` instead of stalling the
-/// sweep. The hung thread is abandoned; use this for torture sweeps, not
-/// for hot loops (the per-point thread costs ~50 µs).
-///
-/// The extra `'static`/`Clone` bounds are what allow a point to outlive
-/// the farm's scope when abandoned.
-pub fn run_sweep_guarded<P, R, F>(
-    base_seed: u64,
-    jobs: usize,
-    watchdog: Duration,
-    points: &[P],
-    f: F,
-) -> Vec<PointResult<R>>
-where
-    P: Clone + Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(PointCtx, &P) -> R + Send + Sync + 'static,
-{
-    let f = Arc::new(f);
-    farm(base_seed, jobs, points.len(), |ctx| {
-        let point = points[ctx.index].clone();
-        let f = Arc::clone(&f);
-        let degraded = |kind, message| {
-            PointResult::Degraded(DegradedPoint {
-                index: ctx.index,
-                seed: ctx.seed,
-                kind,
-                message,
-            })
-        };
-        match run_guarded(watchdog, move || f(ctx, &point)) {
-            Guarded::Finished(r) => PointResult::Completed(r),
-            Guarded::Panicked(message) => degraded(DegradedKind::Panicked, message),
-            Guarded::Overtime => degraded(
-                DegradedKind::Overtime,
-                format!("exceeded the {} ms point watchdog", watchdog.as_millis()),
-            ),
-        }
-    })
-}
-
-/// The farm itself: `jobs` workers claim point indices `0..n` from a
-/// shared counter, run `point` on each, and the outcomes are merged back
-/// in index order.
-fn farm<R, F>(base_seed: u64, jobs: usize, n: usize, point: F) -> Vec<PointResult<R>>
-where
-    R: Send,
-    F: Fn(PointCtx) -> PointResult<R> + Sync,
-{
+    let n = points.len();
     let jobs = jobs.clamp(1, n.max(1));
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<PointResult<R>>> = std::iter::repeat_with(|| None).take(n).collect();
+    let point = |ctx: PointCtx| match catch_panic(|| f(ctx, &points[ctx.index])) {
+        Ok(r) => PointResult::Completed(r),
+        Err(message) => PointResult::Degraded(DegradedPoint {
+            index: ctx.index,
+            seed: ctx.seed,
+            message,
+        }),
+    };
 
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..jobs)
@@ -416,45 +291,7 @@ mod tests {
             assert_eq!(degraded.len(), 1);
             assert_eq!(degraded[0].index, 2);
             assert_eq!(degraded[0].seed, derive_seed(11, 2));
-            assert_eq!(degraded[0].kind, DegradedKind::Panicked);
             assert!(degraded[0].message.contains("boom at point 2"));
-        }
-    }
-
-    #[test]
-    fn guarded_sweep_quarantines_hangs_as_overtime() {
-        // Point 1 sleeps far beyond the watchdog; its thread is abandoned
-        // (the sleep is bounded, so the process still exits cleanly).
-        let points: Vec<u64> = (0..4).collect();
-        let out = run_sweep_guarded(3, 2, Duration::from_millis(40), &points, |_, p: &u64| {
-            if *p == 1 {
-                std::thread::sleep(Duration::from_millis(400));
-            }
-            *p + 100
-        });
-        let (completed, degraded) = partition(out);
-        assert_eq!(completed, vec![100, 102, 103]);
-        assert_eq!(degraded.len(), 1);
-        assert_eq!(degraded[0].index, 1);
-        assert_eq!(degraded[0].kind, DegradedKind::Overtime);
-        assert!(degraded[0].message.contains("watchdog"));
-    }
-
-    #[test]
-    fn run_guarded_reports_all_three_outcomes() {
-        match run_guarded(Duration::from_secs(5), || 7) {
-            Guarded::Finished(7) => {}
-            other => panic!("{other:?}"),
-        }
-        match run_guarded(Duration::from_secs(5), || -> u8 { panic!("kaput") }) {
-            Guarded::Panicked(msg) => assert_eq!(msg, "kaput"),
-            other => panic!("{other:?}"),
-        }
-        match run_guarded(Duration::from_millis(20), || {
-            std::thread::sleep(Duration::from_millis(300));
-        }) {
-            Guarded::Overtime => {}
-            other => panic!("{other:?}"),
         }
     }
 }

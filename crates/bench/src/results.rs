@@ -15,16 +15,16 @@
 //!   ],
 //!   "aggregates": { "<group>": { "<metric>": {count,mean,min,p50,p95,p99,max} } },
 //!   "degraded": [
-//!     { "index": 3, "seed": 99, "kind": "panicked"|"overtime", "message": "..." }
+//!     { "index": 3, "seed": 99, "kind": "panicked", "message": "..." }
 //!   ]
 //! }
 //! ```
 //!
 //! The `degraded` section (present only when non-empty) quarantines sweep
-//! points that panicked or overran the farm's per-point watchdog — the
-//! sweep completes and the healthy points stay byte-identical across
-//! `--jobs` values; each entry carries enough (index, seed, message) to
-//! replay the failure in isolation.
+//! points that panicked — the sweep completes and the healthy points stay
+//! byte-identical across `--jobs` values; each entry carries enough
+//! (index, seed, message) to replay the failure in isolation. `kind` is
+//! always `"panicked"`: the farm quarantines for no other reason.
 //!
 //! Everything in the document is a pure function of `(binary, base seed,
 //! workload parameters)` — no host timings, no thread counts — so the
@@ -99,27 +99,15 @@ impl ResultsDoc {
         self
     }
 
-    /// Quarantines a degraded (panicked/overtime) sweep point into the
-    /// document's `degraded` section.
+    /// Quarantines a degraded (panicked) sweep point into the document's
+    /// `degraded` section.
     pub fn push_degraded(&mut self, point: &DegradedPoint) -> &mut Self {
         self.degraded.push(Json::obj([
             ("index", Json::U64(point.index as u64)),
             ("seed", Json::U64(point.seed)),
-            ("kind", Json::str(point.kind.as_str())),
+            ("kind", Json::str("panicked")),
             ("message", Json::str(&point.message)),
         ]));
-        self
-    }
-
-    /// Quarantines every point of `points` (the usual epilogue after
-    /// [`farm::partition`](crate::farm::partition)).
-    pub fn push_degraded_all<'a>(
-        &mut self,
-        points: impl IntoIterator<Item = &'a DegradedPoint>,
-    ) -> &mut Self {
-        for p in points {
-            self.push_degraded(p);
-        }
         self
     }
 
@@ -208,21 +196,17 @@ mod tests {
 
     #[test]
     fn degraded_points_render_with_full_repro_context() {
-        use crate::farm::{DegradedKind, DegradedPoint};
+        use crate::farm::DegradedPoint;
         let mut doc = ResultsDoc::new("demo", 9);
         doc.push_degraded(&DegradedPoint {
             index: 3,
             seed: 0xBEEF,
-            kind: DegradedKind::Overtime,
-            message: "exceeded the 60 ms point watchdog".into(),
+            message: "boom at point 3".into(),
         });
         let s = doc.to_json().render();
         assert!(s.contains("\"degraded\""), "{s}");
-        assert!(s.contains("\"kind\": \"overtime\""), "{s}");
+        assert!(s.contains("\"kind\": \"panicked\""), "{s}");
         assert!(s.contains("\"seed\": 48879"), "{s}");
-        assert!(
-            s.contains("\"message\": \"exceeded the 60 ms point watchdog\""),
-            "{s}"
-        );
+        assert!(s.contains("\"message\": \"boom at point 3\""), "{s}");
     }
 }

@@ -24,7 +24,7 @@ use sldl_sim::bus::{Arbitration, BusConfig};
 use sldl_sim::prelude::*;
 use vocoder::{
     simulate_architecture, simulate_split, simulate_unscheduled, SplitConfig, VocoderConfig,
-    WatchdogSpec, FRAME_PERIOD,
+    FRAME_PERIOD,
 };
 
 use crate::json::Json;
@@ -109,8 +109,9 @@ pub struct ScenarioSpec {
     /// the RTOS scheduler-conformance checks on workloads that schedule.
     /// Off by default — a disabled oracle costs nothing.
     pub oracle: bool,
-    /// Optional decoder watchdog (vocoder architecture model only).
-    pub watchdog: Option<WatchdogSpec>,
+    /// Optional decoder watchdog timeout (vocoder architecture models
+    /// only); expiry aborts the run.
+    pub watchdog: Option<Duration>,
     /// Workload size in frames (vocoder workloads).
     pub frames: usize,
     /// Scenario seed: keys the fault plan and task-set generation.
@@ -194,10 +195,10 @@ impl ScenarioSpec {
         self
     }
 
-    /// Arms the decoder watchdog.
+    /// Arms the decoder watchdog with the given timeout.
     #[must_use]
-    pub fn watchdog(mut self, spec: WatchdogSpec) -> Self {
-        self.watchdog = Some(spec);
+    pub fn watchdog(mut self, timeout: Duration) -> Self {
+        self.watchdog = Some(timeout);
         self
     }
 

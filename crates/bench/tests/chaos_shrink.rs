@@ -1,7 +1,8 @@
 //! End-to-end validation of the chaos torture loop against the
 //! test-only injected kernel bug (`--features chaos-bug`): the matrix
 //! must *find* the bug, the shrinker must minimize it to a tiny
-//! single-fault repro, and the emitted artifact must replay.
+//! single-fault repro, and the emitted artifact must replay its recorded
+//! failure, kind and message.
 //!
 //! The whole suite is feature-gated: without `chaos-bug` the kernel is
 //! healthy and there is nothing to find.
@@ -48,7 +49,7 @@ fn injected_bug_is_found_shrunk_and_replayable() {
         .expect("repro parses");
     assert_eq!(
         repro.get("schema").and_then(Json::as_str),
-        Some("rtos-sld-chaos-repro/1")
+        Some("rtos-sld-chaos-repro/2")
     );
     let frames = repro.get("frames").and_then(Json::as_u64).expect("frames");
     assert!(frames <= 4, "shrinker left {frames} frames (> 4)");
@@ -61,27 +62,35 @@ fn injected_bug_is_found_shrunk_and_replayable() {
         active, 1,
         "shrinker left {active} active fault kinds: {faults:?}"
     );
+    let failure = repro.get("failure").expect("failure");
     assert_eq!(
-        repro
-            .get("failure")
-            .and_then(|f| f.get("kind"))
-            .and_then(Json::as_str),
+        failure.get("kind").and_then(Json::as_str),
         Some("invariant"),
         "the injected bug must surface through the invariant oracle"
     );
+    let message = failure
+        .get("message")
+        .and_then(Json::as_str)
+        .expect("failure.message");
 
     // 3. The artifact replays: the one-line repro reproduces the same
-    //    failure kind from nothing but seed + plans.
-    let status = Command::new(exe)
+    //    failure from nothing but seed + plans, and the message recorded
+    //    is the minimal run's own, not the unshrunk failure's.
+    let out = Command::new(exe)
         .args(["--repro"])
         .arg(&repro_out)
-        .arg("-q")
-        .status()
+        .output()
         .expect("chaos replay runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
-        status.code(),
+        out.status.code(),
         Some(0),
-        "minimal repro artifact failed to reproduce the failure"
+        "minimal repro artifact failed to reproduce the failure: {stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains(&format!("reproduced: invariant — {message}")),
+        "replay must print the artifact's message `{message}`: {stdout}"
     );
 
     let _ = std::fs::remove_file(&json_out);

@@ -182,6 +182,23 @@ pub enum RunError {
         /// Simulated time of the abort.
         at: SimTime,
     },
+    /// Simulated time stood still for more than
+    /// [`ZERO_TIME_STEP_LIMIT`](crate::ZERO_TIME_STEP_LIMIT) consecutive
+    /// zero-time steps (delta flushes, or timed wake-ups due at the
+    /// current instant): the model loops without consuming time, e.g. a
+    /// `waitfor(ZERO)` loop or two processes notifying each other
+    /// forever. This is the iteration limit HDL simulators apply to
+    /// zero-delay loops, and it is a pure function of the model, so the
+    /// same run always fails at the same step.
+    ZeroTimeLoop {
+        /// The instant time stood still at.
+        at: SimTime,
+        /// Zero-time steps taken at `at` (the limit plus one).
+        steps: u64,
+        /// Names of the processes the last step made ready, in ready-queue
+        /// order.
+        woken: Vec<String>,
+    },
     /// The invariant oracle (see [`KernelInvariants`](crate::KernelInvariants))
     /// or a layer-level conformance hook observed a broken invariant. This
     /// always indicates a bug in the kernel or a model layer, never in the
@@ -229,6 +246,19 @@ impl fmt::Display for RunError {
             }
             RunError::FaultAbort { reason, at } => {
                 write!(f, "run aborted at {at}: {reason}")
+            }
+            RunError::ZeroTimeLoop { at, steps, woken } => {
+                write!(
+                    f,
+                    "zero-time loop at {at}: {steps} steps without advancing time; last step woke"
+                )?;
+                if woken.is_empty() {
+                    return f.write_str(" nothing");
+                }
+                for (i, name) in woken.iter().enumerate() {
+                    write!(f, "{} `{name}`", if i > 0 { "," } else { "" })?;
+                }
+                Ok(())
             }
             RunError::InvariantViolation {
                 invariant,

@@ -60,6 +60,15 @@ use crate::time::SimTime;
 use crate::trace::{KernelStats, RecordKind, SuspendReason, TraceConfig, TraceHandle};
 use crate::wheel::TimerWheel;
 
+/// Zero-time steps one instant may take before the run fails with
+/// [`RunError::ZeroTimeLoop`]. A zero-time step is one delta flush, or
+/// one drain of timed entries due at the current instant (a
+/// `waitfor(ZERO)` loop never notifies, so both kinds count). The count
+/// restarts whenever simulated time advances. A fixed constant, not a
+/// knob: healthy models in this workspace take at most a few dozen steps
+/// per instant.
+pub const ZERO_TIME_STEP_LIMIT: u64 = 1_000_000;
+
 /// A process body once started: the future the executor polls.
 type ProcFuture = Pin<Box<dyn Future<Output = ()>>>;
 
@@ -300,6 +309,12 @@ struct State {
     /// Last process resumed, for the process-switch count
     /// (`KernelStats::context_switches`).
     last_resumed: Option<ProcessId>,
+    /// Zero-time steps since simulated time last advanced (see
+    /// [`ZERO_TIME_STEP_LIMIT`]).
+    zero_time_steps: u64,
+    /// Names of the processes made ready by the step that passed the
+    /// limit; drained into [`RunError::ZeroTimeLoop`].
+    zero_time_loop: Option<Vec<String>>,
 }
 
 impl State {
@@ -396,6 +411,23 @@ impl State {
         true
     }
 
+    /// Counts one zero-time step. Past [`ZERO_TIME_STEP_LIMIT`] it
+    /// records the loop, naming the processes the step made ready (the
+    /// ready queue was empty before the step), and returns `true`.
+    fn zero_time_step(&mut self) -> bool {
+        self.zero_time_steps += 1;
+        if self.zero_time_steps <= ZERO_TIME_STEP_LIMIT {
+            return false;
+        }
+        let woken = self
+            .ready
+            .iter()
+            .map(|pid| self.procs[pid.index()].name.clone())
+            .collect();
+        self.zero_time_loop = Some(woken);
+        true
+    }
+
     /// Updates the ready-queue high-water mark after a push.
     fn note_ready_depth(&mut self) {
         self.stats.max_ready_depth = self.stats.max_ready_depth.max(self.ready.len() as u64);
@@ -480,8 +512,9 @@ impl State {
         None
     }
 
-    /// Drains the first pending failure — a panic, misuse, abort or
-    /// invariant violation, in that order — into its [`RunError`].
+    /// Drains the first pending failure — a panic, misuse, abort,
+    /// zero-time loop or invariant violation, in that order — into its
+    /// [`RunError`].
     fn take_error(&mut self) -> Option<RunError> {
         let at = self.now;
         if let Some((process, message)) = self.panic.take() {
@@ -499,6 +532,10 @@ impl State {
                 AbortReason::Watchdog { name } => RunError::WatchdogExpired { watchdog: name, at },
                 AbortReason::Fault { reason } => RunError::FaultAbort { reason, at },
             });
+        }
+        if let Some(woken) = self.zero_time_loop.take() {
+            let steps = self.zero_time_steps;
+            return Some(RunError::ZeroTimeLoop { at, steps, woken });
         }
         self.invariant.take().map(|v| RunError::InvariantViolation {
             invariant: v.invariant,
@@ -566,8 +603,8 @@ impl Shared {
 /// Drives the scheduler to its next decision: returns the process to
 /// resume (already marked `Running` and counted in the stats), or `None`
 /// when the executor must take over — the run is quiescent, the next
-/// timed activity lies beyond the horizon, or the oracle just recorded a
-/// violation.
+/// timed activity lies beyond the horizon, the oracle just recorded a
+/// violation, or the instant passed [`ZERO_TIME_STEP_LIMIT`].
 fn next_step(st: &mut State) -> Option<ProcessId> {
     loop {
         // Chaos hook: an armed plan may pull the next runnable process
@@ -645,6 +682,9 @@ fn next_step(st: &mut State) -> Option<ProcessId> {
             }
             flush.clear();
             st.notified_scratch = flush;
+            if st.zero_time_step() {
+                return None;
+            }
             continue;
         }
         if let Some(top) = st.timed.peek_next_time() {
@@ -652,6 +692,10 @@ fn next_step(st: &mut State) -> Option<ProcessId> {
                 return None;
             }
             let now = top;
+            let zero_time = now == st.now;
+            if !zero_time {
+                st.zero_time_steps = 0;
+            }
             st.now = now;
             // Pull everything due at this instant out of the wheel in one
             // go, into a scratch buffer that is reused across steps. The
@@ -702,6 +746,9 @@ fn next_step(st: &mut State) -> Option<ProcessId> {
                     }
                 }
                 st.faults = Some(f);
+            }
+            if zero_time && st.zero_time_step() {
+                return None;
             }
             continue;
         }
@@ -988,6 +1035,8 @@ impl Simulation {
                 trace_kernel: false,
                 stats: KernelStats::default(),
                 last_resumed: None,
+                zero_time_steps: 0,
+                zero_time_loop: None,
             }),
             bodies: RefCell::new(Vec::new()),
         });
@@ -1132,9 +1181,10 @@ impl Simulation {
                 }
                 match next_step(&mut st) {
                     Some(pid) => pid,
-                    // The oracle may just have recorded a violation; the
-                    // next iteration reports it.
-                    None if st.invariant.is_some() => continue,
+                    // The oracle may just have recorded a violation, or
+                    // the step limit a zero-time loop; the next iteration
+                    // reports it.
+                    None if st.invariant.is_some() || st.zero_time_loop.is_some() => continue,
                     None if !st.timed.is_empty() => return Ok(until),
                     None => return st.stall_error().map_or(Ok(st.now), Err),
                 }

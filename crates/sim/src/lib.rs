@@ -71,6 +71,10 @@
 //!   (formerly bare panics), with `file:line` caller context.
 //! * [`RunError::InvariantViolation`] — structured reporting of oracle
 //!   and layer-conformance violations, naming the invariant and subject.
+//! * [`RunError::ZeroTimeLoop`] — a constant limit
+//!   ([`ZERO_TIME_STEP_LIMIT`]) on zero-time steps per instant turns a
+//!   model that loops without consuming time into a deterministic error
+//!   naming the instant, the step count and the looping processes.
 
 pub mod bus;
 pub mod channel;
@@ -92,7 +96,7 @@ pub use chaos::{ChaosPlan, ChaosRecord, InjectedChaos, KernelInvariants};
 pub use error::{AbortReason, ModelError, RunError, WaitEdge};
 pub use fault::{FaultPlan, FaultRecord, InjectedFault, SpuriousRelease, WcetJitter};
 pub use ids::{EventId, ProcessId};
-pub use kernel::{Child, ProcCtx, Report, Simulation, SimulationBuilder};
+pub use kernel::{Child, ProcCtx, Report, Simulation, SimulationBuilder, ZERO_TIME_STEP_LIMIT};
 pub use rng::SmallRng;
 pub use time::SimTime;
 pub use trace::{

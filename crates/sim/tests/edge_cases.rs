@@ -1,6 +1,6 @@
 //! Edge-case and failure-injection tests for the kernel: deleted events,
-//! stale timers, same-instant boundaries, cancellation corner cases, and
-//! kernel-record tracing.
+//! stale timers, same-instant boundaries, cancellation corner cases,
+//! kernel-record tracing, and the zero-time step limit.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -8,7 +8,9 @@ use std::time::Duration;
 
 use sldl_sim::bus::{Bus, BusConfig};
 use sldl_sim::trace::SuspendReason;
-use sldl_sim::{Child, ModelError, RecordKind, RunError, SimTime, Simulation, TraceConfig};
+use sldl_sim::{
+    Child, ModelError, RecordKind, RunError, SimTime, Simulation, TraceConfig, ZERO_TIME_STEP_LIMIT,
+};
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -303,4 +305,69 @@ fn panic_inside_a_bus_call_leaves_the_bus_readable() {
     }
     assert!(bus.owns(m));
     assert_eq!(bus.stats().grants[0].grants, 1);
+}
+
+#[test]
+fn waitfor_zero_loop_fails_with_zero_time_loop() {
+    // Ten zero-time steps at t = 0, then an endless `waitfor(ZERO)` loop
+    // at 5 us. Every lap is a timed drain at the current instant, and the
+    // count restarts when time advances, so the loop gets the full limit
+    // of wake-ups at 5 us before the step past it fails the run.
+    let laps = Rc::new(Cell::new(0u64));
+    let l = Rc::clone(&laps);
+    let mut sim = Simulation::new();
+    sim.spawn(Child::new("spinner", move |ctx| async move {
+        for _ in 0..10 {
+            ctx.waitfor(Duration::ZERO).await;
+        }
+        ctx.waitfor(us(5)).await;
+        loop {
+            ctx.waitfor(Duration::ZERO).await;
+            l.set(l.get() + 1);
+        }
+    }));
+    match sim.run() {
+        Err(RunError::ZeroTimeLoop { at, steps, woken }) => {
+            assert_eq!(at, SimTime::from_micros(5));
+            assert_eq!(steps, ZERO_TIME_STEP_LIMIT + 1);
+            assert_eq!(woken, ["spinner"]);
+        }
+        other => panic!("expected a zero-time loop, got {other:?}"),
+    }
+    assert_eq!(laps.get(), ZERO_TIME_STEP_LIMIT);
+}
+
+#[test]
+fn notify_ping_pong_loop_fails_with_zero_time_loop() {
+    // Two processes notifying each other forever at 7 us: every step is
+    // a delta flush that wakes one of them, `pong` on odd steps.
+    let mut sim = Simulation::new();
+    let ping = sim.event_new();
+    let pong = sim.event_new();
+    sim.spawn(Child::new("ping", move |ctx| async move {
+        ctx.waitfor(us(7)).await;
+        loop {
+            ctx.notify(ping);
+            ctx.wait(pong).await;
+        }
+    }));
+    sim.spawn(Child::new("pong", move |ctx| async move {
+        loop {
+            ctx.wait(ping).await;
+            ctx.notify(pong);
+        }
+    }));
+    let err = sim.run().unwrap_err();
+    assert_eq!(
+        err,
+        RunError::ZeroTimeLoop {
+            at: SimTime::from_micros(7),
+            steps: ZERO_TIME_STEP_LIMIT + 1,
+            woken: vec!["pong".into()],
+        }
+    );
+    assert_eq!(
+        err.to_string(),
+        "zero-time loop at 7us: 1000001 steps without advancing time; last step woke `pong`"
+    );
 }

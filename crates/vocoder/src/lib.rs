@@ -38,8 +38,6 @@ mod timing;
 
 pub use codec::{Decoder, EncodedFrame, Encoder};
 pub use frame::{Frame, SpeechSource, FRAME_PERIOD, FRAME_SAMPLES};
-pub use scenario::{
-    simulate_architecture, simulate_unscheduled, VocoderConfig, VocoderRun, WatchdogSpec,
-};
+pub use scenario::{simulate_architecture, simulate_unscheduled, VocoderConfig, VocoderRun};
 pub use split::{simulate_split, SplitConfig, SplitRun};
 pub use timing::{CodecTiming, StageTiming};

@@ -52,11 +52,15 @@ pub struct VocoderConfig {
     /// ([`FaultPlan::none`] leaves the run byte-identical to an
     /// uninstrumented one).
     pub faults: FaultPlan,
-    /// Optional decoder health watchdog (architecture model only): the
-    /// decoder kicks it on every subframe it completes; if the decoder
-    /// falls silent for the given timeout — e.g. starved by overruns or
-    /// blocked on a dropped notification — the watchdog fires.
-    pub watchdog: Option<WatchdogSpec>,
+    /// Optional decoder health watchdog timeout (architecture models
+    /// only): the decoder kicks the watchdog on every subframe it
+    /// completes; if the decoder falls silent for this long — e.g.
+    /// starved by overruns or blocked on a dropped notification — the run
+    /// aborts with
+    /// [`RunError::WatchdogExpired`](sldl_sim::RunError::WatchdogExpired).
+    /// The watchdog is disarmed when the decoder finishes, so a watched
+    /// run ends either way.
+    pub watchdog: Option<Duration>,
     /// Collect execution traces: task spans, context-switch markers and
     /// scheduler decision records (architecture model), returned in
     /// [`VocoderRun::records`]. Off by default — the hot path stays
@@ -70,17 +74,6 @@ pub struct VocoderConfig {
     /// in the architecture model, the RTOS scheduler-conformance checks.
     /// Off by default — disabled oracles cost nothing on the hot path.
     pub oracle: bool,
-}
-
-/// A watchdog configuration for [`VocoderConfig::watchdog`].
-#[derive(Debug, Clone, Copy)]
-pub struct WatchdogSpec {
-    /// Silence tolerated before the watchdog fires.
-    pub timeout: Duration,
-    /// What firing does: abort the run with
-    /// [`RunError::WatchdogExpired`](sldl_sim::RunError::WatchdogExpired)
-    /// or count the trip in the RTOS metrics.
-    pub action: WatchdogAction,
 }
 
 impl Default for VocoderConfig {
@@ -393,8 +386,8 @@ pub fn simulate_architecture(
 
     // Decoder health watchdog: armed before the pipeline, kicked on every
     // decoder stage, disarmed when the decoder task completes normally.
-    let watchdog = cfg.watchdog.map(|spec| {
-        let (wd, monitor) = os.watchdog("decoder", spec.timeout, spec.action);
+    let watchdog = cfg.watchdog.map(|timeout| {
+        let (wd, monitor) = os.watchdog("decoder", timeout, WatchdogAction::AbortRun);
         sim.spawn(monitor);
         wd
     });

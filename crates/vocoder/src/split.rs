@@ -19,7 +19,9 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use model_refine::{BusChannel, CrossFairness, SharedBus};
-use rtos_model::{MetricsSnapshot, Priority, Rtos, SchedAlg, TaskParams, TimeSlice};
+use rtos_model::{
+    MetricsSnapshot, Priority, Rtos, SchedAlg, TaskParams, TimeSlice, WatchdogAction,
+};
 use sldl_sim::bus::{BusConfig, BusStats};
 use sldl_sim::{Child, KernelInvariants, Queue, RunError, SimTime, Simulation, TraceConfig};
 
@@ -148,8 +150,8 @@ pub fn simulate_split(
     );
 
     // Decoder health watchdog, armed on the decoder's PE.
-    let wd = cfg.watchdog.map(|spec| {
-        let (wd, monitor) = dec_os.watchdog("decoder", spec.timeout, spec.action);
+    let wd = cfg.watchdog.map(|timeout| {
+        let (wd, monitor) = dec_os.watchdog("decoder", timeout, WatchdogAction::AbortRun);
         sim.spawn(monitor);
         wd
     });

@@ -5,9 +5,9 @@
 
 use std::time::Duration;
 
-use rtos_model::{SchedAlg, TimeSlice, WatchdogAction};
+use rtos_model::{SchedAlg, TimeSlice};
 use sldl_sim::{FaultPlan, RunError};
-use vocoder::{simulate_architecture, VocoderConfig, WatchdogSpec};
+use vocoder::{simulate_architecture, VocoderConfig};
 
 fn base(frames: usize) -> VocoderConfig {
     VocoderConfig {
@@ -58,10 +58,7 @@ fn wcet_jitter_degrades_delay_deterministically() {
 #[test]
 fn watchdog_stays_quiet_on_a_healthy_pipeline() {
     let run = arch(&VocoderConfig {
-        watchdog: Some(WatchdogSpec {
-            timeout: Duration::from_millis(60),
-            action: WatchdogAction::AbortRun,
-        }),
+        watchdog: Some(Duration::from_millis(60)),
         ..base(6)
     });
     // The watchdog is disarmed on decoder completion: same result as the
@@ -76,10 +73,7 @@ fn watchdog_catches_a_starved_decoder() {
     // diagnosable WatchdogExpired naming the silent component.
     let cfg = VocoderConfig {
         faults: FaultPlan::seeded(11).with_drop_notify(0.3),
-        watchdog: Some(WatchdogSpec {
-            timeout: Duration::from_millis(60),
-            action: WatchdogAction::AbortRun,
-        }),
+        watchdog: Some(Duration::from_millis(60)),
         ..base(8)
     };
     match simulate_architecture(&cfg, SchedAlg::PriorityPreemptive, TimeSlice::WholeDelay) {
