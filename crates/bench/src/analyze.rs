@@ -153,6 +153,45 @@ pub struct BusMarkEv {
     pub label: String,
 }
 
+/// The bus protocol's label rule for one event on a `bus:{name}` track
+/// ([`sldl_sim::bus`]'s protocol trace): an instant (phase `i` or `I`)
+/// is `req:`, `grant:` or `contend:` followed by a master name, and a
+/// complete span (phase `X`) is `xfer:{master}:{bytes}` with a decimal
+/// byte count. Other phases carry no protocol label. Both
+/// [`TraceData::from_chrome_json`] and the `trace_lint` bin apply it.
+///
+/// # Errors
+///
+/// Returns a message naming the label that breaks the rule.
+pub fn check_bus_event(ph: &str, name: &str) -> Result<(), String> {
+    let is_marker = || {
+        ["req:", "grant:", "contend:"].iter().any(|p| {
+            name.strip_prefix(p)
+                .is_some_and(|master| !master.is_empty())
+        })
+    };
+    match ph {
+        "i" | "I" if !is_marker() => Err(format!(
+            "bus instant {name:?} is not `req:`/`grant:`/`contend:` + master"
+        )),
+        "X" if xfer_bytes(name).is_none() => Err(format!(
+            "bus span {name:?} is not `xfer:{{master}}:{{bytes}}`"
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// The byte count of a bus transfer span `xfer:{master}:{bytes}`, or
+/// `None` when the label breaks that shape. The master name may itself
+/// contain colons, so the byte count is the *last* field.
+fn xfer_bytes(label: &str) -> Option<u64> {
+    let (master, bytes) = label.strip_prefix("xfer:")?.rsplit_once(':')?;
+    if master.is_empty() || !bytes.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    bytes.parse().ok()
+}
+
 /// Source-agnostic intermediate form of one execution trace. Every
 /// vector is in trace order; [`TraceData::from_records`] and
 /// [`TraceData::from_chrome_json`] produce identical data for the same
@@ -343,6 +382,9 @@ impl TraceData {
         let arg_str = |key: &str| arg(key).and_then(Json::as_str).map(ToString::to_string);
         let ph = e.get("ph").and_then(Json::as_str).unwrap_or("");
         let name = e.get("name").and_then(Json::as_str).unwrap_or("");
+        if track_of(e).is_ok_and(|track| track.starts_with("bus:")) {
+            check_bus_event(ph, name)?;
+        }
         match ph {
             "X" => {
                 let track = track_of(e)?;
@@ -972,15 +1014,9 @@ impl Analysis {
                 bus_entry(bus, &mut buses);
                 let b = buses.get_mut(bus).expect("just inserted");
                 b.busy += dur;
-                // `xfer:{master}:{bytes}` — the master name may itself
-                // contain colons, so the byte count is the *last* field.
-                if let Some((_, bytes)) = s
-                    .label
-                    .strip_prefix("xfer:")
-                    .and_then(|rest| rest.rsplit_once(':'))
-                {
+                if let Some(bytes) = xfer_bytes(&s.label) {
                     b.transfers += 1;
-                    b.bytes += bytes.parse::<u64>().unwrap_or(0);
+                    b.bytes += bytes;
                 }
             } else if let Some(t) = tasks.get_mut(&s.track) {
                 t.span_busy += dur;

@@ -25,7 +25,9 @@
 //!
 //! The matrix itself is a set of declarative [`ScenarioSpec`] points on
 //! the shared [`SweepApp`] skeleton (farm, `--json` document); the
-//! shrinker and replay pipeline stay bin-local.
+//! shrinker and replay pipeline stay bin-local, and the artifact's one
+//! reader and writer is `bench::repro::Repro`, which `trace_lint` uses
+//! too.
 //!
 //! Run with `cargo run -p bench --bin chaos -- [--frames N] [--seeds N]
 //! [--jobs N] [--seed S] [--oracle 0|1] [--shrink 0|1]
@@ -38,41 +40,19 @@ use std::path::{Path, PathBuf};
 use bench::cli::{self, SweepApp, SweepPoint};
 use bench::farm::{catch_panic, derive_seed, PointResult};
 use bench::json::Json;
-use bench::scenario::{ScenarioOutcome, ScenarioSpec, Workload};
+use bench::repro::{build_workload, FailureKind, Repro};
+use bench::scenario::{ScenarioOutcome, ScenarioSpec};
 use bench::TextTable;
 use sldl_sim::prelude::*;
 
 const ABOUT: &str =
     "C1: chaos torture matrix (seed x ChaosPlan x FaultPlan) with auto-shrinking minimal repro";
 
-/// Artifact schema identifier.
-const REPRO_SCHEMA: &str = "rtos-sld-chaos-repro/2";
-
 /// Upper bound on shrink trials; each trial is one simulation.
 const MAX_SHRINK_TRIALS: usize = 240;
 
 /// Smallest rate the halving stage will leave active.
 const RATE_FLOOR: f64 = 0.01;
-
-/// Workload size is measured in "frames" uniformly: vocoder frames, or a
-/// task-set horizon of `frames × 10 ms` — one number the shrinker can
-/// bisect for either workload.
-fn build_workload(name: &str, frames: usize) -> Option<Workload> {
-    match name {
-        "vocoder" => Some(Workload::VocoderArchitecture),
-        // The unscheduled model's queues ride the plain kernel sync layer
-        // (`ctx.notify`), so it is the workload that exposes kernel-level
-        // notify faults to the oracle; the architecture model implements
-        // RTOS events above the kernel.
-        "vocoder_unsched" => Some(Workload::VocoderUnscheduled),
-        "task_set" => Some(Workload::TaskSet {
-            tasks: 4,
-            utilization: 0.85,
-            horizon_us: frames as u64 * 10_000,
-        }),
-        _ => None,
-    }
-}
 
 fn build_spec(
     workload: &str,
@@ -87,39 +67,6 @@ fn build_spec(
         .faults(faults.clone())
         .chaos(chaos.clone())
         .oracle(oracle)
-}
-
-/// What the torture sweep counts as a failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FailureKind {
-    /// The invariant oracle rejected the run
-    /// (`RunError::InvariantViolation`).
-    Invariant,
-    /// A simulated process panicked (`RunError::ProcessPanicked`), or the
-    /// point itself panicked and the farm quarantined it.
-    Panicked,
-    /// Simulated time stood still past the kernel's step limit
-    /// (`RunError::ZeroTimeLoop`).
-    ZeroTimeLoop,
-}
-
-impl FailureKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            FailureKind::Invariant => "invariant",
-            FailureKind::Panicked => "panicked",
-            FailureKind::ZeroTimeLoop => "zero_time_loop",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "invariant" => Some(FailureKind::Invariant),
-            "panicked" => Some(FailureKind::Panicked),
-            "zero_time_loop" => Some(FailureKind::ZeroTimeLoop),
-            _ => None,
-        }
-    }
 }
 
 /// The chaos failure a failed run's status (its
@@ -147,127 +94,6 @@ fn classify(outcome: &PointResult<ScenarioOutcome>) -> Option<(FailureKind, Stri
     match outcome {
         PointResult::Completed(o) => classify_outcome(o),
         PointResult::Degraded(d) => Some((FailureKind::Panicked, d.message.clone())),
-    }
-}
-
-/// A fully specified, one-line-replayable failing configuration.
-#[derive(Debug, Clone)]
-struct Repro {
-    workload: String,
-    frames: usize,
-    seed: u64,
-    faults: FaultPlan,
-    chaos: ChaosPlan,
-    kind: FailureKind,
-    message: String,
-}
-
-impl Repro {
-    fn to_json(&self) -> Json {
-        let wcet_p = self.faults.wcet.as_ref().map_or(0.0, |w| w.probability);
-        let wcet_s = self.faults.wcet.as_ref().map_or(0.0, |w| w.max_stretch);
-        Json::obj([
-            ("schema", Json::str(REPRO_SCHEMA)),
-            ("bench", Json::str("chaos")),
-            ("workload", Json::str(&self.workload)),
-            ("frames", Json::U64(self.frames as u64)),
-            ("seed", Json::U64(self.seed)),
-            (
-                "failure",
-                Json::obj([
-                    ("kind", Json::str(self.kind.as_str())),
-                    ("message", Json::str(&self.message)),
-                ]),
-            ),
-            (
-                "fault_plan",
-                Json::obj([
-                    ("wcet_probability", Json::Num(wcet_p)),
-                    ("wcet_max_stretch", Json::Num(wcet_s)),
-                    ("drop_notify", Json::Num(self.faults.drop_notify)),
-                    ("dup_notify", Json::Num(self.faults.dup_notify)),
-                ]),
-            ),
-            (
-                "chaos_plan",
-                Json::obj([
-                    ("reorder", Json::Num(self.chaos.reorder)),
-                    (
-                        "window",
-                        self.chaos.window.map_or(Json::Null, |(lo, hi)| {
-                            Json::Arr(vec![Json::U64(lo), Json::U64(hi)])
-                        }),
-                    ),
-                ]),
-            ),
-        ])
-    }
-
-    fn from_json(doc: &Json) -> Result<Repro, String> {
-        let field = |key: &str| doc.get(key).ok_or_else(|| format!("missing `{key}`"));
-        let schema = field("schema")?.as_str().unwrap_or_default();
-        if schema != REPRO_SCHEMA {
-            return Err(format!("unsupported schema `{schema}`"));
-        }
-        let workload = field("workload")?
-            .as_str()
-            .ok_or("workload must be a string")?
-            .to_string();
-        let frames = field("frames")?.as_u64().ok_or("frames must be a u64")? as usize;
-        let seed = field("seed")?.as_u64().ok_or("seed must be a u64")?;
-        let failure = field("failure")?;
-        let kind = failure
-            .get("kind")
-            .and_then(Json::as_str)
-            .and_then(FailureKind::from_str)
-            .ok_or("failure.kind must be invariant|panicked|zero_time_loop")?;
-        let message = failure
-            .get("message")
-            .and_then(Json::as_str)
-            .ok_or("failure.message must be a string")?
-            .to_string();
-
-        let fp = field("fault_plan")?;
-        let num = |j: &Json, key: &str| {
-            j.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing numeric `{key}`"))
-        };
-        let mut faults = FaultPlan::none();
-        let wcet_p = num(fp, "wcet_probability")?;
-        if wcet_p > 0.0 {
-            faults = faults.with_wcet_jitter(wcet_p, num(fp, "wcet_max_stretch")?);
-        }
-        let drop = num(fp, "drop_notify")?;
-        if drop > 0.0 {
-            faults = faults.with_drop_notify(drop);
-        }
-        let dup = num(fp, "dup_notify")?;
-        if dup > 0.0 {
-            faults = faults.with_dup_notify(dup);
-        }
-
-        let cp = field("chaos_plan")?;
-        let mut chaos = ChaosPlan::none().with_reorder(num(cp, "reorder")?);
-        if let Some(w) = cp.get("window").filter(|w| **w != Json::Null) {
-            let arr = w.as_array().ok_or("window must be [lo, hi] or null")?;
-            let lo = arr.first().and_then(Json::as_u64).ok_or("window[0]")?;
-            let hi = arr.get(1).and_then(Json::as_u64).ok_or("window[1]")?;
-            chaos = chaos.with_window(lo, hi);
-        }
-
-        if build_workload(&workload, frames).is_none() {
-            return Err(format!("unknown workload `{workload}`"));
-        }
-        Ok(Repro {
-            workload,
-            frames,
-            seed,
-            faults,
-            chaos,
-            kind,
-            message,
-        })
     }
 }
 

@@ -13,8 +13,9 @@
 //!   string `name`, a string `ph` of a known phase, and numeric
 //!   `pid`/`tid`; `X` events must carry `ts` and `dur`. Events on
 //!   threads named `bus:{name}` additionally must follow the bus
-//!   protocol shape: instants labelled `req:{master}` / `grant:{master}`
-//!   / `contend:{master}` and complete events labelled
+//!   protocol's label rule (`bench::analyze::check_bus_event`, which
+//!   `analyze` applies too): instants labelled `req:{master}` /
+//!   `grant:{master}` / `contend:{master}` and complete events labelled
 //!   `xfer:{master}:{bytes}` with a decimal byte count;
 //! * a top-level `schema` field must name a supported schema. For
 //!   `rtos-sld-bench/1` the document is checked against it: string
@@ -28,11 +29,12 @@
 //!   metric values. A `comm_sweep` document must include the
 //!   zero-latency `ideal` point, and every completed point must carry the
 //!   full bus metric set (`bus_transactions`, `bus_bytes`, `bus_busy_us`,
-//!   `bus_max_wait_us`, `bus_contended`, `bus_bytes_per_sec`). For
-//!   `rtos-sld-chaos-repro/2` (the chaos minimal-repro artifact) the
-//!   replay coordinates are checked: string `workload`, numeric
-//!   `frames`/`seed`, a `failure` object with a `kind` of `"invariant"`,
-//!   `"panicked"` or `"zero_time_loop"` and a string `message`, and
+//!   `bus_max_wait_us`, `bus_contended`, `bus_bytes_per_sec`). A
+//!   `rtos-sld-chaos-repro/2` artifact (the chaos minimal repro) is read
+//!   by `bench::repro::Repro::from_json`, the reader `chaos --repro`
+//!   replays it with: a known `workload`, integral `frames`/`seed`, a
+//!   `failure` object with a `kind` of `"invariant"`, `"panicked"` or
+//!   `"zero_time_loop"` and a string `message`, and
 //!   `fault_plan`/`chaos_plan` objects with numeric rates. For
 //!   `rtos-sld-analysis/1` (the `analyze` bin's derived-analytics
 //!   document, see `bench::analyze`) the per-PE, per-task, preemption
@@ -44,7 +46,9 @@
 
 use std::process::ExitCode;
 
+use bench::analyze::check_bus_event;
 use bench::json::Json;
+use bench::repro::{Repro, REPRO_SCHEMA};
 
 fn field<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
@@ -146,8 +150,10 @@ fn lint_degraded(idx: usize, point: &Json) -> Result<(), String> {
 
 /// Checks a results document claiming a `schema` against `rtos-sld-bench/1`.
 fn lint_results(top: &[(String, Json)], schema: &str) -> Result<String, String> {
-    if schema == "rtos-sld-chaos-repro/2" {
-        return lint_chaos_repro(top);
+    if schema == REPRO_SCHEMA {
+        // The same reader `chaos --repro` replays the artifact with.
+        return Repro::from_json(&Json::Obj(top.to_vec()))
+            .map(|_| format!("valid {REPRO_SCHEMA} artifact"));
     }
     if schema == "rtos-sld-analysis/1" {
         return lint_analysis(top);
@@ -238,56 +244,6 @@ fn lint_comm_sweep(points: &[Json]) -> Result<(), String> {
         return Err("comm_sweep document has no `ideal` baseline point".into());
     }
     Ok(())
-}
-
-/// The failure kinds a `rtos-sld-chaos-repro/2` artifact may record.
-const REPRO_FAILURE_KINDS: [&str; 3] = ["invariant", "panicked", "zero_time_loop"];
-
-/// Checks a `rtos-sld-chaos-repro/2` minimal-repro artifact: the replay
-/// coordinates and the expected failure must be complete and well-typed.
-fn lint_chaos_repro(top: &[(String, Json)]) -> Result<String, String> {
-    match field(top, "workload") {
-        Some(Json::Str(_)) => {}
-        _ => return Err("repro artifact lacks a string `workload`".into()),
-    }
-    for key in ["frames", "seed"] {
-        if !field(top, key).is_some_and(is_number) {
-            return Err(format!("repro artifact lacks a numeric `{key}`"));
-        }
-    }
-    let Some(Json::Obj(failure)) = field(top, "failure") else {
-        return Err("repro artifact lacks a `failure` object".into());
-    };
-    match field(failure, "kind") {
-        Some(Json::Str(k)) if REPRO_FAILURE_KINDS.contains(&k.as_str()) => {}
-        Some(Json::Str(k)) => return Err(format!("failure.kind {k:?} is unknown")),
-        _ => return Err("failure lacks a string `kind`".into()),
-    }
-    if !matches!(field(failure, "message"), Some(Json::Str(_))) {
-        return Err("failure lacks a string `message`".into());
-    }
-    for (obj, keys) in [
-        (
-            "fault_plan",
-            &[
-                "wcet_probability",
-                "wcet_max_stretch",
-                "drop_notify",
-                "dup_notify",
-            ][..],
-        ),
-        ("chaos_plan", &["reorder"][..]),
-    ] {
-        let Some(Json::Obj(plan)) = field(top, obj) else {
-            return Err(format!("repro artifact lacks a `{obj}` object"));
-        };
-        for key in keys {
-            if !field(plan, key).is_some_and(is_number) {
-                return Err(format!("{obj} lacks a numeric `{key}`"));
-            }
-        }
-    }
-    Ok("valid rtos-sld-chaos-repro/2 artifact".into())
 }
 
 /// Checks a `rtos-sld-analysis/1` derived-analytics document (the
@@ -401,10 +357,9 @@ fn lint_analysis(top: &[(String, Json)]) -> Result<String, String> {
     ))
 }
 
-/// Checks every event on a `bus:{name}` thread against the bus protocol
-/// shape: instants must be `req:`/`grant:`/`contend:` markers with a
-/// master name, complete events must be `xfer:{master}:{bytes}` spans
-/// with a decimal byte count. Returns the number of bus events seen.
+/// Checks every event on a `bus:{name}` thread against the bus protocol's
+/// label rule ([`check_bus_event`]). Returns the number of bus instants
+/// and spans seen.
 fn lint_bus_events(events: &[Json]) -> Result<u64, String> {
     // Pass 1: which (pid, tid) pairs are bus tracks.
     let mut bus_threads: Vec<(u64, u64)> = Vec::new();
@@ -444,37 +399,9 @@ fn lint_bus_events(events: &[Json]) -> Result<u64, String> {
         }
         let ph = field(fields, "ph").and_then(Json::as_str).unwrap_or("");
         let name = field(fields, "name").and_then(Json::as_str).unwrap_or("");
-        match ph {
-            "i" | "I" => {
-                seen += 1;
-                let well_formed = ["req:", "grant:", "contend:"]
-                    .iter()
-                    .any(|p| name.strip_prefix(p).is_some_and(|m| !m.is_empty()));
-                if !well_formed {
-                    return Err(format!(
-                        "traceEvents[{i}]: bus instant {name:?} is not \
-                         `req:`/`grant:`/`contend:` + master"
-                    ));
-                }
-            }
-            "X" => {
-                seen += 1;
-                let well_formed = name
-                    .strip_prefix("xfer:")
-                    .and_then(|rest| rest.rsplit_once(':'))
-                    .is_some_and(|(master, bytes)| {
-                        !master.is_empty()
-                            && !bytes.is_empty()
-                            && bytes.bytes().all(|b| b.is_ascii_digit())
-                    });
-                if !well_formed {
-                    return Err(format!(
-                        "traceEvents[{i}]: bus span {name:?} is not \
-                         `xfer:{{master}}:{{bytes}}`"
-                    ));
-                }
-            }
-            _ => {}
+        if matches!(ph, "i" | "I" | "X") {
+            seen += 1;
+            check_bus_event(ph, name).map_err(|err| format!("traceEvents[{i}]: {err}"))?;
         }
     }
     Ok(seen)
@@ -630,7 +557,7 @@ mod tests {
             let Json::Obj(top) = doc else { unreachable!() };
             lint_results(top, schema)
         };
-        for kind in REPRO_FAILURE_KINDS {
+        for kind in ["invariant", "panicked", "zero_time_loop"] {
             let doc = repro("rtos-sld-chaos-repro/2", kind);
             assert!(lint(&doc, "rtos-sld-chaos-repro/2").is_ok(), "{kind}");
         }
@@ -656,6 +583,16 @@ mod tests {
         .unwrap();
         let err = lint(&no_message, "rtos-sld-chaos-repro/2").unwrap_err();
         assert!(err.contains("message"), "{err}");
+        // Every fault-plan field is required, also for a fault kind that
+        // is off.
+        let no_stretch = Json::parse(
+            &repro("rtos-sld-chaos-repro/2", "invariant")
+                .render()
+                .replace(r#""wcet_max_stretch": 0,"#, ""),
+        )
+        .unwrap();
+        let err = lint(&no_stretch, "rtos-sld-chaos-repro/2").unwrap_err();
+        assert!(err.contains("wcet_max_stretch"), "{err}");
     }
 
     #[test]

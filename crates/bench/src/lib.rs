@@ -14,12 +14,15 @@
 //!   hand-rolled, deterministic JSON results writer
 //!   (`bench-results/<bin>.json`, schema `rtos-sld-bench/1`);
 //! * [`trace`] — the Chrome-trace-event / Perfetto JSON exporter behind
-//!   every binary's `--trace-out` flag.
+//!   every binary's `--trace-out` flag;
+//! * [`repro`] — the chaos minimal-repro artifact, read and written by
+//!   the `chaos` bin and validated by `trace_lint`.
 
 pub mod analyze;
 pub mod cli;
 pub mod farm;
 pub mod json;
+pub mod repro;
 pub mod results;
 pub mod scenario;
 pub mod stats;

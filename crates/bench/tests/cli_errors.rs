@@ -52,6 +52,20 @@ fn analyze_rejects_the_trace_trace_lint_rejects() {
 }
 
 #[test]
+fn analyze_rejects_the_bus_labels_trace_lint_rejects() {
+    // A transfer span whose byte count is not a number, a span without a
+    // byte count and an unknown bus instant, all on a `bus:pebus` thread.
+    let bad = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/invalid/bus_labels.json");
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_trace_lint"), &[bad]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("traceEvents[4]"), "{stderr}");
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_analyze"), &[bad, "-q"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("traceEvents[4]"), "{stderr}");
+    assert!(stderr.contains("xfer:pe0:lots"), "{stderr}");
+}
+
+#[test]
 fn analyze_names_the_records_a_lossy_trace_dropped() {
     let path = std::env::temp_dir().join(format!("cli-errors-lossy-{}.json", std::process::id()));
     std::fs::write(

@@ -88,7 +88,6 @@ pub mod rng;
 pub mod trace;
 
 mod time;
-mod wheel;
 
 pub use bus::{Arbitration, Bus, BusConfig, BusStats, MasterGrants, MasterId};
 pub use channel::{Handshake, Queue, Semaphore, SldlSync, SyncLayer};

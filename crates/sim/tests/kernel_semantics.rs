@@ -409,6 +409,32 @@ fn waitfor_zero_yields_to_end_of_current_time() {
 }
 
 #[test]
+fn same_instant_timeouts_resume_in_waitfor_order() {
+    let mut sim = Simulation::new();
+    let log = Rc::new(RefCell::new(Vec::new()));
+    // `a` and `c` sleep 10 us at t = 0; `b`, spawned between them, gets
+    // there as 4 us + 6 us, so its last `waitfor` is issued after theirs.
+    for (name, steps) in [("a", &[10][..]), ("b", &[4, 6]), ("c", &[10])] {
+        let l = Rc::clone(&log);
+        sim.spawn(Child::new(name, move |ctx| async move {
+            for &step in steps {
+                ctx.waitfor(us(step)).await;
+            }
+            l.borrow_mut().push(format!("{name}@{}", ctx.now()));
+            ctx.waitfor(us(0)).await;
+            l.borrow_mut().push(format!("{name}+0@{}", ctx.now()));
+        }));
+    }
+    sim.run().unwrap();
+    // Timeouts due at one instant resume in the order their `waitfor`s
+    // were issued: not spawn order, not delay order.
+    assert_eq!(
+        *log.borrow(),
+        ["a@10us", "c@10us", "b@10us", "a+0@10us", "c+0@10us", "b+0@10us"]
+    );
+}
+
+#[test]
 fn event_del_then_notify_is_model_misuse() {
     let mut sim = Simulation::new();
     let e = sim.event_new();
@@ -555,7 +581,7 @@ fn waiter_storm(waiters: u64, rounds: u64) -> KernelStats {
 }
 
 /// `procs` processes running staggered `waitfor` loops of `laps` laps,
-/// spreading due times over the timer wheel's slots and levels.
+/// so the timed queue holds up to `procs` entries with distinct due times.
 fn timer_wheel(procs: u64, laps: u64) -> KernelStats {
     let mut sim = Simulation::new();
     for p in 0..procs {
