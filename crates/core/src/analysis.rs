@@ -38,10 +38,14 @@ impl PeriodicSpec {
     }
 }
 
-/// Total utilization of a task set.
+/// Total utilization of a task set; `0` (never `-0`) for an empty set.
 #[must_use]
 pub fn total_utilization(tasks: &[PeriodicSpec]) -> f64 {
-    tasks.iter().map(PeriodicSpec::utilization).sum()
+    // `Iterator::sum` over `f64` starts from `-0.0`.
+    tasks
+        .iter()
+        .map(PeriodicSpec::utilization)
+        .fold(0.0, |a, u| a + u)
 }
 
 /// The Liu–Layland bound `n(2^(1/n) − 1)`: a task set whose utilization is

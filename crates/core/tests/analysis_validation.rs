@@ -78,6 +78,14 @@ fn rta_bound_is_attained_at_the_critical_instant() {
 }
 
 #[test]
+fn empty_set_utilization_is_positive_zero() {
+    // Reports render it, so `-0` would print as "-0".
+    let u = total_utilization(&[]);
+    assert_eq!(u, 0.0);
+    assert!(u.is_sign_positive());
+}
+
+#[test]
 fn liu_layland_sets_never_miss_under_rms() {
     // Utilization 0.72 < bound(3) ≈ 0.7798.
     let tasks = [
