@@ -29,7 +29,8 @@
 //!
 //! * **Lossless input only** — a trace whose bounded ring dropped records
 //!   ([`TraceData::dropped_records`] > 0) is rejected by
-//!   [`check_lossless`]: derived counts from a lossy trace would
+//!   [`check_lossless`], which [`TraceData::from_chrome_json`] applies to
+//!   every file it reads: derived counts from a lossy trace would
 //!   silently undercount.
 //! * **Consistency oracle** — [`check_consistency`] asserts that
 //!   trace-derived dispatch, preemption and response-time figures equal
@@ -153,17 +154,10 @@ pub struct BusMarkEv {
     pub label: String,
 }
 
-/// The bus protocol's label rule for one event on a `bus:{name}` track
-/// ([`sldl_sim::bus`]'s protocol trace): an instant (phase `i` or `I`)
-/// is `req:`, `grant:` or `contend:` followed by a master name, and a
-/// complete span (phase `X`) is `xfer:{master}:{bytes}` with a decimal
-/// byte count. Other phases carry no protocol label. Both
-/// [`TraceData::from_chrome_json`] and the `trace_lint` bin apply it.
-///
-/// # Errors
-///
-/// Returns a message naming the label that breaks the rule.
-pub fn check_bus_event(ph: &str, name: &str) -> Result<(), String> {
+/// The bus label rule of [`TraceData::from_chrome_json`] for one event on
+/// a `bus:{name}` track; returns a message naming the label that breaks
+/// it.
+fn check_bus_event(ph: &str, name: &str) -> Result<(), String> {
     let is_marker = || {
         ["req:", "grant:", "contend:"].iter().any(|p| {
             name.strip_prefix(p)
@@ -171,7 +165,7 @@ pub fn check_bus_event(ph: &str, name: &str) -> Result<(), String> {
         })
     };
     match ph {
-        "i" | "I" if !is_marker() => Err(format!(
+        "i" if !is_marker() => Err(format!(
             "bus instant {name:?} is not `req:`/`grant:`/`contend:` + master"
         )),
         "X" if xfer_bytes(name).is_none() => Err(format!(
@@ -307,52 +301,79 @@ impl TraceData {
         data
     }
 
-    /// Ingests an exported Chrome/Perfetto trace document (the analyze
-    /// bin's road), produced by [`crate::trace::to_chrome_json`].
+    /// Reads an exported Chrome/Perfetto trace document, as
+    /// [`crate::trace::to_chrome_json`] writes it. This is the format's one
+    /// reader: the analyze bin ingests trace files with it and `trace_lint`
+    /// validates them with it. It refuses
+    ///
+    /// * an `otherData.dropped_records` that is not a whole record count,
+    ///   or a nonzero one ([`check_lossless`]);
+    /// * an event that is not an object with a string `name`, a string
+    ///   `ph` and integral `pid`/`tid`;
+    /// * a phase the writer does not write: only `M` (metadata), `X`
+    ///   (complete span) and `i` (instant) are read;
+    /// * an `X` or `i` event on a thread no `thread_name` event names;
+    /// * an absent, negative or non-finite `ts`, or `dur` of an `X` event;
+    /// * an event on a `bus:{name}` thread that breaks the label rule of
+    ///   [`sldl_sim::bus`]'s protocol trace: an instant is `req:`,
+    ///   `grant:` or `contend:` followed by a master name, and a span is
+    ///   `xfer:{master}:{bytes}` with a decimal byte count;
+    /// * a `task:released` or mutex instant with incomplete `args`, or a
+    ///   mutex id beyond `u32`.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the malformed part when the document is
-    /// not a Chrome trace of ours.
+    /// Returns a message naming the malformed part; a defect in one event
+    /// is named as `traceEvents[{index}]`.
     pub fn from_chrome_json(doc: &Json) -> Result<TraceData, String> {
         let events = doc
             .get("traceEvents")
             .and_then(Json::as_array)
             .ok_or("not a Chrome trace: missing `traceEvents` array")?;
-        let dropped = doc
-            .get("otherData")
-            .and_then(|o| o.get("dropped_records"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
+        let dropped = match doc.get("otherData").and_then(|o| o.get("dropped_records")) {
+            None => 0,
+            Some(n) => n.as_u64().ok_or_else(|| {
+                let n = n.render();
+                format!(
+                    "`otherData.dropped_records` is {}, not a record count",
+                    n.trim_end()
+                )
+            })?,
+        };
         let mut data = TraceData {
             dropped_records: dropped,
             ..TraceData::default()
         };
+        check_lossless(&data).map_err(|e| {
+            format!(
+                "lossy trace, so every derived count would undercount: {}",
+                e.trace_value
+            )
+        })?;
 
-        // Pass 1: thread_name metadata gives (pid, tid) → track name.
-        let mut tracks: BTreeMap<(u64, u64), String> = BTreeMap::new();
-        for e in events {
-            let name = e.get("name").and_then(Json::as_str);
-            if e.get("ph").and_then(Json::as_str) == Some("M") && name == Some("thread_name") {
-                let (Some(pid), Some(tid)) = (
-                    e.get("pid").and_then(Json::as_u64),
-                    e.get("tid").and_then(Json::as_u64),
-                ) else {
-                    continue;
-                };
+        // Pass 1: every event's head; thread_name metadata gives
+        // (pid, tid) → track name. Errors name the event's index.
+        let heads = events
+            .iter()
+            .enumerate()
+            .map(|(i, e)| EventHead::read(e).map_err(|err| format!("traceEvents[{i}]: {err}")))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut tracks: BTreeMap<(u64, u64), &str> = BTreeMap::new();
+        for (e, head) in events.iter().zip(&heads) {
+            if head.ph == "M" && head.name == "thread_name" {
                 if let Some(track) = e
                     .get("args")
                     .and_then(|a| a.get("name"))
                     .and_then(Json::as_str)
                 {
-                    tracks.insert((pid, tid), track.to_string());
+                    tracks.insert((head.pid, head.tid), track);
                 }
             }
         }
 
-        // Pass 2: the events themselves. Errors name the event's index.
-        for (i, e) in events.iter().enumerate() {
-            data.ingest_event(e, &tracks)
+        // Pass 2: the events themselves.
+        for (i, (e, head)) in events.iter().zip(&heads).enumerate() {
+            data.ingest_event(e, head, &tracks)
                 .map_err(|err| format!("traceEvents[{i}]: {err}"))?;
         }
         data.sort_spans();
@@ -363,96 +384,81 @@ impl TraceData {
     fn ingest_event(
         &mut self,
         e: &Json,
-        tracks: &BTreeMap<(u64, u64), String>,
+        head: &EventHead,
+        tracks: &BTreeMap<(u64, u64), &str>,
     ) -> Result<(), String> {
-        let track_of = |e: &Json| -> Result<String, String> {
-            let (Some(pid), Some(tid)) = (
-                e.get("pid").and_then(Json::as_u64),
-                e.get("tid").and_then(Json::as_u64),
-            ) else {
-                return Err("event without pid/tid".to_string());
-            };
-            tracks
-                .get(&(pid, tid))
-                .cloned()
-                .ok_or_else(|| format!("event on unnamed thread pid={pid} tid={tid}"))
-        };
-        let time_of = |e: &Json, key: &str| us_at(e.get(key), key).map(us_to_time);
-        let arg = |key: &str| e.get("args").and_then(|a| a.get(key));
-        let arg_str = |key: &str| arg(key).and_then(Json::as_str).map(ToString::to_string);
-        let ph = e.get("ph").and_then(Json::as_str).unwrap_or("");
-        let name = e.get("name").and_then(Json::as_str).unwrap_or("");
-        if track_of(e).is_ok_and(|track| track.starts_with("bus:")) {
+        let &EventHead { name, ph, pid, tid } = head;
+        if ph == "M" {
+            return Ok(());
+        }
+        let track = *tracks
+            .get(&(pid, tid))
+            .ok_or_else(|| format!("event on unnamed thread pid={pid} tid={tid}"))?;
+        if track.starts_with("bus:") {
             check_bus_event(ph, name)?;
         }
-        match ph {
-            "X" => {
-                let track = track_of(e)?;
-                let start = time_of(e, "ts")?;
-                let dur = us_at(e.get("dur"), "dur")?;
-                let end = us_to_time(start.as_nanos() as f64 / 1e3 + dur);
-                self.end = self.end.max(end);
-                self.spans.push(SpanEv {
-                    track,
-                    label: name.to_string(),
-                    start,
-                    end,
-                });
-            }
-            "i" => {
-                let time = time_of(e, "ts")?;
-                self.end = self.end.max(time);
-                if let Some(reason) = name.strip_prefix("sched:") {
-                    let track = track_of(e)?;
-                    self.sched.push(SchedEv {
-                        time,
-                        pe: pe_of(&track),
-                        dispatched: arg_str("dispatched"),
-                        displaced: arg_str("displaced"),
-                        reason: reason.to_string(),
-                    });
-                } else if name == "task:released" {
-                    let task = arg_str("task").ok_or("task:released event missing args.task")?;
-                    let release = us_to_time(us_at(arg("release"), "args.release")?);
-                    self.releases.push(ReleaseEv {
-                        time,
-                        task,
-                        release,
-                    });
-                } else if let Some(op) = match name {
-                    "mutex:wait" => Some(MutexOp::Wait),
-                    "mutex:acquired" => Some(MutexOp::Acquired),
-                    "mutex:released" => Some(MutexOp::Released),
-                    _ => None,
-                } {
-                    let track = track_of(e)?;
-                    let task = arg_str("task").ok_or("mutex event missing args.task")?;
-                    let mutex = arg("mutex")
-                        .and_then(Json::as_u64)
-                        .ok_or("mutex event missing args.mutex")?;
-                    let mutex = u32::try_from(mutex)
-                        .map_err(|_| format!("mutex id {mutex} does not fit u32"))?;
-                    self.mutexes.push(MutexEv {
-                        time,
-                        op,
-                        pe: pe_of(&track),
-                        task,
-                        owner: arg_str("owner"),
-                        mutex,
-                    });
-                } else if let Ok(track) = track_of(e) {
-                    if let Some(bus) = track.strip_prefix("bus:") {
-                        self.bus_markers.push(BusMarkEv {
-                            time,
-                            bus: bus.to_string(),
-                            label: name.to_string(),
-                        });
-                    } else if track.ends_with(":switch") {
-                        self.switch_markers += 1;
-                    }
-                }
-            }
-            _ => {}
+        let time_of = |key: &str| us_at(e.get(key), key).map(us_to_time);
+        let arg = |key: &str| e.get("args").and_then(|a| a.get(key));
+        let arg_str = |key: &str| arg(key).and_then(Json::as_str).map(ToString::to_string);
+        if ph == "X" {
+            let start = time_of("ts")?;
+            let dur = us_at(e.get("dur"), "dur")?;
+            let end = us_to_time(start.as_nanos() as f64 / 1e3 + dur);
+            self.end = self.end.max(end);
+            self.spans.push(SpanEv {
+                track: track.to_string(),
+                label: name.to_string(),
+                start,
+                end,
+            });
+            return Ok(());
+        }
+        let time = time_of("ts")?;
+        self.end = self.end.max(time);
+        if let Some(reason) = name.strip_prefix("sched:") {
+            self.sched.push(SchedEv {
+                time,
+                pe: pe_of(track),
+                dispatched: arg_str("dispatched"),
+                displaced: arg_str("displaced"),
+                reason: reason.to_string(),
+            });
+        } else if name == "task:released" {
+            let task = arg_str("task").ok_or("task:released event missing args.task")?;
+            let release = us_to_time(us_at(arg("release"), "args.release")?);
+            self.releases.push(ReleaseEv {
+                time,
+                task,
+                release,
+            });
+        } else if let Some(op) = match name {
+            "mutex:wait" => Some(MutexOp::Wait),
+            "mutex:acquired" => Some(MutexOp::Acquired),
+            "mutex:released" => Some(MutexOp::Released),
+            _ => None,
+        } {
+            let task = arg_str("task").ok_or("mutex event missing args.task")?;
+            let mutex = arg("mutex")
+                .and_then(Json::as_u64)
+                .ok_or("mutex event missing args.mutex")?;
+            let mutex =
+                u32::try_from(mutex).map_err(|_| format!("mutex id {mutex} does not fit u32"))?;
+            self.mutexes.push(MutexEv {
+                time,
+                op,
+                pe: pe_of(track),
+                task,
+                owner: arg_str("owner"),
+                mutex,
+            });
+        } else if let Some(bus) = track.strip_prefix("bus:") {
+            self.bus_markers.push(BusMarkEv {
+                time,
+                bus: bus.to_string(),
+                label: name.to_string(),
+            });
+        } else if track.ends_with(":switch") {
+            self.switch_markers += 1;
         }
         Ok(())
     }
@@ -477,6 +483,47 @@ fn us_at(value: Option<&Json>, key: &str) -> Result<f64, String> {
 /// horizon a bench trace reaches (< 2⁵² ns ≈ 52 days).
 fn us_to_time(us: f64) -> SimTime {
     SimTime::from_nanos((us * 1e3).round() as u64)
+}
+
+/// The fields every Chrome event the trace writer emits carries.
+struct EventHead<'a> {
+    name: &'a str,
+    /// `M`, `X` or `i`.
+    ph: &'a str,
+    pid: u64,
+    tid: u64,
+}
+
+impl<'a> EventHead<'a> {
+    fn read(e: &'a Json) -> Result<EventHead<'a>, String> {
+        if !matches!(e, Json::Obj(_)) {
+            return Err("event is not an object".into());
+        }
+        let name = e
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or("event lacks a string `name`")?;
+        let ph = e
+            .get("ph")
+            .and_then(Json::as_str)
+            .ok_or("event lacks a string `ph`")?;
+        if !matches!(ph, "M" | "X" | "i") {
+            return Err(format!(
+                "phase {ph:?} is not one the trace writer emits (`M`, `X` or `i`)"
+            ));
+        }
+        let id = |key: &str| {
+            e.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("event lacks an integral `{key}`"))
+        };
+        Ok(EventHead {
+            name,
+            ph,
+            pid: id("pid")?,
+            tid: id("tid")?,
+        })
+    }
 }
 
 /// One CPU occupancy interval reconstructed from scheduler decisions.
@@ -1301,6 +1348,101 @@ impl Analysis {
         Json::obj(doc)
     }
 
+    /// Checks a document against the `rtos-sld-analysis/1` shape
+    /// [`Analysis::to_json`] writes. There is no typed reader, because the
+    /// document omits the activations an [`Analysis`] holds. The rules:
+    ///
+    /// * `schema` is [`SCHEMA`];
+    /// * `dropped_records` is `0`: the analyzer refuses lossy traces, so
+    ///   any other count in a published document is a pipeline bug;
+    /// * `end_us` and `context_switches` are numbers;
+    /// * each of `pes` has a string `name` and numeric `decisions`,
+    ///   `busy_us` and `utilization`;
+    /// * each of `tasks` has a string `name` and numeric `releases`,
+    ///   `dispatches`, `preemptions`, `completed_cycles` and
+    ///   `implicit_deadline_misses`;
+    /// * each of `preemptions` has strings `by` and `of` and a numeric
+    ///   `count`;
+    /// * each of `blocking` has strings `waiter` and `owner`, numeric
+    ///   `blocked_us` and `interference_us` and a boolean `bounded`;
+    /// * `schedulability` has numeric `tasks_in_model`,
+    ///   `total_utilization` and `liu_layland_bound`.
+    ///
+    /// Other fields, such as the analyze bin's `diff`, are not checked.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first field that breaks a rule.
+    pub fn check_json(doc: &Json) -> Result<(), String> {
+        let schema = doc.get("schema").and_then(Json::as_str).unwrap_or_default();
+        if schema != SCHEMA {
+            return Err(format!("unsupported schema `{schema}`"));
+        }
+        match doc.get("dropped_records").map(Json::as_u64) {
+            Some(Some(0)) => {}
+            Some(Some(n)) => {
+                return Err(format!(
+                    "`dropped_records` is {n}: the document comes from a lossy trace"
+                ));
+            }
+            _ => return Err("lacks an integral `dropped_records`".into()),
+        }
+        let has = |obj: &Json, at: &str, key: &str, what: &str, ok: fn(&Json) -> bool| {
+            if obj.get(key).is_some_and(ok) {
+                Ok(())
+            } else {
+                Err(format!("{at} lacks a {what} `{key}`"))
+            }
+        };
+        let number = |j: &Json| j.as_f64().is_some();
+        for key in ["end_us", "context_switches"] {
+            has(doc, "the document", key, "numeric", number)?;
+        }
+        let section = |name: &str, strings: &[&str], numbers: &[&str], bools: &[&str]| {
+            let items = doc
+                .get(name)
+                .and_then(Json::as_array)
+                .ok_or_else(|| format!("lacks a `{name}` array"))?;
+            for (i, item) in items.iter().enumerate() {
+                let at = format!("{name}[{i}]");
+                for key in strings {
+                    has(item, &at, key, "string", |j| j.as_str().is_some())?;
+                }
+                for key in numbers {
+                    has(item, &at, key, "numeric", number)?;
+                }
+                for key in bools {
+                    has(item, &at, key, "boolean", |j| matches!(j, Json::Bool(_)))?;
+                }
+            }
+            Ok::<(), String>(())
+        };
+        section(
+            "pes",
+            &["name"],
+            &["decisions", "busy_us", "utilization"],
+            &[],
+        )?;
+        let counts = [
+            "releases",
+            "dispatches",
+            "preemptions",
+            "completed_cycles",
+            "implicit_deadline_misses",
+        ];
+        section("tasks", &["name"], &counts, &[])?;
+        section("preemptions", &["by", "of"], &["count"], &[])?;
+        let times = ["blocked_us", "interference_us"];
+        section("blocking", &["waiter", "owner"], &times, &["bounded"])?;
+        let sched = doc
+            .get("schedulability")
+            .ok_or("lacks a `schedulability` object")?;
+        for key in ["tasks_in_model", "total_utilization", "liu_layland_bound"] {
+            has(sched, "schedulability", key, "numeric", number)?;
+        }
+        Ok(())
+    }
+
     /// Renders the human-readable markdown schedulability report.
     #[must_use]
     #[allow(clippy::too_many_lines)]
@@ -1972,28 +2114,46 @@ mod tests {
         assert!(msg.contains("dispatches"), "{msg}");
     }
 
+    /// A Chrome trace with two named threads, a mutex track (pid 1, tid 1)
+    /// and a bus (pid 1, tid 9), then `events` from index 2 on.
+    fn chrome_doc(events: &str) -> Json {
+        Json::parse(&format!(
+            r#"{{"traceEvents": [
+                {{"name": "thread_name", "ph": "M", "pid": 1, "tid": 1,
+                  "args": {{"name": "pe:mutex"}}}},
+                {{"name": "thread_name", "ph": "M", "pid": 1, "tid": 9,
+                  "args": {{"name": "bus:pebus"}}}},
+                {events}
+            ]}}"#
+        ))
+        .unwrap()
+    }
+
+    /// Reads an empty Chrome trace whose `otherData.dropped_records` is
+    /// the JSON text `n`.
+    fn with_dropped(n: &str) -> Result<TraceData, String> {
+        let doc = format!(r#"{{"otherData": {{"dropped_records": {n}}}, "traceEvents": []}}"#);
+        TraceData::from_chrome_json(&Json::parse(&doc).unwrap())
+    }
+
     #[test]
     fn chrome_ingest_rejects_what_it_used_to_repair() {
-        let doc = |event: &str| {
-            Json::parse(&format!(
-                r#"{{"traceEvents": [
-                    {{"name": "thread_name", "ph": "M", "pid": 1, "tid": 1,
-                      "args": {{"name": "pe:mutex"}}}},
-                    {event}
-                ]}}"#
-            ))
-            .unwrap()
-        };
         let mutex = |id: u64| {
             format!(
                 r#"{{"name": "mutex:acquired", "ph": "i", "pid": 1, "tid": 1, "ts": 1,
                      "args": {{"task": "t", "mutex": {id}}}}}"#
             )
         };
+        let phase = |ph: &str| {
+            format!(r#"{{"name": "sched:activation", "ph": "{ph}", "pid": 1, "tid": 1, "ts": 1}}"#)
+        };
+        let on_bus = |name: &str, ph: &str| {
+            format!(r#"{{"name": "{name}", "ph": "{ph}", "pid": 1, "tid": 9, "ts": 1, "dur": 2}}"#)
+        };
         for (event, want) in [
             (
                 r#"{"name": "d", "ph": "X", "pid": 1, "tid": 1, "ts": 1}"#.to_string(),
-                "without numeric `dur`",
+                "event without numeric `dur`",
             ),
             (
                 r#"{"name": "d", "ph": "X", "pid": 1, "tid": 1, "ts": -5, "dur": 1}"#.into(),
@@ -2006,13 +2166,92 @@ mod tests {
                 "`args.release` is -1",
             ),
             (mutex(1 << 32), "mutex id 4294967296 does not fit u32"),
+            // Every event is an object with a string name and ph and
+            // integral pid/tid.
+            ("[1]".into(), "event is not an object"),
+            (
+                r#"{"ph": "i", "pid": 1, "tid": 1, "ts": 1}"#.into(),
+                "event lacks a string `name`",
+            ),
+            (
+                r#"{"name": "a", "pid": 1, "tid": 1, "ts": 1}"#.into(),
+                "event lacks a string `ph`",
+            ),
+            (
+                r#"{"name": "a", "ph": "i", "tid": 1, "ts": 1}"#.into(),
+                "event lacks an integral `pid`",
+            ),
+            (
+                r#"{"name": "a", "ph": "i", "pid": 1, "tid": "1", "ts": 1}"#.into(),
+                "event lacks an integral `tid`",
+            ),
+            // Only the phases the writer emits are read; an `I` instant
+            // used to lint clean and vanish from the analysis.
+            (phase("I"), r#"phase "I" is not one the trace writer emits"#),
+            (phase("B"), r#"phase "B""#),
+            (phase("E"), r#"phase "E""#),
+            (phase("Z"), r#"phase "Z""#),
+            // Every non-metadata event is on a named thread.
+            (
+                r#"{"name": "whatever", "ph": "i", "pid": 1, "tid": 3, "ts": 1}"#.into(),
+                "event on unnamed thread pid=1 tid=3",
+            ),
+            // The bus label rule.
+            (on_bus("release:pe0", "i"), r#"bus instant "release:pe0""#),
+            (on_bus("req:", "i"), r#"bus instant "req:""#),
+            (
+                on_bus("xfer:pe0:link:lots", "X"),
+                r#"bus span "xfer:pe0:link:lots""#,
+            ),
+            (on_bus("xfer:pe0", "X"), r#"bus span "xfer:pe0""#),
         ] {
-            let err = TraceData::from_chrome_json(&doc(&event)).unwrap_err();
-            assert!(err.starts_with("traceEvents[1]: "), "{err}");
+            let err = TraceData::from_chrome_json(&chrome_doc(&event)).unwrap_err();
+            assert!(err.starts_with("traceEvents[2]: "), "{err}");
             assert!(err.contains(want), "{err}");
         }
-        let data = TraceData::from_chrome_json(&doc(&mutex(u64::from(u32::MAX)))).unwrap();
+        let data = TraceData::from_chrome_json(&chrome_doc(&mutex(u64::from(u32::MAX)))).unwrap();
         assert_eq!(data.mutexes[0].mutex, u32::MAX);
+
+        // A drop count is a whole number, and a nonzero one is refused.
+        for n in [r#""3""#, "3.5", "-1"] {
+            let err = with_dropped(n).unwrap_err();
+            let want = format!("`otherData.dropped_records` is {n}, not a record count");
+            assert_eq!(err, want);
+        }
+        let err = with_dropped("3").unwrap_err();
+        assert!(err.contains("lossy trace"), "{err}");
+    }
+
+    #[test]
+    fn accepts_well_formed_events() {
+        let data = TraceData::from_chrome_json(&chrome_doc(
+            r#"{"name": "process_name", "ph": "M", "pid": 1, "tid": 0},
+               {"name": "a", "ph": "X", "pid": 1, "tid": 1, "ts": 0, "dur": 1.5},
+               {"name": "whatever", "ph": "i", "pid": 1, "tid": 1, "ts": 1},
+               {"name": "req:pe0:link", "ph": "i", "pid": 1, "tid": 9, "ts": 1},
+               {"name": "grant:pe0:link", "ph": "i", "pid": 1, "tid": 9, "ts": 1},
+               {"name": "contend:pe1:link", "ph": "i", "pid": 1, "tid": 9, "ts": 2},
+               {"name": "xfer:pe0:link:16", "ph": "X", "pid": 1, "tid": 9, "ts": 1, "dur": 10}"#,
+        ))
+        .unwrap();
+        let labels: Vec<&str> = data.bus_markers.iter().map(|m| m.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["req:pe0:link", "grant:pe0:link", "contend:pe1:link"]
+        );
+        let spans: Vec<(&str, &str)> = data
+            .spans
+            .iter()
+            .map(|s| (s.track.as_str(), s.label.as_str()))
+            .collect();
+        assert_eq!(
+            spans,
+            [("bus:pebus", "xfer:pe0:link:16"), ("pe:mutex", "a")]
+        );
+        assert_eq!(data.end, SimTime::from_micros(11));
+        // A lossless drop count passes, whichever number form it takes.
+        with_dropped("0").unwrap();
+        with_dropped("0.0").unwrap();
     }
 
     #[test]
@@ -2025,6 +2264,31 @@ mod tests {
         let analysis = Analysis::from_trace(&data);
         let err = check_consistency(&analysis, &o.tasks).unwrap_err();
         assert_eq!(err.metric, "dropped_records");
+    }
+
+    #[test]
+    fn analysis_documents_are_validated() {
+        // A real analysis document from a traced run passes.
+        let o = traced_outcome(rtos_model::SchedAlg::PriorityPreemptive);
+        let doc = Analysis::from_trace(&TraceData::from_records(&o.records)).to_json();
+        Analysis::check_json(&doc).unwrap();
+
+        // A lossy trace's document is rejected even though well-shaped.
+        let mut lossy = o.records.clone();
+        lossy.dropped = 7;
+        let lossy = Analysis::from_trace(&TraceData::from_records(&lossy)).to_json();
+        let err = Analysis::check_json(&lossy).unwrap_err();
+        assert!(err.contains("lossy"), "{err}");
+
+        // Missing sections and fields are named.
+        let bare = Json::parse(r#"{"schema":"rtos-sld-analysis/1","dropped_records":0}"#).unwrap();
+        let err = Analysis::check_json(&bare).unwrap_err();
+        assert!(err.contains("`end_us`"), "{err}");
+        let renamed = doc
+            .render()
+            .replacen("\"dispatches\":", "\"dispatched\":", 1);
+        let err = Analysis::check_json(&Json::parse(&renamed).unwrap()).unwrap_err();
+        assert_eq!(err, "tasks[0] lacks a numeric `dispatches`");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! * `--json PATH` — write the deterministic `rtos-sld-analysis/1`
 //!   document (byte-identical across repeat runs; validated by
-//!   `trace_lint`).
+//!   `trace_lint` with `Analysis::check_json`).
 //! * `--report PATH` — write the human-readable markdown schedulability
 //!   report.
 //! * `--diff OTHER` — structurally compare against a second trace:
@@ -24,16 +24,18 @@
 //!   `diff` and summarized on stdout.
 //! * `--quiet` — suppress the stdout summary.
 //!
-//! The analyzer refuses **lossy traces** (a bounded trace ring dropped
-//! records, counted in the trace's `otherData.dropped_records`): every
-//! derived count from such a trace would silently undercount. Record the
-//! trace again with the default unbounded sink instead.
+//! Traces are read by `TraceData::from_chrome_json`, the same reader
+//! `trace_lint` validates them with, so a trace passes one exactly when
+//! it passes the other. It refuses **lossy traces** (a bounded trace ring
+//! dropped records, counted in the trace's `otherData.dropped_records`):
+//! every derived count from such a trace would silently undercount.
+//! Record the trace again with the default unbounded sink instead.
 //!
 //! Exit codes: 0 ok, 1 analysis refused (lossy/malformed trace), 2 usage.
 
 use std::process::ExitCode;
 
-use bench::analyze::{check_lossless, diff_traces, Analysis, TraceData};
+use bench::analyze::{diff_traces, Analysis, TraceData};
 use bench::json::Json;
 
 const USAGE: &str = "\
@@ -96,15 +98,7 @@ fn parse_args(argv: &[String]) -> Result<Opts, String> {
 fn load_trace(path: &str) -> Result<TraceData, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: read failed: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-    let data = TraceData::from_chrome_json(&doc).map_err(|e| format!("{path}: {e}"))?;
-    check_lossless(&data).map_err(|e| {
-        format!(
-            "{path}: refusing to analyze a lossy trace, because every derived \
-             count would undercount: {}",
-            e.trace_value
-        )
-    })?;
-    Ok(data)
+    TraceData::from_chrome_json(&doc).map_err(|e| format!("{path}: {e}"))
 }
 
 fn run(opts: &Opts) -> Result<(), String> {

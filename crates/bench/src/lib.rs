@@ -11,7 +11,7 @@
 //!   parsing used by every bench binary, plus the [`cli::SweepApp`]
 //!   driver the sweep binaries are built on;
 //! * [`stats`] / [`json`] / [`results`] — typed aggregates and the
-//!   hand-rolled, deterministic JSON results writer
+//!   hand-rolled, deterministic JSON results writer and reader
 //!   (`bench-results/<bin>.json`, schema `rtos-sld-bench/1`);
 //! * [`trace`] — the Chrome-trace-event / Perfetto JSON exporter behind
 //!   every binary's `--trace-out` flag;

@@ -207,3 +207,59 @@ impl Repro {
         })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn chaos_repro_artifacts_are_validated() {
+        let repro = |schema: &str, kind: &str| {
+            Json::parse(&format!(
+                r#"{{"schema":"{schema}","bench":"chaos","workload":"vocoder",
+                    "frames":4,"seed":7,
+                    "failure":{{"kind":"{kind}","message":"delta went backwards"}},
+                    "fault_plan":{{"wcet_probability":0,"wcet_max_stretch":0,
+                                  "drop_notify":0.075,"dup_notify":0}},
+                    "chaos_plan":{{"reorder":0.5,"window":[0,8]}}}}"#
+            ))
+            .unwrap()
+        };
+        for kind in ["invariant", "panicked", "zero_time_loop"] {
+            let r = Repro::from_json(&repro(REPRO_SCHEMA, kind)).unwrap();
+            assert_eq!(r.kind.as_str(), kind);
+        }
+        assert!(Repro::from_json(&repro(REPRO_SCHEMA, "cosmic-rays")).is_err());
+        // A `/1` artifact is rejected: it may record a host-time verdict.
+        let err = Repro::from_json(&repro("rtos-sld-chaos-repro/1", "invariant")).unwrap_err();
+        assert!(err.contains("unsupported schema"), "{err}");
+
+        let missing_plan = Json::parse(
+            r#"{"schema":"rtos-sld-chaos-repro/2","workload":"vocoder","frames":4,"seed":7,
+                "failure":{"kind":"invariant","message":"x"},
+                "chaos_plan":{"reorder":0}}"#,
+        )
+        .unwrap();
+        let err = Repro::from_json(&missing_plan).unwrap_err();
+        assert!(err.contains("fault_plan"), "{err}");
+        // Replay compares messages, so the message is required.
+        let no_message = Json::parse(
+            &repro(REPRO_SCHEMA, "invariant")
+                .render()
+                .replace(r#""message": "delta went backwards""#, r#""note": "x""#),
+        )
+        .unwrap();
+        let err = Repro::from_json(&no_message).unwrap_err();
+        assert!(err.contains("message"), "{err}");
+        // Every fault-plan field is required, also for a fault kind that
+        // is off.
+        let no_stretch = Json::parse(
+            &repro(REPRO_SCHEMA, "invariant")
+                .render()
+                .replace(r#""wcet_max_stretch": 0,"#, ""),
+        )
+        .unwrap();
+        let err = Repro::from_json(&no_stretch).unwrap_err();
+        assert!(err.contains("wcet_max_stretch"), "{err}");
+    }
+}

@@ -2,7 +2,7 @@
 //! 2, never a panic. Core flags are checked while parsing; per-binary
 //! extras are checked when the binary reads them. A trace that `analyze`
 //! cannot analyze faithfully ends it with exit code 1 and a message that
-//! names the defect.
+//! names the defect, and `trace_lint` refuses the same trace the same way.
 
 use std::process::Command;
 
@@ -37,32 +37,70 @@ fn run(exe: &str, args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn analyze_rejects_the_trace_trace_lint_rejects() {
-    // An X event at a negative `ts` without `dur`, then two mutex events
-    // whose ids would merge if clamped to u32::MAX.
-    let bad = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/invalid/silent_repairs.json"
+    // Both bins read traces with one reader, so both refuse each file in
+    // `tests/invalid/` and name the same event. One row per file.
+    let rows = [
+        // A transfer span whose byte count is not a number, a span
+        // without a byte count and an unknown bus instant, all on a
+        // `bus:pebus` thread.
+        (
+            "bus_labels.json",
+            r#"traceEvents[4]: bus span "xfer:pe0:lots""#,
+        ),
+        // A scheduler decision with the instant phase `I`, which the
+        // trace writer never emits.
+        ("instant_phase.json", r#"traceEvents[3]: phase "I""#),
+        // An X event at a negative `ts` without `dur`, then two mutex
+        // events whose ids would merge if clamped to u32::MAX.
+        ("silent_repairs.json", "traceEvents[3]: `ts` is -5"),
+    ];
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/invalid");
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(
+        files,
+        rows.map(|(file, _)| file),
+        "one row per invalid file"
     );
-    let (code, stderr) = run(env!("CARGO_BIN_EXE_trace_lint"), &[bad]);
-    assert_eq!(code, Some(1), "{stderr}");
-    let (code, stderr) = run(env!("CARGO_BIN_EXE_analyze"), &[bad, "-q"]);
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(stderr.contains("traceEvents[3]"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    for (file, want) in rows {
+        let bad = format!("{dir}/{file}");
+        for (exe, args) in [
+            (env!("CARGO_BIN_EXE_trace_lint"), vec![bad.as_str()]),
+            (env!("CARGO_BIN_EXE_analyze"), vec![bad.as_str(), "-q"]),
+        ] {
+            let (code, stderr) = run(exe, &args);
+            assert_eq!(code, Some(1), "{exe} {file}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{exe} {file}: {stderr}");
+            assert!(stderr.contains(want), "{exe} {file}: {stderr}");
+        }
+    }
 }
 
 #[test]
-fn analyze_rejects_the_bus_labels_trace_lint_rejects() {
-    // A transfer span whose byte count is not a number, a span without a
-    // byte count and an unknown bus instant, all on a `bus:pebus` thread.
-    let bad = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/invalid/bus_labels.json");
-    let (code, stderr) = run(env!("CARGO_BIN_EXE_trace_lint"), &[bad]);
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(stderr.contains("traceEvents[4]"), "{stderr}");
-    let (code, stderr) = run(env!("CARGO_BIN_EXE_analyze"), &[bad, "-q"]);
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(stderr.contains("traceEvents[4]"), "{stderr}");
-    assert!(stderr.contains("xfer:pe0:lots"), "{stderr}");
+fn trace_lint_fails_documents_no_reader_accepts() {
+    for (i, doc) in [
+        "[1, 2]",
+        // A results document without its `schema` field.
+        r#"{"bench": "robustness", "base_seed": 7, "points": []}"#,
+        r#"{"schema": "rtos-sld-bench/99"}"#,
+        // A lossy trace, which `analyze` refuses too.
+        r#"{"otherData": {"dropped_records": 3}, "traceEvents": []}"#,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path =
+            std::env::temp_dir().join(format!("cli-errors-unread-{}-{i}.json", std::process::id()));
+        std::fs::write(&path, doc).unwrap();
+        let path = path.to_str().unwrap();
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_trace_lint"), &[path]);
+        let _ = std::fs::remove_file(path);
+        assert_eq!(code, Some(1), "{doc}: {stderr}");
+        assert!(stderr.starts_with(&format!("{path}: ")), "{doc}: {stderr}");
+    }
 }
 
 #[test]
