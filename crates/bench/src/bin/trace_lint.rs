@@ -63,3 +63,84 @@ fn main() -> ExitCode {
     }
     ExitCode::SUCCESS
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Lints a schema-less document holding `events` after names for a
+    /// `pe:cpu` thread (tid 1) and a `bus:pebus` thread (tid 9), checking
+    /// that the lint's verdict is the Chrome reader's.
+    fn lint_trace(events: &str) -> Result<&'static str, String> {
+        let doc = Json::parse(&format!(
+            r#"{{"traceEvents": [
+                {{"name": "thread_name", "ph": "M", "pid": 0, "tid": 1, "args": {{"name": "pe:cpu"}}}},
+                {{"name": "thread_name", "ph": "M", "pid": 0, "tid": 9, "args": {{"name": "bus:pebus"}}}},
+                {events}
+            ]}}"#
+        ))
+        .unwrap();
+        let verdict = lint(&doc);
+        let read = TraceData::from_chrome_json(&doc).err();
+        assert_eq!(verdict.as_ref().err(), read.as_ref());
+        verdict
+    }
+
+    /// Each event in `rows` makes the lint name it with its message.
+    fn assert_rejected(rows: &[(&str, &str)]) {
+        for &(event, want) in rows {
+            let err = lint_trace(event).unwrap_err();
+            assert!(err.starts_with("traceEvents[2]: "), "{err}");
+            assert!(err.contains(want), "{err}");
+        }
+    }
+
+    #[test]
+    fn rejects_malformed_events() {
+        assert_rejected(&[
+            (r#"{"ph":"i","pid":0,"tid":1,"ts":1}"#, "string `name`"),
+            (
+                r#"{"name":"a","ph":"Z","pid":0,"tid":1,"ts":1}"#,
+                r#"phase "Z""#,
+            ),
+            (
+                r#"{"name":"a","ph":"X","pid":0,"tid":1,"ts":0}"#,
+                "numeric `dur`",
+            ),
+        ]);
+    }
+
+    #[test]
+    fn bus_events_are_shape_checked() {
+        let ok = r#"{"name": "req:pe0:link", "ph": "i", "pid": 0, "tid": 9, "ts": 1},
+            {"name": "grant:pe0:link", "ph": "i", "pid": 0, "tid": 9, "ts": 1},
+            {"name": "contend:pe1:link", "ph": "i", "pid": 0, "tid": 9, "ts": 2},
+            {"name": "xfer:pe0:link:16", "ph": "X", "pid": 0, "tid": 9, "ts": 1, "dur": 10},
+            {"name": "whatever", "ph": "i", "pid": 0, "tid": 1, "ts": 1}"#;
+        assert_eq!(lint_trace(ok), Ok("Chrome trace"));
+        assert_rejected(&[
+            // Events off a bus thread are out of the label rule's scope,
+            // but each must be on a named thread.
+            (
+                r#"{"name": "whatever", "ph": "i", "pid": 0, "tid": 3, "ts": 1}"#,
+                "unnamed thread pid=0 tid=3",
+            ),
+            (
+                r#"{"name": "release:pe0", "ph": "i", "pid": 0, "tid": 9, "ts": 1}"#,
+                r#"bus instant "release:pe0""#,
+            ),
+            (
+                r#"{"name": "req:", "ph": "i", "pid": 0, "tid": 9, "ts": 1}"#,
+                r#"bus instant "req:""#,
+            ),
+            (
+                r#"{"name": "xfer:pe0:link:lots", "ph": "X", "pid": 0, "tid": 9, "ts": 1, "dur": 2}"#,
+                r#"bus span "xfer:pe0:link:lots""#,
+            ),
+            (
+                r#"{"name": "xfer:pe0", "ph": "X", "pid": 0, "tid": 9, "ts": 1, "dur": 2}"#,
+                r#"bus span "xfer:pe0""#,
+            ),
+        ]);
+    }
+}

@@ -80,6 +80,41 @@ fn analyze_rejects_the_trace_trace_lint_rejects() {
 }
 
 #[test]
+fn analyze_rejects_the_bus_labels_trace_lint_rejects() {
+    // `bus_labels.json` breaks the bus label rule three times on its
+    // `bus:pebus` thread, and a reader names only the first defect. So
+    // drop the defective events one by one: each next defect moves up to
+    // `traceEvents[4]`, and both bins name it there.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/invalid/bus_labels.json");
+    let mut text = std::fs::read_to_string(path).unwrap();
+    let tmp = std::env::temp_dir().join(format!("cli-errors-bus-{}.json", std::process::id()));
+    let tmp = tmp.to_str().unwrap();
+    for (label, defect) in [
+        ("xfer:pe0:lots", "span"),
+        ("xfer:pe0", "span"),
+        ("release:pe0", "instant"),
+    ] {
+        std::fs::write(tmp, &text).unwrap();
+        let want = format!(r#"traceEvents[4]: bus {defect} "{label}""#);
+        for (exe, args) in [
+            (env!("CARGO_BIN_EXE_trace_lint"), vec![tmp]),
+            (env!("CARGO_BIN_EXE_analyze"), vec![tmp, "-q"]),
+        ] {
+            let (code, stderr) = run(exe, &args);
+            assert_eq!(code, Some(1), "{exe} {label}: {stderr}");
+            assert!(stderr.contains(&want), "{exe} {label}: {stderr}");
+        }
+        let line = text
+            .lines()
+            .find(|l| l.contains(&format!(r#""name": "{label}""#)))
+            .unwrap()
+            .to_string();
+        text = text.replacen(&format!("{line}\n"), "", 1);
+    }
+    let _ = std::fs::remove_file(tmp);
+}
+
+#[test]
 fn trace_lint_fails_documents_no_reader_accepts() {
     for (i, doc) in [
         "[1, 2]",
