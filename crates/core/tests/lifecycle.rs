@@ -72,6 +72,47 @@ fn isr_resumes_a_sleeping_task() {
 }
 
 #[test]
+fn task_binding_ends_at_terminate_and_late_pids_are_isrs() {
+    let mut sim = Simulation::new();
+    let os = Rtos::new("pe", sim.sync_layer());
+    os.start(SchedAlg::PriorityPreemptive);
+    let ev = os.event_new();
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let os_t = os.clone();
+    let s = Rc::clone(&seen);
+    sim.spawn(Child::new("waiter", move |ctx| async move {
+        let me = os_t.task_create(&TaskParams::aperiodic("waiter", Priority(1)));
+        os_t.task_activate(&ctx, me).await;
+        os_t.event_wait(&ctx, ev).await;
+        s.borrow_mut()
+            .push(("waiter", os_t.current_task(&ctx) == Some(me)));
+        os_t.task_terminate(&ctx);
+        s.borrow_mut()
+            .push(("terminated", os_t.current_task(&ctx).is_none()));
+    }));
+    // Spawned after every task, so its pid lies past every bound one: an
+    // interrupt handler, which no task table entry may claim.
+    let os_isr = os.clone();
+    let s = Rc::clone(&seen);
+    sim.spawn(Child::new("isr", move |ctx| async move {
+        ctx.waitfor(us(10)).await;
+        s.borrow_mut()
+            .push(("isr", os_isr.current_task(&ctx).is_none()));
+        os_isr.event_notify(&ctx, ev).await;
+        os_isr.interrupt_return(&ctx);
+    }));
+    let report = sim.run().unwrap();
+    assert!(report.blocked.is_empty());
+    assert_eq!(
+        *seen.borrow(),
+        [("isr", true), ("waiter", true), ("terminated", true)]
+    );
+    let m = os.metrics();
+    assert_eq!(m.isr_notifies, 1);
+    assert_eq!(m.interrupt_returns, 1);
+}
+
+#[test]
 fn edf_deadline_rolls_over_each_cycle() {
     // Two periodic tasks under EDF: the one whose *current* deadline is
     // nearer runs first, and that flips as cycles advance.

@@ -4,6 +4,7 @@ use model_refine::{figure3_spec, run_architecture, Figure3Delays, RunConfig};
 use rtos_model::{SchedAlg, TimeSlice};
 use sldl_sim::trace::{render_gantt, to_csv};
 use sldl_sim::SimTime;
+use std::time::Duration;
 
 #[test]
 fn architecture_trace_exports_to_gantt_and_csv() {
@@ -46,4 +47,23 @@ fn architecture_trace_exports_to_gantt_and_csv() {
     for line in csv.lines().skip(1) {
         assert_eq!(line.split(',').count(), 5, "bad csv line: {line}");
     }
+}
+
+#[test]
+fn quantum_trace_is_pinned() {
+    // 50 us slices split every delay of the Fig. 3 model into steps, each
+    // with its own span and preemption point: the multi-step `time_wait`
+    // path, pinned byte for byte next to the whole-delay export above.
+    let spec = figure3_spec(&Figure3Delays::default());
+    let run = run_architecture(
+        &spec,
+        SchedAlg::PriorityPreemptive,
+        TimeSlice::Quantum(Duration::from_micros(50)),
+        &RunConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(
+        to_csv(&run.records),
+        include_str!("golden/figure3_trace_q50.csv")
+    );
 }

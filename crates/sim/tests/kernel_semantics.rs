@@ -435,6 +435,76 @@ fn same_instant_timeouts_resume_in_waitfor_order() {
 }
 
 #[test]
+fn zero_delay_entries_resume_in_time_then_seq_order() {
+    let mut sim = Simulation::new();
+    let never = sim.event_new();
+    let late = sim.event_new();
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let l = Rc::clone(&log);
+    sim.spawn(Child::new("waiter", move |ctx| async move {
+        ctx.wait(late).await;
+        l.borrow_mut().push(format!("waiter@{}", ctx.now()));
+    }));
+    // Three processes wake at 10 us from `waitfor`s issued at t = 0, and
+    // each pushes a zero-delay entry there: a delayed notify with a
+    // waiter, a `waitfor(ZERO)`, and a zero `wait_timeout` that expires.
+    let l = Rc::clone(&log);
+    sim.spawn(Child::new("notifier", move |ctx| async move {
+        ctx.waitfor(us(10)).await;
+        l.borrow_mut().push(format!("notifier@{}", ctx.now()));
+        ctx.notify_delayed(late, Duration::ZERO);
+    }));
+    let l = Rc::clone(&log);
+    sim.spawn(Child::new("yielder", move |ctx| async move {
+        ctx.waitfor(us(10)).await;
+        for i in 0..2 {
+            ctx.waitfor(Duration::ZERO).await;
+            l.borrow_mut().push(format!("yielder+{i}@{}", ctx.now()));
+        }
+    }));
+    let l = Rc::clone(&log);
+    sim.spawn(Child::new("timeout", move |ctx| async move {
+        ctx.waitfor(us(10)).await;
+        let woke = ctx.wait_timeout(never, Duration::ZERO).await;
+        let how = if woke.is_none() { "expired" } else { "fired" };
+        l.borrow_mut().push(format!("timeout:{how}@{}", ctx.now()));
+    }));
+    // `early` issues its `waitfor` for the same instant at 4 us: later
+    // than the others' but before any zero-delay push at 10 us.
+    let l = Rc::clone(&log);
+    sim.spawn(Child::new("early", move |ctx| async move {
+        ctx.waitfor(us(4)).await;
+        ctx.waitfor(us(6)).await;
+        l.borrow_mut().push(format!("early@{}", ctx.now()));
+        ctx.waitfor(Duration::ZERO).await;
+        l.borrow_mut().push(format!("early+0@{}", ctx.now()));
+    }));
+    let l = Rc::clone(&log);
+    sim.spawn(Child::new("later", move |ctx| async move {
+        ctx.waitfor(us(11)).await;
+        l.borrow_mut().push(format!("later@{}", ctx.now()));
+    }));
+    sim.run().unwrap();
+    // Every entry due at 10 us pops in `(time, seq)` order: the `waitfor`s
+    // issued before the instant first, then the zero-delay pushes in the
+    // order they were made; the delayed notify wakes its waiter in the
+    // delta after. Time moves on only once the instant is spent.
+    assert_eq!(
+        *log.borrow(),
+        [
+            "notifier@10us",
+            "early@10us",
+            "yielder+0@10us",
+            "timeout:expired@10us",
+            "early+0@10us",
+            "waiter@10us",
+            "yielder+1@10us",
+            "later@11us",
+        ]
+    );
+}
+
+#[test]
 fn event_del_then_notify_is_model_misuse() {
     let mut sim = Simulation::new();
     let e = sim.event_new();
