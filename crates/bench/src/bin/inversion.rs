@@ -102,7 +102,7 @@ fn run_scenario(policy: InheritancePolicy, medium_work_us: u64, traced: bool) ->
     let h_completion_us = h_done.get();
     RunResult {
         h_completion_us,
-        records: trace.map(|t| t.snapshot()).unwrap_or_default(),
+        records: trace.map(|t| t.take()).unwrap_or_default(),
     }
 }
 

@@ -493,7 +493,7 @@ impl ScenarioSpec {
                 o.kernel_stats = Some(report.kernel);
                 o.tasks = m.tasks;
                 if let Some(t) = &trace {
-                    o.records = t.snapshot();
+                    o.records = t.take();
                 }
                 o
             }
@@ -591,7 +591,7 @@ impl ScenarioSpec {
                 o.kernel_stats = Some(report.kernel);
                 o.tasks = m.tasks;
                 if let Some(t) = &trace {
-                    o.records = t.snapshot();
+                    o.records = t.take();
                 }
                 o
             }

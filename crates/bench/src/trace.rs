@@ -384,7 +384,7 @@ mod tests {
                 reason: DecisionReason::Preemption,
             },
         );
-        t.snapshot()
+        t.take()
     }
 
     #[test]
@@ -424,7 +424,7 @@ mod tests {
                 mutex: 3,
             },
         );
-        let mut trace = t.snapshot();
+        let mut trace = t.take();
         trace.dropped = 42;
         let text = to_chrome_json(&trace).render();
         let doc = Json::parse(&text).expect("valid JSON");

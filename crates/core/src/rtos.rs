@@ -15,7 +15,6 @@
 //! [`TimeSlice`] refines that granularity for accuracy studies.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -215,7 +214,10 @@ struct OsState {
     /// after a context switch (zero by default, as in the paper).
     switch_cost: Duration,
     tasks: Vec<Tcb>,
-    by_pid: HashMap<ProcessId, TaskId>,
+    /// The task each process is bound to, indexed by
+    /// [`ProcessId::index`]. A pid past the end is unbound: an ISR, or a
+    /// process of another PE.
+    by_pid: Vec<Option<TaskId>>,
     /// Indexed ready structure keyed by [`SchedAlg::queue_rank`]; rebuilt
     /// by [`Rtos::start`] when the algorithm changes.
     ready: ReadyQueue,
@@ -246,6 +248,27 @@ struct OsState {
     ///
     /// [`RunError::InvariantViolation`]: sldl_sim::RunError::InvariantViolation
     conformance: bool,
+}
+
+impl OsState {
+    /// The task bound to `pid`, if any.
+    fn task_of(&self, pid: ProcessId) -> Option<TaskId> {
+        self.by_pid.get(pid.index()).copied().flatten()
+    }
+
+    fn bind(&mut self, pid: ProcessId, task: TaskId) {
+        let i = pid.index();
+        if self.by_pid.len() <= i {
+            self.by_pid.resize(i + 1, None);
+        }
+        self.by_pid[i] = Some(task);
+    }
+
+    fn unbind(&mut self, pid: ProcessId) {
+        if let Some(slot) = self.by_pid.get_mut(pid.index()) {
+            *slot = None;
+        }
+    }
 }
 
 struct Inner {
@@ -318,7 +341,7 @@ impl Rtos {
                     slice: TimeSlice::WholeDelay,
                     switch_cost: Duration::ZERO,
                     tasks: Vec::new(),
-                    by_pid: HashMap::new(),
+                    by_pid: Vec::new(),
                     ready: ReadyQueue::for_alg(SchedAlg::PriorityPreemptive),
                     running: None,
                     last_dispatched: None,
@@ -542,7 +565,7 @@ impl Rtos {
     /// first [`task_activate`](Rtos::task_activate)).
     #[must_use]
     pub fn current_task(&self, ctx: &ProcCtx) -> Option<TaskId> {
-        self.inner.state.borrow().by_pid.get(&ctx.pid()).copied()
+        self.inner.state.borrow().task_of(ctx.pid())
     }
 
     /// `task`'s current (possibly inherited) priority.
@@ -633,8 +656,8 @@ impl Rtos {
     pub async fn task_activate(&self, ctx: &ProcCtx, task: TaskId) {
         if self.activate(ctx, task) {
             self.wait_until_dispatched(ctx, task).await;
-        } else {
-            self.preempt_point(ctx, false).await;
+        } else if let Some(me) = self.current_task(ctx) {
+            self.preempt_point(ctx, me, false).await;
         }
     }
 
@@ -657,7 +680,7 @@ impl Rtos {
         if self_activation {
             let now = ctx.now();
             st.tasks[task.index()].pid = Some(ctx.pid());
-            st.by_pid.insert(ctx.pid(), task);
+            st.bind(ctx.pid(), task);
             // First release: set release time and absolute deadline.
             let tcb = &mut st.tasks[task.index()];
             tcb.release_time = now;
@@ -704,7 +727,7 @@ impl Rtos {
         self.undispatch(&mut st, tid, now, DecisionReason::Terminate);
         st.tasks[tid.index()].state = TaskState::Terminated;
         if let Some(pid) = st.tasks[tid.index()].pid {
-            st.by_pid.remove(&pid);
+            st.unbind(pid);
         }
         self.dispatch_best(&mut st, ctx);
     }
@@ -760,7 +783,7 @@ impl Rtos {
             st.tasks[task.index()].state = TaskState::Terminated;
             let pid = st.tasks[task.index()].pid.take();
             if let Some(pid) = pid {
-                st.by_pid.remove(&pid);
+                st.unbind(pid);
             }
             pid
         };
@@ -837,7 +860,7 @@ impl Rtos {
                         self.undispatch(&mut st, tid, now, DecisionReason::MissPolicy);
                         st.tasks[tid.index()].state = TaskState::Terminated;
                         if let Some(pid) = st.tasks[tid.index()].pid {
-                            st.by_pid.remove(&pid);
+                            st.unbind(pid);
                         }
                         self.dispatch_best(&mut st, ctx);
                         return CycleOutcome::Stop;
@@ -922,7 +945,7 @@ impl Rtos {
     pub async fn par_end(&self, ctx: &ProcCtx) {
         let tid = {
             let mut st = self.inner.state.borrow_mut();
-            let tid = match st.by_pid.get(&ctx.pid()).copied() {
+            let tid = match st.task_of(ctx.pid()) {
                 Some(t) => t,
                 None => {
                     drop(st);
@@ -1097,7 +1120,7 @@ impl Rtos {
     ///
     /// Panics if the event has been deleted.
     pub async fn event_notify(&self, ctx: &ProcCtx, event: RtosEvent) {
-        let caller_is_task = {
+        let caller = {
             let mut st = self.inner.state.borrow_mut();
             assert!(
                 st.events[event.index()].alive,
@@ -1115,15 +1138,17 @@ impl Rtos {
             }
             woken.clear();
             st.waiter_scratch = woken;
-            let is_task = st.by_pid.get(&ctx.pid()).copied() == st.running && st.running.is_some();
-            if !is_task {
+            // Any caller but the running task (an ISR process, or a process
+            // of another PE) notifies from interrupt context.
+            let caller = st.task_of(ctx.pid()).filter(|&t| st.running == Some(t));
+            if caller.is_none() {
                 st.isr_notifies += 1;
                 self.dispatch_if_idle(&mut st, ctx);
             }
-            is_task
+            caller
         };
-        if caller_is_task {
-            self.preempt_point(ctx, false).await;
+        if let Some(tid) = caller {
+            self.preempt_point(ctx, tid, false).await;
         }
     }
 
@@ -1144,44 +1169,59 @@ impl Rtos {
     /// Like [`time_wait`](Rtos::time_wait), labeling the trace segments
     /// with `label` (the delay-annotation names `d1..d8` in Fig. 8).
     pub async fn time_wait_as(&self, ctx: &ProcCtx, delay: Duration, label: &str) {
-        {
-            // Validate caller state up front.
+        // Resolve the caller's task once, validating it up front: it holds
+        // the CPU at every step, so the binding cannot change underneath.
+        let (tid, quantum) = {
             let st = self.inner.state.borrow();
-            let _ = self.running_caller(&st, ctx);
-        }
+            let quantum = match st.slice {
+                TimeSlice::WholeDelay => None,
+                TimeSlice::Quantum(q) => Some(q),
+            };
+            (self.running_caller(&st, ctx), quantum)
+        };
         // Fault hook: WCET jitter may stretch the computation annotation
         // (see `sldl_sim::FaultPlan`). Identity unless a plan is armed —
         // only *computation* delays route through here, never the passage
         // of time between periodic releases.
         let delay = ctx.perturb_delay(delay);
-        let quantum = match self.inner.state.borrow().slice {
-            TimeSlice::WholeDelay => None,
-            TimeSlice::Quantum(q) => Some(q),
-        };
         // Let all activity of the current instant settle (tasks activated in
         // later delta cycles of the same time step), then give a more urgent
         // task the CPU before consuming any time — this is what makes the
         // higher-priority child win at t0 in the paper's Fig. 8(b).
         ctx.waitfor(Duration::ZERO).await;
-        self.preempt_point(ctx, false).await;
+        self.preempt_point(ctx, tid, false).await;
+        // Interned at the first step when traced, after the task's own
+        // names, so every trace id is the one a per-step intern would get.
+        let mut label_id = None;
         let mut remaining = delay;
         while !remaining.is_zero() {
             let step = quantum.map_or(remaining, |q| q.min(remaining));
-            self.span_begin(ctx, label);
+            {
+                let mut st = self.inner.state.borrow_mut();
+                if let Some((track, _, _)) = task_trace_ids(&mut st, tid) {
+                    let handle = &st.trace.as_ref().expect("trace present").handle;
+                    let label = *label_id.get_or_insert_with(|| handle.intern_label(label));
+                    handle.span_begin(ctx.now(), track, label);
+                }
+            }
             ctx.waitfor(step).await;
-            self.span_end(ctx);
             remaining -= step;
             {
                 let mut st = self.inner.state.borrow_mut();
-                let tid = self.running_caller(&st, ctx);
-                st.tasks[tid.index()].quantum_used += step;
-                st.tasks[tid.index()].last_cpu_end = ctx.now();
+                let now = ctx.now();
+                if let Some((track, _, _)) = task_trace_ids(&mut st, tid) {
+                    let handle = &st.trace.as_ref().expect("trace present").handle;
+                    handle.span_end(now, track);
+                }
+                let tcb = &mut st.tasks[tid.index()];
+                tcb.quantum_used += step;
+                tcb.last_cpu_end = now;
             }
             ctx.waitfor(Duration::ZERO).await;
             // Rotating out a task whose delay is fully consumed is pointless
             // (it proceeds straight to its next RTOS call), so round-robin
             // rotation only applies mid-delay.
-            self.preempt_point(ctx, !remaining.is_zero()).await;
+            self.preempt_point(ctx, tid, !remaining.is_zero()).await;
         }
     }
 
@@ -1242,7 +1282,7 @@ impl Rtos {
     /// not the running task.
     #[track_caller]
     fn running_caller(&self, st: &OsState, ctx: &ProcCtx) -> TaskId {
-        let tid = match st.by_pid.get(&ctx.pid()).copied() {
+        let tid = match st.task_of(ctx.pid()) {
             Some(t) => t,
             None => ctx.misuse_layer(
                 &self.inner.name,
@@ -1519,17 +1559,16 @@ impl Rtos {
     }
 
     /// Scheduler invocation at a delay-step boundary or notify-type call of
-    /// the running task: under a preemptive algorithm a more urgent ready
-    /// task takes the CPU; under round-robin an exhausted quantum rotates
-    /// the caller to the queue tail (only if `allow_rotation`).
-    async fn preempt_point(&self, ctx: &ProcCtx, allow_rotation: bool) {
-        let tid = {
+    /// the calling task `tid`: under a preemptive algorithm a more urgent
+    /// ready task takes the CPU; under round-robin an exhausted quantum
+    /// rotates the caller to the queue tail (only if `allow_rotation`).
+    async fn preempt_point(&self, ctx: &ProcCtx, tid: TaskId, allow_rotation: bool) {
+        {
             let mut st = self.inner.state.borrow_mut();
-            let tid = match st.by_pid.get(&ctx.pid()).copied() {
-                Some(t) if st.running == Some(t) => t,
-                // Not a task (ISR) or not running: nothing to preempt.
-                _ => return,
-            };
+            if st.running != Some(tid) {
+                // Not running: nothing to preempt.
+                return;
+            }
             let now = ctx.now();
             let switch = if st.alg.is_preemptive() {
                 match self.select(&mut st) {
@@ -1560,8 +1599,7 @@ impl Rtos {
             let keep_seq = st.alg.quantum().is_none();
             self.make_ready(&mut st, tid, now, keep_seq);
             self.dispatch_best(&mut st, ctx);
-            tid
-        };
+        }
         self.wait_until_dispatched(ctx, tid).await;
     }
 
@@ -1653,39 +1691,6 @@ impl Rtos {
                 release,
             },
         );
-    }
-
-    fn span_begin(&self, ctx: &ProcCtx, label: &str) {
-        let mut st = self.inner.state.borrow_mut();
-        if st.trace.is_none() {
-            return;
-        }
-        let Some(&tid) = st.by_pid.get(&ctx.pid()) else {
-            return;
-        };
-        let Some((track, _, _)) = task_trace_ids(&mut st, tid) else {
-            return;
-        };
-        if let Some(tr) = &st.trace {
-            tr.handle
-                .span_begin(ctx.now(), track, tr.handle.intern_label(label));
-        }
-    }
-
-    fn span_end(&self, ctx: &ProcCtx) {
-        let mut st = self.inner.state.borrow_mut();
-        if st.trace.is_none() {
-            return;
-        }
-        let Some(&tid) = st.by_pid.get(&ctx.pid()) else {
-            return;
-        };
-        let Some((track, _, _)) = task_trace_ids(&mut st, tid) else {
-            return;
-        };
-        if let Some(tr) = &st.trace {
-            tr.handle.span_end(ctx.now(), track);
-        }
     }
 }
 

@@ -84,7 +84,7 @@ fn run_set(
     assert!(report.blocked.is_empty(), "blocked: {:?}", report.blocked);
 
     // Serialization invariant: no two task execution segments overlap.
-    let trace = trace.snapshot();
+    let trace = trace.take();
     let segs = sldl_sim::trace::segments(&trace);
     let tracks: Vec<&Vec<_>> = segs.values().collect();
     for i in 0..tracks.len() {

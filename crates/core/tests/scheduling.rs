@@ -508,7 +508,7 @@ fn trace_records_task_spans_without_overlap() {
     spawn_worker(&mut sim, &os, "t1", 1, 100, &log);
     spawn_worker(&mut sim, &os, "t2", 2, 100, &log);
     sim.run().unwrap();
-    let trace = trace.snapshot();
+    let trace = trace.take();
     let segs = sldl_sim::trace::segments(&trace);
     let t1 = &segs["t1"];
     let t2 = &segs["t2"];

@@ -290,7 +290,7 @@ fn run_architecture_inner(
         .collect();
     Ok(ModelRun {
         report,
-        records: trace.snapshot(),
+        records: trace.take(),
         pe_metrics: spec
             .pes
             .iter()

@@ -151,7 +151,7 @@ mod tests {
                 chaos: vec![],
                 kernel: sldl_sim::KernelStats::default(),
             },
-            records: trace.snapshot(),
+            records: trace.take(),
             pe_metrics: vec![],
             bus_stats: vec![],
             channel_fairness: vec![],

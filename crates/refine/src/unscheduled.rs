@@ -94,7 +94,7 @@ pub fn run_unscheduled(spec: &SystemSpec, cfg: &RunConfig) -> Result<ModelRun, R
     };
     Ok(ModelRun {
         report,
-        records: trace.snapshot(),
+        records: trace.take(),
         pe_metrics: Vec::new(),
         bus_stats: Vec::new(),
         channel_fairness: Vec::new(),

@@ -609,7 +609,7 @@ mod tests {
         assert_eq!(st.grants[1].grants, 1);
 
         // The protocol landed on the bus track as ordinary markers/spans.
-        let records = trace.snapshot();
+        let records = trace.take();
         let on_bus: Vec<&str> = crate::trace::markers(&records, "bus:test")
             .into_iter()
             .map(|m| m.1)

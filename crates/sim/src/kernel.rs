@@ -288,8 +288,14 @@ struct State {
     until: SimTime,
     procs: Vec<ProcEntry>,
     ready: VecDeque<ProcessId>,
-    /// Pending timed wake-ups/notifications, earliest `(time, seq)` first.
+    /// Pending timed wake-ups/notifications due after `now`, earliest
+    /// `(time, seq)` first.
     timed: BinaryHeap<Timed>,
+    /// Timed entries due at `now` itself (zero-delay pushes), in push
+    /// order. `next_step` drains them before it looks at `timed`: every
+    /// heap entry due at `now` was popped when time advanced here, so
+    /// entries still pop by time, then push order.
+    due_now: Vec<TimedKind>,
     seq: u64,
     /// Events notified in the current delta cycle, in notification order.
     notified: Vec<EventId>,
@@ -353,16 +359,44 @@ impl State {
         }
     }
 
-    fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
+    /// Pushes a timed entry and counts the timer operation: an entry due
+    /// now joins the `due_now` FIFO, any other the heap, seq-stamped.
+    fn push_timed(&mut self, time: SimTime, kind: TimedKind) {
+        self.stats.timer_ops += 1;
+        if time == self.now {
+            self.due_now.push(kind);
+        } else {
+            self.seq += 1;
+            let seq = self.seq;
+            self.timed.push(Timed { time, seq, kind });
+        }
     }
 
-    /// Pushes a timed entry (seq-stamped) and counts the timer operation.
-    fn push_timed(&mut self, time: SimTime, kind: TimedKind) {
-        let seq = self.next_seq();
+    /// Fires one popped timed entry: a fresh wake-up readies its process,
+    /// a notification of a live event is queued for the next delta.
+    fn fire_timed(&mut self, kind: TimedKind) {
         self.stats.timer_ops += 1;
-        self.timed.push(Timed { time, seq, kind });
+        match kind {
+            TimedKind::Wake { pid, gen } => {
+                let p = &self.procs[pid.index()];
+                let fresh = p.wake_gen == gen
+                    && matches!(p.state, ProcState::WaitTime | ProcState::WaitEvent);
+                if fresh {
+                    self.wake(pid, None);
+                }
+            }
+            TimedKind::Notify(e) => {
+                if self.event_alive(e) {
+                    // Stats/records stay per-entry (they always were), but
+                    // duplicate entries popped at the same timestamp
+                    // coalesce into one queued delivery — the stamp makes
+                    // the dedup O(1).
+                    self.stats.events_notified += 1;
+                    self.record_kernel(RecordKind::EventNotified { event: e });
+                    self.queue_notify(e);
+                }
+            }
+        }
     }
 
     /// Appends `pid` to `event`'s waiter list, recycling a slab node when
@@ -713,65 +747,53 @@ fn next_step(st: &mut State) -> Option<ProcessId> {
             }
             continue;
         }
-        if let Some(top) = st.timed.peek() {
+        // Timed entries. The zero-delay FIFO holds everything due now, so
+        // it drains first and whole; otherwise time advances to the heap's
+        // top and every entry due then pops in seq order. Firing never
+        // pushes new timed entries, so one pass covers the instant.
+        let zero_time = !st.due_now.is_empty();
+        if zero_time {
+            let mut due = std::mem::take(&mut st.due_now);
+            for kind in due.drain(..) {
+                st.fire_timed(kind);
+            }
+            st.due_now = due;
+        } else {
+            let Some(top) = st.timed.peek() else {
+                // Quiescent: no ready process, no pending notification, no
+                // timed wake-up. The executor checks for a declared wait
+                // cycle.
+                return None;
+            };
             let now = top.time;
             if now > st.until {
                 return None;
             }
-            let zero_time = now == st.now;
-            if !zero_time {
-                st.zero_time_steps = 0;
-            }
+            st.zero_time_steps = 0;
             st.now = now;
-            // Pop every entry due at this instant, in seq order. Processing
-            // never pushes new timed entries, so one pass covers the instant.
             while st.timed.peek().is_some_and(|e| e.time == now) {
-                st.stats.timer_ops += 1;
-                match st.timed.pop().expect("peeked entry").kind {
-                    TimedKind::Wake { pid, gen } => {
-                        let p = &st.procs[pid.index()];
-                        let fresh = p.wake_gen == gen
-                            && matches!(p.state, ProcState::WaitTime | ProcState::WaitEvent);
-                        if fresh {
-                            st.wake(pid, None);
-                        }
-                    }
-                    TimedKind::Notify(e) => {
-                        if st.event_alive(e) {
-                            // Stats/records stay per-entry (they always
-                            // were), but duplicate entries popped at the
-                            // same timestamp coalesce into one queued
-                            // delivery — the stamp makes the dedup O(1).
-                            st.stats.events_notified += 1;
-                            st.record_kernel(RecordKind::EventNotified { event: e });
-                            st.queue_notify(e);
-                        }
-                    }
-                }
+                let kind = st.timed.pop().expect("peeked entry").kind;
+                st.fire_timed(kind);
             }
-            // Fault hook: registered events may fire spuriously on every
-            // advance of simulated time (glitching interrupt lines).
-            // `st.faults` is `None` unless a non-empty plan was armed, so
-            // the common path draws no randomness. Dedup against already-
-            // queued notifications rides the same generation stamp as
-            // everything else.
-            if let Some(mut f) = st.faults.take() {
-                for e in f.spurious_events(now) {
-                    if st.event_alive(e) && st.queue_notify(e) {
-                        st.stats.events_notified += 1;
-                        st.record_kernel(RecordKind::EventNotified { event: e });
-                    }
-                }
-                st.faults = Some(f);
-            }
-            if zero_time && st.zero_time_step() {
-                return None;
-            }
-            continue;
         }
-        // Quiescent: no ready process, no pending notification, no timed
-        // wake-up. The executor checks for a declared wait cycle.
-        return None;
+        // Fault hook: registered events may fire spuriously on every
+        // advance of simulated time (glitching interrupt lines).
+        // `st.faults` is `None` unless a non-empty plan was armed, so the
+        // common path draws no randomness. Dedup against already-queued
+        // notifications rides the same generation stamp as everything
+        // else.
+        if let Some(mut f) = st.faults.take() {
+            for e in f.spurious_events(st.now) {
+                if st.event_alive(e) && st.queue_notify(e) {
+                    st.stats.events_notified += 1;
+                    st.record_kernel(RecordKind::EventNotified { event: e });
+                }
+            }
+            st.faults = Some(f);
+        }
+        if zero_time && st.zero_time_step() {
+            return None;
+        }
     }
 }
 
@@ -1031,6 +1053,7 @@ impl Simulation {
                 procs: Vec::new(),
                 ready: VecDeque::new(),
                 timed: BinaryHeap::new(),
+                due_now: Vec::new(),
                 seq: 0,
                 notified: Vec::new(),
                 notified_scratch: Vec::new(),

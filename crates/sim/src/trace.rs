@@ -13,10 +13,10 @@
 //! ([`TrackId`] / [`LabelId`]). A [`Record`] carries only ids, so it is
 //! `Copy` and recording one costs a `RefCell` borrow and a push. Record
 //! sites intern their names at first emission and format nothing when no
-//! trace is attached. [`snapshot`](TraceHandle::snapshot) copies the
-//! records and the name table into a plain-data [`Trace`]; the consumers
-//! ([`segments`], [`markers`], [`to_csv`]) read ids and resolve names only
-//! for their own output.
+//! trace is attached. At the end of a run [`take`](TraceHandle::take)
+//! moves the records and the name table into a plain-data [`Trace`]
+//! without copying them; the consumers ([`segments`], [`markers`],
+//! [`to_csv`]) read ids and resolve names only for their own output.
 //!
 //! ## Buffer
 //!
@@ -475,6 +475,8 @@ struct Buffer {
     /// Ring bound (`None` keeps every record).
     cap: Option<usize>,
     dropped: u64,
+    /// Interned names by id, until a [`take`](TraceHandle::take) moves
+    /// the table out. `ids` keeps every name, so a later take rebuilds it.
     names: Vec<String>,
     ids: HashMap<String, u32>,
 }
@@ -484,10 +486,25 @@ impl Buffer {
         if let Some(&id) = self.ids.get(s) {
             return id;
         }
-        let id = u32::try_from(self.names.len()).expect("intern table overflow");
-        self.names.push(s.to_string());
+        let id = u32::try_from(self.ids.len()).expect("intern table overflow");
+        if self.names.len() == self.ids.len() {
+            self.names.push(s.to_string());
+        }
         self.ids.insert(s.to_string(), id);
         id
+    }
+
+    /// The name table for a take: moved out while it is complete, rebuilt
+    /// from `ids` once an earlier take moved it.
+    fn take_names(&mut self) -> Vec<String> {
+        if self.names.len() == self.ids.len() {
+            return std::mem::take(&mut self.names);
+        }
+        let mut names = vec![String::new(); self.ids.len()];
+        for (name, &id) in &self.ids {
+            names[id as usize].clone_from(name);
+        }
+        names
     }
 }
 
@@ -503,7 +520,7 @@ impl fmt::Debug for TraceHandle {
         let inner = self.inner.borrow();
         f.debug_struct("TraceHandle")
             .field("records", &inner.records.len())
-            .field("interned", &inner.names.len())
+            .field("interned", &inner.ids.len())
             .finish()
     }
 }
@@ -584,14 +601,18 @@ impl TraceHandle {
         self.inner.borrow().records.is_empty()
     }
 
-    /// Copies the records and the name table out as a [`Trace`].
+    /// Moves the records, their drop count and the name table out as a
+    /// [`Trace`], leaving the buffer empty: read a run's trace once, when
+    /// it has ended. Ids interned before stay valid, so whatever is
+    /// recorded later resolves in a later take, which holds only the
+    /// records made in between.
     #[must_use]
-    pub fn snapshot(&self) -> Trace {
-        let inner = self.inner.borrow();
+    pub fn take(&self) -> Trace {
+        let mut inner = self.inner.borrow_mut();
         Trace {
-            records: inner.records.iter().copied().collect(),
-            names: inner.names.clone(),
-            dropped: inner.dropped,
+            records: Vec::from(std::mem::take(&mut inner.records)),
+            names: inner.take_names(),
+            dropped: std::mem::take(&mut inner.dropped),
         }
     }
 }
@@ -638,7 +659,7 @@ impl Segment<'_> {
 /// let (task, d1) = (t.intern_track("task"), t.intern_label("d1"));
 /// t.span_begin(SimTime::from_micros(0), task, d1);
 /// t.span_end(SimTime::from_micros(5), task);
-/// let trace = t.snapshot();
+/// let trace = t.take();
 /// let segs = segments(&trace);
 /// assert_eq!(segs["task"].len(), 1);
 /// assert_eq!(segs["task"][0].duration().as_micros(), 5);
@@ -938,7 +959,7 @@ mod tests {
         t.span_end(us(4), a);
         t.span_begin(us(6), a, y);
         t.span_end(us(9), a);
-        let trace = t.snapshot();
+        let trace = t.take();
         let segs = segments(&trace);
         assert_eq!(segs["a"].len(), 2);
         assert_eq!(segs["a"][0].label, "x");
@@ -951,7 +972,7 @@ mod tests {
         let t = TraceHandle::new();
         t.span_begin(us(2), t.intern_track("a"), t.intern_label("x"));
         t.marker(us(7), t.intern_track("m"), t.intern_label("end"));
-        let trace = t.snapshot();
+        let trace = t.take();
         assert_eq!(segments(&trace)["a"][0].end, us(7));
     }
 
@@ -962,7 +983,7 @@ mod tests {
         t.span_begin(us(0), a, t.intern_label("x"));
         t.span_begin(us(3), a, t.intern_label("y"));
         t.span_end(us(5), a);
-        let trace = t.snapshot();
+        let trace = t.take();
         let segs = segments(&trace);
         assert_eq!(segs["a"].len(), 2);
         assert_eq!(segs["a"][0].end, us(3));
@@ -984,7 +1005,7 @@ mod tests {
         t.marker(us(9), irq, t.intern_label("late"));
         t.marker(us(2), irq, t.intern_label("early"));
         t.marker(us(5), t.intern_track("other"), t.intern_label("skip"));
-        let trace = t.snapshot();
+        let trace = t.take();
         assert_eq!(markers(&trace, "irq"), [(us(2), "early"), (us(9), "late")]);
         assert!(markers(&trace, "missing").is_empty());
     }
@@ -1021,7 +1042,7 @@ mod tests {
         t.span_begin(us(1), task, t.intern_label("d1"));
         t.span_end(us(2), task);
         t.marker(us(3), t.intern_track("irq"), t.intern_label("fire"));
-        let csv = to_csv(&t.snapshot());
+        let csv = to_csv(&t.take());
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "time_ns,kind,track,label,id");
         assert_eq!(lines[1], "1000,span_begin,\"taskA\",\"d1\",-1");
@@ -1070,7 +1091,7 @@ mod tests {
             t.intern_track(hostile_track),
             t.intern_label(hostile_label),
         );
-        let csv = to_csv(&t.snapshot());
+        let csv = to_csv(&t.take());
         let line = csv.lines().nth(1).unwrap();
         let fields = split_csv_row(line);
         assert_eq!(fields.len(), 5, "row kept exactly 5 fields: {line}");
@@ -1093,7 +1114,7 @@ mod tests {
                 reason: DecisionReason::Preemption,
             },
         );
-        let csv = to_csv(&t.snapshot());
+        let csv = to_csv(&t.take());
         let line = csv.lines().nth(1).unwrap();
         assert_eq!(
             line,
@@ -1131,7 +1152,7 @@ mod tests {
                 mutex: 7,
             },
         );
-        let trace = t.snapshot();
+        let trace = t.take();
         let csv = to_csv(&trace);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(
@@ -1158,7 +1179,8 @@ mod tests {
         t.span_end(SimTime::ZERO, t.intern_track("a"));
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
-        assert_eq!(t.snapshot().len(), 1);
+        assert_eq!(t.take().len(), 1);
+        assert!(t.is_empty());
     }
 
     #[test]
@@ -1170,7 +1192,7 @@ mod tests {
         let l = t.intern_label("d1");
         t.span_begin(us(1), a1, l);
         t.span_end(us(4), a1);
-        let trace = t.snapshot();
+        let trace = t.take();
         assert_eq!(trace.names, ["taskA", "d1"]);
         assert_eq!(trace.track(a1), "taskA");
         assert_eq!(trace.label(l), "d1");
@@ -1186,12 +1208,44 @@ mod tests {
         let b = TraceHandle::new();
         let x = b.intern_label("x");
         b.marker(us(1), b.intern_track("t"), x);
-        assert_ne!(a.snapshot().names, b.snapshot().names);
-        assert_eq!(a.snapshot(), b.snapshot());
-        b.marker(us(2), b.intern_track("t"), x);
-        assert_ne!(a.snapshot(), b.snapshot());
+        let (ta, tb) = (a.take(), b.take());
+        assert_ne!(ta.names, tb.names);
+        assert_eq!(ta, tb);
+        // One record more on one side.
+        let mut longer = tb.clone();
+        longer.records.push(Record {
+            time: us(2),
+            kind: tb.records[0].kind,
+        });
+        assert_ne!(ta, longer);
+        // A label the other side never interned (a second take, so `a`'s
+        // name table is rebuilt).
         a.marker(us(2), a.intern_track("t"), a.intern_label("y"));
-        assert_ne!(a.snapshot(), b.snapshot());
+        b.marker(us(2), b.intern_track("t"), x);
+        let (ta, tb) = (a.take(), b.take());
+        assert_eq!((ta.len(), tb.len()), (1, 1));
+        assert_ne!(ta, tb);
+    }
+
+    #[test]
+    fn take_empties_the_buffer_and_keeps_ids_valid() {
+        let t = TraceHandle::from_config(SinkConfig::Ring(2));
+        let track = t.intern_track("t");
+        for i in 0..3u64 {
+            t.marker(us(i), track, t.intern_label("x"));
+        }
+        let first = t.take();
+        assert_eq!((first.len(), first.dropped), (2, 1));
+        // A second take holds nothing recorded before the first.
+        let second = t.take();
+        assert_eq!((second.len(), second.dropped), (0, 0));
+        assert_eq!(second.names, ["t", "x"]);
+        // Recorded after a take, an old id and a new one both resolve.
+        t.marker(us(5), track, t.intern_label("y"));
+        t.marker(us(6), track, t.intern_label("x"));
+        let third = t.take();
+        assert_eq!(third.names, ["t", "x", "y"]);
+        assert_eq!(markers(&third, "t"), [(us(5), "y"), (us(6), "x")]);
     }
 
     #[test]
@@ -1203,7 +1257,7 @@ mod tests {
             t.marker(us(i), tr, l);
         }
         assert_eq!(t.len(), 3);
-        let trace = t.snapshot();
+        let trace = t.take();
         assert_eq!(trace.dropped, 2);
         // Survivors are the *newest* records, in original order.
         let labels: Vec<&str> = markers(&trace, "t").into_iter().map(|m| m.1).collect();
@@ -1215,7 +1269,7 @@ mod tests {
         let t = TraceHandle::from_config(SinkConfig::Ring(16));
         t.marker(SimTime::ZERO, t.intern_track("t"), t.intern_label("x"));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.snapshot().dropped, 0);
+        assert_eq!(t.take().dropped, 0);
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn run_workload(
 
     let report = sim.run().expect("workload runs clean");
     let log = Rc::try_unwrap(log).unwrap().into_inner();
-    (report.end_time, trace.snapshot(), report.chaos, log)
+    (report.end_time, trace.take(), report.chaos, log)
 }
 
 #[test]

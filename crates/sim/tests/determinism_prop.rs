@@ -169,7 +169,7 @@ fn trace_spans_match_annotated_delays() {
             }
         }));
         sim.run().unwrap();
-        let trace = trace.snapshot();
+        let trace = trace.take();
         let segs = sldl_sim::trace::segments(&trace);
         let segs = &segs["t"];
         assert_eq!(segs.len(), durs.len(), "seed {seed}");

@@ -194,7 +194,7 @@ fn kernel_records_cover_process_lifecycle() {
         ctx.wait(e).await;
     }));
     sim.run().unwrap();
-    let records = trace.snapshot();
+    let records = trace.take();
     let spawned = records
         .records
         .iter()

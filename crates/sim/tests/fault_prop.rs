@@ -55,7 +55,7 @@ fn run_workload(plan: Option<FaultPlan>) -> (SimTime, Trace, Vec<sldl_sim::Fault
 
     let report = sim.run().expect("workload runs clean");
     let log = Rc::try_unwrap(log).unwrap().into_inner();
-    (report.end_time, trace.snapshot(), report.faults, log)
+    (report.end_time, trace.take(), report.faults, log)
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //!   format no names when no trace is attached, so 1,000 contended rounds
 //!   allocate no more than 100 do (up to amortized buffer growth).
 //! * Traced with pre-interned ids, recording allocates only when the
-//!   buffer grows, and [`TraceHandle::snapshot`] copies the records and the
-//!   name table with a fixed number of allocations: none per record.
+//!   buffer grows, and [`TraceHandle::take`] moves the records and the
+//!   name table out without allocating.
 //!
 //! A counting global allocator measures each gate on the test's own
 //! thread, so tests running in parallel do not disturb the counts.
@@ -117,12 +117,11 @@ fn untraced_bus_transactions_allocate_nothing() {
 }
 
 #[test]
-fn snapshot_allocates_per_name_not_per_record() {
+fn take_moves_the_records_without_allocating() {
     const SPANS: u64 = 10_000;
     let t = TraceHandle::new();
     let track = t.intern_track("task");
     let label = t.intern_label("d1");
-    let names = 2;
     let (recording, ()) = allocs_of(|| {
         for i in 0..SPANS {
             t.span_begin(SimTime::from_micros(2 * i), track, label);
@@ -133,10 +132,8 @@ fn snapshot_allocates_per_name_not_per_record() {
         recording <= 64,
         "recording {SPANS} spans allocated {recording} times"
     );
-    let (snapshot, trace) = allocs_of(|| t.snapshot());
+    let (taken, trace) = allocs_of(|| t.take());
     assert_eq!(trace.len() as u64, 2 * SPANS);
-    assert!(
-        snapshot <= names + 4,
-        "snapshot of {SPANS} spans allocated {snapshot} times for {names} names"
-    );
+    assert_eq!(trace.names, ["task", "d1"]);
+    assert_eq!(taken, 0, "taking {SPANS} spans allocated {taken} times");
 }

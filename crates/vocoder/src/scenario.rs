@@ -319,7 +319,7 @@ pub(crate) fn finish(
         host_time: started.elapsed(),
         faults_injected: report.faults.len(),
         kernel_stats: report.kernel,
-        records: trace.map(|t| t.snapshot()).unwrap_or_default(),
+        records: trace.map(|t| t.take()).unwrap_or_default(),
     })
 }
 
