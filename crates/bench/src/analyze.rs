@@ -306,8 +306,10 @@ impl TraceData {
     /// reader: the analyze bin ingests trace files with it and `trace_lint`
     /// validates them with it. It refuses
     ///
-    /// * an `otherData.dropped_records` that is not a whole record count,
-    ///   or a nonzero one ([`check_lossless`]);
+    /// * a missing `otherData.dropped_records` (the writer always records
+    ///   the count, so a trace without one cannot be told lossless), one
+    ///   that is not a whole record count, or a nonzero one
+    ///   ([`check_lossless`]);
     /// * an event that is not an object with a string `name`, a string
     ///   `ph` and integral `pid`/`tid`;
     /// * a phase the writer does not write: only `M` (metadata), `X`
@@ -330,16 +332,17 @@ impl TraceData {
             .get("traceEvents")
             .and_then(Json::as_array)
             .ok_or("not a Chrome trace: missing `traceEvents` array")?;
-        let dropped = match doc.get("otherData").and_then(|o| o.get("dropped_records")) {
-            None => 0,
-            Some(n) => n.as_u64().ok_or_else(|| {
-                let n = n.render();
-                format!(
-                    "`otherData.dropped_records` is {}, not a record count",
-                    n.trim_end()
-                )
-            })?,
-        };
+        let dropped = doc
+            .get("otherData")
+            .and_then(|o| o.get("dropped_records"))
+            .ok_or("no `otherData.dropped_records`, so the trace cannot be told lossless")?;
+        let dropped = dropped.as_u64().ok_or_else(|| {
+            let n = dropped.render();
+            format!(
+                "`otherData.dropped_records` is {}, not a record count",
+                n.trim_end()
+            )
+        })?;
         let mut data = TraceData {
             dropped_records: dropped,
             ..TraceData::default()
@@ -2118,7 +2121,7 @@ mod tests {
     /// and a bus (pid 1, tid 9), then `events` from index 2 on.
     fn chrome_doc(events: &str) -> Json {
         Json::parse(&format!(
-            r#"{{"traceEvents": [
+            r#"{{"otherData": {{"dropped_records": 0}}, "traceEvents": [
                 {{"name": "thread_name", "ph": "M", "pid": 1, "tid": 1,
                   "args": {{"name": "pe:mutex"}}}},
                 {{"name": "thread_name", "ph": "M", "pid": 1, "tid": 9,
@@ -2220,6 +2223,20 @@ mod tests {
         }
         let err = with_dropped("3").unwrap_err();
         assert!(err.contains("lossy trace"), "{err}");
+        // The writer always records the count, so a trace without one (no
+        // `otherData`, a non-object one, or one lacking the field) is not
+        // read as lossless.
+        for doc in [
+            r#"{"traceEvents": []}"#,
+            r#"{"otherData": 5, "traceEvents": []}"#,
+            r#"{"otherData": {"dropped": 3}, "traceEvents": []}"#,
+        ] {
+            let err = TraceData::from_chrome_json(&Json::parse(doc).unwrap()).unwrap_err();
+            assert!(
+                err.contains("no `otherData.dropped_records`"),
+                "{doc}: {err}"
+            );
+        }
     }
 
     #[test]

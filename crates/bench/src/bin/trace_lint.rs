@@ -73,7 +73,7 @@ mod tests {
     /// that the lint's verdict is the Chrome reader's.
     fn lint_trace(events: &str) -> Result<&'static str, String> {
         let doc = Json::parse(&format!(
-            r#"{{"traceEvents": [
+            r#"{{"otherData": {{"dropped_records": 0}}, "traceEvents": [
                 {{"name": "thread_name", "ph": "M", "pid": 0, "tid": 1, "args": {{"name": "pe:cpu"}}}},
                 {{"name": "thread_name", "ph": "M", "pid": 0, "tid": 9, "args": {{"name": "bus:pebus"}}}},
                 {events}

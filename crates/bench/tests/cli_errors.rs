@@ -50,6 +50,9 @@ fn analyze_rejects_the_trace_trace_lint_rejects() {
         // A scheduler decision with the instant phase `I`, which the
         // trace writer never emits.
         ("instant_phase.json", r#"traceEvents[3]: phase "I""#),
+        // A well-formed trace without `otherData`: the writer always
+        // records the drop count, so losslessness is unknown.
+        ("no_drop_count.json", "no `otherData.dropped_records`"),
         // An X event at a negative `ts` without `dur`, then two mutex
         // events whose ids would merge if clamped to u32::MAX.
         ("silent_repairs.json", "traceEvents[3]: `ts` is -5"),
