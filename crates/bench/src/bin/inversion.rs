@@ -223,28 +223,15 @@ fn main() {
             }
         }
         if let Some(path) = &args.analyze_out {
-            let data = bench::analyze::TraceData::from_records(&traced.records);
-            if let Err(e) = bench::analyze::check_lossless(&data) {
-                eprintln!("error: {}: {}", path.display(), e.trace_value);
-                std::process::exit(1);
-            }
-            let analysis = bench::analyze::Analysis::from_trace(&data);
-            match analysis.to_json().write_to(path) {
-                Ok(()) => {
-                    if !args.quiet {
-                        let unbounded = analysis.blocking.iter().filter(|b| !b.bounded()).count();
-                        println!(
-                            "wrote analysis document to {} ({} blocking episodes, {} unbounded)",
-                            path.display(),
-                            analysis.blocking.len(),
-                            unbounded
-                        );
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: writing {}: {e}", path.display());
-                    std::process::exit(1);
-                }
+            let analysis = bench::trace::write_analysis(&traced.records, path);
+            if !args.quiet {
+                let unbounded = analysis.blocking.iter().filter(|b| !b.bounded()).count();
+                println!(
+                    "wrote analysis document to {} ({} blocking episodes, {} unbounded)",
+                    path.display(),
+                    analysis.blocking.len(),
+                    unbounded
+                );
             }
         }
     }

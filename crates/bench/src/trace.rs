@@ -328,32 +328,35 @@ pub fn handle_trace_out(args: &crate::cli::Args, spec: &ScenarioSpec, seed: u64)
 
 /// Handles a binary's `--analyze-out` flag: when present, re-runs `spec`
 /// (the same representative point `--trace-out` exports, under the same
-/// seed) with tracing enabled, runs the [`crate::analyze`] engine over
-/// the in-memory trace, and writes the `rtos-sld-analysis/1` document.
-/// A lossy traced re-run (ring overflow) is a hard error, mirroring the
-/// `analyze` bin. Exits the process with status 1 on failure.
+/// seed) with tracing enabled and writes its analysis with
+/// [`write_analysis`].
 pub fn handle_analyze_out(args: &crate::cli::Args, spec: &ScenarioSpec, seed: u64) {
     let Some(path) = &args.analyze_out else {
         return;
     };
     let outcome = spec.clone().trace(true).run_seeded(seed);
-    let data = crate::analyze::TraceData::from_records(&outcome.records);
+    write_analysis(&outcome.records, path);
+    if !args.quiet {
+        println!("wrote analysis document to {}", path.display());
+    }
+}
+
+/// Runs the [`crate::analyze`] engine over `records` and writes the
+/// `rtos-sld-analysis/1` document to `path`, returning the analysis. A
+/// lossy trace (ring overflow) is a hard error, mirroring the `analyze`
+/// bin. Exits the process with status 1 on failure.
+pub fn write_analysis(records: &Trace, path: &Path) -> crate::analyze::Analysis {
+    let data = crate::analyze::TraceData::from_records(records);
     if let Err(e) = crate::analyze::check_lossless(&data) {
         eprintln!("error: {}: {}", path.display(), e.trace_value);
         std::process::exit(1);
     }
     let analysis = crate::analyze::Analysis::from_trace(&data);
-    match analysis.to_json().write_to(path) {
-        Ok(()) => {
-            if !args.quiet {
-                println!("wrote analysis document to {}", path.display());
-            }
-        }
-        Err(e) => {
-            eprintln!("error: writing {}: {e}", path.display());
-            std::process::exit(1);
-        }
+    if let Err(e) = analysis.to_json().write_to(path) {
+        eprintln!("error: writing {}: {e}", path.display());
+        std::process::exit(1);
     }
+    analysis
 }
 
 #[cfg(test)]
