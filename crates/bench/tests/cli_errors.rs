@@ -38,7 +38,7 @@ fn run(exe: &str, args: &[&str]) -> (Option<i32>, String) {
 #[test]
 fn analyze_rejects_the_trace_trace_lint_rejects() {
     // Both bins read traces with one reader, so both refuse each file in
-    // `tests/invalid/` and name the same event. One row per file.
+    // `tests/invalid/` and name the same defect. One row per file.
     let rows = [
         // A transfer span whose byte count is not a number, a span
         // without a byte count and an unknown bus instant, all on a

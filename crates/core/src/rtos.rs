@@ -1190,8 +1190,8 @@ impl Rtos {
         // higher-priority child win at t0 in the paper's Fig. 8(b).
         ctx.waitfor(Duration::ZERO).await;
         self.preempt_point(ctx, tid, false).await;
-        // Interned at the first step when traced, after the task's own
-        // names, so every trace id is the one a per-step intern would get.
+        // The span label is interned once per call, at the first step and
+        // after the task's own names, so ids follow first-use order.
         let mut label_id = None;
         let mut remaining = delay;
         while !remaining.is_zero() {

@@ -652,7 +652,7 @@ fn waiter_storm(waiters: u64, rounds: u64) -> KernelStats {
 
 /// `procs` processes running staggered `waitfor` loops of `laps` laps,
 /// so the timed queue holds up to `procs` entries with distinct due times.
-fn timer_wheel(procs: u64, laps: u64) -> KernelStats {
+fn staggered_timers(procs: u64, laps: u64) -> KernelStats {
     let mut sim = Simulation::new();
     for p in 0..procs {
         sim.spawn(Child::new("timer", move |ctx| async move {
@@ -736,7 +736,7 @@ fn hot_path_work_counts_are_exact() {
     );
 
     assert_eq!(
-        counts(timer_wheel(64, 1_562)),
+        counts(staggered_timers(64, 1_562)),
         KernelStats {
             processes_spawned: 64,
             processes_resumed: 100_032,
@@ -746,6 +746,6 @@ fn hot_path_work_counts_are_exact() {
             context_switches: 99_989,
             ..KernelStats::default()
         },
-        "timer wheel"
+        "staggered timers"
     );
 }
