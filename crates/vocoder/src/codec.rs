@@ -4,7 +4,7 @@ use crate::dsp::{
     analysis_filter, autocorrelate, dequantize_reflection, levinson_durbin, quantize_reflection,
     reflection_to_lpc, synthesis_filter, LPC_ORDER,
 };
-use crate::frame::Frame;
+use crate::frame::{Frame, FRAME_SAMPLES};
 
 use sldl_sim::SimTime;
 
@@ -38,45 +38,51 @@ impl EncodedFrame {
     }
 }
 
+/// Direct-form LPC coefficients of quantized reflection coefficients. The
+/// encoder filters with these too, so encoder and decoder run the exact
+/// same filter (closed-loop consistency).
+fn dequantized_lpc(reflection_q: &[i32; LPC_ORDER]) -> [f64; LPC_ORDER] {
+    reflection_to_lpc(&reflection_q.map(|q| dequantize_reflection(q, REFLECTION_BITS)))
+}
+
 /// LPC analysis encoder. Stateful across frames (filter history).
 #[derive(Debug, Clone, Default)]
 pub struct Encoder {
-    history: Vec<f64>,
+    history: [f64; LPC_ORDER],
 }
 
 impl Encoder {
     /// Creates an encoder with zeroed filter history.
     #[must_use]
     pub fn new() -> Self {
-        Encoder {
-            history: vec![0.0; LPC_ORDER],
-        }
+        Self::default()
     }
 
     /// Encodes one frame: autocorrelation, Levinson–Durbin, reflection
     /// quantization, residual computation and quantization.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the frame holds [`FRAME_SAMPLES`] samples.
     pub fn encode(&mut self, frame: &Frame) -> EncodedFrame {
-        if self.history.len() != LPC_ORDER {
-            self.history = vec![0.0; LPC_ORDER];
-        }
-        let r = autocorrelate(&frame.samples, LPC_ORDER + 1);
-        let sol = levinson_durbin(&r, LPC_ORDER);
-        let reflection_q: Vec<i32> = sol
+        let samples: &[f64; FRAME_SAMPLES] = frame
+            .samples
+            .as_slice()
+            .try_into()
+            .expect("a frame holds FRAME_SAMPLES samples");
+        let r = autocorrelate::<{ LPC_ORDER + 1 }>(samples);
+        let sol = levinson_durbin::<LPC_ORDER>(&r);
+        let reflection_q = sol
             .reflection
-            .iter()
-            .map(|&k| quantize_reflection(k, REFLECTION_BITS))
-            .collect();
-        // Use the *dequantized* coefficients for the residual so encoder and
-        // decoder run the exact same filter (closed-loop consistency).
-        let coeffs = reflection_to_lpc(
-            &reflection_q
-                .iter()
-                .map(|&q| dequantize_reflection(q, REFLECTION_BITS))
-                .collect::<Vec<_>>(),
-        );
-        let residual = analysis_filter(&frame.samples, &coeffs, &self.history);
+            .map(|k| quantize_reflection(k, REFLECTION_BITS));
+        let coeffs = dequantized_lpc(&reflection_q);
+        let mut input = [0.0; LPC_ORDER + FRAME_SAMPLES];
+        input[..LPC_ORDER].copy_from_slice(&self.history);
+        input[LPC_ORDER..].copy_from_slice(samples);
+        let mut residual = [0.0; FRAME_SAMPLES];
+        analysis_filter(&input, &coeffs, &mut residual);
         // Carry analysis history across frames.
-        self.history = frame.samples[frame.samples.len() - LPC_ORDER..].to_vec();
+        self.history.copy_from_slice(&input[FRAME_SAMPLES..]);
 
         // Block gain: power-of-two exponent covering the residual peak.
         let peak = residual.iter().fold(0.0f64, |m, &e| m.max(e.abs()));
@@ -98,7 +104,7 @@ impl Encoder {
         EncodedFrame {
             seq: frame.seq,
             arrived: frame.arrived,
-            reflection_q,
+            reflection_q: reflection_q.to_vec(),
             residual_q,
             gain_exp,
         }
@@ -108,40 +114,47 @@ impl Encoder {
 /// LPC synthesis decoder. Stateful across frames (filter history).
 #[derive(Debug, Clone, Default)]
 pub struct Decoder {
-    history: Vec<f64>,
+    history: [f64; LPC_ORDER],
 }
 
 impl Decoder {
     /// Creates a decoder with zeroed filter history.
     #[must_use]
     pub fn new() -> Self {
-        Decoder {
-            history: vec![0.0; LPC_ORDER],
-        }
+        Self::default()
     }
 
     /// Decodes one frame through the synthesis filter.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the frame holds [`LPC_ORDER`] reflection coefficients
+    /// and [`FRAME_SAMPLES`] residual samples, as every encoded frame does.
     pub fn decode(&mut self, enc: &EncodedFrame) -> Frame {
-        if self.history.len() != LPC_ORDER {
-            self.history = vec![0.0; LPC_ORDER];
-        }
-        let coeffs = reflection_to_lpc(
-            &enc.reflection_q
-                .iter()
-                .map(|&q| dequantize_reflection(q, REFLECTION_BITS))
-                .collect::<Vec<_>>(),
+        let reflection_q: &[i32; LPC_ORDER] = enc
+            .reflection_q
+            .as_slice()
+            .try_into()
+            .expect("an encoded frame holds LPC_ORDER reflection coefficients");
+        assert_eq!(
+            enc.residual_q.len(),
+            FRAME_SAMPLES,
+            "an encoded frame holds FRAME_SAMPLES residual samples"
         );
+        let coeffs = dequantized_lpc(reflection_q);
         let scale = 2f64.powi(enc.gain_exp);
-        let residual: Vec<f64> = enc
-            .residual_q
-            .iter()
-            .map(|&q| f64::from(q) * scale)
-            .collect();
-        let samples = synthesis_filter(&residual, &coeffs, &mut self.history);
+        let mut buf = [0.0; LPC_ORDER + FRAME_SAMPLES];
+        buf[..LPC_ORDER].copy_from_slice(&self.history);
+        for (e, &q) in buf[LPC_ORDER..].iter_mut().zip(&enc.residual_q) {
+            *e = f64::from(q) * scale;
+        }
+        synthesis_filter(&mut buf, &coeffs);
+        // Carry the filter state into the next frame.
+        self.history.copy_from_slice(&buf[FRAME_SAMPLES..]);
         Frame {
             seq: enc.seq,
             arrived: enc.arrived,
-            samples,
+            samples: buf[LPC_ORDER..].to_vec(),
         }
     }
 }

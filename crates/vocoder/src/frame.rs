@@ -133,7 +133,7 @@ mod tests {
         let mut src = SpeechSource::new(42);
         let frame = src.next_frame(SimTime::ZERO);
         assert_eq!(frame.samples.len(), FRAME_SAMPLES);
-        let r = crate::dsp::autocorrelate(&frame.samples, 2);
+        let r = crate::dsp::autocorrelate::<2>(&frame.samples);
         // Strong lag-1 correlation (resonant signal), not white noise.
         assert!(r[1] / r[0] > 0.5, "lag-1 correlation {}", r[1] / r[0]);
     }

@@ -51,8 +51,8 @@ fn levinson_always_yields_stable_reflections() {
     for seed in 0..64u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let sig = ar2_signal(&mut rng);
-        let r = autocorrelate(&sig, LPC_ORDER + 1);
-        let sol = levinson_durbin(&r, LPC_ORDER);
+        let r = autocorrelate::<{ LPC_ORDER + 1 }>(&sig);
+        let sol = levinson_durbin::<LPC_ORDER>(&r);
         for k in &sol.reflection {
             assert!(k.abs() < 1.0, "reflection {k}, seed {seed}");
         }
@@ -65,15 +65,18 @@ fn analysis_synthesis_identity_with_exact_coefficients() {
     for seed in 100..164u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let sig = ar2_signal(&mut rng);
-        let r = autocorrelate(&sig, LPC_ORDER + 1);
-        let sol = levinson_durbin(&r, LPC_ORDER);
-        let history = vec![0.0; LPC_ORDER];
-        let residual = analysis_filter(&sig, &sol.coeffs, &history);
-        let mut synth_hist = vec![0.0; LPC_ORDER];
-        let rebuilt = synthesis_filter(&residual, &sol.coeffs, &mut synth_hist);
+        let r = autocorrelate::<{ LPC_ORDER + 1 }>(&sig);
+        let sol = levinson_durbin::<LPC_ORDER>(&r);
+        let mut input = vec![0.0; LPC_ORDER];
+        input.extend_from_slice(&sig);
+        let mut residual = vec![0.0; sig.len()];
+        analysis_filter(&input, &sol.coeffs, &mut residual);
+        let mut synth = vec![0.0; LPC_ORDER];
+        synth.extend_from_slice(&residual);
+        synthesis_filter(&mut synth, &sol.coeffs);
         let worst = sig
             .iter()
-            .zip(&rebuilt)
+            .zip(&synth[LPC_ORDER..])
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
         assert!(worst < 1e-6, "reconstruction error {worst}, seed {seed}");
@@ -104,8 +107,8 @@ fn step_up_inverts_levinson() {
     for seed in 300..364u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let sig = ar2_signal(&mut rng);
-        let r = autocorrelate(&sig, LPC_ORDER + 1);
-        let sol = levinson_durbin(&r, LPC_ORDER);
+        let r = autocorrelate::<{ LPC_ORDER + 1 }>(&sig);
+        let sol = levinson_durbin::<LPC_ORDER>(&r);
         let rebuilt = reflection_to_lpc(&sol.reflection);
         for (a, b) in sol.coeffs.iter().zip(&rebuilt) {
             assert!((a - b).abs() < 1e-9, "seed {seed}");
