@@ -224,7 +224,8 @@ mod tests {
             },
         );
         let trace_path = dir.join("trace.json");
-        bench::trace::export_scenario_trace(&spec, 9, &trace_path).unwrap();
+        let traced = spec.trace(true).run_seeded(9);
+        bench::trace::write_chrome_trace(&trace_path, &traced.records).unwrap();
         let out_path = dir.join("analysis.json");
         let report_path = dir.join("report.md");
         let opts = Opts {

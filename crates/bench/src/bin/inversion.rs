@@ -207,20 +207,7 @@ fn main() {
         let worst = *MEDIUM_WORK_US.last().expect("nonempty sweep");
         let traced = run_scenario(InheritancePolicy::None, worst, true);
         if let Some(path) = &args.trace_out {
-            match bench::trace::write_chrome_trace(path, &traced.records) {
-                Ok(n) => {
-                    if !args.quiet {
-                        println!(
-                            "wrote {n} trace events to {} (load at https://ui.perfetto.dev)",
-                            path.display()
-                        );
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: writing {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
+            bench::trace::write_trace(&traced.records, path, args.quiet);
         }
         if let Some(path) = &args.analyze_out {
             let analysis = bench::trace::write_analysis(&traced.records, path);

@@ -279,40 +279,31 @@ pub fn write_chrome_trace(path: &Path, trace: &Trace) -> std::io::Result<usize> 
     Ok(n)
 }
 
-/// Re-runs `spec` (with tracing forced on and the given per-point seed)
-/// and writes its Chrome trace to `path` — the implementation behind
-/// every sweep binary's `--trace-out`. The traced re-run is separate from
-/// the farm's measured runs, so enabling export never perturbs results.
-/// Returns the number of trace events written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn export_scenario_trace(
-    spec: &ScenarioSpec,
-    seed: u64,
-    path: &Path,
-) -> std::io::Result<usize> {
-    let outcome = spec.clone().trace(true).run_seeded(seed);
-    write_chrome_trace(path, &outcome.records)
-}
-
 /// Handles a binary's `--trace-out` flag: when present, re-runs `spec`
 /// (its representative sweep point) with tracing enabled under `seed`
 /// (pass the same per-point seed the sweep used — typically
 /// [`derive_seed`]`(args.seed, index)` or a pre-baked `spec.seed`) and
-/// writes the Chrome trace, printing a pointer to ui.perfetto.dev unless
-/// `--quiet`. Exits the process with status 1 on I/O errors, mirroring
-/// `--json` handling in the bins.
+/// writes the Chrome trace with [`write_trace`]. The traced re-run is
+/// separate from the farm's measured runs, so enabling export never
+/// perturbs results.
 ///
 /// [`derive_seed`]: crate::farm::derive_seed
 pub fn handle_trace_out(args: &crate::cli::Args, spec: &ScenarioSpec, seed: u64) {
     let Some(path) = &args.trace_out else {
         return;
     };
-    match export_scenario_trace(spec, seed, path) {
+    let outcome = spec.clone().trace(true).run_seeded(seed);
+    write_trace(&outcome.records, path, args.quiet);
+}
+
+/// Writes `records` as a Chrome trace to `path` and, unless `quiet`,
+/// prints how many events it wrote and where to load them: the one
+/// writer behind every `--trace-out`. Exits the process with status 1 on
+/// I/O errors, mirroring `--json` handling in the bins.
+pub fn write_trace(records: &Trace, path: &Path, quiet: bool) {
+    match write_chrome_trace(path, records) {
         Ok(n) => {
-            if !args.quiet {
+            if !quiet {
                 println!(
                     "wrote {n} trace events to {} (load at https://ui.perfetto.dev)",
                     path.display()
