@@ -54,7 +54,7 @@ use rtos_model::TaskStats;
 use sldl_sim::trace::{segments, TrackId};
 use sldl_sim::{LabelId, RecordKind, SimTime, Trace};
 
-use crate::json::Json;
+use crate::json::{Json, Kind, STRING};
 use crate::stats::Aggregate;
 
 /// Reasons that count as a preemption of the displaced task, matching
@@ -1399,9 +1399,6 @@ impl Analysis {
             }
             _ => return Err("lacks an integral `dropped_records`".into()),
         }
-        // A field rule: what the message calls the value, and its test.
-        type Kind = (&'static str, fn(&Json) -> bool);
-        const STRING: Kind = ("string", |j| j.as_str().is_some());
         const NUMBER: Kind = ("numeric", |j| j.as_f64().is_some());
         const BOOL: Kind = ("boolean", |j| matches!(j, Json::Bool(_)));
         const NUMBER_OR_NULL: Kind = ("numeric or null", |j| {

@@ -6,9 +6,9 @@
 //! architecture and unscheduled models and a synthetic periodic task set
 //! each run under
 //! dispatch-reorder chaos combined with notify-drop,
-//! notify-dup and WCET-jitter faults, every point with
-//! [`KernelInvariants::all`] and the RTOS scheduler-conformance checks
-//! armed. Model-level failures (watchdog expiries, detected deadlocks,
+//! notify-dup and WCET-jitter faults, every point with the invariant
+//! oracle armed (`ScenarioSpec::oracle`): the kernel's self-checks and
+//! the RTOS scheduler-conformance checks. Model-level failures (watchdog expiries, detected deadlocks,
 //! model misuse) are *expected* under faults and count as clean outcomes;
 //! a **chaos failure** is a kernel invariant violation, a panic (of a
 //! simulated process, or of the point itself, which the farm quarantines

@@ -56,9 +56,6 @@ fn run_scenario(policy: InheritancePolicy, medium_work_us: u64, traced: bool) ->
     let mut sim = builder.build();
     let trace = sim.trace_handle();
     let os = Rtos::new("pe", sim.sync_layer());
-    if let Some(t) = &trace {
-        os.attach_trace(t.clone());
-    }
     os.start(SchedAlg::PriorityPreemptive);
     os.set_time_slice(TimeSlice::Quantum(us(10)));
     let m = RtosMutex::new(os.clone(), policy);

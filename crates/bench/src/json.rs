@@ -31,6 +31,16 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// What a document field must hold: the word a reader's error message
+/// uses for it, and the test a value passes.
+pub(crate) type Kind = (&'static str, fn(&Json) -> bool);
+
+/// A string field.
+pub(crate) const STRING: Kind = ("string", |j| j.as_str().is_some());
+
+/// An exact unsigned integer field.
+pub(crate) const INTEGER: Kind = ("integral", |j| j.as_u64().is_some());
+
 impl Json {
     /// Builds an object from `(key, value)` pairs.
     #[must_use]

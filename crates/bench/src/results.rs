@@ -11,7 +11,9 @@
 //!     { "name": "...", "index": 0, "seed": 1234,
 //!       "params": { ... sweep knobs ... },
 //!       "status": "completed", "completed": true,
-//!       "metrics": { "<metric>": <number>, ... } }
+//!       "metrics": { "<metric>": <number>, ... },
+//!       "kernel_stats": { "delta_cycles": 12, ... } | null,
+//!       "tasks": [ { "name": "decoder", "activations": 1, ... } ] }
 //!   ],
 //!   "aggregates": { "<group>": { "<metric>": {count,mean,min,p50,p95,p99,max} } },
 //!   "degraded": [
@@ -40,7 +42,7 @@ use std::path::Path;
 
 use crate::farm::{derive_seed, DegradedPoint};
 use crate::json::Json;
-use crate::scenario::ScenarioOutcome;
+use crate::scenario::{ScenarioOutcome, KERNEL_STATS_FIELDS, TASK_FIELDS};
 use crate::stats::Aggregate;
 
 /// Current schema identifier.
@@ -173,8 +175,11 @@ impl ResultsDoc {
     ///   integer. Every top-level field but `points`, `aggregates` and
     ///   `degraded` is a header field.
     /// * Each of `points` has a string `name`, integral `index` and
-    ///   `seed`, a string `status`, a boolean `completed` and a `metrics`
-    ///   object of numbers.
+    ///   `seed`, a string `status`, a boolean `completed`, a `metrics`
+    ///   object of numbers, a `kernel_stats` that is null or an object
+    ///   with every kernel counter as an integer, and a `tasks` array
+    ///   whose rows have a string `name` and integral `activations`,
+    ///   `dispatches`, `preemptions`, `deadline_misses` and `busy_us`.
     /// * `degraded`, when present, is a non-empty array. Each entry has
     ///   integral `index` and `seed`, the `kind` `"panicked"` and a string
     ///   `message`. `points` may be empty only when `degraded` is not.
@@ -284,10 +289,32 @@ fn check_point(p: &Json) -> Result<(), String> {
     let Some(Json::Obj(metrics)) = p.get("metrics") else {
         return Err("lacks a `metrics` object".into());
     };
-    match metrics.iter().find(|(_, v)| v.as_f64().is_none()) {
-        Some((key, _)) => Err(format!("metric `{key}` is not numeric")),
-        None => Ok(()),
+    if let Some((key, _)) = metrics.iter().find(|(_, v)| v.as_f64().is_none()) {
+        return Err(format!("metric `{key}` is not numeric"));
     }
+    match p.get("kernel_stats") {
+        Some(Json::Null) => {}
+        Some(stats @ Json::Obj(_)) => {
+            for (key, _) in KERNEL_STATS_FIELDS {
+                if stats.get(key).and_then(Json::as_u64).is_none() {
+                    return Err(format!("`kernel_stats` lacks an integral `{key}`"));
+                }
+            }
+        }
+        _ => return Err("lacks a `kernel_stats` object or null".into()),
+    }
+    let tasks = p
+        .get("tasks")
+        .and_then(Json::as_array)
+        .ok_or("lacks a `tasks` array")?;
+    for (i, row) in tasks.iter().enumerate() {
+        for (key, (what, ok), _) in TASK_FIELDS {
+            if !row.get(key).is_some_and(ok) {
+                return Err(format!("tasks[{i}] lacks a {what} `{key}`"));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Reads one quarantined point of the `degraded` section.
@@ -407,7 +434,8 @@ mod tests {
     fn accepts_well_formed_results_points() {
         let doc = with_point(
             r#"{"name":"handoff","index":0,"seed":7,"status":"completed",
-                "completed":true,"metrics":{"ops":5,"handoffs_per_sec":1.5}}"#,
+                "completed":true,"metrics":{"ops":5,"handoffs_per_sec":1.5},
+                "kernel_stats":null,"tasks":[]}"#,
         );
         read(&doc).unwrap();
     }
@@ -424,6 +452,23 @@ mod tests {
         );
         let err = read(&non_numeric_metric).unwrap_err();
         assert_eq!(err, "points[0] metric `ops` is not numeric");
+
+        // A real point broken three ways: a kernel counter that is not an
+        // integer, a task row named by a number, and no `tasks` at all.
+        let golden = include_str!("../tests/golden/robustness_f2_s7.json");
+        let broken = |from: &str, to: &str| read(&golden.replacen(from, to, 1)).unwrap_err();
+        assert_eq!(
+            broken(r#""delta_cycles": 36"#, r#""delta_cycles": "many""#),
+            "points[0] `kernel_stats` lacks an integral `delta_cycles`"
+        );
+        assert_eq!(
+            broken(r#""name": "encoder""#, r#""name": 3"#),
+            "points[0] tasks[0] lacks a string `name`"
+        );
+        assert_eq!(
+            broken(r#""tasks": ["#, r#""dropped": ["#),
+            "points[0] lacks a `tasks` array"
+        );
 
         let err = read(r#"{"schema":"rtos-sld-bench/99","points":[]}"#).unwrap_err();
         assert!(err.contains("rtos-sld-bench/99"), "{err}");
@@ -467,7 +512,7 @@ mod tests {
                      "completed":true,"metrics":{{"frames_decoded":10,
                      "bus_transactions":44,"bus_bytes":680,"bus_busy_us":560,
                      "bus_max_wait_us":1.45,"bus_contended":30,
-                     "bus_bytes_per_sec":3400.5}}}}"#
+                     "bus_bytes_per_sec":3400.5}},"kernel_stats":null,"tasks":[]}}"#
             )
         };
         let doc = |points: &[String]| {

@@ -24,10 +24,10 @@ use sldl_sim::bus::{Arbitration, BusConfig};
 use sldl_sim::prelude::*;
 use vocoder::{
     simulate_architecture, simulate_split, simulate_unscheduled, SplitConfig, VocoderConfig,
-    FRAME_PERIOD,
+    VocoderRun, FRAME_PERIOD,
 };
 
-use crate::json::Json;
+use crate::json::{Json, Kind, INTEGER, STRING};
 
 /// Which model/workload a scenario executes.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,9 +105,10 @@ pub struct ScenarioSpec {
     /// [`ChaosPlan::none`] (the default) leaves runs byte-identical to
     /// unperturbed ones.
     pub chaos: ChaosPlan,
-    /// Arm the kernel invariant oracle ([`KernelInvariants::all`]) plus
-    /// the RTOS scheduler-conformance checks on workloads that schedule.
-    /// Off by default — a disabled oracle costs nothing.
+    /// Arm the simulation's invariant oracle
+    /// ([`SimulationBuilder::oracle`]): the kernel's self-checks plus the
+    /// RTOS scheduler-conformance checks on workloads that schedule. Off
+    /// by default — an unarmed oracle costs nothing.
     pub oracle: bool,
     /// Optional decoder watchdog timeout (vocoder architecture models
     /// only); expiry aborts the run.
@@ -272,6 +273,20 @@ impl ScenarioSpec {
         outcome
     }
 
+    /// A fresh simulation carrying this spec's instrumentation: the fault
+    /// and chaos plans re-keyed with [`ScenarioSpec::seed`], the oracle
+    /// and, with `trace`, a trace recorder.
+    fn simulation(&self) -> Simulation {
+        let mut builder = Simulation::builder()
+            .fault_plan(self.faults.clone().reseed(self.seed))
+            .chaos_plan(self.chaos.clone().reseed(self.seed))
+            .oracle(self.oracle);
+        if self.trace {
+            builder = builder.trace(TraceConfig::default());
+        }
+        builder.build()
+    }
+
     fn vocoder_config(&self) -> VocoderConfig {
         let base = VocoderConfig::default();
         VocoderConfig {
@@ -289,79 +304,23 @@ impl ScenarioSpec {
 
     fn run_vocoder(&self, architecture: bool) -> ScenarioOutcome {
         let cfg = self.vocoder_config();
-        let offered_util = cfg.timing.utilization(FRAME_PERIOD);
         let result = if architecture {
             simulate_architecture(&cfg, self.sched, self.slice)
         } else {
             simulate_unscheduled(&cfg)
         };
         match result {
-            Ok(run) => {
-                let mut o = ScenarioOutcome::completed();
-                o.set("frames", run.transcode_delays.len() as f64);
-                o.set("faults_injected", run.faults_injected as f64);
-                o.set("context_switches", run.context_switches as f64);
-                o.set("end_time_us", run.end_time.as_micros() as f64);
-                o.set("mean_snr_db", run.mean_snr_db);
-                o.set("utilization_offered", offered_util);
-                if !run.transcode_delays.is_empty() {
-                    o.set(
-                        "mean_transcode_delay_ms",
-                        run.mean_transcode_delay().as_secs_f64() * 1e3,
-                    );
-                    o.set(
-                        "max_transcode_delay_ms",
-                        run.max_transcode_delay().unwrap_or_default().as_secs_f64() * 1e3,
-                    );
-                    let late = run
-                        .transcode_delays
-                        .iter()
-                        .filter(|d| **d > FRAME_PERIOD)
-                        .count();
-                    o.set("late_frames", late as f64);
-                }
-                if let Some(m) = &run.metrics {
-                    o.set("utilization_measured", m.utilization());
-                    o.set("deadline_misses", m.deadline_misses() as f64);
-                    o.tasks = m.tasks.clone();
-                }
-                o.kernel_stats = Some(run.kernel_stats.clone());
-                o.records = run.records;
-                o
-            }
+            Ok(run) => vocoder_outcome(&cfg, run),
             Err(e) => ScenarioOutcome::failed(describe_run_error(&e)),
         }
     }
 
     fn run_vocoder_split(&self, split: &SplitConfig) -> ScenarioOutcome {
         let cfg = self.vocoder_config();
-        let offered_util = cfg.timing.utilization(FRAME_PERIOD);
         match simulate_split(&cfg, split, self.sched, self.slice) {
             Ok(run) => {
-                let mut o = ScenarioOutcome::completed();
-                let base = &run.run;
-                o.set("frames", base.transcode_delays.len() as f64);
-                o.set("faults_injected", base.faults_injected as f64);
-                o.set("context_switches", base.context_switches as f64);
-                o.set("end_time_us", base.end_time.as_micros() as f64);
-                o.set("mean_snr_db", base.mean_snr_db);
-                o.set("utilization_offered", offered_util);
-                if !base.transcode_delays.is_empty() {
-                    o.set(
-                        "mean_transcode_delay_ms",
-                        base.mean_transcode_delay().as_secs_f64() * 1e3,
-                    );
-                    o.set(
-                        "max_transcode_delay_ms",
-                        base.max_transcode_delay().unwrap_or_default().as_secs_f64() * 1e3,
-                    );
-                    let late = base
-                        .transcode_delays
-                        .iter()
-                        .filter(|d| **d > FRAME_PERIOD)
-                        .count();
-                    o.set("late_frames", late as f64);
-                }
+                let end_s = run.run.end_time.as_secs_f64();
+                let mut o = vocoder_outcome(&cfg, run.run);
                 o.set("acks_received", run.acks_received as f64);
                 o.set("bus_transactions", run.bus.transactions as f64);
                 o.set("bus_bytes", run.bus.bytes as f64);
@@ -370,7 +329,6 @@ impl ScenarioSpec {
                 o.set("bus_contended", run.bus.contended as f64);
                 // Deterministic throughput: payload bytes per *simulated*
                 // second — the headline metric of comm sweeps.
-                let end_s = base.end_time.as_secs_f64();
                 if end_s > 0.0 {
                     o.set("bus_bytes_per_sec", run.bus.bytes as f64 / end_s);
                 }
@@ -400,11 +358,9 @@ impl ScenarioSpec {
                 o.set("interrupt_returns", irets as f64);
                 o.tasks = run
                     .pe_metrics
-                    .iter()
-                    .flat_map(|(_, m)| m.tasks.clone())
+                    .into_iter()
+                    .flat_map(|(_, m)| m.tasks)
                     .collect();
-                o.kernel_stats = Some(base.kernel_stats.clone());
-                o.records = base.records.clone();
                 o
             }
             Err(e) => ScenarioOutcome::failed(describe_run_error(&e)),
@@ -434,24 +390,9 @@ impl ScenarioSpec {
     fn run_task_set(&self, n: usize, utilization: f64, horizon_us: u64) -> ScenarioOutcome {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let tasks = uunifast_task_set(&mut rng, n, utilization);
-        let mut builder = Simulation::builder()
-            .fault_plan(self.faults.clone().reseed(self.seed))
-            .chaos_plan(self.chaos.clone().reseed(self.seed));
-        if self.oracle {
-            builder = builder.invariants(KernelInvariants::all());
-        }
-        if self.trace {
-            builder = builder.trace(TraceConfig::default());
-        }
-        let mut sim = builder.build();
+        let mut sim = self.simulation();
         let trace = sim.trace_handle();
         let os = Rtos::new("pe", sim.sync_layer());
-        if self.oracle {
-            os.set_conformance_checks(true);
-        }
-        if let Some(t) = &trace {
-            os.attach_trace(t.clone());
-        }
         os.start(self.sched);
         os.set_time_slice(self.slice);
         for (i, t) in tasks.iter().enumerate() {
@@ -540,24 +481,9 @@ impl ScenarioSpec {
     }
 
     fn run_miss_policy(&self, policy: MissPolicy) -> ScenarioOutcome {
-        let mut builder = Simulation::builder()
-            .fault_plan(self.faults.clone().reseed(self.seed))
-            .chaos_plan(self.chaos.clone().reseed(self.seed));
-        if self.oracle {
-            builder = builder.invariants(KernelInvariants::all());
-        }
-        if self.trace {
-            builder = builder.trace(TraceConfig::default());
-        }
-        let mut sim = builder.build();
+        let mut sim = self.simulation();
         let trace = sim.trace_handle();
         let os = Rtos::new("pe", sim.sync_layer());
-        if self.oracle {
-            os.set_conformance_checks(true);
-        }
-        if let Some(t) = &trace {
-            os.attach_trace(t.clone());
-        }
         os.start(self.sched);
         let os2 = os.clone();
         sim.spawn(Child::new("overrunner", move |ctx| async move {
@@ -598,6 +524,43 @@ impl ScenarioSpec {
             Err(e) => ScenarioOutcome::failed(describe_run_error(&e)),
         }
     }
+}
+
+/// The outcome every vocoder model shares: frame delays, SNR, faults,
+/// context switches, the RTOS metrics of a single-PE model, the kernel
+/// stats and the trace, which it moves out of `run`.
+fn vocoder_outcome(cfg: &VocoderConfig, run: VocoderRun) -> ScenarioOutcome {
+    let mut o = ScenarioOutcome::completed();
+    o.set("frames", run.transcode_delays.len() as f64);
+    o.set("faults_injected", run.faults_injected as f64);
+    o.set("context_switches", run.context_switches as f64);
+    o.set("end_time_us", run.end_time.as_micros() as f64);
+    o.set("mean_snr_db", run.mean_snr_db);
+    o.set("utilization_offered", cfg.timing.utilization(FRAME_PERIOD));
+    if !run.transcode_delays.is_empty() {
+        o.set(
+            "mean_transcode_delay_ms",
+            run.mean_transcode_delay().as_secs_f64() * 1e3,
+        );
+        o.set(
+            "max_transcode_delay_ms",
+            run.max_transcode_delay().unwrap_or_default().as_secs_f64() * 1e3,
+        );
+        let late = run
+            .transcode_delays
+            .iter()
+            .filter(|d| **d > FRAME_PERIOD)
+            .count();
+        o.set("late_frames", late as f64);
+    }
+    if let Some(m) = run.metrics {
+        o.set("utilization_measured", m.utilization());
+        o.set("deadline_misses", m.deadline_misses() as f64);
+        o.tasks = m.tasks;
+    }
+    o.kernel_stats = Some(run.kernel_stats);
+    o.records = run.records;
+    o
 }
 
 /// One periodic task of a synthetic set.
@@ -714,35 +677,13 @@ impl ScenarioOutcome {
     #[must_use]
     pub fn to_json(&self) -> Json {
         let kernel = self.kernel_stats.as_ref().map_or(Json::Null, |k| {
-            Json::obj([
-                ("delta_cycles", Json::U64(k.delta_cycles)),
-                ("events_notified", Json::U64(k.events_notified)),
-                ("processes_spawned", Json::U64(k.processes_spawned)),
-                ("processes_resumed", Json::U64(k.processes_resumed)),
-                ("processes_suspended", Json::U64(k.processes_suspended)),
-                ("timer_ops", Json::U64(k.timer_ops)),
-                ("max_ready_depth", Json::U64(k.max_ready_depth)),
-                ("context_switches", Json::U64(k.context_switches)),
-            ])
+            Json::obj(KERNEL_STATS_FIELDS.map(|(key, get)| (key, Json::U64(get(k)))))
         });
-        let tasks = Json::Arr(
-            self.tasks
-                .iter()
-                .map(|t| {
-                    Json::obj([
-                        ("name", Json::str(&t.name)),
-                        ("activations", Json::U64(t.activations)),
-                        ("dispatches", Json::U64(t.dispatches)),
-                        ("preemptions", Json::U64(t.preemptions)),
-                        ("deadline_misses", Json::U64(t.deadline_misses)),
-                        (
-                            "busy_us",
-                            Json::U64(u64::try_from(t.busy.as_micros()).unwrap_or(u64::MAX)),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
+        let tasks = self
+            .tasks
+            .iter()
+            .map(|t| Json::obj(TASK_FIELDS.map(|(key, _, write)| (key, write(t)))))
+            .collect();
         Json::obj([
             ("status", Json::str(&self.status)),
             ("completed", Json::Bool(self.completed)),
@@ -756,10 +697,45 @@ impl ScenarioOutcome {
                 ),
             ),
             ("kernel_stats", kernel),
-            ("tasks", tasks),
+            ("tasks", Json::Arr(tasks)),
         ])
     }
 }
+
+/// A kernel counter of a results point: its key and its [`KernelStats`]
+/// field.
+type KernelCounter = (&'static str, fn(&KernelStats) -> u64);
+
+/// A field of a results point's task rows: its key, the kind of value the
+/// results reader requires, and how [`ScenarioOutcome::to_json`] writes it.
+type TaskField = (&'static str, Kind, fn(&TaskStats) -> Json);
+
+/// The counters of a results point's `kernel_stats` object, in document
+/// order ([`KernelStats::wall_time`] is host time and stays out).
+/// [`ScenarioOutcome::to_json`] writes from this table, and the results
+/// reader requires each counter as an integer.
+pub(crate) const KERNEL_STATS_FIELDS: [KernelCounter; 8] = [
+    ("delta_cycles", |k| k.delta_cycles),
+    ("events_notified", |k| k.events_notified),
+    ("processes_spawned", |k| k.processes_spawned),
+    ("processes_resumed", |k| k.processes_resumed),
+    ("processes_suspended", |k| k.processes_suspended),
+    ("timer_ops", |k| k.timer_ops),
+    ("max_ready_depth", |k| k.max_ready_depth),
+    ("context_switches", |k| k.context_switches),
+];
+
+/// The fields of a results point's `tasks` rows, in document order.
+pub(crate) const TASK_FIELDS: [TaskField; 6] = [
+    ("name", STRING, |t| Json::str(&t.name)),
+    ("activations", INTEGER, |t| Json::U64(t.activations)),
+    ("dispatches", INTEGER, |t| Json::U64(t.dispatches)),
+    ("preemptions", INTEGER, |t| Json::U64(t.preemptions)),
+    ("deadline_misses", INTEGER, |t| Json::U64(t.deadline_misses)),
+    ("busy_us", INTEGER, |t| {
+        Json::U64(u64::try_from(t.busy.as_micros()).unwrap_or(u64::MAX))
+    }),
+];
 
 /// Deterministic, human-readable description of a [`RunError`].
 #[must_use]

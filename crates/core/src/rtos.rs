@@ -241,12 +241,8 @@ struct OsState {
     isr_notifies: u64,
     /// `interrupt_return` invocations (ISR epilogue dispatch points).
     interrupt_returns: u64,
-    /// When set, every dispatch asserts scheduler conformance (exactly one
-    /// running task, dispatched task is Ready, rank-minimal pick) and
-    /// reports breaches as [`RunError::InvariantViolation`] instead of
-    /// silently corrupting the schedule.
-    ///
-    /// [`RunError::InvariantViolation`]: sldl_sim::RunError::InvariantViolation
+    /// Set when the simulation's invariant oracle is armed: every dispatch
+    /// then asserts scheduler conformance (`check_dispatch_conformance`).
     conformance: bool,
 }
 
@@ -327,13 +323,32 @@ impl Rtos {
     /// Creates an RTOS model instance named `name` (typically the PE name)
     /// on the given SLDL synchronization layer.
     ///
+    /// The instance follows the simulation's instrumentation. On a traced
+    /// simulation it records task execution segments (one track per task,
+    /// labeled by the `time_wait` annotation), context-switch markers
+    /// (`"{pe}:switch"`), scheduler decision records (`"{pe}:sched"`: who
+    /// got the CPU, who lost it, and why) and mutex wait/acquire/release
+    /// records (`"{pe}:mutex"`, contributed by
+    /// [`RtosMutex`](crate::RtosMutex)); track and label names are interned
+    /// once, so recording is allocation-free. With the simulation's
+    /// invariant oracle armed, every dispatch asserts that the CPU was
+    /// idle, that the picked task was Ready, and that its scheduling rank
+    /// is minimal over the ready queue under the active [`SchedAlg`]. A
+    /// breach fails the run with [`RunError::InvariantViolation`] naming
+    /// the `scheduler-conformance` invariant and the offending task.
+    ///
     /// The instance starts unconfigured; call [`start`](Rtos::start) before
     /// activating tasks.
+    ///
+    /// [`RunError::InvariantViolation`]: sldl_sim::RunError::InvariantViolation
     #[must_use]
     pub fn new(name: impl Into<String>, layer: SldlSync) -> Self {
+        let name = name.into();
+        let trace = layer.trace_handle().map(|t| TraceIds::new(t, &name));
+        let conformance = layer.oracle_armed();
         Rtos {
             inner: Rc::new(Inner {
-                name: name.into(),
+                name,
                 layer,
                 state: RefCell::new(OsState {
                     alg: SchedAlg::PriorityPreemptive,
@@ -348,7 +363,7 @@ impl Rtos {
                     seq: 0,
                     events: Vec::new(),
                     waiter_scratch: Vec::new(),
-                    trace: None,
+                    trace,
                     pending_decision: None,
                     context_switches: 0,
                     cpu_busy: Duration::ZERO,
@@ -356,7 +371,7 @@ impl Rtos {
                     watchdog_trips: 0,
                     isr_notifies: 0,
                     interrupt_returns: 0,
-                    conformance: false,
+                    conformance,
                 }),
             }),
         }
@@ -447,34 +462,6 @@ impl Rtos {
     /// (`cargo run -p bench --bin calibration`).
     pub fn set_context_switch_cost(&self, cost: Duration) {
         self.inner.state.borrow_mut().switch_cost = cost;
-    }
-
-    /// Attaches a trace: task execution segments (one track per task,
-    /// labeled by the `time_wait` annotation), context-switch markers
-    /// (`"{pe}:switch"`), scheduler decision records (`"{pe}:sched"`:
-    /// who got the CPU, who lost it, and why), and mutex wait/acquire/
-    /// release records (`"{pe}:mutex"`, contributed by
-    /// [`RtosMutex`](crate::RtosMutex)) are recorded to it. Track and
-    /// label names are interned once, so recording is allocation-free.
-    pub fn attach_trace(&self, trace: TraceHandle) {
-        let ids = TraceIds::new(trace, &self.inner.name);
-        self.inner.state.borrow_mut().trace = Some(ids);
-    }
-
-    /// Enables (or disables) scheduler conformance checking: every dispatch
-    /// then asserts that the CPU was idle, that the picked task was Ready,
-    /// and that its scheduling rank is minimal over the ready queue under
-    /// the active [`SchedAlg`]. A breach surfaces as
-    /// [`RunError::InvariantViolation`] naming the `scheduler-conformance`
-    /// invariant and the offending task — the RTOS-layer analogue of the
-    /// kernel's [`KernelInvariants`] oracle, intended for chaos/torture
-    /// runs. Off by default: the checks cost one ready-queue scan per
-    /// dispatch and are structurally absent when disabled.
-    ///
-    /// [`RunError::InvariantViolation`]: sldl_sim::RunError::InvariantViolation
-    /// [`KernelInvariants`]: sldl_sim::KernelInvariants
-    pub fn set_conformance_checks(&self, on: bool) {
-        self.inner.state.borrow_mut().conformance = on;
     }
 
     /// Notifies the kernel that an interrupt service routine has finished
@@ -1415,8 +1402,8 @@ impl Rtos {
         }
     }
 
-    /// Scheduler conformance oracle, run at every dispatch when enabled via
-    /// [`set_conformance_checks`](Rtos::set_conformance_checks). Each breach
+    /// Scheduler conformance oracle, run at every dispatch when the
+    /// simulation's invariant oracle is armed (see [`Rtos::new`]). Each breach
     /// is a real scheduler bug (or chaos-exposed corruption), never a model
     /// misuse, so it surfaces as an `InvariantViolation` naming the task.
     fn check_dispatch_conformance(&self, st: &OsState, task: TaskId, ctx: &ProcCtx) {
@@ -1716,6 +1703,7 @@ impl SyncLayer for Rtos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sldl_sim::{RunError, Simulation, TraceConfig};
 
     #[test]
     fn rtos_event_display() {
@@ -1726,5 +1714,70 @@ mod tests {
     #[test]
     fn default_time_slice_is_whole_delay() {
         assert_eq!(TimeSlice::default(), TimeSlice::WholeDelay);
+    }
+
+    /// Spawns tasks `a` (priority 1), `b` (5) and `c` (6) on `os`, each
+    /// computing 10 µs. With `stale`, `a` raises `c` to priority 0 in its
+    /// TCB while `b` and `c` wait in the ready queue, without re-queuing
+    /// it, so the indexed pick (`b`) is no longer rank-minimal.
+    fn spawn_abc(sim: &mut Simulation, os: &Rtos, stale: bool) {
+        for (name, prio) in [("a", 1), ("b", 5), ("c", 6)] {
+            let os = os.clone();
+            sim.spawn(Child::new(name, move |ctx| async move {
+                let me = os.task_create(&TaskParams::aperiodic(name, Priority(prio)));
+                os.task_activate(&ctx, me).await;
+                os.time_wait(&ctx, Duration::from_micros(10)).await;
+                if stale && name == "a" {
+                    let mut st = os.inner.state.borrow_mut();
+                    let c = st.tasks.iter_mut().find(|t| t.name == "c");
+                    c.expect("c is queued").priority = Priority(0);
+                }
+                os.task_terminate(&ctx);
+            }));
+        }
+    }
+
+    #[test]
+    fn a_traced_simulation_traces_its_rtos() {
+        let mut sim = Simulation::builder().trace(TraceConfig::default()).build();
+        let trace = sim.trace_handle().expect("trace configured");
+        let os = Rtos::new("pe", sim.sync_layer());
+        os.start(SchedAlg::PriorityPreemptive);
+        spawn_abc(&mut sim, &os, false);
+        sim.run().unwrap();
+        let trace = trace.take();
+        let sched = trace.track_id("pe:sched").expect("decision track interned");
+        let decisions: Vec<_> = trace
+            .records
+            .iter()
+            .filter_map(|r| match r.kind {
+                RecordKind::SchedDecision {
+                    track, dispatched, ..
+                } if track == sched => Some(dispatched.map(|l| trace.label(l))),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(decisions, [Some("a"), Some("b"), Some("c"), None]);
+    }
+
+    #[test]
+    fn an_armed_oracle_catches_a_stale_ready_rank() {
+        let run = |oracle: bool| {
+            let mut sim = Simulation::builder().oracle(oracle).build();
+            let os = Rtos::new("pe", sim.sync_layer());
+            os.start(SchedAlg::PriorityPreemptive);
+            spawn_abc(&mut sim, &os, true);
+            sim.run()
+        };
+        match run(true) {
+            Err(RunError::InvariantViolation {
+                invariant, subject, ..
+            }) => {
+                assert_eq!(invariant, "scheduler-conformance");
+                assert_eq!(subject, "task `b` on pe");
+            }
+            other => panic!("expected a scheduler-conformance violation, got {other:?}"),
+        }
+        run(false).expect("unarmed, the stale rank goes unchecked");
     }
 }

@@ -64,9 +64,9 @@ impl SchedAlg {
     /// Ranking key for a ready task: the scheduler dispatches the ready
     /// task with the smallest key. Keys are compared lexicographically.
     /// This is also the ground truth the scheduler conformance oracle
-    /// ([`Rtos::set_conformance_checks`](crate::Rtos::set_conformance_checks))
-    /// re-evaluates at every dispatch: the picked task must be rank-minimal
-    /// over the ready queue.
+    /// (armed with the simulation's invariant oracle, see
+    /// [`Rtos::new`](crate::Rtos::new)) re-evaluates at every dispatch: the
+    /// picked task must be rank-minimal over the ready queue.
     pub(crate) fn rank(self, tcb: &Tcb) -> (u64, u64, u64) {
         match self {
             SchedAlg::PriorityPreemptive | SchedAlg::PriorityCooperative => {

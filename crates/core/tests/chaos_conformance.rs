@@ -5,10 +5,10 @@
 //! that the RTOS layer stays well-formed under that pressure:
 //!
 //! * a chaotic run is a pure function of its seed (replays are exact);
-//! * the scheduler conformance oracle (`set_conformance_checks`) and the
-//!   kernel invariant oracle both stay quiet across a 64-seed sweep of a
-//!   workload mixing `RtosMutex::lock_timeout` bounded waits with
-//!   deadline-miss policies;
+//! * the scheduler conformance oracle and the kernel invariant oracle,
+//!   both armed by `SimulationBuilder::oracle`, stay quiet across a
+//!   64-seed sweep of a workload mixing `RtosMutex::lock_timeout` bounded
+//!   waits with deadline-miss policies;
 //! * enabling the oracles does not change observable results.
 
 use std::cell::RefCell;
@@ -19,7 +19,7 @@ use rtos_model::{
     CycleOutcome, InheritancePolicy, MissPolicy, MutexError, Priority, Rtos, RtosMutex, SchedAlg,
     TaskParams,
 };
-use sldl_sim::{ChaosPlan, Child, KernelInvariants, SimTime, Simulation};
+use sldl_sim::{ChaosPlan, Child, SimTime, Simulation};
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -33,17 +33,13 @@ type Digest = (SimTime, u64, u64, Vec<(u64, Result<(), MutexError>)>);
 /// overrunner governed by a deadline-miss policy, and two aperiodic tasks
 /// contending on a mutex through bounded `lock_timeout` waits.
 fn run_scenario(chaos: Option<ChaosPlan>, oracle: bool) -> Digest {
-    let mut builder = Simulation::builder();
+    let mut builder = Simulation::builder().oracle(oracle);
     if let Some(plan) = chaos {
         builder = builder.chaos_plan(plan);
-    }
-    if oracle {
-        builder = builder.invariants(KernelInvariants::all());
     }
     let mut sim = builder.build();
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
-    os.set_conformance_checks(oracle);
     let m = RtosMutex::named(os.clone(), InheritancePolicy::Inherit, "shared");
     let locks = Rc::new(RefCell::new(Vec::new()));
 

@@ -63,7 +63,6 @@ fn run_set(
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(alg);
     os.set_time_slice(slice);
-    os.attach_trace(trace.clone());
     let log = Rc::new(RefCell::new(Vec::new()));
     for (i, spec) in specs.iter().enumerate() {
         let os = os.clone();

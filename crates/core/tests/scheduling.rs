@@ -503,7 +503,6 @@ fn trace_records_task_spans_without_overlap() {
     let trace = sim.trace_handle().expect("trace configured");
     let os = Rtos::new("pe", sim.sync_layer());
     os.start(SchedAlg::PriorityPreemptive);
-    os.attach_trace(trace.clone());
     let log = Rc::new(RefCell::new(Vec::new()));
     spawn_worker(&mut sim, &os, "t1", 1, 100, &log);
     spawn_worker(&mut sim, &os, "t2", 2, 100, &log);

@@ -161,7 +161,6 @@ fn run_architecture_inner(
             os.start(alg);
             os.set_time_slice(slice);
             os.set_context_switch_cost(switch_cost);
-            os.attach_trace(trace.clone());
             os
         })
         .collect();

@@ -12,6 +12,7 @@ use std::rc::Rc;
 
 use crate::ids::EventId;
 use crate::kernel::ProcCtx;
+use crate::trace::TraceHandle;
 
 /// A synchronization service that channels are written against.
 ///
@@ -79,6 +80,23 @@ impl SldlSync {
     /// resource was acquired or the wait was abandoned).
     pub fn clear_wait(&self, waiter: &str) {
         self.shared.clear_wait(waiter);
+    }
+
+    /// The simulation's trace, if one was configured
+    /// ([`SimulationBuilder::trace`](crate::SimulationBuilder::trace)).
+    /// Layers built on the kernel record to it without being handed it.
+    #[must_use]
+    pub fn trace_handle(&self) -> Option<TraceHandle> {
+        self.shared.trace_handle()
+    }
+
+    /// Whether the simulation's invariant oracle is armed
+    /// ([`SimulationBuilder::oracle`](crate::SimulationBuilder::oracle)).
+    /// Layers built on the kernel arm their own conformance checks with
+    /// it.
+    #[must_use]
+    pub fn oracle_armed(&self) -> bool {
+        self.shared.oracle_armed()
     }
 }
 

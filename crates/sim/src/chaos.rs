@@ -26,14 +26,30 @@
 //!
 //! ## The invariant oracle
 //!
-//! [`KernelInvariants`] selects internal consistency checks the kernel
-//! evaluates at delta-flush and teardown boundaries (opt in via
-//! [`SimulationBuilder::invariants`](crate::SimulationBuilder::invariants)).
-//! A failed check surfaces as
+//! [`SimulationBuilder::oracle`](crate::SimulationBuilder::oracle) arms
+//! five internal consistency checks, each named by the invariant a
+//! failure reports:
+//!
+//! * `single-runner` — one process runs at a time: at every delta flush
+//!   no process is still running (each poll ended in a kernel suspension
+//!   or in the process finishing);
+//! * `delta-monotonicity` — the delta generation counter strictly
+//!   increases across flushes (the O(1) dedup stamps depend on it);
+//! * `event-consistency` — every event queued for the current delta is
+//!   alive and carries the current generation stamp;
+//! * `teardown-drained` — after teardown no process future remains:
+//!   every unfinished body was dropped;
+//! * `wait-graph-acyclic` — a wait-for cycle reported at the end of a run
+//!   is well formed (each edge's holder is the next edge's waiter).
+//!
+//! The first three run at every delta flush, the last two at teardown. A
+//! failed check surfaces as
 //! [`RunError::InvariantViolation`](crate::RunError::InvariantViolation)
-//! naming the invariant and the offending process/event. With no oracle
-//! installed the checks cost nothing: the hook is an `Option` that stays
-//! `None`.
+//! naming the invariant and the offending process/event. Layers built on
+//! the kernel read the same switch through
+//! [`SldlSync::oracle_armed`](crate::SldlSync::oracle_armed) (the RTOS
+//! model arms its scheduler-conformance checks with it). An unarmed
+//! oracle costs nothing: the hook is an `Option` that stays `None`.
 
 use crate::ids::ProcessId;
 use crate::rng::SmallRng;
@@ -182,78 +198,12 @@ impl ChaosState {
     }
 }
 
-/// Selection of kernel self-checks evaluated at delta-flush and teardown
-/// boundaries. All checks default to off; enable everything with
-/// [`KernelInvariants::all`]. Violations fail the run with
-/// [`RunError::InvariantViolation`](crate::RunError::InvariantViolation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KernelInvariants {
-    /// One process runs at a time: at every delta flush no process is
-    /// still `Running` (each poll ended in a kernel suspension or in the
-    /// process finishing).
-    pub single_runner: bool,
-    /// The delta generation counter strictly increases across flushes
-    /// (the O(1) dedup stamps depend on it).
-    pub delta_monotonic: bool,
-    /// Every event queued for the current delta is alive and carries the
-    /// current generation stamp.
-    pub event_consistency: bool,
-    /// After teardown, no process future remains: every unfinished body
-    /// was dropped.
-    pub teardown_drained: bool,
-    /// A wait-for cycle reported at end of run is well formed (each
-    /// edge's holder is the next edge's waiter).
-    pub wait_graph_acyclic: bool,
-}
-
-impl KernelInvariants {
-    /// Every check enabled.
-    #[must_use]
-    pub fn all() -> Self {
-        KernelInvariants {
-            single_runner: true,
-            delta_monotonic: true,
-            event_consistency: true,
-            teardown_drained: true,
-            wait_graph_acyclic: true,
-        }
-    }
-
-    /// No check enabled (the default): installing this is identical to
-    /// installing no oracle at all.
-    #[must_use]
-    pub fn none() -> Self {
-        KernelInvariants::default()
-    }
-
-    /// Whether every check is off. An all-off oracle is not armed by the
-    /// kernel, guaranteeing the zero-overhead invariant structurally.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        !(self.single_runner
-            || self.delta_monotonic
-            || self.event_consistency
-            || self.teardown_drained
-            || self.wait_graph_acyclic)
-    }
-}
-
 /// Armed oracle state held by the kernel (crate internal).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct OracleState {
-    pub(crate) checks: KernelInvariants,
     /// Generation observed at the previous delta flush, for the
     /// monotonicity check.
     pub(crate) last_flush_gen: u64,
-}
-
-impl OracleState {
-    pub(crate) fn new(checks: KernelInvariants) -> Self {
-        OracleState {
-            checks,
-            last_flush_gen: 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -303,17 +253,5 @@ mod tests {
         for _ in 0..16 {
             assert_eq!(st.decide(1), None);
         }
-    }
-
-    #[test]
-    fn invariants_all_and_none() {
-        assert!(KernelInvariants::none().is_empty());
-        assert!(KernelInvariants::default().is_empty());
-        assert!(!KernelInvariants::all().is_empty());
-        assert!(!KernelInvariants {
-            single_runner: true,
-            ..KernelInvariants::none()
-        }
-        .is_empty());
     }
 }

@@ -199,8 +199,9 @@ pub enum RunError {
         /// order.
         woken: Vec<String>,
     },
-    /// The invariant oracle (see [`KernelInvariants`](crate::KernelInvariants))
-    /// or a layer-level conformance hook observed a broken invariant. This
+    /// The invariant oracle (see
+    /// [`SimulationBuilder::oracle`](crate::SimulationBuilder::oracle)) or
+    /// a layer-level conformance hook observed a broken invariant. This
     /// always indicates a bug in the kernel or a model layer, never in the
     /// modeled application.
     InvariantViolation {

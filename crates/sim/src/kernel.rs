@@ -51,9 +51,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use crate::chaos::{
-    ChaosPlan, ChaosRecord, ChaosState, InjectedChaos, KernelInvariants, OracleState,
-};
+use crate::chaos::{ChaosPlan, ChaosRecord, ChaosState, InjectedChaos, OracleState};
 use crate::error::{AbortReason, ModelError, RunError, WaitEdge};
 use crate::fault::{FaultPlan, FaultRecord, FaultState, NotifyFate};
 use crate::ids::{EventId, ProcessId};
@@ -96,8 +94,8 @@ type ProcBody = Box<dyn FnOnce(ProcCtx) -> ProcFuture>;
 /// A body may only suspend on the kernel's own waits (directly or through
 /// a layer built on them). Awaiting any other future that returns
 /// `Pending` parks the process for good: nothing ever resumes it, and the
-/// `single_runner` check of [`KernelInvariants`] reports it at the next
-/// delta flush.
+/// oracle's `single-runner` check ([`SimulationBuilder::oracle`]) reports
+/// it at the next delta flush.
 pub struct Child {
     pub(crate) name: String,
     pub(crate) body: ProcBody,
@@ -323,9 +321,9 @@ struct State {
     /// [`ChaosPlan`] was installed (same structural zero-perturbation
     /// guarantee as `faults`).
     chaos: Option<ChaosState>,
-    /// Armed invariant-oracle state; `None` unless a non-empty
-    /// [`KernelInvariants`] selection was installed, so disabled checks
-    /// cost nothing on the hot path.
+    /// Armed invariant-oracle state; `None` unless
+    /// [`SimulationBuilder::oracle`] armed it, so an unarmed oracle costs
+    /// nothing on the hot path.
     oracle: Option<OracleState>,
     /// First invariant violation observed (by the oracle or a layer
     /// conformance hook); drained into [`RunError::InvariantViolation`].
@@ -658,6 +656,16 @@ impl Shared {
     pub(crate) fn clear_wait(&self, waiter: &str) {
         self.state.borrow_mut().wait_graph.remove(waiter);
     }
+
+    /// The configured trace, if any.
+    pub(crate) fn trace_handle(&self) -> Option<TraceHandle> {
+        self.state.borrow().trace.clone()
+    }
+
+    /// Whether the invariant oracle is armed.
+    pub(crate) fn oracle_armed(&self) -> bool {
+        self.state.borrow().oracle.is_some()
+    }
 }
 
 /// Drives the scheduler to its next decision: returns the process to
@@ -704,8 +712,8 @@ fn next_step(st: &mut State) -> Option<ProcessId> {
         }
         if !st.notified.is_empty() {
             // Oracle hook: validate the delta-flush boundary before
-            // delivering. `st.oracle` is `None` unless checks were
-            // enabled, so the common path pays one pointer test.
+            // delivering. `st.oracle` is `None` unless the oracle was
+            // armed, so the common path pays one pointer test.
             if st.oracle.is_some() {
                 oracle_delta_flush(st);
                 if st.invariant.is_some() {
@@ -804,27 +812,24 @@ fn oracle_delta_flush(st: &mut State) {
     let Some(mut o) = st.oracle.take() else {
         return;
     };
-    let checks = o.checks;
     let mut viol: Option<Violation> = None;
-    if checks.delta_monotonic {
-        // The flush below will advance the generation to `delta_gen + 1`;
-        // that value must strictly exceed the previous flush's. A
-        // regression means some code path rewound the stamp clock, which
-        // silently corrupts the O(1) dedup.
-        let new_gen = st.delta_gen + 1;
-        if new_gen <= o.last_flush_gen {
-            viol = Some(Violation {
-                invariant: "delta-monotonicity",
-                subject: format!("delta generation {}", st.delta_gen),
-                details: format!(
-                    "flush generation {new_gen} does not exceed the previous flush's {}",
-                    o.last_flush_gen
-                ),
-            });
-        }
-        o.last_flush_gen = new_gen;
+    // The flush below will advance the generation to `delta_gen + 1`; that
+    // value must strictly exceed the previous flush's. A regression means
+    // some code path rewound the stamp clock, which silently corrupts the
+    // O(1) dedup.
+    let new_gen = st.delta_gen + 1;
+    if new_gen <= o.last_flush_gen {
+        viol = Some(Violation {
+            invariant: "delta-monotonicity",
+            subject: format!("delta generation {}", st.delta_gen),
+            details: format!(
+                "flush generation {new_gen} does not exceed the previous flush's {}",
+                o.last_flush_gen
+            ),
+        });
     }
-    if checks.event_consistency && viol.is_none() {
+    o.last_flush_gen = new_gen;
+    if viol.is_none() {
         for &e in &st.notified {
             let entry = &st.events[e.index()];
             if !entry.alive {
@@ -848,7 +853,7 @@ fn oracle_delta_flush(st: &mut State) {
             }
         }
     }
-    if checks.single_runner && viol.is_none() {
+    if viol.is_none() {
         // The executor runs one process at a time, and a poll only ends
         // once the process has suspended or finished. So between polls no
         // process may still be `Running`: one that is returned `Pending`
@@ -872,22 +877,16 @@ fn oracle_delta_flush(st: &mut State) {
 /// otherwise have succeeded.
 fn oracle_teardown(shared: &Shared) {
     let mut st = shared.state.borrow_mut();
-    let Some(o) = st.oracle.take() else {
+    if st.oracle.is_none() {
         return;
-    };
-    let checks = o.checks;
-    let mut viol: Option<Violation> = None;
-    if checks.teardown_drained {
-        let bodies = shared.bodies.borrow();
-        if let Some(pid) = bodies.iter().position(Option::is_some) {
-            viol = Some(Violation {
-                invariant: "teardown-drained",
-                subject: format!("process `{}`", st.procs[pid].name),
-                details: "future still alive after teardown".into(),
-            });
-        }
     }
-    if checks.wait_graph_acyclic && viol.is_none() {
+    let live = shared.bodies.borrow().iter().position(Option::is_some);
+    let mut viol = live.map(|pid| Violation {
+        invariant: "teardown-drained",
+        subject: format!("process `{}`", st.procs[pid].name),
+        details: "future still alive after teardown".into(),
+    });
+    if viol.is_none() {
         if let Some(cycle) = st.find_wait_cycle() {
             let n = cycle.len();
             let malformed = (0..n).find(|&i| cycle[i].holder != cycle[(i + 1) % n].waiter);
@@ -909,7 +908,6 @@ fn oracle_teardown(shared: &Shared) {
     if let Some(v) = viol {
         st.invariant.get_or_insert(v);
     }
-    st.oracle = Some(o);
 }
 
 // ---------------------------------------------------------------------------
@@ -950,24 +948,13 @@ impl Default for Simulation {
 /// scenario description can carry one around (or the pieces to make one)
 /// and construct fresh, isolated simulations on demand — e.g. one per
 /// sweep point on a worker thread.
-#[derive(Default)]
+#[derive(Debug, Default)]
 #[must_use = "call `.build()` to obtain the configured Simulation"]
 pub struct SimulationBuilder {
     fault_plan: Option<FaultPlan>,
     chaos_plan: Option<ChaosPlan>,
-    invariants: Option<KernelInvariants>,
+    oracle: bool,
     trace: Option<TraceConfig>,
-}
-
-impl core::fmt::Debug for SimulationBuilder {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("SimulationBuilder")
-            .field("fault_plan", &self.fault_plan)
-            .field("chaos_plan", &self.chaos_plan)
-            .field("invariants", &self.invariants)
-            .field("trace", &self.trace)
-            .finish()
-    }
 }
 
 impl SimulationBuilder {
@@ -988,11 +975,15 @@ impl SimulationBuilder {
         self
     }
 
-    /// Enables the kernel invariant oracle for the selected checks (see
-    /// [`KernelInvariants`]). An empty selection is not armed at all —
-    /// the disabled oracle has zero overhead.
-    pub fn invariants(mut self, checks: KernelInvariants) -> Self {
-        self.invariants = Some(checks);
+    /// Arms (`true`) or leaves unarmed the invariant oracle: the kernel's
+    /// five self-checks (see [`chaos`](crate::chaos#the-invariant-oracle))
+    /// and, through [`SldlSync::oracle_armed`], the checks of the layers
+    /// built on it. An unarmed oracle is not installed at all, so it has
+    /// zero overhead.
+    ///
+    /// [`SldlSync::oracle_armed`]: crate::SldlSync::oracle_armed
+    pub fn oracle(mut self, on: bool) -> Self {
+        self.oracle = on;
         self
     }
 
@@ -1004,21 +995,26 @@ impl SimulationBuilder {
         self
     }
 
-    /// Builds the configured simulation at time zero.
+    /// Builds the configured simulation at time zero. An empty plan and
+    /// an unarmed oracle are not installed at all, so they cost nothing.
     #[must_use]
     pub fn build(self) -> Simulation {
-        let mut sim = Simulation::new();
-        if let Some(plan) = self.fault_plan {
-            sim.install_fault_plan(plan);
-        }
-        if let Some(plan) = self.chaos_plan {
-            sim.install_chaos_plan(plan);
-        }
-        if let Some(checks) = self.invariants {
-            sim.install_invariants(checks);
-        }
-        if let Some(config) = self.trace {
-            sim.install_trace(config);
+        let sim = Simulation::new();
+        {
+            let mut st = sim.shared.state.borrow_mut();
+            st.faults = self
+                .fault_plan
+                .filter(|p| !p.is_empty())
+                .map(FaultState::new);
+            st.chaos = self
+                .chaos_plan
+                .filter(|p| !p.is_empty())
+                .map(ChaosState::new);
+            st.oracle = self.oracle.then(OracleState::default);
+            if let Some(config) = self.trace {
+                st.trace = Some(TraceHandle::from_config(config.sink));
+                st.trace_kernel = config.kernel_records;
+            }
         }
         sim
     }
@@ -1085,41 +1081,11 @@ impl Simulation {
         }
     }
 
-    fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.shared.state.borrow_mut().faults = if plan.is_empty() {
-            None
-        } else {
-            Some(FaultState::new(plan))
-        };
-    }
-
-    fn install_chaos_plan(&mut self, plan: ChaosPlan) {
-        self.shared.state.borrow_mut().chaos = if plan.is_empty() {
-            None
-        } else {
-            Some(ChaosState::new(plan))
-        };
-    }
-
-    fn install_invariants(&mut self, checks: KernelInvariants) {
-        self.shared.state.borrow_mut().oracle = if checks.is_empty() {
-            None
-        } else {
-            Some(OracleState::new(checks))
-        };
-    }
-
-    fn install_trace(&mut self, config: TraceConfig) {
-        let mut st = self.shared.state.borrow_mut();
-        st.trace = Some(TraceHandle::from_config(config.sink));
-        st.trace_kernel = config.kernel_records;
-    }
-
     /// Returns the trace handle if tracing was configured (via
     /// [`SimulationBuilder::trace`]).
     #[must_use]
     pub fn trace_handle(&self) -> Option<TraceHandle> {
-        self.shared.state.borrow().trace.clone()
+        self.shared.trace_handle()
     }
 
     /// Snapshot of the kernel self-metrics collected so far. The final
@@ -1436,7 +1402,7 @@ impl ProcCtx {
     /// it at first emission, and skip all formatting when it is `None`.
     #[must_use]
     pub fn trace_handle(&self) -> Option<TraceHandle> {
-        self.shared.state.borrow().trace.clone()
+        self.shared.trace_handle()
     }
 
     /// Returns the raw SLDL synchronization layer for building channels

@@ -60,9 +60,10 @@
 //!   dropped/duplicated notifications and spurious event releases
 //!   (see [`fault`]).
 //! * [`ChaosPlan`] — seeded, deterministic perturbation of *kernel*
-//!   scheduling decisions (same-delta dispatch order) and
-//!   the opt-in [`KernelInvariants`] oracle checking the kernel's own
-//!   consistency at delta-flush and teardown boundaries (see [`chaos`]).
+//!   scheduling decisions (same-delta dispatch order) and the opt-in
+//!   invariant oracle ([`SimulationBuilder::oracle`]) checking the
+//!   kernel's own consistency at delta-flush and teardown boundaries (see
+//!   [`chaos`]).
 //! * [`RunError::Deadlock`] — wait-for-graph deadlock detection at
 //!   quiescence, with edges declared by synchronization layers through
 //!   [`SldlSync::declare_wait`]; blocked processes without a declared
@@ -91,7 +92,7 @@ mod time;
 
 pub use bus::{Arbitration, Bus, BusConfig, BusStats, MasterGrants, MasterId};
 pub use channel::{Handshake, Queue, Semaphore, SldlSync, SyncLayer};
-pub use chaos::{ChaosPlan, ChaosRecord, InjectedChaos, KernelInvariants};
+pub use chaos::{ChaosPlan, ChaosRecord, InjectedChaos};
 pub use error::{AbortReason, ModelError, RunError, WaitEdge};
 pub use fault::{FaultPlan, FaultRecord, InjectedFault, SpuriousRelease, WcetJitter};
 pub use ids::{EventId, ProcessId};

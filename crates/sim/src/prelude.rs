@@ -20,7 +20,7 @@
 //! reachable under its canonical path at the crate root.
 
 pub use crate::channel::{Handshake, Queue, Semaphore, SldlSync, SyncLayer};
-pub use crate::chaos::{ChaosPlan, ChaosRecord, InjectedChaos, KernelInvariants};
+pub use crate::chaos::{ChaosPlan, ChaosRecord, InjectedChaos};
 pub use crate::error::{AbortReason, ModelError, RunError, WaitEdge};
 pub use crate::fault::{FaultPlan, FaultRecord, InjectedFault, SpuriousRelease, WcetJitter};
 pub use crate::ids::{EventId, ProcessId};

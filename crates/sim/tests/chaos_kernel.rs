@@ -14,8 +14,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use sldl_sim::{
-    ChaosPlan, Child, FaultPlan, InjectedChaos, KernelInvariants, SimTime, Simulation, Trace,
-    TraceConfig,
+    ChaosPlan, Child, FaultPlan, InjectedChaos, SimTime, Simulation, Trace, TraceConfig,
 };
 
 fn us(n: u64) -> Duration {
@@ -28,22 +27,21 @@ fn us(n: u64) -> Duration {
 #[allow(clippy::type_complexity)]
 fn run_workload(
     plan: Option<ChaosPlan>,
-    checks: Option<KernelInvariants>,
+    oracle: bool,
 ) -> (
     SimTime,
     Trace,
     Vec<sldl_sim::ChaosRecord>,
     Vec<(u64, usize)>,
 ) {
-    let mut builder = Simulation::builder().trace(TraceConfig {
-        kernel_records: true,
-        ..TraceConfig::default()
-    });
+    let mut builder = Simulation::builder()
+        .trace(TraceConfig {
+            kernel_records: true,
+            ..TraceConfig::default()
+        })
+        .oracle(oracle);
     if let Some(p) = plan {
         builder = builder.chaos_plan(p);
-    }
-    if let Some(c) = checks {
-        builder = builder.invariants(c);
     }
     let mut sim = builder.build();
     let trace = sim.trace_handle().expect("trace configured");
@@ -79,7 +77,7 @@ fn run_workload(
 
 #[test]
 fn empty_plan_is_byte_identical_to_no_plan() {
-    let baseline = run_workload(None, None);
+    let baseline = run_workload(None, false);
     let empties = [
         ChaosPlan::none(),
         ChaosPlan::seeded(42),
@@ -87,7 +85,7 @@ fn empty_plan_is_byte_identical_to_no_plan() {
         ChaosPlan::seeded(9).with_reorder(1.0).with_window(3, 3),
     ];
     for plan in empties {
-        let run = run_workload(Some(plan.clone()), None);
+        let run = run_workload(Some(plan.clone()), false);
         assert_eq!(run.0, baseline.0, "end time differs for {plan:?}");
         assert_eq!(run.1, baseline.1, "trace differs for {plan:?}");
         assert!(run.2.is_empty(), "chaos log nonempty for {plan:?}");
@@ -97,22 +95,19 @@ fn empty_plan_is_byte_identical_to_no_plan() {
 
 #[test]
 fn oracle_alone_does_not_change_the_schedule() {
-    let baseline = run_workload(None, None);
-    let with_oracle = run_workload(None, Some(KernelInvariants::all()));
+    let baseline = run_workload(None, false);
+    let with_oracle = run_workload(None, true);
     assert_eq!(with_oracle.0, baseline.0);
     assert_eq!(with_oracle.1, baseline.1, "oracle perturbed the trace");
     assert_eq!(with_oracle.3, baseline.3);
-    // An empty check selection is not even armed.
-    let with_none = run_workload(None, Some(KernelInvariants::none()));
-    assert_eq!(with_none.1, baseline.1);
 }
 
 #[test]
 fn seeded_plans_replay_exactly() {
     for seed in 0..16u64 {
         let plan = ChaosPlan::seeded(seed).with_reorder(0.5);
-        let a = run_workload(Some(plan.clone()), None);
-        let b = run_workload(Some(plan), None);
+        let a = run_workload(Some(plan.clone()), false);
+        let b = run_workload(Some(plan), false);
         assert_eq!(a.0, b.0, "seed {seed}");
         assert_eq!(a.1, b.1, "seed {seed}");
         assert_eq!(a.2, b.2, "seed {seed}");
@@ -122,12 +117,12 @@ fn seeded_plans_replay_exactly() {
 
 #[test]
 fn certain_reorder_actually_perturbs_dispatch_order() {
-    let baseline = run_workload(None, None);
+    let baseline = run_workload(None, false);
     // With three same-delta waiters and a certain reorder rate, at least
     // one seed must produce a wake order different from FIFO.
     let mut any_diff = false;
     for seed in 0..8u64 {
-        let run = run_workload(Some(ChaosPlan::seeded(seed).with_reorder(1.0)), None);
+        let run = run_workload(Some(ChaosPlan::seeded(seed).with_reorder(1.0)), false);
         assert_eq!(run.0, baseline.0, "chaos must not change simulated time");
         if run.3 != baseline.3 {
             any_diff = true;
@@ -146,7 +141,7 @@ fn certain_reorder_actually_perturbs_dispatch_order() {
 fn oracle_stays_quiet_across_chaotic_seeds() {
     for seed in 0..32u64 {
         let plan = ChaosPlan::seeded(seed).with_reorder(0.7);
-        let (_, _, _, log) = run_workload(Some(plan), Some(KernelInvariants::all()));
+        let (_, _, _, log) = run_workload(Some(plan), true);
         assert_eq!(log.len(), 60, "seed {seed} lost wakeups");
     }
 }
@@ -168,7 +163,7 @@ fn oracle_composes_with_fault_injection() {
                     .with_dup_notify(0.2),
             )
             .chaos_plan(ChaosPlan::seeded(seed ^ 0xC0FFEE).with_reorder(0.6))
-            .invariants(KernelInvariants::all())
+            .oracle(true)
             .build();
         let ev = sim.event_new();
         sim.spawn(Child::new("producer", move |ctx| async move {
@@ -201,7 +196,7 @@ fn injected_bug_is_caught_by_the_oracle() {
         let mut sim = Simulation::builder()
             .fault_plan(FaultPlan::seeded(seed).with_drop_notify(0.5))
             .chaos_plan(ChaosPlan::seeded(seed).with_reorder(0.5))
-            .invariants(KernelInvariants::all())
+            .oracle(true)
             .build();
         let ev = sim.event_new();
         sim.spawn(Child::new("producer", move |ctx| async move {

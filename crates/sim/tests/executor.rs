@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
-use sldl_sim::{Child, KernelInvariants, RunError, SimTime, Simulation};
+use sldl_sim::{Child, RunError, SimTime, Simulation};
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -286,9 +286,7 @@ fn cancel_runs_destructors_that_call_back_into_the_kernel() {
 
 #[test]
 fn a_foreign_pending_future_trips_the_single_runner_check() {
-    let mut sim = Simulation::builder()
-        .invariants(KernelInvariants::all())
-        .build();
+    let mut sim = Simulation::builder().oracle(true).build();
     let e = sim.event_new();
     sim.spawn(Child::new("stuck", |_ctx| std::future::pending::<()>()));
     sim.spawn(Child::new("notifier", move |ctx| async move {

@@ -19,8 +19,8 @@ use rtos_model::{
     MetricsSnapshot, Priority, Rtos, SchedAlg, TaskParams, TimeSlice, Watchdog, WatchdogAction,
 };
 use sldl_sim::{
-    ChaosPlan, Child, FaultPlan, KernelInvariants, KernelStats, ProcCtx, Queue, RunError, SimTime,
-    Simulation, SyncLayer, Trace, TraceConfig, TraceHandle,
+    ChaosPlan, Child, FaultPlan, KernelStats, ProcCtx, Queue, RunError, SimTime, Simulation,
+    SyncLayer, Trace, TraceConfig, TraceHandle,
 };
 
 use crate::codec::{Decoder, EncodedFrame, Encoder};
@@ -30,9 +30,24 @@ use crate::timing::CodecTiming;
 
 /// A message from encoder to decoder: one subframe's worth of progress;
 /// the final subframe of each frame carries the encoded payload.
-#[derive(Debug, Clone)]
-pub(crate) struct SubframeMsg {
-    pub(crate) payload: Option<Box<EncodedFrame>>,
+pub(crate) type SubframeMsg = Option<Box<Payload>>;
+
+/// The payload closing a frame's subframe stream: the encoded frame, and
+/// the source frame itself, moved along for the decoder's SNR. Only the
+/// encoded frame is modeled on the wire (its size is a configured byte
+/// count, not this struct's).
+#[derive(Debug)]
+pub(crate) struct Payload {
+    encoded: EncodedFrame,
+    source: Frame,
+}
+
+impl Payload {
+    /// Encodes `source` and moves it along with its encoding.
+    pub(crate) fn boxed(enc: &mut Encoder, source: Frame) -> Box<Payload> {
+        let encoded = enc.encode(&source);
+        Box::new(Payload { encoded, source })
+    }
 }
 
 /// Configuration of a vocoder simulation.
@@ -70,10 +85,27 @@ pub struct VocoderConfig {
     /// ([`ChaosPlan::none`] leaves the run byte-identical to an
     /// uninstrumented one).
     pub chaos: ChaosPlan,
-    /// Arm the kernel invariant oracle ([`KernelInvariants::all`]) and,
-    /// in the architecture model, the RTOS scheduler-conformance checks.
-    /// Off by default — disabled oracles cost nothing on the hot path.
+    /// Arm the simulation's invariant oracle
+    /// ([`SimulationBuilder::oracle`](sldl_sim::SimulationBuilder::oracle)):
+    /// the kernel's self-checks and the RTOS scheduler-conformance checks.
+    /// Off by default — an unarmed oracle costs nothing on the hot path.
     pub oracle: bool,
+}
+
+impl VocoderConfig {
+    /// A fresh simulation carrying this configuration's instrumentation:
+    /// the fault and chaos plans, the oracle and, with `trace`, a trace
+    /// recorder.
+    pub(crate) fn simulation(&self) -> Simulation {
+        let mut builder = Simulation::builder()
+            .fault_plan(self.faults.clone())
+            .chaos_plan(self.chaos.clone())
+            .oracle(self.oracle);
+        if self.trace {
+            builder = builder.trace(TraceConfig::default());
+        }
+        builder.build()
+    }
 }
 
 impl Default for VocoderConfig {
@@ -141,9 +173,23 @@ impl VocoderRun {
 /// Shared measurement sink.
 #[derive(Default)]
 pub(crate) struct Sink {
-    pub(crate) delays: Vec<Duration>,
-    pub(crate) snr_sum: f64,
-    pub(crate) snr_count: u32,
+    delays: Vec<Duration>,
+    snr_sum: f64,
+    snr_count: u32,
+}
+
+impl Sink {
+    /// Decodes the payload closing a frame at `now` and records the
+    /// frame's transcoding delay and its SNR against the source.
+    pub(crate) fn decode(&mut self, dec: &mut Decoder, now: SimTime, payload: &Payload) {
+        let out = dec.decode(&payload.encoded);
+        self.delays.push(now - out.arrived);
+        let snr = snr_db(&payload.source.samples, &out.samples);
+        if snr.is_finite() {
+            self.snr_sum += snr;
+        }
+        self.snr_count += 1;
+    }
 }
 
 /// How the codec tasks of the pipeline execute: as plain SLDL processes
@@ -232,16 +278,12 @@ fn spawn_pipeline<L: SyncLayer>(
     // period; not an RTOS task in either model.
     let frames = cfg.frames;
     let seed = cfg.seed;
-    let originals: Rc<RefCell<Vec<Frame>>> = Rc::default();
     let tx = enc_in.clone();
-    let originals_src = Rc::clone(&originals);
     let x = exec.clone();
     sim.spawn(Child::new("ad_source", move |ctx| async move {
         let mut src = SpeechSource::new(seed);
         for _ in 0..frames {
-            let frame = src.next_frame(ctx.now());
-            originals_src.borrow_mut().push(frame.clone());
-            tx.send(&ctx, frame).await;
+            tx.send(&ctx, src.next_frame(ctx.now())).await;
             x.source_kick(&ctx);
             ctx.waitfor(FRAME_PERIOD).await;
         }
@@ -256,14 +298,14 @@ fn spawn_pipeline<L: SyncLayer>(
         x.task_begin(&ctx, "encoder").await;
         let mut enc = Encoder::new();
         for _ in 0..frames {
-            let frame = rx.recv(&ctx).await;
+            let mut frame = Some(rx.recv(&ctx).await);
             for sub in 0..timing.subframes {
                 for stage in &timing.encoder_subframe {
                     x.stage(&ctx, "encoder", stage.label, stage.duration).await;
                 }
                 let last = sub + 1 == timing.subframes;
-                let payload = last.then(|| Box::new(enc.encode(&frame)));
-                tx.send(&ctx, SubframeMsg { payload }).await;
+                let payload = frame.take_if(|_| last).map(|f| Payload::boxed(&mut enc, f));
+                tx.send(&ctx, payload).await;
             }
         }
         x.task_end(&ctx, "encoder");
@@ -281,16 +323,8 @@ fn spawn_pipeline<L: SyncLayer>(
                 exec.stage(&ctx, "decoder", stage.label, stage.duration)
                     .await;
             }
-            if let Some(encoded) = msg.payload {
-                let out = dec.decode(&encoded);
-                let mut s = sink.borrow_mut();
-                s.delays.push(ctx.now() - out.arrived);
-                let original = &originals.borrow()[usize::try_from(out.seq).expect("seq fits")];
-                let snr = snr_db(&original.samples, &out.samples);
-                if snr.is_finite() {
-                    s.snr_sum += snr;
-                }
-                s.snr_count += 1;
+            if let Some(payload) = msg {
+                sink.borrow_mut().decode(&mut dec, ctx.now(), &payload);
             }
         }
         exec.task_end(&ctx, "decoder");
@@ -331,16 +365,7 @@ pub(crate) fn finish(
 /// Returns [`RunError`] if a simulated process panics.
 pub fn simulate_unscheduled(cfg: &VocoderConfig) -> Result<VocoderRun, RunError> {
     let started = std::time::Instant::now();
-    let mut builder = Simulation::builder()
-        .fault_plan(cfg.faults.clone())
-        .chaos_plan(cfg.chaos.clone());
-    if cfg.oracle {
-        builder = builder.invariants(KernelInvariants::all());
-    }
-    if cfg.trace {
-        builder = builder.trace(TraceConfig::default());
-    }
-    let mut sim = builder.build();
+    let mut sim = cfg.simulation();
     let trace = sim.trace_handle();
     let layer = sim.sync_layer();
     let sink: Rc<RefCell<Sink>> = Rc::default();
@@ -361,24 +386,9 @@ pub fn simulate_architecture(
     slice: TimeSlice,
 ) -> Result<VocoderRun, RunError> {
     let started = std::time::Instant::now();
-    let mut builder = Simulation::builder()
-        .fault_plan(cfg.faults.clone())
-        .chaos_plan(cfg.chaos.clone());
-    if cfg.oracle {
-        builder = builder.invariants(KernelInvariants::all());
-    }
-    if cfg.trace {
-        builder = builder.trace(TraceConfig::default());
-    }
-    let mut sim = builder.build();
+    let mut sim = cfg.simulation();
     let trace = sim.trace_handle();
     let os = Rtos::new("dsp", sim.sync_layer());
-    if cfg.oracle {
-        os.set_conformance_checks(true);
-    }
-    if let Some(t) = &trace {
-        os.attach_trace(t.clone());
-    }
     os.start(alg);
     os.set_time_slice(slice);
     os.set_context_switch_cost(cfg.switch_cost);

@@ -23,11 +23,11 @@ use rtos_model::{
     MetricsSnapshot, Priority, Rtos, SchedAlg, TaskParams, TimeSlice, WatchdogAction,
 };
 use sldl_sim::bus::{BusConfig, BusStats};
-use sldl_sim::{Child, KernelInvariants, Queue, RunError, SimTime, Simulation, TraceConfig};
+use sldl_sim::{Child, Queue, RunError, SimTime};
 
 use crate::codec::{Decoder, Encoder};
 use crate::frame::{Frame, SpeechSource, FRAME_PERIOD};
-use crate::scenario::{finish, Sink, SubframeMsg, VocoderConfig, VocoderRun};
+use crate::scenario::{finish, Payload, Sink, SubframeMsg, VocoderConfig, VocoderRun};
 
 /// Placement and bus parameters of a split-PE transcoding run.
 #[derive(Debug, Clone)]
@@ -99,28 +99,13 @@ pub fn simulate_split(
         "PE index must be 0 or 1"
     );
     let started = std::time::Instant::now();
-    let mut builder = Simulation::builder()
-        .fault_plan(cfg.faults.clone())
-        .chaos_plan(cfg.chaos.clone());
-    if cfg.oracle {
-        builder = builder.invariants(KernelInvariants::all());
-    }
-    if cfg.trace {
-        builder = builder.trace(TraceConfig::default());
-    }
-    let mut sim = builder.build();
+    let mut sim = cfg.simulation();
     let trace = sim.trace_handle();
 
     let oses: Vec<Rtos> = ["pe0", "pe1"]
         .iter()
         .map(|name| {
             let os = Rtos::new(*name, sim.sync_layer());
-            if cfg.oracle {
-                os.set_conformance_checks(true);
-            }
-            if let Some(t) = &trace {
-                os.attach_trace(t.clone());
-            }
             os.start(alg);
             os.set_time_slice(slice);
             os.set_context_switch_cost(cfg.switch_cost);
@@ -165,16 +150,12 @@ pub fn simulate_split(
     // Source: the A/D converter interrupt on the encoder PE.
     let frames = cfg.frames;
     let seed = cfg.seed;
-    let originals: Rc<RefCell<Vec<Frame>>> = Rc::default();
     let tx = enc_in.clone();
-    let originals_src = Rc::clone(&originals);
     let os_src = enc_os.clone();
     sim.spawn(Child::new("ad_source", move |ctx| async move {
         let mut src = SpeechSource::new(seed);
         for _ in 0..frames {
-            let frame = src.next_frame(ctx.now());
-            originals_src.borrow_mut().push(frame.clone());
-            tx.send(&ctx, frame).await;
+            tx.send(&ctx, src.next_frame(ctx.now())).await;
             os_src.interrupt_return(&ctx);
             ctx.waitfor(FRAME_PERIOD).await;
         }
@@ -190,14 +171,14 @@ pub fn simulate_split(
         os.task_activate(&ctx, me).await;
         let mut enc = Encoder::new();
         for _ in 0..frames {
-            let frame = rx.recv(&ctx).await;
+            let mut frame = Some(rx.recv(&ctx).await);
             for sub in 0..timing.subframes {
                 for stage in &timing.encoder_subframe {
                     os.time_wait_as(&ctx, stage.duration, stage.label).await;
                 }
                 let last = sub + 1 == timing.subframes;
-                let payload = last.then(|| Box::new(enc.encode(&frame)));
-                tx.send(&ctx, SubframeMsg { payload }).await;
+                let payload = frame.take_if(|_| last).map(|f| Payload::boxed(&mut enc, f));
+                tx.send(&ctx, payload).await;
             }
         }
         os.task_terminate(&ctx);
@@ -226,16 +207,8 @@ pub fn simulate_split(
                     wd.kick(&ctx);
                 }
             }
-            if let Some(encoded) = msg.payload {
-                let out = dec.decode(&encoded);
-                let mut s = sink2.borrow_mut();
-                s.delays.push(ctx.now() - out.arrived);
-                let original = &originals.borrow()[usize::try_from(out.seq).expect("seq fits")];
-                let snr = crate::dsp::snr_db(&original.samples, &out.samples);
-                if snr.is_finite() {
-                    s.snr_sum += snr;
-                }
-                s.snr_count += 1;
+            if let Some(payload) = msg {
+                sink2.borrow_mut().decode(&mut dec, ctx.now(), &payload);
             }
             ack_q_tx.send(&ctx, sub as u64).await;
         }

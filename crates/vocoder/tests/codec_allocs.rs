@@ -1,9 +1,12 @@
-//! Allocation gate for the LPC codec.
+//! Allocation gates for the LPC codec and the models that run it.
 //!
 //! Encoding and decoding a frame allocates only what the public types
 //! return: the two vectors of the [`vocoder::EncodedFrame`] and the
 //! decoded [`Frame`]'s samples. Every intermediate (autocorrelation,
 //! predictor, residual, filter state) lives on the stack or in the codec.
+//! A whole model run allocates an exact, pinned number of times: the
+//! source frame travels to the decoder inside the encoded payload instead
+//! of being copied for the SNR.
 //!
 //! A counting global allocator measures the gate on the test's own
 //! thread, so tests running in parallel do not disturb the count.
@@ -11,8 +14,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use rtos_model::{SchedAlg, TimeSlice};
 use sldl_sim::SimTime;
-use vocoder::{Decoder, Encoder, Frame, SpeechSource};
+use vocoder::{
+    simulate_architecture, simulate_split, simulate_unscheduled, Decoder, Encoder, Frame,
+    SpeechSource, SplitConfig, VocoderConfig,
+};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -90,4 +97,31 @@ fn transcoding_allocates_only_what_it_returns() {
          transcoding should allocate only the {ALLOCS_PER_FRAME} vectors it returns",
         allocs as f64 / n as f64
     );
+}
+
+/// Allocations `run` makes on this thread. The simulation executor is
+/// single-threaded, so a whole model run is counted.
+fn allocs_of(run: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    run();
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn model_runs_allocate_a_pinned_count() {
+    let cfg = VocoderConfig {
+        frames: 163,
+        ..VocoderConfig::default()
+    };
+    let (alg, slice) = (SchedAlg::PriorityPreemptive, TimeSlice::WholeDelay);
+    let arch = allocs_of(|| {
+        simulate_architecture(&cfg, alg, slice).unwrap();
+    });
+    let unscheduled = allocs_of(|| {
+        simulate_unscheduled(&cfg).unwrap();
+    });
+    let split = allocs_of(|| {
+        simulate_split(&cfg, &SplitConfig::default(), alg, slice).unwrap();
+    });
+    assert_eq!((arch, unscheduled, split), (899, 856, 989));
 }
