@@ -241,7 +241,7 @@ impl ScenarioSpec {
         let mut outcome = match &self.workload {
             Workload::VocoderUnscheduled => self.run_vocoder(false),
             Workload::VocoderArchitecture => self.run_vocoder(true),
-            Workload::VocoderImpl => self.run_vocoder_impl(),
+            Workload::VocoderImpl => self.uninstrumented(Self::run_vocoder_impl),
             Workload::VocoderSplit {
                 clock_ns,
                 width,
@@ -266,7 +266,7 @@ impl ScenarioSpec {
                 utilization,
                 horizon_us,
             } => self.run_task_set(*tasks, *utilization, *horizon_us),
-            Workload::Figure3 => self.run_figure3(),
+            Workload::Figure3 => self.uninstrumented(Self::run_figure3),
             Workload::MissPolicyOverrun { policy } => self.run_miss_policy(*policy),
         };
         outcome.host_time = started.elapsed();
@@ -285,6 +285,27 @@ impl ScenarioSpec {
             builder = builder.trace(TraceConfig::default());
         }
         builder.build()
+    }
+
+    /// Runs a workload whose model builds no simulation from this spec
+    /// (`model_refine::run_architecture` builds its own; the ISS runs
+    /// none). A spec that sets a fault plan, a chaos plan or the oracle
+    /// fails, naming the setting, instead of running without it.
+    fn uninstrumented(&self, run: fn(&Self) -> ScenarioOutcome) -> ScenarioOutcome {
+        let setting = if !self.faults.is_empty() {
+            "faults"
+        } else if !self.chaos.is_empty() {
+            "chaos"
+        } else if self.oracle {
+            "oracle"
+        } else {
+            return run(self);
+        };
+        ScenarioOutcome::failed(format!(
+            "unsupported: `{setting}` on workload {:?}, whose model builds no simulation \
+             from the spec",
+            self.workload
+        ))
     }
 
     fn vocoder_config(&self) -> VocoderConfig {
@@ -854,6 +875,35 @@ mod tests {
         assert!(o.completed, "{}", o.status);
         assert!(o.metric("d3_start_us").is_some());
         assert!(o.metric("response_error_us").unwrap() >= 0.0);
+    }
+
+    #[test]
+    fn instrumentation_is_refused_where_the_model_builds_no_simulation() {
+        for workload in [Workload::Figure3, Workload::VocoderImpl] {
+            let spec = ScenarioSpec::new("t", workload.clone()).frames(1);
+            for (instrumented, setting) in [
+                (
+                    spec.clone()
+                        .faults(FaultPlan::seeded(1).with_drop_notify(0.5)),
+                    "`faults`",
+                ),
+                (
+                    spec.clone().chaos(ChaosPlan::seeded(1).with_reorder(0.5)),
+                    "`chaos`",
+                ),
+                (spec.clone().oracle(true), "`oracle`"),
+            ] {
+                let o = instrumented.run();
+                assert!(!o.completed, "{workload:?} ran with {setting}");
+                assert!(o.status.contains(setting), "{}", o.status);
+            }
+            // Empty plans arm nothing, so they are no instrumentation.
+            let plain = spec
+                .faults(FaultPlan::none())
+                .chaos(ChaosPlan::none())
+                .run();
+            assert!(plain.completed, "{}", plain.status);
+        }
     }
 
     #[test]

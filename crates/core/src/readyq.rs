@@ -13,16 +13,19 @@
 //!   `VecDeque` per level ordered by the rank's sequence number. Insertion
 //!   at the back and the minimum at the front of the lowest occupied level
 //!   are O(1) (amortized); a brand-new level key costs one sorted insert,
-//!   and priority levels are few and recur.
+//!   and priority levels are few and recur. Each task's slot caches the
+//!   level index of its last insert, so re-inserting at the same level
+//!   skips the binary search over the keys.
 //! * **Heap** (EDF, whose first key component is a continuously varying
 //!   deadline): a lazy-deletion binary min-heap over full ranks.
 //!
 //! Removal is O(1) in both: each task has a *stamp slot*, and an entry in
 //! the structure is live only while its recorded stamp matches the slot.
-//! Removing a task zeroes its slot; the stale entry is discarded when it
-//! surfaces at a front/top during [`peek`](ReadyQueue::peek). Every entry
-//! is cleaned up at most once, so all operations stay amortized O(1) /
-//! O(log n).
+//! Removing a task zeroes its slot. In the indexed variant an entry at the
+//! front of its level (a dispatch) is dropped at once; any other stale
+//! entry is discarded when it surfaces at a front/top during
+//! [`peek`](ReadyQueue::peek). Every entry is cleaned up at most once, so
+//! all operations stay amortized O(1) / O(log n).
 //!
 //! Because ranks never tie (see
 //! [`SchedAlg::queue_rank`](crate::SchedAlg)), the structure's minimum is
@@ -50,6 +53,10 @@ type Entry = (u32, u64, u64);
 struct Slot {
     stamp: u64,
     rank: Rank,
+    /// Level index of the task's last insert into the indexed variant.
+    /// A new level key shifts the indices after it, so this is a hint,
+    /// valid while `Indexed::keys` holds the rank's level key there.
+    level: usize,
 }
 
 fn is_live(slots: &[Slot], task: u32, stamp: u64) -> bool {
@@ -100,10 +107,22 @@ impl Indexed {
         }
     }
 
-    fn insert(&mut self, slots: &[Slot], task: u32, stamp: u64, rank: Rank) {
+    /// The index of level `key`: `hint` when it still holds the key
+    /// (level keys are distinct), else the sorted position found by
+    /// binary search.
+    fn level(&self, key: (u64, u64), hint: usize) -> Result<usize, usize> {
+        if self.keys.get(hint) == Some(&key) {
+            Ok(hint)
+        } else {
+            self.keys.binary_search(&key)
+        }
+    }
+
+    /// Queues `task`'s entry and returns the index of its level.
+    fn insert(&mut self, slots: &[Slot], task: u32, stamp: u64, rank: Rank, hint: usize) -> usize {
         let key = (rank.0, rank.1);
         let seq = rank.2;
-        let i = match self.keys.binary_search(&key) {
+        let i = match self.level(key, hint) {
             Ok(i) => i,
             Err(i) => {
                 // First sighting of this level: O(levels) once per key.
@@ -147,6 +166,26 @@ impl Indexed {
             }
         }
         self.set_bit(i);
+        i
+    }
+
+    /// Drops `task`'s removed entry at once when it is the front of its
+    /// level, the dispatch case, so that `peek` does not meet it stale.
+    /// Any other stale entry waits for `peek` or `insert` to shed it.
+    fn remove(&mut self, task: u32, stamp: u64, rank: Rank, hint: usize) {
+        let Ok(i) = self.level((rank.0, rank.1), hint) else {
+            return;
+        };
+        let fifo = &mut self.fifos[i];
+        if fifo
+            .front()
+            .is_some_and(|&(t, s, _)| (t, s) == (task, stamp))
+        {
+            fifo.pop_front();
+            if fifo.is_empty() {
+                self.clear_bit(i);
+            }
+        }
     }
 
     fn peek(&mut self, slots: &[Slot]) -> Option<u32> {
@@ -268,29 +307,36 @@ impl ReadyQueue {
         if self.slots.len() <= idx {
             self.slots.resize(idx + 1, Slot::default());
         }
-        assert_eq!(self.slots[idx].stamp, 0, "task {task} is already queued");
+        let slot = &mut self.slots[idx];
+        assert_eq!(slot.stamp, 0, "task {task} is already queued");
         self.next_stamp += 1;
         let stamp = self.next_stamp;
-        self.slots[idx] = Slot { stamp, rank };
+        slot.stamp = stamp;
+        slot.rank = rank;
         self.live += 1;
         match &mut self.imp {
-            Imp::Indexed(ix) => ix.insert(&self.slots, task, stamp, rank),
+            Imp::Indexed(ix) => {
+                let hint = self.slots[idx].level;
+                self.slots[idx].level = ix.insert(&self.slots, task, stamp, rank, hint);
+            }
             Imp::Heap(h) => h.push(Reverse((rank, task, stamp))),
         }
     }
 
-    /// Removes `task` in O(1) (lazy: the structural entry is discarded
-    /// when it later surfaces during a [`peek`](ReadyQueue::peek)).
-    /// Returns whether the task was queued.
+    /// Removes `task` in O(1). The indexed variant drops the task's entry
+    /// at once when it is the front of its level; any other entry is
+    /// discarded when it later surfaces during a
+    /// [`peek`](ReadyQueue::peek). Returns whether the task was queued.
     pub fn remove(&mut self, task: u32) -> bool {
-        match self.slots.get_mut(task as usize) {
-            Some(slot) if slot.stamp != 0 => {
-                slot.stamp = 0;
-                self.live -= 1;
-                true
-            }
-            _ => false,
+        let Some(slot) = self.slots.get_mut(task as usize).filter(|s| s.stamp != 0) else {
+            return false;
+        };
+        let stamp = std::mem::take(&mut slot.stamp);
+        self.live -= 1;
+        if let Imp::Indexed(ix) = &mut self.imp {
+            ix.remove(task, stamp, slot.rank, slot.level);
         }
+        true
     }
 
     /// The rank-minimal queued task, without removing it. Takes `&mut

@@ -89,12 +89,16 @@ impl LinearRef {
     }
 }
 
+/// Drawn priorities and periods start here, leaving room below for level
+/// keys never seen before.
+const FLOOR: u64 = 1_000_000;
+
 fn random_task(rng: &mut Rng, seq: u64) -> Task {
     let r = rng.next();
     Task {
-        priority: r % 8,
+        priority: FLOOR + r % 8,
         period_ns: if r & (1 << 32) != 0 {
-            Some(1_000 * (1 + (r >> 33) % 16))
+            Some(FLOOR + 1_000 * (1 + (r >> 33) % 16))
         } else {
             None
         },
@@ -123,12 +127,14 @@ fn indexed_structure_matches_linear_scan_pick_sequences() {
             let mut linear = LinearRef { queue: Vec::new() };
             let mut next_seq = 0u64;
             let mut picks = 0u32;
+            // The next never-seen level key, below every key so far.
+            let mut lowest = FLOOR;
 
             for step in 0..4_000 {
-                match rng.next() % 10 {
+                match rng.next() % 100 {
                     // Make a fresh task ready (fresh seq: the global
                     // counter only grows).
-                    0..=3 => {
+                    0..=37 => {
                         next_seq += 1;
                         let id = tasks.len() as u32;
                         let t = random_task(&mut rng, next_seq);
@@ -137,7 +143,7 @@ fn indexed_structure_matches_linear_scan_pick_sequences() {
                         linear.queue.push(id);
                     }
                     // Dispatch: both models must pick the same task.
-                    4..=6 => {
+                    38..=67 => {
                         let expect = linear.first_minimal(&tasks, alg);
                         assert_eq!(
                             rq.peek(),
@@ -152,7 +158,7 @@ fn indexed_structure_matches_linear_scan_pick_sequences() {
                         }
                     }
                     // Block/kill a random queued task.
-                    7 => {
+                    68..=77 => {
                         if !linear.queue.is_empty() {
                             let victim =
                                 linear.queue[(rng.next() % linear.queue.len() as u64) as usize];
@@ -163,16 +169,40 @@ fn indexed_structure_matches_linear_scan_pick_sequences() {
                     // Priority-inheritance requeue: re-rank a queued task
                     // in place, keeping its own seq (`boost_priority` on a
                     // READY task).
-                    8 => {
+                    78..=87 => {
                         if !linear.queue.is_empty() {
                             let id =
                                 linear.queue[(rng.next() % linear.queue.len() as u64) as usize];
                             let t = &mut tasks[id as usize];
-                            t.priority = rng.next() % 8;
+                            t.priority = FLOOR + rng.next() % 8;
                             t.deadline_ns = 100 * (1 + rng.next() % 512);
                             let nr = queue_rank(alg, t);
                             assert!(rq.remove(id));
                             rq.insert(id, nr);
+                        }
+                    }
+                    // A fresh task at a level key below every key so far:
+                    // every level index after it shifts by one.
+                    88..=90 => {
+                        next_seq += 1;
+                        lowest -= 1;
+                        let id = tasks.len() as u32;
+                        let t = Task {
+                            priority: lowest,
+                            period_ns: Some(lowest),
+                            deadline_ns: 100 * (1 + rng.next() % 512),
+                            ready_seq: next_seq,
+                        };
+                        tasks.push(t);
+                        rq.insert(id, queue_rank(alg, &t));
+                        linear.queue.push(id);
+                    }
+                    // Empty the structure and queue every ready task again,
+                    // each with its own seq.
+                    91 => {
+                        rq.clear();
+                        for &id in &linear.queue {
+                            rq.insert(id, queue_rank(alg, &tasks[id as usize]));
                         }
                     }
                     // Re-activation of a previously dispatched task with a

@@ -201,3 +201,107 @@ fn total_compute_counts_cycles() {
     // control: 8 × 300; logger: 2 × 800.
     assert_eq!(spec.total_compute(), us(8 * 300 + 2 * 800));
 }
+
+/// SplitMix64, the seeded stream of the task-set generator below.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// A seeded set of 64 periodic tasks at a total utilization of 0.85:
+/// periods spread over 2–50 ms with more short ones, one release per
+/// period over 180 ms, priorities by period (rate-monotonic order under
+/// fixed-priority scheduling). Integer arithmetic only, so the set is
+/// the same on every host.
+fn task_set_64(seed: u64) -> SystemSpec {
+    let mut rng = SplitMix64(seed);
+    let weights: Vec<u64> = (0..64).map(|_| 1 + rng.next() % 1_000).collect();
+    let total: u64 = weights.iter().sum();
+    let mut tasks = Vec::new();
+    let mut priorities = HashMap::new();
+    for (i, w) in (0u64..).zip(&weights) {
+        let period_us = 2_000 + i * i * 48_000 / 4_096 + rng.next() % 700;
+        let wcet_ns = (period_us * 1_000 * 85 * w / (100 * total)).max(1_000);
+        let name = format!("t{i:02}");
+        let priority = u32::try_from(period_us).expect("period fits u32");
+        priorities.insert(name.clone(), Priority(priority));
+        tasks.push(Behavior::periodic(
+            name,
+            us(period_us),
+            u32::try_from(180_000 / period_us).expect("cycles fit u32"),
+            vec![Action::compute("job", Duration::from_nanos(wcet_ns))],
+        ));
+    }
+    let mut spec = SystemSpec::new();
+    spec.add_pe(PeSpec {
+        name: "pe0".into(),
+        root: Behavior::Par(tasks),
+        priorities,
+    });
+    spec
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins every count and the whole trace of a 64-task periodic set under
+/// 100 µs quanta to 200 ms, the shape of the benchmark's `taskset64`
+/// workload: a change to the kernel's or the RTOS model's host cost must
+/// move none of them.
+#[test]
+fn task_set_64_counts_and_trace_are_pinned() {
+    let run = run_architecture(
+        &task_set_64(0x64),
+        SchedAlg::PriorityPreemptive,
+        TimeSlice::Quantum(us(100)),
+        &RunConfig {
+            run_until: Some(SimTime::from_millis(200)),
+        },
+    )
+    .unwrap();
+    let k = &run.report.kernel;
+    assert_eq!(
+        [
+            k.processes_spawned,
+            k.processes_resumed,
+            k.processes_suspended,
+            k.timer_ops,
+            k.delta_cycles,
+            k.events_notified,
+            k.context_switches,
+            k.max_ready_depth,
+        ],
+        [65, 9_698, 9_633, 15_438, 2_227, 2_229, 4_337, 64],
+        "kernel: spawns, resumes, suspensions, timer ops, delta cycles, notifies, process switches, max ready"
+    );
+    let m = &run.pe_metrics[0].metrics;
+    let dispatches: u64 = m.tasks.iter().map(|t| t.dispatches).sum();
+    let preemptions: u64 = m.tasks.iter().map(|t| t.preemptions).sum();
+    assert_eq!(
+        [
+            dispatches,
+            m.context_switches,
+            preemptions,
+            m.deadline_misses()
+        ],
+        [2_229, 2_227, 665, 1],
+        "RTOS: dispatches, context switches, preemptions, deadline misses"
+    );
+    let csv = sldl_sim::trace::to_csv(&run.records);
+    assert_eq!(
+        (run.records.records.len(), fnv1a(csv.as_bytes())),
+        (11_059, 0x2cd9_1178_3f19_64b7),
+        "trace records and the FNV-1a hash of its CSV"
+    );
+}

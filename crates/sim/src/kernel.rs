@@ -250,6 +250,46 @@ impl Ord for Timed {
     }
 }
 
+/// The pending timed entries due after `now`, popped earliest `(time,
+/// seq)` first. An entry earlier than every heap entry waits in `first`
+/// instead of the heap. That entry is usually a step's own wake-up,
+/// pushed and popped again before any other, so it costs no heap
+/// operation.
+#[derive(Default)]
+struct TimedQueue {
+    /// When set, earlier than every entry in `heap`.
+    first: Option<Timed>,
+    heap: BinaryHeap<Timed>,
+}
+
+impl TimedQueue {
+    fn push(&mut self, entry: Timed) {
+        // `Timed` orders in reverse: the greater entry is the earlier.
+        let into_heap = match &mut self.first {
+            Some(first) if entry > *first => std::mem::replace(first, entry),
+            Some(_) => entry,
+            None if self.heap.peek().is_none_or(|top| entry > *top) => {
+                self.first = Some(entry);
+                return;
+            }
+            None => entry,
+        };
+        self.heap.push(into_heap);
+    }
+
+    fn peek(&self) -> Option<&Timed> {
+        self.first.as_ref().or_else(|| self.heap.peek())
+    }
+
+    fn pop(&mut self) -> Option<Timed> {
+        self.first.take().or_else(|| self.heap.pop())
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.is_none() && self.heap.is_empty()
+    }
+}
+
 /// Null link in the waiter slab's intrusive lists.
 const NIL: u32 = u32::MAX;
 
@@ -288,7 +328,7 @@ struct State {
     ready: VecDeque<ProcessId>,
     /// Pending timed wake-ups/notifications due after `now`, earliest
     /// `(time, seq)` first.
-    timed: BinaryHeap<Timed>,
+    timed: TimedQueue,
     /// Timed entries due at `now` itself (zero-delay pushes), in push
     /// order. `next_step` drains them before it looks at `timed`: every
     /// heap entry due at `now` was popped when time advanced here, so
@@ -1048,7 +1088,7 @@ impl Simulation {
                 until: SimTime::MAX,
                 procs: Vec::new(),
                 ready: VecDeque::new(),
-                timed: BinaryHeap::new(),
+                timed: TimedQueue::default(),
                 due_now: Vec::new(),
                 seq: 0,
                 notified: Vec::new(),
@@ -1701,6 +1741,23 @@ impl ProcCtx {
             let mut st = self.shared.state.borrow_mut();
             let gen = st.procs[self.pid.index()].wake_gen;
             let time = st.now + delay;
+            // Self-handoff: when the kernel's next step can only resume
+            // this process — nothing else is ready, notified or due now,
+            // no other timed entry is due by `time`, and the step stays
+            // within the horizon and the zero-time step limit — take that
+            // step here instead of unwinding to the executor and being
+            // polled back in. It is the executor's own `next_step`, so
+            // every count, record, chaos decision and fault draw is the
+            // same, and no error can be pending while a process runs.
+            let handoff = st.ready.is_empty()
+                && st.notified.is_empty()
+                && st.due_now.is_empty()
+                && time <= st.until
+                && if delay.is_zero() {
+                    st.zero_time_steps < ZERO_TIME_STEP_LIMIT
+                } else {
+                    st.timed.peek().is_none_or(|top| top.time > time)
+                };
             st.push_timed(time, TimedKind::Wake { pid: self.pid, gen });
             let entry = &mut st.procs[self.pid.index()];
             entry.state = ProcState::WaitTime;
@@ -1710,6 +1767,11 @@ impl ProcCtx {
                 pid: self.pid,
                 reason: SuspendReason::WaitTime,
             });
+            if handoff {
+                let next = next_step(&mut st);
+                assert_eq!(next, Some(self.pid), "a self-handoff resumes its caller");
+                return;
+            }
         }
         Suspend::default().await;
     }
@@ -1798,36 +1860,52 @@ mod tests {
         }
     }
 
-    fn pop_all(heap: &mut BinaryHeap<Timed>) -> Vec<(u64, u64)> {
-        std::iter::from_fn(|| heap.pop())
+    fn pop_all(queue: &mut TimedQueue) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| queue.pop())
             .map(|e| (e.time.as_nanos(), e.seq))
             .collect()
     }
 
     #[test]
     fn empty_timed_heap_pops_none() {
-        let mut heap = BinaryHeap::<Timed>::new();
-        assert!(heap.peek().is_none());
-        assert!(heap.pop().is_none());
+        let mut queue = TimedQueue::default();
+        assert!(queue.is_empty());
+        assert!(queue.peek().is_none());
+        assert!(queue.pop().is_none());
     }
 
     #[test]
     fn same_time_entries_pop_in_seq_order() {
-        let mut heap = BinaryHeap::new();
+        let mut queue = TimedQueue::default();
         // One instant, pushed out of seq order: pops in seq order.
         for seq in [3, 1, 2] {
-            heap.push(timed(1000, seq));
+            queue.push(timed(1000, seq));
         }
-        assert_eq!(pop_all(&mut heap), [(1000, 1), (1000, 2), (1000, 3)]);
+        assert_eq!(pop_all(&mut queue), [(1000, 1), (1000, 2), (1000, 3)]);
     }
 
     #[test]
     fn timed_heap_pops_earliest_time_then_lowest_seq() {
-        let mut heap = BinaryHeap::new();
+        let mut queue = TimedQueue::default();
         // An earlier time wins over a lower seq.
-        heap.push(timed(500, 9));
-        heap.push(timed(700, 4));
-        heap.push(timed(0, 10));
-        assert_eq!(pop_all(&mut heap), [(0, 10), (500, 9), (700, 4)]);
+        queue.push(timed(500, 9));
+        queue.push(timed(700, 4));
+        queue.push(timed(0, 10));
+        assert_eq!(pop_all(&mut queue), [(0, 10), (500, 9), (700, 4)]);
+        // Pushes between pops take every path past the earliest slot:
+        // into the empty slot, displacing it, behind it, and into the
+        // slot again ahead of a non-empty heap.
+        queue.push(timed(500, 11));
+        queue.push(timed(300, 12));
+        queue.push(timed(400, 13));
+        assert_eq!(queue.pop().map(|e| e.seq), Some(12));
+        queue.push(timed(350, 14));
+        queue.push(timed(600, 15));
+        assert_eq!(queue.peek().map(|e| e.seq), Some(14));
+        assert_eq!(
+            pop_all(&mut queue),
+            [(350, 14), (400, 13), (500, 11), (600, 15)]
+        );
+        assert!(queue.is_empty());
     }
 }
