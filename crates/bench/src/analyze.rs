@@ -4,12 +4,12 @@
 //!
 //! The pipeline is `trace → TraceData → Analysis → report`:
 //!
-//! 1. **Ingestion** — [`TraceData`] is built either from an in-memory
-//!    [`Trace`] ([`TraceData::from_records`]) or from an exported
-//!    Chrome/Perfetto JSON file ([`TraceData::from_chrome_json`], via the
-//!    crate's own [`Json::parse`]). Both roads produce the same
-//!    intermediate form, so every analysis is oblivious to where the
-//!    trace came from.
+//! 1. **Ingestion** — [`TraceData::from_chrome_json`] reads a
+//!    Chrome/Perfetto trace document as [`crate::trace::to_chrome_json`]
+//!    writes it. It is the one decoder of trace content: a run's
+//!    in-memory [`Trace`] is read by building its document first
+//!    ([`TraceData::from_records`]), so a run is analyzed exactly like
+//!    the trace file it exports.
 //! 2. **Reconstruction** — scheduler-decision records are folded into
 //!    per-PE CPU timelines ([`cpu_slices`]) and per-task *activation
 //!    records* (release → dispatch → preemptions → completion), using the
@@ -19,7 +19,8 @@
 //!    priority-inversion windows (bounded vs unbounded), and CPU
 //!    occupancy ([`Analysis::from_trace`]).
 //! 4. **Reports** — a deterministic `rtos-sld-analysis/1` JSON document
-//!    ([`Analysis::to_json`]) and a human-readable markdown
+//!    ([`Analysis::to_json`], whose fields [`Analysis::check_json`] checks
+//!    from the same table per section) and a human-readable markdown
 //!    schedulability report ([`Analysis::to_markdown`]) comparing
 //!    observed response times against [`rtos_model::analysis`] RTA
 //!    bounds.
@@ -27,11 +28,11 @@
 //! Two guarantees make the module trustworthy rather than merely
 //! plausible:
 //!
-//! * **Lossless input only** — a trace whose bounded ring dropped records
-//!   ([`TraceData::dropped_records`] > 0) is rejected by
-//!   [`check_lossless`], which [`TraceData::from_chrome_json`] applies to
-//!   every file it reads: derived counts from a lossy trace would
-//!   silently undercount.
+//! * **Lossless input only** — a run keeps every trace record, and the
+//!   trace writer records that as `otherData.dropped_records: 0`.
+//!   [`TraceData::from_chrome_json`] refuses a file whose count is
+//!   missing, not a whole number or nonzero: derived counts from a lossy
+//!   trace would silently undercount.
 //! * **Consistency oracle** — [`check_consistency`] asserts that
 //!   trace-derived dispatch, preemption and response-time figures equal
 //!   the kernel's own [`TaskStats`] *exactly*; any mismatch is a
@@ -44,6 +45,7 @@
 //! enters the output, so the JSON document is byte-identical across
 //! repeat runs and `--jobs` values.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -51,11 +53,11 @@ use rtos_model::analysis::{
     edf_schedulable, liu_layland_bound, rta_rms, total_utilization, PeriodicSpec,
 };
 use rtos_model::TaskStats;
-use sldl_sim::trace::{segments, TrackId};
-use sldl_sim::{LabelId, RecordKind, SimTime, Trace};
+use sldl_sim::{SimTime, Trace};
 
 use crate::json::{Json, Kind, STRING};
 use crate::stats::Aggregate;
+use crate::trace::to_chrome_json;
 
 /// Reasons that count as a preemption of the displaced task, matching
 /// the kernel's own `TaskStats::preemptions` accounting.
@@ -186,10 +188,9 @@ fn xfer_bytes(label: &str) -> Option<u64> {
     bytes.parse().ok()
 }
 
-/// Source-agnostic intermediate form of one execution trace. Every
-/// vector is in trace order; [`TraceData::from_records`] and
-/// [`TraceData::from_chrome_json`] produce identical data for the same
-/// run, which is what lets the analyze bin work on exported files.
+/// The intermediate form of one execution trace, as
+/// [`TraceData::from_chrome_json`] reads it. Every vector is in trace
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct TraceData {
     /// Scheduler decisions, in record order.
@@ -204,101 +205,25 @@ pub struct TraceData {
     pub bus_markers: Vec<BusMarkEv>,
     /// Context-switch markers (`"{pe}:switch"` tracks).
     pub switch_markers: u64,
-    /// Records a bounded trace ring dropped; nonzero means this trace is
-    /// lossy and [`check_lossless`] rejects it.
-    pub dropped_records: u64,
     /// Latest event time seen (the trace horizon).
     pub end: SimTime,
 }
 
 impl TraceData {
-    /// Ingests an in-memory trace (the `--analyze-out` road).
+    /// Reads a run's trace: builds its Chrome document with
+    /// [`to_chrome_json`] and reads that with
+    /// [`TraceData::from_chrome_json`], so a run is analyzed exactly like
+    /// the trace file it exports. The document passes as a [`Json`]
+    /// value; no text is rendered or parsed.
+    ///
+    /// # Panics
+    ///
+    /// If the reader refuses the writer's own document: a bug in one of
+    /// the two.
     #[must_use]
     pub fn from_records(trace: &Trace) -> TraceData {
-        let mut data = TraceData {
-            dropped_records: trace.dropped,
-            ..TraceData::default()
-        };
-        let name = |id: LabelId| trace.label(id).to_string();
-        let pe = |track: TrackId| pe_of(trace.track(track));
-        for r in &trace.records {
-            data.end = data.end.max(r.time);
-            let mutex = |op, track, task, owner: Option<LabelId>, mutex| MutexEv {
-                time: r.time,
-                op,
-                pe: pe(track),
-                task: name(task),
-                owner: owner.map(name),
-                mutex,
-            };
-            match r.kind {
-                RecordKind::SchedDecision {
-                    track,
-                    dispatched,
-                    displaced,
-                    reason,
-                } => data.sched.push(SchedEv {
-                    time: r.time,
-                    pe: pe(track),
-                    dispatched: dispatched.map(name),
-                    displaced: displaced.map(name),
-                    reason: reason.as_str().to_string(),
-                }),
-                RecordKind::TaskReleased { task, release, .. } => data.releases.push(ReleaseEv {
-                    time: r.time,
-                    task: name(task),
-                    release,
-                }),
-                RecordKind::MutexWait {
-                    track,
-                    task,
-                    owner,
-                    mutex: m,
-                } => data
-                    .mutexes
-                    .push(mutex(MutexOp::Wait, track, task, Some(owner), m)),
-                RecordKind::MutexAcquired {
-                    track,
-                    task,
-                    mutex: m,
-                } => data
-                    .mutexes
-                    .push(mutex(MutexOp::Acquired, track, task, None, m)),
-                RecordKind::MutexReleased {
-                    track,
-                    task,
-                    mutex: m,
-                } => data
-                    .mutexes
-                    .push(mutex(MutexOp::Released, track, task, None, m)),
-                RecordKind::Marker { track, label } => {
-                    let track = trace.track(track);
-                    if let Some(bus) = track.strip_prefix("bus:") {
-                        data.bus_markers.push(BusMarkEv {
-                            time: r.time,
-                            bus: bus.to_string(),
-                            label: name(label),
-                        });
-                    } else if track.ends_with(":switch") {
-                        data.switch_markers += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        for segs in segments(trace).into_values() {
-            for s in segs {
-                data.end = data.end.max(s.end);
-                data.spans.push(SpanEv {
-                    track: s.track.to_string(),
-                    label: s.label.to_string(),
-                    start: s.start,
-                    end: s.end,
-                });
-            }
-        }
-        data.sort_spans();
-        data
+        TraceData::from_chrome_json(&to_chrome_json(trace))
+            .unwrap_or_else(|e| panic!("the trace reader refuses the writer's document: {e}"))
     }
 
     /// Reads an exported Chrome/Perfetto trace document, as
@@ -308,8 +233,8 @@ impl TraceData {
     ///
     /// * a missing `otherData.dropped_records` (the writer always records
     ///   the count, so a trace without one cannot be told lossless), one
-    ///   that is not a whole record count, or a nonzero one
-    ///   ([`check_lossless`]);
+    ///   that is not a whole record count, or a nonzero one: derived
+    ///   counts from a lossy trace would silently undercount;
     /// * an event that is not an object with a string `name`, a string
     ///   `ph` and integral `pid`/`tid`;
     /// * a phase the writer does not write: only `M` (metadata), `X`
@@ -343,16 +268,14 @@ impl TraceData {
                 n.trim_end()
             )
         })?;
-        let mut data = TraceData {
-            dropped_records: dropped,
-            ..TraceData::default()
-        };
-        check_lossless(&data).map_err(|e| {
-            format!(
-                "lossy trace, so every derived count would undercount: {}",
-                e.trace_value
-            )
-        })?;
+        if dropped > 0 {
+            return Err(format!(
+                "lossy trace, so every derived count would undercount: a bounded trace \
+                 ring dropped {dropped} records; record the trace again with the default \
+                 unbounded sink"
+            ));
+        }
+        let mut data = TraceData::default();
 
         // Pass 1: every event's head; thread_name metadata gives
         // (pid, tid) → track name. Errors name the event's index.
@@ -939,8 +862,6 @@ pub struct PeAnalysis {
 pub struct Analysis {
     /// Trace horizon.
     pub end: SimTime,
-    /// Drop count carried from the source (see [`check_lossless`]).
-    pub dropped_records: u64,
     /// Context-switch markers observed.
     pub switch_markers: u64,
     /// Per-task metrics, by name.
@@ -1142,7 +1063,6 @@ impl Analysis {
 
         Analysis {
             end: data.end,
-            dropped_records: data.dropped_records,
             switch_markers: data.switch_markers,
             tasks,
             pes,
@@ -1173,182 +1093,61 @@ impl Analysis {
         model
     }
 
-    /// Renders the deterministic `rtos-sld-analysis/1` document.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let us = |d: Duration| Json::Num(d.as_nanos() as f64 / 1e3);
-        let t_us = |t: SimTime| Json::Num(t.as_nanos() as f64 / 1e3);
-        let agg_us = |xs: &[Duration]| {
-            Aggregate::json_or_null(Aggregate::from_samples(
-                &xs.iter()
-                    .map(|d| d.as_nanos() as f64 / 1e3)
-                    .collect::<Vec<_>>(),
-            ))
-        };
-
-        let tasks: Vec<Json> = self
-            .tasks
-            .values()
-            .map(|t| {
-                Json::obj([
-                    ("name", Json::str(&t.name)),
-                    ("releases", Json::U64(t.releases)),
-                    ("dispatches", Json::U64(t.dispatches)),
-                    ("preemptions", Json::U64(t.preemptions)),
-                    ("completed_cycles", Json::U64(t.completed_cycles)),
-                    ("response_us", agg_us(&t.response_times)),
-                    (
-                        "first_dispatch_latency_us",
-                        agg_us(&t.first_dispatch_latencies),
-                    ),
-                    ("cpu_busy_us", us(t.cpu_busy)),
-                    ("span_busy_us", us(t.span_busy)),
-                    ("period_est_us", t.period_est.map_or(Json::Null, us)),
-                    ("wcet_est_us", t.wcet_est.map_or(Json::Null, us)),
-                    (
-                        "implicit_deadline_misses",
-                        Json::U64(t.implicit_deadline_misses),
-                    ),
-                ])
-            })
-            .collect();
-
-        let pes: Vec<Json> = self
-            .pes
-            .values()
-            .map(|p| {
-                Json::obj([
-                    ("name", Json::str(&p.name)),
-                    ("decisions", Json::U64(p.decisions)),
-                    ("busy_us", us(p.busy)),
-                    ("utilization", Json::Num(p.utilization)),
-                ])
-            })
-            .collect();
-
-        let matrix: Vec<Json> = self
-            .preemption_matrix
-            .iter()
-            .map(|((by, of), n)| {
-                Json::obj([
-                    ("by", Json::str(by)),
-                    ("of", Json::str(of)),
-                    ("count", Json::U64(*n)),
-                ])
-            })
-            .collect();
-
-        let blocking: Vec<Json> = self
-            .blocking
-            .iter()
-            .map(|b| {
-                Json::obj([
-                    ("pe", Json::str(&b.pe)),
-                    ("mutex", Json::U64(u64::from(b.mutex))),
-                    ("waiter", Json::str(&b.waiter)),
-                    ("owner", Json::str(&b.owner)),
-                    ("start_us", t_us(b.start)),
-                    ("end_us", t_us(b.end)),
-                    ("blocked_us", us(b.blocked())),
-                    ("owner_run_us", us(b.owner_run)),
-                    ("interference_us", us(b.interference)),
-                    ("idle_us", us(b.idle)),
-                    ("acquired", Json::Bool(b.acquired)),
-                    ("bounded", Json::Bool(b.bounded())),
-                    (
-                        "interferers",
-                        Json::Arr(b.interferers.iter().map(Json::str).collect()),
-                    ),
-                    ("chain", Json::Arr(b.chain.iter().map(Json::str).collect())),
-                ])
-            })
-            .collect();
-
+    /// The `schedulability` section: the inferred model and the RMS
+    /// response-time bound of each of its tasks.
+    fn schedulability(&self) -> Schedulability {
         let model = self.inferred_model();
         let specs: Vec<PeriodicSpec> = model.iter().map(|(_, s)| *s).collect();
         let bounds = rta_rms(&specs);
-        let rta: Vec<Json> = model
+        let rows = model
             .iter()
             .enumerate()
-            .map(|(i, (t, s))| {
-                let bound = bounds.as_ref().map(|b| b[i]);
-                let observed = t.response_times.iter().max().copied();
-                let within = match (bound, observed) {
-                    (Some(b), Some(o)) => Json::Bool(o <= b),
-                    _ => Json::Null,
-                };
-                Json::obj([
-                    ("task", Json::str(&t.name)),
-                    ("period_us", us(s.period)),
-                    ("wcet_us", us(s.wcet)),
-                    ("rta_bound_us", bound.map_or(Json::Null, us)),
-                    ("observed_worst_us", observed.map_or(Json::Null, us)),
-                    ("within_bound", within),
-                ])
+            .map(|(i, (t, spec))| RtaRow {
+                task: t.name.clone(),
+                spec: *spec,
+                bound: bounds.as_ref().map(|b| b[i]),
+                observed: t.response_times.iter().max().copied(),
             })
             .collect();
-        let schedulability = Json::obj([
-            ("tasks_in_model", Json::U64(specs.len() as u64)),
-            ("total_utilization", Json::Num(total_utilization(&specs))),
-            (
-                "liu_layland_bound",
-                Json::Num(liu_layland_bound(specs.len())),
-            ),
-            ("rms_schedulable", Json::Bool(bounds.is_some())),
-            ("edf_schedulable", Json::Bool(edf_schedulable(&specs))),
-            ("rta", Json::Arr(rta)),
-        ]);
+        Schedulability {
+            specs,
+            rms_schedulable: bounds.is_some(),
+            rows,
+        }
+    }
 
-        let tracks: Vec<Json> = self
-            .track_busy
-            .iter()
-            .map(|(name, d)| Json::obj([("name", Json::str(name)), ("busy_us", us(*d))]))
-            .collect();
-
+    /// Renders the deterministic `rtos-sld-analysis/1` document. Every
+    /// field comes from its section's table.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
         let mut doc = vec![
-            ("schema", Json::str(SCHEMA)),
-            ("dropped_records", Json::U64(self.dropped_records)),
-            ("end_us", t_us(self.end)),
-            ("context_switches", Json::U64(self.switch_markers)),
-            ("pes", Json::Arr(pes)),
-            ("tasks", Json::Arr(tasks)),
-            ("preemptions", Json::Arr(matrix)),
-            ("blocking", Json::Arr(blocking)),
-            ("tracks", Json::Arr(tracks)),
-            ("schedulability", schedulability),
+            ("schema".to_string(), Json::str(SCHEMA)),
+            // The trace reader refuses lossy traces.
+            ("dropped_records".to_string(), Json::U64(0)),
         ];
+        doc.extend(fields(self, &DOCUMENT));
+        let sections = [
+            ("pes", write_rows(self.pes.values(), &PES)),
+            ("tasks", write_rows(self.tasks.values(), &TASKS)),
+            (
+                "preemptions",
+                write_rows(&self.preemption_matrix, &preemption_fields()),
+            ),
+            ("blocking", write_rows(&self.blocking, &BLOCKING)),
+            ("tracks", write_rows(&self.track_busy, &track_fields())),
+            (
+                "schedulability",
+                Json::Obj(fields(&self.schedulability(), &SUMMARY)),
+            ),
+        ];
+        doc.extend(sections.map(|(key, value)| (key.to_string(), value)));
         // Only traces with bus activity carry the section, so documents
         // from single-PE models render byte-identically to before the
         // communication layer existed.
         if !self.buses.is_empty() {
-            let buses: Vec<Json> = self
-                .buses
-                .values()
-                .map(|b| {
-                    let grants: Vec<Json> = b
-                        .master_grants
-                        .iter()
-                        .map(|(m, n)| {
-                            Json::obj([("master", Json::str(m)), ("grants", Json::U64(*n))])
-                        })
-                        .collect();
-                    Json::obj([
-                        ("name", Json::str(&b.name)),
-                        ("transfers", Json::U64(b.transfers)),
-                        ("bytes", Json::U64(b.bytes)),
-                        ("busy_us", us(b.busy)),
-                        ("utilization", Json::Num(b.utilization)),
-                        ("requests", Json::U64(b.requests)),
-                        ("grants", Json::U64(b.grants)),
-                        ("contentions", Json::U64(b.contentions)),
-                        ("max_wait_us", us(b.max_wait)),
-                        ("master_grants", Json::Arr(grants)),
-                    ])
-                })
-                .collect();
-            doc.push(("buses", Json::Arr(buses)));
+            doc.push(("buses".to_string(), write_rows(self.buses.values(), &BUSES)));
         }
-        Json::obj(doc)
+        Json::Obj(doc)
     }
 
     /// Checks a document against the `rtos-sld-analysis/1` shape
@@ -1358,27 +1157,11 @@ impl Analysis {
     /// * `schema` is [`SCHEMA`];
     /// * `dropped_records` is `0`: the analyzer refuses lossy traces, so
     ///   any other count in a published document is a pipeline bug;
-    /// * `end_us` and `context_switches` are numbers;
-    /// * each of `pes` has a string `name` and numeric `decisions`,
-    ///   `busy_us` and `utilization`;
-    /// * each of `tasks` has a string `name` and numeric `releases`,
-    ///   `dispatches`, `preemptions`, `completed_cycles` and
-    ///   `implicit_deadline_misses`;
-    /// * each of `preemptions` has strings `by` and `of` and a numeric
-    ///   `count`;
-    /// * each of `blocking` has strings `waiter` and `owner`, numeric
-    ///   `blocked_us` and `interference_us` and a boolean `bounded`;
-    /// * each of `tracks` has a string `name` and a numeric `busy_us`;
-    /// * `schedulability` has numeric `tasks_in_model`,
-    ///   `total_utilization` and `liu_layland_bound`, booleans
-    ///   `rms_schedulable` and `edf_schedulable`, and an `rta` array whose
-    ///   rows have a string `task`, numeric `period_us` and `wcet_us`,
-    ///   `rta_bound_us` and `observed_worst_us` numeric or null, and
-    ///   `within_bound` boolean or null;
-    /// * `buses`, when present, is an array whose rows have a string
-    ///   `name`, numeric `transfers`, `bytes`, `busy_us`, `utilization`,
-    ///   `requests`, `grants`, `contentions` and `max_wait_us`, and a
-    ///   `master_grants` array of string `master` and numeric `grants`.
+    /// * the top-level numbers, every row of `pes`, `tasks`,
+    ///   `preemptions`, `blocking`, `tracks` and `schedulability.rta`, the
+    ///   `schedulability` summary and, when present, every row of `buses`
+    ///   and of its `master_grants` hold each field of their section's
+    ///   table, with a value of the kind the table names.
     ///
     /// Other fields, such as the analyze bin's `diff`, are not checked.
     ///
@@ -1399,106 +1182,25 @@ impl Analysis {
             }
             _ => return Err("lacks an integral `dropped_records`".into()),
         }
-        const NUMBER: Kind = ("numeric", |j| j.as_f64().is_some());
-        const BOOL: Kind = ("boolean", |j| matches!(j, Json::Bool(_)));
-        const NUMBER_OR_NULL: Kind = ("numeric or null", |j| {
-            matches!(j, Json::Null) || j.as_f64().is_some()
-        });
-        const BOOL_OR_NULL: Kind = ("boolean or null", |j| {
-            matches!(j, Json::Null | Json::Bool(_))
-        });
-        fn fields(obj: &Json, at: &str, rules: &[(&str, Kind)]) -> Result<(), String> {
-            for &(key, (what, ok)) in rules {
-                if !obj.get(key).is_some_and(ok) {
-                    return Err(format!("{at} lacks a {what} `{key}`"));
-                }
-            }
-            Ok(())
-        }
-        // Checks each row of the array `key` of `obj`; `path` is where
-        // `obj` sits in the document, as a prefix for messages.
-        fn rows<'a>(
-            obj: &'a Json,
-            path: &str,
-            key: &str,
-            rules: &[(&str, Kind)],
-        ) -> Result<&'a [Json], String> {
-            let items = obj
-                .get(key)
-                .and_then(Json::as_array)
-                .ok_or_else(|| format!("lacks a `{path}{key}` array"))?;
-            for (i, item) in items.iter().enumerate() {
-                fields(item, &format!("{path}{key}[{i}]"), rules)?;
-            }
-            Ok(items)
-        }
-        fields(
-            doc,
-            "the document",
-            &[("end_us", NUMBER), ("context_switches", NUMBER)],
-        )?;
-        let pes = [
-            ("name", STRING),
-            ("decisions", NUMBER),
-            ("busy_us", NUMBER),
-            ("utilization", NUMBER),
-        ];
-        rows(doc, "", "pes", &pes)?;
-        let tasks = [
-            ("name", STRING),
-            ("releases", NUMBER),
-            ("dispatches", NUMBER),
-            ("preemptions", NUMBER),
-            ("completed_cycles", NUMBER),
-            ("implicit_deadline_misses", NUMBER),
-        ];
-        rows(doc, "", "tasks", &tasks)?;
-        let preemptions = [("by", STRING), ("of", STRING), ("count", NUMBER)];
-        rows(doc, "", "preemptions", &preemptions)?;
-        let blocking = [
-            ("waiter", STRING),
-            ("owner", STRING),
-            ("blocked_us", NUMBER),
-            ("interference_us", NUMBER),
-            ("bounded", BOOL),
-        ];
-        rows(doc, "", "blocking", &blocking)?;
-        rows(doc, "", "tracks", &[("name", STRING), ("busy_us", NUMBER)])?;
+        check_row(doc, "the document", &DOCUMENT)?;
+        check_rows(doc, "", "pes", &PES)?;
+        check_rows(doc, "", "tasks", &TASKS)?;
+        check_rows(doc, "", "preemptions", &preemption_fields())?;
+        check_rows(doc, "", "blocking", &BLOCKING)?;
+        check_rows(doc, "", "tracks", &track_fields())?;
         let sched = doc
             .get("schedulability")
             .ok_or("lacks a `schedulability` object")?;
-        let summary = [
-            ("tasks_in_model", NUMBER),
-            ("total_utilization", NUMBER),
-            ("liu_layland_bound", NUMBER),
-            ("rms_schedulable", BOOL),
-            ("edf_schedulable", BOOL),
-        ];
-        fields(sched, "schedulability", &summary)?;
-        let rta = [
-            ("task", STRING),
-            ("period_us", NUMBER),
-            ("wcet_us", NUMBER),
-            ("rta_bound_us", NUMBER_OR_NULL),
-            ("observed_worst_us", NUMBER_OR_NULL),
-            ("within_bound", BOOL_OR_NULL),
-        ];
-        rows(sched, "schedulability.", "rta", &rta)?;
+        check_row(sched, "schedulability", &SUMMARY)?;
+        check_rows(sched, "schedulability.", "rta", &RTA)?;
         if doc.get("buses").is_some() {
-            let buses = [
-                ("name", STRING),
-                ("transfers", NUMBER),
-                ("bytes", NUMBER),
-                ("busy_us", NUMBER),
-                ("utilization", NUMBER),
-                ("requests", NUMBER),
-                ("grants", NUMBER),
-                ("contentions", NUMBER),
-                ("max_wait_us", NUMBER),
-            ];
-            let grants = [("master", STRING), ("grants", NUMBER)];
-            for (i, bus) in rows(doc, "", "buses", &buses)?.iter().enumerate() {
-                rows(bus, &format!("buses[{i}]."), "master_grants", &grants)?;
+            for (i, bus) in check_rows(doc, "", "buses", &BUSES)?.iter().enumerate() {
+                check_rows(
+                    bus,
+                    &format!("buses[{i}]."),
+                    "master_grants",
+                    &grant_fields(),
+                )?;
             }
         }
         Ok(())
@@ -1513,14 +1215,6 @@ impl Analysis {
         let t_us = |t: SimTime| format!("{:.1}", t.as_nanos() as f64 / 1e3);
         let mut md = String::new();
         md.push_str("# Trace analysis report\n\n");
-        if self.dropped_records > 0 {
-            let _ = writeln!(
-                md,
-                "> **warning: lossy trace** — the sink dropped {} records; \
-                 every derived count below undercounts.\n",
-                self.dropped_records
-            );
-        }
         let _ = writeln!(
             md,
             "Horizon: {} µs · context switches: {} · tasks: {} · PEs: {}\n",
@@ -1651,10 +1345,8 @@ impl Analysis {
             }
         }
 
-        let model = self.inferred_model();
-        if !model.is_empty() {
-            let specs: Vec<PeriodicSpec> = model.iter().map(|(_, s)| *s).collect();
-            let bounds = rta_rms(&specs);
+        let sched = self.schedulability();
+        if !sched.rows.is_empty() {
             md.push_str(
                 "\n## Schedulability (observed vs response-time analysis)\n\n\
                  Periods and WCETs below are *estimated from the trace* (median \
@@ -1662,22 +1354,20 @@ impl Analysis {
                  | task | period (µs) | wcet (µs) | RTA bound (µs) | observed worst (µs) | within bound |\n\
                  |---|---|---|---|---|---|\n",
             );
-            for (i, (t, s)) in model.iter().enumerate() {
-                let bound = bounds.as_ref().map(|b| b[i]);
-                let observed = t.response_times.iter().max().copied();
-                let within = match (bound, observed) {
-                    (Some(b), Some(o)) if o <= b => "yes",
-                    (Some(_), Some(_)) => "**no**",
-                    _ => "-",
+            for r in &sched.rows {
+                let within = match r.within() {
+                    Some(true) => "yes",
+                    Some(false) => "**no**",
+                    None => "-",
                 };
                 let _ = writeln!(
                     md,
                     "| {} | {} | {} | {} | {} | {} |",
-                    t.name,
-                    us(s.period),
-                    us(s.wcet),
-                    bound.map_or("-".into(), us),
-                    observed.map_or("-".into(), us),
+                    r.task,
+                    us(r.spec.period),
+                    us(r.spec.wcet),
+                    r.bound.map_or("-".into(), us),
+                    r.observed.map_or("-".into(), us),
                     within
                 );
             }
@@ -1685,15 +1375,15 @@ impl Analysis {
                 md,
                 "\nTotal utilization {:.3}; Liu–Layland bound for n={} is {:.3}; \
                  RTA fixed point {}; EDF-schedulable: {}.",
-                total_utilization(&specs),
-                specs.len(),
-                liu_layland_bound(specs.len()),
-                if bounds.is_some() {
+                total_utilization(&sched.specs),
+                sched.specs.len(),
+                liu_layland_bound(sched.specs.len()),
+                if sched.rms_schedulable {
                     "converged (RMS-schedulable)"
                 } else {
                     "diverged (RMS-unschedulable)"
                 },
-                edf_schedulable(&specs)
+                edf_schedulable(&sched.specs)
             );
         }
         md
@@ -1702,6 +1392,256 @@ impl Analysis {
 
 /// Schema identifier of the analysis document.
 pub const SCHEMA: &str = "rtos-sld-analysis/1";
+
+/// The `schedulability` section: the periodic model inferred from the
+/// trace, and one [`RtaRow`] per task of it.
+struct Schedulability {
+    specs: Vec<PeriodicSpec>,
+    /// Whether the RMS response-time fixed point converged.
+    rms_schedulable: bool,
+    rows: Vec<RtaRow>,
+}
+
+/// One task of the inferred model: its spec, its RMS response-time bound
+/// and its observed worst response.
+struct RtaRow {
+    task: String,
+    spec: PeriodicSpec,
+    bound: Option<Duration>,
+    observed: Option<Duration>,
+}
+
+impl RtaRow {
+    /// Whether the observed worst response is within the bound, when both
+    /// exist.
+    fn within(&self) -> Option<bool> {
+        Some(self.observed? <= self.bound?)
+    }
+}
+
+/// A field of one section of the analysis document: its key, the kind of
+/// value [`Analysis::check_json`] requires, and how [`Analysis::to_json`]
+/// writes it from a row of the section.
+type Field<R> = (&'static str, Kind, fn(&R) -> Json);
+
+/// A row that is one entry of a map the [`Analysis`] holds.
+type Entry<'a, K, V> = (&'a K, &'a V);
+
+const NUMBER: Kind = ("a numeric", |j| j.as_f64().is_some());
+const BOOL: Kind = ("a boolean", |j| matches!(j, Json::Bool(_)));
+const NUMBER_OR_NULL: Kind = ("a numeric or null", |j| {
+    matches!(j, Json::Null) || j.as_f64().is_some()
+});
+const BOOL_OR_NULL: Kind = ("a boolean or null", |j| {
+    matches!(j, Json::Null | Json::Bool(_))
+});
+/// An [`Aggregate`], or null when there were no samples.
+const OBJECT_OR_NULL: Kind = ("an object or null", |j| {
+    matches!(j, Json::Null | Json::Obj(_))
+});
+const ARRAY: Kind = ("an array", |j| j.as_array().is_some());
+const STRINGS: Kind = ("an array of strings", |j| {
+    j.as_array()
+        .is_some_and(|items| items.iter().all(|s| s.as_str().is_some()))
+});
+
+/// A duration as a number of microseconds.
+fn dur_us(d: Duration) -> Json {
+    Json::Num(d.as_nanos() as f64 / 1e3)
+}
+
+/// A point in time as a number of microseconds.
+fn time_us(t: SimTime) -> Json {
+    Json::Num(t.as_nanos() as f64 / 1e3)
+}
+
+/// The [`Aggregate`] of durations in microseconds, or null for none.
+fn aggregate_us(xs: &[Duration]) -> Json {
+    let us: Vec<f64> = xs.iter().map(|d| d.as_nanos() as f64 / 1e3).collect();
+    Aggregate::json_or_null(Aggregate::from_samples(&us))
+}
+
+fn strings(xs: &[String]) -> Json {
+    Json::Arr(xs.iter().map(Json::str).collect())
+}
+
+/// The document's top-level numbers.
+const DOCUMENT: [Field<Analysis>; 2] = [
+    ("end_us", NUMBER, |a| time_us(a.end)),
+    ("context_switches", NUMBER, |a| Json::U64(a.switch_markers)),
+];
+
+const PES: [Field<PeAnalysis>; 4] = [
+    ("name", STRING, |p| Json::str(&p.name)),
+    ("decisions", NUMBER, |p| Json::U64(p.decisions)),
+    ("busy_us", NUMBER, |p| dur_us(p.busy)),
+    ("utilization", NUMBER, |p| Json::Num(p.utilization)),
+];
+
+const TASKS: [Field<TaskAnalysis>; 12] = [
+    ("name", STRING, |t| Json::str(&t.name)),
+    ("releases", NUMBER, |t| Json::U64(t.releases)),
+    ("dispatches", NUMBER, |t| Json::U64(t.dispatches)),
+    ("preemptions", NUMBER, |t| Json::U64(t.preemptions)),
+    ("completed_cycles", NUMBER, |t| {
+        Json::U64(t.completed_cycles)
+    }),
+    ("response_us", OBJECT_OR_NULL, |t| {
+        aggregate_us(&t.response_times)
+    }),
+    ("first_dispatch_latency_us", OBJECT_OR_NULL, |t| {
+        aggregate_us(&t.first_dispatch_latencies)
+    }),
+    ("cpu_busy_us", NUMBER, |t| dur_us(t.cpu_busy)),
+    ("span_busy_us", NUMBER, |t| dur_us(t.span_busy)),
+    ("period_est_us", NUMBER_OR_NULL, |t| {
+        t.period_est.map_or(Json::Null, dur_us)
+    }),
+    ("wcet_est_us", NUMBER_OR_NULL, |t| {
+        t.wcet_est.map_or(Json::Null, dur_us)
+    }),
+    ("implicit_deadline_misses", NUMBER, |t| {
+        Json::U64(t.implicit_deadline_misses)
+    }),
+];
+
+/// The fields of a `preemptions` row: one who-preempts-whom entry.
+fn preemption_fields<'a>() -> [Field<Entry<'a, (String, String), u64>>; 3] {
+    [
+        ("by", STRING, |((by, _), _)| Json::str(by)),
+        ("of", STRING, |((_, of), _)| Json::str(of)),
+        ("count", NUMBER, |(_, n)| Json::U64(**n)),
+    ]
+}
+
+const BLOCKING: [Field<BlockingEpisode>; 14] = [
+    ("pe", STRING, |b| Json::str(&b.pe)),
+    ("mutex", NUMBER, |b| Json::U64(u64::from(b.mutex))),
+    ("waiter", STRING, |b| Json::str(&b.waiter)),
+    ("owner", STRING, |b| Json::str(&b.owner)),
+    ("start_us", NUMBER, |b| time_us(b.start)),
+    ("end_us", NUMBER, |b| time_us(b.end)),
+    ("blocked_us", NUMBER, |b| dur_us(b.blocked())),
+    ("owner_run_us", NUMBER, |b| dur_us(b.owner_run)),
+    ("interference_us", NUMBER, |b| dur_us(b.interference)),
+    ("idle_us", NUMBER, |b| dur_us(b.idle)),
+    ("acquired", BOOL, |b| Json::Bool(b.acquired)),
+    ("bounded", BOOL, |b| Json::Bool(b.bounded())),
+    ("interferers", STRINGS, |b| strings(&b.interferers)),
+    ("chain", STRINGS, |b| strings(&b.chain)),
+];
+
+/// The fields of a `tracks` row: one non-task track and its busy time.
+fn track_fields<'a>() -> [Field<Entry<'a, String, Duration>>; 2] {
+    [
+        ("name", STRING, |(name, _)| Json::str(*name)),
+        ("busy_us", NUMBER, |(_, busy)| dur_us(**busy)),
+    ]
+}
+
+/// The `schedulability` summary.
+const SUMMARY: [Field<Schedulability>; 6] = [
+    (
+        "tasks_in_model",
+        NUMBER,
+        |s| Json::U64(s.specs.len() as u64),
+    ),
+    ("total_utilization", NUMBER, |s| {
+        Json::Num(total_utilization(&s.specs))
+    }),
+    ("liu_layland_bound", NUMBER, |s| {
+        Json::Num(liu_layland_bound(s.specs.len()))
+    }),
+    ("rms_schedulable", BOOL, |s| Json::Bool(s.rms_schedulable)),
+    ("edf_schedulable", BOOL, |s| {
+        Json::Bool(edf_schedulable(&s.specs))
+    }),
+    ("rta", ARRAY, |s| write_rows(&s.rows, &RTA)),
+];
+
+const RTA: [Field<RtaRow>; 6] = [
+    ("task", STRING, |r| Json::str(&r.task)),
+    ("period_us", NUMBER, |r| dur_us(r.spec.period)),
+    ("wcet_us", NUMBER, |r| dur_us(r.spec.wcet)),
+    ("rta_bound_us", NUMBER_OR_NULL, |r| {
+        r.bound.map_or(Json::Null, dur_us)
+    }),
+    ("observed_worst_us", NUMBER_OR_NULL, |r| {
+        r.observed.map_or(Json::Null, dur_us)
+    }),
+    ("within_bound", BOOL_OR_NULL, |r| {
+        r.within().map_or(Json::Null, Json::Bool)
+    }),
+];
+
+const BUSES: [Field<BusAnalysis>; 10] = [
+    ("name", STRING, |b| Json::str(&b.name)),
+    ("transfers", NUMBER, |b| Json::U64(b.transfers)),
+    ("bytes", NUMBER, |b| Json::U64(b.bytes)),
+    ("busy_us", NUMBER, |b| dur_us(b.busy)),
+    ("utilization", NUMBER, |b| Json::Num(b.utilization)),
+    ("requests", NUMBER, |b| Json::U64(b.requests)),
+    ("grants", NUMBER, |b| Json::U64(b.grants)),
+    ("contentions", NUMBER, |b| Json::U64(b.contentions)),
+    ("max_wait_us", NUMBER, |b| dur_us(b.max_wait)),
+    ("master_grants", ARRAY, |b| {
+        write_rows(&b.master_grants, &grant_fields())
+    }),
+];
+
+/// The fields of a bus's `master_grants` row: one master's grant count.
+fn grant_fields<'a>() -> [Field<Entry<'a, String, u64>>; 2] {
+    [
+        ("master", STRING, |(master, _)| Json::str(*master)),
+        ("grants", NUMBER, |(_, n)| Json::U64(**n)),
+    ]
+}
+
+/// The fields of `row`, written from `table`.
+fn fields<R>(row: &R, table: &[Field<R>]) -> Vec<(String, Json)> {
+    table
+        .iter()
+        .map(|&(key, _, write)| (key.to_string(), write(row)))
+        .collect()
+}
+
+/// An array of one object per row, each written from `table`.
+fn write_rows<R, I: Borrow<R>>(rows: impl IntoIterator<Item = I>, table: &[Field<R>]) -> Json {
+    Json::Arr(
+        rows.into_iter()
+            .map(|row| Json::Obj(fields(row.borrow(), table)))
+            .collect(),
+    )
+}
+
+/// Checks that `obj` holds every field of `table`, each of its kind; `at`
+/// names `obj` in the message.
+fn check_row<R>(obj: &Json, at: &str, table: &[Field<R>]) -> Result<(), String> {
+    for &(key, (what, ok), _) in table {
+        if !obj.get(key).is_some_and(ok) {
+            return Err(format!("{at} lacks {what} `{key}`"));
+        }
+    }
+    Ok(())
+}
+
+/// Checks each row of the array `key` of `obj` against `table`; `path` is
+/// where `obj` sits in the document, as a prefix for messages.
+fn check_rows<'j, R>(
+    obj: &'j Json,
+    path: &str,
+    key: &str,
+    table: &[Field<R>],
+) -> Result<&'j [Json], String> {
+    let items = obj
+        .get(key)
+        .and_then(Json::as_array)
+        .ok_or_else(|| format!("lacks a `{path}{key}` array"))?;
+    for (i, item) in items.iter().enumerate() {
+        check_row(item, &format!("{path}{key}[{i}]"), table)?;
+    }
+    Ok(items)
+}
 
 /// A trace-vs-kernel consistency failure, naming the mismatched metric.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1735,28 +1675,6 @@ impl core::fmt::Display for ConsistencyError {
 
 impl std::error::Error for ConsistencyError {}
 
-/// Rejects lossy traces: derived counts from a trace whose bounded ring
-/// dropped records would silently undercount.
-///
-/// # Errors
-///
-/// Returns a [`ConsistencyError`] on `dropped_records > 0`.
-pub fn check_lossless(data: &TraceData) -> Result<(), ConsistencyError> {
-    if data.dropped_records > 0 {
-        return Err(ConsistencyError {
-            metric: "dropped_records".into(),
-            task: None,
-            trace_value: format!(
-                "a bounded trace ring dropped {} records; record the trace again \
-                 with the default unbounded sink",
-                data.dropped_records
-            ),
-            kernel_value: "0 expected for analysis".into(),
-        });
-    }
-    Ok(())
-}
-
 /// The consistency oracle: asserts that the trace-derived per-task
 /// dispatch, preemption and cycle-response-time figures equal the
 /// kernel's own [`TaskStats`] **exactly**. Any disagreement means the
@@ -1765,17 +1683,8 @@ pub fn check_lossless(data: &TraceData) -> Result<(), ConsistencyError> {
 ///
 /// # Errors
 ///
-/// The first mismatch found (tasks in `stats` order), or a lossy-trace
-/// rejection.
+/// The first mismatch found (tasks in `stats` order).
 pub fn check_consistency(analysis: &Analysis, stats: &[TaskStats]) -> Result<(), ConsistencyError> {
-    if analysis.dropped_records > 0 {
-        return Err(ConsistencyError {
-            metric: "dropped_records".into(),
-            task: None,
-            trace_value: format!("{}", analysis.dropped_records),
-            kernel_value: "0".into(),
-        });
-    }
     let zero = TaskAnalysis {
         name: String::new(),
         releases: 0,
@@ -2090,21 +1999,24 @@ mod tests {
     }
 
     #[test]
-    fn records_and_chrome_roads_agree() {
+    fn rendered_trace_analyzes_like_the_run() {
+        // A run's trace read in memory, and the same trace rendered to
+        // text and parsed back as a file is, give the same data.
         let o = traced_outcome(rtos_model::SchedAlg::PriorityPreemptive);
-        let from_records = TraceData::from_records(&o.records);
+        let from_run = TraceData::from_records(&o.records);
         let doc = to_chrome_json(&o.records);
         let reparsed = Json::parse(&doc.render()).expect("exporter output parses");
-        let from_chrome = TraceData::from_chrome_json(&reparsed).expect("ingests");
-        assert_eq!(from_records.sched, from_chrome.sched);
-        assert_eq!(from_records.releases, from_chrome.releases);
-        assert_eq!(from_records.mutexes, from_chrome.mutexes);
-        assert_eq!(from_records.spans, from_chrome.spans);
-        assert_eq!(from_records.switch_markers, from_chrome.switch_markers);
-        assert_eq!(from_records.end, from_chrome.end);
-        // ... so the full analysis document is identical on both roads.
-        let a = Analysis::from_trace(&from_records).to_json().render();
-        let b = Analysis::from_trace(&from_chrome).to_json().render();
+        let from_file = TraceData::from_chrome_json(&reparsed).expect("ingests");
+        assert!(!from_run.sched.is_empty() && !from_run.releases.is_empty());
+        assert_eq!(from_run.sched, from_file.sched);
+        assert_eq!(from_run.releases, from_file.releases);
+        assert_eq!(from_run.mutexes, from_file.mutexes);
+        assert_eq!(from_run.spans, from_file.spans);
+        assert_eq!(from_run.switch_markers, from_file.switch_markers);
+        assert_eq!(from_run.end, from_file.end);
+        // ... so the full analysis document is identical.
+        let a = Analysis::from_trace(&from_run).to_json().render();
+        let b = Analysis::from_trace(&from_file).to_json().render();
         assert_eq!(a, b);
     }
 
@@ -2125,14 +2037,14 @@ mod tests {
         .frames(3)
         .trace(true)
         .run();
-        let from_records = TraceData::from_records(&o.records);
-        assert!(!from_records.bus_markers.is_empty(), "bus markers ingested");
+        let from_run = TraceData::from_records(&o.records);
+        assert!(!from_run.bus_markers.is_empty(), "bus markers ingested");
         let doc = to_chrome_json(&o.records);
         let reparsed = Json::parse(&doc.render()).expect("exporter output parses");
-        let from_chrome = TraceData::from_chrome_json(&reparsed).expect("ingests");
-        assert_eq!(from_records.bus_markers, from_chrome.bus_markers);
-        let a = Analysis::from_trace(&from_records);
-        let b = Analysis::from_trace(&from_chrome);
+        let from_file = TraceData::from_chrome_json(&reparsed).expect("ingests");
+        assert_eq!(from_run.bus_markers, from_file.bus_markers);
+        let a = Analysis::from_trace(&from_run);
+        let b = Analysis::from_trace(&from_file);
         assert_eq!(a.to_json().render(), b.to_json().render());
 
         // The derived section must agree with the kernel's own BusStats
@@ -2330,29 +2242,18 @@ mod tests {
     }
 
     #[test]
-    fn lossy_traces_are_rejected() {
-        let o = traced_outcome(rtos_model::SchedAlg::Fifo);
-        let mut lossy = o.records.clone();
-        lossy.dropped = 3;
-        let data = TraceData::from_records(&lossy);
-        assert!(check_lossless(&data).is_err());
-        let analysis = Analysis::from_trace(&data);
-        let err = check_consistency(&analysis, &o.tasks).unwrap_err();
-        assert_eq!(err.metric, "dropped_records");
-    }
-
-    #[test]
     fn analysis_documents_are_validated() {
         // A real analysis document from a traced run passes.
         let o = traced_outcome(rtos_model::SchedAlg::PriorityPreemptive);
         let doc = Analysis::from_trace(&TraceData::from_records(&o.records)).to_json();
         Analysis::check_json(&doc).unwrap();
 
-        // A lossy trace's document is rejected even though well-shaped.
-        let mut lossy = o.records.clone();
-        lossy.dropped = 7;
-        let lossy = Analysis::from_trace(&TraceData::from_records(&lossy)).to_json();
-        let err = Analysis::check_json(&lossy).unwrap_err();
+        // A document that claims a lossy trace is rejected even though
+        // well-shaped.
+        let lossy = doc
+            .render()
+            .replacen("\"dropped_records\": 0", "\"dropped_records\": 7", 1);
+        let err = Analysis::check_json(&Json::parse(&lossy).unwrap()).unwrap_err();
         assert!(err.contains("lossy"), "{err}");
 
         // Missing sections and fields are named.
@@ -2395,15 +2296,98 @@ mod tests {
             ),
         ];
         for (mut doc, path, key, want) in cases {
-            let Json::Obj(pairs) = path.iter().fold(&mut doc, |j, step| match j {
-                Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == step).unwrap().1,
-                Json::Arr(items) => &mut items[step.parse::<usize>().unwrap()],
-                _ => panic!("no `{step}` to descend into"),
-            }) else {
+            let Some(Json::Obj(pairs)) = at_mut(&mut doc, path) else {
                 panic!("{path:?} is not an object");
             };
             pairs.retain(|(k, _)| k != key);
             assert_eq!(Analysis::check_json(&doc).unwrap_err(), want);
+        }
+    }
+
+    /// The value at `path` in `doc`: each step is an object's key or an
+    /// array's index.
+    fn at_mut<'j>(doc: &'j mut Json, path: &[&str]) -> Option<&'j mut Json> {
+        path.iter().try_fold(doc, |j, step| match j {
+            Json::Obj(pairs) => pairs.iter_mut().find(|(k, _)| k == step).map(|(_, v)| v),
+            Json::Arr(items) => items.get_mut(step.parse::<usize>().ok()?),
+            _ => None,
+        })
+    }
+
+    /// The key and the kind word of each field of `table`.
+    fn names<R>(table: &[Field<R>]) -> Vec<(&'static str, &'static str)> {
+        table
+            .iter()
+            .map(|&(key, (what, _), _)| (key, what))
+            .collect()
+    }
+
+    #[test]
+    fn every_table_field_is_checked() {
+        // Real documents between them have a row in every section: buses
+        // (a two-PE bus trace), blocking (the inversion run), RTA rows (a
+        // periodic task set) and tracks (the unscheduled Figure 8(a)
+        // model, whose spans belong to no RTOS task).
+        let golden = |name: &str| {
+            let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+            Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap()
+        };
+        let analyze =
+            |trace: &Trace| Analysis::from_trace(&TraceData::from_records(trace)).to_json();
+        let bus_trace = TraceData::from_chrome_json(&golden("comm_sweep_trace_f2_s192.json"));
+        let unscheduled = model_refine::run_unscheduled(
+            &model_refine::figure3_spec(&model_refine::Figure3Delays::default()),
+            &model_refine::RunConfig::default(),
+        )
+        .unwrap();
+        let docs = [
+            Analysis::from_trace(&bus_trace.unwrap()).to_json(),
+            golden("inversion_analysis.json"),
+            analyze(&traced_outcome(rtos_model::SchedAlg::Rms).records),
+            analyze(&unscheduled.records),
+        ];
+        // Each table: the path to its first row, how messages name that
+        // row, and its fields.
+        let tables: [(&[&str], &str, _); 10] = [
+            (&[], "the document", names(&DOCUMENT)),
+            (&["pes", "0"], "pes[0]", names(&PES)),
+            (&["tasks", "0"], "tasks[0]", names(&TASKS)),
+            (
+                &["preemptions", "0"],
+                "preemptions[0]",
+                names(&preemption_fields()),
+            ),
+            (&["blocking", "0"], "blocking[0]", names(&BLOCKING)),
+            (&["tracks", "0"], "tracks[0]", names(&track_fields())),
+            (&["schedulability"], "schedulability", names(&SUMMARY)),
+            (
+                &["schedulability", "rta", "0"],
+                "schedulability.rta[0]",
+                names(&RTA),
+            ),
+            (&["buses", "0"], "buses[0]", names(&BUSES)),
+            (
+                &["buses", "0", "master_grants", "0"],
+                "buses[0].master_grants[0]",
+                names(&grant_fields()),
+            ),
+        ];
+        for (path, at, fields) in tables {
+            let doc = docs
+                .iter()
+                .find(|d| at_mut(&mut (*d).clone(), path).is_some())
+                .unwrap_or_else(|| panic!("no document has a row at {path:?}"));
+            for (key, what) in fields {
+                let mut broken = doc.clone();
+                let Some(Json::Obj(pairs)) = at_mut(&mut broken, path) else {
+                    panic!("{path:?} is not an object");
+                };
+                pairs.retain(|(k, _)| k != key);
+                assert_eq!(
+                    Analysis::check_json(&broken),
+                    Err(format!("{at} lacks {what} `{key}`"))
+                );
+            }
         }
     }
 

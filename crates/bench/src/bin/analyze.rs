@@ -25,11 +25,11 @@
 //! * `--quiet` — suppress the stdout summary.
 //!
 //! Traces are read by `TraceData::from_chrome_json`, the same reader
-//! `trace_lint` validates them with, so a trace passes one exactly when
-//! it passes the other. It refuses **lossy traces** (a bounded trace ring
-//! dropped records, counted in the trace's `otherData.dropped_records`):
-//! every derived count from such a trace would silently undercount.
-//! Record the trace again with the default unbounded sink instead.
+//! `trace_lint` validates them with and `--analyze-out` reads a run's
+//! trace with, so a trace passes one exactly when it passes the others.
+//! It refuses **lossy traces**: the writer keeps every record and always
+//! writes `otherData.dropped_records: 0`, and every derived count from a
+//! trace with a missing or nonzero count would silently undercount.
 //!
 //! Exit codes: 0 ok, 1 analysis refused (lossy/malformed trace), 2 usage.
 

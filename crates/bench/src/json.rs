@@ -31,15 +31,15 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// What a document field must hold: the word a reader's error message
-/// uses for it, and the test a value passes.
+/// What a document field must hold: the words a reader's error message
+/// uses for it, article included, and the test a value passes.
 pub(crate) type Kind = (&'static str, fn(&Json) -> bool);
 
 /// A string field.
-pub(crate) const STRING: Kind = ("string", |j| j.as_str().is_some());
+pub(crate) const STRING: Kind = ("a string", |j| j.as_str().is_some());
 
 /// An exact unsigned integer field.
-pub(crate) const INTEGER: Kind = ("integral", |j| j.as_u64().is_some());
+pub(crate) const INTEGER: Kind = ("an integral", |j| j.as_u64().is_some());
 
 impl Json {
     /// Builds an object from `(key, value)` pairs.

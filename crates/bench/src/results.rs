@@ -42,22 +42,11 @@ use std::path::Path;
 
 use crate::farm::{derive_seed, DegradedPoint};
 use crate::json::Json;
-use crate::scenario::{ScenarioOutcome, KERNEL_STATS_FIELDS, TASK_FIELDS};
+use crate::scenario::{ScenarioOutcome, BUS_METRICS, KERNEL_STATS_FIELDS, TASK_FIELDS};
 use crate::stats::Aggregate;
 
 /// Current schema identifier.
 pub const SCHEMA: &str = "rtos-sld-bench/1";
-
-/// Metrics every completed `comm_sweep` point carries: the bus
-/// instrumentation its contention tables read.
-const COMM_SWEEP_METRICS: [&str; 6] = [
-    "bus_transactions",
-    "bus_bytes",
-    "bus_busy_us",
-    "bus_max_wait_us",
-    "bus_contended",
-    "bus_bytes_per_sec",
-];
 
 /// Builder for one results document.
 #[derive(Debug, Clone)]
@@ -310,7 +299,7 @@ fn check_point(p: &Json) -> Result<(), String> {
     for (i, row) in tasks.iter().enumerate() {
         for (key, (what, ok), _) in TASK_FIELDS {
             if !row.get(key).is_some_and(ok) {
-                return Err(format!("tasks[{i}] lacks a {what} `{key}`"));
+                return Err(format!("tasks[{i}] lacks {what} `{key}`"));
             }
         }
     }
@@ -343,7 +332,8 @@ fn read_degraded(d: &Json) -> Result<DegradedPoint, String> {
 }
 
 /// The `comm_sweep` rules: the zero-latency `ideal` baseline point is
-/// present, and every completed point carries [`COMM_SWEEP_METRICS`].
+/// present, and every completed point carries each of [`BUS_METRICS`],
+/// the bus instrumentation its contention tables read.
 fn check_comm_sweep(points: &[Json]) -> Result<(), String> {
     for (i, p) in points.iter().enumerate() {
         if p.get("completed") != Some(&Json::Bool(true)) {
@@ -351,9 +341,9 @@ fn check_comm_sweep(points: &[Json]) -> Result<(), String> {
         }
         let name = p.get("name").and_then(Json::as_str).unwrap_or_default();
         let metrics = p.get("metrics");
-        if let Some(want) = COMM_SWEEP_METRICS
+        if let Some((want, _)) = BUS_METRICS
             .iter()
-            .find(|want| metrics.and_then(|m| m.get(want)).is_none())
+            .find(|(want, _)| metrics.and_then(|m| m.get(want)).is_none())
         {
             return Err(format!("points[{i}] ({name}) lacks `{want}`"));
         }
@@ -453,8 +443,9 @@ mod tests {
         let err = read(&non_numeric_metric).unwrap_err();
         assert_eq!(err, "points[0] metric `ops` is not numeric");
 
-        // A real point broken three ways: a kernel counter that is not an
-        // integer, a task row named by a number, and no `tasks` at all.
+        // A real point broken four ways: a kernel counter that is not an
+        // integer, a task row named by a number, no `tasks` at all, and a
+        // task row without `activations`.
         let golden = include_str!("../tests/golden/robustness_f2_s7.json");
         let broken = |from: &str, to: &str| read(&golden.replacen(from, to, 1)).unwrap_err();
         assert_eq!(
@@ -468,6 +459,10 @@ mod tests {
         assert_eq!(
             broken(r#""tasks": ["#, r#""dropped": ["#),
             "points[0] lacks a `tasks` array"
+        );
+        assert_eq!(
+            broken(r#""activations": "#, r#""activated": "#),
+            "points[0] tasks[0] lacks an integral `activations`"
         );
 
         let err = read(r#"{"schema":"rtos-sld-bench/99","points":[]}"#).unwrap_err();

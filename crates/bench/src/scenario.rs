@@ -20,7 +20,7 @@ use model_refine::{figure3_spec, run_architecture, Figure3Delays, RunConfig, Run
 use rtos_model::{
     CycleOutcome, MissPolicy, Priority, Rtos, SchedAlg, TaskParams, TaskStats, TimeSlice,
 };
-use sldl_sim::bus::{Arbitration, BusConfig};
+use sldl_sim::bus::{Arbitration, BusConfig, BusStats};
 use sldl_sim::prelude::*;
 use vocoder::{
     simulate_architecture, simulate_split, simulate_unscheduled, SplitConfig, VocoderConfig,
@@ -340,18 +340,13 @@ impl ScenarioSpec {
         let cfg = self.vocoder_config();
         match simulate_split(&cfg, split, self.sched, self.slice) {
             Ok(run) => {
-                let end_s = run.run.end_time.as_secs_f64();
+                let end = run.run.end_time;
                 let mut o = vocoder_outcome(&cfg, run.run);
                 o.set("acks_received", run.acks_received as f64);
-                o.set("bus_transactions", run.bus.transactions as f64);
-                o.set("bus_bytes", run.bus.bytes as f64);
-                o.set("bus_busy_us", run.bus.busy.as_secs_f64() * 1e6);
-                o.set("bus_max_wait_us", run.bus.max_wait.as_secs_f64() * 1e6);
-                o.set("bus_contended", run.bus.contended as f64);
-                // Deterministic throughput: payload bytes per *simulated*
-                // second — the headline metric of comm sweeps.
-                if end_s > 0.0 {
-                    o.set("bus_bytes_per_sec", run.bus.bytes as f64 / end_s);
+                for (key, metric) in BUS_METRICS {
+                    if let Some(value) = metric(&run.bus, end) {
+                        o.set(key, value);
+                    }
                 }
                 o.set(
                     "subframe_grants_to_senders",
@@ -637,11 +632,11 @@ pub struct ScenarioOutcome {
     /// workloads). Serialized as a compact summary in
     /// [`to_json`](Self::to_json).
     pub tasks: Vec<TaskStats>,
-    /// Execution trace (empty unless [`ScenarioSpec::trace`] was set). Its
-    /// [`dropped`](Trace::dropped) count travels into the Chrome JSON
-    /// metadata and is checked by `bench::analyze`. **Not** serialized by
+    /// Execution trace (empty unless [`ScenarioSpec::trace`] was set),
+    /// with every record the run made. **Not** serialized by
     /// [`to_json`](Self::to_json); exported separately via
-    /// [`crate::trace::to_chrome_json`].
+    /// [`crate::trace::to_chrome_json`], whose document
+    /// `bench::analyze` reads.
     pub records: Trace,
     /// Host wall-clock cost of the run. **Not** part of the
     /// deterministic payload; excluded from [`to_json`](Self::to_json).
@@ -744,6 +739,28 @@ pub(crate) const KERNEL_STATS_FIELDS: [KernelCounter; 8] = [
     ("timer_ops", |k| k.timer_ops),
     ("max_ready_depth", |k| k.max_ready_depth),
     ("context_switches", |k| k.context_switches),
+];
+
+/// A bus metric of a split-vocoder point: its key, and its value from the
+/// run's [`BusStats`] and end time, when it has one.
+type BusMetric = (&'static str, fn(&BusStats, SimTime) -> Option<f64>);
+
+/// The bus metrics `run_vocoder_split` sets, and the results reader
+/// requires on every completed `comm_sweep` point.
+pub(crate) const BUS_METRICS: [BusMetric; 6] = [
+    ("bus_transactions", |b, _| Some(b.transactions as f64)),
+    ("bus_bytes", |b, _| Some(b.bytes as f64)),
+    ("bus_busy_us", |b, _| Some(b.busy.as_secs_f64() * 1e6)),
+    ("bus_max_wait_us", |b, _| {
+        Some(b.max_wait.as_secs_f64() * 1e6)
+    }),
+    ("bus_contended", |b, _| Some(b.contended as f64)),
+    // Deterministic throughput: payload bytes per *simulated* second, the
+    // headline metric of comm sweeps.
+    ("bus_bytes_per_sec", |b, end| {
+        let end_s = end.as_secs_f64();
+        (end_s > 0.0).then(|| b.bytes as f64 / end_s)
+    }),
 ];
 
 /// The fields of a results point's `tasks` rows, in document order.

@@ -21,10 +21,17 @@
 //! what lets `farm_determinism.rs` compare `--jobs 1` vs `--jobs N`
 //! trace files as raw bytes.
 //!
+//! The document is also the one form [`crate::analyze`] reads traces in:
+//! [`write_analysis`], the writer behind every `--analyze-out`, analyzes
+//! a run by building its document and reading it with
+//! [`TraceData::from_chrome_json`], exactly as the `analyze` bin reads a
+//! written file.
+//!
 //! [Chrome Trace Event Format]:
 //!     https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //!
 //! [`segments`]: sldl_sim::trace::segments
+//! [`TraceData::from_chrome_json`]: crate::analyze::TraceData::from_chrome_json
 
 use std::path::Path;
 
@@ -137,10 +144,10 @@ fn event(name: &str, ph: &str, pid: u32, tid: u32) -> Vec<(String, Json)> {
 /// Spans are exported from [`segments`], so the span multiset of the JSON
 /// equals the one every existing analysis sees; markers, scheduler
 /// decisions and mutex records are exported in record order as instant
-/// events. [`Trace::dropped`] (the count of records a bounded buffer
-/// discarded) lands in the top-level `otherData.dropped_records` so
-/// consumers — notably `bench::analyze` — can tell a lossless trace from
-/// a lossy one. Output bytes are a pure function of the trace.
+/// events. A run's trace keeps every record, so the top-level
+/// `otherData.dropped_records` is 0: readers, notably `bench::analyze`,
+/// refuse a file without that count or with another one. Output bytes
+/// are a pure function of the trace.
 #[must_use]
 pub fn to_chrome_json(trace: &Trace) -> Json {
     let map = TrackMap::build(trace);
@@ -254,10 +261,7 @@ pub fn to_chrome_json(trace: &Trace) -> Json {
 
     Json::obj([
         ("displayTimeUnit", Json::str("ms")),
-        (
-            "otherData",
-            Json::obj([("dropped_records", Json::U64(trace.dropped))]),
-        ),
+        ("otherData", Json::obj([("dropped_records", Json::U64(0))])),
         ("traceEvents", Json::Arr(events)),
     ])
 }
@@ -333,15 +337,11 @@ pub fn handle_analyze_out(args: &crate::cli::Args, spec: &ScenarioSpec, seed: u6
 }
 
 /// Runs the [`crate::analyze`] engine over `records` and writes the
-/// `rtos-sld-analysis/1` document to `path`, returning the analysis. A
-/// lossy trace (ring overflow) is a hard error, mirroring the `analyze`
-/// bin. Exits the process with status 1 on failure.
+/// `rtos-sld-analysis/1` document to `path`, returning the analysis: the
+/// one writer behind every `--analyze-out`. Exits the process with status
+/// 1 on I/O errors.
 pub fn write_analysis(records: &Trace, path: &Path) -> crate::analyze::Analysis {
     let data = crate::analyze::TraceData::from_records(records);
-    if let Err(e) = crate::analyze::check_lossless(&data) {
-        eprintln!("error: {}: {}", path.display(), e.trace_value);
-        std::process::exit(1);
-    }
     let analysis = crate::analyze::Analysis::from_trace(&data);
     if let Err(e) = analysis.to_json().write_to(path) {
         eprintln!("error: writing {}: {e}", path.display());
@@ -418,13 +418,12 @@ mod tests {
                 mutex: 3,
             },
         );
-        let mut trace = t.take();
-        trace.dropped = 42;
+        let trace = t.take();
         let text = to_chrome_json(&trace).render();
         let doc = Json::parse(&text).expect("valid JSON");
         assert_eq!(
             doc.get("otherData").and_then(|o| o.get("dropped_records")),
-            Some(&Json::U64(42)),
+            Some(&Json::U64(0)),
             "{text}"
         );
         // The mutex track claims a tid, and both records export as

@@ -5,7 +5,8 @@
 //! task, the trace-derived dispatch count, preemption count and
 //! cycle-response-time *vector* (not just aggregates) must equal
 //! [`rtos_model::TaskStats`]. This suite pins that claim across all five
-//! scheduling algorithms, both trace-ingestion roads, the miss-policy
+//! scheduling algorithms, a run's trace and the same trace rendered to
+//! text and parsed back, the miss-policy
 //! edge paths (kill/restart/skip rewrite the release bookkeeping), and
 //! the structural trace diff's determinism.
 

@@ -328,8 +328,8 @@ fn granularity_json_matches_golden_bytes() {
 
 #[test]
 fn inversion_trace_and_analysis_match_golden_bytes() {
-    // Mutex wait/acquire/release records, and the analysis document the
-    // in-memory road builds from them.
+    // Mutex wait/acquire/release records, and the analysis document
+    // `--analyze-out` builds from the run's trace.
     assert_outputs_match_goldens(
         env!("CARGO_BIN_EXE_inversion"),
         &[],

@@ -1029,7 +1029,7 @@ impl SimulationBuilder {
 
     /// Attaches a trace recorder; fetch the handle from the built
     /// simulation via [`Simulation::trace_handle`]. The buffer keeps every
-    /// record unless [`TraceConfig::sink`] bounds it to a ring.
+    /// record.
     pub fn trace(mut self, config: TraceConfig) -> Self {
         self.trace = Some(config);
         self
@@ -1052,7 +1052,7 @@ impl SimulationBuilder {
                 .map(ChaosState::new);
             st.oracle = self.oracle.then(OracleState::default);
             if let Some(config) = self.trace {
-                st.trace = Some(TraceHandle::from_config(config.sink));
+                st.trace = Some(TraceHandle::new());
                 st.trace_kernel = config.kernel_records;
             }
         }

@@ -100,6 +100,6 @@ pub use kernel::{Child, ProcCtx, Report, Simulation, SimulationBuilder, ZERO_TIM
 pub use rng::SmallRng;
 pub use time::SimTime;
 pub use trace::{
-    DecisionReason, KernelStats, LabelId, Record, RecordKind, SinkConfig, Trace, TraceConfig,
-    TraceHandle, TrackId,
+    DecisionReason, KernelStats, LabelId, Record, RecordKind, Trace, TraceConfig, TraceHandle,
+    TrackId,
 };

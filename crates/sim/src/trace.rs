@@ -17,16 +17,10 @@
 //! moves the records and the name table into a plain-data [`Trace`]
 //! without copying them; the consumers ([`segments`], [`markers`],
 //! [`to_csv`]) read ids and resolve names only for their own output.
-//!
-//! ## Buffer
-//!
-//! The handle keeps every record by default. [`SinkConfig::Ring`] bounds
-//! the buffer instead: it drops the *oldest* records on overflow and counts
-//! them in [`Trace::dropped`].
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::rc::Rc;
 use std::time::Duration;
@@ -340,8 +334,8 @@ pub struct Record {
     pub kind: RecordKind,
 }
 
-/// A recorded trace as plain data: the records, the name table their ids
-/// index, and how many records a bounded buffer dropped.
+/// A recorded trace as plain data: the records and the name table their
+/// ids index.
 ///
 /// Two traces are equal when they hold the same records with the same
 /// names, whatever order the names were interned in.
@@ -351,9 +345,6 @@ pub struct Trace {
     pub records: Vec<Record>,
     /// Interned names; a [`TrackId`] or [`LabelId`] indexes this table.
     pub names: Vec<String>,
-    /// Records a bounded buffer ([`SinkConfig::Ring`]) dropped. Nonzero
-    /// means `records` is only the tail of the run.
-    pub dropped: u64,
 }
 
 impl Trace {
@@ -391,7 +382,7 @@ impl Trace {
 
 impl PartialEq for Trace {
     fn eq(&self, other: &Self) -> bool {
-        if self.dropped != other.dropped || self.records.len() != other.records.len() {
+        if self.records.len() != other.records.len() {
             return false;
         }
         if self.names == other.names {
@@ -419,17 +410,6 @@ impl PartialEq for Trace {
 
 impl Eq for Trace {}
 
-/// Bound on the buffer the kernel installs for a traced run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SinkConfig {
-    /// Keep every record.
-    #[default]
-    Memory,
-    /// Keep the newest `n` records (`n` ≥ 1), dropping the oldest and
-    /// counting them in [`Trace::dropped`].
-    Ring(usize),
-}
-
 /// Configuration for
 /// [`SimulationBuilder::trace`](crate::SimulationBuilder::trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -437,8 +417,6 @@ pub struct TraceConfig {
     /// Also record kernel-level scheduling records (spawn/resume/suspend/
     /// finish/notify). Allocation-free, but high-volume.
     pub kernel_records: bool,
-    /// Bound on the record buffer (default: unbounded).
-    pub sink: SinkConfig,
 }
 
 /// Kernel self-metrics, updated unconditionally (and allocation-free) by
@@ -471,10 +449,7 @@ pub struct KernelStats {
 
 #[derive(Debug, Default)]
 struct Buffer {
-    records: VecDeque<Record>,
-    /// Ring bound (`None` keeps every record).
-    cap: Option<usize>,
-    dropped: u64,
+    records: Vec<Record>,
     /// Interned names by id, until a [`take`](TraceHandle::take) moves
     /// the table out. `ids` keeps every name, so a later take rebuilds it.
     names: Vec<String>,
@@ -540,16 +515,6 @@ impl TraceHandle {
         Self::default()
     }
 
-    /// Creates a handle bounded as `cfg` says.
-    #[must_use]
-    pub fn from_config(cfg: SinkConfig) -> Self {
-        let handle = Self::new();
-        if let SinkConfig::Ring(n) = cfg {
-            handle.inner.borrow_mut().cap = Some(n.max(1));
-        }
-        handle
-    }
-
     /// Interns a track name, returning a stable id for the handle's
     /// lifetime. Allocates only on first sight of the name.
     #[must_use]
@@ -566,12 +531,7 @@ impl TraceHandle {
 
     /// Appends a record.
     pub fn emit(&self, time: SimTime, kind: RecordKind) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.cap == Some(inner.records.len()) {
-            inner.records.pop_front();
-            inner.dropped += 1;
-        }
-        inner.records.push_back(Record { time, kind });
+        self.inner.borrow_mut().records.push(Record { time, kind });
     }
 
     /// Begins a span.
@@ -601,18 +561,16 @@ impl TraceHandle {
         self.inner.borrow().records.is_empty()
     }
 
-    /// Moves the records, their drop count and the name table out as a
-    /// [`Trace`], leaving the buffer empty: read a run's trace once, when
-    /// it has ended. Ids interned before stay valid, so whatever is
-    /// recorded later resolves in a later take, which holds only the
-    /// records made in between.
+    /// Moves the records and the name table out as a [`Trace`], leaving
+    /// the buffer empty: read a run's trace once, when it has ended. Ids
+    /// interned before stay valid, so whatever is recorded later resolves
+    /// in a later take, which holds only the records made in between.
     #[must_use]
     pub fn take(&self) -> Trace {
         let mut inner = self.inner.borrow_mut();
         Trace {
-            records: Vec::from(std::mem::take(&mut inner.records)),
+            records: std::mem::take(&mut inner.records),
             names: inner.take_names(),
-            dropped: std::mem::take(&mut inner.dropped),
         }
     }
 }
@@ -760,55 +718,32 @@ fn csv_quote(out: &mut String, s: &str) {
 /// Appends one CSV row for `r` (with trailing newline).
 fn csv_row(out: &mut String, trace: &Trace, r: &Record) {
     let name = |id: LabelId| trace.label(id);
-    let (kind, track, label, id): (&str, Option<TrackId>, Cow<'_, str>, i64) = match r.kind {
-        RecordKind::ProcessSpawned { pid, name: n } => (
-            "process_spawned",
-            None,
-            Cow::Borrowed(name(n)),
-            pid.index() as i64,
-        ),
-        RecordKind::ProcessResumed { pid } => (
-            "process_resumed",
-            None,
-            Cow::Borrowed(""),
-            pid.index() as i64,
-        ),
-        RecordKind::ProcessSuspended { pid, reason } => (
-            match reason {
-                SuspendReason::WaitEvent => "suspended_wait_event",
-                SuspendReason::WaitTime => "suspended_wait_time",
-                SuspendReason::Join => "suspended_join",
-            },
-            None,
-            Cow::Borrowed(""),
-            pid.index() as i64,
-        ),
-        RecordKind::ProcessFinished { pid } => (
-            "process_finished",
-            None,
-            Cow::Borrowed(""),
-            pid.index() as i64,
-        ),
-        RecordKind::EventNotified { event } => (
-            "event_notified",
-            None,
-            Cow::Borrowed(""),
-            event.index() as i64,
-        ),
-        RecordKind::Marker { track, label } => {
-            ("marker", Some(track), Cow::Borrowed(name(label)), -1)
+    let kind = match r.kind {
+        RecordKind::ProcessSuspended { reason, .. } => match reason {
+            SuspendReason::WaitEvent => "suspended_wait_event",
+            SuspendReason::WaitTime => "suspended_wait_time",
+            SuspendReason::Join => "suspended_join",
+        },
+        other => other.kind_name(),
+    };
+    let (track, label, id): (Option<TrackId>, Cow<'_, str>, i64) = match r.kind {
+        RecordKind::ProcessSpawned { pid, name: n } => {
+            (None, Cow::Borrowed(name(n)), pid.index() as i64)
         }
-        RecordKind::SpanBegin { track, label } => {
-            ("span_begin", Some(track), Cow::Borrowed(name(label)), -1)
+        RecordKind::ProcessResumed { pid }
+        | RecordKind::ProcessSuspended { pid, .. }
+        | RecordKind::ProcessFinished { pid } => (None, Cow::Borrowed(""), pid.index() as i64),
+        RecordKind::EventNotified { event } => (None, Cow::Borrowed(""), event.index() as i64),
+        RecordKind::Marker { track, label } | RecordKind::SpanBegin { track, label } => {
+            (Some(track), Cow::Borrowed(name(label)), -1)
         }
-        RecordKind::SpanEnd { track } => ("span_end", Some(track), Cow::Borrowed(""), -1),
+        RecordKind::SpanEnd { track } => (Some(track), Cow::Borrowed(""), -1),
         RecordKind::SchedDecision {
             track,
             dispatched,
             displaced,
             reason,
         } => (
-            "sched_decision",
             Some(track),
             Cow::Owned(format!(
                 "dispatched={} displaced={} reason={reason}",
@@ -823,19 +758,12 @@ fn csv_row(out: &mut String, trace: &Trace, r: &Record) {
             owner,
             mutex,
         } => (
-            "mutex_wait",
             Some(track),
             Cow::Owned(format!("task={} owner={}", name(task), name(owner))),
             i64::from(mutex),
         ),
-        RecordKind::MutexAcquired { track, task, mutex } => (
-            "mutex_acquired",
-            Some(track),
-            Cow::Owned(format!("task={}", name(task))),
-            i64::from(mutex),
-        ),
-        RecordKind::MutexReleased { track, task, mutex } => (
-            "mutex_released",
+        RecordKind::MutexAcquired { track, task, mutex }
+        | RecordKind::MutexReleased { track, task, mutex } => (
             Some(track),
             Cow::Owned(format!("task={}", name(task))),
             i64::from(mutex),
@@ -845,7 +773,6 @@ fn csv_row(out: &mut String, trace: &Trace, r: &Record) {
             task,
             release,
         } => (
-            "task_released",
             Some(track),
             Cow::Owned(format!(
                 "task={} release={}",
@@ -1229,16 +1156,16 @@ mod tests {
 
     #[test]
     fn take_empties_the_buffer_and_keeps_ids_valid() {
-        let t = TraceHandle::from_config(SinkConfig::Ring(2));
+        let t = TraceHandle::new();
         let track = t.intern_track("t");
         for i in 0..3u64 {
             t.marker(us(i), track, t.intern_label("x"));
         }
         let first = t.take();
-        assert_eq!((first.len(), first.dropped), (2, 1));
+        assert_eq!(first.len(), 3);
         // A second take holds nothing recorded before the first.
         let second = t.take();
-        assert_eq!((second.len(), second.dropped), (0, 0));
+        assert_eq!(second.len(), 0);
         assert_eq!(second.names, ["t", "x"]);
         // Recorded after a take, an old id and a new one both resolve.
         t.marker(us(5), track, t.intern_label("y"));
@@ -1246,30 +1173,6 @@ mod tests {
         let third = t.take();
         assert_eq!(third.names, ["t", "x", "y"]);
         assert_eq!(markers(&third, "t"), [(us(5), "y"), (us(6), "x")]);
-    }
-
-    #[test]
-    fn ring_sink_overflow_counts_drops_and_keeps_order() {
-        let t = TraceHandle::from_config(SinkConfig::Ring(3));
-        let tr = t.intern_track("t");
-        for i in 0..5u64 {
-            let l = t.intern_label(&format!("l{i}"));
-            t.marker(us(i), tr, l);
-        }
-        assert_eq!(t.len(), 3);
-        let trace = t.take();
-        assert_eq!(trace.dropped, 2);
-        // Survivors are the *newest* records, in original order.
-        let labels: Vec<&str> = markers(&trace, "t").into_iter().map(|m| m.1).collect();
-        assert_eq!(labels, ["l2", "l3", "l4"]);
-    }
-
-    #[test]
-    fn ring_sink_below_capacity_drops_nothing() {
-        let t = TraceHandle::from_config(SinkConfig::Ring(16));
-        t.marker(SimTime::ZERO, t.intern_track("t"), t.intern_label("x"));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.take().dropped, 0);
     }
 
     #[test]

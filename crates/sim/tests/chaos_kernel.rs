@@ -37,7 +37,6 @@ fn run_workload(
     let mut builder = Simulation::builder()
         .trace(TraceConfig {
             kernel_records: true,
-            ..TraceConfig::default()
         })
         .oracle(oracle);
     if let Some(p) = plan {

@@ -59,7 +59,6 @@ fn run_workload(w: &Workload) -> (SimTime, Vec<String>, usize) {
     let mut sim = Simulation::builder()
         .trace(TraceConfig {
             kernel_records: true,
-            ..TraceConfig::default()
         })
         .build();
     let trace = sim.trace_handle().expect("trace configured");

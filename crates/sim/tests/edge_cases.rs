@@ -181,7 +181,6 @@ fn kernel_records_cover_process_lifecycle() {
     let mut sim = Simulation::builder()
         .trace(TraceConfig {
             kernel_records: true,
-            ..TraceConfig::default()
         })
         .build();
     let trace = sim.trace_handle().expect("trace configured");

@@ -24,7 +24,6 @@ fn us(n: u64) -> Duration {
 fn run_workload(plan: Option<FaultPlan>) -> (SimTime, Trace, Vec<sldl_sim::FaultRecord>, Vec<u64>) {
     let mut builder = Simulation::builder().trace(TraceConfig {
         kernel_records: true,
-        ..TraceConfig::default()
     });
     if let Some(p) = plan {
         builder = builder.fault_plan(p);
